@@ -93,18 +93,46 @@ class TrajectoryRecord:
     component_count: int = None
 
 
+def _kron_squares(sys: JumpLinearSystem) -> np.ndarray:
+    """The (m, n^2, n^2) stack of A_j kron A_j; NumericalError on overflow."""
+    a, n2 = sys.modes, sys.n * sys.n
+    with np.errstate(over="ignore"):
+        lifts = a[:, :, None, :, None] * a[:, None, :, None, :]
+    if not np.all(np.isfinite(lifts)):
+        raise NumericalError("A_j kron A_j overflows: modes too large")
+    return lifts.reshape(sys.m, n2, n2)
+
+
+def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Symmetrised A_j X_i A_j^T for each mode j and matrix i: (m, q, n, n)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = modes[:, None] @ mats[None] @ np.swapaxes(modes, 1, 2)[:, None]
+        out += np.swapaxes(out, 2, 3)
+    out *= 0.5
+    return out
+
+
+def _past_guard(x: np.ndarray, guard: float = DIVERGENCE_GUARD) -> bool:
+    return not np.all(np.abs(x) <= guard)  # NaN fails <=: counts as past
+
+
+def _lifted_fold(sys: JumpLinearSystem, schedule, guard=DIVERGENCE_GUARD):
+    """Yield Gamma(1), Gamma(2), ... until a product passes ``guard``."""
+    lifts = _kron_squares(sys)
+    gamma = np.eye(sys.n * sys.n)
+    for pi in schedule:
+        gamma = np.tensordot(pi, lifts, axes=1) @ gamma
+        if _past_guard(gamma, guard):
+            return
+        yield gamma
+
+
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     """One-step lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
     pi = as_probability_vector(pi_k, "pi_k")
     if pi.size != sys.m:
         raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
-    n2 = sys.n * sys.n
-    out = np.zeros((n2, n2))
-    for j in range(sys.m):
-        if pi[j] != 0.0:
-            a = sys.modes[j]
-            out += pi[j] * np.kron(a, a)
-    return out
+    return np.tensordot(pi, _kron_squares(sys), axes=1)
 
 
 def mog_step(
@@ -126,6 +154,8 @@ def mog_step(
     ------
     ValueError
         On dimension mismatch or if pruning removes everything.
+    NumericalError
+        If a surviving mean or covariance entry passes the overflow guard.
     """
     pi = as_probability_vector(pi_k, "pi_k")
     if pi.size != sys.m:
@@ -135,11 +165,8 @@ def mog_step(
             f"mixture has dimension {mix.n}, system has n={sys.n}"
         )
     weights = np.outer(pi, mix.weights).reshape(-1)
-    means = np.einsum("jab,ib->jia", sys.modes, mix.means).reshape(-1, sys.n)
-    covs = np.einsum(
-        "jab,ibc,jdc->jiad", sys.modes, mix.covs, sys.modes
-    ).reshape(-1, sys.n, sys.n)
-    covs = (covs + np.transpose(covs, (0, 2, 1))) / 2.0
+    means = (mix.means @ np.swapaxes(sys.modes, 1, 2)).reshape(-1, sys.n)
+    covs = _push(sys.modes, mix.covs).reshape(-1, sys.n, sys.n)
 
     floor = max(float(weight_floor), 0.0)
     # zero-weight pairs are always dead mass; a positive floor widens the cut
@@ -148,12 +175,34 @@ def mog_step(
         raise ValueError(
             f"weight_floor={weight_floor:g} prunes every component"
         )
-    weights = weights[keep]
+    weights, means, covs = weights[keep], means[keep], covs[keep]
+    if _past_guard(means) or _past_guard(covs):
+        raise NumericalError(
+            f"mixture diverged (entry magnitude exceeds {DIVERGENCE_GUARD:g})"
+        )
     return GaussianMixture(
-        weights=weights / weights.sum(),
-        means=means[keep],
-        covs=covs[keep],
+        weights=weights / weights.sum(), means=means, covs=covs
     )
+
+
+def _mog_fold(sys: JumpLinearSystem, schedule, init, cap, weight_floor):
+    """Yield the mixture after each step; ``cap`` as in mog_propagate."""
+    k = len(schedule)
+    if weight_floor <= 0.0 and init.q * sys.m**k > cap:
+        raise ValueError(
+            f"exact propagation reaches m^k*q0 = {sys.m}^{k}*{init.q} "
+            f"= {init.q * sys.m**k} components, beyond cap={cap}; raise "
+            f"the cap or set a weight_floor"
+        )
+    mix = init
+    for step, pi in enumerate(schedule, 1):
+        mix = mog_step(sys, pi, mix, weight_floor)
+        if mix.q > cap:
+            raise ValueError(
+                f"component count {mix.q} exceeds cap={cap} at step "
+                f"{step} despite weight_floor={weight_floor:g}"
+            )
+        yield mix
 
 
 def mog_propagate(
@@ -177,32 +226,21 @@ def mog_propagate(
     report = validate_system(sys, law, init)
     if not report.ok:
         raise ValueError("; ".join(report.violations))
-    if k == 0:
-        return init
-    if weight_floor <= 0.0:
-        final = init.q * sys.m**k
-        if final > cap:
-            raise ValueError(
-                f"exact propagation reaches m^k*q0 = {sys.m}^{k}*{init.q} "
-                f"= {final} components, beyond cap={cap}; raise the cap "
-                f"or set a weight_floor"
-            )
-    schedule = marginal_schedule(law, k, m=sys.m)
     mix = init
-    for step in range(k):
-        mix = mog_step(sys, schedule[step], mix, weight_floor)
-        if mix.q > cap:
-            raise ValueError(
-                f"component count {mix.q} exceeds cap={cap} at step "
-                f"{step + 1} despite weight_floor={weight_floor:g}"
-            )
+    if k > 0:
+        schedule = marginal_schedule(law, k, m=sys.m)
+        for mix in _mog_fold(sys, schedule, init, cap, weight_floor):
+            pass
     return mix
 
 
 def moment_step(
     sys: JumpLinearSystem, pi_k, state: SecondMomentState
 ) -> SecondMomentState:
-    """One second-moment update Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T."""
+    """One second-moment update Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T.
+
+    Raises ``NumericalError`` once an entry passes the overflow guard.
+    """
     pi = as_probability_vector(pi_k, "pi_k")
     if pi.size != sys.m:
         raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
@@ -210,10 +248,13 @@ def moment_step(
         raise ValueError(
             f"phi has shape {state.phi.shape}, system has n={sys.n}"
         )
-    phi = np.einsum(
-        "j,jab,bc,jdc->ad", pi, sys.modes, state.phi, sys.modes
-    )
-    return SecondMomentState(phi=(phi + phi.T) / 2.0, k=state.k + 1)
+    phi = np.tensordot(pi, _push(sys.modes, state.phi[None])[:, 0], 1)
+    if _past_guard(phi):
+        raise NumericalError(
+            f"second moment diverged at k={state.k + 1} "
+            f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
+        )
+    return SecondMomentState(phi=phi, k=state.k + 1)
 
 
 def gamma_product(
@@ -232,24 +273,12 @@ def gamma_product(
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    n2 = sys.n * sys.n
-    gamma = np.eye(n2)
-    if k == 0:
-        return GammaState(gamma=gamma, k=0)
-    schedule = marginal_schedule(law, k, m=sys.m)
-    for step in range(k):
-        nxt = lifted_step_matrix(sys, schedule[step]) @ gamma
-        if np.max(np.abs(nxt)) > guard:
-            return GammaState(gamma=gamma, k=step, diverged=True)
-        gamma = nxt
-    return GammaState(gamma=gamma, k=k)
-
-
-def _initial_moment(init: GaussianMixture) -> tuple[float, np.ndarray]:
-    mean, cov = synthetic_gaussian(init)
-    phi0 = np.outer(mean, mean) + cov
-    phi0 = (phi0 + phi0.T) / 2.0
-    return float(np.trace(phi0)), phi0
+    gamma, done = np.eye(sys.n * sys.n), 0
+    if k > 0:
+        schedule = marginal_schedule(law, k, m=sys.m)
+        for done, gamma in enumerate(_lifted_fold(sys, schedule, guard), 1):
+            pass
+    return GammaState(gamma=gamma, k=done, diverged=done < k)
 
 
 def w2_trajectory(
@@ -289,7 +318,9 @@ def w2_trajectory(
     if not report.ok:
         raise ValueError("; ".join(report.violations))
 
-    w2_0, phi0 = _initial_moment(init)
+    mean, cov = synthetic_gaussian(init)
+    phi0 = np.outer(mean, mean) + cov
+    w2_0 = float(np.trace(phi0))
     if method == "exact_mog":
         records = [
             TrajectoryRecord(
@@ -306,55 +337,27 @@ def w2_trajectory(
 
     if method == "moment":
         state = SecondMomentState(phi=phi0, k=0)
-        for step in range(k_max):
-            state = moment_step(sys, schedule[step], state)
-            if np.max(np.abs(state.phi)) > DIVERGENCE_GUARD:
-                raise NumericalError(
-                    f"second moment diverged at k={step + 1} "
-                    f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
-                )
+        for pi in schedule:
+            state = moment_step(sys, pi, state)
             w2 = float(np.trace(state.phi))
-            records.append(
-                TrajectoryRecord(k=step + 1, w2=w2, phi_trace=w2)
-            )
+            records.append(TrajectoryRecord(k=state.k, w2=w2, phi_trace=w2))
     elif method == "gamma":
-        n2 = sys.n * sys.n
-        gamma = np.eye(n2)
-        vec_phi0 = vec(phi0)
-        vec_id = vec(np.eye(sys.n))
-        for step in range(k_max):
-            gamma = lifted_step_matrix(sys, schedule[step]) @ gamma
-            if np.max(np.abs(gamma)) > DIVERGENCE_GUARD:
-                raise NumericalError(
-                    f"lifted product diverged at k={step + 1} "
-                    f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
-                )
+        vec_id, vec_phi0 = vec(np.eye(sys.n)), vec(phi0)
+        for step, gamma in enumerate(_lifted_fold(sys, schedule), 1):
             w2 = float(vec_id @ gamma @ vec_phi0)
-            records.append(
-                TrajectoryRecord(k=step + 1, w2=w2, phi_trace=w2)
+            records.append(TrajectoryRecord(k=step, w2=w2, phi_trace=w2))
+        if len(records) <= k_max:
+            raise NumericalError(
+                f"lifted product diverged at k={len(records)} "
+                f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
             )
     else:
-        if weight_floor <= 0.0:
-            final = init.q * sys.m**k_max
-            if final > cap:
-                raise ValueError(
-                    f"exact propagation reaches m^k*q0 = "
-                    f"{sys.m}^{k_max}*{init.q} = {final} components, "
-                    f"beyond cap={cap}; raise the cap or set a "
-                    f"weight_floor"
-                )
-        mix = init
-        for step in range(k_max):
-            mix = mog_step(sys, schedule[step], mix, weight_floor)
-            if mix.q > cap:
-                raise ValueError(
-                    f"component count {mix.q} exceeds cap={cap} at step "
-                    f"{step + 1} despite weight_floor={weight_floor:g}"
-                )
+        mixes = _mog_fold(sys, schedule, init, cap, weight_floor)
+        for step, mix in enumerate(mixes, 1):
             mean, cov = synthetic_gaussian(mix)
             records.append(
                 TrajectoryRecord(
-                    k=step + 1,
+                    k=step,
                     w2=mixture_to_dirac_sq(mix),
                     phi_trace=float(mean @ mean + np.trace(cov)),
                     component_count=mix.q,

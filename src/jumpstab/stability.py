@@ -23,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matkit import spectral_norm, spectral_radius
-from .propagate import DIVERGENCE_GUARD, lifted_step_matrix
+from .propagate import (
+    DIVERGENCE_GUARD,
+    _kron_squares,
+    _lifted_fold,
+    lifted_step_matrix,
+)
 from .sysmodel import (
     IIDSwitching,
     JumpLinearSystem,
@@ -144,11 +148,9 @@ def markov_test(
     violations = check_transition_matrix(p)
     if violations:
         raise ValueError("; ".join(violations))
-    n2 = sys.n * sys.n
-    lifted_modes = scipy.linalg.block_diag(
-        *(np.kron(a, a) for a in sys.modes)
-    )
-    lift = lifted_modes @ np.kron(p.T, np.eye(n2))
+    size = sys.m * sys.n**2
+    # block (i, j) of diag(A_i kron A_i) (P^T kron I) is P_ji (A_i kron A_i)
+    lift = np.einsum("ji,iab->iajb", p, _kron_squares(sys)).reshape(size, size)
     evidence = spectral_radius(lift)
     stationary = stationary_distribution(p)
     notes = (f"stationary distribution: {stationary.status}",)
@@ -188,30 +190,17 @@ def general_test(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     schedule = marginal_schedule(law, k_max, m=sys.m)
-    n2 = sys.n * sys.n
-    base = np.sqrt(float(n2))
-    gamma = np.eye(n2)
-    ratios = np.empty(k_max)
-    steps_done = k_max
-    diverged = False
-    for step in range(k_max):
-        gamma = lifted_step_matrix(sys, schedule[step]) @ gamma
-        if np.max(np.abs(gamma)) > DIVERGENCE_GUARD:
-            ratios = ratios[:step]
-            steps_done = step
-            diverged = True
-            break
-        ratios[step] = _scaled_fro(gamma) / base
-
-    if diverged:
+    base = float(sys.n)  # ||Gamma(0)||_F, the n^2 x n^2 identity
+    ratios = [_scaled_fro(g) / base for g in _lifted_fold(sys, schedule)]
+    if len(ratios) < k_max:
         return StabilityReport(
             verdict="unstable",
             test_name="general",
             evidence=np.inf,
-            horizon_used=steps_done,
+            horizon_used=len(ratios),
             notes=(
                 f"lifted product exceeded the overflow guard at k="
-                f"{steps_done + 1}",
+                f"{len(ratios) + 1}",
             ),
         )
 

@@ -35,6 +35,26 @@ SEQ = {
     "switching": {"type": "sequence", "indices": [1, 2]},
     "initial": [{"weight": 1.0, "mean": [1.0], "cov": [[0.0]]}],
 }
+#: A nilpotent mode whose square overflows: A kron A and A A^T hold 1e320
+OVERFLOW = {
+    "n": 2,
+    "modes": {
+        "huge": [[0.0, 1e160], [0.0, 0.0]],
+        "half": [[0.5, 0.0], [0.0, 0.5]],
+    },
+    "initial": [
+        {"weight": 1.0, "mean": [1.0, 1.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    ],
+}
+OVERFLOW_LAWS = {
+    "iid": {"type": "iid", "pi": [0.5, 0.5]},
+    "markov": {
+        "type": "markov",
+        "P": [[0.5, 0.5], [0.5, 0.5]],
+        "pi0": [0.5, 0.5],
+    },
+    "schedule": {"type": "schedule", "vectors": [[0.5, 0.5]]},
+}
 SINGLE_HALF = {
     "n": 1,
     "modes": {"half": [[0.5]]},
@@ -129,6 +149,27 @@ class TestAnalyze:
     def test_invalid_file_rejected_before_analysis(self, write, capsys):
         doc = dict(IID, switching={"type": "iid", "pi": [0.6, 0.6]})
         assert main(["analyze", write(doc)]) == 1
+
+
+class TestOverflow:
+    """Overflowing second moments end in exit 3, never NaN rows or exit 1."""
+
+    @pytest.mark.parametrize("law", sorted(OVERFLOW_LAWS))
+    def test_analyze_exits_3(self, write, capsys, law):
+        doc = dict(OVERFLOW, switching=OVERFLOW_LAWS[law])
+        assert main(["analyze", write(doc)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
+    def test_trajectory_exits_3(self, write, capsys, method):
+        doc = dict(OVERFLOW, switching=OVERFLOW_LAWS["iid"])
+        argv = ["trajectory", write(doc), "--steps", "3", "--method", method]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "nan" not in captured.out
 
 
 class TestTrajectory:
@@ -356,6 +397,19 @@ class TestSubprocess:
         proc = self.run("analyze", write(IID))
         assert proc.returncode == 0
         assert "unstable" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, jumpstab; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_error_returncode(self):
         proc = self.run("nope")

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.mcsim import (
     SimConfig,
+    _kurtosis,
     _trajectory_rng,
     sample_initial,
     simulate_ensemble,
@@ -307,3 +308,27 @@ class TestSimulateEnsemble:
         )
         assert_array_equal(stats.samples, np.full(4, 77))
         assert stats.k_max == 3
+
+
+class TestKurtosis:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.standard_normal((5000, 3)),
+            lambda rng: rng.standard_cauchy((5000, 3)) ** 2,
+            lambda rng: rng.lognormal(0.0, 1.5, (5000, 3)),
+        ],
+        ids=["gaussian", "squared-cauchy", "log-normal"],
+    )
+    def test_matches_scipy(self, draw):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        samples = draw(np.random.default_rng(59))
+        oracle = scipy_stats.kurtosis(samples, axis=0, fisher=False, bias=True)
+        assert_allclose(_kurtosis(samples), oracle, rtol=1e-12)
+
+    def test_huge_samples_do_not_overflow(self):
+        rng = np.random.default_rng(61)
+        samples = rng.standard_cauchy((5000, 2)) ** 2
+        assert_allclose(
+            _kurtosis(samples * 1e80), _kurtosis(samples), rtol=1e-12
+        )

@@ -8,11 +8,13 @@ oracles computed inline.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError, unvec, vec
 from jumpstab.propagate import (
     GammaState,
+    _kron_squares,
+    _past_guard,
     gamma_product,
     lifted_step_matrix,
     mog_propagate,
@@ -75,6 +77,21 @@ class TestLiftedStepMatrix:
             pi[j] * sys.modes[j] @ phi @ sys.modes[j].T for j in range(3)
         )
         assert_allclose(unvec(lifted, 3), direct, atol=1e-12)
+
+
+class TestKronSquares:
+    def test_stack_matches_kron(self):
+        rng = np.random.default_rng(81)
+        sys = random_system(rng, m=3, n=3)
+        lifts = _kron_squares(sys)
+        assert lifts.shape == (3, 9, 9)
+        for a, lift in zip(sys.modes, lifts):
+            assert_array_equal(lift, np.kron(a, a))
+
+    def test_overflow_raises(self):
+        sys = JumpLinearSystem(modes=[[[0.0, 1e160], [0.0, 0.0]], np.eye(2)])
+        with pytest.raises(NumericalError, match="overflows"):
+            _kron_squares(sys)
 
 
 class TestMogStep:
@@ -262,6 +279,13 @@ class TestGammaProduct:
         assert np.all(np.isfinite(state.gamma))
         # the returned product is the last one under the guard
         assert abs(state.gamma[0, 0]) <= 1e150
+
+    @pytest.mark.parametrize(
+        "entry, past", [(1e150, False), (-2e150, True), (np.inf, True),
+                        (np.nan, True)],
+    )
+    def test_guard_counts_nan_and_inf_as_past(self, entry, past):
+        assert _past_guard(np.array([[0.0, entry]])) is past
 
 
 class TestW2Trajectory:

@@ -164,6 +164,19 @@ class TestMarkovTest:
                 iid_test(sys, pi).evidence, rel=1e-9
             )
 
+    def test_non_symmetric_chain_block_placement(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(179)
+        mats = [rng.standard_normal((2, 2)) for _ in range(3)]
+        sys = JumpLinearSystem(modes=mats)
+        p = np.array([[0.1, 0.6, 0.3], [0.7, 0.2, 0.1], [0.05, 0.15, 0.8]])
+        blocks = scipy_linalg.block_diag(*(np.kron(a, a) for a in mats))
+        oracle = spectral_radius(blocks @ np.kron(p.T, np.eye(4)))
+        transposed = spectral_radius(blocks @ np.kron(p, np.eye(4)))
+        # the case must tell the two placements apart
+        assert abs(oracle - transposed) > 1e-3 * oracle
+        assert markov_test(sys, p).evidence == pytest.approx(oracle, rel=1e-12)
+
     def test_rejects_bad_transition_matrix(self):
         with pytest.raises(ValueError, match="row 1"):
             markov_test(scalar_system(1.0, 1.0), [[0.5, 0.6], [0.5, 0.5]])
