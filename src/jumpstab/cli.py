@@ -354,7 +354,7 @@ def cmd_compare(args) -> int:
         marginal_dev = _se_deviations(records, marginal_stats)
         marginal_worst = max(marginal_dev)
 
-    passed = (
+    passed = bool(
         (marginal_worst if path_mode else se_dev[worst]) <= _PASS_SE
     )
 
@@ -371,6 +371,7 @@ def cmd_compare(args) -> int:
                     "mean_sq": stats.mean_sq[rec.k],
                     "stderr": stats.stderr[rec.k],
                     "se_dev": _json_number(se_dev[rec.k]),
+                    "heavy_tail": bool(stats.heavy_tail[rec.k]),
                 }
                 for rec in records
             ],
@@ -409,6 +410,9 @@ def cmd_compare(args) -> int:
             "chain's conditional transitions; a gap between the two "
             "deviations measures mode correlation, not a defect."
         )
+    heavy = [str(rec.k) for rec in records if stats.heavy_tail[rec.k]]
+    if heavy:
+        print(f"heavy-tailed steps (SE unreliable): k={', '.join(heavy)}")
     verdict = "PASS" if passed else "FAIL"
     print(f"result: {verdict} (threshold {_PASS_SE:g} SE)")
     return 0

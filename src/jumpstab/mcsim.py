@@ -6,14 +6,17 @@ squared Wasserstein distance to the origin mass.
 
 Reproducibility contract
 ------------------------
-Trajectory ``i`` draws from its own generator,
-``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, with a fixed draw
-layout: one uniform for the initial component, ``n`` standard normals
-for the initial state, then ``k_max`` uniforms for the mode picks (drawn
-under every law, even deterministic ones, so streams stay aligned across
-sampling semantics). Each trajectory writes its own row of the result
-array and the final reduction runs once over the full array, so the
-output is bit-identical for any chunking or thread count.
+Trajectories are cut into fixed blocks of ``_CHUNK`` = 4096 (the last
+block may be shorter). Block ``b`` draws from its own generator,
+``PCG64(SeedSequence(entropy=seed, spawn_key=(b,)))``, in bulk and in a
+fixed order: ``random(count)`` for the initial components,
+``standard_normal((count, n))`` for the initial states, then one
+``random(count)`` per step for the mode picks (drawn under every law,
+even deterministic ones, so streams stay aligned across sampling
+semantics). Blocks depend on ``_CHUNK`` only, never on the thread count;
+each block writes its own rows of the result array and the final
+reduction runs once over the full array, so the output is bit-identical
+for any thread count.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from the per-step occupation vector; this is the joint law
@@ -144,9 +147,10 @@ def _pick(uniforms: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     ``cuts`` are the first m-1 cumulative weights (one row, or one row
     per uniform); bucket j covers [cut_{j-1}, cut_j).
     """
-    if cuts.ndim == 1:
-        return (uniforms[:, None] >= cuts[None, :]).sum(axis=1)
-    return (uniforms[:, None] >= cuts).sum(axis=1)
+    idx = np.zeros(uniforms.shape, dtype=np.intp)
+    for cut in cuts.T:
+        idx += uniforms >= cut
+    return idx
 
 
 def _kurtosis(samples: np.ndarray) -> np.ndarray:
@@ -160,9 +164,9 @@ def _kurtosis(samples: np.ndarray) -> np.ndarray:
         return np.mean(sq * sq, axis=0) / np.mean(sq, axis=0) ** 2
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
+def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
 
 
@@ -171,8 +175,10 @@ def sample_initial(init: GaussianMixture, rng: np.random.Generator) -> np.ndarra
 
     Picks the component with a single uniform against the cumulative
     weights, then applies a PSD factor of its covariance to a standard
-    normal vector. Draw order (one uniform, then n normals) matches the
-    ensemble simulator's per-trajectory layout.
+    normal vector. Draw order: one uniform, then n normals. The ensemble
+    simulator draws the same quantities in bulk per block of
+    trajectories (see the module docstring), so repeated calls on one
+    generator do not reproduce its samples.
     """
     weights = init.weights / np.sum(init.weights)
     cum = np.cumsum(weights)
@@ -232,43 +238,31 @@ def simulate_ensemble(
 
     normsq = np.empty((big_t, k_max + 1))
 
-    def run_chunk(lo: int, hi: int) -> None:
+    def run_block(block: int) -> None:
+        lo = block * _CHUNK
+        hi = min(lo + _CHUNK, big_t)
         count = hi - lo
-        u0 = np.empty(count)
-        z = np.empty((count, n))
-        u_modes = np.empty((count, k_max))
-        for i in range(count):
-            gen = _trajectory_rng(cfg.seed, lo + i)
-            u0[i] = gen.random()
-            z[i] = gen.standard_normal(n)
-            u_modes[i] = gen.random(k_max)
-
-        idx0 = _pick(u0, cum_init)
+        gen = _block_rng(cfg.seed, block)
+        idx0 = _pick(gen.random(count), cum_init)
+        z = gen.standard_normal((count, n))
         x = init.means[idx0] + np.einsum("tab,tb->ta", factors[idx0], z)
         normsq[lo:hi, 0] = np.einsum("ti,ti->t", x, x)
-        prev = None
         for k in range(k_max):
             if cfg.sampling == "path":
-                cuts = cum_first if k == 0 else cum_rows[prev]
+                cuts = cum_first if k == 0 else cum_rows[modes]
             else:
                 cuts = cum_sched[k]
-            modes = _pick(u_modes[:, k], cuts)
-            for j in range(m):
-                sel = modes == j
-                if np.any(sel):
-                    x[sel] = x[sel] @ mode_t[j]
+            modes = _pick(gen.random(count), cuts)
+            x = np.matmul(x[:, None], mode_t[modes])[:, 0]
             normsq[lo:hi, k + 1] = np.einsum("ti,ti->t", x, x)
-            prev = modes
 
-    bounds = [
-        (lo, min(lo + _CHUNK, big_t)) for lo in range(0, big_t, _CHUNK)
-    ]
-    if threads == 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
+    blocks = range(-(-big_t // _CHUNK))
+    if threads == 1 or len(blocks) == 1:
+        for block in blocks:
+            run_block(block)
     else:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
+            list(pool.map(run_block, blocks))
 
     mean_sq = normsq.mean(axis=0)
     if big_t >= 2:

@@ -26,6 +26,7 @@ of the whole chain and is asserted by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +188,25 @@ def mog_step(
 
 def _mog_fold(sys: JumpLinearSystem, schedule, init, cap, weight_floor):
     """Yield the mixture after each step; ``cap`` as in mog_propagate."""
-    k = len(schedule)
-    if weight_floor <= 0.0 and init.q * sys.m**k > cap:
-        raise ValueError(
-            f"exact propagation reaches m^k*q0 = {sys.m}^{k}*{init.q} "
-            f"= {init.q * sys.m**k} components, beyond cap={cap}; raise "
-            f"the cap or set a weight_floor"
+    if weight_floor <= 0.0:
+        # modes of zero probability are pruned every step, so only the
+        # support sizes multiply the count
+        support = np.count_nonzero(schedule, axis=1)
+        sizes, steps = np.unique(support, return_counts=True)
+        reach = init.q * math.prod(
+            int(size) ** int(count) for size, count in zip(sizes, steps)
         )
+        if reach > cap:
+            if np.all(support == sys.m):
+                counted = f"m^k*q0 = {sys.m}^{len(schedule)}*{init.q}"
+            else:
+                counted = (
+                    f"q0*prod_k nnz(pi(k)) = {init.q}*{reach // init.q}"
+                )
+            raise ValueError(
+                f"exact propagation reaches {counted} = {reach} components"
+                f", beyond cap={cap}; raise the cap or set a weight_floor"
+            )
     mix = init
     for step, pi in enumerate(schedule, 1):
         mix = mog_step(sys, pi, mix, weight_floor)
@@ -215,8 +228,9 @@ def mog_propagate(
 ) -> GaussianMixture:
     """Exact mixture after ``k`` switching steps.
 
-    Without pruning the result has exactly m^k * q0 components (modes of
-    zero probability excepted), so the count is checked against ``cap``
+    Without pruning the result has at most q0 times the product over the
+    steps of the number of modes with nonzero probability (m^k * q0 for
+    a law of full support), so that count is checked against ``cap``
     up front and the run refuses to start if it cannot finish. With
     ``weight_floor`` pruning the cap is enforced per step instead.
     """

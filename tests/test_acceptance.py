@@ -255,7 +255,7 @@ def test_criterion_5_markov_recovery():
     stats = simulate_ensemble(
         sys_, law, init,
         SimConfig(
-            trajectories=20_000, k_max=100, seed=5005, sampling="path"
+            trajectories=100_000, k_max=100, seed=5005, sampling="path"
         ),
     )
     checkpoints = stats.mean_sq[::10]

@@ -214,6 +214,17 @@ class TestTrajectory:
         assert header == ["k", "w2", "w", "component_count"]
         assert [r[3] for r in rows] == ["1", "2", "4", "8"]
 
+    def test_exact_mog_sequence_stays_one_component(self, write, capsys):
+        assert main(
+            [
+                "trajectory", write(SEQ),
+                "--steps", "40", "--method", "exact_mog",
+            ]
+        ) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 41
+        assert {r[3] for r in rows} == {"1"}
+
     def test_out_file_unix_newlines(self, write, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(
@@ -325,6 +336,20 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "result: PASS" in out
         assert "max deviation" in out
+
+    def test_heavy_tail_steps_reported(self, write, capsys):
+        args = [
+            "compare", write(IID),
+            "--steps", "10", "--trajectories", "50000", "--seed", "53",
+        ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[-1].startswith("result: ")
+        assert lines[-2].startswith("heavy-tailed steps (SE unreliable): k=")
+        flagged = lines[-2].split("k=", 1)[1].split(", ")
+        assert main(args + ["--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [str(r["k"]) for r in rows if r["heavy_tail"]] == flagged
 
     def test_deterministic_sequence_exact(self, write, capsys):
         assert main(

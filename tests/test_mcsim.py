@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from jumpstab.mcsim import (
     SimConfig,
     _kurtosis,
-    _trajectory_rng,
     sample_initial,
     simulate_ensemble,
 )
@@ -36,6 +35,15 @@ def point_mass(x):
 
 def scalar_system(*values):
     return JumpLinearSystem(modes=[[[float(v)]] for v in values])
+
+
+def block_rng(seed, block):
+    """The stream of one 4096-trajectory block, built as documented."""
+    return np.random.Generator(
+        np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(block,))
+        )
+    )
 
 
 class TestSimConfig:
@@ -104,6 +112,8 @@ class TestSampleInitial:
             assert x[0] == pytest.approx(x[1], abs=1e-12)
 
     def test_matches_ensemble_stream_layout(self):
+        # two blocks, the second ragged: pins the block size, the block
+        # key and the bulk order (component uniforms, then normals)
         mix = GaussianMixture.from_components(
             [
                 (0.4, [1.0, 0.0], np.eye(2)),
@@ -111,16 +121,21 @@ class TestSampleInitial:
             ]
         )
         sys = JumpLinearSystem(modes=[np.eye(2)])
-        cfg = SimConfig(trajectories=3, k_max=0, seed=99)
+        big_t = 4096 + 3
+        cfg = SimConfig(trajectories=big_t, k_max=0, seed=99)
         stats = simulate_ensemble(sys, IIDSwitching([1.0]), mix, cfg)
-        manual = np.array(
-            [
-                sample_initial(mix, _trajectory_rng(99, i))
-                for i in range(3)
-            ]
-        )
-        assert stats.mean_sq[0] == np.mean(
-            np.einsum("ti,ti->t", manual, manual)
+        scales = np.array([1.0, np.sqrt(0.5)])
+        manual = []
+        for block, count in enumerate((4096, 3)):
+            gen = block_rng(99, block)
+            comp = (gen.random(count) >= 0.4).astype(int)
+            z = gen.standard_normal((count, 2))
+            manual.append(mix.means[comp] + scales[comp, None] * z)
+        x = np.concatenate(manual)
+        normsq = np.einsum("ti,ti->t", x, x)[:, None]
+        assert stats.mean_sq[0] == normsq.mean(axis=0)[0]
+        assert stats.stderr[0] == (
+            normsq.std(axis=0, ddof=1)[0] / np.sqrt(big_t)
         )
 
 
@@ -168,6 +183,38 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(sys, law, mix, cfg)
         assert_array_equal(a.mean_sq, b.mean_sq)
         assert_array_equal(a.stderr, b.stderr)
+
+    def test_mode_picks_follow_initial_draws(self):
+        # one uniform per trajectory and step, after the initial draws;
+        # modes 2 and 1/2 keep every product exact
+        sys = scalar_system(2.0, 0.5)
+        cfg = SimConfig(trajectories=5, k_max=3, seed=7)
+        stats = simulate_ensemble(
+            sys, IIDSwitching([0.5, 0.5]), point_mass([1.0]), cfg
+        )
+        gen = block_rng(7, 0)
+        gen.random(5)
+        gen.standard_normal((5, 1))
+        x = np.ones(5)
+        for k in range(1, 4):
+            x = x * np.where(gen.random(5) >= 0.5, 0.5, 2.0)
+            assert stats.mean_sq[k] == np.mean(x * x)
+
+    @pytest.mark.parametrize("sampling", ["marginal", "path"])
+    def test_ragged_block_thread_invariance(self, sampling):
+        sys = scalar_system(1.1, 0.6)
+        law = MarkovSwitching(P=[[0.2, 0.8], [0.6, 0.4]], pi0=[0.3, 0.7])
+        mix = GaussianMixture.from_components([(1.0, [1.0], [[0.4]])])
+        cfg = SimConfig(trajectories=4097, k_max=6, seed=67,
+                        sampling=sampling)
+        runs = [
+            simulate_ensemble(sys, law, mix, cfg, threads=t)
+            for t in (1, 2, 4)
+        ]
+        for other in runs[1:]:
+            assert_array_equal(other.mean_sq, runs[0].mean_sq)
+            assert_array_equal(other.stderr, runs[0].stderr)
+            assert_array_equal(other.heavy_tail, runs[0].heavy_tail)
 
     def test_thread_count_independence(self):
         rng = np.random.default_rng(17)

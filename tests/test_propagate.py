@@ -202,6 +202,30 @@ class TestMogPropagate:
         with pytest.raises(ValueError, match="probability sum"):
             mog_propagate(sys, IIDSwitching([0.6, 0.6]), mix, 2)
 
+    def test_cap_counts_only_modes_of_nonzero_probability(self):
+        # a sequence keeps one component forever: 2^17 would pass the cap
+        sys = JumpLinearSystem(modes=[[[2.0]], [[0.1]]])
+        law = SequenceSwitching((1, 2))
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 17,
+                             method="exact_mog")
+        assert [r.component_count for r in recs] == [1] * 18
+        assert_allclose(
+            [r.w2 for r in recs],
+            [r.w2 for r in w2_trajectory(sys, law, point_mass([1.0]), 17)],
+            rtol=1e-12,
+        )
+
+    def test_cap_error_names_support_count(self):
+        # one one-mode step, then eleven two-mode steps: 1 * 2^11 components
+        sys = JumpLinearSystem(modes=[[[0.9]], [[0.5]]])
+        law = ScheduleSwitching([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(
+            ValueError, match=r"q0\*prod_k nnz\(pi\(k\)\) = 1\*2048 = 2048"
+        ):
+            mog_propagate(sys, law, point_mass([1.0]), 12, cap=1000)
+        mix = mog_propagate(sys, law, point_mass([1.0]), 12, cap=2048)
+        assert mix.q == 2048
+
 
 class TestMomentStep:
     def test_scalar_modes(self):
