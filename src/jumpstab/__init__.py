@@ -30,7 +30,6 @@ from .stability import (
     markov_test,
 )
 from .sysmodel import (
-    GaussianComponent,
     GaussianMixture,
     IIDSwitching,
     JumpLinearSystem,
@@ -50,7 +49,6 @@ from .systemfile import (
 )
 from .wasserstein import (
     gaussian_to_dirac,
-    gaussian_to_gaussian,
     mixture_to_dirac_sq,
     synthetic_gaussian,
 )
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnsembleStats",
     "GammaState",
-    "GaussianComponent",
     "GaussianMixture",
     "IIDSwitching",
     "JumpLinearSystem",
@@ -78,7 +75,6 @@ __all__ = [
     "contraction_test",
     "gamma_product",
     "gaussian_to_dirac",
-    "gaussian_to_gaussian",
     "general_test",
     "iid_test",
     "load_system_file",

@@ -29,7 +29,7 @@ from .matkit import NumericalError
 from .mcsim import SimConfig, simulate_ensemble
 from .propagate import DEFAULT_COMPONENT_CAP, w2_trajectory
 from .stability import DEFAULT_HORIZON, DEFAULT_MARGIN, analyze
-from .sysmodel import MarkovSwitching, validate_system
+from .sysmodel import validate_system
 from .systemfile import SystemFileError, load_system_file
 
 __all__ = ["main"]

@@ -1,10 +1,10 @@
 """Dense real linear-algebra kernel.
 
-Kronecker products, column-stacking vectorization, spectral radii, matrix
-norms, PSD hygiene, and the block-replication construction used by the
-switched-system stability tests. Matrices are plain float64 ``numpy``
-arrays; :func:`as_matrix` is the single entry point that enforces the
-construction invariants (2-D, nonempty, all entries finite).
+Column-stacking vectorization, spectral radii, matrix norms, and PSD
+hygiene (symmetric part, projection, square root). Matrices are plain
+float64 ``numpy`` arrays; :func:`as_matrix` is the single entry point
+that enforces the construction invariants (2-D, nonempty, all entries
+finite).
 
 All functions are pure and hold no shared state; they are safe to call
 concurrently from any number of threads.
@@ -18,18 +18,15 @@ __all__ = [
     "NumericalError",
     "as_matrix",
     "as_square",
-    "kron",
     "vec",
-    "unvec",
     "spectral_radius",
     "spectral_norm",
-    "block_replicate",
     "symmetrize",
     "psd_project",
     "sqrtm_psd",
 ]
 
-#: Default slack for symmetry / positive-semidefiniteness checks.
+#: Slack for symmetry / positive-semidefiniteness checks.
 PSD_TOL = 1e-10
 
 
@@ -65,37 +62,14 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Result has shape ``(a.rows * b.rows, a.cols * b.cols)`` and satisfies
-    the mixed-product identity ``kron(A, B) @ kron(C, D) = kron(A @ C, B @ D)``
-    for conformable factors.
-    """
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization.
 
     Columns of ``m`` are concatenated top to bottom into a 1-D array, so
-    ``vec(A @ B @ C) == kron(C.T, A) @ vec(B)`` holds for conformable
+    ``vec(A @ B @ C) == np.kron(C.T, A) @ vec(B)`` holds for conformable
     matrices, and ``vec(I) @ vec(S) == trace(S)``.
     """
     return as_matrix(m, "m").flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a 1-D array to ``rows x cols``.
-
-    ``cols`` defaults to ``rows`` (square result).
-    """
-    if cols is None:
-        cols = rows
-    x = np.asarray(v, dtype=float).reshape(-1)
-    if x.size != rows * cols:
-        raise ValueError(f"cannot unvec length {x.size} into {rows}x{cols}")
-    return x.reshape((rows, cols), order="F")
 
 
 def spectral_radius(m) -> float:
@@ -130,46 +104,27 @@ def spectral_norm(m) -> float:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
-def block_replicate(blocks) -> np.ndarray:
-    """Stack square blocks into a matrix with identical block columns.
-
-    Given ``m`` square ``n x n`` blocks ``X_1 .. X_m``, returns the
-    ``nm x nm`` matrix whose ``(i, j)`` block equals ``X_i`` for every
-    ``j``. Its nonzero eigenvalues coincide with those of
-    ``X_1 + ... + X_m`` and its rank is at most ``n``.
-    """
-    mats = [as_square(b, f"blocks[{i}]") for i, b in enumerate(blocks)]
-    if not mats:
-        raise ValueError("blocks must be nonempty")
-    n = mats[0].shape[0]
-    for i, b in enumerate(mats):
-        if b.shape != (n, n):
-            raise ValueError(
-                f"blocks[{i}] has shape {b.shape}, expected ({n}, {n})"
-            )
-    return np.tile(np.vstack(mats), (1, len(mats)))
-
-
 def symmetrize(m) -> np.ndarray:
     """Symmetric part ``(m + m.T) / 2``."""
     a = as_square(m, "m")
     return (a + a.T) / 2.0
 
 
-def psd_project(m, tol: float = PSD_TOL) -> np.ndarray:
+def psd_project(m) -> np.ndarray:
     """Symmetrize and repair a nearly-PSD matrix.
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; any eigenvalue below
-    ``-tol`` means the matrix is genuinely indefinite and raises.
+    Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero; any eigenvalue
+    below ``-PSD_TOL`` means the matrix is genuinely indefinite and raises.
     """
     s = symmetrize(m)
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
-    if np.min(w) < -tol:
+    if np.min(w) < -PSD_TOL:
         raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e} < -{tol:.1e}"
+            f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e} "
+            f"< -{PSD_TOL:.1e}"
         )
     if np.min(w) >= 0.0:
         return s
@@ -177,14 +132,14 @@ def psd_project(m, tol: float = PSD_TOL) -> np.ndarray:
     return symmetrize((v * w) @ v.T)
 
 
-def sqrtm_psd(m, tol: float = PSD_TOL) -> np.ndarray:
+def sqrtm_psd(m) -> np.ndarray:
     """Unique symmetric PSD square root via spectral decomposition.
 
-    Accepts symmetric PSD input up to ``tol`` slack (asymmetry is averaged
-    away, eigenvalues in ``[-tol, 0)`` are clamped). Rank-deficient input
-    is fine; indefinite input raises ``ValueError``.
+    Accepts symmetric PSD input up to ``PSD_TOL`` slack (asymmetry is
+    averaged away, eigenvalues in ``[-PSD_TOL, 0)`` are clamped).
+    Rank-deficient input is fine; indefinite input raises ``ValueError``.
     """
-    s = psd_project(m, tol)
+    s = psd_project(m)
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:

@@ -47,7 +47,6 @@ from .sysmodel import (
 __all__ = [
     "SimConfig",
     "EnsembleStats",
-    "sample_initial",
     "simulate_ensemble",
     "KURTOSIS_THRESHOLD",
 ]
@@ -168,24 +167,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
-
-
-def sample_initial(init: GaussianMixture, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state from a Gaussian mixture.
-
-    Picks the component with a single uniform against the cumulative
-    weights, then applies a PSD factor of its covariance to a standard
-    normal vector. Draw order: one uniform, then n normals. The ensemble
-    simulator draws the same quantities in bulk per block of
-    trajectories (see the module docstring), so repeated calls on one
-    generator do not reproduce its samples.
-    """
-    weights = init.weights / np.sum(init.weights)
-    cum = np.cumsum(weights)
-    u = rng.random()
-    idx = int(np.sum(u >= cum[:-1]))
-    z = rng.standard_normal(init.n)
-    return init.means[idx] + _psd_factor(init.covs[idx]) @ z
 
 
 def simulate_ensemble(

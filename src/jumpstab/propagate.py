@@ -113,17 +113,17 @@ def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _past_guard(x: np.ndarray, guard: float = DIVERGENCE_GUARD) -> bool:
-    return not np.all(np.abs(x) <= guard)  # NaN fails <=: counts as past
+def _past_guard(x: np.ndarray) -> bool:
+    return not np.all(np.abs(x) <= DIVERGENCE_GUARD)  # NaN counts as past
 
 
-def _lifted_fold(sys: JumpLinearSystem, schedule, guard=DIVERGENCE_GUARD):
-    """Yield Gamma(1), Gamma(2), ... until a product passes ``guard``."""
+def _lifted_fold(sys: JumpLinearSystem, schedule):
+    """Yield Gamma(1), Gamma(2), ... until a product passes the guard."""
     lifts = _kron_squares(sys)
     gamma = np.eye(sys.n * sys.n)
     for pi in schedule:
         gamma = np.tensordot(pi, lifts, axes=1) @ gamma
-        if _past_guard(gamma, guard):
+        if _past_guard(gamma):
             return
         yield gamma
 
@@ -140,21 +140,19 @@ def mog_step(
     sys: JumpLinearSystem,
     pi_k,
     mix: GaussianMixture,
-    weight_floor: float = 0.0,
 ) -> GaussianMixture:
     """Push a Gaussian mixture through one switching step.
 
     Every (mode j, component i) pair yields an output component with
     weight pi_j * alpha_i, mean A_j mu_i, covariance A_j Sigma_i A_j^T,
-    ordered mode-major (all of mode 1's images first). Components whose
-    weight falls below ``weight_floor`` are pruned, as are the
-    zero-weight pairs produced by modes with pi_j = 0; surviving weights
+    ordered mode-major (all of mode 1's images first). The zero-weight
+    pairs produced by modes with pi_j = 0 are dropped; surviving weights
     are renormalized to sum 1.
 
     Raises
     ------
     ValueError
-        On dimension mismatch or if pruning removes everything.
+        On dimension mismatch or if every pair has zero weight.
     NumericalError
         If a surviving mean or covariance entry passes the overflow guard.
     """
@@ -169,13 +167,9 @@ def mog_step(
     means = (mix.means @ np.swapaxes(sys.modes, 1, 2)).reshape(-1, sys.n)
     covs = _push(sys.modes, mix.covs).reshape(-1, sys.n, sys.n)
 
-    floor = max(float(weight_floor), 0.0)
-    # zero-weight pairs are always dead mass; a positive floor widens the cut
-    keep = weights >= floor if floor > 0.0 else weights > 0.0
+    keep = weights > 0.0
     if not np.any(keep):
-        raise ValueError(
-            f"weight_floor={weight_floor:g} prunes every component"
-        )
+        raise ValueError("every mixture component has zero weight")
     weights, means, covs = weights[keep], means[keep], covs[keep]
     if _past_guard(means) or _past_guard(covs):
         raise NumericalError(
@@ -186,35 +180,37 @@ def mog_step(
     )
 
 
-def _mog_fold(sys: JumpLinearSystem, schedule, init, cap, weight_floor):
+def _count(x: int) -> str:
+    """``x`` in digits below 10^30, else its order of magnitude.
+
+    str() of an int with more than 4300 digits raises by default.
+    """
+    return str(x) if x < 10**30 else f"~10^{int(math.log10(x))}"
+
+
+def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
     """Yield the mixture after each step; ``cap`` as in mog_propagate."""
-    if weight_floor <= 0.0:
-        # modes of zero probability are pruned every step, so only the
-        # support sizes multiply the count
-        support = np.count_nonzero(schedule, axis=1)
-        sizes, steps = np.unique(support, return_counts=True)
-        reach = init.q * math.prod(
-            int(size) ** int(count) for size, count in zip(sizes, steps)
+    # modes of zero probability are pruned every step, so only the
+    # support sizes multiply the count
+    support = np.count_nonzero(schedule, axis=1)
+    sizes, steps = np.unique(support, return_counts=True)
+    reach = init.q * math.prod(
+        int(size) ** int(count) for size, count in zip(sizes, steps)
+    )
+    if reach > cap:
+        if np.all(support == sys.m):
+            counted = f"m^k*q0 = {sys.m}^{len(schedule)}*{init.q}"
+        else:
+            counted = (
+                f"q0*prod_k nnz(pi(k)) = {init.q}*{_count(reach // init.q)}"
+            )
+        raise ValueError(
+            f"exact propagation reaches {counted} = {_count(reach)} "
+            f"components, beyond cap={cap}; raise the cap"
         )
-        if reach > cap:
-            if np.all(support == sys.m):
-                counted = f"m^k*q0 = {sys.m}^{len(schedule)}*{init.q}"
-            else:
-                counted = (
-                    f"q0*prod_k nnz(pi(k)) = {init.q}*{reach // init.q}"
-                )
-            raise ValueError(
-                f"exact propagation reaches {counted} = {reach} components"
-                f", beyond cap={cap}; raise the cap or set a weight_floor"
-            )
     mix = init
-    for step, pi in enumerate(schedule, 1):
-        mix = mog_step(sys, pi, mix, weight_floor)
-        if mix.q > cap:
-            raise ValueError(
-                f"component count {mix.q} exceeds cap={cap} at step "
-                f"{step} despite weight_floor={weight_floor:g}"
-            )
+    for pi in schedule:
+        mix = mog_step(sys, pi, mix)
         yield mix
 
 
@@ -224,15 +220,13 @@ def mog_propagate(
     init: GaussianMixture,
     k: int,
     cap: int = DEFAULT_COMPONENT_CAP,
-    weight_floor: float = 0.0,
 ) -> GaussianMixture:
     """Exact mixture after ``k`` switching steps.
 
-    Without pruning the result has at most q0 times the product over the
-    steps of the number of modes with nonzero probability (m^k * q0 for
-    a law of full support), so that count is checked against ``cap``
-    up front and the run refuses to start if it cannot finish. With
-    ``weight_floor`` pruning the cap is enforced per step instead.
+    The result has at most q0 times the product over the steps of the
+    number of modes with nonzero probability (m^k * q0 for a law of full
+    support), so that count is checked against ``cap`` up front and the
+    run refuses to start if it cannot finish.
     """
     k = int(k)
     if k < 0:
@@ -243,7 +237,7 @@ def mog_propagate(
     mix = init
     if k > 0:
         schedule = marginal_schedule(law, k, m=sys.m)
-        for mix in _mog_fold(sys, schedule, init, cap, weight_floor):
+        for mix in _mog_fold(sys, schedule, init, cap):
             pass
     return mix
 
@@ -275,12 +269,11 @@ def gamma_product(
     sys: JumpLinearSystem,
     law: SwitchingLaw,
     k: int,
-    guard: float = DIVERGENCE_GUARD,
 ) -> GammaState:
     """Reverse-ordered product Gamma(k) = A(k) A(k-1) ... A(1).
 
     Gamma(0) is the identity. If a multiplication would push any entry
-    magnitude past ``guard``, the fold stops and returns the last finite
+    magnitude past DIVERGENCE_GUARD, the fold stops and returns the last finite
     product with ``diverged=True`` (the ``k`` field then reports how many
     factors were folded).
     """
@@ -290,7 +283,7 @@ def gamma_product(
     gamma, done = np.eye(sys.n * sys.n), 0
     if k > 0:
         schedule = marginal_schedule(law, k, m=sys.m)
-        for done, gamma in enumerate(_lifted_fold(sys, schedule, guard), 1):
+        for done, gamma in enumerate(_lifted_fold(sys, schedule), 1):
             pass
     return GammaState(gamma=gamma, k=done, diverged=done < k)
 
@@ -302,7 +295,6 @@ def w2_trajectory(
     k_max: int,
     method: str = "moment",
     cap: int = DEFAULT_COMPONENT_CAP,
-    weight_floor: float = 0.0,
 ) -> list:
     """Squared Wasserstein-to-origin trajectory W^2(k) for k = 0 .. k_max.
 
@@ -366,7 +358,7 @@ def w2_trajectory(
                 f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
             )
     else:
-        mixes = _mog_fold(sys, schedule, init, cap, weight_floor)
+        mixes = _mog_fold(sys, schedule, init, cap)
         for step, mix in enumerate(mixes, 1):
             mean, cov = synthetic_gaussian(mix)
             records.append(

@@ -171,7 +171,6 @@ def general_test(
     sys: JumpLinearSystem,
     law: SwitchingLaw,
     k_max: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> StabilityReport:
     """Finite-horizon decay test on the lifted product Gamma(k).
 
@@ -179,7 +178,7 @@ def general_test(
     zero matrix; over a finite horizon the test reads the Frobenius
     ratio ||Gamma(k)||_F / ||Gamma(0)||_F:
 
-    - stable: final ratio below ``decay_tol`` and the running envelope
+    - stable: final ratio below DEFAULT_DECAY_TOL and the running envelope
       over the last 10% of steps not increasing (guards against
       declaring stability on a transient dip);
     - unstable: the product diverged past the overflow guard, or the
@@ -211,7 +210,7 @@ def general_test(
     late_env = float(np.max(tail[half:]))
     envelope_decreasing = late_env <= early_env * (1.0 + 1e-9)
 
-    if final < decay_tol and envelope_decreasing:
+    if final < DEFAULT_DECAY_TOL and envelope_decreasing:
         verdict = "stable"
     elif final > GROWTH_THRESHOLD and not late_env < early_env:
         verdict = "unstable"
@@ -223,7 +222,7 @@ def general_test(
         evidence=final,
         horizon_used=k_max,
         notes=(
-            f"decay ratio {final:.3e} against tolerance {decay_tol:g} "
+            f"decay ratio {final:.3e} against tolerance {DEFAULT_DECAY_TOL:g} "
             f"after {k_max} steps",
         ),
     )
@@ -233,12 +232,11 @@ def contraction_test(
     sys: JumpLinearSystem,
     seq: SequenceSwitching,
     k_max: int = DEFAULT_HORIZON,
-    norm: str = "spectral",
 ) -> StabilityReport:
     """Scan deterministic-sequence prefix products for a contraction.
 
     Folds A_{i_k} ... A_{i_1} for k = 1 .. k_max, cycling through the
-    stored sequence, and reports the first k whose product norm drops
+    stored sequence, and reports the first k whose spectral norm drops
     strictly below 1 as "stable-per-corollary" (the certificate is that
     prefix; nothing is claimed about sequences that stop repeating it).
     If no prefix contracts, the verdict is inconclusive with the
@@ -256,14 +254,6 @@ def contraction_test(
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if norm == "spectral":
-        norm_of = spectral_norm
-    elif norm == "frobenius":
-        norm_of = lambda a: float(np.linalg.norm(a, "fro"))
-    else:
-        raise ValueError(
-            f"unknown norm {norm!r}: expected spectral or frobenius"
-        )
 
     period = len(seq.indices)
     notes = ()
@@ -277,7 +267,7 @@ def contraction_test(
                 f"prefix products exceeded the overflow guard at k={k}",
             )
             break
-        value = norm_of(prod)
+        value = spectral_norm(prod)
         if k == period:
             notes += (f"one-period product norm: {value:.6g}",)
         best = min(best, value)
@@ -310,8 +300,6 @@ def analyze(
     law: SwitchingLaw,
     margin: float = DEFAULT_MARGIN,
     horizon: int = DEFAULT_HORIZON,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-    norm: str = "spectral",
 ) -> StabilityReport:
     """Dispatch to the stability test matching the switching law.
 
@@ -324,7 +312,7 @@ def analyze(
     if isinstance(law, MarkovSwitching):
         return markov_test(sys, law.P, margin)
     if isinstance(law, ScheduleSwitching):
-        return general_test(sys, law, horizon, decay_tol)
+        return general_test(sys, law, horizon)
     if isinstance(law, SequenceSwitching):
-        return contraction_test(sys, law, horizon, norm)
+        return contraction_test(sys, law, horizon)
     raise ValueError(f"unknown switching law {type(law).__name__}")

@@ -20,11 +20,10 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .matkit import as_square
+from .matkit import PSD_TOL, as_square
 
 __all__ = [
     "JumpLinearSystem",
-    "GaussianComponent",
     "GaussianMixture",
     "IIDSwitching",
     "MarkovSwitching",
@@ -167,32 +166,6 @@ class JumpLinearSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianComponent:
-    """One weighted Gaussian: weight alpha, mean mu, covariance Sigma."""
-
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        w = float(self.weight)
-        if not np.isfinite(w):
-            raise ValueError("component weight must be finite")
-        object.__setattr__(self, "weight", w)
-        mean = _vector(self.mean, "component mean")
-        cov = as_square(self.cov, "component cov")
-        if cov.shape[0] != mean.size:
-            raise ValueError(
-                f"component cov shape {cov.shape} does not match mean "
-                f"dimension {mean.size}"
-            )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Gaussian mixture stored as stacked arrays.
 
@@ -239,18 +212,20 @@ class GaussianMixture:
 
     @classmethod
     def from_components(cls, components: Iterable) -> "GaussianMixture":
-        """Build from GaussianComponent values or (weight, mean, cov) triples."""
-        comps = [
-            c if isinstance(c, GaussianComponent) else GaussianComponent(*c)
-            for c in components
-        ]
+        """Build from (weight, mean, cov) triples.
+
+        Raises ``ValueError`` when a triple is malformed or the triples
+        disagree in dimension.
+        """
+        comps = list(components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        return cls(
-            weights=np.array([c.weight for c in comps]),
-            means=np.stack([c.mean for c in comps]),
-            covs=np.stack([c.cov for c in comps]),
-        )
+        try:
+            weights, means, covs = (np.array(part, dtype=float)
+                                    for part in zip(*comps, strict=True))
+        except ValueError as exc:
+            raise ValueError(f"malformed mixture components: {exc}") from exc
+        return cls(weights=weights, means=means, covs=covs)
 
     @property
     def q(self) -> int:
@@ -262,16 +237,8 @@ class GaussianMixture:
         """State dimension."""
         return self.means.shape[1]
 
-    @property
-    def components(self) -> list:
-        """Per-component view as GaussianComponent values."""
-        return [
-            GaussianComponent(self.weights[i], self.means[i], self.covs[i])
-            for i in range(self.q)
-        ]
 
-
-def check_mixture(mix: GaussianMixture, psd_tol: float = 1e-10) -> list[str]:
+def check_mixture(mix: GaussianMixture) -> list[str]:
     """Value-level mixture violations: weight signs, weight sum, PSD covs."""
     out = []
     if np.min(mix.weights) <= 0.0:
@@ -284,7 +251,7 @@ def check_mixture(mix: GaussianMixture, psd_tol: float = 1e-10) -> list[str]:
         out.append(f"mixture weights: probability sum {s:.12g} != 1")
     sym = (mix.covs + np.transpose(mix.covs, (0, 2, 1))) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    bad = np.where(eigs[:, 0] < -psd_tol)[0]
+    bad = np.where(eigs[:, 0] < -PSD_TOL)[0]
     for i in bad:
         out.append(
             f"component {i + 1} covariance is not PSD: smallest eigenvalue "
@@ -364,7 +331,9 @@ class SequenceSwitching:
             raise ValueError(f"sequence indices must be integers: {exc}")
         if not idx:
             raise ValueError("sequence must be nonempty")
-        if any(i != float(orig) for i, orig in zip(idx, self.indices)):
+        # compare ints as ints: float() of a huge integer overflows
+        if any(i != orig and i != float(orig)
+               for i, orig in zip(idx, self.indices)):
             raise ValueError("sequence indices must be integers")
         object.__setattr__(self, "indices", idx)
 
@@ -566,12 +535,10 @@ class StationaryResult:
     residual: float = None
 
 
-def stationary_distribution(
-    P, tol: float = 1e-9
-) -> StationaryResult:
+def stationary_distribution(P) -> StationaryResult:
     """Left eigenvector of a row-stochastic P for eigenvalue 1.
 
-    Eigenvalues within ``tol`` of 1 define the candidate space; candidate
+    Eigenvalues within ``PROB_TOL`` of 1 define the candidate space; candidate
     eigenvectors are realified, clipped, and normalized to probability
     vectors, and the one with the smallest stationarity residual is
     returned.
@@ -586,7 +553,7 @@ def stationary_distribution(
     if violations:
         raise ValueError("; ".join(violations))
     w, v = np.linalg.eig(p.T)
-    near_one = np.where(np.abs(w - 1.0) < tol)[0]
+    near_one = np.where(np.abs(w - 1.0) < PROB_TOL)[0]
     if near_one.size == 0:
         return StationaryResult("none-found")
     best = None
@@ -603,7 +570,7 @@ def stationary_distribution(
         residual = float(np.max(np.abs(cand @ p - cand)))
         if best is None or residual < best[1]:
             best = (cand, residual)
-    if best is None or best[1] >= tol:
+    if best is None or best[1] >= PROB_TOL:
         return StationaryResult("none-found")
     status = "unique" if near_one.size == 1 else "non-unique"
     return StationaryResult(status, best[0], best[1])

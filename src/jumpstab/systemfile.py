@@ -61,7 +61,10 @@ def _as_float(value, where):
     # bool is an int subclass; JSON true/false must not pass as numbers
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SystemFileError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer too large for a float
+        raise SystemFileError(f"{where} is beyond the float range") from None
     if not math.isfinite(out):
         raise SystemFileError(f"{where} must be finite, got {value!r}")
     return out
@@ -276,13 +279,14 @@ class SystemFile:
             raise TypeError(
                 f"unsupported switching law {type(law).__name__}"
             )
+        mix = self.initial
         initial = [
             {
-                "weight": float(c.weight),
-                "mean": c.mean.tolist(),
-                "cov": c.cov.tolist(),
+                "weight": float(w),
+                "mean": mean.tolist(),
+                "cov": cov.tolist(),
             }
-            for c in self.initial.components
+            for w, mean, cov in zip(mix.weights, mix.means, mix.covs)
         ]
         return {
             "n": int(sys_.n),
@@ -298,7 +302,8 @@ def load_system_file(path) -> SystemFile:
     Raises
     ------
     SystemFileError
-        On malformed JSON (with line and column) or schema violations.
+        On malformed JSON (with line and column where the parser gives
+        them) or schema violations.
     OSError
         If the file cannot be read.
     """
@@ -311,6 +316,8 @@ def load_system_file(path) -> SystemFile:
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise SystemFileError(f"invalid JSON: {exc}") from exc
     return SystemFile.from_dict(data)
 
 

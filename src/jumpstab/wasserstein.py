@@ -1,10 +1,10 @@
 """Closed-form order-2 Wasserstein distances.
 
-Gaussian to Dirac-at-origin, Gaussian to Gaussian (Bures form), mixture
-to Dirac (squared), and the synthetic-Gaussian collapse of a mixture to
-its matched first and second moments. The mixture and the synthetic
-Gaussian are equidistant from the Dirac reference, which is what lets
-second-moment recursions track the full mixture propagation.
+Gaussian to Dirac-at-origin, mixture to Dirac (squared), and the
+synthetic-Gaussian collapse of a mixture to its matched first and second
+moments. The mixture and the synthetic Gaussian are equidistant from the
+Dirac reference, which is what lets second-moment recursions track the
+full mixture propagation.
 
 Distance-returning functions give the unsquared metric; the mixture
 routine returns the square (suffix ``_sq``) because the propagation
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matkit import PSD_TOL, psd_project, sqrtm_psd
+from .matkit import psd_project, symmetrize
 from .sysmodel import GaussianMixture, check_mixture
 
 __all__ = [
     "gaussian_to_dirac",
-    "gaussian_to_gaussian",
     "mixture_to_dirac_sq",
     "synthetic_gaussian",
 ]
@@ -34,7 +33,7 @@ def _checked_mixture(mix: GaussianMixture) -> np.ndarray:
     return mix.weights / np.sum(mix.weights)
 
 
-def gaussian_to_dirac(mean, cov, tol: float = PSD_TOL) -> float:
+def gaussian_to_dirac(mean, cov) -> float:
     """Wasserstein distance from N(mean, cov) to the point mass at 0.
 
     Equals sqrt(||mean||^2 + tr cov). Rank-deficient covariances are
@@ -43,49 +42,12 @@ def gaussian_to_dirac(mean, cov, tol: float = PSD_TOL) -> float:
     mu = np.asarray(mean, dtype=float).reshape(-1)
     if not np.all(np.isfinite(mu)):
         raise ValueError("mean contains non-finite entries")
-    c = psd_project(cov, tol)
+    c = psd_project(cov)
     if c.shape[0] != mu.size:
         raise ValueError(
             f"cov shape {c.shape} does not match mean dimension {mu.size}"
         )
     return float(np.sqrt(mu @ mu + np.trace(c)))
-
-
-def gaussian_to_gaussian(mean1, cov1, mean2, cov2, tol: float = PSD_TOL) -> float:
-    """Wasserstein distance between two Gaussians.
-
-    Uses the closed form
-
-        W^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (sqrt(S1) S2 sqrt(S1))^(1/2))
-
-    valid for symmetric PSD covariances, rank-deficient included (the
-    inner root is taken spectrally). The trace term is clamped at zero
-    against roundoff, so the result is nonnegative and exactly zero for
-    identical parameters.
-    """
-    mu1 = np.asarray(mean1, dtype=float).reshape(-1)
-    mu2 = np.asarray(mean2, dtype=float).reshape(-1)
-    if mu1.size != mu2.size:
-        raise ValueError(
-            f"mean dimensions differ: {mu1.size} vs {mu2.size}"
-        )
-    if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
-        raise ValueError("mean contains non-finite entries")
-    s1 = psd_project(cov1, tol)
-    s2 = psd_project(cov2, tol)
-    if s1.shape != s2.shape or s1.shape[0] != mu1.size:
-        raise ValueError(
-            f"covariance shapes {s1.shape}, {s2.shape} do not match "
-            f"dimension {mu1.size}"
-        )
-    root1 = sqrtm_psd(s1, tol)
-    inner = root1 @ s2 @ root1
-    # inner inherits the product's scale; tolerance must follow it
-    scale = max(1.0, float(np.trace(s1)) * float(np.trace(s2)))
-    cross = sqrtm_psd(inner, tol * scale)
-    gap = mu1 - mu2
-    w2 = gap @ gap + np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross)
-    return float(np.sqrt(max(w2, 0.0)))
 
 
 def mixture_to_dirac_sq(mix: GaussianMixture) -> float:
@@ -117,4 +79,4 @@ def synthetic_gaussian(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     cov = np.einsum("i,ijk->jk", w, mix.covs) + np.einsum(
         "i,ij,ik->jk", w, dev, dev
     )
-    return mean, (cov + cov.T) / 2.0
+    return mean, symmetrize(cov)

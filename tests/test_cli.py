@@ -102,6 +102,30 @@ class TestValidate:
         assert payload["ok"] is False
         assert any("probability sum" in v for v in payload["violations"])
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_huge_integer_is_parse_error(self, tmp_path, capsys, digits,
+                                         as_json):
+        # 400 digits overflow float(); 5000 pass int()'s digit limit
+        path = tmp_path / "sys.json"
+        path.write_text(
+            json.dumps(IID).replace("[[2.0]]", f"[[{'9' * digits}]]")
+        )
+        argv = ["validate", str(path)] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if as_json:
+            assert json.loads(out)["ok"] is False
+            assert "parse_error" in json.loads(out)
+        else:
+            assert err.startswith("parse error: ")
+
+    def test_huge_sequence_index_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(SEQ).replace("[1, 2]", f"[1, {'9' * 400}]"))
+        assert main(["validate", str(path)]) == 1
+        assert "outside [1..2]" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/sys.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -254,6 +278,18 @@ class TestTrajectory:
             ]
         ) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_cap_message_at_long_horizon(self, write, capsys):
+        # 2^20000 has 6021 digits, past Python's int-to-str limit
+        assert main(
+            [
+                "trajectory", write(IID),
+                "--steps", "20000", "--method", "exact_mog",
+            ]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "2^20000*1 = ~10^6020 components" in err
+        assert "cap=100000" in err
 
     def test_negative_steps_rejected(self, write, capsys):
         assert main(

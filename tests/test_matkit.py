@@ -13,14 +13,11 @@ from jumpstab.matkit import (
     NumericalError,
     as_matrix,
     as_square,
-    block_replicate,
-    kron,
     psd_project,
     spectral_norm,
     spectral_radius,
     sqrtm_psd,
     symmetrize,
-    unvec,
     vec,
 )
 
@@ -49,39 +46,6 @@ class TestValidation:
             as_square(np.ones((2, 3)))
 
 
-class TestKron:
-    def test_scalar_case(self):
-        assert_allclose(kron([[2.0]], [[3.0]]), [[6.0]])
-
-    def test_identity_left_factor_is_block_diagonal(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        expected = np.block(
-            [[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]]
-        )
-        assert_allclose(kron(np.eye(2), b), expected)
-
-    def test_kron_identity_product_collapses(self):
-        # (X ⊗ I)(Y ⊗ I) = (XY) ⊗ I, oracle by direct dense multiplication
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            x = rng.standard_normal((2, 2))
-            y = rng.standard_normal((2, 2))
-            lhs = kron(x, np.eye(2)) @ kron(y, np.eye(2))
-            rhs = kron(x @ y, np.eye(2))
-            assert_allclose(lhs, rhs, atol=1e-10)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = rng.standard_normal((2, 3))
-            b = rng.standard_normal((3, 2))
-            c = rng.standard_normal((3, 2))
-            d = rng.standard_normal((2, 3))
-            assert_allclose(
-                kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-10
-            )
-
-
 class TestVec:
     def test_column_stacking_order(self):
         assert_allclose(vec([[1.0, 2.0], [3.0, 4.0]]), [1.0, 3.0, 2.0, 4.0])
@@ -101,21 +65,8 @@ class TestVec:
             b = rng.standard_normal((2, 2))
             phi = rng.standard_normal((2, 2))
             assert_allclose(
-                vec(a @ phi @ b.T), kron(b, a) @ vec(phi), atol=1e-10
+                vec(a @ phi @ b.T), np.kron(b, a) @ vec(phi), atol=1e-10
             )
-
-    def test_unvec_round_trip(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((3, 4))
-        assert np.array_equal(unvec(vec(m), 3, 4), m)
-
-    def test_unvec_square_default(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(unvec(vec(m), 3), m)
-
-    def test_unvec_length_mismatch(self):
-        with pytest.raises(ValueError, match="unvec"):
-            unvec(np.zeros(5), 2, 2)
 
 
 class TestSpectralRadius:
@@ -138,7 +89,7 @@ class TestSpectralRadius:
         rng = np.random.default_rng(13)
         for _ in range(5):
             a = rng.standard_normal((3, 3))
-            assert spectral_radius(kron(a, a)) == pytest.approx(
+            assert spectral_radius(np.kron(a, a)) == pytest.approx(
                 spectral_radius(a) ** 2, rel=1e-9
             )
 
@@ -158,79 +109,6 @@ class TestSpectralNorm:
         assert spectral_norm(q) == pytest.approx(1.0)
 
 
-class TestBlockReplicate:
-    def test_scalar_blocks(self):
-        assert_allclose(
-            block_replicate([[[2.0]], [[3.0]]]), [[2.0, 2.0], [3.0, 3.0]]
-        )
-
-    def test_scalar_spectrum(self):
-        n = block_replicate([[[2.0]], [[3.0]]])
-        eigs = sorted(np.linalg.eigvals(n).real, reverse=True)
-        assert_allclose(eigs, [5.0, 0.0], atol=1e-12)
-
-    def test_nonzero_spectrum_equals_sum_spectrum(self):
-        rng = np.random.default_rng(19)
-        for _ in range(5):
-            blocks = [rng.standard_normal((2, 2)) for _ in range(3)]
-            total = sum(blocks)
-            n = block_replicate(blocks)
-            eigs_n = np.sort_complex(np.linalg.eigvals(n))
-            eigs_sum = np.sort_complex(np.linalg.eigvals(total))
-            scale = max(1.0, np.max(np.abs(eigs_n)))
-            # the n largest-modulus eigenvalues of N match those of ΣX_i,
-            # the remaining (m−1)n are zero
-            big = sorted(eigs_n, key=abs, reverse=True)[:2]
-            assert_allclose(
-                np.sort_complex(np.array(big)), eigs_sum, atol=1e-8 * scale
-            )
-            small = sorted(np.abs(eigs_n))[:4]
-            assert np.max(small) < 1e-8 * scale
-
-    def test_rank_at_most_block_size(self):
-        rng = np.random.default_rng(23)
-        blocks = [rng.standard_normal((2, 2)) for _ in range(3)]
-        n = block_replicate(blocks)
-        # oracle: rank via SVD thresholding
-        s = np.linalg.svd(n, compute_uv=False)
-        assert np.sum(s > 1e-10 * s[0]) <= 2
-
-    def test_product_spectra_match_compressed_products(self):
-        # A product of block-replicated matrices is itself block-replicated
-        # (N_a N_b has (i,j) block X_a,i Σ_l X_b,l for every j), so its
-        # nonzero eigenvalues equal those of the product of the block sums.
-        rng = np.random.default_rng(29)
-        m, n, depth = 3, 2, 4
-        families = [
-            [rng.standard_normal((n, n)) for _ in range(m)]
-            for _ in range(depth)
-        ]
-        prod_n = np.eye(m * n)
-        for fam in families:
-            prod_n = block_replicate(fam) @ prod_n
-        sums = [sum(fam) for fam in families]
-        prod_m = np.eye(n)
-        for smat in sums:
-            prod_m = smat @ prod_m
-        eigs_big = np.linalg.eigvals(prod_n)
-        eigs_small = np.linalg.eigvals(prod_m)
-        big = sorted(eigs_big, key=abs, reverse=True)[:n]
-        scale = max(1.0, np.max(np.abs(eigs_big)))
-        assert_allclose(
-            np.sort_complex(np.array(big)),
-            np.sort_complex(eigs_small),
-            atol=1e-8 * scale,
-        )
-
-    def test_mismatched_blocks_rejected(self):
-        with pytest.raises(ValueError, match="expected"):
-            block_replicate([np.eye(2), np.eye(3)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            block_replicate([])
-
-
 class TestSymmetrize:
     def test_symmetric_part(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -239,7 +117,7 @@ class TestSymmetrize:
 
 class TestPsdProject:
     def test_identity_unchanged(self):
-        assert_allclose(psd_project(np.eye(2), tol=1e-10), np.eye(2))
+        assert_allclose(psd_project(np.eye(2)), np.eye(2))
 
     def test_asymmetry_repair(self):
         m = np.array([[1.0, 1e-12], [0.0, 1.0]])
@@ -253,7 +131,7 @@ class TestPsdProject:
 
     def test_tiny_negative_eigenvalue_clamped(self):
         m = np.diag([1.0, -1e-12])
-        out = psd_project(m, tol=1e-10)
+        out = psd_project(m)
         w = np.linalg.eigvalsh(out)
         assert np.min(w) >= 0.0
         assert_allclose(np.max(w), 1.0)

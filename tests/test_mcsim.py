@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from jumpstab.mcsim import (
     SimConfig,
     _kurtosis,
-    sample_initial,
     simulate_ensemble,
 )
 from jumpstab.propagate import w2_trajectory
@@ -69,47 +68,52 @@ class TestSimConfig:
 
 
 class TestSampleInitial:
-    def test_degenerate_component_is_exact(self):
-        mix = point_mass([2.0, -3.0])
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert_array_equal(sample_initial(mix, rng), [2.0, -3.0])
+    """Initial-state draws of the ensemble, read at k_max=0."""
 
-    def test_standard_normal_sample_mean(self):
+    def test_degenerate_component_is_exact(self):
+        stats = simulate_ensemble(
+            JumpLinearSystem(modes=[np.eye(2)]), IIDSwitching([1.0]),
+            point_mass([2.0, -3.0]), SimConfig(trajectories=10, k_max=0),
+        )
+        assert_array_equal(stats.mean_sq, [13.0])
+        assert_array_equal(stats.stderr, [0.0])
+
+    def test_standard_normal_second_moment(self):
         mix = GaussianMixture.from_components(
             [(1.0, np.zeros(2), np.eye(2))]
         )
-        rng = np.random.default_rng(5)
-        draws = np.array(
-            [sample_initial(mix, rng) for _ in range(200_000)]
+        stats = simulate_ensemble(
+            JumpLinearSystem(modes=[np.eye(2)]), IIDSwitching([1.0]), mix,
+            SimConfig(trajectories=200_000, k_max=0, seed=5),
         )
-        se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
-        assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
+        assert abs(stats.mean_sq[0] - 2.0) <= 4 * stats.stderr[0]
 
     def test_component_frequencies(self):
+        # ||x||^2 is about 100 on the first component and 0 on the second
         mix = GaussianMixture.from_components(
             [
                 (0.9, [10.0], [[0.01]]),
-                (0.1, [-10.0], [[0.01]]),
+                (0.1, [0.0], [[0.01]]),
             ]
         )
-        rng = np.random.default_rng(11)
-        n_draws = 50_000
-        hits = sum(
-            sample_initial(mix, rng)[0] > 0 for _ in range(n_draws)
+        stats = simulate_ensemble(
+            scalar_system(1.0), IIDSwitching([1.0]), mix,
+            SimConfig(trajectories=50_000, k_max=0, seed=11),
         )
-        freq = hits / n_draws
-        se = np.sqrt(0.9 * 0.1 / n_draws)
-        assert abs(freq - 0.9) <= 4 * se
+        assert abs(stats.mean_sq[0] - 90.01) <= 4 * stats.stderr[0]
 
     def test_rank_deficient_covariance(self):
-        # singular cov: all mass on the span of (1, 1)
+        # singular cov: all mass on the span of (1, 1), which the mode
+        # [[1, -1], [0, 0]] maps to exactly 0
         cov = np.outer([1.0, 1.0], [1.0, 1.0])
         mix = GaussianMixture.from_components([(1.0, [0.0, 0.0], cov)])
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            x = sample_initial(mix, rng)
-            assert x[0] == pytest.approx(x[1], abs=1e-12)
+        sys = JumpLinearSystem(modes=[[[1.0, -1.0], [0.0, 0.0]]])
+        stats = simulate_ensemble(
+            sys, IIDSwitching([1.0]), mix,
+            SimConfig(trajectories=20, k_max=1, seed=13),
+        )
+        assert stats.mean_sq[0] > 0.0
+        assert stats.mean_sq[1] == 0.0
 
     def test_matches_ensemble_stream_layout(self):
         # two blocks, the second ragged: pins the block size, the block

@@ -1,0 +1,49 @@
+"""Package hygiene: each module uses what it imports and exports only
+names that exist.
+
+Imports are read from the source with ``ast``; a name counts as used
+when it appears anywhere in the module as a bare name, attribute roots
+and annotations included.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import jumpstab
+
+SRC = pathlib.Path(jumpstab.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def import_module(stem):
+    return importlib.import_module(
+        "jumpstab" if stem == "__init__" else f"jumpstab.{stem}"
+    )
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_import_is_used_or_exported(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(import_module(stem), "__all__", ()))
+    assert sorted(set(imported_names(tree)) - used - exported) == []
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_export_resolves(stem):
+    module = import_module(stem)
+    exported = getattr(module, "__all__", ())
+    assert [name for name in exported if not hasattr(module, name)] == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from jumpstab.matkit import NumericalError, unvec, vec
+from jumpstab.matkit import NumericalError, vec
 from jumpstab.propagate import (
     GammaState,
     _kron_squares,
@@ -76,7 +76,7 @@ class TestLiftedStepMatrix:
         direct = sum(
             pi[j] * sys.modes[j] @ phi @ sys.modes[j].T for j in range(3)
         )
-        assert_allclose(unvec(lifted, 3), direct, atol=1e-12)
+        assert_allclose(lifted.reshape(3, 3, order="F"), direct, atol=1e-12)
 
 
 class TestKronSquares:
@@ -135,19 +135,11 @@ class TestMogStep:
         assert out.q == 1
         assert_allclose(out.means, [[2.0]])
 
-    def test_weight_floor_prunes_and_renormalizes(self):
+    def test_all_zero_weights_rejected(self):
         sys = JumpLinearSystem(modes=[[[1.0]], [[2.0]]])
-        mix = point_mass([1.0])
-        out = mog_step(sys, [0.99, 0.01], mix, weight_floor=0.05)
-        assert out.q == 1
-        assert_allclose(out.weights, [1.0])
-        assert_allclose(out.means, [[1.0]])
-
-    def test_floor_pruning_everything_rejected(self):
-        sys = JumpLinearSystem(modes=[[[1.0]], [[2.0]]])
-        mix = point_mass([1.0])
-        with pytest.raises(ValueError, match="prunes every"):
-            mog_step(sys, [0.5, 0.5], mix, weight_floor=0.9)
+        mix = GaussianMixture(weights=[0.0], means=[[1.0]], covs=[[[0.0]]])
+        with pytest.raises(ValueError, match="zero weight"):
+            mog_step(sys, [0.5, 0.5], mix)
 
     def test_dimension_mismatch(self):
         sys = JumpLinearSystem(modes=[np.eye(2)])
@@ -227,6 +219,23 @@ class TestMogPropagate:
         assert mix.q == 2048
 
 
+    @pytest.mark.parametrize(
+        "law, counted",
+        [
+            (IIDSwitching([0.5, 0.5]), "m^k*q0 = 2^20000*1 = ~10^6020"),
+            (ScheduleSwitching([[1.0, 0.0], [0.5, 0.5]]),
+             "q0*prod_k nnz(pi(k)) = 1*~10^6020 = ~10^6020"),
+        ],
+        ids=["full-support", "support-count"],
+    )
+    def test_cap_error_bounded_at_long_horizon(self, law, counted):
+        # the counts pass Python's int-to-str digit limit
+        sys = JumpLinearSystem(modes=[[[0.9]], [[0.5]]])
+        with pytest.raises(ValueError, match=r"cap=100000") as info:
+            mog_propagate(sys, law, point_mass([1.0]), 20_000)
+        assert counted in str(info.value)
+
+
 class TestMomentStep:
     def test_scalar_modes(self):
         sys = JumpLinearSystem(modes=[[[2.0]], [[0.1]]])
@@ -249,7 +258,8 @@ class TestMomentStep:
         phi = rng.standard_normal((3, 3))
         phi = phi @ phi.T
         out = moment_step(sys, pi, SecondMomentState(phi=phi, k=0))
-        oracle = unvec(lifted_step_matrix(sys, pi) @ vec(phi), 3)
+        lifted = lifted_step_matrix(sys, pi) @ vec(phi)
+        oracle = lifted.reshape(3, 3, order="F")
         assert_allclose(out.phi, oracle, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jumpstab.matkit import kron, spectral_radius
+from jumpstab.matkit import spectral_radius
 from jumpstab.propagate import lifted_step_matrix, w2_trajectory
 from jumpstab.stability import (
     StabilityReport,
@@ -268,31 +268,6 @@ class TestContractionTest:
             )
             assert report.verdict == "inconclusive"
             assert report.evidence >= 1.0
-
-    def test_frobenius_norm_option(self):
-        # rotation R(45 deg) scaled by 0.9: spectral norm 0.9 at k=1,
-        # Frobenius norm sqrt(2)*0.9 > 1 at k=1, < 1 at k=4
-        theta = np.pi / 4
-        r = 0.9 * np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        sys = JumpLinearSystem(modes=[r])
-        seq = SequenceSwitching((1,))
-        spec = contraction_test(sys, seq, norm="spectral")
-        assert spec.horizon_used == 1
-        assert spec.evidence == pytest.approx(0.9, rel=1e-12)
-        frob = contraction_test(sys, seq, norm="frobenius")
-        assert frob.verdict == "stable-per-corollary"
-        assert frob.horizon_used == 4
-        assert frob.evidence == pytest.approx(
-            np.sqrt(2) * 0.9**4, rel=1e-12
-        )
-
-    def test_unknown_norm(self):
-        with pytest.raises(ValueError, match="unknown norm"):
-            contraction_test(
-                scalar_system(0.5), SequenceSwitching((1,)), norm="max"
-            )
 
     def test_sequence_index_validation(self):
         with pytest.raises(ValueError, match="outside"):

@@ -6,10 +6,9 @@ oracle; Markov marginals against repeated explicit multiplication.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.sysmodel import (
-    GaussianComponent,
     GaussianMixture,
     IIDSwitching,
     JumpLinearSystem,
@@ -86,10 +85,9 @@ class TestGaussianMixture:
         )
         assert mix.q == 2
         assert mix.n == 2
-        comps = mix.components
-        assert comps[0].weight == 0.25
-        assert_allclose(comps[1].mean, [0.0, 1.0])
-        assert_allclose(comps[1].cov, 2 * np.eye(2))
+        assert_array_equal(mix.weights, [0.25, 0.75])
+        assert_array_equal(mix.means, [[1.0, 0.0], [0.0, 1.0]])
+        assert_array_equal(mix.covs, [np.eye(2), 2 * np.eye(2)])
 
     def test_stacked_constructor(self):
         mix = GaussianMixture(
@@ -108,8 +106,13 @@ class TestGaussianMixture:
             )
 
     def test_component_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="cov shape"):
-            GaussianComponent(1.0, np.zeros(3), np.eye(2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            GaussianMixture.from_components([(1.0, np.zeros(3), np.eye(2))])
+        ragged = [(0.5, [0.0, 0.0], np.eye(2)), (0.5, [0.0], np.eye(1))]
+        with pytest.raises(ValueError, match="malformed"):
+            GaussianMixture.from_components(ragged)
+        with pytest.raises(ValueError, match="malformed"):
+            GaussianMixture.from_components([(1.0, [0.0])])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from jumpstab.sysmodel import GaussianMixture
 from jumpstab.wasserstein import (
     gaussian_to_dirac,
-    gaussian_to_gaussian,
     mixture_to_dirac_sq,
     synthetic_gaussian,
 )
@@ -61,65 +60,6 @@ class TestGaussianToDirac:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             gaussian_to_dirac([0.0, 0.0, 0.0], np.eye(2))
-
-
-class TestGaussianToGaussian:
-    def test_identical_is_zero(self):
-        mu = np.array([1.0, -2.0])
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert gaussian_to_gaussian(mu, cov, mu, cov) == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    def test_scalar_variances(self):
-        # 1-D, same mean: W^2 = 1 + 4 - 2*sqrt(4) = 1
-        d = gaussian_to_gaussian([0.0], [[1.0]], [0.0], [[4.0]])
-        assert d == pytest.approx(1.0)
-
-    def test_dirac_limit(self):
-        # second covariance shrinking to zero recovers the distance from
-        # the shifted first Gaussian to a point mass
-        rng = np.random.default_rng(53)
-        mu1 = rng.standard_normal(2)
-        mu2 = rng.standard_normal(2)
-        g = rng.standard_normal((2, 2))
-        cov1 = g @ g.T
-        d_limit = gaussian_to_gaussian(mu1, cov1, mu2, 1e-12 * np.eye(2))
-        d_dirac = gaussian_to_dirac(mu1 - mu2, cov1)
-        assert d_limit == pytest.approx(d_dirac, abs=1e-5)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(59)
-        for _ in range(5):
-            mu1, mu2 = rng.standard_normal((2, 3))
-            g1, g2 = rng.standard_normal((2, 3, 3))
-            c1, c2 = g1 @ g1.T, g2 @ g2.T
-            assert gaussian_to_gaussian(mu1, c1, mu2, c2) == pytest.approx(
-                gaussian_to_gaussian(mu2, c2, mu1, c1), rel=1e-9, abs=1e-12
-            )
-
-    def test_positive_for_distinct_parameters(self):
-        d = gaussian_to_gaussian(
-            [0.0, 0.0], np.eye(2), [0.0, 0.0], 1.1 * np.eye(2)
-        )
-        assert d > 1e-10
-
-    def test_rank_deficient_inputs(self):
-        # near-zero distances amplify trace roundoff through the square
-        # root: eps-level W^2 error becomes sqrt(eps)-level W error
-        c1 = np.outer([1.0, 1.0], [1.0, 1.0])
-        d = gaussian_to_gaussian([0.0, 0.0], c1, [0.0, 0.0], c1)
-        assert d == pytest.approx(0.0, abs=1e-7)
-
-    def test_commuting_diagonal_case(self):
-        # diagonal covariances: W^2 = sum (sqrt(a_i) - sqrt(b_i))^2
-        a = np.array([1.0, 4.0])
-        b = np.array([9.0, 16.0])
-        expected = np.sqrt(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
-        d = gaussian_to_gaussian(
-            np.zeros(2), np.diag(a), np.zeros(2), np.diag(b)
-        )
-        assert d == pytest.approx(expected, rel=1e-12)
 
 
 class TestMixtureToDiracSq:
