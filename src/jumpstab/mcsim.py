@@ -40,6 +40,8 @@ from .sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     SwitchingLaw,
+    _normalized,
+    _reject,
     marginal_schedule,
     validate_system,
 )
@@ -187,10 +189,10 @@ def simulate_ensemble(
     ------
     ValueError
         On invalid inputs, or path sampling with a non-Markov law.
+    NumericalError
+        If squared norms overflow float64 (the message names the step).
     """
-    report = validate_system(sys, law, init)
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+    _reject(validate_system(sys, law, init).violations)
     if cfg.sampling == "path" and not isinstance(law, MarkovSwitching):
         raise ValueError(
             f"path sampling requires a Markov switching law, got "
@@ -205,17 +207,10 @@ def simulate_ensemble(
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
 
+    schedule = marginal_schedule(law, k_max, m=m)
+    cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
     if cfg.sampling == "path":
-        rows = np.clip(law.P, 0.0, None)
-        rows = rows / rows.sum(axis=1, keepdims=True)
-        cum_rows = np.cumsum(rows, axis=1)[:, :-1]
-        first = marginal_schedule(law, 1, m=m)
-        cum_first = np.cumsum(first[0])[:-1] if k_max >= 1 else None
-        cum_sched = None
-    else:
-        schedule = marginal_schedule(law, k_max, m=m)
-        cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
-        cum_rows = cum_first = None
+        cum_rows = np.cumsum(_normalized(law.P), axis=1)[:, :-1]
 
     normsq = np.empty((big_t, k_max + 1))
 
@@ -226,16 +221,18 @@ def simulate_ensemble(
         gen = _block_rng(cfg.seed, block)
         idx0 = _pick(gen.random(count), cum_init)
         z = gen.standard_normal((count, n))
-        x = init.means[idx0] + np.einsum("tab,tb->ta", factors[idx0], z)
-        normsq[lo:hi, 0] = np.einsum("ti,ti->t", x, x)
-        for k in range(k_max):
-            if cfg.sampling == "path":
-                cuts = cum_first if k == 0 else cum_rows[modes]
-            else:
-                cuts = cum_sched[k]
-            modes = _pick(gen.random(count), cuts)
-            x = np.matmul(x[:, None], mode_t[modes])[:, 0]
-            normsq[lo:hi, k + 1] = np.einsum("ti,ti->t", x, x)
+        # overflow is caught on the whole array once the blocks are done
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = init.means[idx0] + np.einsum("tab,tb->ta", factors[idx0], z)
+            normsq[lo:hi, 0] = np.einsum("ti,ti->t", x, x)
+            for k in range(k_max):
+                if cfg.sampling == "path" and k > 0:
+                    cuts = cum_rows[modes]
+                else:
+                    cuts = cum_sched[k]
+                modes = _pick(gen.random(count), cuts)
+                x = np.matmul(x[:, None], mode_t[modes])[:, 0]
+                normsq[lo:hi, k + 1] = np.einsum("ti,ti->t", x, x)
 
     blocks = range(-(-big_t // _CHUNK))
     if threads == 1 or len(blocks) == 1:
@@ -245,6 +242,11 @@ def simulate_ensemble(
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             list(pool.map(run_block, blocks))
 
+    finite = np.all(np.isfinite(normsq), axis=0)
+    if not np.all(finite):
+        raise NumericalError(
+            f"squared state norms overflow float64 at k={np.argmin(finite)}"
+        )
     mean_sq = normsq.mean(axis=0)
     if big_t >= 2:
         stderr = normsq.std(axis=0, ddof=1) / np.sqrt(big_t)

@@ -37,11 +37,12 @@ from .sysmodel import (
     JumpLinearSystem,
     SecondMomentState,
     SwitchingLaw,
+    _reject,
     as_probability_vector,
     marginal_schedule,
     validate_system,
 )
-from .wasserstein import mixture_to_dirac_sq, synthetic_gaussian
+from .wasserstein import _dirac_sq, mixture_to_dirac_sq, synthetic_gaussian
 
 __all__ = [
     "GammaState",
@@ -82,15 +83,11 @@ class GammaState:
 class TrajectoryRecord:
     """One time point of a W^2 trajectory.
 
-    ``w2`` and ``phi_trace`` are the same quantity through different
-    readings (vec(I)^T vec(Phi) = tr Phi); the exact-mixture method
-    computes them independently, the moment methods by construction.
     ``component_count`` is populated by exact-mixture runs only.
     """
 
     k: int
     w2: float
-    phi_trace: float
     component_count: int = None
 
 
@@ -231,9 +228,7 @@ def mog_propagate(
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    report = validate_system(sys, law, init)
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+    _reject(validate_system(sys, law, init).violations)
     mix = init
     if k > 0:
         schedule = marginal_schedule(law, k, m=sys.m)
@@ -300,9 +295,9 @@ def w2_trajectory(
 
     W^2(0) comes from the initial mixture's matched moments; later points
     from the chosen method ("moment", "gamma", or "exact_mog"). The
-    exact-mixture method records component counts and computes ``w2``
-    (weighted component distances) and ``phi_trace`` (matched-moment
-    trace) independently; the other two produce one number read two ways.
+    exact-mixture method reads ``w2`` as the weighted sum of component
+    distances and records component counts; the mixtures it derives from
+    the checked input are not checked again.
 
     Raises
     ------
@@ -320,22 +315,18 @@ def w2_trajectory(
             f"unknown method {method!r}: expected moment, gamma, or "
             f"exact_mog"
         )
-    report = validate_system(sys, law, init)
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+    _reject(validate_system(sys, law, init).violations)
 
     mean, cov = synthetic_gaussian(init)
     phi0 = np.outer(mean, mean) + cov
-    w2_0 = float(np.trace(phi0))
     if method == "exact_mog":
         records = [
             TrajectoryRecord(
-                k=0, w2=mixture_to_dirac_sq(init), phi_trace=w2_0,
-                component_count=init.q,
+                k=0, w2=mixture_to_dirac_sq(init), component_count=init.q
             )
         ]
     else:
-        records = [TrajectoryRecord(k=0, w2=w2_0, phi_trace=w2_0)]
+        records = [TrajectoryRecord(k=0, w2=float(np.trace(phi0)))]
     if k_max == 0:
         return records
 
@@ -346,12 +337,12 @@ def w2_trajectory(
         for pi in schedule:
             state = moment_step(sys, pi, state)
             w2 = float(np.trace(state.phi))
-            records.append(TrajectoryRecord(k=state.k, w2=w2, phi_trace=w2))
+            records.append(TrajectoryRecord(k=state.k, w2=w2))
     elif method == "gamma":
         vec_id, vec_phi0 = vec(np.eye(sys.n)), vec(phi0)
         for step, gamma in enumerate(_lifted_fold(sys, schedule), 1):
             w2 = float(vec_id @ gamma @ vec_phi0)
-            records.append(TrajectoryRecord(k=step, w2=w2, phi_trace=w2))
+            records.append(TrajectoryRecord(k=step, w2=w2))
         if len(records) <= k_max:
             raise NumericalError(
                 f"lifted product diverged at k={len(records)} "
@@ -360,13 +351,9 @@ def w2_trajectory(
     else:
         mixes = _mog_fold(sys, schedule, init, cap)
         for step, mix in enumerate(mixes, 1):
-            mean, cov = synthetic_gaussian(mix)
             records.append(
                 TrajectoryRecord(
-                    k=step,
-                    w2=mixture_to_dirac_sq(mix),
-                    phi_trace=float(mean @ mean + np.trace(cov)),
-                    component_count=mix.q,
+                    k=step, w2=_dirac_sq(mix), component_count=mix.q
                 )
             )
     return records

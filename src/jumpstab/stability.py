@@ -38,8 +38,8 @@ from .sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
     SwitchingLaw,
+    _reject,
     check_law,
-    check_transition_matrix,
     marginal_schedule,
     stationary_distribution,
 )
@@ -145,14 +145,11 @@ def markov_test(
         raise ValueError(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
         )
-    violations = check_transition_matrix(p)
-    if violations:
-        raise ValueError("; ".join(violations))
+    stationary = stationary_distribution(p)  # checks P is row-stochastic
     size = sys.m * sys.n**2
     # block (i, j) of diag(A_i kron A_i) (P^T kron I) is P_ji (A_i kron A_i)
     lift = np.einsum("ji,iab->iajb", p, _kron_squares(sys)).reshape(size, size)
     evidence = spectral_radius(lift)
-    stationary = stationary_distribution(p)
     notes = (f"stationary distribution: {stationary.status}",)
     if stationary.status != "unique":
         notes += (
@@ -248,9 +245,7 @@ def contraction_test(
             f"contraction test needs a deterministic sequence, got "
             f"{type(seq).__name__}"
         )
-    violations = check_law(seq, sys.m)
-    if violations:
-        raise ValueError("; ".join(violations))
+    _reject(check_law(seq, sys.m))
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

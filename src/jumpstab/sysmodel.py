@@ -4,9 +4,12 @@ Construction enforces structural soundness only (shapes, finiteness,
 nonemptiness); value-level invariants such as probability sums, row
 stochasticity, PSD covariances, and cross-object dimensional consistency
 are checked by :func:`validate_system`, which collects every violation
-into a report, and re-enforced (as hard ``ValueError``) by the operations
-that consume the objects. This split lets the validator report a broken
-input instead of refusing to build it.
+into a report. This split lets the validator report a broken input
+instead of refusing to build it.
+
+Each public operation checks its inputs on entry, raising
+``ValueError``. Values derived from checked inputs (normalized marginals,
+propagated mixtures) are not checked again; tests pin their invariants.
 
 Mode indices are 1-based in all user-facing values (sequences, messages),
 matching the convention for ``A_1 .. A_m``; internal array indexing is
@@ -49,6 +52,12 @@ PROB_TOL = 1e-9
 CLAMP_TOL = 1e-12
 
 
+def _reject(violations) -> None:
+    """Raise ``ValueError`` listing the violations, if there are any."""
+    if violations:
+        raise ValueError("; ".join(violations))
+
+
 def _vector(v, name: str) -> np.ndarray:
     x = np.asarray(v, dtype=float)
     if x.ndim != 1:
@@ -88,11 +97,14 @@ def as_probability_vector(v, name: str = "probabilities") -> np.ndarray:
     Raises ``ValueError`` listing the violations if the vector is invalid
     beyond tolerance.
     """
-    violations = check_probability_vector(v, name)
-    if violations:
-        raise ValueError("; ".join(violations))
-    x = np.clip(np.asarray(v, dtype=float), 0.0, None)
-    return x / np.sum(x)
+    _reject(check_probability_vector(v, name))
+    return _normalized(np.asarray(v, dtype=float))
+
+
+def _normalized(x: np.ndarray) -> np.ndarray:
+    """Clamp negatives to 0 and renormalize each vector along the last axis."""
+    x = np.clip(x, 0.0, None)
+    return x / np.sum(x, axis=-1, keepdims=True)
 
 
 def check_transition_matrix(p, name: str = "P") -> list[str]:
@@ -349,8 +361,8 @@ class SecondMomentState:
 
     Its trace is the squared Wasserstein distance to the origin mass.
     Phi must be square with finite entries; symmetry and positive
-    semidefiniteness are enforced by the propagation steps (within
-    tolerance) rather than at construction.
+    semidefiniteness are invariants of the propagation steps (pinned by
+    tests), not checked at construction.
     """
 
     phi: np.ndarray
@@ -492,26 +504,19 @@ def marginal_schedule(
         m = m_law
     elif int(m) != m_law:
         raise ValueError(f"m={m} inconsistent with law mode count {m_law}")
-    violations = check_law(law, m)
-    if violations:
-        raise ValueError("; ".join(violations))
+    _reject(check_law(law, m))
 
     out = np.zeros((k_max, m))
     if isinstance(law, IIDSwitching):
-        out[:] = as_probability_vector(law.pi, "switching pi")
+        out[:] = _normalized(law.pi)
     elif isinstance(law, MarkovSwitching):
-        p = law.P
-        pi = as_probability_vector(law.pi0, "switching pi0")
+        pi = _normalized(law.pi0)
         for k in range(k_max):
-            pi = pi @ p
-            pi = np.clip(pi, 0.0, None)
-            pi /= np.sum(pi)
+            pi = _normalized(pi @ law.P)
             out[k] = pi
     elif isinstance(law, ScheduleSwitching):
-        stored = law.vectors.shape[0]
-        for k in range(k_max):
-            row = law.vectors[min(k, stored - 1)]
-            out[k] = as_probability_vector(row, f"schedule step {k + 1}")
+        rows = _normalized(law.vectors)
+        out[:] = rows[np.minimum(np.arange(k_max), len(rows) - 1)]
     elif isinstance(law, SequenceSwitching):
         period = len(law.indices)
         for k in range(k_max):
@@ -548,10 +553,8 @@ def stationary_distribution(P) -> StationaryResult:
     ValueError
         If P is not row-stochastic within tolerance.
     """
-    p = as_square(P, "P")
-    violations = check_transition_matrix(p, "P")
-    if violations:
-        raise ValueError("; ".join(violations))
+    _reject(check_transition_matrix(P, "P"))
+    p = np.asarray(P, dtype=float)
     w, v = np.linalg.eig(p.T)
     near_one = np.where(np.abs(w - 1.0) < PROB_TOL)[0]
     if near_one.size == 0:

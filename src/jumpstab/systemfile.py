@@ -316,7 +316,7 @@ def load_system_file(path) -> SystemFile:
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # digit limit, deep nesting
         raise SystemFileError(f"invalid JSON: {exc}") from exc
     return SystemFile.from_dict(data)
 

@@ -10,27 +10,24 @@ Distance-returning functions give the unsquared metric; the mixture
 routine returns the square (suffix ``_sq``) because the propagation
 recursions work in squared distances and taking the root early loses
 precision near zero.
+
+The public readers check their input mixture and raise ``ValueError``
+on a violation; the exact route reads the mixtures it derives from a
+checked one through ``_dirac_sq``, the unchecked body.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matkit import psd_project, symmetrize
-from .sysmodel import GaussianMixture, check_mixture
+from .matkit import NumericalError, psd_project, symmetrize
+from .sysmodel import GaussianMixture, _reject, check_mixture
 
 __all__ = [
     "gaussian_to_dirac",
     "mixture_to_dirac_sq",
     "synthetic_gaussian",
 ]
-
-
-def _checked_mixture(mix: GaussianMixture) -> np.ndarray:
-    violations = check_mixture(mix)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return mix.weights / np.sum(mix.weights)
 
 
 def gaussian_to_dirac(mean, cov) -> float:
@@ -50,6 +47,13 @@ def gaussian_to_dirac(mean, cov) -> float:
     return float(np.sqrt(mu @ mu + np.trace(c)))
 
 
+def _dirac_sq(mix: GaussianMixture) -> float:
+    w = mix.weights / np.sum(mix.weights)
+    sq_means = np.einsum("ij,ij->i", mix.means, mix.means)
+    traces = np.trace(mix.covs, axis1=1, axis2=2)
+    return float(w @ (sq_means + traces))
+
+
 def mixture_to_dirac_sq(mix: GaussianMixture) -> float:
     """Squared Wasserstein distance from a Gaussian mixture to the origin mass.
 
@@ -57,10 +61,8 @@ def mixture_to_dirac_sq(mix: GaussianMixture) -> float:
     sum_j alpha_j (||mu_j||^2 + tr Sigma_j), which is also the trace of
     the mixture's second-moment matrix.
     """
-    w = _checked_mixture(mix)
-    sq_means = np.einsum("ij,ij->i", mix.means, mix.means)
-    traces = np.trace(mix.covs, axis1=1, axis2=2)
-    return float(w @ (sq_means + traces))
+    _reject(check_mixture(mix))
+    return _dirac_sq(mix)
 
 
 def synthetic_gaussian(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
@@ -71,12 +73,19 @@ def synthetic_gaussian(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
         cov = sum_j alpha_j (Sigma_j + (mu_j - mean)(mu_j - mean)^T),
 
     the law-of-total-covariance spread term included. The covariance is
-    symmetric PSD by construction (symmetrized against roundoff).
+    symmetric PSD by construction (symmetrized against roundoff). If the
+    mean or covariance overflows float64, ``NumericalError`` is raised.
     """
-    w = _checked_mixture(mix)
-    mean = w @ mix.means
-    dev = mix.means - mean
-    cov = np.einsum("i,ijk->jk", w, mix.covs) + np.einsum(
-        "i,ij,ik->jk", w, dev, dev
-    )
+    _reject(check_mixture(mix))
+    w = mix.weights / np.sum(mix.weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = w @ mix.means
+        dev = mix.means - mean
+        cov = np.einsum("i,ijk->jk", w, mix.covs) + np.einsum(
+            "i,ij,ik->jk", w, dev, dev
+        )
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise NumericalError(
+            "the mixture's matched mean or covariance overflows float64"
+        )
     return mean, symmetrize(cov)

@@ -55,6 +55,29 @@ OVERFLOW_LAWS = {
     },
     "schedule": {"type": "schedule", "vectors": [[0.5, 0.5]]},
 }
+#: Components so far apart that the matched second moment overflows
+SPREAD = {
+    "n": 1,
+    "modes": {"half": [[0.5]]},
+    "switching": {"type": "iid", "pi": [1.0]},
+    "initial": [
+        {"weight": 0.5, "mean": [1e200], "cov": [[0.0]]},
+        {"weight": 0.5, "mean": [-1e200], "cov": [[0.0]]},
+    ],
+}
+#: A rank-1 start under unstable modes: roundoff gives the pushed
+#: covariances eigenvalues near -5e-10, below an absolute 1e-10 slack
+RANK_ONE = {
+    "n": 2,
+    "modes": {
+        "a": [[3.0, 1.0], [0.5, 2.0]],
+        "b": [[2.0, -1.0], [1.0, 3.0]],
+    },
+    "switching": {"type": "iid", "pi": [0.5, 0.5]},
+    "initial": [
+        {"weight": 1.0, "mean": [1.0, 0.0], "cov": [[1.0, 1.0], [1.0, 1.0]]}
+    ],
+}
 SINGLE_HALF = {
     "n": 1,
     "modes": {"half": [[0.5]]},
@@ -126,6 +149,21 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "outside [1..2]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys, as_json):
+        path = tmp_path / "sys.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["validate", str(path)] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if as_json:
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            assert "recursion depth" in payload["parse_error"]
+        else:
+            assert err.startswith("parse error: invalid JSON: ")
+            assert "recursion depth" in err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/sys.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -195,6 +233,43 @@ class TestOverflow:
         assert "numerical failure" in captured.err
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--method", "moment"],
+            ["trajectory", "--method", "gamma"],
+            ["trajectory", "--method", "exact_mog"],
+            ["compare", "--trajectories", "50"],
+        ],
+        ids=["moment", "gamma", "exact_mog", "compare"],
+    )
+    def test_spread_initial_mixture_exits_3(self, write, capsys, argv):
+        sub, *flags = argv
+        assert main([sub, write(SPREAD), "--steps", "3", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert "overflows" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "doc, steps, k",
+        [
+            (SPREAD, 3, 0),
+            (dict(IID, modes={"huge": [[1e3]], "half": [[0.5]]}), 120, 87),
+        ],
+        ids=["spread-start", "diverging-modes"],
+    )
+    def test_simulate_overflow_exits_3(self, write, capsys, doc, steps, k):
+        argv = ["simulate", write(doc), "--steps", str(steps),
+                "--trajectories", "50"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"numerical failure: squared state norms overflow float64 "
+            f"at k={k}\n"
+        )
+        assert captured.out == ""
+
 
 class TestTrajectory:
     def test_single_mode_powers(self, write, capsys):
@@ -248,6 +323,18 @@ class TestTrajectory:
         _, rows = read_csv(capsys.readouterr().out)
         assert len(rows) == 41
         assert {r[3] for r in rows} == {"1"}
+
+    def test_exact_mog_from_rank_deficient_start(self, write, capsys):
+        path = write(RANK_ONE)
+        rows = {}
+        for method in ("moment", "exact_mog"):
+            argv = ["trajectory", path, "--steps", "8", "--method", method]
+            assert main(argv) == 0
+            rows[method] = read_csv(capsys.readouterr().out)[1]
+        assert len(rows["exact_mog"]) == 9
+        for exact, moment in zip(rows["exact_mog"], rows["moment"]):
+            assert float(exact[1]) == pytest.approx(float(moment[1]),
+                                                    rel=1e-9)
 
     def test_out_file_unix_newlines(self, write, tmp_path):
         out = tmp_path / "traj.csv"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from jumpstab.matkit import NumericalError
 from jumpstab.mcsim import (
     SimConfig,
     _kurtosis,
@@ -342,6 +343,22 @@ class TestSimulateEnsemble:
             SimConfig(trajectories=50_000, k_max=10, seed=53),
         )
         assert stats.heavy_tail.any()
+
+    @pytest.mark.parametrize("sampling", ["marginal", "path"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_raises_numerical_error(self, sampling, threads):
+        # huge states and a -1e3 mode: the batched matmul overflows midway
+        sys = JumpLinearSystem(
+            modes=[[[1e3, 1.0], [0.0, -1e3]], [[0.5, 0.0], [0.3, 0.5]]]
+        )
+        mix = GaussianMixture.from_components(
+            [(0.5, [1e150, -1e150], 1e300 * np.eye(2)),
+             (0.5, [1.0, 0.0], np.eye(2))]
+        )
+        law = MarkovSwitching(P=[[0.5, 0.5], [0.2, 0.8]], pi0=[0.5, 0.5])
+        cfg = SimConfig(trajectories=5000, k_max=120, sampling=sampling)
+        with pytest.raises(NumericalError, match=r"overflow float64 at k=2$"):
+            simulate_ensemble(sys, law, mix, cfg, threads=threads)
 
     def test_validation_errors_surface(self):
         sys = scalar_system(1.0, 2.0)

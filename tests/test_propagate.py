@@ -31,7 +31,8 @@ from jumpstab.sysmodel import (
     SecondMomentState,
     SequenceSwitching,
 )
-from jumpstab.wasserstein import synthetic_gaussian
+from jumpstab import sysmodel, wasserstein
+from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
 
 
 def random_system(rng, m, n, scale=0.9):
@@ -218,6 +219,35 @@ class TestMogPropagate:
         mix = mog_propagate(sys, law, point_mass([1.0]), 12, cap=2048)
         assert mix.q == 2048
 
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    @pytest.mark.parametrize("scale", [0.9, 2.5], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_propagated_mixtures_keep_invariants(self, seed, scale, rank):
+        # what the exact route relies on instead of re-checking each step
+        rng = np.random.default_rng([167, seed])
+        n, m = (int(x) for x in rng.integers(2, 4, size=2))
+        sys = random_system(rng, m=m, n=n, scale=scale)
+        mix = random_mixture(rng, n=n, q=2)
+        if rank == "deficient":
+            g = rng.standard_normal((2, n, 1))
+            mix = GaussianMixture(
+                weights=mix.weights, means=mix.means,
+                covs=g @ np.swapaxes(g, 1, 2),
+            )
+        pi = rng.dirichlet(np.ones(m))
+        law = [
+            IIDSwitching(pi),
+            MarkovSwitching(P=rng.dirichlet(np.ones(m), size=m), pi0=pi),
+            ScheduleSwitching(rng.dirichlet(np.ones(m), size=3)),
+        ][seed]
+        for k in range(7):
+            out = mog_propagate(sys, law, mix, k)
+            assert np.all(out.weights > 0.0)
+            assert abs(np.sum(out.weights) - 1.0) <= 1e-12
+            smallest = np.linalg.eigvalsh(out.covs)[:, 0]
+            largest_entry = np.max(np.abs(out.covs), axis=(1, 2))
+            assert np.all(smallest >= -1e-9 * largest_entry)
+
 
     @pytest.mark.parametrize(
         "law, counted",
@@ -369,12 +399,55 @@ class TestW2Trajectory:
         rng = np.random.default_rng(139)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=2)
-        recs = w2_trajectory(
-            sys, IIDSwitching([0.5, 0.5]), mix, 5, method="exact_mog"
-        )
+        law = IIDSwitching([0.5, 0.5])
+        recs = w2_trajectory(sys, law, mix, 5, method="exact_mog")
         for r in recs:
             assert r.component_count == 2 * 2**r.k
-            assert r.phi_trace == pytest.approx(r.w2, rel=1e-12)
+            # the component distances and the matched-moment trace agree
+            propagated = mog_propagate(sys, law, mix, r.k)
+            mean, cov = synthetic_gaussian(propagated)
+            assert mixture_to_dirac_sq(propagated) == r.w2
+            assert float(mean @ mean + np.trace(cov)) == pytest.approx(
+                r.w2, rel=1e-12
+            )
+
+    def test_exact_mog_from_rank_deficient_start(self):
+        # unstable modes blow the start's zero eigenvalue up to -4.7e-10
+        # by roundoff, which an absolute PSD slack of 1e-10 rejected
+        sys = JumpLinearSystem(
+            modes=[[[3.0, 1.0], [0.5, 2.0]], [[2.0, -1.0], [1.0, 3.0]]]
+        )
+        mix = GaussianMixture.from_components(
+            [(1.0, [1.0, 0.0], np.ones((2, 2)))]
+        )
+        law = IIDSwitching([0.5, 0.5])
+        exact = w2_trajectory(sys, law, mix, 8, method="exact_mog")
+        moment = w2_trajectory(sys, law, mix, 8)
+        assert len(exact) == 9
+        for r_exact, r_moment in zip(exact, moment):
+            assert r_exact.w2 == pytest.approx(r_moment.w2, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
+    def test_mixture_checked_once_per_call(self, monkeypatch, method):
+        calls = []
+        original = sysmodel.check_mixture
+
+        def counting(mix):
+            calls.append(mix.q)
+            return original(mix)
+
+        monkeypatch.setattr(sysmodel, "check_mixture", counting)
+        monkeypatch.setattr(wasserstein, "check_mixture", counting)
+        rng = np.random.default_rng(163)
+        sys = random_system(rng, m=2, n=2)
+        mix = random_mixture(rng, n=2, q=2)
+        counts = []
+        for k_max in (1, 6):
+            calls.clear()
+            w2_trajectory(sys, IIDSwitching([0.5, 0.5]), mix, k_max, method)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert all(q == mix.q for q in calls)  # only the input is checked
 
     def test_moment_methods_have_no_component_count(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])

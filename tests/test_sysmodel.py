@@ -261,6 +261,22 @@ class TestMarginalSchedule:
         assert np.all(out >= 0.0)
         assert_allclose(out.sum(axis=1), np.ones(30), atol=1e-9)
 
+    def test_schedule_rows_normalized_once(self):
+        # the stored rows are checked once and normalized in one step;
+        # each row must equal the vector normalized on its own, bit for bit
+        rng = np.random.default_rng(43)
+        for m in range(1, 40):
+            rows = rng.dirichlet(np.ones(m), size=3)
+            rows *= 1.0 - 1e-10 * rng.random((3, 1))  # sums just below 1
+            if m > 1:  # a roundoff negative to clamp
+                rows[0, 0] += rows[0, -1] + 4e-13
+                rows[0, -1] = -4e-13
+            out = marginal_schedule(ScheduleSwitching(rows), 5)
+            expected = [as_probability_vector(row) for row in rows]
+            assert_array_equal(out, expected + expected[-1:] * 2)
+            assert np.all(out >= 0.0)
+            assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
     def test_zero_steps(self):
         out = marginal_schedule(IIDSwitching([1.0]), 0)
         assert out.shape == (0, 1)

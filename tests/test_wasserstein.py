@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from jumpstab.matkit import NumericalError
 from jumpstab.sysmodel import GaussianMixture
 from jumpstab.wasserstein import (
     gaussian_to_dirac,
@@ -160,3 +161,13 @@ class TestSyntheticGaussian:
             _, cov = synthetic_gaussian(mix)
             assert_allclose(cov, cov.T, atol=1e-14)
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
+
+    @pytest.mark.parametrize(
+        "far", [1e200, 1.7e308], ids=["spread-overflows", "mean-gap-overflows"]
+    )
+    def test_overflow_is_numerical_error(self, far):
+        mix = GaussianMixture(
+            weights=[0.9, 0.1], means=[[far], [-far]], covs=np.zeros((2, 1, 1))
+        )
+        with pytest.raises(NumericalError, match="overflows float64"):
+            synthetic_gaussian(mix)
