@@ -26,7 +26,8 @@ __all__ = [
     "sqrtm_psd",
 ]
 
-#: Slack for symmetry / positive-semidefiniteness checks.
+#: Slack for positive-semidefiniteness checks; for matrices with entries
+#: beyond 1 it is relative to the largest entry magnitude.
 PSD_TOL = 1e-10
 
 
@@ -79,7 +80,10 @@ def spectral_radius(m) -> float:
     lifted matrices arising here are routinely complex or have tied
     moduli, so power iteration is not an option. Accuracy is that of
     LAPACK's QR algorithm, better than 1e-9 relative for well-conditioned
-    inputs.
+    inputs. The stability tests pass the symmetric block of each
+    second-moment lift: the lift keeps the PSD cone, so its spectral
+    radius has a PSD, hence symmetric, eigenvector, and the block has
+    the radius of the whole lift at about 1/8 of the cost.
 
     Raises
     ------
@@ -110,21 +114,32 @@ def symmetrize(m) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _psd_slack(m) -> np.ndarray:
+    """PSD_TOL times max(1, largest |entry|) of each trailing matrix.
+
+    Eigensolver roundoff grows with the matrix scale, so an absolute slack
+    would reject valid large covariances; below scale 1 it stays absolute.
+    """
+    return PSD_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+
+
 def psd_project(m) -> np.ndarray:
     """Symmetrize and repair a nearly-PSD matrix.
 
-    Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero; any eigenvalue
-    below ``-PSD_TOL`` means the matrix is genuinely indefinite and raises.
+    Eigenvalues in ``[-slack, 0)`` are clamped to zero, with slack
+    ``PSD_TOL * max(1, largest |entry|)``; any eigenvalue below ``-slack``
+    means the matrix is genuinely indefinite and raises.
     """
     s = symmetrize(m)
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
-    if np.min(w) < -PSD_TOL:
+    slack = _psd_slack(s)
+    if np.min(w) < -slack:
         raise ValueError(
             f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e} "
-            f"< -{PSD_TOL:.1e}"
+            f"< -{slack:.1e}"
         )
     if np.min(w) >= 0.0:
         return s
@@ -135,8 +150,9 @@ def psd_project(m) -> np.ndarray:
 def sqrtm_psd(m) -> np.ndarray:
     """Unique symmetric PSD square root via spectral decomposition.
 
-    Accepts symmetric PSD input up to ``PSD_TOL`` slack (asymmetry is
-    averaged away, eigenvalues in ``[-PSD_TOL, 0)`` are clamped).
+    Accepts symmetric PSD input up to the slack of :func:`psd_project`
+    (asymmetry is averaged away, slightly negative eigenvalues are
+    clamped).
     Rank-deficient input is fine; indefinite input raises ``ValueError``.
     """
     s = psd_project(m)

@@ -40,9 +40,9 @@ from .sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     SwitchingLaw,
+    _marginals,
     _normalized,
     _reject,
-    marginal_schedule,
     validate_system,
 )
 
@@ -154,12 +154,42 @@ def _pick(uniforms: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _mean(samples: np.ndarray) -> np.ndarray:
+    """Column means of finite samples; a column whose plain sum overflows
+    is averaged after scaling to magnitude <= 1."""
+    with np.errstate(over="ignore"):
+        mean = samples.mean(axis=0)
+    lost = ~np.isfinite(mean)
+    if np.any(lost):
+        top = np.max(np.abs(samples[:, lost]), axis=0)
+        mean[lost] = top * np.mean(samples[:, lost] / top, axis=0)
+    return mean
+
+
+def _std(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Sample standard deviations (ddof 1) of finite samples; a column
+    whose plain sum of squares overflows is recomputed with deviations
+    scaled to magnitude <= 1 first. The result is finite: it is at most
+    the largest sample magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = samples.std(axis=0, ddof=1)
+    lost = ~np.isfinite(std)
+    if np.any(lost):
+        dev = samples[:, lost] - mean[lost]
+        scale = np.max(np.abs(dev), axis=0)
+        scale[scale == 0.0] = 1.0
+        std[lost] = scale * np.sqrt(
+            np.sum(np.square(dev / scale), axis=0) / (len(dev) - 1)
+        )
+    return std
+
+
 def _kurtosis(samples: np.ndarray) -> np.ndarray:
     """Plain biased kurtosis m4 / m2^2 of each column (Gaussian = 3).
 
     Deviations are scaled to magnitude <= 1 first, so no power overflows.
     """
-    dev = samples - samples.mean(axis=0)
+    dev = samples - _mean(samples)
     with np.errstate(invalid="ignore", divide="ignore"):
         sq = np.square(dev / np.max(np.abs(dev), axis=0))
         return np.mean(sq * sq, axis=0) / np.mean(sq, axis=0) ** 2
@@ -207,7 +237,7 @@ def simulate_ensemble(
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
 
-    schedule = marginal_schedule(law, k_max, m=m)
+    schedule = _marginals(law, k_max, m)
     cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
     if cfg.sampling == "path":
         cum_rows = np.cumsum(_normalized(law.P), axis=1)[:, :-1]
@@ -247,9 +277,9 @@ def simulate_ensemble(
         raise NumericalError(
             f"squared state norms overflow float64 at k={np.argmin(finite)}"
         )
-    mean_sq = normsq.mean(axis=0)
+    mean_sq = _mean(normsq)
     if big_t >= 2:
-        stderr = normsq.std(axis=0, ddof=1) / np.sqrt(big_t)
+        stderr = _std(normsq, mean_sq) / np.sqrt(big_t)
     else:
         stderr = np.zeros(k_max + 1)
     heavy = np.zeros(k_max + 1, dtype=bool)

@@ -16,9 +16,12 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     cost.
 
 ``gamma``
-    Folds the n^2 x n^2 lifted step matrices
-    A(i) = sum_j pi_j(i) (A_j kron A_j) into the reverse-ordered product
-    Gamma(k) and reads off W^2(k) = vec(I)^T Gamma(k) vec(Phi(0)).
+    Folds the lifted step matrices A(i) = sum_j pi_j(i) (A_j kron A_j)
+    into the reverse-ordered product Gamma(k) and reads off
+    W^2(k) = vec(I)^T Gamma(k) vec(Phi(0)). Each lift maps symmetric
+    matrices to symmetric ones and skew to skew, so the fold runs on
+    those two blocks (the symmetric one alone for W^2, which pairs two
+    symmetric matrices), never on the n^2 x n^2 matrix.
 
 The three must agree to rounding; their agreement is a correctness check
 of the whole chain and is asserted by the test suite.
@@ -37,6 +40,7 @@ from .sysmodel import (
     JumpLinearSystem,
     SecondMomentState,
     SwitchingLaw,
+    _marginals,
     _reject,
     as_probability_vector,
     marginal_schedule,
@@ -62,6 +66,8 @@ DEFAULT_COMPONENT_CAP = 100_000
 
 #: Entry magnitudes beyond this flag divergence instead of risking overflow.
 DIVERGENCE_GUARD = 1e150
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +107,62 @@ def _kron_squares(sys: JumpLinearSystem) -> np.ndarray:
     return lifts.reshape(sys.m, n2, n2)
 
 
+def _basis_pairs(n: int):
+    """Index pairs (p, q) of the basis elements: (i, i) for i < n, then
+    p < q in triu order."""
+    p, q = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([diag, p]), np.concatenate([diag, q])
+
+
+def _bases(n: int):
+    """Orthonormal bases U (n^2 x s) and V (n^2 x t) of vec'd symmetric and
+    skew matrices: E_ii, (E_pq + E_qp)/sqrt2 and (E_pq - E_qp)/sqrt2, p < q.
+    """
+    p, q = _basis_pairs(n)
+    cols, half = np.arange(p.size), np.sqrt(0.5)
+    u, v = np.zeros((n * n, p.size)), np.zeros((n * n, p.size - n))
+    u[p * n + q, cols] = u[q * n + p, cols] = np.where(cols < n, 1.0, half)
+    v[p[n:] * n + q[n:], cols[:-n]] = half
+    v[q[n:] * n + p[n:], cols[:-n]] = -half
+    return u, v
+
+
+def _sym_skew_lifts(sys: JumpLinearSystem):
+    """A_j kron A_j in the bases of _bases: the (m, s, s) symmetric and the
+    (m, t, t) skew stacks, s = n(n+1)/2, t = n(n-1)/2.
+
+    K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
+    exactly, so with c' the transposed position of column c every entry
+    is 2 c_r c_c (K[r, c] +- K[r, c']), gathered from A without forming K,
+    and the blocks coupling symmetric and skew matrices are exactly zero.
+    """
+    n, a = sys.n, sys.modes
+    p, q = _basis_pairs(n)
+    rows_p, rows_q = a[:, p], a[:, q]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = rows_p[:, :, p] * rows_q[:, :, q]  # K[r, c]
+        crossed = rows_p[:, :, q] * rows_q[:, :, p]  # K[r, c']
+        skew = sym[:, n:, n:] - crossed[:, n:, n:]
+        sym += crossed
+    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(skew))):
+        raise NumericalError("A_j kron A_j overflows: modes too large")
+    # 2 c_r c_c with c = 1/2 on E_ii and 1/sqrt2 on pairs: 1/2, 1/sqrt2, 1
+    scale = np.where(np.arange(p.size) < n, np.sqrt(0.5), 1.0)
+    weights = np.outer(scale, scale)
+    weights[:n, :n] = 0.5
+    sym *= weights
+    return sym, skew
+
+
+def _step_weights(sys: JumpLinearSystem, pi_k) -> np.ndarray:
+    """The checked, renormalized mode weights of one step."""
+    pi = as_probability_vector(pi_k, "pi_k")
+    if pi.size != sys.m:
+        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
+    return pi
+
+
 def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Symmetrised A_j X_i A_j^T for each mode j and matrix i: (m, q, n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,23 +176,86 @@ def _past_guard(x: np.ndarray) -> bool:
     return not np.all(np.abs(x) <= DIVERGENCE_GUARD)  # NaN counts as past
 
 
-def _lifted_fold(sys: JumpLinearSystem, schedule):
-    """Yield Gamma(1), Gamma(2), ... until a product passes the guard."""
-    lifts = _kron_squares(sys)
-    gamma = np.eye(sys.n * sys.n)
+class _Folded:
+    """Gamma(k) as its symmetric and skew blocks, each stored as
+    ``block * 2**exp`` with the largest magnitude in [0.5, 1); ``skew``
+    is None when only the symmetric block was folded."""
+
+    __slots__ = ("sym", "sym_exp", "skew", "skew_exp")
+
+    def __init__(self, sym, sym_exp, skew=None, skew_exp=0):
+        self.sym, self.sym_exp = sym, sym_exp
+        self.skew, self.skew_exp = skew, skew_exp
+
+    def fro(self) -> float:
+        """||Gamma||_F: the change of basis is orthogonal."""
+        top = max(self.sym_exp, self.skew_exp)
+        return math.ldexp(math.hypot(
+            math.ldexp(float(np.linalg.norm(self.sym)), self.sym_exp - top),
+            math.ldexp(float(np.linalg.norm(self.skew)), self.skew_exp - top),
+        ), top)
+
+    def full(self) -> np.ndarray:
+        """The n^2 x n^2 matrix Gamma in the standard basis."""
+        u, v = _bases(self.sym.shape[0] - self.skew.shape[0])
+        return (np.ldexp(u @ self.sym @ u.T, self.sym_exp)
+                + np.ldexp(v @ self.skew @ v.T, self.skew_exp))
+
+
+def _peak(sym: np.ndarray, exp: int, n: int) -> float:
+    """Largest entry magnitude of Gamma in the standard basis, from its
+    scaled symmetric block; inf if an entry is not finite.
+
+    Gamma maps X to a nonnegative combination of B X B^T over products B
+    of modes, so by Cauchy-Schwarz |Gamma[(p,q),(r,s)]| <=
+    sqrt(Gamma[(p,p),(r,r)] Gamma[(q,q),(s,s)]): the largest entry is one
+    of the n x n entries Gamma[(p,p),(r,r)], the leading block of ``sym``.
+    """
+    if not np.isfinite(sym).all():
+        return math.inf
+    # that block's largest entry is at least 1/4 here, so an exponent
+    # capped at 1000 still reads as past any guard below 2^998
+    return math.ldexp(float(np.abs(sym[:n, :n]).max()), min(exp, 1000))
+
+
+def _rescaled(block: np.ndarray, exp: int):
+    """``block`` over 2**e in place, e the binary exponent of its largest
+    magnitude, and exp + e; entries left below the normal range are
+    flushed to 0."""
+    e = math.frexp(float(np.abs(block).max(initial=0.0)))[1]
+    np.ldexp(block, -e, out=block)
+    block[np.abs(block) < _TINY] = 0.0
+    return block, exp + e
+
+
+def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
+    """Yield Gamma(1), Gamma(2), ... as _Folded until one passes the guard.
+
+    The lift maps symmetric matrices to symmetric ones and skew to skew,
+    so each block folds on its own, and the skew block only when ``skew``
+    is set; the power-of-two rescaling keeps entries out of the subnormal
+    range, where products slow down and lose digits.
+    """
+    sym_lifts, skew_lifts = _sym_skew_lifts(sys)
+    sym, sym_exp = np.eye(sym_lifts.shape[1]), 0
+    rest = (np.eye(skew_lifts.shape[1]), 0) if skew else (None, 0)
+    row = None
     for pi in schedule:
-        gamma = np.tensordot(pi, lifts, axes=1) @ gamma
-        if _past_guard(gamma):
+        if pi.tobytes() != row:  # schedules repeat rows: rebuild on change
+            row = pi.tobytes()
+            sym_step = np.tensordot(pi, sym_lifts, 1)
+            skew_step = np.tensordot(pi, skew_lifts, 1) if skew else None
+        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp)
+        if not _peak(sym, sym_exp, sys.n) <= DIVERGENCE_GUARD:  # NaN: past
             return
-        yield gamma
+        if skew:
+            rest = _rescaled(skew_step @ rest[0], rest[1])
+        yield _Folded(sym, sym_exp, *rest)
 
 
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     """One-step lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
-    pi = as_probability_vector(pi_k, "pi_k")
-    if pi.size != sys.m:
-        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
-    return np.tensordot(pi, _kron_squares(sys), axes=1)
+    return np.tensordot(_step_weights(sys, pi_k), _kron_squares(sys), axes=1)
 
 
 def mog_step(
@@ -153,9 +278,7 @@ def mog_step(
     NumericalError
         If a surviving mean or covariance entry passes the overflow guard.
     """
-    pi = as_probability_vector(pi_k, "pi_k")
-    if pi.size != sys.m:
-        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
+    pi = _step_weights(sys, pi_k)
     if mix.n != sys.n:
         raise ValueError(
             f"mixture has dimension {mix.n}, system has n={sys.n}"
@@ -231,7 +354,7 @@ def mog_propagate(
     _reject(validate_system(sys, law, init).violations)
     mix = init
     if k > 0:
-        schedule = marginal_schedule(law, k, m=sys.m)
+        schedule = _marginals(law, k, sys.m)
         for mix in _mog_fold(sys, schedule, init, cap):
             pass
     return mix
@@ -244,9 +367,7 @@ def moment_step(
 
     Raises ``NumericalError`` once an entry passes the overflow guard.
     """
-    pi = as_probability_vector(pi_k, "pi_k")
-    if pi.size != sys.m:
-        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
+    pi = _step_weights(sys, pi_k)
     if state.phi.shape != (sys.n, sys.n):
         raise ValueError(
             f"phi has shape {state.phi.shape}, system has n={sys.n}"
@@ -278,8 +399,10 @@ def gamma_product(
     gamma, done = np.eye(sys.n * sys.n), 0
     if k > 0:
         schedule = marginal_schedule(law, k, m=sys.m)
-        for done, gamma in enumerate(_lifted_fold(sys, schedule), 1):
+        for done, folded in enumerate(_lifted_fold(sys, schedule), 1):
             pass
+        if done:
+            gamma = folded.full()
     return GammaState(gamma=gamma, k=done, diverged=done < k)
 
 
@@ -330,7 +453,7 @@ def w2_trajectory(
     if k_max == 0:
         return records
 
-    schedule = marginal_schedule(law, k_max, m=sys.m)
+    schedule = _marginals(law, k_max, sys.m)
 
     if method == "moment":
         state = SecondMomentState(phi=phi0, k=0)
@@ -339,9 +462,13 @@ def w2_trajectory(
             w2 = float(np.trace(state.phi))
             records.append(TrajectoryRecord(k=state.k, w2=w2))
     elif method == "gamma":
-        vec_id, vec_phi0 = vec(np.eye(sys.n)), vec(phi0)
-        for step, gamma in enumerate(_lifted_fold(sys, schedule), 1):
-            w2 = float(vec_id @ gamma @ vec_phi0)
+        # I and Phi(0) are symmetric: only the symmetric block of Gamma(k)
+        # pairs them
+        basis = _bases(sys.n)[0].T
+        left, right = basis @ vec(np.eye(sys.n)), basis @ vec(phi0)
+        for step, folded in enumerate(_lifted_fold(sys, schedule, False), 1):
+            with np.errstate(over="ignore"):
+                w2 = float(np.ldexp(left @ folded.sym @ right, folded.sym_exp))
             records.append(TrajectoryRecord(k=step, w2=w2))
         if len(records) <= k_max:
             raise NumericalError(

@@ -6,9 +6,16 @@ Four tests cover the four switching laws:
 - ``markov_test``: spectral radius of the chain-lifted matrix
   diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I) against 1.
 - ``general_test``: decay of the reverse-ordered product Gamma(k) over a
-  finite horizon, for laws given only through their per-step marginals.
+  finite horizon, for laws given only through their per-step marginals,
+  folded as its symmetric and skew blocks.
 - ``contraction_test``: scan of deterministic-sequence prefix products
   for a first norm strictly below 1.
+
+The two spectral tests diagonalise only the symmetric block of their
+lift, n(n+1)/2 rows per mode instead of n^2. The lift maps PSD matrices
+(one per chain state) to PSD matrices, so its spectral radius is an
+eigenvalue with a PSD, hence symmetric, eigenvector: rho(symmetric
+block) = rho(full lift).
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -27,9 +34,9 @@ import numpy as np
 from .matkit import spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
-    _kron_squares,
     _lifted_fold,
-    lifted_step_matrix,
+    _step_weights,
+    _sym_skew_lifts,
 )
 from .sysmodel import (
     IIDSwitching,
@@ -96,16 +103,6 @@ def _spectral_verdict(evidence: float, margin: float) -> str:
     return "marginal"
 
 
-def _scaled_fro(a: np.ndarray) -> float:
-    # plain sqrt-of-squares underflows to 0 once entries drop below
-    # ~1e-162, which would blind the tail-envelope check; factor out the
-    # largest magnitude first
-    s = float(np.max(np.abs(a)))
-    if s == 0.0 or not np.isfinite(s):
-        return s
-    return s * float(np.linalg.norm(a / s, "fro"))
-
-
 def iid_test(
     sys: JumpLinearSystem, pi, margin: float = DEFAULT_MARGIN
 ) -> StabilityReport:
@@ -113,9 +110,11 @@ def iid_test(
 
     The second moment evolves by the fixed lift
     A = sum_j pi_j (A_j kron A_j); mean-square stability is equivalent
-    to A being Schur stable, so the evidence is its spectral radius.
+    to A being Schur stable, so the evidence is its spectral radius,
+    read from A's symmetric block.
     """
-    evidence = spectral_radius(lifted_step_matrix(sys, pi))
+    pi = _step_weights(sys, pi)
+    evidence = spectral_radius(np.tensordot(pi, _sym_skew_lifts(sys)[0], 1))
     return StabilityReport(
         verdict=_spectral_verdict(evidence, margin),
         test_name="iid",
@@ -128,12 +127,12 @@ def markov_test(
 ) -> StabilityReport:
     """Spectral test for a time-homogeneous Markov switching chain.
 
-    Builds the mn^2 x mn^2 lift
-    diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I) and compares its
-    spectral radius to 1. The underlying stability condition presumes
-    the chain admits a stationary distribution; the report notes the
-    status found (unique, non-unique, or none) rather than silently
-    assuming it.
+    Compares to 1 the spectral radius of the lift
+    diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I), restricted to
+    symmetric matrices (m n(n+1)/2 rows, not m n^2). The underlying
+    stability condition presumes the chain admits a stationary
+    distribution; the report notes the status found (unique, non-unique,
+    or none) rather than silently assuming it.
 
     Raises
     ------
@@ -146,9 +145,10 @@ def markov_test(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
         )
     stationary = stationary_distribution(p)  # checks P is row-stochastic
-    size = sys.m * sys.n**2
+    sym = _sym_skew_lifts(sys)[0]
+    size = sys.m * sym.shape[1]
     # block (i, j) of diag(A_i kron A_i) (P^T kron I) is P_ji (A_i kron A_i)
-    lift = np.einsum("ji,iab->iajb", p, _kron_squares(sys)).reshape(size, size)
+    lift = np.einsum("ji,iab->iajb", p, sym).reshape(size, size)
     evidence = spectral_radius(lift)
     notes = (f"stationary distribution: {stationary.status}",)
     if stationary.status != "unique":
@@ -187,7 +187,7 @@ def general_test(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     schedule = marginal_schedule(law, k_max, m=sys.m)
     base = float(sys.n)  # ||Gamma(0)||_F, the n^2 x n^2 identity
-    ratios = [_scaled_fro(g) / base for g in _lifted_fold(sys, schedule)]
+    ratios = [g.fro() / base for g in _lifted_fold(sys, schedule)]
     if len(ratios) < k_max:
         return StabilityReport(
             verdict="unstable",

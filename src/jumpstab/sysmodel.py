@@ -23,7 +23,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .matkit import PSD_TOL, as_square
+from .matkit import _psd_slack, as_square
 
 __all__ = [
     "JumpLinearSystem",
@@ -263,7 +263,7 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
         out.append(f"mixture weights: probability sum {s:.12g} != 1")
     sym = (mix.covs + np.transpose(mix.covs, (0, 2, 1))) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    bad = np.where(eigs[:, 0] < -PSD_TOL)[0]
+    bad = np.where(eigs[:, 0] < -_psd_slack(sym))[0]
     for i in bad:
         out.append(
             f"component {i + 1} covariance is not PSD: smallest eigenvalue "
@@ -505,7 +505,11 @@ def marginal_schedule(
     elif int(m) != m_law:
         raise ValueError(f"m={m} inconsistent with law mode count {m_law}")
     _reject(check_law(law, m))
+    return _marginals(law, k_max, m)
 
+
+def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
+    """The body of marginal_schedule for a law already checked against m."""
     out = np.zeros((k_max, m))
     if isinstance(law, IIDSwitching):
         out[:] = _normalized(law.pi)

@@ -6,9 +6,11 @@ cross-process byte determinism.
 """
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jumpstab.cli import main
@@ -117,6 +119,18 @@ class TestValidate:
         doc = dict(IID, modes={"grow": [[2.0, 0.0]], "shrink": [[0.1]]})
         assert main(["validate", write(doc)]) == 1
         assert "mode 'grow'" in capsys.readouterr().err
+
+    def test_large_rank_one_covariance_ok(self, write, capsys):
+        v = np.array([0.1, 0.7])
+        doc = {
+            "n": 2,
+            "modes": {"a": [[0.5, 0.0], [0.0, 0.5]]},
+            "switching": {"type": "iid", "pi": [1.0]},
+            "initial": [{"weight": 1.0, "mean": [0.0, 0.0],
+                         "cov": (1e9 * np.outer(v, v)).tolist()}],
+        }
+        assert main(["validate", write(doc)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
 
     def test_json_report(self, write, capsys):
         doc = dict(IID, switching={"type": "iid", "pi": [0.6, 0.6]})
@@ -429,6 +443,20 @@ class TestSimulate:
         assert main(args + ["--threads", "1", "--out", str(out_a)]) == 0
         assert main(args + ["--threads", "4", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_huge_finite_norms_print_finite_stderr(self, write, capsys):
+        # squared norms reach 1e154 from k=37, where their plain squares
+        # overflowed and stderr printed inf
+        doc = dict(IID, modes={"huge": [[1e3]], "half": [[0.5]]})
+        argv = ["simulate", write(doc), "--steps", "60",
+                "--trajectories", "50"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, rows = read_csv(captured.out)
+        assert len(rows) == 61
+        assert all(math.isfinite(float(r[2])) for r in rows)
+        assert float(rows[37][2]) > 1e150
 
     def test_path_on_iid_rejected(self, write, capsys):
         assert main(

@@ -137,6 +137,14 @@ class TestPsdProject:
         assert_allclose(np.max(w), 1.0)
 
 
+    def test_slack_relative_to_scale(self):
+        v = np.array([0.1, 0.7])
+        out = psd_project(1e9 * np.outer(v, v))
+        assert np.min(np.linalg.eigvalsh(out)) >= 0.0
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_project(np.diag([1.0, -2e-10]))
+
+
 class TestSqrtmPsd:
     def test_diagonal(self):
         assert_allclose(sqrtm_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))

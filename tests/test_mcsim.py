@@ -10,9 +10,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
+from jumpstab import sysmodel
 from jumpstab.mcsim import (
     SimConfig,
     _kurtosis,
+    _mean,
+    _std,
     simulate_ensemble,
 )
 from jumpstab.propagate import w2_trajectory
@@ -360,6 +363,23 @@ class TestSimulateEnsemble:
         with pytest.raises(NumericalError, match=r"overflow float64 at k=2$"):
             simulate_ensemble(sys, law, mix, cfg, threads=threads)
 
+    def test_huge_finite_norms_keep_exact_statistics(self):
+        # squared norms up to ~2^(20k): their squares overflow from k=26
+        # on, so the plain sample std was inf; scaling the modes by 2^-10
+        # scales every sample by 2^(-20k) exactly
+        law, mix = IIDSwitching([0.5, 0.5]), point_mass([1.0])
+        cfg = SimConfig(trajectories=50, k_max=60, seed=3)
+        big = simulate_ensemble(scalar_system(1024.0, 0.5), law, mix, cfg)
+        small = simulate_ensemble(scalar_system(1.0, 2.0**-11), law, mix, cfg)
+        powers = 20 * np.arange(61)
+        assert np.all(np.isfinite(big.stderr))
+        assert big.stderr[40] > 1e154
+        assert_allclose(big.mean_sq, np.ldexp(small.mean_sq, powers),
+                        rtol=1e-13)
+        assert_allclose(big.stderr, np.ldexp(small.stderr, powers),
+                        rtol=1e-12)
+        assert_array_equal(big.heavy_tail, small.heavy_tail)
+
     def test_validation_errors_surface(self):
         sys = scalar_system(1.0, 2.0)
         with pytest.raises(ValueError, match="probability sum"):
@@ -400,3 +420,40 @@ class TestKurtosis:
         assert_allclose(
             _kurtosis(samples * 1e80), _kurtosis(samples), rtol=1e-12
         )
+
+
+class TestScaledMoments:
+    def test_overflowing_sum_averaged_scaled(self):
+        samples = np.array([[1e308, 1.0], [1e308, 3.0], [1.5e308, 2.0]])
+        mean = _mean(samples)
+        assert_allclose(mean, [3.5 / 3 * 1e308, 2.0], rtol=1e-15)
+        assert_allclose(_std(samples, mean),
+                        [np.std(samples[:, 0] / 1e300, ddof=1) * 1e300, 1.0],
+                        rtol=1e-14)
+
+    def test_ordinary_columns_untouched(self):
+        samples = np.random.default_rng(67).lognormal(0.0, 2.0, (1000, 4))
+        assert_array_equal(_mean(samples), samples.mean(axis=0))
+        assert_array_equal(_std(samples, _mean(samples)),
+                           samples.std(axis=0, ddof=1))
+
+    def test_equal_huge_samples_have_zero_spread(self):
+        samples = np.full((4, 1), 1e308)
+        assert_array_equal(_mean(samples), [1e308])
+        assert_array_equal(_std(samples, _mean(samples)), [0.0])
+
+
+@pytest.mark.parametrize("sampling", ["marginal", "path"])
+def test_law_checked_once_per_call(monkeypatch, sampling):
+    calls = []
+    original = sysmodel.check_law
+
+    def counting(law, m):
+        calls.append(m)
+        return original(law, m)
+
+    monkeypatch.setattr(sysmodel, "check_law", counting)
+    law = MarkovSwitching(P=[[0.9, 0.1], [0.2, 0.8]], pi0=[0.5, 0.5])
+    simulate_ensemble(scalar_system(0.5, 0.9), law, point_mass([1.0]),
+                      SimConfig(trajectories=10, k_max=5, sampling=sampling))
+    assert calls == [2]

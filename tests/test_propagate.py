@@ -449,6 +449,25 @@ class TestW2Trajectory:
         assert counts[0] == counts[1] > 0
         assert all(q == mix.q for q in calls)  # only the input is checked
 
+    @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
+    def test_law_checked_once_per_call(self, monkeypatch, method):
+        calls = []
+        original = sysmodel.check_law
+
+        def counting(law, m):
+            calls.append(m)
+            return original(law, m)
+
+        monkeypatch.setattr(sysmodel, "check_law", counting)
+        rng = np.random.default_rng(167)
+        sys = random_system(rng, m=2, n=2)
+        law = ScheduleSwitching(rng.dirichlet([1.0, 1.0], size=40))
+        w2_trajectory(sys, law, random_mixture(rng, n=2, q=1), 5, method)
+        assert calls == [2]
+        calls.clear()
+        mog_propagate(sys, law, random_mixture(rng, n=2, q=1), 5)
+        assert calls == [2]
+
     def test_moment_methods_have_no_component_count(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])
         recs = w2_trajectory(sys, IIDSwitching([1.0]), point_mass([1.0]), 3)

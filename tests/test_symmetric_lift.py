@@ -1,0 +1,185 @@
+"""The second-moment lift restricted to symmetric and skew matrices.
+
+X -> sum_j pi_j A_j X A_j^T maps symmetric matrices to symmetric ones and
+skew to skew, so in an orthonormal basis of the two subspaces the n^2
+lift splits into two diagonal blocks. These tests hold the blocks, the
+spectral radii read from the symmetric block and the blockwise fold to
+the full n^2 computation, built inline with np.kron.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
+
+from jumpstab import stability
+from jumpstab.matkit import spectral_radius
+from jumpstab.propagate import (
+    _bases,
+    _basis_pairs,
+    _kron_squares,
+    _lifted_fold,
+    _peak,
+    _sym_skew_lifts,
+    gamma_product,
+)
+from jumpstab.stability import general_test, iid_test, markov_test
+from jumpstab.sysmodel import (
+    JumpLinearSystem,
+    ScheduleSwitching,
+    marginal_schedule,
+)
+
+#: (seed, n, m): every n in 1..6 and every m in 1..4 appears
+CASES = [(s, n, m) for s, (n, m) in enumerate(
+    [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 1),
+     (4, 4), (5, 2), (5, 3), (6, 2), (6, 4)]
+)]
+
+
+def rotating_system(rng, n, m):
+    """Random modes, each with a complex eigenpair when n >= 2."""
+    mats = []
+    for _ in range(m):
+        a = 0.3 * rng.standard_normal((n, n))
+        if n >= 2:
+            t = rng.uniform(0.3, 2.8)
+            a[:2, :2] += [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+        mats.append(a * rng.uniform(0.5, 1.1))
+    return JumpLinearSystem(modes=mats)
+
+
+def random_chain(rng, m):
+    """A row-stochastic P with P != P^T (for m >= 2)."""
+    return rng.dirichlet(np.ones(m) * 0.7, size=m)
+
+
+def full_fold(sys, schedule):
+    """Gamma(1), Gamma(2), ... by n^2 x n^2 products of np.kron lifts."""
+    gamma = np.eye(sys.n**2)
+    for pi in schedule:
+        step = sum(p * np.kron(a, a) for p, a in zip(pi, sys.modes))
+        gamma = step @ gamma
+        yield gamma
+
+
+def has_subnormal(x):
+    return bool(np.any((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("seed, n, m", CASES)
+class TestBlocks:
+    def test_blocks_are_the_lift_in_the_bases(self, seed, n, m):
+        sys = rotating_system(np.random.default_rng(seed), n, m)
+        assert any(np.iscomplexobj(np.linalg.eigvals(a)) for a in sys.modes) \
+            or n == 1
+        sym, skew = _sym_skew_lifts(sys)
+        u, v = _bases(n)
+        s, t = n * (n + 1) // 2, n * (n - 1) // 2
+        assert sym.shape == (m, s, s) and skew.shape == (m, t, t)
+        q = np.hstack([u, v])
+        assert_allclose(q.T @ q, np.eye(n * n), atol=1e-15)
+        for a, sb, kb in zip(sys.modes, sym, skew):
+            k = np.kron(a, a)
+            assert_allclose(sb, u.T @ k @ u, rtol=0, atol=1e-14 * np.abs(k).max())
+            assert_allclose(kb, v.T @ k @ v, rtol=0, atol=1e-14 * np.abs(k).max())
+
+    def test_off_diagonal_blocks_exactly_zero(self, seed, n, m):
+        sys = rotating_system(np.random.default_rng(seed), n, m)
+        lifts = _kron_squares(sys)
+        p, q = _basis_pairs(n)
+        rows, swapped = p * n + q, q * n + p
+        r, r2 = rows[:, None], swapped[:, None]
+        c, c2 = rows[n:], swapped[n:]
+        # <u_r, K v_c> up to the factor 2 c_r c_c, and <v_c, K u_r>
+        cross = (lifts[:, r, c] - lifts[:, r2, c2]) + (
+            lifts[:, r2, c] - lifts[:, r, c2])
+        cross_t = (lifts[:, c[:, None], rows] - lifts[:, c2[:, None], swapped]
+                   ) + (lifts[:, c[:, None], swapped]
+                        - lifts[:, c2[:, None], rows])
+        assert_array_equal(cross, 0.0)
+        assert_array_equal(cross_t, 0.0)
+
+    def test_symmetric_radius_is_full_radius(self, seed, n, m):
+        rng = np.random.default_rng(100 + seed)
+        sys = rotating_system(rng, n, m)
+        pi = rng.dirichlet(np.ones(m))
+        full_iid = sum(p * np.kron(a, a) for p, a in zip(pi, sys.modes))
+        assert iid_test(sys, pi).evidence == pytest.approx(
+            spectral_radius(full_iid), rel=1e-12
+        )
+        p = random_chain(rng, m)
+        if m >= 2:
+            assert np.max(np.abs(p - p.T)) > 0.05
+        blocks = np.zeros((m * n * n, m * n * n))
+        for i, a in enumerate(sys.modes):
+            blocks[i * n * n:(i + 1) * n * n, i * n * n:(i + 1) * n * n] = \
+                np.kron(a, a)
+        full_markov = blocks @ np.kron(p.T, np.eye(n * n))
+        assert markov_test(sys, p).evidence == pytest.approx(
+            spectral_radius(full_markov), rel=1e-12
+        )
+
+    def test_fold_matches_full_fold(self, seed, n, m):
+        rng = np.random.default_rng(200 + seed)
+        sys = rotating_system(rng, n, m)
+        schedule = rng.dirichlet(np.ones(m), size=25)
+        pairs = zip(_lifted_fold(sys, schedule), full_fold(sys, schedule))
+        for step, (folded, full) in enumerate(pairs, 1):
+            assert folded.fro() == pytest.approx(
+                np.linalg.norm(full), rel=1e-12
+            )
+            assert_allclose(folded.full(), full, rtol=0,
+                            atol=1e-12 * np.abs(full).max())
+            assert _peak(folded.sym, folded.sym_exp, n) == pytest.approx(
+                np.abs(full).max(), rel=1e-12
+            )
+        assert step == 25
+        state = gamma_product(sys, ScheduleSwitching(schedule), 25)
+        assert_allclose(state.gamma, full, rtol=0,
+                        atol=1e-12 * np.abs(full).max())
+
+
+class TestFastSkewDecay:
+    """The skew block shrinks like (5e-4)^k, the symmetric one like 0.3^k:
+    unscaled, the skew block turns subnormal within 100 steps."""
+
+    SYS = JumpLinearSystem(modes=[np.diag([0.5, 1e-3]),
+                                  np.diag([0.6, 2e-3])])
+    LAW = ScheduleSwitching([[0.3, 0.7], [0.6, 0.4]])
+
+    def test_no_block_entry_is_subnormal(self):
+        schedule = marginal_schedule(self.LAW, 500)
+        steps = 0
+        for steps, folded in enumerate(_lifted_fold(self.SYS, schedule), 1):
+            assert not has_subnormal(folded.sym)
+            assert not has_subnormal(folded.skew)
+        assert steps == 500
+        assert folded.skew_exp < -5000 and folded.sym_exp > -1000
+
+    def test_verdict_and_evidence_match_full_fold(self):
+        report = general_test(self.SYS, self.LAW)
+        *_, full = full_fold(self.SYS, marginal_schedule(self.LAW, 500))
+        assert report.verdict == "stable"
+        assert report.horizon_used == 500
+        assert report.evidence == pytest.approx(
+            np.linalg.norm(full) / self.SYS.n, rel=1e-12
+        )
+
+
+def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
+    """iid_test and markov_test never hand more than m n(n+1)/2 rows to the
+    eigensolver: a return to the n^2 lift fails here."""
+    sizes = []
+
+    def recording(mat):
+        sizes.append(np.shape(mat)[0])
+        return spectral_radius(mat)
+
+    monkeypatch.setattr(stability, "spectral_radius", recording)
+    for seed, n, m in CASES:
+        rng = np.random.default_rng(300 + seed)
+        sys = rotating_system(rng, n, m)
+        sizes.clear()
+        iid_test(sys, rng.dirichlet(np.ones(m)))
+        markov_test(sys, random_chain(rng, m))
+        assert sizes == [n * (n + 1) // 2, m * n * (n + 1) // 2]

@@ -191,6 +191,31 @@ class TestValidateSystem:
         )
         assert any("not PSD" in v for v in report.violations)
 
+    def test_large_rank_one_covariance_accepted(self):
+        # eigvalsh returns -1.863e-9 for the zero eigenvalue: roundoff at
+        # the matrix scale, rejected by an absolute 1e-10 slack
+        v = np.array([0.1, 0.7])
+        cov = 1e9 * np.outer(v, v)
+        assert np.linalg.eigvalsh(cov)[0] < -1e-9
+        mix = GaussianMixture.from_components([(1.0, [0.0, 0.0], cov)])
+        report = validate_system(
+            two_mode_system(), IIDSwitching([0.5, 0.5]), mix
+        )
+        assert report.ok, report.violations
+
+    @pytest.mark.parametrize(
+        "cov, ok",
+        [(np.diag([1.0, -2e-10]), False), (np.diag([0.5, -2e-10]), False),
+         (np.diag([1e-3, -5e-11]), True), (1e9 * np.diag([1.0, -1e-3]), False)],
+        ids=["unit", "below-unit", "small-within-1e-10", "large"],
+    )
+    def test_slack_scales_only_above_unit(self, cov, ok):
+        mix = GaussianMixture.from_components([(1.0, [0.0, 0.0], cov)])
+        report = validate_system(
+            two_mode_system(), IIDSwitching([0.5, 0.5]), mix
+        )
+        assert report.ok is ok
+
     def test_mixture_weight_sum_reported(self):
         mix = GaussianMixture(
             weights=[0.7, 0.7],
