@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("file", help="JSON system description")
     p_ana.add_argument(
         "--margin", type=float, default=DEFAULT_MARGIN,
-        help="half-width of the marginal band around 1 "
+        help="half-width of the marginal band around 1, in [0, 1) "
              "(default %(default)g)",
     )
     p_ana.add_argument(
@@ -237,6 +237,8 @@ def cmd_analyze(args) -> int:
             "horizon_used": report.horizon_used,
             "notes": list(report.notes),
             "margin": args.margin,
+            "certificate": report.certificate,
+            "applications": report.applications,
         }
         print(json.dumps(payload, indent=2))
     else:

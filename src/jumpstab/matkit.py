@@ -76,11 +76,13 @@ def vec(m) -> np.ndarray:
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
-    Uses a dense general (real-to-complex) eigensolver: spectra of the
-    lifted matrices arising here are routinely complex or have tied
-    moduli, so power iteration is not an option. Accuracy is that of
-    LAPACK's QR algorithm, better than 1e-9 relative for well-conditioned
-    inputs. The stability tests pass the symmetric block of each
+    Uses a dense general (real-to-complex) eigensolver, which needs no
+    gap between the moduli of complex or tied eigenvalues. Accuracy is
+    that of LAPACK's QR algorithm, better than 1e-9 relative for
+    well-conditioned inputs. No other library code calls
+    ``np.linalg.eigvals``. The spectral stability tests reach it only
+    when their Arnoldi certificate fails (marginal band, no convergence,
+    a singular Perron vector), and then pass the symmetric block of the
     second-moment lift: the lift keeps the PSD cone, so its spectral
     radius has a PSD, hence symmetric, eigenvector, and the block has
     the radius of the whole lift at about 1/8 of the cost.

@@ -11,11 +11,17 @@ Four tests cover the four switching laws:
 - ``contraction_test``: scan of deterministic-sequence prefix products
   for a first norm strictly below 1.
 
-The two spectral tests diagonalise only the symmetric block of their
-lift, n(n+1)/2 rows per mode instead of n^2. The lift maps PSD matrices
-(one per chain state) to PSD matrices, so its spectral radius is an
-eigenvalue with a PSD, hence symmetric, eigenvector: rho(symmetric
-block) = rho(full lift).
+The two spectral tests share one second-moment map,
+T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
+(the IID law is the one-state chain with weights pi), applied
+matrix-free. T maps the PSD cone into itself, so rho(T) is an eigenvalue
+with a PSD eigenvector X, and a PSD X > 0 with T(X) < c X (or > c X)
+proves rho(T) < c (or > c). Restarted Arnoldi finds X; one Cholesky
+checks the inequality, without the eigensolver that found X. Where no
+such certificate holds (the marginal band, no convergence, a singular
+Perron vector) the test falls back to a dense eigensolve of the lift's
+symmetric block, n(n+1)/2 rows per chain state instead of n^2, which
+has the spectral radius of the whole lift.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import spectral_norm, spectral_radius
+from .matkit import NumericalError, spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
     _lifted_fold,
@@ -75,6 +81,23 @@ DEFAULT_DECAY_TOL = 1e-12
 #: Sustained-growth threshold for the unstable verdict of general_test.
 GROWTH_THRESHOLD = 1e6
 
+#: Krylov dimension of one Arnoldi cycle (capped by the dimension of the
+#: space of symmetric stacks).
+_KRYLOV_DIM = 60
+
+#: Arnoldi cycles before the spectral tests fall back to the dense block.
+_RESTARTS = 30
+
+#: Relative Ritz residual ||T(X) - theta X|| / theta of a converged pair.
+_RITZ_TOL = 1e-13
+
+#: Relative size of an Arnoldi residual that marks an invariant subspace.
+_BREAKDOWN = 1e-14
+
+#: Certificates must be definite by this times n times their largest
+#: entry: a few units of the rounding of one n x n matrix product.
+_CERT_SLACK = 16 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -85,7 +108,10 @@ class StabilityReport:
     horizon test, a prefix-product norm for the sequence test.
     ``horizon_used`` is set by the finite-horizon tests. ``notes`` carry
     auxiliary findings (stationary-distribution status, period norms,
-    divergence warnings).
+    divergence warnings). The spectral tests set ``certificate``, the
+    kind checked by Cholesky ("stable" or "unstable") or
+    "dense fallback: <reason>", and ``applications``, the number of
+    second-moment map applications spent.
     """
 
     verdict: str
@@ -93,6 +119,8 @@ class StabilityReport:
     evidence: float
     horizon_used: int = None
     notes: tuple = ()
+    certificate: str = None
+    applications: int = None
 
 
 def _spectral_verdict(evidence: float, margin: float) -> str:
@@ -103,23 +131,166 @@ def _spectral_verdict(evidence: float, margin: float) -> str:
     return "marginal"
 
 
+def _check_margin(margin) -> float:
+    """The margin as a float in [0, 1); the certificates assume that range."""
+    value = float(margin)
+    _reject(
+        [] if 0.0 <= value < 1.0
+        else [f"margin must be finite and in [0, 1), got {value!r}"]
+    )
+    return value
+
+
+def _moment_map(sys: JumpLinearSystem, mix: np.ndarray, weights: np.ndarray):
+    """The second-moment map on (s, n, n) stacks of symmetric matrices,
+
+        T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
+
+    for a chain of s states over the m modes (mix and weights are s x m).
+    Returns ``apply``, which raises NumericalError on a non-finite entry.
+    """
+    a, at = sys.modes, np.swapaxes(sys.modes, 1, 2)
+
+    def apply(q: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pushed = a @ np.einsum("ji,jab->iab", mix, q) @ at
+            out = np.einsum("ri,iab->rab", weights, pushed)
+            out += np.swapaxes(out, 1, 2)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("second-moment map overflows: modes too large")
+        out *= 0.5
+        return out
+
+    return apply
+
+
+def _arnoldi(apply, start: np.ndarray, dim: int):
+    """``dim`` Arnoldi steps from ``start`` with twice-applied Gram-Schmidt.
+
+    Returns the orthonormal basis (k, N), the Hessenberg matrix (k, k) and
+    the residual norm h[k, k-1]: 0 when the Krylov space turned out
+    invariant after k < dim steps.
+    """
+    basis = np.zeros((dim + 1, start.size))
+    hess = np.zeros((dim + 1, dim))
+    basis[0] = start.ravel() / np.linalg.norm(start)
+    for k in range(dim):
+        w = apply(basis[k].reshape(start.shape)).ravel()
+        scale = np.linalg.norm(w)
+        for _ in range(2):
+            h = basis[:k + 1] @ w
+            w -= h @ basis[:k + 1]
+            hess[:k + 1, k] += h
+        beta = np.linalg.norm(w)
+        if beta <= _BREAKDOWN * scale:
+            return basis[:k + 1], hess[:k + 1, :k + 1], 0.0
+        hess[k + 1, k] = beta
+        basis[k + 1] = w / beta
+    return basis[:dim], hess[:dim, :dim], hess[dim, dim - 1]
+
+
+def _certified_radius(apply, states: int, n: int, margin: float):
+    """rho(T) with a verdict certified by Cholesky, if one holds.
+
+    Restarted Arnoldi from the identity stack: it lies inside the PSD
+    cone, so its Krylov spaces hold the Perron direction of T. Each cycle
+    restarts from the Ritz vector of the largest real Ritz value. A
+    converged pair (theta, X) certifies "stable" when X > 0 and
+    (1 - margin) X - T(X) > 0 (then rho(T) < 1 - margin), "unstable" when
+    X > 0 and T(X) - (1 + margin) X > 0 (then rho(T) > 1 + margin); one
+    batched Cholesky checks both matrices, without the eigensolver, each
+    shifted down by a slack above the rounding of T(X).
+
+    Returns (certificate, evidence, X, applications). On a certificate,
+    the evidence is theta. Otherwise the certificate reads
+    "dense fallback: <reason>" and evidence and X are None; the reasons
+    are theta in the marginal band, no convergence within the restart
+    budget (where peripheral spectra end up, unless the next reason
+    catches them), and a certificate that is not positive definite (a
+    singular Perron vector: reducible chains, zero or rank-deficient
+    modes).
+    """
+    dim = min(_KRYLOV_DIM, states * n * (n + 1) // 2)
+    x = np.broadcast_to(np.eye(n), (states, n, n))
+    used = 0
+    for _ in range(_RESTARTS):
+        basis, hess, beta = _arnoldi(apply, x, dim)
+        used += basis.shape[0]
+        theta, vecs = np.linalg.eig(hess)
+        real = np.flatnonzero(theta.imag == 0)
+        if real.size == 0:
+            return "dense fallback: no real Ritz value", None, None, used
+        j = real[np.argmax(theta.real[real])]
+        y = vecs[:, j].real
+        x = (y @ basis).reshape(x.shape)
+        if abs(beta * y[-1]) <= _RITZ_TOL * abs(theta[j]):
+            break
+    else:
+        return (f"dense fallback: no convergence in {_RESTARTS} Arnoldi "
+                f"cycles", None, None, used)
+    x = x + np.swapaxes(x, 1, 2)
+    if np.trace(x, axis1=1, axis2=2).sum() < 0.0:
+        x = -x
+    tx = apply(x)
+    used += 1
+    # theta as <X, T(X)> / <X, X>: free of the Gram-Schmidt rounding
+    evidence = abs(float(np.vdot(x, tx) / np.vdot(x, x)))
+    verdict = _spectral_verdict(evidence, margin)
+    if verdict == "marginal":
+        return "dense fallback: marginal band", None, None, used
+    gap = (1.0 - margin) * x - tx if verdict == "stable" \
+        else tx - (1.0 + margin) * x
+    # definite by more than the rounding of T(X): an X that is singular
+    # in exact arithmetic must not pass on roundoff
+    slack = _CERT_SLACK * n * max(np.max(np.abs(x)), np.max(np.abs(tx)))
+    try:
+        np.linalg.cholesky(np.concatenate([x, gap]) - slack * np.eye(n))
+    except np.linalg.LinAlgError:
+        return ("dense fallback: certificate not positive definite", None,
+                None, used)
+    return verdict, evidence, x, used
+
+
+def _spectral_report(sys, mix, weights, margin, test_name,
+                     notes=()) -> StabilityReport:
+    """Certified verdict on the map of ``_moment_map(sys, mix, weights)``,
+    else the dense eigensolve of its symmetric block, whose block (r, j)
+    is sum_i weights[r, i] mix[j, i] (A_i kron A_i) on symmetric matrices.
+    """
+    margin = _check_margin(margin)
+    states = mix.shape[0]
+    certificate, evidence, _, used = _certified_radius(
+        _moment_map(sys, mix, weights), states, sys.n, margin
+    )
+    if evidence is None:
+        sym = _sym_skew_lifts(sys)[0]
+        size = states * sym.shape[1]
+        lift = np.einsum("ri,ji,iab->rajb", weights, mix, sym)
+        evidence = spectral_radius(lift.reshape(size, size))
+        verdict = _spectral_verdict(evidence, margin)
+    else:
+        verdict = certificate
+    return StabilityReport(
+        verdict=verdict,
+        test_name=test_name,
+        evidence=evidence,
+        notes=notes,
+        certificate=certificate,
+        applications=used,
+    )
+
+
 def iid_test(
     sys: JumpLinearSystem, pi, margin: float = DEFAULT_MARGIN
 ) -> StabilityReport:
     """Spectral test for modes drawn independently from a fixed pi.
 
-    The second moment evolves by the fixed lift
-    A = sum_j pi_j (A_j kron A_j); mean-square stability is equivalent
-    to A being Schur stable, so the evidence is its spectral radius,
-    read from A's symmetric block.
+    The second moment evolves by T(X) = sum_j pi_j A_j X A_j^T, the lift
+    sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
+    rho(T) < 1. This is the one-state chain of the Markov test.
     """
     pi = _step_weights(sys, pi)
-    evidence = spectral_radius(np.tensordot(pi, _sym_skew_lifts(sys)[0], 1))
-    return StabilityReport(
-        verdict=_spectral_verdict(evidence, margin),
-        test_name="iid",
-        evidence=evidence,
-    )
+    return _spectral_report(sys, np.ones((1, sys.m)), pi[None], margin, "iid")
 
 
 def markov_test(
@@ -127,12 +298,13 @@ def markov_test(
 ) -> StabilityReport:
     """Spectral test for a time-homogeneous Markov switching chain.
 
-    Compares to 1 the spectral radius of the lift
-    diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I), restricted to
-    symmetric matrices (m n(n+1)/2 rows, not m n^2). The underlying
-    stability condition presumes the chain admits a stationary
-    distribution; the report notes the status found (unique, non-unique,
-    or none) rather than silently assuming it.
+    Compares to 1 the spectral radius of
+    T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of m symmetric
+    matrices: the lift diag(A_1 kron A_1, ..., A_m kron A_m)
+    (P^T kron I), whose block (i, j) is P_ji A_i kron A_i, restricted to
+    symmetric matrices. The underlying stability condition presumes the
+    chain admits a stationary distribution; the report notes the status
+    found (unique, non-unique, or none) rather than silently assuming it.
 
     Raises
     ------
@@ -145,23 +317,13 @@ def markov_test(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
         )
     stationary = stationary_distribution(p)  # checks P is row-stochastic
-    sym = _sym_skew_lifts(sys)[0]
-    size = sys.m * sym.shape[1]
-    # block (i, j) of diag(A_i kron A_i) (P^T kron I) is P_ji (A_i kron A_i)
-    lift = np.einsum("ji,iab->iajb", p, sym).reshape(size, size)
-    evidence = spectral_radius(lift)
     notes = (f"stationary distribution: {stationary.status}",)
     if stationary.status != "unique":
         notes += (
             "the spectral condition presumes a stationary distribution; "
             "treat the verdict with care",
         )
-    return StabilityReport(
-        verdict=_spectral_verdict(evidence, margin),
-        test_name="markov",
-        evidence=evidence,
-        notes=notes,
-    )
+    return _spectral_report(sys, p, np.eye(sys.m), margin, "markov", notes)
 
 
 def general_test(
@@ -301,7 +463,13 @@ def analyze(
     IID laws get the fixed spectral test, Markov laws the chain-lifted
     spectral test, schedules the finite-horizon decay test, and
     deterministic sequences the contraction scan.
+
+    Raises
+    ------
+    ValueError
+        If margin is not a finite number in [0, 1).
     """
+    margin = _check_margin(margin)
     if isinstance(law, IIDSwitching):
         return iid_test(sys, law.pi, margin)
     if isinstance(law, MarkovSwitching):

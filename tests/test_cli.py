@@ -226,6 +226,38 @@ class TestAnalyze:
         doc = dict(IID, switching={"type": "iid", "pi": [0.6, 0.6]})
         assert main(["analyze", write(doc)]) == 1
 
+    @pytest.mark.parametrize("margin", ["-1", "nan", "1", "inf", "-1e-12"])
+    def test_margin_out_of_range_exits_1(self, write, capsys, margin):
+        argv = ["analyze", write(IID), f"--margin={margin}", "--assert-stable"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: margin must be finite and in [0, 1), got "
+        )
+
+    def test_json_certificate_fields(self, write, capsys):
+        assert main(["analyze", write(MARKOV), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "stable"
+        assert isinstance(payload["applications"], int)
+        assert payload["applications"] > 0
+        assert main(["analyze", write(SEQ), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] is None
+        assert payload["applications"] is None
+
+    def test_plain_report_has_no_certificate_lines(self, write, capsys):
+        path = write(MARKOV)
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            f"file: {path}\n"
+            "test: markov\n"
+            "verdict: stable\n"
+            "evidence: spectral radius = 0.709857590054\n"
+            "note: stationary distribution: unique\n"
+        )
+
 
 class TestOverflow:
     """Overflowing second moments end in exit 3, never NaN rows or exit 1."""

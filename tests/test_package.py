@@ -47,3 +47,29 @@ def test_every_export_resolves(stem):
     module = import_module(stem)
     exported = getattr(module, "__all__", ())
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def eigvals_sites(tree, stem):
+    """(module, enclosing function) of every reference to eigvals."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "eigvals"
+                or isinstance(node, ast.Name) and node.id == "eigvals"
+                or isinstance(node, ast.alias) and node.name == "eigvals"):
+            yield stem, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(tree, None))
+
+
+def test_one_dense_eigensolver_site():
+    """np.linalg.eigvals runs only inside matkit.spectral_radius, which the
+    spectral tests reach only as their dense fallback."""
+    sites = [
+        site for stem in MODULES for site in eigvals_sites(
+            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")), stem
+        )
+    ]
+    assert sites == [("matkit", "spectral_radius")]

@@ -167,8 +167,9 @@ class TestFastSkewDecay:
 
 
 def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
-    """iid_test and markov_test never hand more than m n(n+1)/2 rows to the
-    eigensolver: a return to the n^2 lift fails here."""
+    """Certified verdicts hand nothing to the eigensolver, and a dense
+    fallback never hands it more than m n(n+1)/2 rows: a return to the
+    n^2 lift fails here."""
     sizes = []
 
     def recording(mat):
@@ -176,10 +177,23 @@ def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
         return spectral_radius(mat)
 
     monkeypatch.setattr(stability, "spectral_radius", recording)
+    certified = 0
     for seed, n, m in CASES:
         rng = np.random.default_rng(300 + seed)
         sys = rotating_system(rng, n, m)
+        pi, p = rng.dirichlet(np.ones(m)), random_chain(rng, m)
+        rows = [n * (n + 1) // 2, m * n * (n + 1) // 2]
         sizes.clear()
-        iid_test(sys, rng.dirichlet(np.ones(m)))
-        markov_test(sys, random_chain(rng, m))
-        assert sizes == [n * (n + 1) // 2, m * n * (n + 1) // 2]
+        reports = [iid_test(sys, pi), markov_test(sys, p)]
+        fallbacks = [r.certificate.startswith("dense fallback: ")
+                     for r in reports]
+        assert sizes == [k for k, fell in zip(rows, fallbacks) if fell]
+        certified += fallbacks.count(False)
+        # no Arnoldi cycle at all: both tests fall back
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "_RESTARTS", 0)
+            sizes.clear()
+            iid_test(sys, pi)
+            markov_test(sys, p)
+        assert sizes == rows
+    assert certified >= 2 * len(CASES) - 4
