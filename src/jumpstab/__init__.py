@@ -7,9 +7,11 @@ and computes the squared Wasserstein distance between the state
 distribution and the point mass at the origin, which for Gaussian-mixture
 initial conditions coincides with the trace of the second moment.
 
-Three independent computational routes are provided and cross-checked:
-an exact mixture-of-Gaussians propagation, a lifted second-moment
-recursion, and seeded Monte Carlo simulation.
+Three analytic routes compute that distance, chosen by the ``method``
+of ``w2_trajectory`` (``trajectory --method``): the second-moment
+recursion ``moment``, the lifted product ``gamma`` and the exact
+mixture-of-Gaussians propagation ``exact_mog``. They are cross-checked
+against seeded Monte Carlo simulation.
 """
 
 from .matkit import NumericalError

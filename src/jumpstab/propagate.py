@@ -24,11 +24,16 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     symmetric matrices), never on the n^2 x n^2 matrix.
 
 The three must agree to rounding; their agreement is a correctness check
-of the whole chain and is asserted by the test suite.
+of the whole chain and is asserted by the test suite. A route raises
+NumericalError, naming k, exactly when a value it carries is not finite.
+The second-moment map of a chain (``_moment_map``, on the A X A^T kernel
+``_push``) and its matrix (``_chain_lift``) live here, for these routes
+and for the stability tests alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +69,8 @@ __all__ = [
 #: Hard ceiling on exact-mixture component counts.
 DEFAULT_COMPONENT_CAP = 100_000
 
-#: Entry magnitudes beyond this flag divergence instead of risking overflow.
+#: Entry magnitudes past this count as divergence of the products folded
+#: by gamma_product and the horizon and sequence stability tests.
 DIVERGENCE_GUARD = 1e150
 
 _TINY = np.finfo(float).tiny
@@ -75,9 +81,9 @@ class GammaState:
     """Reverse-ordered product Gamma(k) of lifted step matrices.
 
     Gamma(0) is the n^2 x n^2 identity. ``diverged`` marks a product
-    whose next factor would push entries past the overflow guard; in
-    that case ``gamma`` holds the last finite product and ``k`` the
-    number of steps actually folded.
+    whose next factor would push entries past DIVERGENCE_GUARD; in that
+    case ``gamma`` holds the last product under it and ``k`` the number
+    of steps actually folded.
     """
 
     gamma: np.ndarray
@@ -95,16 +101,6 @@ class TrajectoryRecord:
     k: int
     w2: float
     component_count: int = None
-
-
-def _kron_squares(sys: JumpLinearSystem) -> np.ndarray:
-    """The (m, n^2, n^2) stack of A_j kron A_j; NumericalError on overflow."""
-    a, n2 = sys.modes, sys.n * sys.n
-    with np.errstate(over="ignore"):
-        lifts = a[:, :, None, :, None] * a[:, None, :, None, :]
-    if not np.all(np.isfinite(lifts)):
-        raise NumericalError("A_j kron A_j overflows: modes too large")
-    return lifts.reshape(sys.m, n2, n2)
 
 
 def _basis_pairs(n: int):
@@ -155,6 +151,15 @@ def _sym_skew_lifts(sys: JumpLinearSystem):
     return sym, skew
 
 
+def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
+    """The matrix of _moment_map(modes, mix, weights) on the coordinates
+    of ``blocks``, one (m, b, b) stack of _sym_skew_lifts: block (r, j) of
+    the (s b, s b) result is sum_i weights[r, i] mix[j, i] blocks[i]."""
+    lift = np.tensordot(weights[:, None] * mix[None], blocks, 1)
+    size = len(mix) * blocks.shape[1]
+    return np.swapaxes(lift, 1, 2).reshape(size, size)
+
+
 def _step_weights(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     """The checked, renormalized mode weights of one step."""
     pi = as_probability_vector(pi_k, "pi_k")
@@ -164,16 +169,34 @@ def _step_weights(sys: JumpLinearSystem, pi_k) -> np.ndarray:
 
 
 def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Symmetrised A_j X_i A_j^T for each mode j and matrix i: (m, q, n, n)."""
+    """Symmetrised A_j X A_j^T, ``mats`` broadcast against (m, q, n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = modes[:, None] @ mats[None] @ np.swapaxes(modes, 1, 2)[:, None]
+        out = modes[:, None] @ mats @ np.swapaxes(modes, 1, 2)[:, None]
+        out *= 0.5  # halved first, two finite halves add up to a finite sum
         out += np.swapaxes(out, 2, 3)
-    out *= 0.5
     return out
 
 
-def _past_guard(x: np.ndarray) -> bool:
-    return not np.all(np.abs(x) <= DIVERGENCE_GUARD)  # NaN counts as past
+def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
+                what: str = "second moment diverged"):
+    """The second-moment map on (s, n, n) stacks of symmetric matrices,
+
+        T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
+
+    for a chain of s states over the m modes (mix and weights are s x m).
+    Returns ``apply``; it raises NumericalError led by ``what`` on a
+    non-finite entry.
+    """
+    def apply(q: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed = np.dot(mix.T, q.reshape(len(q), -1))
+            pushed = _push(modes, mixed.reshape(-1, 1, *q.shape[1:]))
+            out = np.dot(weights, pushed.reshape(len(modes), -1))
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(f"{what} (an entry is not finite)")
+        return out.reshape(-1, *q.shape[1:])
+
+    return apply
 
 
 class _Folded:
@@ -229,33 +252,47 @@ def _rescaled(block: np.ndarray, exp: int):
 
 
 def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
-    """Yield Gamma(1), Gamma(2), ... as _Folded until one passes the guard.
+    """Yield Gamma(1), Gamma(2), ... as _Folded, one per schedule row.
 
     The lift maps symmetric matrices to symmetric ones and skew to skew,
     so each block folds on its own, and the skew block only when ``skew``
     is set; the power-of-two rescaling keeps entries out of the subnormal
-    range, where products slow down and lose digits.
+    range, where products slow down and lose digits, and away from
+    overflow.
     """
     sym_lifts, skew_lifts = _sym_skew_lifts(sys)
     sym, sym_exp = np.eye(sym_lifts.shape[1]), 0
     rest = (np.eye(skew_lifts.shape[1]), 0) if skew else (None, 0)
-    row = None
-    for pi in schedule:
-        if pi.tobytes() != row:  # schedules repeat rows: rebuild on change
-            row = pi.tobytes()
-            sym_step = np.tensordot(pi, sym_lifts, 1)
-            skew_step = np.tensordot(pi, skew_lifts, 1) if skew else None
+    one, row = np.ones((1, sys.m)), None
+    for w in schedule[:, None]:  # the weights of a one-state chain
+        if w.tobytes() != row:  # schedules repeat rows: rebuild on change
+            row = w.tobytes()
+            sym_step = _chain_lift(sym_lifts, one, w)
+            skew_step = _chain_lift(skew_lifts, one, w) if skew else None
         sym, sym_exp = _rescaled(sym_step @ sym, sym_exp)
-        if not _peak(sym, sym_exp, sys.n) <= DIVERGENCE_GUARD:  # NaN: past
-            return
         if skew:
             rest = _rescaled(skew_step @ rest[0], rest[1])
         yield _Folded(sym, sym_exp, *rest)
 
 
+def _guarded_fold(sys: JumpLinearSystem, schedule):
+    """_lifted_fold up to the first Gamma(k) with an entry past
+    DIVERGENCE_GUARD or not finite: the divergence criterion of
+    gamma_product and the horizon test."""
+    return itertools.takewhile(
+        lambda g: _peak(g.sym, g.sym_exp, sys.n) <= DIVERGENCE_GUARD,
+        _lifted_fold(sys, schedule),
+    )
+
+
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
-    """One-step lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
-    return np.tensordot(_step_weights(sys, pi_k), _kron_squares(sys), axes=1)
+    """The n^2 reference lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
+    pi, a, n2 = _step_weights(sys, pi_k), sys.modes, sys.n * sys.n
+    with np.errstate(over="ignore"):
+        lifts = a[:, :, None, :, None] * a[:, None, :, None, :]
+    if not np.all(np.isfinite(lifts)):
+        raise NumericalError("A_j kron A_j overflows: modes too large")
+    return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
 
 
 def mog_step(
@@ -276,7 +313,7 @@ def mog_step(
     ValueError
         On dimension mismatch or if every pair has zero weight.
     NumericalError
-        If a surviving mean or covariance entry passes the overflow guard.
+        If a surviving mean or covariance entry is not finite.
     """
     pi = _step_weights(sys, pi_k)
     if mix.n != sys.n:
@@ -285,16 +322,14 @@ def mog_step(
         )
     weights = np.outer(pi, mix.weights).reshape(-1)
     means = (mix.means @ np.swapaxes(sys.modes, 1, 2)).reshape(-1, sys.n)
-    covs = _push(sys.modes, mix.covs).reshape(-1, sys.n, sys.n)
+    covs = _push(sys.modes, mix.covs[None]).reshape(-1, sys.n, sys.n)
 
     keep = weights > 0.0
     if not np.any(keep):
         raise ValueError("every mixture component has zero weight")
     weights, means, covs = weights[keep], means[keep], covs[keep]
-    if _past_guard(means) or _past_guard(covs):
-        raise NumericalError(
-            f"mixture diverged (entry magnitude exceeds {DIVERGENCE_GUARD:g})"
-        )
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+        raise NumericalError("mixture diverged: an entry is not finite")
     return GaussianMixture(
         weights=weights / weights.sum(), means=means, covs=covs
     )
@@ -329,8 +364,11 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
             f"components, beyond cap={cap}; raise the cap"
         )
     mix = init
-    for pi in schedule:
-        mix = mog_step(sys, pi, mix)
+    for k, pi in enumerate(schedule, 1):
+        try:
+            mix = mog_step(sys, pi, mix)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at k={k}") from None
         yield mix
 
 
@@ -363,22 +401,19 @@ def mog_propagate(
 def moment_step(
     sys: JumpLinearSystem, pi_k, state: SecondMomentState
 ) -> SecondMomentState:
-    """One second-moment update Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T.
+    """One second-moment update Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T,
+    the map that iid_test certifies, of the one-state chain with pi(k).
 
-    Raises ``NumericalError`` once an entry passes the overflow guard.
+    Raises ``NumericalError`` if an entry is not finite.
     """
     pi = _step_weights(sys, pi_k)
     if state.phi.shape != (sys.n, sys.n):
         raise ValueError(
             f"phi has shape {state.phi.shape}, system has n={sys.n}"
         )
-    phi = np.tensordot(pi, _push(sys.modes, state.phi[None])[:, 0], 1)
-    if _past_guard(phi):
-        raise NumericalError(
-            f"second moment diverged at k={state.k + 1} "
-            f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
-        )
-    return SecondMomentState(phi=phi, k=state.k + 1)
+    step = _moment_map(sys.modes, np.ones((1, sys.m)), pi[None],
+                       f"second moment diverged at k={state.k + 1}")
+    return SecondMomentState(phi=step(state.phi[None])[0], k=state.k + 1)
 
 
 def gamma_product(
@@ -389,9 +424,9 @@ def gamma_product(
     """Reverse-ordered product Gamma(k) = A(k) A(k-1) ... A(1).
 
     Gamma(0) is the identity. If a multiplication would push any entry
-    magnitude past DIVERGENCE_GUARD, the fold stops and returns the last finite
-    product with ``diverged=True`` (the ``k`` field then reports how many
-    factors were folded).
+    magnitude past DIVERGENCE_GUARD, the fold stops and returns the last
+    product under it with ``diverged=True`` (the ``k`` field then reports
+    how many factors were folded).
     """
     k = int(k)
     if k < 0:
@@ -399,11 +434,19 @@ def gamma_product(
     gamma, done = np.eye(sys.n * sys.n), 0
     if k > 0:
         schedule = marginal_schedule(law, k, m=sys.m)
-        for done, folded in enumerate(_lifted_fold(sys, schedule), 1):
+        for done, folded in enumerate(_guarded_fold(sys, schedule), 1):
             pass
         if done:
             gamma = folded.full()
     return GammaState(gamma=gamma, k=done, diverged=done < k)
+
+
+def _record(k: int, w2, count: int = None) -> TrajectoryRecord:
+    """W^2(k) as a record; NumericalError if it is not finite."""
+    w2 = float(w2)
+    if not math.isfinite(w2):
+        raise NumericalError(f"W^2 diverged at k={k} (not finite)")
+    return TrajectoryRecord(k=k, w2=w2, component_count=count)
 
 
 def w2_trajectory(
@@ -427,8 +470,8 @@ def w2_trajectory(
     ValueError
         On invalid inputs, unknown method, or exact-mixture cap overflow.
     NumericalError
-        If the second moment diverges past the overflow guard before
-        k_max (unstable growth; the message names the failing step).
+        If W^2(k) or a value the route carries is not finite for some
+        k <= k_max (unstable growth; the message names the failing step).
     """
     k_max = int(k_max)
     if k_max < 0:
@@ -442,45 +485,31 @@ def w2_trajectory(
 
     mean, cov = synthetic_gaussian(init)
     phi0 = np.outer(mean, mean) + cov
-    if method == "exact_mog":
-        records = [
-            TrajectoryRecord(
-                k=0, w2=mixture_to_dirac_sq(init), component_count=init.q
-            )
-        ]
-    else:
-        records = [TrajectoryRecord(k=0, w2=float(np.trace(phi0)))]
-    if k_max == 0:
-        return records
-
-    schedule = _marginals(law, k_max, sys.m)
-
-    if method == "moment":
-        state = SecondMomentState(phi=phi0, k=0)
-        for pi in schedule:
-            state = moment_step(sys, pi, state)
-            w2 = float(np.trace(state.phi))
-            records.append(TrajectoryRecord(k=state.k, w2=w2))
-    elif method == "gamma":
-        # I and Phi(0) are symmetric: only the symmetric block of Gamma(k)
-        # pairs them
-        basis = _bases(sys.n)[0].T
-        left, right = basis @ vec(np.eye(sys.n)), basis @ vec(phi0)
-        for step, folded in enumerate(_lifted_fold(sys, schedule, False), 1):
-            with np.errstate(over="ignore"):
-                w2 = float(np.ldexp(left @ folded.sym @ right, folded.sym_exp))
-            records.append(TrajectoryRecord(k=step, w2=w2))
-        if len(records) <= k_max:
-            raise NumericalError(
-                f"lifted product diverged at k={len(records)} "
-                f"(entry magnitude exceeds {DIVERGENCE_GUARD:g})"
-            )
-    else:
-        mixes = _mog_fold(sys, schedule, init, cap)
-        for step, mix in enumerate(mixes, 1):
-            records.append(
-                TrajectoryRecord(
-                    k=step, w2=_dirac_sq(mix), component_count=mix.q
-                )
-            )
+    # every W^2(k) is checked by _record, so no overflow needs a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "exact_mog":
+            records = [_record(0, mixture_to_dirac_sq(init), init.q)]
+        else:
+            records = [_record(0, np.trace(phi0))]
+        if k_max == 0:
+            return records
+        schedule = _marginals(law, k_max, sys.m)
+        if method == "moment":
+            state = SecondMomentState(phi=phi0, k=0)
+            for pi in schedule:
+                state = moment_step(sys, pi, state)
+                records.append(_record(state.k, np.trace(state.phi)))
+        elif method == "gamma":
+            # I and Phi(0) are symmetric: only the symmetric block of
+            # Gamma(k) pairs them
+            basis = _bases(sys.n)[0].T
+            left, right = basis @ vec(np.eye(sys.n)), basis @ vec(phi0)
+            folds = _lifted_fold(sys, schedule, False)
+            for step, g in enumerate(folds, 1):
+                w2 = np.ldexp(left @ g.sym @ right, g.sym_exp)
+                records.append(_record(step, w2))
+        else:
+            mixes = _mog_fold(sys, schedule, init, cap)
+            for step, mix in enumerate(mixes, 1):
+                records.append(_record(step, _dirac_sq(mix), mix.q))
     return records

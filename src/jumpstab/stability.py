@@ -21,7 +21,9 @@ checks the inequality, without the eigensolver that found X. Where no
 such certificate holds (the marginal band, no convergence, a singular
 Perron vector) the test falls back to a dense eigensolve of the lift's
 symmetric block, n(n+1)/2 rows per chain state instead of n^2, which
-has the spectral radius of the whole lift.
+has the spectral radius of the whole lift. The map (the one the
+``moment`` route steps) and its matrix live in ``propagate``: this
+module reads their spectra and certificates and builds neither.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -37,10 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import NumericalError, spectral_norm, spectral_radius
+from .matkit import spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
-    _lifted_fold,
+    _chain_lift,
+    _guarded_fold,
+    _moment_map,
     _step_weights,
     _sym_skew_lifts,
 )
@@ -141,29 +145,6 @@ def _check_margin(margin) -> float:
     return value
 
 
-def _moment_map(sys: JumpLinearSystem, mix: np.ndarray, weights: np.ndarray):
-    """The second-moment map on (s, n, n) stacks of symmetric matrices,
-
-        T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
-
-    for a chain of s states over the m modes (mix and weights are s x m).
-    Returns ``apply``, which raises NumericalError on a non-finite entry.
-    """
-    a, at = sys.modes, np.swapaxes(sys.modes, 1, 2)
-
-    def apply(q: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pushed = a @ np.einsum("ji,jab->iab", mix, q) @ at
-            out = np.einsum("ri,iab->rab", weights, pushed)
-            out += np.swapaxes(out, 1, 2)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("second-moment map overflows: modes too large")
-        out *= 0.5
-        return out
-
-    return apply
-
-
 def _arnoldi(apply, start: np.ndarray, dim: int):
     """``dim`` Arnoldi steps from ``start`` with twice-applied Gram-Schmidt.
 
@@ -228,7 +209,7 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     else:
         return (f"dense fallback: no convergence in {_RESTARTS} Arnoldi "
                 f"cycles", None, None, used)
-    x = x + np.swapaxes(x, 1, 2)
+    x = x + x.transpose(0, 2, 1)
     if np.trace(x, axis1=1, axis2=2).sum() < 0.0:
         x = -x
     tx = apply(x)
@@ -253,20 +234,15 @@ def _certified_radius(apply, states: int, n: int, margin: float):
 
 def _spectral_report(sys, mix, weights, margin, test_name,
                      notes=()) -> StabilityReport:
-    """Certified verdict on the map of ``_moment_map(sys, mix, weights)``,
-    else the dense eigensolve of its symmetric block, whose block (r, j)
-    is sum_i weights[r, i] mix[j, i] (A_i kron A_i) on symmetric matrices.
-    """
+    """Certified verdict on the map ``_moment_map(modes, mix, weights)``,
+    else the dense eigensolve of its matrix on symmetric matrices."""
     margin = _check_margin(margin)
-    states = mix.shape[0]
     certificate, evidence, _, used = _certified_radius(
-        _moment_map(sys, mix, weights), states, sys.n, margin
+        _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
     )
     if evidence is None:
-        sym = _sym_skew_lifts(sys)[0]
-        size = states * sym.shape[1]
-        lift = np.einsum("ri,ji,iab->rajb", weights, mix, sym)
-        evidence = spectral_radius(lift.reshape(size, size))
+        lift = _chain_lift(_sym_skew_lifts(sys)[0], mix, weights)
+        evidence = spectral_radius(lift)
         verdict = _spectral_verdict(evidence, margin)
     else:
         verdict = certificate
@@ -349,7 +325,7 @@ def general_test(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     schedule = marginal_schedule(law, k_max, m=sys.m)
     base = float(sys.n)  # ||Gamma(0)||_F, the n^2 x n^2 identity
-    ratios = [g.fro() / base for g in _lifted_fold(sys, schedule)]
+    ratios = [g.fro() / base for g in _guarded_fold(sys, schedule)]
     if len(ratios) < k_max:
         return StabilityReport(
             verdict="unstable",

@@ -14,7 +14,7 @@ import pytest
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import _sym_skew_lifts
+from jumpstab.propagate import _moment_map, _sym_skew_lifts
 from jumpstab.stability import (
     DEFAULT_MARGIN,
     analyze,
@@ -91,7 +91,7 @@ def check_certificate(sys, kind, w, margin, report):
         else (np.asarray(w, float), np.eye(sys.m))
     )
     certificate, evidence, x, used = stability._certified_radius(
-        stability._moment_map(sys, mix, weights), mix.shape[0], sys.n, margin
+        _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
     )
     assert (certificate, used) == (report.certificate, report.applications)
     # iid_test renormalizes pi, which may move the last bits

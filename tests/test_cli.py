@@ -316,6 +316,60 @@ class TestOverflow:
         )
         assert captured.out == ""
 
+    @staticmethod
+    def scalar(modes, pi, mean):
+        """A 1-D IID file from a point mass at ``mean``."""
+        return {
+            "n": 1,
+            "modes": {f"a{j}": [[a]] for j, a in enumerate(modes)},
+            "switching": {"type": "iid", "pi": pi},
+            "initial": [{"weight": 1.0, "mean": [mean], "cov": [[0.0]]}],
+        }
+
+    def routes(self, write, capsys, doc, steps):
+        """W^2 column of each trajectory method, all of which exit 0."""
+        path, w2 = write(doc), {}
+        for method in ("moment", "gamma", "exact_mog"):
+            argv = ["trajectory", path, "--steps", str(steps),
+                    "--method", method]
+            assert main(argv) == 0
+            w2[method] = [float(r[1]) for r in read_csv(
+                capsys.readouterr().out)[1]]
+        return w2
+
+    def test_finite_moments_past_1e150_are_not_divergence(self, write,
+                                                          capsys):
+        """W^2 starts at 1e160 and decays: every route runs, and agrees."""
+        doc = self.scalar([0.5, 0.9], [0.5, 0.5], 1e80)
+        w2 = self.routes(write, capsys, doc, 3)
+        assert w2["moment"][0] == 1e160
+        for method in ("gamma", "exact_mog"):
+            assert w2[method] == pytest.approx(w2["moment"], rel=1e-9)
+        argv = ["compare", write(doc), "--steps", "3", "--trajectories", "50"]
+        assert main(argv) == 0
+
+    def test_lifted_product_past_1e150_is_not_divergence(self, write,
+                                                          capsys):
+        """Gamma(300) = 4^300 while W^2(300) = 1e-200 4^300 is small."""
+        w2 = self.routes(write, capsys, self.scalar([2.0], [1.0], 1e-100),
+                         300)
+        assert w2["moment"][300] == pytest.approx(4.0**300 * 1e-200,
+                                                  rel=1e-12)
+        for method in ("gamma", "exact_mog"):
+            assert w2[method][300] == pytest.approx(w2["moment"][300],
+                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
+    def test_w2_past_float_range_exits_3(self, write, capsys, method):
+        """W^2(k) = 1e300 2.25^k leaves float64 at k = 24 on every route."""
+        doc = self.scalar([1.5], [1.0], 1e150)
+        argv = ["trajectory", write(doc), "--steps", "30", "--method", method]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert "diverged at k=24 " in captured.err
+        assert captured.out == ""
+
 
 class TestTrajectory:
     def test_single_mode_powers(self, write, capsys):

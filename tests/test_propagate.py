@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from jumpstab.matkit import NumericalError, vec
 from jumpstab.propagate import (
     GammaState,
-    _kron_squares,
-    _past_guard,
+    _moment_map,
     gamma_product,
     lifted_step_matrix,
     mog_propagate,
@@ -84,15 +83,15 @@ class TestKronSquares:
     def test_stack_matches_kron(self):
         rng = np.random.default_rng(81)
         sys = random_system(rng, m=3, n=3)
-        lifts = _kron_squares(sys)
-        assert lifts.shape == (3, 9, 9)
-        for a, lift in zip(sys.modes, lifts):
+        for j, a in enumerate(sys.modes):
+            lift = lifted_step_matrix(sys, np.eye(3)[j])
+            assert lift.shape == (9, 9)
             assert_array_equal(lift, np.kron(a, a))
 
     def test_overflow_raises(self):
         sys = JumpLinearSystem(modes=[[[0.0, 1e160], [0.0, 0.0]], np.eye(2)])
         with pytest.raises(NumericalError, match="overflows"):
-            _kron_squares(sys)
+            lifted_step_matrix(sys, [0.0, 1.0])
 
 
 class TestMogStep:
@@ -345,11 +344,18 @@ class TestGammaProduct:
         assert abs(state.gamma[0, 0]) <= 1e150
 
     @pytest.mark.parametrize(
-        "entry, past", [(1e150, False), (-2e150, True), (np.inf, True),
-                        (np.nan, True)],
+        "entry, past", [(1e300, False), (np.inf, True), (np.nan, True)],
     )
     def test_guard_counts_nan_and_inf_as_past(self, entry, past):
-        assert _past_guard(np.array([[0.0, entry]])) is past
+        """The second-moment map stops on a non-finite entry and only
+        there: no finite magnitude counts as divergence."""
+        step = _moment_map(np.eye(2)[None], np.ones((1, 1)), np.ones((1, 1)))
+        q = np.array([[[0.0, entry], [entry, 0.0]]])
+        if past:
+            with pytest.raises(NumericalError, match="not finite"):
+                step(q)
+        else:
+            assert_array_equal(step(q), q)
 
 
 class TestW2Trajectory:

@@ -16,8 +16,9 @@ from jumpstab.matkit import spectral_radius
 from jumpstab.propagate import (
     _bases,
     _basis_pairs,
-    _kron_squares,
+    _chain_lift,
     _lifted_fold,
+    _moment_map,
     _peak,
     _sym_skew_lifts,
     gamma_product,
@@ -85,7 +86,7 @@ class TestBlocks:
 
     def test_off_diagonal_blocks_exactly_zero(self, seed, n, m):
         sys = rotating_system(np.random.default_rng(seed), n, m)
-        lifts = _kron_squares(sys)
+        lifts = np.array([np.kron(a, a) for a in sys.modes])
         p, q = _basis_pairs(n)
         rows, swapped = p * n + q, q * n + p
         r, r2 = rows[:, None], swapped[:, None]
@@ -137,6 +138,35 @@ class TestBlocks:
         state = gamma_product(sys, ScheduleSwitching(schedule), 25)
         assert_allclose(state.gamma, full, rtol=0,
                         atol=1e-12 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("chain", ["one-state", "markov"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_map_and_its_matrix_are_one_operator(n, m, chain):
+    """The matrix-free map applied to each orthonormal symmetric basis
+    stack gives the builder's matrix, column by column: the certified
+    verdicts and their dense fallback read the same operator."""
+    rng = np.random.default_rng([n, m, int(chain == "markov")])
+    sys = rotating_system(rng, n, m)
+    if chain == "one-state":
+        mix, weights = np.ones((1, m)), rng.dirichlet(np.ones(m))[None]
+    else:
+        mix, weights = random_chain(rng, m), np.eye(m)
+    states, u = mix.shape[0], _bases(n)[0]
+    size = u.shape[1]
+    matrix = _chain_lift(_sym_skew_lifts(sys)[0], mix, weights)
+    assert matrix.shape == (states * size, states * size)
+    apply = _moment_map(sys.modes, mix, weights)
+    columns = np.zeros_like(matrix)
+    for j in range(states):
+        for c in range(size):
+            q = np.zeros((states, n, n))
+            q[j] = u[:, c].reshape(n, n)
+            columns[:, j * size + c] = (
+                apply(q).reshape(states, n * n) @ u).reshape(-1)
+    assert_allclose(columns, matrix, rtol=0,
+                    atol=1e-12 * np.abs(matrix).max())
 
 
 class TestFastSkewDecay:
