@@ -39,7 +39,7 @@ _PASS_SE = 4.0
 _EVIDENCE_LABEL = {
     "iid": "spectral radius",
     "markov": "spectral radius",
-    "general": "decay ratio",
+    "general": "spectral radius",
     "contraction": "prefix product norm",
 }
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument(
         "--horizon", type=int, default=DEFAULT_HORIZON,
-        help="step horizon for trajectory-based tests "
+        help="steps the sequence contraction scan covers "
              "(default %(default)d)",
     )
     p_ana.add_argument(

@@ -70,7 +70,7 @@ __all__ = [
 DEFAULT_COMPONENT_CAP = 100_000
 
 #: Entry magnitudes past this count as divergence of the products folded
-#: by gamma_product and the horizon and sequence stability tests.
+#: by gamma_product and the sequence stability test.
 DIVERGENCE_GUARD = 1e150
 
 _TINY = np.finfo(float).tiny
@@ -210,14 +210,6 @@ class _Folded:
         self.sym, self.sym_exp = sym, sym_exp
         self.skew, self.skew_exp = skew, skew_exp
 
-    def fro(self) -> float:
-        """||Gamma||_F: the change of basis is orthogonal."""
-        top = max(self.sym_exp, self.skew_exp)
-        return math.ldexp(math.hypot(
-            math.ldexp(float(np.linalg.norm(self.sym)), self.sym_exp - top),
-            math.ldexp(float(np.linalg.norm(self.skew)), self.skew_exp - top),
-        ), top)
-
     def full(self) -> np.ndarray:
         """The n^2 x n^2 matrix Gamma in the standard basis."""
         u, v = _bases(self.sym.shape[0] - self.skew.shape[0])
@@ -278,7 +270,7 @@ def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
 def _guarded_fold(sys: JumpLinearSystem, schedule):
     """_lifted_fold up to the first Gamma(k) with an entry past
     DIVERGENCE_GUARD or not finite: the divergence criterion of
-    gamma_product and the horizon test."""
+    gamma_product."""
     return itertools.takewhile(
         lambda g: _peak(g.sym, g.sym_exp, sys.n) <= DIVERGENCE_GUARD,
         _lifted_fold(sys, schedule),

@@ -5,13 +5,12 @@ Four tests cover the four switching laws:
 - ``iid_test``: spectral radius of sum_j pi_j (A_j kron A_j) against 1.
 - ``markov_test``: spectral radius of the chain-lifted matrix
   diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I) against 1.
-- ``general_test``: decay of the reverse-ordered product Gamma(k) over a
-  finite horizon, for laws given only through their per-step marginals,
-  folded as its symmetric and skew blocks.
+- ``general_test``: for a schedule, the IID test of its last row, which
+  repeats forever, read against the transient its earlier rows fold.
 - ``contraction_test``: scan of deterministic-sequence prefix products
   for a first norm strictly below 1.
 
-The two spectral tests share one second-moment map,
+The spectral tests share one second-moment map,
 T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
 (the IID law is the one-state chain with weights pi), applied
 matrix-free. T maps the PSD cone into itself, so rho(T) is an eigenvalue
@@ -27,7 +26,7 @@ module reads their spectra and certificates and builds neither.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
-The finite-horizon tests can also return "inconclusive", and the
+The schedule and sequence tests can also return "inconclusive", and the
 sequence test's positive verdict is "stable-per-corollary": a
 contractive prefix certifies decay for the scanned pattern repeated, and
 no claim is made beyond that.
@@ -35,7 +34,7 @@ no claim is made beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from .matkit import spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
     _chain_lift,
-    _guarded_fold,
     _moment_map,
+    _rescaled,
     _step_weights,
     _sym_skew_lifts,
 )
@@ -55,9 +54,9 @@ from .sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
     SwitchingLaw,
+    _marginals,
     _reject,
     check_law,
-    marginal_schedule,
     stationary_distribution,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "StabilityReport",
     "DEFAULT_MARGIN",
     "DEFAULT_HORIZON",
-    "DEFAULT_DECAY_TOL",
     "iid_test",
     "markov_test",
     "general_test",
@@ -76,14 +74,8 @@ __all__ = [
 #: Half-width of the "marginal" band around evidence 1.
 DEFAULT_MARGIN = 1e-9
 
-#: Steps scanned by the finite-horizon tests.
+#: Steps scanned by the sequence contraction test.
 DEFAULT_HORIZON = 500
-
-#: Gamma(k) Frobenius decay threshold (relative to Gamma(0)).
-DEFAULT_DECAY_TOL = 1e-12
-
-#: Sustained-growth threshold for the unstable verdict of general_test.
-GROWTH_THRESHOLD = 1e6
 
 #: Krylov dimension of one Arnoldi cycle (capped by the dimension of the
 #: space of symmetric stacks).
@@ -108,9 +100,9 @@ class StabilityReport:
     """Outcome of one stability test.
 
     ``evidence`` is the number the verdict was read from: a spectral
-    radius for the spectral tests, the final decay ratio for the
-    horizon test, a prefix-product norm for the sequence test.
-    ``horizon_used`` is set by the finite-horizon tests. ``notes`` carry
+    radius for the spectral tests, a prefix-product norm for the
+    sequence test. ``horizon_used`` is the number of stored schedule
+    rows, or of sequence steps scanned. ``notes`` carry
     auxiliary findings (stationary-distribution status, period norms,
     divergence warnings). The spectral tests set ``certificate``, the
     kind checked by Cholesky ("stable" or "unstable") or
@@ -170,6 +162,19 @@ def _arnoldi(apply, start: np.ndarray, dim: int):
     return basis[:dim], hess[:dim, :dim], hess[dim, dim - 1]
 
 
+def _definite(mats: np.ndarray, scale: float) -> bool:
+    """Whether one Cholesky passes on every n x n matrix of ``mats``
+    shifted down by _CERT_SLACK * n * ``scale``: definite by more than the
+    rounding of a product with entries up to ``scale``, so that a matrix
+    singular in exact arithmetic does not pass on roundoff."""
+    n = mats.shape[-1]
+    try:
+        np.linalg.cholesky(mats - _CERT_SLACK * n * scale * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _certified_radius(apply, states: int, n: int, margin: float):
     """rho(T) with a verdict certified by Cholesky, if one holds.
 
@@ -221,12 +226,8 @@ def _certified_radius(apply, states: int, n: int, margin: float):
         return "dense fallback: marginal band", None, None, used
     gap = (1.0 - margin) * x - tx if verdict == "stable" \
         else tx - (1.0 + margin) * x
-    # definite by more than the rounding of T(X): an X that is singular
-    # in exact arithmetic must not pass on roundoff
-    slack = _CERT_SLACK * n * max(np.max(np.abs(x)), np.max(np.abs(tx)))
-    try:
-        np.linalg.cholesky(np.concatenate([x, gap]) - slack * np.eye(n))
-    except np.linalg.LinAlgError:
+    if not _definite(np.concatenate([x, gap]),
+                     max(np.max(np.abs(x)), np.max(np.abs(tx)))):
         return ("dense fallback: certificate not positive definite", None,
                 None, used)
     return verdict, evidence, x, used
@@ -304,63 +305,57 @@ def markov_test(
 
 def general_test(
     sys: JumpLinearSystem,
-    law: SwitchingLaw,
-    k_max: int = DEFAULT_HORIZON,
+    law: ScheduleSwitching,
+    margin: float = DEFAULT_MARGIN,
 ) -> StabilityReport:
-    """Finite-horizon decay test on the lifted product Gamma(k).
+    """Exact test for a schedule law pi(1), ..., pi(K), pi(K), ...
 
-    Mean-square stability is equivalent to Gamma(k) converging to the
-    zero matrix; over a finite horizon the test reads the Frobenius
-    ratio ||Gamma(k)||_F / ||Gamma(0)||_F:
+    Mean-square stability is Gamma(k) -> 0. Past row K the one-state map
+    T_K(X) = sum_j pi_j(K) A_j X A_j^T repeats forever, so the verdict,
+    evidence and certificate are those of the spectral test on T_K under
+    ``margin`` (``jumpstab analyze --margin`` now applies to schedules).
+    The rows before it fold the transient Y = T_{K-1} ... T_1(I), of
+    which only the range is read, so the fold restarts from I wherever
+    it is positive definite: each T_k maps PSD matrices of one range to
+    PSD matrices of one range. Two exact exceptions: Y = 0 maps every
+    second moment to 0, so the verdict is stable; an unstable tail behind
+    a Y that is not positive definite (the transient may remove the
+    growing direction) is inconclusive. ``horizon_used`` is K.
 
-    - stable: final ratio below DEFAULT_DECAY_TOL and the running envelope
-      over the last 10% of steps not increasing (guards against
-      declaring stability on a transient dip);
-    - unstable: the product diverged past the overflow guard, or the
-      final ratio exceeds 1e6 with a non-decreasing tail envelope;
-    - inconclusive otherwise, with the final ratio as evidence.
+    Raises
+    ------
+    ValueError
+        If the law is not a schedule or does not fit the system.
     """
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    schedule = marginal_schedule(law, k_max, m=sys.m)
-    base = float(sys.n)  # ||Gamma(0)||_F, the n^2 x n^2 identity
-    ratios = [g.fro() / base for g in _guarded_fold(sys, schedule)]
-    if len(ratios) < k_max:
-        return StabilityReport(
-            verdict="unstable",
-            test_name="general",
-            evidence=np.inf,
-            horizon_used=len(ratios),
-            notes=(
-                f"lifted product exceeded the overflow guard at k="
-                f"{len(ratios) + 1}",
-            ),
+    if not isinstance(law, ScheduleSwitching):
+        serving = {IIDSwitching: "iid_test", MarkovSwitching: "markov_test",
+                   SequenceSwitching: "contraction_test"}.get(type(law))
+        raise ValueError(
+            f"general test needs a schedule, got {type(law).__name__}"
+            + (f"; {serving} serves it" if serving else "")
         )
-
-    final = float(ratios[-1])
-    tail = ratios[-max(2, k_max // 10):]
-    half = len(tail) // 2
-    early_env = float(np.max(tail[:half])) if half else float(tail[0])
-    late_env = float(np.max(tail[half:]))
-    envelope_decreasing = late_env <= early_env * (1.0 + 1e-9)
-
-    if final < DEFAULT_DECAY_TOL and envelope_decreasing:
+    _reject(check_law(law, sys.m))
+    rows = _marginals(law, len(law.vectors), sys.m)
+    one = np.ones((1, sys.m))
+    report = _spectral_report(sys, one, rows[-1:], margin, "general")
+    y, definite = np.eye(sys.n)[None], True
+    for w in rows[:-1]:
+        if definite:  # I has the range of y and no ill conditioning
+            y = np.eye(sys.n)[None]
+        y = _rescaled(_moment_map(sys.modes, one, w[None])(y), 0)[0]
+        definite = _definite(y, np.max(np.abs(y)))
+    verdict, notes = report.verdict, ()
+    if not y.any():
         verdict = "stable"
-    elif final > GROWTH_THRESHOLD and not late_env < early_env:
-        verdict = "unstable"
-    else:
+        notes = ("the rows before the last map every second moment to 0; "
+                 "the evidence and certificate are the last row's",)
+    elif verdict == "unstable" and not definite:
         verdict = "inconclusive"
-    return StabilityReport(
-        verdict=verdict,
-        test_name="general",
-        evidence=final,
-        horizon_used=k_max,
-        notes=(
-            f"decay ratio {final:.3e} against tolerance {DEFAULT_DECAY_TOL:g} "
-            f"after {k_max} steps",
-        ),
-    )
+        notes = ("the last row is unstable, but the rows before it map I to "
+                 "a second moment that is not positive definite, which may "
+                 "miss its growing direction",)
+    return replace(report, verdict=verdict, horizon_used=len(rows),
+                   notes=notes)
 
 
 def contraction_test(
@@ -437,21 +432,23 @@ def analyze(
     """Dispatch to the stability test matching the switching law.
 
     IID laws get the fixed spectral test, Markov laws the chain-lifted
-    spectral test, schedules the finite-horizon decay test, and
-    deterministic sequences the contraction scan.
+    spectral test, schedules the spectral test of their last row, and
+    deterministic sequences the contraction scan over ``horizon`` steps.
 
     Raises
     ------
     ValueError
-        If margin is not a finite number in [0, 1).
+        If margin is not a finite number in [0, 1) or horizon is below 1.
     """
     margin = _check_margin(margin)
+    horizon = int(horizon)
+    _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
     if isinstance(law, IIDSwitching):
         return iid_test(sys, law.pi, margin)
     if isinstance(law, MarkovSwitching):
         return markov_test(sys, law.P, margin)
     if isinstance(law, ScheduleSwitching):
-        return general_test(sys, law, horizon)
+        return general_test(sys, law, margin)
     if isinstance(law, SequenceSwitching):
         return contraction_test(sys, law, horizon)
     raise ValueError(f"unknown switching law {type(law).__name__}")

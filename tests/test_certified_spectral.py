@@ -14,10 +14,15 @@ import pytest
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import _moment_map, _sym_skew_lifts
+from jumpstab.propagate import (
+    _moment_map,
+    _sym_skew_lifts,
+    lifted_step_matrix,
+)
 from jumpstab.stability import (
     DEFAULT_MARGIN,
     analyze,
+    general_test,
     iid_test,
     markov_test,
 )
@@ -26,6 +31,7 @@ from jumpstab.sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     ScheduleSwitching,
+    marginal_schedule,
 )
 
 CERTIFIED = ("stable", "unstable")
@@ -267,7 +273,36 @@ class TestMargin:
         assert report.verdict == verdict
 
 
-def test_schedule_report_carries_no_certificate():
+def test_schedule_report_carries_a_certificate():
     sys = JumpLinearSystem(modes=[[[0.5]]])
-    report = analyze(sys, ScheduleSwitching([[1.0]]), horizon=20)
-    assert (report.certificate, report.applications) == (None, None)
+    report = analyze(sys, ScheduleSwitching([[1.0]]))
+    assert report.certificate == "stable"
+    assert report.applications > 0
+
+
+#: (n, m): every n in 1..4 with every m in 1..3
+SCHEDULES = [(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, m", SCHEDULES)
+def test_schedule_verdict_is_the_last_row_radius(n, m):
+    """Random schedules of 1 to 6 rows: verdict and evidence are those of
+    the n^2 lift of the last row, and every certificate verifies."""
+    rng = np.random.default_rng([n, m])
+    for _ in range(25):
+        rows = rng.dirichlet(np.ones(m), size=int(rng.integers(1, 7)))
+        mats = rotating_modes(rng, n, m) if n > 1 else \
+            list(rng.standard_normal((m, 1, 1)))
+        sys = scaled(mats, "iid", rows[-1], rng.uniform(0.2, 3.0))
+        law = ScheduleSwitching(rows)
+        report = general_test(sys, law)
+        last = marginal_schedule(law, len(rows))[-1]
+        rho = max(abs(np.linalg.eigvals(lifted_step_matrix(sys, last))))
+        assert report.evidence == pytest.approx(rho, rel=1e-9)
+        assert report.verdict == stability._spectral_verdict(
+            rho, DEFAULT_MARGIN)
+        assert report.horizon_used == len(rows)
+        if report.certificate in CERTIFIED:
+            check_certificate(sys, "iid", last, DEFAULT_MARGIN, report)
+        else:
+            assert report.certificate.startswith("dense fallback: ")

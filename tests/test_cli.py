@@ -37,6 +37,16 @@ SEQ = {
     "switching": {"type": "sequence", "indices": [1, 2]},
     "initial": [{"weight": 1.0, "mean": [1.0], "cov": [[0.0]]}],
 }
+#: 550 growing rows, then a contracting row that repeats forever
+SCHEDULE = {
+    "n": 1,
+    "modes": {"grow": [[1.1]], "shrink": [[0.5]]},
+    "switching": {
+        "type": "schedule",
+        "vectors": [[1.0, 0.0]] * 550 + [[0.0, 1.0]],
+    },
+    "initial": [{"weight": 1.0, "mean": [1.0], "cov": [[0.0]]}],
+}
 #: A nilpotent mode whose square overflows: A kron A and A A^T hold 1e320
 OVERFLOW = {
     "n": 2,
@@ -246,6 +256,30 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"] is None
         assert payload["applications"] is None
+
+    def test_schedule_past_500_rows(self, write, capsys):
+        path = write(SCHEDULE)
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == (
+            f"file: {path}\n"
+            "test: general\n"
+            "verdict: stable\n"
+            "evidence: spectral radius = 0.25\n"
+            "horizon used: k=551\n"
+        )
+        assert main(["analyze", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "stable"
+        assert isinstance(payload["applications"], int)
+        assert payload["applications"] > 0
+
+    @pytest.mark.parametrize("doc", [IID, MARKOV, SCHEDULE, SEQ],
+                             ids=["iid", "markov", "schedule", "sequence"])
+    def test_bad_horizon_exits_1(self, write, capsys, doc):
+        assert main(["analyze", write(doc), "--horizon", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: horizon must be >= 1, got -5\n"
 
     def test_plain_report_has_no_certificate_lines(self, write, capsys):
         path = write(MARKOV)

@@ -192,7 +192,8 @@ class TestGeneralTest:
         law = ScheduleSwitching([[1.0]])
         report = general_test(sys, law)
         assert report.verdict == "stable"
-        assert report.horizon_used == 500
+        assert report.horizon_used == 1
+        assert report.evidence == pytest.approx(0.25, rel=1e-12)
         # Gamma(k) = 0.25^k I_4, Frobenius ratio 0.25^k
         from jumpstab.propagate import gamma_product
 
@@ -201,47 +202,73 @@ class TestGeneralTest:
             ratio = np.linalg.norm(gs.gamma, "fro") / 2.0
             assert ratio == pytest.approx(0.25**k, rel=1e-12)
 
-    def test_alternating_sequence_stable(self):
-        sys = scalar_system(2.0, 0.1)
-        report = general_test(sys, SequenceSwitching((1, 2)))
-        assert report.verdict == "stable"
-
-    def test_constant_unstable_sequence(self):
-        sys = scalar_system(2.0)
-        report = general_test(sys, SequenceSwitching((1,)))
-        assert report.verdict == "unstable"
-        assert report.evidence == np.inf
-
-    def test_growth_without_overflow_is_unstable(self):
-        sys = scalar_system(2.0)
-        report = general_test(sys, SequenceSwitching((1,)), k_max=100)
-        assert report.verdict == "unstable"
-        assert report.evidence == pytest.approx(4.0**100, rel=1e-9)
-
-    def test_slow_decay_is_inconclusive(self):
-        sys = scalar_system(0.999)
-        report = general_test(sys, SequenceSwitching((1,)), k_max=100)
-        assert report.verdict == "inconclusive"
-        assert report.evidence == pytest.approx(0.999**200, rel=1e-9)
-
     def test_transient_dip_not_declared_stable(self):
-        # long contraction followed by sustained regrowth filling the
-        # late half of the tail window: the final ratio is still far
-        # below tolerance, but the envelope rises, so no stable verdict
+        # long contraction followed by sustained regrowth: the tail row
+        # repeats mode 100 forever, so the verdict is exactly unstable
         sys = scalar_system(0.1, 100.0)
         vectors = [[1.0, 0.0]] * 95 + [[0.0, 1.0]] * 5
-        law = ScheduleSwitching(vectors)
-        report = general_test(sys, law, k_max=100)
-        assert report.evidence < 1e-12
-        assert report.verdict == "inconclusive"
+        report = general_test(sys, ScheduleSwitching(vectors))
+        assert report.verdict == "unstable"
+        assert report.evidence == pytest.approx(1e4, rel=1e-12)
+        assert report.horizon_used == 100
 
-    def test_markov_law_through_marginals(self):
-        sys = scalar_system(1.2, 0.5)
-        law = MarkovSwitching(P=[[0.3, 0.7], [0.7, 0.3]], pi0=[0.5, 0.5])
+    def test_schedule_outlasting_500_steps(self):
+        # 550 growing rows, then a contracting tail: W^2 falls to 1.7e-45
+        # by k = 700, though Gamma(500) is 1.1^1000 = 2.5e41
+        sys = scalar_system(1.1, 0.5)
+        law = ScheduleSwitching([[1.0, 0.0]] * 550 + [[0.0, 1.0]])
         report = general_test(sys, law)
-        # marginals converge to (1/2, 1/2); the marginal lift has
-        # radius 0.845 < 1, so the product decays
         assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.25, rel=1e-12)
+        assert report.horizon_used == 551
+        w2 = w2_trajectory(sys, law, point_mass(1.0), 700)[-1].w2
+        assert w2 == pytest.approx(1.21**550 * 0.25**150, rel=1e-9)
+
+    def test_slow_decay_is_stable(self):
+        report = general_test(scalar_system(0.999), ScheduleSwitching([[1.0]]))
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.998001, rel=1e-12)
+        assert report.certificate == "stable"
+
+    def test_zero_transient_is_stable(self):
+        # a zero mode taken surely at step 2 maps every moment to 0
+        sys = scalar_system(3.0, 0.0)
+        law = ScheduleSwitching([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        report = general_test(sys, law)
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(9.0, rel=1e-12)
+        assert any("to 0" in note for note in report.notes)
+
+    def test_rank_one_transient_is_inconclusive(self):
+        # the transient keeps only the first coordinate: the certified
+        # growth of the tail (a rotation scaled by 2) says nothing about
+        # a singular second moment
+        t = 0.7
+        spin = 2.0 * np.array([[np.cos(t), -np.sin(t)],
+                               [np.sin(t), np.cos(t)]])
+        sys = JumpLinearSystem(modes=[np.diag([1.0, 0.0]), spin])
+        law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
+        report = general_test(sys, law)
+        assert report.verdict == "inconclusive"
+        assert report.certificate == "unstable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert any("not positive definite" in note for note in report.notes)
+
+    def test_margin_applies(self):
+        sys = scalar_system(0.999)
+        report = general_test(sys, ScheduleSwitching([[1.0]]), margin=0.01)
+        assert report.verdict == "marginal"
+
+    def test_other_laws_rejected(self):
+        sys = scalar_system(2.0, 0.1)
+        for law, serving in [
+            (IIDSwitching([0.5, 0.5]), "iid_test"),
+            (MarkovSwitching([[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5]),
+             "markov_test"),
+            (SequenceSwitching((1, 2)), "contraction_test"),
+        ]:
+            with pytest.raises(ValueError, match=f"{serving} serves it"):
+                general_test(sys, law)
 
 
 class TestContractionTest:
@@ -323,6 +350,7 @@ class TestSingleModeSanity:
         )
         general = general_test(sys, ScheduleSwitching([[1.0]]))
         assert general.verdict == "stable"
+        assert general.evidence == pytest.approx(rho_sq, rel=1e-9)
 
 
 class TestAnalyzeDispatch:
@@ -351,3 +379,14 @@ class TestAnalyzeDispatch:
         report = analyze(scalar_system(2.0, 0.1), SequenceSwitching((1, 2)))
         assert report.test_name == "contraction"
         assert report.verdict == "stable-per-corollary"
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_checked_for_every_law(self, horizon):
+        sys = scalar_system(2.0, 0.1)
+        for law in (IIDSwitching([0.5, 0.5]),
+                    MarkovSwitching([[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5]),
+                    ScheduleSwitching([[0.5, 0.5]]),
+                    SequenceSwitching((1, 2))):
+            with pytest.raises(ValueError, match=f"horizon must be >= 1, "
+                                                 f"got {horizon}"):
+                analyze(sys, law, horizon=horizon)
