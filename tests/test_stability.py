@@ -26,6 +26,7 @@ from jumpstab.sysmodel import (
     MarkovSwitching,
     ScheduleSwitching,
     SequenceSwitching,
+    marginal_schedule,
 )
 
 
@@ -201,6 +202,55 @@ class TestGeneralTest:
             gs = gamma_product(sys, law, k)
             ratio = np.linalg.norm(gs.gamma, "fro") / 2.0
             assert ratio == pytest.approx(0.25**k, rel=1e-12)
+
+    def test_alternating_sequence_stable(self):
+        # sequences are served by the Corollary-1 contraction test
+        sys = scalar_system(2.0, 0.1)
+        law = SequenceSwitching((1, 2))
+        with pytest.raises(ValueError, match="contraction_test serves it"):
+            general_test(sys, law)
+        report = contraction_test(sys, law)
+        assert report.verdict == "stable-per-corollary"
+        assert report.evidence == pytest.approx(0.2, rel=1e-12)
+
+    def test_constant_unstable_sequence(self):
+        # the constant sequence is the one-row schedule: radius 4, exactly
+        sys = scalar_system(2.0)
+        with pytest.raises(ValueError, match="contraction_test serves it"):
+            general_test(sys, SequenceSwitching((1,)))
+        report = general_test(sys, ScheduleSwitching([[1.0]]))
+        assert report.verdict == "unstable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert report.certificate == "unstable"
+
+    def test_growth_without_overflow_is_unstable(self):
+        # 100 rows of mode 2: Gamma(100) = 4^100 stays finite, and the
+        # verdict is read from the tail row, not from the growth
+        from jumpstab.propagate import gamma_product
+
+        sys = scalar_system(2.0)
+        law = ScheduleSwitching([[1.0]] * 100)
+        report = general_test(sys, law)
+        assert report.verdict == "unstable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert report.horizon_used == 100
+        gs = gamma_product(sys, law, 100)
+        assert not gs.diverged
+        assert gs.gamma[0, 0] == pytest.approx(4.0**100, rel=1e-9)
+
+    def test_markov_law_through_marginals(self):
+        sys = scalar_system(1.2, 0.5)
+        law = MarkovSwitching(P=[[0.3, 0.7], [0.7, 0.3]], pi0=[0.5, 0.5])
+        with pytest.raises(ValueError, match="markov_test serves it"):
+            general_test(sys, law)
+        assert markov_test(sys, law.P).verdict == "stable"
+        # marginals converge to (1/2, 1/2); the marginal lift has
+        # radius 0.845 < 1, so the schedule of marginals decays
+        report = general_test(
+            sys, ScheduleSwitching(marginal_schedule(law, 50))
+        )
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.845, rel=1e-9)
 
     def test_transient_dip_not_declared_stable(self):
         # long contraction followed by sustained regrowth: the tail row
