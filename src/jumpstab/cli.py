@@ -9,9 +9,10 @@ Subcommands, all operating on a JSON system description (see
     simulate    write a Monte Carlo ensemble estimate as CSV
     compare     cross-check the analytic trajectory against Monte Carlo
 
-Exit codes: 0 success; 1 usage, parse, or validation error; 2 verdict
-assertion failure under ``--assert-stable``; 3 numerical failure
-(divergence or eigensolver breakdown).
+Exit codes: 0 success; 1 usage, parse, or validation error, or an array
+too large to allocate; 2 verdict assertion failure under
+``--assert-stable``; 3 numerical failure (divergence or eigensolver
+breakdown).
 
 CSV output uses 17 significant digits so identical runs produce
 byte-identical files; reports print as plain text, or as JSON under
@@ -437,12 +438,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except ValueError as exc:
+    # SystemFileError is a ValueError; a MemoryError is a --steps or
+    # --trajectories too large to allocate
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -14,9 +14,21 @@ fixed order: ``random(count)`` for the initial components,
 ``random(count)`` per step for the mode picks (drawn under every law,
 even deterministic ones, so streams stay aligned across sampling
 semantics). Blocks depend on ``_CHUNK`` only, never on the thread count;
-each block writes its own rows of the result array and the final
+each block writes its own columns of the result array and the final
 reduction runs once over the full array, so the output is bit-identical
 for any thread count.
+
+Kernel
+------
+Squared norms are stored step-major, one row of ``trajectories`` values
+per step: a step writes one contiguous row, and the mean, standard error
+and kurtosis reduce contiguous rows, summed pairwise by numpy. For
+n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a step multiplies the
+block's states by every transposed mode at once, an (m, count, n)
+product, and keeps each trajectory's row of its picked mode; past 8
+modes that m-fold product costs more than it saves, and at n = 1 a
+product is one multiplication, so the block is instead multiplied by a
+gathered (count, n, n) stack of the picked modes.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from the per-step occupation vector; this is the joint law
@@ -29,7 +41,6 @@ The two coincide when consecutive modes are in fact independent.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +69,9 @@ __all__ = [
 KURTOSIS_THRESHOLD = 100.0
 
 _CHUNK = 4096
+
+#: Largest mode count of the all-modes product (see the module docstring)
+_ALL_MODES_MAX = 8
 
 _TINY = np.finfo(float).tiny
 
@@ -142,14 +156,14 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _pick(uniforms: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:
     """Index of the weight bucket each uniform falls into.
 
-    ``cuts`` are the first m-1 cumulative weights (one row, or one row
-    per uniform); bucket j covers [cut_{j-1}, cut_j).
+    ``cuts`` are the first m-1 cumulative weights, each a scalar or one
+    value per uniform; bucket j covers [cut_{j-1}, cut_j).
     """
     idx = np.zeros(uniforms.shape, dtype=np.intp)
-    for cut in cuts.T:
+    for cut in cuts:
         idx += uniforms >= cut
     return idx
 
@@ -187,12 +201,14 @@ def _std(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def _kurtosis(samples: np.ndarray) -> np.ndarray:
     """Plain biased kurtosis m4 / m2^2 of each column (Gaussian = 3).
 
-    Deviations are scaled to magnitude <= 1 first, so no power overflows.
+    Deviations are scaled to magnitude <= 1 first, so no power overflows;
+    they are squared in place, the one temporary the size of ``samples``.
     """
     dev = samples - _mean(samples)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sq = np.square(dev / np.max(np.abs(dev), axis=0))
-        return np.mean(sq * sq, axis=0) / np.mean(sq, axis=0) ** 2
+        dev /= np.maximum(dev.max(axis=0), -dev.min(axis=0))
+        m2 = np.mean(np.square(dev, out=dev), axis=0)
+        return np.mean(np.square(dev, out=dev), axis=0) / m2**2
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -232,54 +248,66 @@ def simulate_ensemble(
 
     big_t, k_max = cfg.trajectories, cfg.k_max
     n, m = sys.n, sys.m
+    # first, so an impossible size fails before any other allocation
+    normsq = np.empty((k_max + 1, big_t))
     weights = init.weights / np.sum(init.weights)
     cum_init = np.cumsum(weights)[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
+    all_modes = n > 1 and m <= _ALL_MODES_MAX
 
     schedule = _marginals(law, k_max, m)
     cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
     if cfg.sampling == "path":
-        cum_rows = np.cumsum(_normalized(law.P), axis=1)[:, :-1]
-
-    normsq = np.empty((big_t, k_max + 1))
+        # cum_cols[j][i]: cut j of the chain row of mode i
+        cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
 
     def run_block(block: int) -> None:
         lo = block * _CHUNK
         hi = min(lo + _CHUNK, big_t)
         count = hi - lo
+        rows = np.arange(count)
         gen = _block_rng(cfg.seed, block)
         idx0 = _pick(gen.random(count), cum_init)
         z = gen.standard_normal((count, n))
         # overflow is caught on the whole array once the blocks are done
         with np.errstate(over="ignore", invalid="ignore"):
             x = init.means[idx0] + np.einsum("tab,tb->ta", factors[idx0], z)
-            normsq[lo:hi, 0] = np.einsum("ti,ti->t", x, x)
+            normsq[0, lo:hi] = np.einsum("ti,ti->t", x, x)
             for k in range(k_max):
                 if cfg.sampling == "path" and k > 0:
-                    cuts = cum_rows[modes]
+                    cuts = [cut[modes] for cut in cum_cols]
                 else:
                     cuts = cum_sched[k]
                 modes = _pick(gen.random(count), cuts)
-                x = np.matmul(x[:, None], mode_t[modes])[:, 0]
-                normsq[lo:hi, k + 1] = np.einsum("ti,ti->t", x, x)
+                if all_modes:
+                    # take each row of the (m, count, n) product by its
+                    # flat index: a faster gather than [modes, rows]
+                    x = np.matmul(x, mode_t).reshape(-1, n).take(
+                        modes * count + rows, axis=0)
+                else:
+                    x = np.matmul(x[:, None], mode_t[modes])[:, 0]
+                normsq[k + 1, lo:hi] = np.einsum("ti,ti->t", x, x)
 
     blocks = range(-(-big_t // _CHUNK))
     if threads == 1 or len(blocks) == 1:
         for block in blocks:
             run_block(block)
     else:
+        import concurrent.futures  # pulls in logging: only where used
+
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             list(pool.map(run_block, blocks))
 
-    finite = np.all(np.isfinite(normsq), axis=0)
+    finite = np.all(np.isfinite(normsq), axis=1)
     if not np.all(finite):
         raise NumericalError(
             f"squared state norms overflow float64 at k={np.argmin(finite)}"
         )
-    mean_sq = _mean(normsq)
+    samples = normsq.T  # columns are steps, each contiguous in memory
+    mean_sq = _mean(samples)
     if big_t >= 2:
-        stderr = _std(normsq, mean_sq) / np.sqrt(big_t)
+        stderr = _std(samples, mean_sq) / np.sqrt(big_t)
     else:
         stderr = np.zeros(k_max + 1)
     heavy = np.zeros(k_max + 1, dtype=bool)
@@ -287,7 +315,7 @@ def simulate_ensemble(
     # identical; kurtosis there is pure cancellation noise
     spread = stderr > 1e-12 * np.maximum(np.abs(mean_sq), _TINY)
     if np.any(spread):
-        heavy[spread] = _kurtosis(normsq[:, spread]) > KURTOSIS_THRESHOLD
+        heavy[spread] = _kurtosis(normsq[spread].T) > KURTOSIS_THRESHOLD
     return EnsembleStats(
         mean_sq=mean_sq,
         stderr=stderr,

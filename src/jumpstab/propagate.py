@@ -46,6 +46,7 @@ from .sysmodel import (
     SecondMomentState,
     SwitchingLaw,
     _marginals,
+    _normalized,
     _reject,
     as_probability_vector,
     marginal_schedule,
@@ -487,10 +488,13 @@ def w2_trajectory(
             return records
         schedule = _marginals(law, k_max, sys.m)
         if method == "moment":
-            state = SecondMomentState(phi=phi0, k=0)
-            for pi in schedule:
-                state = moment_step(sys, pi, state)
-                records.append(_record(state.k, np.trace(state.phi)))
+            # moment_step's checks of pi and Phi ran on entry: apply the
+            # map directly (a closure, built per step to name the step)
+            phi, one = phi0[None], np.ones((1, sys.m))
+            for k, w in enumerate(_normalized(schedule)[:, None], 1):
+                phi = _moment_map(sys.modes, one, w,
+                                  f"second moment diverged at k={k}")(phi)
+                records.append(_record(k, np.trace(phi[0])))
         elif method == "gamma":
             # I and Phi(0) are symmetric: only the symmetric block of
             # Gamma(k) pairs them

@@ -517,6 +517,14 @@ class TestTrajectory:
             ["trajectory", write(SINGLE_HALF), "--steps", "-1"]
         ) == 1
 
+    def test_impossible_size_exits_1(self, write, capsys):
+        # 1.46 TiB of schedule rows: numpy refuses at once
+        argv = ["trajectory", write(IID), "--steps", "100000000000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate 1.46 TiB")
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_zero_modes(self, write, capsys):
@@ -577,6 +585,15 @@ class TestSimulate:
         assert len(rows) == 61
         assert all(math.isfinite(float(r[2])) for r in rows)
         assert float(rows[37][2]) > 1e150
+
+    def test_impossible_size_exits_1(self, write, capsys):
+        # 72.8 TiB of samples: numpy refuses at once, nothing is allocated
+        argv = ["simulate", write(IID), "--steps", "100000000",
+                "--trajectories", "100000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate 72.8 TiB")
+        assert captured.out == ""
 
     def test_path_on_iid_rejected(self, write, capsys):
         assert main(
@@ -701,6 +718,20 @@ class TestSubprocess:
                 "import sys, jumpstab; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures pulls in logging; only --threads > 1 needs it
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, jumpstab; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'logging')))",
             ],
             capture_output=True, text=True,
         )

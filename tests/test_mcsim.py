@@ -5,6 +5,9 @@ oracles computed by the moment recursion; determinism assertions demand
 bit equality.
 """
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -47,6 +50,58 @@ def block_rng(seed, block):
             np.random.SeedSequence(entropy=seed, spawn_key=(block,))
         )
     )
+
+
+def random_chain(n, m, seed):
+    """An n-dimensional Markov chain over m random modes (E||A x||^2 =
+    ||x||^2 on average), started from a two-component mixture."""
+    rng = np.random.default_rng(seed)
+    modes = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(m)]
+    law = MarkovSwitching(P=rng.dirichlet(np.ones(m), size=m),
+                          pi0=rng.dirichlet(np.ones(m)))
+    comps = []
+    for weight in (0.4, 0.6):
+        root = rng.standard_normal((n, n))
+        comps.append((weight, rng.standard_normal(n),
+                      0.3 * root @ root.T + 0.1 * np.eye(n)))
+    return (JumpLinearSystem(modes=modes), law,
+            GaussianMixture.from_components(comps))
+
+
+def reference_mean_sq(sys, law, mix, cfg):
+    """mean ||x(k)||^2 of a Markov-law ensemble, each trajectory stepped
+    by x <- A_j x in a plain loop, from the documented streams and draw
+    order; each mean is an exactly rounded sum over the samples."""
+    # uniform u falls in bucket bisect_right(cuts, u) of these cuts
+    cuts_of = lambda w: list(np.cumsum(w)[:-1])
+    init_cuts = cuts_of(mix.weights / np.sum(mix.weights))
+    factors = [np.linalg.cholesky(c) for c in mix.covs]
+    marginal_cuts, pi = [], law.pi0 / np.sum(law.pi0)
+    for _ in range(cfg.k_max):
+        pi = pi @ law.P
+        pi = pi / np.sum(pi)
+        marginal_cuts.append(cuts_of(pi))
+    row_cuts = [cuts_of(row / np.sum(row)) for row in law.P]
+    samples = [[] for _ in range(cfg.k_max + 1)]
+    for block, lo in enumerate(range(0, cfg.trajectories, 4096)):
+        count = min(4096, cfg.trajectories - lo)
+        gen = block_rng(cfg.seed, block)
+        comp = gen.random(count)
+        z = gen.standard_normal((count, sys.n))
+        picks = [gen.random(count) for _ in range(cfg.k_max)]
+        for t in range(count):
+            c = bisect.bisect_right(init_cuts, comp[t])
+            x = mix.means[c] + factors[c] @ z[t]
+            samples[0].append(x @ x)
+            for k in range(cfg.k_max):
+                if cfg.sampling == "path" and k > 0:
+                    cuts = row_cuts[j]
+                else:
+                    cuts = marginal_cuts[k]
+                j = bisect.bisect_right(cuts, picks[k][t])
+                x = sys.modes[j] @ x
+                samples[k + 1].append(x @ x)
+    return np.array([math.fsum(s) for s in samples]) / cfg.trajectories
 
 
 class TestSimConfig:
@@ -208,11 +263,20 @@ class TestSimulateEnsemble:
             x = x * np.where(gen.random(5) >= 0.5, 0.5, 2.0)
             assert stats.mean_sq[k] == np.mean(x * x)
 
-    @pytest.mark.parametrize("sampling", ["marginal", "path"])
-    def test_ragged_block_thread_invariance(self, sampling):
-        sys = scalar_system(1.1, 0.6)
-        law = MarkovSwitching(P=[[0.2, 0.8], [0.6, 0.4]], pi0=[0.3, 0.7])
-        mix = GaussianMixture.from_components([(1.0, [1.0], [[0.4]])])
+    @pytest.mark.parametrize("sampling, m", [
+        pytest.param("marginal", 2, id="marginal"),
+        pytest.param("path", 2, id="path"),
+        # past the all-modes product's mode count, at n = 2
+        pytest.param("path", 12, id="path-m12"),
+    ])
+    def test_ragged_block_thread_invariance(self, sampling, m):
+        if m == 2:
+            sys = scalar_system(1.1, 0.6)
+            law = MarkovSwitching(P=[[0.2, 0.8], [0.6, 0.4]],
+                                  pi0=[0.3, 0.7])
+            mix = GaussianMixture.from_components([(1.0, [1.0], [[0.4]])])
+        else:
+            sys, law, mix = random_chain(2, m, seed=67)
         cfg = SimConfig(trajectories=4097, k_max=6, seed=67,
                         sampling=sampling)
         runs = [
@@ -223,6 +287,32 @@ class TestSimulateEnsemble:
             assert_array_equal(other.mean_sq, runs[0].mean_sq)
             assert_array_equal(other.stderr, runs[0].stderr)
             assert_array_equal(other.heavy_tail, runs[0].heavy_tail)
+
+    # m = 3 takes the all-modes product, m = 12 the gathered one
+    @pytest.mark.parametrize("m", [3, 12])
+    @pytest.mark.parametrize("sampling", ["marginal", "path"])
+    def test_matches_plain_loop_reference(self, sampling, m):
+        sys, law, mix = random_chain(3, m, seed=71 + m)
+        cfg = SimConfig(trajectories=4096 + 5, k_max=5, seed=73,
+                        sampling=sampling)
+        stats = simulate_ensemble(sys, law, mix, cfg)
+        assert_allclose(stats.mean_sq, reference_mean_sq(sys, law, mix, cfg),
+                        rtol=1e-13, atol=0.0)
+
+    def test_equal_norm_paths_give_the_exact_mean(self):
+        # every path keeps ||x(k)||^2 = 0.95^k ||x0||^2, so the ensemble
+        # mean is exact up to the rounding of the samples and of the sum
+        rng = np.random.default_rng(79)
+        modes = [np.sqrt(0.95) * np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                 for _ in range(3)]
+        x0 = np.array([0.7, -1.3, 2.1])
+        stats = simulate_ensemble(
+            JumpLinearSystem(modes=modes), IIDSwitching([0.2, 0.3, 0.5]),
+            point_mass(x0), SimConfig(trajectories=40_960, k_max=20, seed=83),
+        )
+        exact = 0.95 ** np.arange(21) * (x0 @ x0)
+        assert_allclose(stats.mean_sq, exact, rtol=1e-13, atol=0.0)
+        assert np.all(stats.stderr <= 1e-14 * stats.mean_sq)
 
     def test_thread_count_independence(self):
         rng = np.random.default_rng(17)
