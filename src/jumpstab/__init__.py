@@ -14,81 +14,67 @@ mixture-of-Gaussians propagation ``exact_mog``. They are cross-checked
 against seeded Monte Carlo simulation.
 """
 
-from .matkit import NumericalError
-from .mcsim import EnsembleStats, SimConfig, simulate_ensemble
-from .propagate import (
-    GammaState,
-    TrajectoryRecord,
-    gamma_product,
-    mog_propagate,
-    w2_trajectory,
-)
-from .stability import (
-    StabilityReport,
-    analyze,
-    contraction_test,
-    general_test,
-    iid_test,
-    markov_test,
-)
-from .sysmodel import (
-    GaussianMixture,
-    IIDSwitching,
-    JumpLinearSystem,
-    MarkovSwitching,
-    ScheduleSwitching,
-    SequenceSwitching,
-    ValidationReport,
-    marginal_schedule,
-    stationary_distribution,
-    validate_system,
-)
-from .systemfile import (
-    SystemFile,
-    SystemFileError,
-    load_system_file,
-    save_system_file,
-)
-from .wasserstein import (
-    gaussian_to_dirac,
-    mixture_to_dirac_sq,
-    synthetic_gaussian,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EnsembleStats",
-    "GammaState",
-    "GaussianMixture",
-    "IIDSwitching",
-    "JumpLinearSystem",
-    "MarkovSwitching",
-    "NumericalError",
-    "ScheduleSwitching",
-    "SequenceSwitching",
-    "SimConfig",
-    "StabilityReport",
-    "SystemFile",
-    "SystemFileError",
-    "TrajectoryRecord",
-    "ValidationReport",
-    "analyze",
-    "contraction_test",
-    "gamma_product",
-    "gaussian_to_dirac",
-    "general_test",
-    "iid_test",
-    "load_system_file",
-    "marginal_schedule",
-    "markov_test",
-    "mixture_to_dirac_sq",
-    "mog_propagate",
-    "save_system_file",
-    "simulate_ensemble",
-    "stationary_distribution",
-    "synthetic_gaussian",
-    "validate_system",
-    "w2_trajectory",
-    "__version__",
-]
+#: The public names, by the module that defines them.  A name loads its
+#: module on first use (PEP 562), so ``import jumpstab`` and the command
+#: line's parser load no numpy.
+_EXPORTS = {
+    "matkit": ("NumericalError",),
+    "mcsim": ("EnsembleStats", "SimConfig", "simulate_ensemble"),
+    "propagate": (
+        "GammaState",
+        "TrajectoryRecord",
+        "gamma_product",
+        "mog_propagate",
+        "w2_trajectory",
+    ),
+    "stability": (
+        "StabilityReport",
+        "analyze",
+        "contraction_test",
+        "general_test",
+        "iid_test",
+        "markov_test",
+    ),
+    "sysmodel": (
+        "GaussianMixture",
+        "IIDSwitching",
+        "JumpLinearSystem",
+        "MarkovSwitching",
+        "ScheduleSwitching",
+        "SequenceSwitching",
+        "ValidationReport",
+        "marginal_schedule",
+        "stationary_distribution",
+        "validate_system",
+    ),
+    "systemfile": (
+        "SystemFile",
+        "SystemFileError",
+        "load_system_file",
+        "save_system_file",
+    ),
+    "wasserstein": (
+        "gaussian_to_dirac",
+        "mixture_to_dirac_sq",
+        "synthetic_gaussian",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, as ``jumpstab.stability``
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

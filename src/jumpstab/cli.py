@@ -15,8 +15,14 @@ too large to allocate; 2 verdict assertion failure under
 breakdown).
 
 CSV output uses 17 significant digits so identical runs produce
-byte-identical files; reports print as plain text, or as JSON under
-``--json``.
+byte-identical files, whatever the number of CPUs the process may use:
+a threaded matrix product sums in an order set by the CPU count, so
+unless ``OPENBLAS_NUM_THREADS`` is set, ``main`` runs OpenBLAS on one
+thread.  Reports print as plain text, or as JSON under ``--json``.
+
+The parser needs only the standard library; each subcommand imports
+the numerical modules it runs, after ``main`` has chosen the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -24,14 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 
-from .matkit import NumericalError
-from .mcsim import SimConfig, simulate_ensemble
-from .propagate import DEFAULT_COMPONENT_CAP, w2_trajectory
-from .stability import DEFAULT_HORIZON, DEFAULT_MARGIN, analyze
-from .sysmodel import validate_system
-from .systemfile import SystemFileError, load_system_file
+from .defaults import DEFAULT_COMPONENT_CAP, DEFAULT_HORIZON, DEFAULT_MARGIN
 
 __all__ = ["main"]
 
@@ -169,6 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_validated(path):
+    from .sysmodel import validate_system
+    from .systemfile import SystemFileError, load_system_file
+
     sf = load_system_file(path)
     report = validate_system(sf.system, sf.switching, sf.initial)
     if not report.ok:
@@ -200,6 +205,9 @@ def _json_number(value):
 
 
 def cmd_validate(args) -> int:
+    from .sysmodel import validate_system
+    from .systemfile import SystemFileError, load_system_file
+
     try:
         sf = load_system_file(args.file)
     except SystemFileError as exc:
@@ -222,6 +230,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .stability import analyze
+
     sf = _load_validated(args.file)
     report = analyze(
         sf.system, sf.switching,
@@ -258,6 +268,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    from .propagate import w2_trajectory
+
     sf = _load_validated(args.file)
     records = w2_trajectory(
         sf.system, sf.switching, sf.initial,
@@ -281,6 +293,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .mcsim import SimConfig, simulate_ensemble
+
     sf = _load_validated(args.file)
     cfg = SimConfig(
         trajectories=args.trajectories,
@@ -326,6 +340,9 @@ def _se_deviations(records, stats):
 
 
 def cmd_compare(args) -> int:
+    from .mcsim import SimConfig, simulate_ensemble
+    from .propagate import w2_trajectory
+
     sf = _load_validated(args.file)
     records = w2_trajectory(
         sf.system, sf.switching, sf.initial, k_max=args.steps
@@ -433,6 +450,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    if "numpy" not in _sys.modules:
+        # OpenBLAS sizes its thread pool once, as numpy loads (later, the
+        # variable would only leak into child processes).  One thread
+        # keeps the summation order of products, hence the CSV bytes,
+        # the same on any number of CPUs, and spares a short call the
+        # pool's start-up.  A value the user set stands.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .matkit import NumericalError
+
     try:
         return _COMMANDS[args.command](args)
     except NumericalError as exc:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_COMPONENT_CAP
 from .matkit import NumericalError, vec
 from .sysmodel import (
     GaussianMixture,
@@ -66,9 +67,6 @@ __all__ = [
     "DEFAULT_COMPONENT_CAP",
     "DIVERGENCE_GUARD",
 ]
-
-#: Hard ceiling on exact-mixture component counts.
-DEFAULT_COMPONENT_CAP = 100_000
 
 #: Entry magnitudes past this count as divergence of the products folded
 #: by gamma_product and the sequence stability test.

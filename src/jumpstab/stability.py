@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
 from .matkit import spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
@@ -70,12 +71,6 @@ __all__ = [
     "contraction_test",
     "analyze",
 ]
-
-#: Half-width of the "marginal" band around evidence 1.
-DEFAULT_MARGIN = 1e-9
-
-#: Steps scanned by the sequence contraction test.
-DEFAULT_HORIZON = 500
 
 #: Krylov dimension of one Arnoldi cycle (capped by the dimension of the
 #: space of symmetric stacks).

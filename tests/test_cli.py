@@ -7,6 +7,7 @@ cross-process byte determinism.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -96,6 +97,24 @@ SINGLE_HALF = {
     "switching": {"type": "iid", "pi": [1.0]},
     "initial": [{"weight": 1.0, "mean": [1.0], "cov": [[0.0]]}],
 }
+
+
+def lift_sized_iid():
+    """Two IID modes whose 210-row symmetric lift (n = 20) is large enough
+    for a threaded OpenBLAS to split its products between CPUs."""
+    n, rng = 20, np.random.default_rng(1)
+    modes = {}
+    for j in range(2):
+        a = rng.standard_normal((n, n))
+        modes[f"a{j}"] = (0.9 * a / np.linalg.norm(a, 2)).tolist()
+    return {
+        "n": n,
+        "modes": modes,
+        "switching": {"type": "iid", "pi": [0.5, 0.5]},
+        "initial": [
+            {"weight": 1.0, "mean": [1.0] * n, "cov": np.eye(n).tolist()}
+        ],
+    }
 
 
 @pytest.fixture
@@ -696,6 +715,38 @@ class TestUsage:
             )
         assert info.value.code == 1
 
+    def test_parser_defaults_are_the_library_constants(self):
+        from jumpstab.cli import _build_parser
+        from jumpstab.propagate import DEFAULT_COMPONENT_CAP
+        from jumpstab.stability import DEFAULT_HORIZON, DEFAULT_MARGIN
+
+        parser = _build_parser()
+        ana = parser.parse_args(["analyze", "sys.json"])
+        tra = parser.parse_args(["trajectory", "sys.json", "--steps", "1"])
+        assert (ana.margin, ana.horizon, tra.cap) == (
+            DEFAULT_MARGIN, DEFAULT_HORIZON, DEFAULT_COMPONENT_CAP
+        )
+
+
+#: ``python -m jumpstab`` run in process, then its exit code, the modules
+#: it loaded and its OPENBLAS_NUM_THREADS as one JSON line
+PROBE = (
+    "import json, os, runpy, sys\n"
+    "code = None\n"
+    "try:\n"
+    "    runpy.run_module('jumpstab', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(sys.modules), "
+    "os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+)
+
+
+def without_blas_threads():
+    return {
+        k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"
+    }
+
 
 class TestSubprocess:
     """End-to-end runs through the installed module entry point."""
@@ -715,7 +766,7 @@ class TestSubprocess:
         proc = subprocess.run(
             [
                 sys.executable, "-c",
-                "import sys, jumpstab; "
+                "import sys; from jumpstab import *; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))",
             ],
@@ -729,7 +780,7 @@ class TestSubprocess:
         proc = subprocess.run(
             [
                 sys.executable, "-c",
-                "import sys, jumpstab; "
+                "import sys; from jumpstab import *; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'logging')))",
             ],
@@ -737,6 +788,77 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def probe(self, *argv, env=None):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_no_numpy(self):
+        # submodules still resolve as attributes of the package
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, jumpstab; "
+                "print('numpy' in sys.modules, jumpstab.stability.__name__)",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "jumpstab.stability"]
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["nope"], 1), (["--help"], 0)], ids=["usage", "help"]
+    )
+    def test_usage_and_help_load_no_numpy(self, argv, code):
+        got, modules, _ = self.probe(*argv)
+        assert got == code
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["validate"], ("stability", "propagate", "mcsim")),
+        (["analyze"], ("mcsim",)),
+        (["trajectory", "--steps", "2"], ("stability", "mcsim")),
+    ], ids=["validate", "analyze", "trajectory"])
+    def test_subcommand_loads_only_its_modules(self, write, argv, unused):
+        code, modules, _ = self.probe(argv[0], write(IID), *argv[1:])
+        assert code == 0
+        assert [m for m in unused if f"jumpstab.{m}" in modules] == []
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+    def test_blas_threads_default_to_one_unless_set(self, write, preset,
+                                                    seen):
+        env = without_blas_threads()
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code, _, blas = self.probe("validate", write(IID), env=env)
+        assert (code, blas) == (0, seen)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_cpu_count_does_not_change_bytes(self, write):
+        # a threaded gemm sums in an order set by the CPUs it may use
+        path = write(lift_sized_iid())
+        cpus = os.sched_getaffinity(0)
+        outputs = []
+        for allowed in ({min(cpus)}, cpus):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "jumpstab", "trajectory", path,
+                    "--steps", "80", "--method", "gamma",
+                ],
+                capture_output=True, env=without_blas_threads(),
+                preexec_fn=lambda: os.sched_setaffinity(0, allowed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_usage_error_returncode(self):
         proc = self.run("nope")

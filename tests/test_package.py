@@ -49,6 +49,43 @@ def test_every_export_resolves(stem):
     assert [name for name in exported if not hasattr(module, name)] == []
 
 
+def test_lazy_package_names():
+    """The package binds each public name on first use: dir lists them
+    all, a star import binds the same objects, an unknown name is an
+    AttributeError."""
+    assert set(jumpstab.__all__) <= set(dir(jumpstab))
+    namespace = {}
+    exec("from jumpstab import *", namespace)
+    assert [name for name in jumpstab.__all__
+            if namespace[name] is not getattr(jumpstab, name)] == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jumpstab.no_such_name
+
+
+def top_level_imports(stem):
+    """Modules a module imports at its top level: package modules by
+    stem, others by their top-level name."""
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield node.module if node.level else node.module.split(".")[0]
+
+
+def loads_numpy(module):
+    return module == "numpy" or module in MODULES and any(
+        map(loads_numpy, top_level_imports(module))
+    )
+
+
+@pytest.mark.parametrize("stem", ["__init__", "__main__", "cli"])
+def test_entry_point_imports_no_numpy(stem):
+    """``python -m jumpstab`` parses its arguments, and sets the BLAS
+    thread count, before any module that imports numpy loads."""
+    assert [m for m in top_level_imports(stem) if loads_numpy(m)] == []
+
+
 def eigvals_sites(tree, stem):
     """(module, enclosing function) of every reference to eigvals."""
     def visit(node, where):
