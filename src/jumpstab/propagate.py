@@ -7,7 +7,12 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     Pushes the full mixture through the mode maps. One step against
     marginals pi(k) turns q components into m*q with weights
     pi_j(k)*alpha_i, means A_j mu_i, and covariances A_j Sigma_i A_j^T,
-    so counts grow geometrically and a hard cap applies.
+    so counts grow geometrically and a hard cap applies. A covariance
+    travels as its n(n+1)/2 coordinates in the orthonormal symmetric
+    basis, which the symmetric block of A_j kron A_j maps exactly: one
+    matrix product per mode and step pushes them all, a component costs
+    n(n+1)/2 + n + 1 floats, and W^2 reads tr Sigma_i as the sum of its
+    first n coordinates.
 
 ``moment``
     Propagates only the n x n second moment,
@@ -123,16 +128,16 @@ def _bases(n: int):
     return u, v
 
 
-def _sym_skew_lifts(sys: JumpLinearSystem):
-    """A_j kron A_j in the bases of _bases: the (m, s, s) symmetric and the
-    (m, t, t) skew stacks, s = n(n+1)/2, t = n(n-1)/2.
+def _sym_skew_lifts(sys: JumpLinearSystem, e: int = 0):
+    """B_j kron B_j in the bases of _bases, B_j = A_j / 2**e: the (m, s, s)
+    symmetric and the (m, t, t) skew stacks, s = n(n+1)/2, t = n(n-1)/2.
 
     K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
     exactly, so with c' the transposed position of column c every entry
     is 2 c_r c_c (K[r, c] +- K[r, c']), gathered from A without forming K,
     and the blocks coupling symmetric and skew matrices are exactly zero.
     """
-    n, a = sys.n, sys.modes
+    n, a = sys.n, np.ldexp(sys.modes, -e)
     p, q = _basis_pairs(n)
     rows_p, rows_q = a[:, p], a[:, q]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,6 +153,15 @@ def _sym_skew_lifts(sys: JumpLinearSystem):
     weights[:n, :n] = 0.5
     sym *= weights
     return sym, skew
+
+
+def _scaled_lifts(sys: JumpLinearSystem):
+    """_sym_skew_lifts of the modes over 2**e, e the binary exponent of
+    their largest magnitude, and 2e: each lift is its block times
+    2**(2e). Powers of two scale exactly, and no block entry can
+    overflow, whatever the size of the modes."""
+    e = math.frexp(float(np.abs(sys.modes).max()))[1]
+    return (*_sym_skew_lifts(sys, e), 2 * e)
 
 
 def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
@@ -249,9 +263,10 @@ def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
     so each block folds on its own, and the skew block only when ``skew``
     is set; the power-of-two rescaling keeps entries out of the subnormal
     range, where products slow down and lose digits, and away from
-    overflow.
+    overflow. The lifts are those of _scaled_lifts, so each step also
+    adds their exponent to each block's.
     """
-    sym_lifts, skew_lifts = _sym_skew_lifts(sys)
+    sym_lifts, skew_lifts, lift_exp = _scaled_lifts(sys)
     sym, sym_exp = np.eye(sym_lifts.shape[1]), 0
     rest = (np.eye(skew_lifts.shape[1]), 0) if skew else (None, 0)
     one, row = np.ones((1, sys.m)), None
@@ -260,9 +275,9 @@ def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
             row = w.tobytes()
             sym_step = _chain_lift(sym_lifts, one, w)
             skew_step = _chain_lift(skew_lifts, one, w) if skew else None
-        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp)
+        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp + lift_exp)
         if skew:
-            rest = _rescaled(skew_step @ rest[0], rest[1])
+            rest = _rescaled(skew_step @ rest[0], rest[1] + lift_exp)
         yield _Folded(sym, sym_exp, *rest)
 
 
@@ -286,6 +301,54 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
 
 
+def _sym_coords(covs: np.ndarray) -> np.ndarray:
+    """The (q, s) coordinates of the symmetric parts of (q, n, n) ``covs``
+    in the basis of _bases: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
+    p, q = _basis_pairs(covs.shape[-1])
+    half = np.where(p == q, 0.5, np.sqrt(0.5))
+    return covs[:, p, q] * half + covs[:, q, p] * half
+
+
+def _sym_matrices(coords: np.ndarray, n: int) -> np.ndarray:
+    """The exactly symmetric (q, n, n) matrices of (q, s) coordinates, the
+    inverse of _sym_coords."""
+    p, q = _basis_pairs(n)
+    entries = coords * np.where(p == q, 1.0, np.sqrt(0.5))
+    out = np.empty((len(coords), n, n))
+    out[:, p, q] = entries
+    out[:, q, p] = entries
+    return out
+
+
+def _mog_push(modes, lifts, exp, pi, weights, means, coords):
+    """One exact-mixture step on components held as arrays.
+
+    ``coords`` holds each covariance as its _sym_coords, ``lifts`` and
+    ``exp`` are the symmetric blocks of _scaled_lifts, transposed, and
+    their exponent. Pair (j, i) gets weight pi_j alpha_i, mean A_j mu_i
+    and the coordinates of A_j Sigma_i A_j^T, mode-major: one matrix
+    product per mode of nonzero probability. Pairs of weight 0 are
+    dropped and the rest renormalized to sum 1. Returns (weights, means,
+    coords).
+    """
+    live = np.flatnonzero(pi)
+    weights = np.outer(pi[live], weights).reshape(-1)
+    keep = weights > 0.0
+    if not np.any(keep):
+        raise ValueError("every mixture component has zero weight")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = means @ np.swapaxes(modes[live], 1, 2)
+        pushed = np.matmul(coords, lifts[live])
+        np.ldexp(pushed, exp, out=pushed)
+    means = means.reshape(len(weights), -1)
+    coords = pushed.reshape(len(weights), -1)
+    if not np.all(keep):
+        weights, means, coords = weights[keep], means[keep], coords[keep]
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(coords))):
+        raise NumericalError("mixture diverged: an entry is not finite")
+    return weights / weights.sum(), means, coords
+
+
 def mog_step(
     sys: JumpLinearSystem,
     pi_k,
@@ -297,7 +360,9 @@ def mog_step(
     weight pi_j * alpha_i, mean A_j mu_i, covariance A_j Sigma_i A_j^T,
     ordered mode-major (all of mode 1's images first). The zero-weight
     pairs produced by modes with pi_j = 0 are dropped; surviving weights
-    are renormalized to sum 1.
+    are renormalized to sum 1. This is one step of the exact route: the
+    covariances are pushed as their n(n+1)/2 symmetric coordinates and
+    returned exactly symmetric.
 
     Raises
     ------
@@ -311,18 +376,13 @@ def mog_step(
         raise ValueError(
             f"mixture has dimension {mix.n}, system has n={sys.n}"
         )
-    weights = np.outer(pi, mix.weights).reshape(-1)
-    means = (mix.means @ np.swapaxes(sys.modes, 1, 2)).reshape(-1, sys.n)
-    covs = _push(sys.modes, mix.covs[None]).reshape(-1, sys.n, sys.n)
-
-    keep = weights > 0.0
-    if not np.any(keep):
-        raise ValueError("every mixture component has zero weight")
-    weights, means, covs = weights[keep], means[keep], covs[keep]
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
-        raise NumericalError("mixture diverged: an entry is not finite")
+    sym, _, exp = _scaled_lifts(sys)
+    weights, means, coords = _mog_push(
+        sys.modes, np.swapaxes(sym, 1, 2), exp, pi,
+        mix.weights, mix.means, _sym_coords(mix.covs),
+    )
     return GaussianMixture(
-        weights=weights / weights.sum(), means=means, covs=covs
+        weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
     )
 
 
@@ -334,8 +394,16 @@ def _count(x: int) -> str:
     return str(x) if x < 10**30 else f"~10^{int(math.log10(x))}"
 
 
+def _check_cap(cap: int) -> None:
+    """Reject a component cap that no mixture, of one component or more,
+    can meet."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
-    """Yield the mixture after each step; ``cap`` as in mog_propagate."""
+    """Yield (weights, means, coords) after each step, as _mog_push
+    returns them; ``cap`` as in mog_propagate."""
     # modes of zero probability are pruned every step, so only the
     # support sizes multiply the count
     support = np.count_nonzero(schedule, axis=1)
@@ -354,13 +422,15 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
             f"exact propagation reaches {counted} = {_count(reach)} "
             f"components, beyond cap={cap}; raise the cap"
         )
-    mix = init
-    for k, pi in enumerate(schedule, 1):
+    sym, _, exp = _scaled_lifts(sys)
+    lifts = np.swapaxes(sym, 1, 2)
+    state = init.weights, init.means, _sym_coords(init.covs)
+    for k, pi in enumerate(_normalized(schedule), 1):
         try:
-            mix = mog_step(sys, pi, mix)
+            state = _mog_push(sys.modes, lifts, exp, pi, *state)
         except NumericalError as exc:
             raise NumericalError(f"{exc} at k={k}") from None
-        yield mix
+        yield state
 
 
 def mog_propagate(
@@ -374,19 +444,22 @@ def mog_propagate(
 
     The result has at most q0 times the product over the steps of the
     number of modes with nonzero probability (m^k * q0 for a law of full
-    support), so that count is checked against ``cap`` up front and the
-    run refuses to start if it cannot finish.
+    support), so that count is checked against ``cap``, which must be at
+    least 1, up front and the run refuses to start if it cannot finish.
     """
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    _check_cap(cap)
     _reject(validate_system(sys, law, init).violations)
-    mix = init
-    if k > 0:
-        schedule = _marginals(law, k, sys.m)
-        for mix in _mog_fold(sys, schedule, init, cap):
-            pass
-    return mix
+    if k == 0:
+        return init
+    schedule = _marginals(law, k, sys.m)
+    for weights, means, coords in _mog_fold(sys, schedule, init, cap):
+        pass
+    return GaussianMixture(
+        weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
+    )
 
 
 def moment_step(
@@ -454,12 +527,14 @@ def w2_trajectory(
     from the chosen method ("moment", "gamma", or "exact_mog"). The
     exact-mixture method reads ``w2`` as the weighted sum of component
     distances and records component counts; the mixtures it derives from
-    the checked input are not checked again.
+    the checked input are not checked again, and are never formed as
+    n x n covariances.
 
     Raises
     ------
     ValueError
-        On invalid inputs, unknown method, or exact-mixture cap overflow.
+        On invalid inputs, unknown method, an exact-mixture cap below 1,
+        or exact-mixture cap overflow.
     NumericalError
         If W^2(k) or a value the route carries is not finite for some
         k <= k_max (unstable growth; the message names the failing step).
@@ -472,6 +547,8 @@ def w2_trajectory(
             f"unknown method {method!r}: expected moment, gamma, or "
             f"exact_mog"
         )
+    if method == "exact_mog":
+        _check_cap(cap)
     _reject(validate_system(sys, law, init).violations)
 
     mean, cov = synthetic_gaussian(init)
@@ -503,7 +580,8 @@ def w2_trajectory(
                 w2 = np.ldexp(left @ g.sym @ right, g.sym_exp)
                 records.append(_record(step, w2))
         else:
-            mixes = _mog_fold(sys, schedule, init, cap)
-            for step, mix in enumerate(mixes, 1):
-                records.append(_record(step, _dirac_sq(mix), mix.q))
+            states = _mog_fold(sys, schedule, init, cap)
+            for step, (weights, means, coords) in enumerate(states, 1):
+                w2 = _dirac_sq(weights, means, coords[:, :sys.n])
+                records.append(_record(step, w2, len(weights)))
     return records

@@ -13,7 +13,8 @@ precision near zero.
 
 The public readers check their input mixture and raise ``ValueError``
 on a violation; the exact route reads the mixtures it derives from a
-checked one through ``_dirac_sq``, the unchecked body.
+checked one through ``_dirac_sq``, the unchecked body, which needs only
+the weights, the means and the covariances' diagonals.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ def gaussian_to_dirac(mean, cov) -> float:
     return float(np.sqrt(mu @ mu + np.trace(c)))
 
 
-def _dirac_sq(mix: GaussianMixture) -> float:
-    w = mix.weights / np.sum(mix.weights)
-    sq_means = np.einsum("ij,ij->i", mix.means, mix.means)
-    traces = np.trace(mix.covs, axis1=1, axis2=2)
-    return float(w @ (sq_means + traces))
+def _dirac_sq(weights, means, diags) -> float:
+    """sum_i w_i (||mu_i||^2 + tr Sigma_i) from the (q, n) diagonals of
+    the covariances, w the weights normalized to sum 1."""
+    w = weights / np.sum(weights)
+    sq_means = np.einsum("ij,ij->i", means, means)
+    return float(w @ (sq_means + diags.sum(axis=1)))
 
 
 def mixture_to_dirac_sq(mix: GaussianMixture) -> float:
@@ -62,7 +64,8 @@ def mixture_to_dirac_sq(mix: GaussianMixture) -> float:
     the mixture's second-moment matrix.
     """
     _reject(check_mixture(mix))
-    return _dirac_sq(mix)
+    diags = np.diagonal(mix.covs, axis1=1, axis2=2)
+    return _dirac_sq(mix.weights, mix.means, diags)
 
 
 def synthetic_gaussian(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:

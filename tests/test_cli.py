@@ -412,6 +412,21 @@ class TestOverflow:
             assert w2[method][300] == pytest.approx(w2["moment"][300],
                                                     rel=1e-9)
 
+    def test_mode_whose_lift_overflows(self, write, capsys):
+        """A = 1e160: A kron A = 1e320 leaves float64, W^2(1) = 1e120 does
+        not, and W^2(2) = 1e440 does, on every route."""
+        doc = self.scalar([1e160], [1.0], 1e-100)
+        w2 = self.routes(write, capsys, doc, 1)
+        for method in ("moment", "gamma", "exact_mog"):
+            assert w2[method][1] == pytest.approx(1e120, rel=1e-12)
+            argv = ["trajectory", write(doc), "--steps", "2",
+                    "--method", method]
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numerical failure: ")
+            assert "diverged at k=2 " in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
     def test_w2_past_float_range_exits_3(self, write, capsys, method):
         """W^2(k) = 1e300 2.25^k leaves float64 at k = 24 on every route."""
@@ -454,6 +469,14 @@ class TestTrajectory:
         _, rows_g = read_csv(capsys.readouterr().out)
         for rm, rg in zip(rows_m, rows_g):
             assert float(rm[1]) == pytest.approx(float(rg[1]), rel=1e-9)
+
+    def test_exact_mog_cap_below_one_exits_1(self, write, capsys):
+        argv = ["trajectory", write(IID), "--steps", "3",
+                "--method", "exact_mog", "--cap", "-5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cap must be at least 1, got -5\n"
+        assert captured.out == ""
 
     def test_exact_mog_adds_component_count(self, write, capsys):
         assert main(

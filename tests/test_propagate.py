@@ -6,6 +6,8 @@ product. Derived expectations use explicit enumeration and Kronecker
 oracles computed inline.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -263,6 +265,87 @@ class TestMogPropagate:
         with pytest.raises(ValueError, match=r"cap=100000") as info:
             mog_propagate(sys, law, point_mass([1.0]), 20_000)
         assert counted in str(info.value)
+
+
+def reference_components(sys, schedule, mix):
+    """The exact mixture by a plain loop over (mode, component) pairs:
+    weight pi_j alpha_i, mean A_j mu_i, covariance A_j Sigma_i A_j^T,
+    mode-major, pairs of weight 0 dropped, weights renormalized."""
+    comps = list(zip(mix.weights, mix.means, mix.covs))
+    for pi in schedule:
+        comps = [
+            (p * w, a @ mu, a @ cov @ a.T)
+            for p, a in zip(pi, sys.modes) if p > 0
+            for w, mu, cov in comps
+        ]
+        total = sum(w for w, _, _ in comps)
+        comps = [(w / total, mu, cov) for w, mu, cov in comps]
+    return comps
+
+
+class TestExactRouteReference:
+    """mog_propagate and the exact route against reference_components."""
+
+    @pytest.mark.parametrize("zero_row", [False, True],
+                             ids=["full-support", "zero-probability-row"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_per_component_loop(self, n, zero_row):
+        rng = np.random.default_rng([173, n, int(zero_row)])
+        sys = random_system(rng, m=3, n=n, scale=1.2)
+        mix = random_mixture(rng, n=n, q=2)
+        g = rng.standard_normal((n, n - 1))  # rank n - 1: 0 when n = 1
+        mix = GaussianMixture(
+            weights=mix.weights, means=mix.means,
+            covs=np.stack([mix.covs[0], g @ g.T]),
+        )
+        schedule = rng.dirichlet(np.ones(3), size=3)
+        if zero_row:
+            schedule[1] = [0.0, 0.4, 0.6]
+        law = ScheduleSwitching(schedule)
+        records = w2_trajectory(sys, law, mix, 3, method="exact_mog")
+        for k, record in enumerate(records):
+            ref = reference_components(sys, schedule[:k], mix)
+            weights, means, covs = (np.array(x) for x in zip(*ref))
+            out = mog_propagate(sys, law, mix, k)
+            assert out.q == record.component_count == len(ref)
+            assert_allclose(out.weights, weights, rtol=1e-13)
+            for got, want in ((out.means, means), (out.covs, covs)):
+                assert_allclose(got, want, rtol=1e-13,
+                                atol=1e-13 * np.abs(want).max())
+            assert_array_equal(out.covs, np.swapaxes(out.covs, 1, 2))
+            w2 = weights @ (np.sum(means**2, axis=1)
+                            + np.trace(covs, axis1=1, axis2=2))
+            assert record.w2 == pytest.approx(w2, rel=1e-13)
+        assert records[-1].component_count == (36 if zero_row else 54)
+
+    def test_exact_route_memory_stays_near_the_covariances(self):
+        """The route carries n(n+1)/2 coordinates per covariance and
+        never forms the n x n stacks: its peak stays below 1.5 times the
+        bytes of the final n x n covariances."""
+        rng = np.random.default_rng(179)
+        n, m, q0, steps = 8, 2, 2, 12
+        sys = random_system(rng, m=m, n=n)
+        mix = random_mixture(rng, n=n, q=q0)
+        law = IIDSwitching([0.5, 0.5])
+        final_cov_bytes = q0 * m**steps * n * n * 8
+        tracemalloc.start()
+        try:
+            records = w2_trajectory(sys, law, mix, steps, method="exact_mog")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records[-1].component_count == 8192
+        assert peak < 1.5 * final_cov_bytes
+
+    def test_cap_below_one_rejected(self):
+        sys = JumpLinearSystem(modes=[[[0.5]]])
+        law, mix = IIDSwitching([1.0]), point_mass([1.0])
+        message = "cap must be at least 1, got -5"
+        with pytest.raises(ValueError, match=message):
+            mog_propagate(sys, law, mix, 2, cap=-5)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match=message):
+                w2_trajectory(sys, law, mix, k, method="exact_mog", cap=-5)
 
 
 class TestMomentStep:
