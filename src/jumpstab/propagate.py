@@ -31,6 +31,10 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
 The three must agree to rounding; their agreement is a correctness check
 of the whole chain and is asserted by the test suite. A route raises
 NumericalError, naming k, exactly when a value it carries is not finite.
+The lifts of modes whose largest entry reaches 2^510 are built from
+the modes scaled by a power of two, which is exact; where the scaling,
+or the gamma fold of such lifts, would lose digits, the route raises
+NumericalError instead of printing them.
 The second-moment map of a chain (``_moment_map``, on the A X A^T kernel
 ``_push``) and its matrix (``_chain_lift``) live here, for these routes
 and for the stability tests alike.
@@ -79,6 +83,12 @@ DIVERGENCE_GUARD = 1e150
 
 _TINY = np.finfo(float).tiny
 
+#: A mode is scaled by a power of two in its lift only when its largest
+#: magnitude reaches 2**_LIFT_LIMIT. Below it every product of two
+#: entries, and every sum of two products, stays under 2**1021, so the
+#: lifts of such modes are the unscaled ones, bit for bit.
+_LIFT_LIMIT = 510
+
 
 @dataclass(frozen=True, eq=False)
 class GammaState:
@@ -109,10 +119,20 @@ class TrajectoryRecord:
 
 def _basis_pairs(n: int):
     """Index pairs (p, q) of the basis elements: (i, i) for i < n, then
-    p < q in triu order."""
+    p < q in triu order. The first n coordinates of a symmetric matrix
+    are therefore its diagonal, and their sum is its trace."""
     p, q = np.triu_indices(n, 1)
     diag = np.arange(n)
     return np.concatenate([diag, p]), np.concatenate([diag, q])
+
+
+def _basis_units(n: int) -> np.ndarray:
+    """The entry of each symmetric basis element, in _basis_pairs order,
+    at (p, q) and at (q, p): 1 for E_ii, 1/sqrt2 for (E_pq + E_qp)/sqrt2.
+    """
+    units = np.full(n * (n + 1) // 2, np.sqrt(0.5))
+    units[:n] = 1.0
+    return units
 
 
 def _bases(n: int):
@@ -120,29 +140,48 @@ def _bases(n: int):
     skew matrices: E_ii, (E_pq + E_qp)/sqrt2 and (E_pq - E_qp)/sqrt2, p < q.
     """
     p, q = _basis_pairs(n)
-    cols, half = np.arange(p.size), np.sqrt(0.5)
+    cols, units = np.arange(p.size), _basis_units(n)
     u, v = np.zeros((n * n, p.size)), np.zeros((n * n, p.size - n))
-    u[p * n + q, cols] = u[q * n + p, cols] = np.where(cols < n, 1.0, half)
-    v[p[n:] * n + q[n:], cols[:-n]] = half
-    v[q[n:] * n + p[n:], cols[:-n]] = -half
+    u[p * n + q, cols] = u[q * n + p, cols] = units
+    v[p[n:] * n + q[n:], cols[:-n]] = units[n:]
+    v[q[n:] * n + p[n:], cols[:-n]] = -units[n:]
     return u, v
 
 
-def _sym_skew_lifts(sys: JumpLinearSystem, e: int = 0):
-    """B_j kron B_j in the bases of _bases, B_j = A_j / 2**e: the (m, s, s)
-    symmetric and the (m, t, t) skew stacks, s = n(n+1)/2, t = n(n-1)/2.
+def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """K[r, c] and K[r, c'] of each K = A kron A of the (m, n, n) ``a``,
+    r and c over the pairs (p, q), c' the transposed position of c."""
+    rows_p, rows_q = a[:, p], a[:, q]
+    return rows_p[:, :, p] * rows_q[:, :, q], rows_p[:, :, q] * rows_q[:, :, p]
+
+
+def _sym_skew_lifts(sys: JumpLinearSystem, e=0):
+    """B_j kron B_j in the bases of _bases, B_j = A_j / 2**e_j, ``e`` one
+    exponent or one per mode: the (m, s, s) symmetric and the (m, t, t)
+    skew stacks, s = n(n+1)/2, t = n(n-1)/2.
 
     K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
     exactly, so with c' the transposed position of column c every entry
     is 2 c_r c_c (K[r, c] +- K[r, c']), gathered from A without forming K,
     and the blocks coupling symmetric and skew matrices are exactly zero.
+    Raises NumericalError if an entry overflows, or if the scaling leaves
+    an entry of B_j, or a product of two, below the normal range where
+    that of A_j is not: the lift would lose its digits.
     """
-    n, a = sys.n, np.ldexp(sys.modes, -e)
+    n, e = sys.n, np.broadcast_to(e, (sys.m,))[:, None, None]
+    a = np.ldexp(sys.modes, -e)
     p, q = _basis_pairs(n)
-    rows_p, rows_q = a[:, p], a[:, q]
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = rows_p[:, :, p] * rows_q[:, :, q]  # K[r, c]
-        crossed = rows_p[:, :, q] * rows_q[:, :, p]  # K[r, c']
+        sym, crossed = _kron_entries(a, p, q)
+        if np.any(e):
+            pairs = zip((a, sym, crossed),
+                        (sys.modes, *_kron_entries(sys.modes, p, q)))
+            if any(np.any((np.abs(scaled) < _TINY) & (np.abs(exact) >= _TINY))
+                   for scaled, exact in pairs):
+                raise NumericalError(
+                    "A_j kron A_j overflows, and scaled it underflows: "
+                    "modes too large"
+                )
         skew = sym[:, n:, n:] - crossed[:, n:, n:]
         sym += crossed
     if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(skew))):
@@ -155,12 +194,17 @@ def _sym_skew_lifts(sys: JumpLinearSystem, e: int = 0):
     return sym, skew
 
 
-def _scaled_lifts(sys: JumpLinearSystem):
-    """_sym_skew_lifts of the modes over 2**e, e the binary exponent of
-    their largest magnitude, and 2e: each lift is its block times
-    2**(2e). Powers of two scale exactly, and no block entry can
-    overflow, whatever the size of the modes."""
-    e = math.frexp(float(np.abs(sys.modes).max()))[1]
+def _scaled_lifts(sys: JumpLinearSystem, per_mode: bool = False):
+    """_sym_skew_lifts of the modes over 2**e_j, and 2 e_j: each lift is
+    its block times 2**(2 e_j). e_j is the least e >= 0 that brings the
+    largest magnitude of A_j below 2**_LIFT_LIMIT, one per mode under
+    ``per_mode``, else their largest for all. Modes that need no scaling
+    keep their lifts bit for bit; larger ones scale exactly, powers of
+    two being exact, or raise as _sym_skew_lifts says."""
+    tops = np.abs(sys.modes).max(axis=(1, 2))
+    e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
+    if not per_mode:
+        e = int(e.max())
     return (*_sym_skew_lifts(sys, e), 2 * e)
 
 
@@ -246,13 +290,17 @@ def _peak(sym: np.ndarray, exp: int, n: int) -> float:
     return math.ldexp(float(np.abs(sym[:n, :n]).max()), min(exp, 1000))
 
 
-def _rescaled(block: np.ndarray, exp: int):
+def _rescaled(block: np.ndarray, exp: int, lost: str = None):
     """``block`` over 2**e in place, e the binary exponent of its largest
     magnitude, and exp + e; entries left below the normal range are
-    flushed to 0."""
+    flushed to 0. If ``lost`` is given, flushing a nonzero entry raises
+    NumericalError(lost) instead."""
     e = math.frexp(float(np.abs(block).max(initial=0.0)))[1]
     np.ldexp(block, -e, out=block)
-    block[np.abs(block) < _TINY] = 0.0
+    small = np.abs(block) < _TINY
+    if lost is not None and np.any(block[small]):
+        raise NumericalError(lost)
+    block[small] = 0.0
     return block, exp + e
 
 
@@ -264,20 +312,25 @@ def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
     is set; the power-of-two rescaling keeps entries out of the subnormal
     range, where products slow down and lose digits, and away from
     overflow. The lifts are those of _scaled_lifts, so each step also
-    adds their exponent to each block's.
+    adds their exponent to each block's. Scaled lifts are those of modes
+    whose unscaled lifts could overflow; their fold flushes no nonzero
+    entry but raises NumericalError, naming k, where it would.
     """
     sym_lifts, skew_lifts, lift_exp = _scaled_lifts(sys)
     sym, sym_exp = np.eye(sym_lifts.shape[1]), 0
     rest = (np.eye(skew_lifts.shape[1]), 0) if skew else (None, 0)
-    one, row = np.ones((1, sys.m)), None
-    for w in schedule[:, None]:  # the weights of a one-state chain
+    one, row, lost = np.ones((1, sys.m)), None, None
+    for k, w in enumerate(schedule[:, None], 1):  # one-state chain weights
         if w.tobytes() != row:  # schedules repeat rows: rebuild on change
             row = w.tobytes()
             sym_step = _chain_lift(sym_lifts, one, w)
             skew_step = _chain_lift(skew_lifts, one, w) if skew else None
-        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp + lift_exp)
+        if lift_exp:
+            lost = (f"Gamma spans more than float64 holds at k={k}: "
+                    f"modes too large")
+        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp + lift_exp, lost)
         if skew:
-            rest = _rescaled(skew_step @ rest[0], rest[1] + lift_exp)
+            rest = _rescaled(skew_step @ rest[0], rest[1] + lift_exp, lost)
         yield _Folded(sym, sym_exp, *rest)
 
 
@@ -304,32 +357,35 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
 def _sym_coords(covs: np.ndarray) -> np.ndarray:
     """The (q, s) coordinates of the symmetric parts of (q, n, n) ``covs``
     in the basis of _bases: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
-    p, q = _basis_pairs(covs.shape[-1])
-    half = np.where(p == q, 0.5, np.sqrt(0.5))
-    return covs[:, p, q] * half + covs[:, q, p] * half
+    n = covs.shape[-1]
+    p, q = _basis_pairs(n)
+    units = _basis_units(n)
+    coords = covs[:, p, q] * units
+    coords[:, n:] += covs[:, q[n:], p[n:]] * units[n:]
+    return coords
 
 
 def _sym_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     """The exactly symmetric (q, n, n) matrices of (q, s) coordinates, the
     inverse of _sym_coords."""
     p, q = _basis_pairs(n)
-    entries = coords * np.where(p == q, 1.0, np.sqrt(0.5))
+    entries = coords * _basis_units(n)
     out = np.empty((len(coords), n, n))
     out[:, p, q] = entries
     out[:, q, p] = entries
     return out
 
 
-def _mog_push(modes, lifts, exp, pi, weights, means, coords):
+def _mog_push(modes, lifts, exps, pi, weights, means, coords):
     """One exact-mixture step on components held as arrays.
 
     ``coords`` holds each covariance as its _sym_coords, ``lifts`` and
-    ``exp`` are the symmetric blocks of _scaled_lifts, transposed, and
-    their exponent. Pair (j, i) gets weight pi_j alpha_i, mean A_j mu_i
-    and the coordinates of A_j Sigma_i A_j^T, mode-major: one matrix
-    product per mode of nonzero probability. Pairs of weight 0 are
-    dropped and the rest renormalized to sum 1. Returns (weights, means,
-    coords).
+    ``exps`` are the symmetric blocks of _scaled_lifts per mode,
+    transposed, and their exponents. Pair (j, i) gets weight pi_j
+    alpha_i, mean A_j mu_i and the coordinates of A_j Sigma_i A_j^T,
+    mode-major: one matrix product per mode of nonzero probability.
+    Pairs of weight 0 are dropped and the rest renormalized to sum 1.
+    Returns (weights, means, coords).
     """
     live = np.flatnonzero(pi)
     weights = np.outer(pi[live], weights).reshape(-1)
@@ -339,7 +395,8 @@ def _mog_push(modes, lifts, exp, pi, weights, means, coords):
     with np.errstate(over="ignore", invalid="ignore"):
         means = means @ np.swapaxes(modes[live], 1, 2)
         pushed = np.matmul(coords, lifts[live])
-        np.ldexp(pushed, exp, out=pushed)
+        if np.any(exps[live]):
+            np.ldexp(pushed, exps[live, None, None], out=pushed)
     means = means.reshape(len(weights), -1)
     coords = pushed.reshape(len(weights), -1)
     if not np.all(keep):
@@ -376,9 +433,9 @@ def mog_step(
         raise ValueError(
             f"mixture has dimension {mix.n}, system has n={sys.n}"
         )
-    sym, _, exp = _scaled_lifts(sys)
+    sym, _, exps = _scaled_lifts(sys, per_mode=True)
     weights, means, coords = _mog_push(
-        sys.modes, np.swapaxes(sym, 1, 2), exp, pi,
+        sys.modes, np.swapaxes(sym, 1, 2), exps, pi,
         mix.weights, mix.means, _sym_coords(mix.covs),
     )
     return GaussianMixture(
@@ -422,12 +479,12 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
             f"exact propagation reaches {counted} = {_count(reach)} "
             f"components, beyond cap={cap}; raise the cap"
         )
-    sym, _, exp = _scaled_lifts(sys)
+    sym, _, exps = _scaled_lifts(sys, per_mode=True)
     lifts = np.swapaxes(sym, 1, 2)
     state = init.weights, init.means, _sym_coords(init.covs)
     for k, pi in enumerate(_normalized(schedule), 1):
         try:
-            state = _mog_push(sys.modes, lifts, exp, pi, *state)
+            state = _mog_push(sys.modes, lifts, exps, pi, *state)
         except NumericalError as exc:
             raise NumericalError(f"{exc} at k={k}") from None
         yield state
@@ -582,6 +639,7 @@ def w2_trajectory(
         else:
             states = _mog_fold(sys, schedule, init, cap)
             for step, (weights, means, coords) in enumerate(states, 1):
+                # the first n coordinates are the diagonal (_basis_pairs)
                 w2 = _dirac_sq(weights, means, coords[:, :sys.n])
                 records.append(_record(step, w2, len(weights)))
     return records

@@ -427,6 +427,36 @@ class TestOverflow:
             assert "diverged at k=2 " in captured.err
             assert captured.out == ""
 
+    def test_huge_mode_beside_a_small_one(self, write, capsys):
+        """OVERFLOW's huge mode beside 0.3 I from a start it maps to 0:
+        W^2(k) = 2 (0.09 / 2)^k. The exact route scales only the huge
+        mode's lift and agrees with the moment route; the gamma fold
+        would hold 0.09 and 1e320 in one block, so it exits 3 instead of
+        dropping the small mode."""
+        doc = {
+            "n": 2,
+            "modes": {"huge": OVERFLOW["modes"]["huge"],
+                      "small": [[0.3, 0.0], [0.0, 0.3]]},
+            "switching": OVERFLOW_LAWS["iid"],
+            "initial": [{"weight": 1.0, "mean": [1.0, 0.0],
+                         "cov": [[1.0, 0.0], [0.0, 0.0]]}],
+        }
+        path, w2 = write(doc), {}
+        for method in ("moment", "exact_mog"):
+            argv = ["trajectory", path, "--steps", "3", "--method", method]
+            assert main(argv) == 0
+            w2[method] = [float(r[1]) for r in read_csv(
+                capsys.readouterr().out)[1]]
+        assert w2["moment"] == pytest.approx(
+            [2 * 0.045**k for k in range(4)], rel=1e-14)
+        assert w2["exact_mog"] == pytest.approx(w2["moment"], rel=1e-14)
+        argv = ["trajectory", path, "--steps", "3", "--method", "gamma"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert " at k=1: " in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
     def test_w2_past_float_range_exits_3(self, write, capsys, method):
         """W^2(k) = 1e300 2.25^k leaves float64 at k = 24 on every route."""

@@ -16,6 +16,8 @@ from jumpstab.matkit import NumericalError, vec
 from jumpstab.propagate import (
     GammaState,
     _moment_map,
+    _scaled_lifts,
+    _sym_skew_lifts,
     gamma_product,
     lifted_step_matrix,
     mog_propagate,
@@ -94,6 +96,42 @@ class TestKronSquares:
         sys = JumpLinearSystem(modes=[[[0.0, 1e160], [0.0, 0.0]], np.eye(2)])
         with pytest.raises(NumericalError, match="overflows"):
             lifted_step_matrix(sys, [0.0, 1.0])
+
+
+class TestScaledLifts:
+    """Modes are scaled into their lifts only where the lifts could
+    overflow, and never at the cost of digits."""
+
+    def test_modes_below_the_limit_keep_their_lifts(self):
+        rng = np.random.default_rng(191)
+        sys = random_system(rng, m=3, n=3, scale=1e150)  # entries < 2^510
+        unscaled = _sym_skew_lifts(sys)
+        for per_mode in (False, True):
+            *blocks, exps = _scaled_lifts(sys, per_mode)
+            assert not np.any(exps)
+            for got, want in zip(blocks, unscaled):
+                assert_array_equal(got, want)
+
+    def test_only_the_huge_mode_is_scaled_per_mode(self):
+        huge = [[0.0, 1e160], [0.0, 0.0]]  # largest entry in [2^531, 2^532)
+        sys = JumpLinearSystem(modes=[huge, 0.3 * np.eye(2)])
+        sym, skew, exps = _scaled_lifts(sys, per_mode=True)
+        assert_array_equal(exps, [44, 0])
+        small = JumpLinearSystem(modes=[0.3 * np.eye(2)])
+        assert_array_equal(sym[1], _sym_skew_lifts(small)[0][0])
+        assert np.abs(sym[0]).max() == np.ldexp(1e160, -22) ** 2
+        assert _scaled_lifts(sys)[2] == 44
+
+    def test_scaling_that_loses_digits_raises(self):
+        """1e-150 * 1e-150 = 1e-300 is normal; scaled by 2^-44 it is not."""
+        sys = JumpLinearSystem(modes=[[[0.0, 1e160], [1e-150, 0.0]]])
+        for per_mode in (False, True):
+            with pytest.raises(NumericalError, match="underflows"):
+                _scaled_lifts(sys, per_mode)
+        mix = point_mass([1.0, 1.0])
+        for method in ("gamma", "exact_mog"):
+            with pytest.raises(NumericalError, match="underflows"):
+                w2_trajectory(sys, IIDSwitching([1.0]), mix, 1, method=method)
 
 
 class TestMogStep:
