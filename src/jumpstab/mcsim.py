@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import NumericalError, sqrtm_psd, symmetrize
+from .matkit import NumericalError, sqrtm_psd
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -131,29 +131,13 @@ class EnsembleStats:
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix F with F F^T = cov, for PSD cov.
-
-    Cholesky when positive definite, the spectral square root for
-    rank-deficient input, and a diagonal jitter of 1e-12 tr(cov)/n as a
-    last resort before giving up.
-    """
+    """Matrix F with F F^T = cov, for PSD cov: Cholesky when positive
+    definite, else the spectral square root, which raises ValueError on
+    indefinite input."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        pass
-    try:
         return sqrtm_psd(cov)
-    except ValueError:
-        pass
-    n = cov.shape[0]
-    jitter = 1e-12 * max(float(np.trace(cov)), 0.0) / n
-    jittered = symmetrize(cov) + jitter * np.eye(n)
-    try:
-        return np.linalg.cholesky(jittered)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"covariance factorization failed after jitter: {exc}"
-        ) from exc
 
 
 def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:

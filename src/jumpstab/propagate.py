@@ -35,9 +35,11 @@ The lifts of modes whose largest entry reaches 2^510 are built from
 the modes scaled by a power of two, which is exact; where the scaling,
 or the gamma fold of such lifts, would lose digits, the route raises
 NumericalError instead of printing them.
-The second-moment map of a chain (``_moment_map``, on the A X A^T kernel
-``_push``) and its matrix (``_chain_lift``) live here, for these routes
-and for the stability tests alike.
+Each route has one path: ``moment`` iterates the second-moment map of
+a chain (``_moment_map``, on the A X A^T kernel ``_push``), ``gamma``
+folds the lifts (``_lifted_fold``) and ``exact_mog`` pushes the mixture
+(``_mog_fold``, one ``_mog_push`` per step). The map and its matrix
+(``_chain_lift``) serve the stability tests as well.
 """
 
 from __future__ import annotations
@@ -49,16 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_COMPONENT_CAP
-from .matkit import NumericalError, vec
+from .matkit import NumericalError
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
-    SecondMomentState,
     SwitchingLaw,
     _marginals,
     _normalized,
     _reject,
-    as_probability_vector,
     marginal_schedule,
     validate_system,
 )
@@ -67,10 +67,7 @@ from .wasserstein import _dirac_sq, mixture_to_dirac_sq, synthetic_gaussian
 __all__ = [
     "GammaState",
     "TrajectoryRecord",
-    "lifted_step_matrix",
-    "mog_step",
     "mog_propagate",
-    "moment_step",
     "gamma_product",
     "w2_trajectory",
     "DEFAULT_COMPONENT_CAP",
@@ -217,14 +214,6 @@ def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
     return np.swapaxes(lift, 1, 2).reshape(size, size)
 
 
-def _step_weights(sys: JumpLinearSystem, pi_k) -> np.ndarray:
-    """The checked, renormalized mode weights of one step."""
-    pi = as_probability_vector(pi_k, "pi_k")
-    if pi.size != sys.m:
-        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
-    return pi
-
-
 def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Symmetrised A_j X A_j^T, ``mats`` broadcast against (m, q, n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -344,16 +333,6 @@ def _guarded_fold(sys: JumpLinearSystem, schedule):
     )
 
 
-def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
-    """The n^2 reference lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
-    pi, a, n2 = _step_weights(sys, pi_k), sys.modes, sys.n * sys.n
-    with np.errstate(over="ignore"):
-        lifts = a[:, :, None, :, None] * a[:, None, :, None, :]
-    if not np.all(np.isfinite(lifts)):
-        raise NumericalError("A_j kron A_j overflows: modes too large")
-    return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
-
-
 def _sym_coords(covs: np.ndarray) -> np.ndarray:
     """The (q, s) coordinates of the symmetric parts of (q, n, n) ``covs``
     in the basis of _bases: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
@@ -390,8 +369,6 @@ def _mog_push(modes, lifts, exps, pi, weights, means, coords):
     live = np.flatnonzero(pi)
     weights = np.outer(pi[live], weights).reshape(-1)
     keep = weights > 0.0
-    if not np.any(keep):
-        raise ValueError("every mixture component has zero weight")
     with np.errstate(over="ignore", invalid="ignore"):
         means = means @ np.swapaxes(modes[live], 1, 2)
         pushed = np.matmul(coords, lifts[live])
@@ -404,43 +381,6 @@ def _mog_push(modes, lifts, exps, pi, weights, means, coords):
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(coords))):
         raise NumericalError("mixture diverged: an entry is not finite")
     return weights / weights.sum(), means, coords
-
-
-def mog_step(
-    sys: JumpLinearSystem,
-    pi_k,
-    mix: GaussianMixture,
-) -> GaussianMixture:
-    """Push a Gaussian mixture through one switching step.
-
-    Every (mode j, component i) pair yields an output component with
-    weight pi_j * alpha_i, mean A_j mu_i, covariance A_j Sigma_i A_j^T,
-    ordered mode-major (all of mode 1's images first). The zero-weight
-    pairs produced by modes with pi_j = 0 are dropped; surviving weights
-    are renormalized to sum 1. This is one step of the exact route: the
-    covariances are pushed as their n(n+1)/2 symmetric coordinates and
-    returned exactly symmetric.
-
-    Raises
-    ------
-    ValueError
-        On dimension mismatch or if every pair has zero weight.
-    NumericalError
-        If a surviving mean or covariance entry is not finite.
-    """
-    pi = _step_weights(sys, pi_k)
-    if mix.n != sys.n:
-        raise ValueError(
-            f"mixture has dimension {mix.n}, system has n={sys.n}"
-        )
-    sym, _, exps = _scaled_lifts(sys, per_mode=True)
-    weights, means, coords = _mog_push(
-        sys.modes, np.swapaxes(sym, 1, 2), exps, pi,
-        mix.weights, mix.means, _sym_coords(mix.covs),
-    )
-    return GaussianMixture(
-        weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
-    )
 
 
 def _count(x: int) -> str:
@@ -503,6 +443,9 @@ def mog_propagate(
     number of modes with nonzero probability (m^k * q0 for a law of full
     support), so that count is checked against ``cap``, which must be at
     least 1, up front and the run refuses to start if it cannot finish.
+    The steps are those of the ``exact_mog`` route, on covariances in
+    symmetric coordinates; only the final mixture is unpacked into
+    exactly symmetric n x n covariances.
     """
     k = int(k)
     if k < 0:
@@ -517,24 +460,6 @@ def mog_propagate(
     return GaussianMixture(
         weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
     )
-
-
-def moment_step(
-    sys: JumpLinearSystem, pi_k, state: SecondMomentState
-) -> SecondMomentState:
-    """One second-moment update Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T,
-    the map that iid_test certifies, of the one-state chain with pi(k).
-
-    Raises ``NumericalError`` if an entry is not finite.
-    """
-    pi = _step_weights(sys, pi_k)
-    if state.phi.shape != (sys.n, sys.n):
-        raise ValueError(
-            f"phi has shape {state.phi.shape}, system has n={sys.n}"
-        )
-    step = _moment_map(sys.modes, np.ones((1, sys.m)), pi[None],
-                       f"second moment diverged at k={state.k + 1}")
-    return SecondMomentState(phi=step(state.phi[None])[0], k=state.k + 1)
 
 
 def gamma_product(
@@ -620,8 +545,8 @@ def w2_trajectory(
             return records
         schedule = _marginals(law, k_max, sys.m)
         if method == "moment":
-            # moment_step's checks of pi and Phi ran on entry: apply the
-            # map directly (a closure, built per step to name the step)
+            # the one-state map of each schedule row, built per step so
+            # that its error names the step
             phi, one = phi0[None], np.ones((1, sys.m))
             for k, w in enumerate(_normalized(schedule)[:, None], 1):
                 phi = _moment_map(sys.modes, one, w,
@@ -630,8 +555,8 @@ def w2_trajectory(
         elif method == "gamma":
             # I and Phi(0) are symmetric: only the symmetric block of
             # Gamma(k) pairs them
-            basis = _bases(sys.n)[0].T
-            left, right = basis @ vec(np.eye(sys.n)), basis @ vec(phi0)
+            left = _sym_coords(np.eye(sys.n)[None])[0]
+            right = _sym_coords(phi0[None])[0]
             folds = _lifted_fold(sys, schedule, False)
             for step, g in enumerate(folds, 1):
                 w2 = np.ldexp(left @ g.sym @ right, g.sym_exp)

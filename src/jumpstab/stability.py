@@ -45,7 +45,6 @@ from .propagate import (
     _chain_lift,
     _moment_map,
     _rescaled,
-    _step_weights,
     _sym_skew_lifts,
 )
 from .sysmodel import (
@@ -57,6 +56,7 @@ from .sysmodel import (
     SwitchingLaw,
     _marginals,
     _reject,
+    as_probability_vector,
     check_law,
     stationary_distribution,
 )
@@ -261,7 +261,9 @@ def iid_test(
     sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
     rho(T) < 1. This is the one-state chain of the Markov test.
     """
-    pi = _step_weights(sys, pi)
+    pi = as_probability_vector(pi, "pi_k")
+    if pi.size != sys.m:
+        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
     return _spectral_report(sys, np.ones((1, sys.m)), pi[None], margin, "iid")
 
 

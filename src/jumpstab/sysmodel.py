@@ -33,7 +33,6 @@ __all__ = [
     "ScheduleSwitching",
     "SequenceSwitching",
     "SwitchingLaw",
-    "SecondMomentState",
     "ValidationReport",
     "StationaryResult",
     "validate_system",
@@ -353,29 +352,6 @@ class SequenceSwitching:
 SwitchingLaw = Union[
     IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SecondMomentState:
-    """Second-moment matrix Phi(k) = mean mean^T + cov of the state at time k.
-
-    Its trace is the squared Wasserstein distance to the origin mass.
-    Phi must be square with finite entries; symmetry and positive
-    semidefiniteness are invariants of the propagation steps (pinned by
-    tests), not checked at construction.
-    """
-
-    phi: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        phi = as_square(self.phi, "phi")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        k = int(self.k)
-        if k < 0:
-            raise ValueError(f"time index must be nonnegative, got {k}")
-        object.__setattr__(self, "k", k)
 
 
 def law_mode_count(law: SwitchingLaw):

@@ -15,7 +15,7 @@ import pytest
 
 from jumpstab.matkit import spectral_norm, spectral_radius
 from jumpstab.mcsim import SimConfig, simulate_ensemble
-from jumpstab.propagate import lifted_step_matrix, w2_trajectory
+from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import contraction_test, iid_test, markov_test
 from jumpstab.sysmodel import (
     GaussianMixture,
@@ -30,6 +30,7 @@ from jumpstab.wasserstein import (
     mixture_to_dirac_sq,
     synthetic_gaussian,
 )
+from reference import lifted_step_matrix
 
 
 def block_replicate(blocks):

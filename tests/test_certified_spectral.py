@@ -14,11 +14,7 @@ import pytest
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import (
-    _moment_map,
-    _sym_skew_lifts,
-    lifted_step_matrix,
-)
+from jumpstab.propagate import _moment_map, _sym_skew_lifts
 from jumpstab.stability import (
     DEFAULT_MARGIN,
     analyze,
@@ -33,6 +29,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     marginal_schedule,
 )
+from reference import lifted_step_matrix
 
 CERTIFIED = ("stable", "unstable")
 

@@ -17,6 +17,7 @@ from jumpstab import sysmodel
 from jumpstab.mcsim import (
     SimConfig,
     _kurtosis,
+    _psd_factor,
     _mean,
     _std,
     simulate_ensemble,
@@ -173,6 +174,12 @@ class TestSampleInitial:
         )
         assert stats.mean_sq[0] > 0.0
         assert stats.mean_sq[1] == 0.0
+
+    def test_indefinite_covariance_raises(self):
+        """An indefinite covariance fails Cholesky and the spectral root
+        alike, and is rejected as not PSD."""
+        with pytest.raises(ValueError, match="not PSD"):
+            _psd_factor(np.diag([1.0, -1.0]))
 
     def test_matches_ensemble_stream_layout(self):
         # two blocks, the second ragged: pins the block size, the block

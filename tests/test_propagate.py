@@ -2,8 +2,8 @@
 
 The central check is three independent computations of W^2(k) agreeing:
 exact mixture pushing, the n x n moment recursion, and the lifted n^2
-product. Derived expectations use explicit enumeration and Kronecker
-oracles computed inline.
+product. Derived expectations use explicit enumeration, Kronecker
+oracles computed inline and the n^2 lift of ``reference``.
 """
 
 import tracemalloc
@@ -19,10 +19,7 @@ from jumpstab.propagate import (
     _scaled_lifts,
     _sym_skew_lifts,
     gamma_product,
-    lifted_step_matrix,
     mog_propagate,
-    mog_step,
-    moment_step,
     w2_trajectory,
 )
 from jumpstab.sysmodel import (
@@ -31,11 +28,11 @@ from jumpstab.sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     ScheduleSwitching,
-    SecondMomentState,
     SequenceSwitching,
 )
 from jumpstab import sysmodel, wasserstein
 from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
+from reference import lifted_step_matrix
 
 
 def random_system(rng, m, n, scale=0.9):
@@ -135,12 +132,14 @@ class TestScaledLifts:
 
 
 class TestMogStep:
+    """One exact-mixture step: mog_propagate for k=1 under an IID law."""
+
     def test_component_count_and_weights(self):
         rng = np.random.default_rng(83)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=2)
         pi = np.array([0.3, 0.7])
-        out = mog_step(sys, pi, mix)
+        out = mog_propagate(sys, IIDSwitching(pi), mix, 1)
         assert out.q == 4
         expected = np.outer(pi, mix.weights).reshape(-1)
         assert_allclose(out.weights, expected, atol=1e-15)
@@ -148,7 +147,7 @@ class TestMogStep:
     def test_scalar_pushforward(self):
         sys = JumpLinearSystem(modes=[[[2.0]]])
         mix = GaussianMixture.from_components([(1.0, [1.0], [[1.0]])])
-        out = mog_step(sys, [1.0], mix)
+        out = mog_propagate(sys, IIDSwitching([1.0]), mix, 1)
         assert out.q == 1
         assert_allclose(out.means, [[2.0]])
         assert_allclose(out.covs, [[[4.0]]])
@@ -158,7 +157,7 @@ class TestMogStep:
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=3)
         pi = np.array([0.4, 0.6])
-        out = mog_step(sys, pi, mix)
+        out = mog_propagate(sys, IIDSwitching(pi), mix, 1)
         mean_in, cov_in = synthetic_gaussian(mix)
         phi_in = np.outer(mean_in, mean_in) + cov_in
         mean_out, cov_out = synthetic_gaussian(out)
@@ -171,20 +170,21 @@ class TestMogStep:
     def test_zero_probability_modes_dropped(self):
         sys = JumpLinearSystem(modes=[[[2.0]], [[3.0]]])
         mix = point_mass([1.0])
-        out = mog_step(sys, [1.0, 0.0], mix)
+        out = mog_propagate(sys, IIDSwitching([1.0, 0.0]), mix, 1)
         assert out.q == 1
         assert_allclose(out.means, [[2.0]])
 
     def test_all_zero_weights_rejected(self):
         sys = JumpLinearSystem(modes=[[[1.0]], [[2.0]]])
         mix = GaussianMixture(weights=[0.0], means=[[1.0]], covs=[[[0.0]]])
-        with pytest.raises(ValueError, match="zero weight"):
-            mog_step(sys, [0.5, 0.5], mix)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            mog_propagate(sys, IIDSwitching([0.5, 0.5]), mix, 1)
 
     def test_dimension_mismatch(self):
         sys = JumpLinearSystem(modes=[np.eye(2)])
         with pytest.raises(ValueError, match="dimension"):
-            mog_step(sys, [1.0], point_mass([1.0, 2.0, 3.0]))
+            mog_propagate(sys, IIDSwitching([1.0]),
+                          point_mass([1.0, 2.0, 3.0]), 1)
 
 
 class TestMogPropagate:
@@ -386,20 +386,23 @@ class TestExactRouteReference:
                 w2_trajectory(sys, law, mix, k, method="exact_mog", cap=-5)
 
 
+def one_state_map(sys, pi):
+    """The second-moment map of the one-state chain with mode weights pi."""
+    return _moment_map(sys.modes, np.ones((1, sys.m)), np.asarray(pi)[None])
+
+
 class TestMomentStep:
+    """One application of the second-moment map of a one-state chain."""
+
     def test_scalar_modes(self):
         sys = JumpLinearSystem(modes=[[[2.0]], [[0.1]]])
-        state = SecondMomentState(phi=[[1.0]], k=0)
-        out = moment_step(sys, [0.5, 0.5], state)
-        assert out.k == 1
-        assert out.phi[0, 0] == pytest.approx(2.005, rel=1e-14)
+        out = one_state_map(sys, [0.5, 0.5])(np.ones((1, 1, 1)))[0]
+        assert out[0, 0] == pytest.approx(2.005, rel=1e-14)
 
     def test_identity_mode_fixes_phi(self):
         sys = JumpLinearSystem(modes=[np.eye(3)])
         phi = np.diag([1.0, 2.0, 3.0])
-        out = moment_step(sys, [1.0], SecondMomentState(phi=phi, k=4))
-        assert_allclose(out.phi, phi)
-        assert out.k == 5
+        assert_allclose(one_state_map(sys, [1.0])(phi[None])[0], phi)
 
     def test_kronecker_lift_oracle(self):
         rng = np.random.default_rng(109)
@@ -407,10 +410,10 @@ class TestMomentStep:
         pi = np.array([0.25, 0.75])
         phi = rng.standard_normal((3, 3))
         phi = phi @ phi.T
-        out = moment_step(sys, pi, SecondMomentState(phi=phi, k=0))
+        out = one_state_map(sys, pi)(phi[None])[0]
         lifted = lifted_step_matrix(sys, pi) @ vec(phi)
         oracle = lifted.reshape(3, 3, order="F")
-        assert_allclose(out.phi, oracle, atol=1e-12)
+        assert_allclose(out, oracle, atol=1e-12)
 
 
 class TestGammaProduct:
@@ -435,14 +438,12 @@ class TestGammaProduct:
             law = IIDSwitching([0.4, 0.6])
             phi0 = rng.standard_normal((2, 2))
             phi0 = phi0 @ phi0.T
-            state = SecondMomentState(phi=phi0, k=0)
+            phi = phi0
             for k in range(1, 11):
-                state = moment_step(sys, [0.4, 0.6], state)
+                phi = sum(p * a @ phi @ a.T for p, a in zip(law.pi, sys.modes))
                 gs = gamma_product(sys, law, k)
                 lhs = vec(np.eye(2)) @ gs.gamma @ vec(phi0)
-                assert lhs == pytest.approx(
-                    np.trace(state.phi), rel=1e-10
-                )
+                assert lhs == pytest.approx(np.trace(phi), rel=1e-10)
 
     def test_sequence_product_is_kron_square(self):
         rng = np.random.default_rng(131)
@@ -616,11 +617,12 @@ class TestW2Trajectory:
         law = IIDSwitching([0.2, 0.3, 0.5])
         mean, cov = synthetic_gaussian(mix)
         phi = np.outer(mean, mean) + cov
-        state = SecondMomentState(phi=phi, k=0)
-        for k in range(20):
-            state = moment_step(sys, law.pi, state)
-            scale = max(np.max(np.abs(state.phi)), 1e-30)
-            assert np.min(np.linalg.eigvalsh(state.phi)) >= -1e-9 * scale
+        records = w2_trajectory(sys, law, mix, 20)
+        for k in range(1, 21):
+            phi = sum(p * a @ phi @ a.T for p, a in zip(law.pi, sys.modes))
+            scale = max(np.max(np.abs(phi)), 1e-30)
+            assert np.min(np.linalg.eigvalsh(phi)) >= -1e-9 * scale
+            assert records[k].w2 == pytest.approx(np.trace(phi), rel=1e-10)
 
     def test_zero_initial_mass_stays_zero(self):
         rng = np.random.default_rng(151)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import lifted_step_matrix, w2_trajectory
+from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import (
     StabilityReport,
     analyze,
@@ -28,6 +28,7 @@ from jumpstab.sysmodel import (
     SequenceSwitching,
     marginal_schedule,
 )
+from reference import lifted_step_matrix
 
 
 def scalar_system(*values):
