@@ -21,30 +21,32 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     cost.
 
 ``gamma``
-    Folds the lifted step matrices A(i) = sum_j pi_j(i) (A_j kron A_j)
-    into the reverse-ordered product Gamma(k) and reads off
-    W^2(k) = vec(I)^T Gamma(k) vec(Phi(0)). Each lift maps symmetric
-    matrices to symmetric ones and skew to skew, so the fold runs on
-    those two blocks (the symmetric one alone for W^2, which pairs two
-    symmetric matrices), never on the n^2 x n^2 matrix.
+    Reads W^2(k) = vec(I)^T Gamma(k) vec(Phi(0)) off the reverse-ordered
+    product Gamma(k) = A(k) ... A(1) of the lifted step matrices
+    A(i) = sum_j pi_j(i) (A_j kron A_j), evaluated right to left: each
+    step applies A(i) to the coordinates of Gamma(i-1) vec(Phi(0)). Each
+    lift maps symmetric matrices to symmetric ones, and I and Phi(0) are
+    symmetric, so the route carries n(n+1)/2 coordinates and never forms
+    Gamma(k) or an n^2 x n^2 matrix.
 
 The three must agree to rounding; their agreement is a correctness check
 of the whole chain and is asserted by the test suite. A route raises
 NumericalError, naming k, exactly when a value it carries is not finite.
 The lifts of modes whose largest entry reaches 2^510 are built from
-the modes scaled by a power of two, which is exact; where the scaling,
-or the gamma fold of such lifts, would lose digits, the route raises
-NumericalError instead of printing them.
+the modes scaled by a power of two, which is exact; where the scaling
+would lose digits, the route raises NumericalError instead of printing
+them.
 Each route has one path: ``moment`` iterates the second-moment map of
-a chain (``_moment_map``, on the A X A^T kernel ``_push``), ``gamma``
-folds the lifts (``_lifted_fold``) and ``exact_mog`` pushes the mixture
-(``_mog_fold``, one ``_mog_push`` per step). The map and its matrix
-(``_chain_lift``) serve the stability tests as well.
+a chain (``_moment_map``, on the A X A^T kernel ``_push``); ``gamma``
+pushes one row of coordinates per step through the lifts and
+``exact_mog`` one per component (``_mog_fold``), both with
+``_lifted_push``, which also steps the identity rows of
+``gamma_product``. The map and its matrix (``_chain_lift``) serve the
+stability tests as well.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +76,7 @@ __all__ = [
     "DIVERGENCE_GUARD",
 ]
 
-#: Entry magnitudes past this count as divergence of the products folded
+#: Entry magnitudes past this count as divergence of the products formed
 #: by gamma_product and the sequence stability test.
 DIVERGENCE_GUARD = 1e150
 
@@ -94,7 +96,7 @@ class GammaState:
     Gamma(0) is the n^2 x n^2 identity. ``diverged`` marks a product
     whose next factor would push entries past DIVERGENCE_GUARD; in that
     case ``gamma`` holds the last product under it and ``k`` the number
-    of steps actually folded.
+    of factors actually applied.
     """
 
     gamma: np.ndarray
@@ -191,17 +193,14 @@ def _sym_skew_lifts(sys: JumpLinearSystem, e=0):
     return sym, skew
 
 
-def _scaled_lifts(sys: JumpLinearSystem, per_mode: bool = False):
-    """_sym_skew_lifts of the modes over 2**e_j, and 2 e_j: each lift is
-    its block times 2**(2 e_j). e_j is the least e >= 0 that brings the
-    largest magnitude of A_j below 2**_LIFT_LIMIT, one per mode under
-    ``per_mode``, else their largest for all. Modes that need no scaling
-    keep their lifts bit for bit; larger ones scale exactly, powers of
-    two being exact, or raise as _sym_skew_lifts says."""
+def _scaled_lifts(sys: JumpLinearSystem):
+    """_sym_skew_lifts of the modes over 2**e_j, and 2 e_j per mode: each
+    lift is its block times 2**(2 e_j). e_j is the least e >= 0 that
+    brings the largest magnitude of A_j below 2**_LIFT_LIMIT. Modes that
+    need no scaling keep their lifts bit for bit; larger ones scale
+    exactly, powers of two being exact, or raise as _sym_skew_lifts says."""
     tops = np.abs(sys.modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
-    if not per_mode:
-        e = int(e.max())
     return (*_sym_skew_lifts(sys, e), 2 * e)
 
 
@@ -245,92 +244,14 @@ def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
     return apply
 
 
-class _Folded:
-    """Gamma(k) as its symmetric and skew blocks, each stored as
-    ``block * 2**exp`` with the largest magnitude in [0.5, 1); ``skew``
-    is None when only the symmetric block was folded."""
-
-    __slots__ = ("sym", "sym_exp", "skew", "skew_exp")
-
-    def __init__(self, sym, sym_exp, skew=None, skew_exp=0):
-        self.sym, self.sym_exp = sym, sym_exp
-        self.skew, self.skew_exp = skew, skew_exp
-
-    def full(self) -> np.ndarray:
-        """The n^2 x n^2 matrix Gamma in the standard basis."""
-        u, v = _bases(self.sym.shape[0] - self.skew.shape[0])
-        return (np.ldexp(u @ self.sym @ u.T, self.sym_exp)
-                + np.ldexp(v @ self.skew @ v.T, self.skew_exp))
-
-
-def _peak(sym: np.ndarray, exp: int, n: int) -> float:
-    """Largest entry magnitude of Gamma in the standard basis, from its
-    scaled symmetric block; inf if an entry is not finite.
-
-    Gamma maps X to a nonnegative combination of B X B^T over products B
-    of modes, so by Cauchy-Schwarz |Gamma[(p,q),(r,s)]| <=
-    sqrt(Gamma[(p,p),(r,r)] Gamma[(q,q),(s,s)]): the largest entry is one
-    of the n x n entries Gamma[(p,p),(r,r)], the leading block of ``sym``.
-    """
-    if not np.isfinite(sym).all():
-        return math.inf
-    # that block's largest entry is at least 1/4 here, so an exponent
-    # capped at 1000 still reads as past any guard below 2^998
-    return math.ldexp(float(np.abs(sym[:n, :n]).max()), min(exp, 1000))
-
-
-def _rescaled(block: np.ndarray, exp: int, lost: str = None):
+def _rescaled(block: np.ndarray, exp: int):
     """``block`` over 2**e in place, e the binary exponent of its largest
     magnitude, and exp + e; entries left below the normal range are
-    flushed to 0. If ``lost`` is given, flushing a nonzero entry raises
-    NumericalError(lost) instead."""
+    flushed to 0."""
     e = math.frexp(float(np.abs(block).max(initial=0.0)))[1]
     np.ldexp(block, -e, out=block)
-    small = np.abs(block) < _TINY
-    if lost is not None and np.any(block[small]):
-        raise NumericalError(lost)
-    block[small] = 0.0
+    block[np.abs(block) < _TINY] = 0.0
     return block, exp + e
-
-
-def _lifted_fold(sys: JumpLinearSystem, schedule, skew: bool = True):
-    """Yield Gamma(1), Gamma(2), ... as _Folded, one per schedule row.
-
-    The lift maps symmetric matrices to symmetric ones and skew to skew,
-    so each block folds on its own, and the skew block only when ``skew``
-    is set; the power-of-two rescaling keeps entries out of the subnormal
-    range, where products slow down and lose digits, and away from
-    overflow. The lifts are those of _scaled_lifts, so each step also
-    adds their exponent to each block's. Scaled lifts are those of modes
-    whose unscaled lifts could overflow; their fold flushes no nonzero
-    entry but raises NumericalError, naming k, where it would.
-    """
-    sym_lifts, skew_lifts, lift_exp = _scaled_lifts(sys)
-    sym, sym_exp = np.eye(sym_lifts.shape[1]), 0
-    rest = (np.eye(skew_lifts.shape[1]), 0) if skew else (None, 0)
-    one, row, lost = np.ones((1, sys.m)), None, None
-    for k, w in enumerate(schedule[:, None], 1):  # one-state chain weights
-        if w.tobytes() != row:  # schedules repeat rows: rebuild on change
-            row = w.tobytes()
-            sym_step = _chain_lift(sym_lifts, one, w)
-            skew_step = _chain_lift(skew_lifts, one, w) if skew else None
-        if lift_exp:
-            lost = (f"Gamma spans more than float64 holds at k={k}: "
-                    f"modes too large")
-        sym, sym_exp = _rescaled(sym_step @ sym, sym_exp + lift_exp, lost)
-        if skew:
-            rest = _rescaled(skew_step @ rest[0], rest[1] + lift_exp, lost)
-        yield _Folded(sym, sym_exp, *rest)
-
-
-def _guarded_fold(sys: JumpLinearSystem, schedule):
-    """_lifted_fold up to the first Gamma(k) with an entry past
-    DIVERGENCE_GUARD or not finite: the divergence criterion of
-    gamma_product."""
-    return itertools.takewhile(
-        lambda g: _peak(g.sym, g.sym_exp, sys.n) <= DIVERGENCE_GUARD,
-        _lifted_fold(sys, schedule),
-    )
 
 
 def _sym_coords(covs: np.ndarray) -> np.ndarray:
@@ -355,12 +276,28 @@ def _sym_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _lifted_push(rows, lifts, exps, live):
+    """The (q, b) ``rows`` of coordinates times ``lifts[j]``, the
+    transposed lift of each mode j in ``live``, scaled back by 2**exps[j]:
+    the (len(live), q, b) images, one matrix product per mode. ``lifts``
+    and ``exps`` are one block stack of _scaled_lifts, transposed into C
+    order, and its exponents; the stack is gathered only when a mode is
+    not live. Entries past float64 come out as inf or nan, which the
+    caller checks."""
+    if live.size < len(lifts):
+        lifts, exps = lifts[live], exps[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pushed = np.matmul(rows, lifts)
+        if np.any(exps):
+            np.ldexp(pushed, exps[:, None, None], out=pushed)
+    return pushed
+
+
 def _mog_push(modes, lifts, exps, pi, weights, means, coords):
     """One exact-mixture step on components held as arrays.
 
-    ``coords`` holds each covariance as its _sym_coords, ``lifts`` and
-    ``exps`` are the symmetric blocks of _scaled_lifts per mode,
-    transposed, and their exponents. Pair (j, i) gets weight pi_j
+    ``coords`` holds each covariance as its _sym_coords; ``lifts`` and
+    ``exps`` are as _lifted_push takes them. Pair (j, i) gets weight pi_j
     alpha_i, mean A_j mu_i and the coordinates of A_j Sigma_i A_j^T,
     mode-major: one matrix product per mode of nonzero probability.
     Pairs of weight 0 are dropped and the rest renormalized to sum 1.
@@ -371,9 +308,7 @@ def _mog_push(modes, lifts, exps, pi, weights, means, coords):
     keep = weights > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         means = means @ np.swapaxes(modes[live], 1, 2)
-        pushed = np.matmul(coords, lifts[live])
-        if np.any(exps[live]):
-            np.ldexp(pushed, exps[live, None, None], out=pushed)
+    pushed = _lifted_push(coords, lifts, exps, live)
     means = means.reshape(len(weights), -1)
     coords = pushed.reshape(len(weights), -1)
     if not np.all(keep):
@@ -419,8 +354,8 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
             f"exact propagation reaches {counted} = {_count(reach)} "
             f"components, beyond cap={cap}; raise the cap"
         )
-    sym, _, exps = _scaled_lifts(sys, per_mode=True)
-    lifts = np.swapaxes(sym, 1, 2)
+    sym, _, exps = _scaled_lifts(sys)
+    lifts = np.swapaxes(sym, 1, 2).copy()
     state = init.weights, init.means, _sym_coords(init.covs)
     for k, pi in enumerate(_normalized(schedule), 1):
         try:
@@ -469,21 +404,40 @@ def gamma_product(
 ) -> GammaState:
     """Reverse-ordered product Gamma(k) = A(k) A(k-1) ... A(1).
 
-    Gamma(0) is the identity. If a multiplication would push any entry
-    magnitude past DIVERGENCE_GUARD, the fold stops and returns the last
-    product under it with ``diverged=True`` (the ``k`` field then reports
-    how many factors were folded).
+    Gamma(0) is the identity. The identity rows of the symmetric and the
+    skew block are pushed through the lifts one step at a time, as the
+    ``gamma`` route pushes its one row, and the n^2 x n^2 Gamma(k) is
+    assembled once at the end. If a step would push any entry magnitude
+    past DIVERGENCE_GUARD, or leave one not finite, the stepping stops
+    and returns the last product under it with ``diverged=True`` (the
+    ``k`` field then reports how many factors were applied).
     """
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     gamma, done = np.eye(sys.n * sys.n), 0
     if k > 0:
-        schedule = marginal_schedule(law, k, m=sys.m)
-        for done, folded in enumerate(_guarded_fold(sys, schedule), 1):
-            pass
-        if done:
-            gamma = folded.full()
+        *blocks, exps = _scaled_lifts(sys)
+        lifts = [np.swapaxes(block, 1, 2).copy() for block in blocks]
+        rows = [np.eye(block.shape[1]) for block in blocks]
+        for pi in marginal_schedule(law, k, m=sys.m):
+            live = np.flatnonzero(pi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                stepped = [
+                    np.tensordot(pi[live], _lifted_push(r, t, exps, live), 1)
+                    for r, t in zip(rows, lifts)
+                ]
+            # Gamma maps X to a nonnegative combination of B X B^T over
+            # products B of modes, so by Cauchy-Schwarz |Gamma[(p,q),(r,s)]|
+            # <= sqrt(Gamma[(p,p),(r,r)] Gamma[(q,q),(s,s)]): its largest
+            # entry is in the leading n x n block of the symmetric rows
+            if not (all(np.isfinite(x).all() for x in stepped) and np.abs(
+                    stepped[0][:sys.n, :sys.n]).max() <= DIVERGENCE_GUARD):
+                break
+            rows, done = stepped, done + 1
+        if done:  # rows of Gamma^T in the bases of _bases
+            u, v = _bases(sys.n)
+            gamma = (u @ rows[0] @ u.T + v @ rows[1] @ v.T).T
     return GammaState(gamma=gamma, k=done, diverged=done < k)
 
 
@@ -553,14 +507,20 @@ def w2_trajectory(
                                   f"second moment diverged at k={k}")(phi)
                 records.append(_record(k, np.trace(phi[0])))
         elif method == "gamma":
-            # I and Phi(0) are symmetric: only the symmetric block of
-            # Gamma(k) pairs them
-            left = _sym_coords(np.eye(sys.n)[None])[0]
-            right = _sym_coords(phi0[None])[0]
-            folds = _lifted_fold(sys, schedule, False)
-            for step, g in enumerate(folds, 1):
-                w2 = np.ldexp(left @ g.sym @ right, g.sym_exp)
-                records.append(_record(step, w2))
+            # Gamma(k) svec(Phi(0)) one lifted step at a time; I and
+            # Phi(0) are symmetric, so only the symmetric block pairs them
+            sym, _, exps = _scaled_lifts(sys)
+            lifts = np.swapaxes(sym, 1, 2).copy()
+            row = _sym_coords(phi0[None])
+            for k, pi in enumerate(schedule, 1):
+                live = np.flatnonzero(pi)
+                row = np.tensordot(pi[live],
+                                   _lifted_push(row, lifts, exps, live), 1)
+                if not np.all(np.isfinite(row)):
+                    raise NumericalError(f"Gamma(k) svec(Phi(0)) diverged at "
+                                         f"k={k} (an entry is not finite)")
+                # svec(I) . row: the first n coordinates are the diagonal
+                records.append(_record(k, row[0, :sys.n].sum()))
         else:
             states = _mog_fold(sys, schedule, init, cap)
             for step, (weights, means, coords) in enumerate(states, 1):

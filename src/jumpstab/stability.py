@@ -261,9 +261,9 @@ def iid_test(
     sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
     rho(T) < 1. This is the one-state chain of the Markov test.
     """
-    pi = as_probability_vector(pi, "pi_k")
+    pi = as_probability_vector(pi, "pi")
     if pi.size != sys.m:
-        raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
+        raise ValueError(f"pi has length {pi.size} for {sys.m} modes")
     return _spectral_report(sys, np.ones((1, sys.m)), pi[None], margin, "iid")
 
 

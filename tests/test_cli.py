@@ -429,10 +429,8 @@ class TestOverflow:
 
     def test_huge_mode_beside_a_small_one(self, write, capsys):
         """OVERFLOW's huge mode beside 0.3 I from a start it maps to 0:
-        W^2(k) = 2 (0.09 / 2)^k. The exact route scales only the huge
-        mode's lift and agrees with the moment route; the gamma fold
-        would hold 0.09 and 1e320 in one block, so it exits 3 instead of
-        dropping the small mode."""
+        W^2(k) = 2 (0.09 / 2)^k. The exact and gamma routes scale only the
+        huge mode's lift and agree with the moment route."""
         doc = {
             "n": 2,
             "modes": {"huge": OVERFLOW["modes"]["huge"],
@@ -441,21 +439,34 @@ class TestOverflow:
             "initial": [{"weight": 1.0, "mean": [1.0, 0.0],
                          "cov": [[1.0, 0.0], [0.0, 0.0]]}],
         }
-        path, w2 = write(doc), {}
-        for method in ("moment", "exact_mog"):
-            argv = ["trajectory", path, "--steps", "3", "--method", method]
-            assert main(argv) == 0
-            w2[method] = [float(r[1]) for r in read_csv(
-                capsys.readouterr().out)[1]]
+        w2 = self.routes(write, capsys, doc, 3)
         assert w2["moment"] == pytest.approx(
             [2 * 0.045**k for k in range(4)], rel=1e-14)
-        assert w2["exact_mog"] == pytest.approx(w2["moment"], rel=1e-14)
-        argv = ["trajectory", path, "--steps", "3", "--method", "gamma"]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: ")
-        assert " at k=1: " in captured.err
-        assert captured.out == ""
+        for method in ("gamma", "exact_mog"):
+            assert w2[method] == pytest.approx(w2["moment"], rel=1e-14)
+
+    @pytest.mark.parametrize("modes, mean, cov, steps, last", [
+        ({"a": [[1.0, 0.0], [0.0, 1e-3]]}, [0.0, 0.0],
+         [[0.0, 0.0], [0.0, 1e200]], 52, 1e-112),
+        ({"huge": [[0.0, 1e150], [0.0, 0.0]],
+          "tiny": [[3e-12, 0.0], [0.0, 3e-12]]}, [1.0, 0.0],
+         [[1.0, 0.0], [0.0, 0.0]], 3, 2 * 4.5e-24**3),
+    ], ids=["decaying-direction", "huge-beside-tiny"])
+    def test_gamma_reads_entries_far_below_the_largest(self, write, capsys,
+                                                       modes, mean, cov,
+                                                       steps, last):
+        """W^2 needs entries of Gamma(k) more than 2^1022 below its
+        largest; the gamma route reads them as the moment route does."""
+        doc = {
+            "n": 2,
+            "modes": modes,
+            "switching": {"type": "iid", "pi": [1 / len(modes)] * len(modes)},
+            "initial": [{"weight": 1.0, "mean": mean, "cov": cov}],
+        }
+        w2 = self.routes(write, capsys, doc, steps)
+        assert w2["moment"][-1] == pytest.approx(last, rel=1e-12)
+        assert all(w > 0.0 for w in w2["gamma"])
+        assert w2["gamma"] == pytest.approx(w2["moment"], rel=1e-12)
 
     @pytest.mark.parametrize("method", ["moment", "gamma", "exact_mog"])
     def test_w2_past_float_range_exits_3(self, write, capsys, method):

@@ -113,9 +113,8 @@ def test_one_dense_eigensolver_site():
 
 
 #: numpy calls that form products of modes or assemble lifts, and the
-#: propagate folds of lifted products over a horizon
-LIFT_BUILDERS = {"einsum", "tensordot", "swapaxes", "kron", "_lifted_fold",
-                 "_guarded_fold"}
+#: propagate kernel that steps coordinates through the lifts
+LIFT_BUILDERS = {"einsum", "tensordot", "swapaxes", "kron", "_lifted_push"}
 
 
 def names(tree):

@@ -103,28 +103,26 @@ class TestScaledLifts:
         rng = np.random.default_rng(191)
         sys = random_system(rng, m=3, n=3, scale=1e150)  # entries < 2^510
         unscaled = _sym_skew_lifts(sys)
-        for per_mode in (False, True):
-            *blocks, exps = _scaled_lifts(sys, per_mode)
-            assert not np.any(exps)
-            for got, want in zip(blocks, unscaled):
-                assert_array_equal(got, want)
+        *blocks, exps = _scaled_lifts(sys)
+        assert not np.any(exps)
+        for got, want in zip(blocks, unscaled):
+            assert_array_equal(got, want)
 
     def test_only_the_huge_mode_is_scaled_per_mode(self):
         huge = [[0.0, 1e160], [0.0, 0.0]]  # largest entry in [2^531, 2^532)
         sys = JumpLinearSystem(modes=[huge, 0.3 * np.eye(2)])
-        sym, skew, exps = _scaled_lifts(sys, per_mode=True)
+        sym, skew, exps = _scaled_lifts(sys)
         assert_array_equal(exps, [44, 0])
         small = JumpLinearSystem(modes=[0.3 * np.eye(2)])
         assert_array_equal(sym[1], _sym_skew_lifts(small)[0][0])
         assert np.abs(sym[0]).max() == np.ldexp(1e160, -22) ** 2
-        assert _scaled_lifts(sys)[2] == 44
+        assert_array_equal(_scaled_lifts(sys)[2], [44, 0])
 
     def test_scaling_that_loses_digits_raises(self):
         """1e-150 * 1e-150 = 1e-300 is normal; scaled by 2^-44 it is not."""
         sys = JumpLinearSystem(modes=[[[0.0, 1e160], [1e-150, 0.0]]])
-        for per_mode in (False, True):
-            with pytest.raises(NumericalError, match="underflows"):
-                _scaled_lifts(sys, per_mode)
+        with pytest.raises(NumericalError, match="underflows"):
+            _scaled_lifts(sys)
         mix = point_mass([1.0, 1.0])
         for method in ("gamma", "exact_mog"):
             with pytest.raises(NumericalError, match="underflows"):
@@ -464,6 +462,15 @@ class TestGammaProduct:
         assert np.all(np.isfinite(state.gamma))
         # the returned product is the last one under the guard
         assert abs(state.gamma[0, 0]) <= 1e150
+
+    def test_divergence_caught_off_the_first_entry(self):
+        """Gamma(k) = kron(A^k, A^k) grows like 4^k only at ((2,2),(2,2)):
+        the guard reads every (p,p),(r,r) entry, not the first alone."""
+        sys = JumpLinearSystem(modes=[np.diag([0.5, 2.0])])
+        state = gamma_product(sys, IIDSwitching([1.0]), 300)
+        assert (state.k, state.diverged) == (249, True)  # 4^250 > 1e150
+        assert np.abs(state.gamma).max() == pytest.approx(4.0**249,
+                                                           rel=1e-12)
 
     @pytest.mark.parametrize(
         "entry, past", [(1e300, False), (np.inf, True), (np.nan, True)],

@@ -99,6 +99,15 @@ class TestIidTest:
         with pytest.raises(ValueError, match="probability sum"):
             iid_test(scalar_system(1.0, 2.0), [0.6, 0.6])
 
+    @pytest.mark.parametrize("pi, message", [
+        ([1.0], "pi has length 1 for 2 modes"),
+        ([0.7, 0.7], "pi: probability sum 1.4 != 1"),
+    ], ids=["length", "sum"])
+    def test_errors_name_the_argument(self, pi, message):
+        with pytest.raises(ValueError) as caught:
+            iid_test(scalar_system(1.0, 2.0), pi)
+        assert str(caught.value) == message
+
 
 class TestMarkovTest:
     def test_hand_solved_quadratic(self):

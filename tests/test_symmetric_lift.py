@@ -3,7 +3,7 @@
 X -> sum_j pi_j A_j X A_j^T maps symmetric matrices to symmetric ones and
 skew to skew, so in an orthonormal basis of the two subspaces the n^2
 lift splits into two diagonal blocks. These tests hold the blocks, the
-spectral radii read from the symmetric block and the blockwise fold to
+spectral radii read from the symmetric block and the blockwise product to
 the full n^2 computation, built inline with np.kron.
 """
 
@@ -17,9 +17,7 @@ from jumpstab.propagate import (
     _bases,
     _basis_pairs,
     _chain_lift,
-    _lifted_fold,
     _moment_map,
-    _peak,
     _sym_skew_lifts,
     gamma_product,
 )
@@ -61,10 +59,6 @@ def full_fold(sys, schedule):
         step = sum(p * np.kron(a, a) for p, a in zip(pi, sys.modes))
         gamma = step @ gamma
         yield gamma
-
-
-def has_subnormal(x):
-    return bool(np.any((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)))
 
 
 @pytest.mark.parametrize("seed, n, m", CASES)
@@ -124,17 +118,16 @@ class TestBlocks:
         rng = np.random.default_rng(200 + seed)
         sys = rotating_system(rng, n, m)
         schedule = rng.dirichlet(np.ones(m), size=25)
-        pairs = zip(_lifted_fold(sys, schedule), full_fold(sys, schedule))
-        for step, (folded, full) in enumerate(pairs, 1):
-            assert_allclose(folded.full(), full, rtol=0,
+        diagonal = np.arange(n) * (n + 1)  # the (p, p) positions of vec
+        for step, full in enumerate(full_fold(sys, schedule), 1):
+            state = gamma_product(sys, ScheduleSwitching(schedule), step)
+            assert (state.k, state.diverged) == (step, False)
+            assert_allclose(state.gamma, full, rtol=0,
                             atol=1e-12 * np.abs(full).max())
-            assert _peak(folded.sym, folded.sym_exp, n) == pytest.approx(
-                np.abs(full).max(), rel=1e-12
-            )
+            # the divergence guard reads the (p,p),(r,r) entries only
+            assert np.abs(full[np.ix_(diagonal, diagonal)]).max() == \
+                pytest.approx(np.abs(full).max(), rel=1e-12)
         assert step == 25
-        state = gamma_product(sys, ScheduleSwitching(schedule), 25)
-        assert_allclose(state.gamma, full, rtol=0,
-                        atol=1e-12 * np.abs(full).max())
 
 
 @pytest.mark.parametrize("chain", ["one-state", "markov"])
@@ -168,20 +161,20 @@ def test_map_and_its_matrix_are_one_operator(n, m, chain):
 
 class TestFastSkewDecay:
     """The skew block shrinks like (5e-4)^k, the symmetric one like 0.3^k:
-    unscaled, the skew block turns subnormal within 100 steps."""
+    the skew block passes through the subnormal range within 100 steps."""
 
     SYS = JumpLinearSystem(modes=[np.diag([0.5, 1e-3]),
                                   np.diag([0.6, 2e-3])])
     LAW = ScheduleSwitching([[0.3, 0.7], [0.6, 0.4]])
 
-    def test_no_block_entry_is_subnormal(self):
+    def test_product_matches_the_full_fold(self):
         schedule = marginal_schedule(self.LAW, 500)
-        steps = 0
-        for steps, folded in enumerate(_lifted_fold(self.SYS, schedule), 1):
-            assert not has_subnormal(folded.sym)
-            assert not has_subnormal(folded.skew)
-        assert steps == 500
-        assert folded.skew_exp < -5000 and folded.sym_exp > -1000
+        for full in full_fold(self.SYS, schedule):
+            pass
+        state = gamma_product(self.SYS, self.LAW, 500)
+        assert (state.k, state.diverged) == (500, False)
+        assert np.abs(full).max() > np.finfo(float).tiny  # not vacuous
+        assert_allclose(state.gamma, full, rtol=1e-12, atol=0)
 
 
 def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
