@@ -302,13 +302,16 @@ def load_system_file(path) -> SystemFile:
     Raises
     ------
     SystemFileError
-        On malformed JSON (with line and column where the parser gives
-        them) or schema violations.
+        On text that is not UTF-8, malformed JSON (with line and column
+        where the parser gives them) or schema violations.
     OSError
         If the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"invalid UTF-8: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

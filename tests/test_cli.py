@@ -99,6 +99,15 @@ SINGLE_HALF = {
 }
 
 
+#: The document of ``TestCompare.test_stable_iid_passes``
+STABLE_IID = {
+    "n": 1,
+    "modes": {"a": [[0.5]], "b": [[0.3]]},
+    "switching": {"type": "iid", "pi": [0.5, 0.5]},
+    "initial": [{"weight": 1.0, "mean": [1.0], "cov": [[0.1]]}],
+}
+
+
 def lift_sized_iid():
     """Two IID modes whose 210-row symmetric lift (n = 20) is large enough
     for a threaded OpenBLAS to split its products between CPUs."""
@@ -210,6 +219,29 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/sys.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_unreadable_file_is_parse_error(self, tmp_path, capsys, kind,
+                                            as_json):
+        path = tmp_path / "sys.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"n": "\xff"}')
+        argv = ["validate", str(path)] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if as_json:
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            message = payload["parse_error"]
+        else:
+            assert out == ""
+            assert err.startswith("parse error: ")
+            message = err
+        if kind == "not_utf8":
+            assert "invalid UTF-8" in message
 
 
 class TestAnalyze:
@@ -722,6 +754,26 @@ class TestCompare:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [str(r["k"]) for r in rows if r["heavy_tail"]] == flagged
 
+    def test_deviations_do_not_depend_on_the_scale_of_the_start(
+        self, write, capsys
+    ):
+        # x0 scaled by 2^-30 scales every sample, mean and standard error
+        # by exactly 2^-60, so each deviation is the same number
+        tiny = json.loads(json.dumps(STABLE_IID))
+        tiny["initial"][0].update(mean=[2.0**-30], cov=[[0.1 * 2.0**-60]])
+        se_devs = []
+        for doc in (STABLE_IID, tiny):
+            assert main(
+                [
+                    "compare", write(doc), "--steps", "8",
+                    "--trajectories", "4000", "--json",
+                ]
+            ) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            se_devs.append([row["se_dev"] for row in rows])
+        assert se_devs[0] == se_devs[1]
+        assert max(se_devs[1]) > 0.0
+
     def test_deterministic_sequence_exact(self, write, capsys):
         assert main(
             [
@@ -732,18 +784,6 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "max deviation: 0.00 SE" in out
         assert "result: PASS" in out
-
-    def test_path_mode_prints_both_numbers(self, write, capsys):
-        assert main(
-            [
-                "compare", write(MARKOV),
-                "--steps", "6", "--trajectories", "2000",
-                "--sampling", "path",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "marginal-sampling max deviation" in out
-        assert "note:" in out
 
     def test_json_payload(self, write, capsys):
         assert main(
@@ -756,6 +796,108 @@ class TestCompare:
         assert payload["pass"] is True
         assert payload["max_se_dev"] == 0.0
         assert len(payload["rows"]) == 5
+
+
+#: ``--help`` of ``jumpstab`` (key "") and of each subcommand, at 80 columns
+HELP = {
+    "": """\
+usage: jumpstab [-h] {validate,analyze,trajectory,simulate,compare} ...
+
+Mean-square stability analysis and distance-to-origin trajectories for
+stochastic jump linear systems.
+
+positional arguments:
+  {validate,analyze,trajectory,simulate,compare}
+    validate            check a system file and print a report
+    analyze             run the stability test for the switching law
+    trajectory          write the analytic W^2 trajectory as CSV
+    simulate            write a Monte Carlo ensemble estimate as CSV
+    compare             cross-check analytic trajectory against Monte Carlo
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "validate": """\
+usage: jumpstab validate [-h] [--json] file
+
+positional arguments:
+  file        JSON system description
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit the report as JSON
+""",
+    "analyze": """\
+usage: jumpstab analyze [-h] [--margin MARGIN] [--horizon HORIZON]
+                        [--assert-stable] [--json]
+                        file
+
+positional arguments:
+  file               JSON system description
+
+options:
+  -h, --help         show this help message and exit
+  --margin MARGIN    half-width of the marginal band around 1, in [0, 1)
+                     (default 1e-09)
+  --horizon HORIZON  steps the sequence contraction scan covers (default 500)
+  --assert-stable    exit 2 unless the verdict certifies stability
+  --json             emit the report as JSON
+""",
+    "trajectory": """\
+usage: jumpstab trajectory [-h] --steps STEPS
+                           [--method {moment,gamma,exact_mog}] [--cap CAP]
+                           [--out OUT]
+                           file
+
+positional arguments:
+  file                  JSON system description
+
+options:
+  -h, --help            show this help message and exit
+  --steps STEPS         number of steps K
+  --method {moment,gamma,exact_mog}
+                        propagation route (default moment)
+  --cap CAP             component cap for exact_mog (default 100000)
+  --out OUT             CSV output path (default: stdout)
+""",
+    "simulate": """\
+usage: jumpstab simulate [-h] --steps STEPS [--trajectories TRAJECTORIES]
+                         [--seed SEED] [--sampling {marginal,path}]
+                         [--threads THREADS] [--out OUT]
+                         file
+
+positional arguments:
+  file                  JSON system description
+
+options:
+  -h, --help            show this help message and exit
+  --steps STEPS         number of steps K
+  --trajectories TRAJECTORIES
+                        ensemble size (default 10000)
+  --seed SEED           stream seed (default 0)
+  --sampling {marginal,path}
+                        mode draw semantics (default marginal)
+  --threads THREADS     worker threads; the output does not depend on this
+                        (default 1)
+  --out OUT             CSV output path (default: stdout)
+""",
+    "compare": """\
+usage: jumpstab compare [-h] --steps STEPS [--trajectories TRAJECTORIES]
+                        [--seed SEED] [--json]
+                        file
+
+positional arguments:
+  file                  JSON system description
+
+options:
+  -h, --help            show this help message and exit
+  --steps STEPS         number of steps K
+  --trajectories TRAJECTORIES
+                        ensemble size (default 10000)
+  --seed SEED           stream seed (default 0)
+  --json                emit the report as JSON
+""",
+}
 
 
 class TestUsage:
@@ -778,6 +920,28 @@ class TestUsage:
                 ]
             )
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("NO_COLOR", "1")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    def test_compare_has_no_sampling(self, write, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "compare", write(SINGLE_HALF),
+                    "--steps", "2", "--sampling", "path",
+                ]
+            )
+        assert info.value.code == 1
+        assert "unrecognized arguments: --sampling path" in (
+            capsys.readouterr().err
+        )
 
     def test_parser_defaults_are_the_library_constants(self):
         from jumpstab.cli import _build_parser
