@@ -51,12 +51,7 @@ _EXPORTS = {
         "stationary_distribution",
         "validate_system",
     ),
-    "systemfile": (
-        "SystemFile",
-        "SystemFileError",
-        "load_system_file",
-        "save_system_file",
-    ),
+    "systemfile": ("SystemFile", "SystemFileError", "load_system_file"),
     "wasserstein": (
         "gaussian_to_dirac",
         "mixture_to_dirac_sq",

@@ -128,7 +128,7 @@ class JumpLinearSystem:
     modes : sequence of (n, n) array_like
         The mode dynamics matrices, all square and of equal size.
     names : sequence of str, optional
-        Mode labels for reporting; defaults to "mode 1", "mode 2", ...
+        Mode labels, one per mode; None when the caller gives none.
 
     The stacked array is stored as a read-only (m, n, n) float64 array.
     """
@@ -168,12 +168,6 @@ class JumpLinearSystem:
     def n(self) -> int:
         """State dimension."""
         return self.modes.shape[1]
-
-    def mode_name(self, j: int) -> str:
-        """Display name of 0-based mode ``j``."""
-        if self.names is not None:
-            return self.names[j]
-        return f"mode {j + 1}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +244,7 @@ class GaussianMixture:
 
 
 def check_mixture(mix: GaussianMixture) -> list[str]:
-    """Value-level mixture violations: weight signs, weight sum, PSD covs."""
+    """Value-level violations: weight signs and sum, symmetric PSD covs."""
     out = []
     if np.min(mix.weights) <= 0.0:
         out.append(
@@ -260,7 +254,14 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
     s = float(np.sum(mix.weights))
     if abs(s - 1.0) > PROB_TOL:
         out.append(f"mixture weights: probability sum {s:.12g} != 1")
-    sym = (mix.covs + np.transpose(mix.covs, (0, 2, 1))) / 2.0
+    covs_t = np.transpose(mix.covs, (0, 2, 1))
+    asym = np.max(np.abs(mix.covs - covs_t), axis=(1, 2))
+    for i in np.where(asym > _psd_slack(mix.covs))[0]:
+        out.append(
+            f"component {i + 1} covariance is not symmetric: largest "
+            f"asymmetry {asym[i]:.3e}"
+        )
+    sym = (mix.covs + covs_t) / 2.0
     eigs = np.linalg.eigvalsh(sym)
     bad = np.where(eigs[:, 0] < -_psd_slack(sym))[0]
     for i in bad:

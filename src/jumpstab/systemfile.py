@@ -1,4 +1,4 @@
-"""Read and write system descriptions as UTF-8 JSON files.
+"""Read system descriptions from UTF-8 JSON files.
 
 A system file bundles everything one analysis needs: the mode matrices,
 the switching law, and the initial Gaussian mixture.  All matrices are
@@ -26,7 +26,9 @@ Parsing is structural: shapes, types, and field names are enforced here
 with errors naming the offending field, while value-level requirements
 (probability sums, PSD covariances, index ranges) are left to
 ``validate_system`` so a validation pass can report every violation at
-once instead of stopping at the first.
+once instead of stopping at the first.  A key repeated within one object
+is an error, not a silent overwrite.  Each numeric field reaches its
+constructor as one float64 array that already has the shape it needs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .sysmodel import (
     GaussianMixture,
@@ -45,12 +49,7 @@ from .sysmodel import (
     SwitchingLaw,
 )
 
-__all__ = [
-    "SystemFile",
-    "SystemFileError",
-    "load_system_file",
-    "save_system_file",
-]
+__all__ = ["SystemFile", "SystemFileError", "load_system_file"]
 
 
 class SystemFileError(ValueError):
@@ -77,7 +76,9 @@ def _as_vector(value, where, length=None):
         raise SystemFileError(
             f"{where} has length {len(value)}, expected {length}"
         )
-    return [_as_float(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    return np.array(
+        [_as_float(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    )
 
 
 def _as_matrix(value, where, rows=None, cols=None):
@@ -87,41 +88,38 @@ def _as_matrix(value, where, rows=None, cols=None):
         raise SystemFileError(
             f"{where} has {len(value)} rows, expected {rows}"
         )
-    width = cols if cols is not None else None
+    width = cols
     out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise SystemFileError(f"{where} row {i + 1} must be an array")
-        if width is None:
-            width = len(row)
+    for i, row in enumerate(value, 1):
+        if not isinstance(row, list) or not row:
+            raise SystemFileError(f"{where} row {i} must be a nonempty array")
+        width = width or len(row)
         if len(row) != width:
             raise SystemFileError(
-                f"{where} row {i + 1} has length {len(row)}, "
-                f"expected {width}"
+                f"{where} row {i} has length {len(row)}, expected {width}"
             )
-        out.append(
-            [_as_float(x, f"{where} row {i + 1}") for x in row]
-        )
-    return out
+        out.append([_as_float(x, f"{where} row {i}") for x in row])
+    return np.array(out)
 
 
-def _require_keys(obj, where, required, optional=()):
+def _require_keys(obj, where, required):
     if not isinstance(obj, dict):
         raise SystemFileError(f"{where} must be an object")
     for key in required:
         if key not in obj:
             raise SystemFileError(f"{where} is missing field '{key}'")
-    allowed = set(required) | set(optional)
     for key in obj:
-        if key not in allowed:
+        if key not in required:
             raise SystemFileError(f"{where} has unknown field '{key}'")
 
 
-def _build(where, ctor, **kwargs):
-    try:
-        return ctor(**kwargs)
-    except ValueError as exc:
-        raise SystemFileError(f"{where}: {exc}") from exc
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        dup = next(key for key in keys if keys.count(key) > 1)
+        raise SystemFileError(f"duplicate key '{dup}'")
+    return obj
 
 
 def _parse_switching(obj) -> SwitchingLaw:
@@ -132,27 +130,21 @@ def _parse_switching(obj) -> SwitchingLaw:
     kind = obj["type"]
     if kind == "iid":
         _require_keys(obj, "switching", ("type", "pi"))
-        return _build(
-            "switching.pi", IIDSwitching,
-            pi=_as_vector(obj["pi"], "switching.pi"),
-        )
+        return IIDSwitching(pi=_as_vector(obj["pi"], "switching.pi"))
     if kind == "markov":
         _require_keys(obj, "switching", ("type", "P", "pi0"))
         p = _as_matrix(obj["P"], "switching.P")
-        if len(p) != len(p[0]):
+        if p.shape[0] != p.shape[1]:
             raise SystemFileError(
-                f"switching.P must be square, got "
-                f"{len(p)}x{len(p[0])}"
+                f"switching.P must be square, got {p.shape[0]}x{p.shape[1]}"
             )
-        return _build(
-            "switching", MarkovSwitching,
-            P=p, pi0=_as_vector(obj["pi0"], "switching.pi0", len(p)),
+        return MarkovSwitching(
+            P=p, pi0=_as_vector(obj["pi0"], "switching.pi0", len(p))
         )
     if kind == "schedule":
         _require_keys(obj, "switching", ("type", "vectors"))
-        return _build(
-            "switching.vectors", ScheduleSwitching,
-            vectors=_as_matrix(obj["vectors"], "switching.vectors"),
+        return ScheduleSwitching(
+            vectors=_as_matrix(obj["vectors"], "switching.vectors")
         )
     if kind == "sequence":
         _require_keys(obj, "switching", ("type", "indices"))
@@ -167,9 +159,7 @@ def _parse_switching(obj) -> SwitchingLaw:
                     f"switching.indices[{i}] must be an integer, "
                     f"got {x!r}"
                 )
-        return _build(
-            "switching.indices", SequenceSwitching, indices=raw
-        )
+        return SequenceSwitching(indices=raw)
     raise SystemFileError(
         f"switching.type must be one of 'iid', 'markov', 'schedule', "
         f"'sequence', got {kind!r}"
@@ -214,15 +204,12 @@ class SystemFile:
             raise SystemFileError(
                 "modes must be a nonempty object of named matrices"
             )
-        names = []
-        mats = []
-        for name, mat in modes_obj.items():
-            names.append(str(name))
-            mats.append(
+        system = JumpLinearSystem(
+            modes=np.array([
                 _as_matrix(mat, f"mode '{name}'", rows=n, cols=n)
-            )
-        system = _build(
-            "modes", JumpLinearSystem, modes=mats, names=tuple(names)
+                for name, mat in modes_obj.items()
+            ]),
+            names=tuple(modes_obj),
         )
 
         switching = _parse_switching(data["switching"])
@@ -232,68 +219,18 @@ class SystemFile:
             raise SystemFileError(
                 "initial must be a nonempty array of components"
             )
-        components = []
+        weights, means, covs = [], [], []
         for i, comp in enumerate(init_obj):
             where = f"initial[{i}]"
             _require_keys(comp, where, ("weight", "mean", "cov"))
-            components.append(
-                (
-                    _as_float(comp["weight"], f"{where}.weight"),
-                    _as_vector(comp["mean"], f"{where}.mean", n),
-                    _as_matrix(comp["cov"], f"{where}.cov", n, n),
-                )
-            )
-        initial = _build(
-            "initial", GaussianMixture.from_components,
-            components=components,
+            weights.append(_as_float(comp["weight"], f"{where}.weight"))
+            means.append(_as_vector(comp["mean"], f"{where}.mean", n))
+            covs.append(_as_matrix(comp["cov"], f"{where}.cov", n, n))
+        initial = GaussianMixture(
+            weights=np.array(weights), means=np.array(means),
+            covs=np.array(covs),
         )
         return cls(system=system, switching=switching, initial=initial)
-
-    def to_dict(self) -> dict:
-        """Return a JSON-serializable dict in the file schema."""
-        sys_ = self.system
-        modes = {
-            sys_.mode_name(j): sys_.modes[j].tolist()
-            for j in range(sys_.m)
-        }
-        law = self.switching
-        if isinstance(law, IIDSwitching):
-            switching = {"type": "iid", "pi": law.pi.tolist()}
-        elif isinstance(law, MarkovSwitching):
-            switching = {
-                "type": "markov",
-                "P": law.P.tolist(),
-                "pi0": law.pi0.tolist(),
-            }
-        elif isinstance(law, ScheduleSwitching):
-            switching = {
-                "type": "schedule",
-                "vectors": law.vectors.tolist(),
-            }
-        elif isinstance(law, SequenceSwitching):
-            switching = {
-                "type": "sequence",
-                "indices": list(law.indices),
-            }
-        else:
-            raise TypeError(
-                f"unsupported switching law {type(law).__name__}"
-            )
-        mix = self.initial
-        initial = [
-            {
-                "weight": float(w),
-                "mean": mean.tolist(),
-                "cov": cov.tolist(),
-            }
-            for w, mean, cov in zip(mix.weights, mix.means, mix.covs)
-        ]
-        return {
-            "n": int(sys_.n),
-            "modes": modes,
-            "switching": switching,
-            "initial": initial,
-        }
 
 
 def load_system_file(path) -> SystemFile:
@@ -303,7 +240,8 @@ def load_system_file(path) -> SystemFile:
     ------
     SystemFileError
         On text that is not UTF-8, malformed JSON (with line and column
-        where the parser gives them) or schema violations.
+        where the parser gives them), a key repeated within one object or
+        schema violations.
     OSError
         If the file cannot be read.
     """
@@ -313,19 +251,14 @@ def load_system_file(path) -> SystemFile:
     except UnicodeDecodeError as exc:
         raise SystemFileError(f"invalid UTF-8: {exc.reason}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SystemFileError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except SystemFileError:
+        raise
     except (ValueError, RecursionError) as exc:  # digit limit, deep nesting
         raise SystemFileError(f"invalid JSON: {exc}") from exc
     return SystemFile.from_dict(data)
-
-
-def save_system_file(sf: SystemFile, path) -> None:
-    """Write a system file as indented UTF-8 JSON."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(sf.to_dict(), handle, indent=2)
-        handle.write("\n")

@@ -8,6 +8,8 @@ cross-process byte determinism.
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -215,6 +217,70 @@ class TestValidate:
         else:
             assert err.startswith("parse error: invalid JSON: ")
             assert "recursion depth" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("before, after, key", [
+        ('"grow": [[2.0]]', '"grow": [[2.0]], "grow": [[0.3]]', "grow"),
+        ('"pi": [0.5, 0.5]', '"pi": [0.5, 0.5], "pi": [1.0, 0.0]', "pi"),
+    ], ids=["mode", "pi"])
+    def test_duplicate_key_is_parse_error(self, tmp_path, capsys, before,
+                                          after, key, as_json):
+        # json.loads would keep the last value; RFC 8259 section 4 says
+        # names SHOULD be unique, and a silent overwrite changes the law
+        path = tmp_path / "sys.json"
+        text = json.dumps(IID)
+        assert before in text
+        path.write_text(text.replace(before, after))
+        argv = ["validate", str(path)] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if as_json:
+            assert json.loads(out) == {
+                "ok": False, "parse_error": f"duplicate key '{key}'"
+            }
+        else:
+            assert (out, err) == ("", f"parse error: duplicate key '{key}'\n")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("law, field", [
+        ({"type": "schedule", "vectors": [[]]}, "switching.vectors"),
+        ({"type": "markov", "P": [[]], "pi0": [1.0]}, "switching.P"),
+    ], ids=["vectors", "P"])
+    def test_empty_row_is_parse_error(self, write, capsys, law, field,
+                                      as_json):
+        path = write(dict(IID, switching=law))
+        argv = ["validate", path] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if as_json:
+            message = json.loads(out)["parse_error"]
+        else:
+            assert err.startswith("parse error: ")
+            message = err
+        assert f"{field} row 1 must be a nonempty array" in message
+
+    def test_asymmetric_covariance_reported(self, write, capsys):
+        doc = {
+            "n": 2,
+            "modes": {"a": [[0.5, 0.5], [0.0, 0.5]]},
+            "switching": {"type": "iid", "pi": [1.0]},
+            "initial": [{"weight": 1.0, "mean": [0.0, 0.0],
+                         "cov": [[1.0, 0.9], [-0.9, 1.0]]}],
+        }
+        assert main(["validate", write(doc)]) == 1
+        assert capsys.readouterr().out == (
+            "violation: component 1 covariance is not symmetric: largest "
+            "asymmetry 1.800e+00\n"
+        )
+
+    def test_readme_system_file_is_ok(self, tmp_path, capsys):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "sys.json"
+        path.write_text(blocks[0], encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "OK\n"
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/sys.json"]) == 1

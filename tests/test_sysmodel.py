@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from jumpstab.mcsim import SimConfig, simulate_ensemble
+from jumpstab.propagate import w2_trajectory
 from jumpstab.sysmodel import (
     GaussianMixture,
     IIDSwitching,
@@ -59,11 +61,7 @@ class TestJumpLinearSystem:
         sys = JumpLinearSystem(
             modes=[np.eye(2), np.eye(2)], names=("slow", "fast")
         )
-        assert sys.mode_name(0) == "slow"
-        assert sys.mode_name(1) == "fast"
-
-    def test_default_names(self):
-        assert two_mode_system().mode_name(1) == "mode 2"
+        assert sys.names == ("slow", "fast")
 
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError, match="names"):
@@ -215,6 +213,34 @@ class TestValidateSystem:
             two_mode_system(), IIDSwitching([0.5, 0.5]), mix
         )
         assert report.ok is ok
+
+    def test_asymmetric_covariance_rejected_by_every_route(self):
+        # the analytic routes read the symmetric part, the sampler's
+        # Cholesky the lower triangle: neither may run on such a start
+        mix = GaussianMixture.from_components(
+            [(1.0, [0.0, 0.0], [[1.0, 0.9], [-0.9, 1.0]])]
+        )
+        law = IIDSwitching([1.0])
+        sys = JumpLinearSystem(modes=[[[0.5, 0.5], [0.0, 0.5]]])
+        for method in ("moment", "gamma", "exact_mog"):
+            with pytest.raises(ValueError, match="not symmetric"):
+                w2_trajectory(sys, law, mix, 1, method=method)
+        with pytest.raises(ValueError, match="not symmetric"):
+            simulate_ensemble(
+                sys, law, mix, SimConfig(trajectories=8, k_max=1)
+            )
+
+    def test_rounded_product_covariance_accepted(self):
+        # F F^T with F = A G, formed as (A (G G^T)) A^T the way a pushed
+        # covariance is: its two triangles round differently
+        rng = np.random.default_rng(3)
+        a, g = rng.standard_normal((2, 5, 5))
+        cov = (1e3 * a @ (g @ g.T)) @ (1e3 * a.T)
+        assert not np.array_equal(cov, cov.T)
+        mix = GaussianMixture.from_components([(1.0, np.zeros(5), cov)])
+        sys = JumpLinearSystem(modes=[0.5 * np.eye(5)])
+        report = validate_system(sys, IIDSwitching([1.0]), mix)
+        assert report.ok, report.violations
 
     def test_mixture_weight_sum_reported(self):
         mix = GaussianMixture(

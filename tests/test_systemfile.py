@@ -1,4 +1,4 @@
-"""System description file parsing, serialization, and error context."""
+"""System description file parsing and error context."""
 
 import copy
 import json
@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from jumpstab.systemfile import (
-    SystemFile,
-    SystemFileError,
-    load_system_file,
-    save_system_file,
-)
+from jumpstab.systemfile import SystemFile, SystemFileError, load_system_file
 from jumpstab.sysmodel import (
     IIDSwitching,
     MarkovSwitching,
@@ -38,16 +33,41 @@ BASE = {
 }
 
 
+LAWS = {
+    "iid": IIDSwitching,
+    "markov": MarkovSwitching,
+    "schedule": ScheduleSwitching,
+    "sequence": SequenceSwitching,
+}
+
+
 def doc(**overrides):
     out = copy.deepcopy(BASE)
     out.update(overrides)
     return out
 
 
+def assert_parsed(sf, data):
+    """The parsed arrays, names and law type equal the document."""
+    assert sf.system.names == tuple(data["modes"])
+    assert_array_equal(sf.system.modes, list(data["modes"].values()))
+    law = data["switching"]
+    assert type(sf.switching) is LAWS[law["type"]]
+    for field, value in law.items():
+        if field != "type":
+            assert_array_equal(getattr(sf.switching, field), value)
+    initial = data["initial"]
+    assert_array_equal(sf.initial.weights, [c["weight"] for c in initial])
+    assert_array_equal(sf.initial.means, [c["mean"] for c in initial])
+    assert_array_equal(sf.initial.covs, [c["cov"] for c in initial])
+
+
 class TestRoundTrip:
+    """Each parsed document holds exactly its arrays, names and law."""
+
     def test_iid_dict_round_trip(self):
         data = doc()
-        assert SystemFile.from_dict(data).to_dict() == data
+        assert_parsed(SystemFile.from_dict(data), data)
 
     def test_markov_dict_round_trip(self):
         data = doc(
@@ -57,9 +77,7 @@ class TestRoundTrip:
                 "pi0": [0.5, 0.5],
             }
         )
-        sf = SystemFile.from_dict(data)
-        assert isinstance(sf.switching, MarkovSwitching)
-        assert sf.to_dict() == data
+        assert_parsed(SystemFile.from_dict(data), data)
 
     def test_schedule_dict_round_trip(self):
         data = doc(
@@ -68,29 +86,21 @@ class TestRoundTrip:
                 "vectors": [[1.0, 0.0], [0.0, 1.0]],
             }
         )
-        sf = SystemFile.from_dict(data)
-        assert isinstance(sf.switching, ScheduleSwitching)
-        assert sf.to_dict() == data
+        assert_parsed(SystemFile.from_dict(data), data)
 
     def test_sequence_dict_round_trip(self):
         data = doc(switching={"type": "sequence", "indices": [1, 2, 2]})
         sf = SystemFile.from_dict(data)
-        assert isinstance(sf.switching, SequenceSwitching)
         assert sf.switching.indices == (1, 2, 2)
-        assert sf.to_dict() == data
+        assert_parsed(sf, data)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "sys.json"
-        sf = SystemFile.from_dict(doc())
-        save_system_file(sf, path)
-        sf2 = load_system_file(path)
-        assert sf2.system.names == ("slow", "fast")
-        assert_array_equal(sf.system.modes, sf2.system.modes)
-        assert_array_equal(sf.switching.pi, sf2.switching.pi)
-        assert_array_equal(sf.initial.weights, sf2.initial.weights)
-        assert_array_equal(sf.initial.means, sf2.initial.means)
-        assert_array_equal(sf.initial.covs, sf2.initial.covs)
-        assert sf2.to_dict() == sf.to_dict()
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc(), handle, indent=2)
+        sf = load_system_file(path)
+        assert sf.system.names == ("slow", "fast")
+        assert_parsed(sf, doc())
 
     def test_mode_order_follows_keys(self):
         data = doc(
@@ -249,3 +259,52 @@ class TestParseErrors:
     def test_top_level_must_be_object(self):
         with pytest.raises(SystemFileError, match="must be an object"):
             SystemFile.from_dict([1, 2, 3])
+
+
+def substitutions(node, path=()):
+    """Yield (path, value) for every leaf and row of a document, each
+    value replaced by one ill-typed or edge-case stand-in in turn."""
+    for stand_in in ([], [[]], "x", True, None, json.loads("1e400")):
+        yield path, stand_in
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from substitutions(child, path + (key,))
+
+
+def replaced(data, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(data)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+class TestOnlySystemFileErrors:
+    """The reader either builds the objects or raises SystemFileError;
+    no constructor's plain ValueError escapes it."""
+
+    DOCS = [
+        doc(),
+        doc(switching={"type": "markov", "P": [[0.3, 0.7], [0.7, 0.3]],
+                       "pi0": [0.5, 0.5]}),
+        doc(switching={"type": "schedule", "vectors": [[1.0, 0.0]]}),
+        doc(switching={"type": "sequence", "indices": [1, 2]}),
+    ]
+
+    @pytest.mark.parametrize("data", DOCS, ids=list(LAWS))
+    def test_every_substitution(self, data):
+        for path, value in substitutions(data):
+            try:
+                SystemFile.from_dict(replaced(data, path, value))
+            except SystemFileError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r}: {exc!r}")
