@@ -1,10 +1,9 @@
 """Dense real linear-algebra kernel.
 
-Column-stacking vectorization, spectral radii, matrix norms, and PSD
-hygiene (symmetric part, projection, square root). Matrices are plain
-float64 ``numpy`` arrays; :func:`as_matrix` is the single entry point
-that enforces the construction invariants (2-D, nonempty, all entries
-finite).
+Spectral radii, matrix norms, and PSD hygiene (symmetric part,
+projection, square root). Matrices are plain float64 ``numpy`` arrays;
+:func:`as_matrix` is the single entry point that enforces the
+construction invariants (2-D, nonempty, all entries finite).
 
 All functions are pure and hold no shared state; they are safe to call
 concurrently from any number of threads.
@@ -18,7 +17,6 @@ __all__ = [
     "NumericalError",
     "as_matrix",
     "as_square",
-    "vec",
     "spectral_radius",
     "spectral_norm",
     "symmetrize",
@@ -63,16 +61,6 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization.
-
-    Columns of ``m`` are concatenated top to bottom into a 1-D array, so
-    ``vec(A @ B @ C) == np.kron(C.T, A) @ vec(B)`` holds for conformable
-    matrices, and ``vec(I) @ vec(S) == trace(S)``.
-    """
-    return as_matrix(m, "m").flatten(order="F")
-
-
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
@@ -110,10 +98,17 @@ def spectral_norm(m) -> float:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
+def _sym_part(x: np.ndarray) -> np.ndarray:
+    """Symmetric part of each trailing square matrix of ``x``, a new
+    array: halved first, so two finite halves add up to a finite sum."""
+    half = x * 0.5
+    half += np.swapaxes(half, -1, -2)
+    return half
+
+
 def symmetrize(m) -> np.ndarray:
     """Symmetric part ``(m + m.T) / 2``."""
-    a = as_square(m, "m")
-    return (a + a.T) / 2.0
+    return _sym_part(as_square(m, "m"))
 
 
 def _psd_slack(m) -> np.ndarray:
@@ -125,13 +120,9 @@ def _psd_slack(m) -> np.ndarray:
     return PSD_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
 
 
-def psd_project(m) -> np.ndarray:
-    """Symmetrize and repair a nearly-PSD matrix.
-
-    Eigenvalues in ``[-slack, 0)`` are clamped to zero, with slack
-    ``PSD_TOL * max(1, largest |entry|)``; any eigenvalue below ``-slack``
-    means the matrix is genuinely indefinite and raises.
-    """
+def _psd_eigh(m):
+    """(S, w, v): the symmetric part S of ``m``, repaired as psd_project
+    says, and its eigenvalues w, clamped at 0, and eigenvectors v."""
     s = symmetrize(m)
     try:
         w, v = np.linalg.eigh(s)
@@ -143,10 +134,20 @@ def psd_project(m) -> np.ndarray:
             f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e} "
             f"< -{slack:.1e}"
         )
-    if np.min(w) >= 0.0:
-        return s
-    w = np.clip(w, 0.0, None)
-    return symmetrize((v * w) @ v.T)
+    if np.min(w) < 0.0:
+        w = np.clip(w, 0.0, None)
+        s = symmetrize((v * w) @ v.T)
+    return s, w, v
+
+
+def psd_project(m) -> np.ndarray:
+    """Symmetrize and repair a nearly-PSD matrix.
+
+    Eigenvalues in ``[-slack, 0)`` are clamped to zero, with slack
+    ``PSD_TOL * max(1, largest |entry|)``; any eigenvalue below ``-slack``
+    means the matrix is genuinely indefinite and raises.
+    """
+    return _psd_eigh(m)[0]
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -157,10 +158,5 @@ def sqrtm_psd(m) -> np.ndarray:
     clamped).
     Rank-deficient input is fine; indefinite input raises ``ValueError``.
     """
-    s = psd_project(m)
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return symmetrize(root)
+    _, w, v = _psd_eigh(m)
+    return symmetrize((v * np.sqrt(w)) @ v.T)

@@ -152,47 +152,44 @@ def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:
     return idx
 
 
-def _mean(samples: np.ndarray) -> np.ndarray:
-    """Column means of finite samples; a column whose plain sum overflows
-    is averaged after scaling to magnitude <= 1."""
+def _step_moments(normsq: np.ndarray):
+    """Mean, standard error and plain kurtosis of each row of the
+    step-major (steps, T) finite ``normsq``, reduced along the row.
+
+    A row whose plain sum overflows is averaged after scaling to
+    magnitude <= 1. One array of deviations serves both spreads. The
+    standard error, sample standard deviation (ddof 1) over sqrt(T), is
+    zero for T = 1 and, where the plain sum of squares overflows, taken
+    from the deviations scaled to magnitude <= 1. The biased kurtosis
+    m4 / m2^2 (Gaussian = 3) squares those scaled deviations in place;
+    it is nan where the spread is at rounding level, the samples
+    numerically identical and their kurtosis cancellation noise.
+    """
+    big_t = normsq.shape[1]
     with np.errstate(over="ignore"):
-        mean = samples.mean(axis=0)
+        mean = normsq.mean(axis=1)
     lost = ~np.isfinite(mean)
     if np.any(lost):
-        top = np.max(np.abs(samples[:, lost]), axis=0)
-        mean[lost] = top * np.mean(samples[:, lost] / top, axis=0)
-    return mean
-
-
-def _std(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Sample standard deviations (ddof 1) of finite samples; a column
-    whose plain sum of squares overflows is recomputed with deviations
-    scaled to magnitude <= 1 first. The result is finite: it is at most
-    the largest sample magnitude."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = samples.std(axis=0, ddof=1)
+        top = np.max(np.abs(normsq[lost]), axis=1, keepdims=True)
+        mean[lost] = top[:, 0] * np.mean(normsq[lost] / top, axis=1)
+    if big_t < 2:
+        return mean, np.zeros_like(mean), np.full_like(mean, np.nan)
+    dev = normsq - mean[:, None]
+    with np.errstate(over="ignore"):  # row by row: no second full array
+        sumsq = np.array([np.sum(np.square(row)) for row in dev])
+    std = np.sqrt(sumsq / (big_t - 1))
+    top = np.maximum(dev.max(axis=1), -dev.min(axis=1))
+    top[top == 0.0] = 1.0
+    dev /= top[:, None]
+    m2 = np.sum(np.square(dev, out=dev), axis=1)
     lost = ~np.isfinite(std)
-    if np.any(lost):
-        dev = samples[:, lost] - mean[lost]
-        scale = np.max(np.abs(dev), axis=0)
-        scale[scale == 0.0] = 1.0
-        std[lost] = scale * np.sqrt(
-            np.sum(np.square(dev / scale), axis=0) / (len(dev) - 1)
-        )
-    return std
-
-
-def _kurtosis(samples: np.ndarray) -> np.ndarray:
-    """Plain biased kurtosis m4 / m2^2 of each column (Gaussian = 3).
-
-    Deviations are scaled to magnitude <= 1 first, so no power overflows;
-    they are squared in place, the one temporary the size of ``samples``.
-    """
-    dev = samples - _mean(samples)
+    std[lost] = top[lost] * np.sqrt(m2[lost] / (big_t - 1))
+    m2 /= big_t
     with np.errstate(invalid="ignore", divide="ignore"):
-        dev /= np.maximum(dev.max(axis=0), -dev.min(axis=0))
-        m2 = np.mean(np.square(dev, out=dev), axis=0)
-        return np.mean(np.square(dev, out=dev), axis=0) / m2**2
+        kurtosis = np.mean(np.square(dev, out=dev), axis=1) / m2**2
+    stderr = std / np.sqrt(big_t)
+    kurtosis[stderr <= 1e-12 * np.maximum(np.abs(mean), _TINY)] = np.nan
+    return mean, stderr, kurtosis
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -288,21 +285,10 @@ def simulate_ensemble(
         raise NumericalError(
             f"squared state norms overflow float64 at k={np.argmin(finite)}"
         )
-    samples = normsq.T  # columns are steps, each contiguous in memory
-    mean_sq = _mean(samples)
-    if big_t >= 2:
-        stderr = _std(samples, mean_sq) / np.sqrt(big_t)
-    else:
-        stderr = np.zeros(k_max + 1)
-    heavy = np.zeros(k_max + 1, dtype=bool)
-    # a spread at rounding level means the samples are numerically
-    # identical; kurtosis there is pure cancellation noise
-    spread = stderr > 1e-12 * np.maximum(np.abs(mean_sq), _TINY)
-    if np.any(spread):
-        heavy[spread] = _kurtosis(normsq[spread].T) > KURTOSIS_THRESHOLD
+    mean_sq, stderr, kurtosis = _step_moments(normsq)
     return EnsembleStats(
         mean_sq=mean_sq,
         stderr=stderr,
         samples=np.full(k_max + 1, big_t, dtype=np.int64),
-        heavy_tail=heavy,
+        heavy_tail=kurtosis > KURTOSIS_THRESHOLD,
     )

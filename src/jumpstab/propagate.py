@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_COMPONENT_CAP
-from .matkit import NumericalError
+from .matkit import NumericalError, _sym_part
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -216,10 +216,8 @@ def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
 def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Symmetrised A_j X A_j^T, ``mats`` broadcast against (m, q, n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = modes[:, None] @ mats @ np.swapaxes(modes, 1, 2)[:, None]
-        out *= 0.5  # halved first, two finite halves add up to a finite sum
-        out += np.swapaxes(out, 2, 3)
-    return out
+        return _sym_part(
+            modes[:, None] @ mats @ np.swapaxes(modes, 1, 2)[:, None])
 
 
 def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
@@ -242,16 +240,6 @@ def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
         return out.reshape(-1, *q.shape[1:])
 
     return apply
-
-
-def _rescaled(block: np.ndarray, exp: int):
-    """``block`` over 2**e in place, e the binary exponent of its largest
-    magnitude, and exp + e; entries left below the normal range are
-    flushed to 0."""
-    e = math.frexp(float(np.abs(block).max(initial=0.0)))[1]
-    np.ldexp(block, -e, out=block)
-    block[np.abs(block) < _TINY] = 0.0
-    return block, exp + e
 
 
 def _sym_coords(covs: np.ndarray) -> np.ndarray:

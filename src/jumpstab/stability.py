@@ -39,12 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
-from .matkit import spectral_norm, spectral_radius
+from .matkit import _sym_part, spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
     _chain_lift,
     _moment_map,
-    _rescaled,
     _sym_skew_lifts,
 )
 from .sysmodel import (
@@ -55,6 +54,7 @@ from .sysmodel import (
     SequenceSwitching,
     SwitchingLaw,
     _marginals,
+    _normalized,
     _reject,
     as_probability_vector,
     check_law,
@@ -209,7 +209,7 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     else:
         return (f"dense fallback: no convergence in {_RESTARTS} Arnoldi "
                 f"cycles", None, None, used)
-    x = x + x.transpose(0, 2, 1)
+    x = _sym_part(x)
     if np.trace(x, axis1=1, axis2=2).sum() < 0.0:
         x = -x
     tx = apply(x)
@@ -297,7 +297,8 @@ def markov_test(
             "the spectral condition presumes a stationary distribution; "
             "treat the verdict with care",
         )
-    return _spectral_report(sys, p, np.eye(sys.m), margin, "markov", notes)
+    return _spectral_report(sys, _normalized(p), np.eye(sys.m), margin,
+                            "markov", notes)
 
 
 def general_test(
@@ -339,7 +340,8 @@ def general_test(
     for w in rows[:-1]:
         if definite:  # I has the range of y and no ill conditioning
             y = np.eye(sys.n)[None]
-        y = _rescaled(_moment_map(sys.modes, one, w[None])(y), 0)[0]
+        y = _moment_map(sys.modes, one, w[None])(y)
+        y /= np.max(np.abs(y)) or 1.0  # Y = 0 stays 0
         definite = _definite(y, np.max(np.abs(y)))
     verdict, notes = report.verdict, ()
     if not y.any():

@@ -23,7 +23,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .matkit import _psd_slack, as_square
+from .matkit import _psd_slack, _sym_part, as_square
 
 __all__ = [
     "JumpLinearSystem",
@@ -55,6 +55,15 @@ def _reject(violations) -> None:
     """Raise ``ValueError`` listing the violations, if there are any."""
     if violations:
         raise ValueError("; ".join(violations))
+
+
+def _freeze(obj, **fields) -> None:
+    """Store each array field of a frozen dataclass as a read-only float64
+    copy, so neither the caller nor the object can write the other's."""
+    for name, value in fields.items():
+        arr = np.array(value, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -148,9 +157,7 @@ class JumpLinearSystem:
                 raise ValueError(
                     f"mode {j + 1} has shape {a.shape}, expected ({n}, {n})"
                 )
-        stacked = np.stack(mats)
-        stacked.setflags(write=False)
-        object.__setattr__(self, "modes", stacked)
+        _freeze(self, modes=mats)
         if self.names is not None:
             names = tuple(str(s) for s in self.names)
             if len(names) != len(mats):
@@ -209,11 +216,7 @@ class GaussianMixture:
             )
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
             raise ValueError("mixture contains non-finite entries")
-        for arr in (w, means, covs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
+        _freeze(self, weights=w, means=means, covs=covs)
 
     @classmethod
     def from_components(cls, components: Iterable) -> "GaussianMixture":
@@ -261,7 +264,7 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
             f"component {i + 1} covariance is not symmetric: largest "
             f"asymmetry {asym[i]:.3e}"
         )
-    sym = (mix.covs + covs_t) / 2.0
+    sym = _sym_part(mix.covs)
     eigs = np.linalg.eigvalsh(sym)
     bad = np.where(eigs[:, 0] < -_psd_slack(sym))[0]
     for i in bad:
@@ -279,9 +282,7 @@ class IIDSwitching:
     pi: np.ndarray
 
     def __post_init__(self):
-        pi = _vector(self.pi, "pi")
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
+        _freeze(self, pi=_vector(self.pi, "pi"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +299,7 @@ class MarkovSwitching:
             raise ValueError(
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
             )
-        p.setflags(write=False)
-        pi0.setflags(write=False)
-        object.__setattr__(self, "P", p)
-        object.__setattr__(self, "pi0", pi0)
+        _freeze(self, P=p, pi0=pi0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +320,7 @@ class ScheduleSwitching:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("schedule contains non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        _freeze(self, vectors=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,9 +488,9 @@ def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
     if isinstance(law, IIDSwitching):
         out[:] = _normalized(law.pi)
     elif isinstance(law, MarkovSwitching):
-        pi = _normalized(law.pi0)
+        pi, p = _normalized(law.pi0), _normalized(law.P)
         for k in range(k_max):
-            pi = _normalized(pi @ law.P)
+            pi = _normalized(pi @ p)
             out[k] = pi
     elif isinstance(law, ScheduleSwitching):
         rows = _normalized(law.vectors)

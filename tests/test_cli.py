@@ -93,6 +93,14 @@ RANK_ONE = {
         {"weight": 1.0, "mean": [1.0, 0.0], "cov": [[1.0, 1.0], [1.0, 1.0]]}
     ],
 }
+#: A start whose covariance entry 1e308 overflows (S + S^T) / 2
+HUGE_COV = {
+    "n": 2,
+    "modes": {"half": [[0.5, 0.0], [0.0, 0.5]]},
+    "switching": {"type": "iid", "pi": [1.0]},
+    "initial": [{"weight": 1.0, "mean": [0.0, 0.0],
+                 "cov": [[1e308, 0.0], [0.0, 1.0]]}],
+}
 SINGLE_HALF = {
     "n": 1,
     "modes": {"half": [[0.5]]},
@@ -171,6 +179,11 @@ class TestValidate:
         }
         assert main(["validate", write(doc)]) == 0
         assert capsys.readouterr().out.strip() == "OK"
+
+    def test_covariance_near_the_float64_limit_ok(self, write, capsys):
+        start = dict(HUGE_COV["initial"][0], cov=[[1e308, 0.0], [0.0, 1e308]])
+        assert main(["validate", write(dict(HUGE_COV, initial=[start]))]) == 0
+        assert capsys.readouterr() == ("OK\n", "")
 
     def test_json_report(self, write, capsys):
         doc = dict(IID, switching={"type": "iid", "pi": [0.6, 0.6]})
@@ -447,6 +460,20 @@ class TestOverflow:
         assert captured.err.startswith("numerical failure: ")
         assert "overflows" in captured.err
         assert captured.out == ""
+
+    def test_covariance_near_the_float64_limit_is_finite(self, write,
+                                                          capsys):
+        rows = []
+        for method in ("moment", "gamma", "exact_mog"):
+            argv = ["trajectory", write(HUGE_COV), "--steps", "2",
+                    "--method", method]
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            rows.append([row[:3] for row in read_csv(out)[1]])
+        assert rows[0] == rows[1] == rows[2]
+        assert [float(row[1]) for row in rows[0]] == pytest.approx(
+            [1e308, 2.5e307, 6.25e306], rel=1e-15)
 
     @pytest.mark.parametrize(
         "doc, steps, k",
@@ -1047,7 +1074,8 @@ class TestSubprocess:
 
     def run(self, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "jumpstab", *argv],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "jumpstab",
+             *argv],
             capture_output=True, text=True,
         )
 

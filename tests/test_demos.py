@@ -1,4 +1,4 @@
-"""Every demo script must run to completion."""
+"""Every demo script must run to completion, without a RuntimeWarning."""
 
 import pathlib
 import subprocess
@@ -14,7 +14,9 @@ DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 )
 def test_demo_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()

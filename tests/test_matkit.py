@@ -18,7 +18,6 @@ from jumpstab.matkit import (
     spectral_radius,
     sqrtm_psd,
     symmetrize,
-    vec,
 )
 
 
@@ -44,29 +43,6 @@ class TestValidation:
     def test_as_square_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             as_square(np.ones((2, 3)))
-
-
-class TestVec:
-    def test_column_stacking_order(self):
-        assert_allclose(vec([[1.0, 2.0], [3.0, 4.0]]), [1.0, 3.0, 2.0, 4.0])
-
-    def test_vec_identity_dots_to_trace(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            phi = rng.standard_normal((2, 2))
-            phi = phi + phi.T
-            assert_allclose(vec(np.eye(2)) @ vec(phi), np.trace(phi), atol=1e-12)
-
-    def test_vec_of_triple_product(self):
-        # vec(A Φ Bᵀ) = (B ⊗ A) vec(Φ), oracle by dense expansion
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            a = rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2))
-            phi = rng.standard_normal((2, 2))
-            assert_allclose(
-                vec(a @ phi @ b.T), np.kron(b, a) @ vec(phi), atol=1e-10
-            )
 
 
 class TestSpectralRadius:

@@ -16,10 +16,8 @@ from jumpstab.matkit import NumericalError
 from jumpstab import sysmodel
 from jumpstab.mcsim import (
     SimConfig,
-    _kurtosis,
     _psd_factor,
-    _mean,
-    _std,
+    _step_moments,
     simulate_ensemble,
 )
 from jumpstab.propagate import w2_trajectory
@@ -495,6 +493,11 @@ class TestSimulateEnsemble:
         assert stats.k_max == 3
 
 
+def step_major(samples):
+    """The (T, steps) ``samples`` in the simulator's step-major layout."""
+    return np.ascontiguousarray(samples.T)
+
+
 class TestKurtosis:
     @pytest.mark.parametrize(
         "draw",
@@ -509,35 +512,42 @@ class TestKurtosis:
         scipy_stats = pytest.importorskip("scipy.stats")
         samples = draw(np.random.default_rng(59))
         oracle = scipy_stats.kurtosis(samples, axis=0, fisher=False, bias=True)
-        assert_allclose(_kurtosis(samples), oracle, rtol=1e-12)
+        assert_allclose(_step_moments(step_major(samples))[2], oracle,
+                        rtol=1e-12)
 
     def test_huge_samples_do_not_overflow(self):
         rng = np.random.default_rng(61)
-        samples = rng.standard_cauchy((5000, 2)) ** 2
+        samples = step_major(rng.standard_cauchy((5000, 2)) ** 2)
         assert_allclose(
-            _kurtosis(samples * 1e80), _kurtosis(samples), rtol=1e-12
+            _step_moments(samples * 1e80)[2], _step_moments(samples)[2],
+            rtol=1e-12,
         )
 
 
 class TestScaledMoments:
     def test_overflowing_sum_averaged_scaled(self):
-        samples = np.array([[1e308, 1.0], [1e308, 3.0], [1.5e308, 2.0]])
-        mean = _mean(samples)
+        samples = np.array([[1e308, 1e308, 1.5e308], [1.0, 3.0, 2.0]])
+        mean, stderr, _ = _step_moments(samples)
         assert_allclose(mean, [3.5 / 3 * 1e308, 2.0], rtol=1e-15)
-        assert_allclose(_std(samples, mean),
-                        [np.std(samples[:, 0] / 1e300, ddof=1) * 1e300, 1.0],
+        assert_allclose(stderr * np.sqrt(3),
+                        [np.std(samples[0] / 1e300, ddof=1) * 1e300, 1.0],
                         rtol=1e-14)
 
     def test_ordinary_columns_untouched(self):
-        samples = np.random.default_rng(67).lognormal(0.0, 2.0, (1000, 4))
-        assert_array_equal(_mean(samples), samples.mean(axis=0))
-        assert_array_equal(_std(samples, _mean(samples)),
-                           samples.std(axis=0, ddof=1))
+        samples = np.random.default_rng(67).lognormal(0.0, 2.0, (4, 1000))
+        mean, stderr, _ = _step_moments(samples)
+        assert_array_equal(mean, samples.mean(axis=1))
+        assert_array_equal(mean, samples.T.mean(axis=0))
+        assert_array_equal(stderr,
+                           samples.std(axis=1, ddof=1) / np.sqrt(1000))
+        assert_array_equal(stderr,
+                           samples.T.std(axis=0, ddof=1) / np.sqrt(1000))
 
     def test_equal_huge_samples_have_zero_spread(self):
-        samples = np.full((4, 1), 1e308)
-        assert_array_equal(_mean(samples), [1e308])
-        assert_array_equal(_std(samples, _mean(samples)), [0.0])
+        mean, stderr, kurtosis = _step_moments(np.full((1, 4), 1e308))
+        assert_array_equal(mean, [1e308])
+        assert_array_equal(stderr, [0.0])
+        assert np.isnan(kurtosis).all()
 
 
 @pytest.mark.parametrize("sampling", ["marginal", "path"])

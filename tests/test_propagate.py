@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from jumpstab.matkit import NumericalError, vec
+from jumpstab.matkit import NumericalError
 from jumpstab.propagate import (
     GammaState,
     _moment_map,
@@ -73,7 +73,7 @@ class TestLiftedStepMatrix:
         pi = np.array([0.2, 0.5, 0.3])
         phi = rng.standard_normal((3, 3))
         phi = phi @ phi.T
-        lifted = lifted_step_matrix(sys, pi) @ vec(phi)
+        lifted = lifted_step_matrix(sys, pi) @ phi.ravel(order="F")
         direct = sum(
             pi[j] * sys.modes[j] @ phi @ sys.modes[j].T for j in range(3)
         )
@@ -409,7 +409,7 @@ class TestMomentStep:
         phi = rng.standard_normal((3, 3))
         phi = phi @ phi.T
         out = one_state_map(sys, pi)(phi[None])[0]
-        lifted = lifted_step_matrix(sys, pi) @ vec(phi)
+        lifted = lifted_step_matrix(sys, pi) @ phi.ravel(order="F")
         oracle = lifted.reshape(3, 3, order="F")
         assert_allclose(out, oracle, atol=1e-12)
 
@@ -440,7 +440,8 @@ class TestGammaProduct:
             for k in range(1, 11):
                 phi = sum(p * a @ phi @ a.T for p, a in zip(law.pi, sys.modes))
                 gs = gamma_product(sys, law, k)
-                lhs = vec(np.eye(2)) @ gs.gamma @ vec(phi0)
+                lhs = (np.eye(2).ravel(order="F") @ gs.gamma
+                       @ phi0.ravel(order="F"))
                 assert lhs == pytest.approx(np.trace(phi), rel=1e-10)
 
     def test_sequence_product_is_kron_square(self):

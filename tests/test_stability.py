@@ -26,6 +26,7 @@ from jumpstab.sysmodel import (
     MarkovSwitching,
     ScheduleSwitching,
     SequenceSwitching,
+    _normalized,
     marginal_schedule,
 )
 from reference import lifted_step_matrix
@@ -187,6 +188,14 @@ class TestMarkovTest:
         # the case must tell the two placements apart
         assert abs(oracle - transposed) > 1e-3 * oracle
         assert markov_test(sys, p).evidence == pytest.approx(oracle, rel=1e-12)
+
+    def test_reads_the_normalized_chain(self):
+        # an entry and a row sum within the validation slack of a chain:
+        # read as given, the map has a negative weight
+        sys = scalar_system(1.2, 0.5)
+        p = np.array([[-1e-13, 1.0], [0.3 + 9e-10, 0.7]])
+        assert markov_test(sys, p).evidence == pytest.approx(
+            markov_test(sys, _normalized(p)).evidence, rel=1e-12, abs=0)
 
     def test_rejects_bad_transition_matrix(self):
         with pytest.raises(ValueError, match="row 1"):

@@ -17,6 +17,7 @@ from jumpstab.sysmodel import (
     MarkovSwitching,
     ScheduleSwitching,
     SequenceSwitching,
+    _normalized,
     as_probability_vector,
     check_probability_vector,
     law_mode_count,
@@ -71,6 +72,36 @@ class TestJumpLinearSystem:
         sys = two_mode_system()
         with pytest.raises(ValueError):
             sys.modes[0, 0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (lambda a: IIDSwitching(pi=a["pi"]), {"pi": "pi"}),
+        (lambda a: MarkovSwitching(P=a["P"], pi0=a["pi"]),
+         {"P": "P", "pi0": "pi"}),
+        (lambda a: ScheduleSwitching(vectors=a["P"]), {"vectors": "P"}),
+        (lambda a: GaussianMixture(weights=a["w"], means=a["means"],
+                                   covs=a["covs"]),
+         {"weights": "w", "means": "means", "covs": "covs"}),
+    ],
+    ids=["iid", "markov", "schedule", "mixture"],
+)
+def test_constructors_copy_the_callers_arrays(build, fields):
+    arrays = {
+        "pi": np.array([0.5, 0.5]),
+        "P": np.array([[0.9, 0.1], [0.2, 0.8]]),
+        "w": np.array([1.0]),
+        "means": np.zeros((1, 2)),
+        "covs": np.eye(2)[None].copy(),
+    }
+    kept = {name: arr.copy() for name, arr in arrays.items()}
+    obj = build(arrays)
+    for name in fields.values():
+        arrays[name][...] = 0.25  # the caller may still write its own
+    for attr, name in fields.items():
+        assert not getattr(obj, attr).flags.writeable
+        assert_array_equal(getattr(obj, attr), kept[name])
 
 
 class TestGaussianMixture:
@@ -277,6 +308,14 @@ class TestMarginalSchedule:
             pi = pi @ p
             assert_allclose(out[k], pi, atol=1e-12)
         assert_allclose(out[-1], [0.5, 0.5], atol=1e-7)
+
+    def test_markov_reads_the_normalized_chain(self):
+        # an entry and a row sum within the validation slack of a chain
+        p = np.array([[-1e-13, 1.0], [0.3 + 9e-10, 0.7]])
+        out = marginal_schedule(MarkovSwitching(P=p, pi0=[0.5, 0.5]), 20)
+        oracle = marginal_schedule(
+            MarkovSwitching(P=_normalized(p), pi0=[0.5, 0.5]), 20)
+        assert_allclose(out, oracle, rtol=1e-15, atol=0)
 
     def test_schedule_repeats_last(self):
         law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])

@@ -54,6 +54,11 @@ class TestGaussianToDirac:
             d = gaussian_to_dirac(mu, cov)
             assert d * d == pytest.approx(mu @ mu + np.trace(cov), rel=1e-13)
 
+    def test_covariance_entry_near_the_float64_limit(self):
+        # the symmetric part is halved before it is added
+        cov = np.diag([1e308, 1.0])
+        assert gaussian_to_dirac([0.0, 0.0], cov) == 1e154
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             gaussian_to_dirac([0.0, 0.0], np.diag([1.0, -1.0]))
