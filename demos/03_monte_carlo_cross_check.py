@@ -69,13 +69,12 @@ print("path sampling tracks the chain itself; the gap above is the")
 print("mode-correlation effect, not an estimation error.")
 
 # Determinism: the same seed reproduces the ensemble bit for bit, so
-# any run can be repeated exactly, threads or not.
+# any run can be repeated exactly.
 again = simulate_ensemble(
     system, law, init,
     SimConfig(trajectories=50_000, k_max=steps, seed=1, sampling="path"),
-    threads=4,
 )
 print(
-    "\nsame seed, 4 threads, identical output:",
+    "\nsame seed, identical output:",
     bool(np.all(again.mean_sq == path.mean_sq)),
 )

@@ -76,7 +76,7 @@ _ARGUMENTS = {
     ),
     "--threads": dict(
         type=int, default=1,
-        help="worker threads; the output does not depend on this "
+        help="has no effect: the ensemble runs on the calling thread "
              "(default %(default)d)",
     ),
     "--margin": dict(
@@ -248,9 +248,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         sampling=args.sampling,
     )
-    stats = simulate_ensemble(
-        sf.system, sf.switching, sf.initial, cfg, threads=args.threads
-    )
+    stats = simulate_ensemble(sf.system, sf.switching, sf.initial, cfg)
     _write_csv(args.out, ["k", "mean_sq", "stderr", "n_samples"], (
         [k, stats.mean_sq[k], stats.stderr[k], int(stats.samples[k])]
         for k in range(args.steps + 1)

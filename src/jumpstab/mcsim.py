@@ -13,22 +13,26 @@ fixed order: ``random(count)`` for the initial components,
 ``standard_normal((count, n))`` for the initial states, then one
 ``random(count)`` per step for the mode picks (drawn under every law,
 even deterministic ones, so streams stay aligned across sampling
-semantics). Blocks depend on ``_CHUNK`` only, never on the thread count;
-each block writes its own columns of the result array and the final
-reduction runs once over the full array, so the output is bit-identical
-for any thread count.
+semantics). Each generator, state and last mode pick lives for the whole
+run; steps run outermost and blocks innermost, but a block's draws
+depend only on its own generator, so the streams are those of running
+each block to the end in turn. The output depends on ``_CHUNK`` only and
+is bit-identical for any ``threads`` argument, which is ignored.
 
 Kernel
 ------
-Squared norms are stored step-major, one row of ``trajectories`` values
-per step: a step writes one contiguous row, and the mean, standard error
-and kurtosis reduce contiguous rows, summed pairwise by numpy. For
-n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a step multiplies the
-block's states by every transposed mode at once, an (m, count, n)
-product, and keeps each trajectory's row of its picked mode; past 8
-modes that m-fold product costs more than it saves, and at n = 1 a
-product is one multiplication, so the block is instead multiplied by a
-gathered (count, n, n) stack of the picked modes.
+One step advances every block, writing its squared norms into one
+contiguous row of ``trajectories`` values; the row is then reduced to
+the step's mean, standard error and kurtosis, summed pairwise by numpy,
+before the next step starts. Only the (trajectories, n) states, one row
+of squared norms and one row of mode picks are held, so memory does not
+grow with ``k_max`` beyond its few per-step outputs. For n >= 2 and at
+most ``_ALL_MODES_MAX`` = 8 modes, a step multiplies a block's states by
+every transposed mode at once, an (m, count, n) product, and keeps each
+trajectory's row of its picked mode; past 8 modes that m-fold product
+costs more than it saves, and at n = 1 a product is one multiplication,
+so the block is instead multiplied by a gathered (count, n, n) stack of
+the picked modes.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from the per-step occupation vector; this is the joint law
@@ -152,9 +156,9 @@ def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:
     return idx
 
 
-def _step_moments(normsq: np.ndarray):
-    """Mean, standard error and plain kurtosis of each row of the
-    step-major (steps, T) finite ``normsq``, reduced along the row.
+def _step_moments(row: np.ndarray):
+    """Mean, standard error and plain kurtosis of one step's finite
+    squared norms, a row of T values.
 
     A row whose plain sum overflows is averaged after scaling to
     magnitude <= 1. One array of deviations serves both spreads. The
@@ -165,30 +169,31 @@ def _step_moments(normsq: np.ndarray):
     it is nan where the spread is at rounding level, the samples
     numerically identical and their kurtosis cancellation noise.
     """
-    big_t = normsq.shape[1]
+    big_t = row.size
     with np.errstate(over="ignore"):
-        mean = normsq.mean(axis=1)
-    lost = ~np.isfinite(mean)
-    if np.any(lost):
-        top = np.max(np.abs(normsq[lost]), axis=1, keepdims=True)
-        mean[lost] = top[:, 0] * np.mean(normsq[lost] / top, axis=1)
+        mean = row.mean()
+    if not np.isfinite(mean):
+        top = np.max(np.abs(row))
+        mean = top * np.mean(row / top)
     if big_t < 2:
-        return mean, np.zeros_like(mean), np.full_like(mean, np.nan)
-    dev = normsq - mean[:, None]
-    with np.errstate(over="ignore"):  # row by row: no second full array
-        sumsq = np.array([np.sum(np.square(row)) for row in dev])
+        return mean, 0.0, np.nan
+    dev = row - mean
+    with np.errstate(over="ignore"):
+        sumsq = np.sum(np.square(dev))
     std = np.sqrt(sumsq / (big_t - 1))
-    top = np.maximum(dev.max(axis=1), -dev.min(axis=1))
-    top[top == 0.0] = 1.0
-    dev /= top[:, None]
-    m2 = np.sum(np.square(dev, out=dev), axis=1)
-    lost = ~np.isfinite(std)
-    std[lost] = top[lost] * np.sqrt(m2[lost] / (big_t - 1))
+    top = max(dev.max(), -dev.min())
+    if top == 0.0:
+        top = 1.0
+    dev /= top
+    m2 = np.sum(np.square(dev, out=dev))
+    if not np.isfinite(std):
+        std = top * np.sqrt(m2 / (big_t - 1))
     m2 /= big_t
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kurtosis = np.mean(np.square(dev, out=dev), axis=1) / m2**2
     stderr = std / np.sqrt(big_t)
-    kurtosis[stderr <= 1e-12 * np.maximum(np.abs(mean), _TINY)] = np.nan
+    if stderr <= 1e-12 * max(abs(mean), _TINY):
+        return mean, stderr, np.nan
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kurtosis = np.mean(np.square(dev, out=dev)) / (m2 * m2)
     return mean, stderr, kurtosis
 
 
@@ -207,10 +212,12 @@ def simulate_ensemble(
 ) -> EnsembleStats:
     """Estimate E||x(k)||^2 for k = 0 .. cfg.k_max over an ensemble.
 
-    Deterministic per seed: results are bit-identical across runs and
-    thread counts (see the module docstring for the stream layout).
-    ``threads`` only controls execution; it is not part of the
-    statistical configuration.
+    Deterministic per seed: results are bit-identical across runs (see
+    the module docstring for the stream layout). All blocks advance one
+    step together and each step's squared norms are reduced before the
+    next step starts, so memory is O(trajectories * n) whatever
+    ``k_max``. ``threads`` is accepted and ignored: the ensemble runs on
+    the calling thread.
 
     Raises
     ------
@@ -225,70 +232,70 @@ def simulate_ensemble(
             f"path sampling requires a Markov switching law, got "
             f"{type(law).__name__}"
         )
-    threads = max(int(threads), 1)
 
     big_t, k_max = cfg.trajectories, cfg.k_max
     n, m = sys.n, sys.m
-    # first, so an impossible size fails before any other allocation
-    normsq = np.empty((k_max + 1, big_t))
+    # first, so an impossible size fails before any generator is built
+    mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
+    samples = np.full(k_max + 1, big_t, dtype=np.int64)
+    x = np.empty((big_t, n))
+    normsq = np.empty(big_t)
+    modes = np.empty(big_t, dtype=np.intp)
+
     weights = init.weights / np.sum(init.weights)
     cum_init = np.cumsum(weights)[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
-
     schedule = _marginals(law, k_max, m)
     cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
     if cfg.sampling == "path":
         # cum_cols[j][i]: cut j of the chain row of mode i
         cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
 
-    def run_block(block: int) -> None:
+    offsets = np.arange(min(big_t, _CHUNK))
+    blocks = []
+    for block in range(-(-big_t // _CHUNK)):
         lo = block * _CHUNK
         hi = min(lo + _CHUNK, big_t)
-        count = hi - lo
-        rows = np.arange(count)
-        gen = _block_rng(cfg.seed, block)
-        idx0 = _pick(gen.random(count), cum_init)
-        z = gen.standard_normal((count, n))
-        # overflow is caught on the whole array once the blocks are done
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = init.means[idx0] + np.einsum("tab,tb->ta", factors[idx0], z)
-            normsq[0, lo:hi] = np.einsum("ti,ti->t", x, x)
-            for k in range(k_max):
+        blocks.append((_block_rng(cfg.seed, block), slice(lo, hi), hi - lo))
+
+    def reduce(k: int) -> None:
+        if not np.all(np.isfinite(normsq)):
+            raise NumericalError(
+                f"squared state norms overflow float64 at k={k}"
+            )
+        mean_sq[k], stderr[k], kurtosis[k] = _step_moments(normsq)
+
+    # overflow is caught on each step's complete row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gen, rows, count in blocks:
+            idx0 = _pick(gen.random(count), cum_init)
+            z = gen.standard_normal((count, n))
+            x[rows] = init.means[idx0] + np.einsum(
+                "tab,tb->ta", factors[idx0], z)
+            np.einsum("ti,ti->t", x[rows], x[rows], out=normsq[rows])
+        reduce(0)
+        for k in range(k_max):
+            for gen, rows, count in blocks:
                 if cfg.sampling == "path" and k > 0:
-                    cuts = [cut[modes] for cut in cum_cols]
+                    cuts = [cut[modes[rows]] for cut in cum_cols]
                 else:
                     cuts = cum_sched[k]
-                modes = _pick(gen.random(count), cuts)
+                picked = modes[rows] = _pick(gen.random(count), cuts)
                 if all_modes:
                     # take each row of the (m, count, n) product by its
-                    # flat index: a faster gather than [modes, rows]
-                    x = np.matmul(x, mode_t).reshape(-1, n).take(
-                        modes * count + rows, axis=0)
+                    # flat index: a faster gather than [picked, offsets]
+                    x[rows] = np.matmul(x[rows], mode_t).reshape(-1, n).take(
+                        picked * count + offsets[:count], axis=0)
                 else:
-                    x = np.matmul(x[:, None], mode_t[modes])[:, 0]
-                normsq[k + 1, lo:hi] = np.einsum("ti,ti->t", x, x)
+                    x[rows] = np.matmul(x[rows, None], mode_t[picked])[:, 0]
+                np.einsum("ti,ti->t", x[rows], x[rows], out=normsq[rows])
+            reduce(k + 1)
 
-    blocks = range(-(-big_t // _CHUNK))
-    if threads == 1 or len(blocks) == 1:
-        for block in blocks:
-            run_block(block)
-    else:
-        import concurrent.futures  # pulls in logging: only where used
-
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run_block, blocks))
-
-    finite = np.all(np.isfinite(normsq), axis=1)
-    if not np.all(finite):
-        raise NumericalError(
-            f"squared state norms overflow float64 at k={np.argmin(finite)}"
-        )
-    mean_sq, stderr, kurtosis = _step_moments(normsq)
     return EnsembleStats(
         mean_sq=mean_sq,
         stderr=stderr,
-        samples=np.full(k_max + 1, big_t, dtype=np.int64),
+        samples=samples,
         heavy_tail=kurtosis > KURTOSIS_THRESHOLD,
     )

@@ -59,7 +59,6 @@ from .sysmodel import (
     JumpLinearSystem,
     SwitchingLaw,
     _marginals,
-    _normalized,
     _reject,
     marginal_schedule,
     validate_system,
@@ -323,7 +322,8 @@ def _check_cap(cap: int) -> None:
 
 def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
     """Yield (weights, means, coords) after each step, as _mog_push
-    returns them; ``cap`` as in mog_propagate."""
+    returns them; ``schedule`` holds the rows of _marginals, already
+    normalized, and ``cap`` is as in mog_propagate."""
     # modes of zero probability are pruned every step, so only the
     # support sizes multiply the count
     support = np.count_nonzero(schedule, axis=1)
@@ -345,7 +345,7 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
     sym, _, exps = _scaled_lifts(sys)
     lifts = np.swapaxes(sym, 1, 2).copy()
     state = init.weights, init.means, _sym_coords(init.covs)
-    for k, pi in enumerate(_normalized(schedule), 1):
+    for k, pi in enumerate(schedule, 1):
         try:
             state = _mog_push(sys.modes, lifts, exps, pi, *state)
         except NumericalError as exc:
@@ -490,7 +490,7 @@ def w2_trajectory(
             # the one-state map of each schedule row, built per step so
             # that its error names the step
             phi, one = phi0[None], np.ones((1, sys.m))
-            for k, w in enumerate(_normalized(schedule)[:, None], 1):
+            for k, w in enumerate(schedule[:, None], 1):
                 phi = _moment_map(sys.modes, one, w,
                                   f"second moment diverged at k={k}")(phi)
                 records.append(_record(k, np.trace(phi[0])))

@@ -50,6 +50,9 @@ PROB_TOL = 1e-9
 #: Negative probabilities above this floor are treated as roundoff and clamped.
 CLAMP_TOL = 1e-12
 
+#: Half the largest float64: a halved asymmetry above it cannot be doubled.
+_HALF_MAX = np.finfo(float).max / 2
+
 
 def _reject(violations) -> None:
     """Raise ``ValueError`` listing the violations, if there are any."""
@@ -257,12 +260,16 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
     s = float(np.sum(mix.weights))
     if abs(s - 1.0) > PROB_TOL:
         out.append(f"mixture weights: probability sum {s:.12g} != 1")
-    covs_t = np.transpose(mix.covs, (0, 2, 1))
-    asym = np.max(np.abs(mix.covs - covs_t), axis=(1, 2))
-    for i in np.where(asym > _psd_slack(mix.covs))[0]:
+    # the difference of halved entries, half the asymmetry, stays finite
+    half = mix.covs * 0.5
+    half_asym = np.max(np.abs(half - np.transpose(half, (0, 2, 1))),
+                       axis=(1, 2))
+    for i in np.where(half_asym > _psd_slack(mix.covs) * 0.5)[0]:
+        size = (f"{2.0 * half_asym[i]:.3e}" if half_asym[i] <= _HALF_MAX
+                else f"above {2.0 * _HALF_MAX:.3e}")
         out.append(
             f"component {i + 1} covariance is not symmetric: largest "
-            f"asymmetry {asym[i]:.3e}"
+            f"asymmetry {size}"
         )
     sym = _sym_part(mix.covs)
     eigs = np.linalg.eigvalsh(sym)

@@ -286,6 +286,22 @@ class TestValidate:
             "asymmetry 1.800e+00\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_asymmetry_past_float_range_reported_finite(self, write, capsys):
+        # the unhalved difference 2e308 overflowed and printed inf
+        doc = {
+            "n": 2,
+            "modes": {"a": [[0.5, 0.5], [0.0, 0.5]]},
+            "switching": {"type": "iid", "pi": [1.0]},
+            "initial": [{"weight": 1.0, "mean": [0.0, 0.0],
+                         "cov": [[1e308, 1e308], [-1e308, 1e308]]}],
+        }
+        assert main(["validate", write(doc)]) == 1
+        assert capsys.readouterr().out == (
+            "violation: component 1 covariance is not symmetric: largest "
+            "asymmetry above 1.798e+308\n"
+        )
+
     def test_readme_system_file_is_ok(self, tmp_path, capsys):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
@@ -794,13 +810,22 @@ class TestSimulate:
         assert all(math.isfinite(float(r[2])) for r in rows)
         assert float(rows[37][2]) > 1e150
 
-    def test_impossible_size_exits_1(self, write, capsys):
-        # 72.8 TiB of samples: numpy refuses at once, nothing is allocated
-        argv = ["simulate", write(IID), "--steps", "100000000",
-                "--trajectories", "100000"]
+    def test_impossible_trajectories_exit_1(self, write, capsys):
+        # 72.8 TiB of (T, n) states: numpy refuses before any draw
+        argv = ["simulate", write(IID), "--steps", "1",
+                "--trajectories", "10000000000000"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Unable to allocate 72.8 TiB")
+        assert captured.out == ""
+
+    def test_impossible_steps_exit_1(self, write, capsys):
+        # 218 TiB of per-step outputs: numpy refuses before any draw
+        argv = ["simulate", write(IID), "--steps", "10000000000000",
+                "--trajectories", "10"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate 218. TiB")
         assert captured.out == ""
 
     def test_path_on_iid_rejected(self, write, capsys):
@@ -970,7 +995,7 @@ options:
   --seed SEED           stream seed (default 0)
   --sampling {marginal,path}
                         mode draw semantics (default marginal)
-  --threads THREADS     worker threads; the output does not depend on this
+  --threads THREADS     has no effect: the ensemble runs on the calling thread
                         (default 1)
   --out OUT             CSV output path (default: stdout)
 """,
@@ -1098,7 +1123,7 @@ class TestSubprocess:
         assert proc.stdout.strip() == "[]"
 
     def test_import_loads_no_thread_pool(self):
-        # concurrent.futures pulls in logging; only --threads > 1 needs it
+        # concurrent.futures pulls in logging; nothing in jumpstab uses it
         proc = subprocess.run(
             [
                 sys.executable, "-c",

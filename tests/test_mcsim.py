@@ -7,6 +7,8 @@ bit equality.
 
 import bisect
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +337,33 @@ class TestSimulateEnsemble:
         assert_array_equal(serial.stderr, threaded.stderr)
         assert_array_equal(serial.heavy_tail, threaded.heavy_tail)
 
+    def test_memory_does_not_grow_with_steps(self):
+        # each step's squared norms are reduced before the next step, so
+        # the peak holds the states and a few rows of T, not k_max rows
+        sys, law, mix = random_chain(2, 3, seed=89)
+        peaks = []
+        for k_max in (10, 400):
+            cfg = SimConfig(trajectories=2 * 4096 + 5, k_max=k_max, seed=97,
+                            sampling="path")
+            tracemalloc.start()
+            try:
+                simulate_ensemble(sys, law, mix, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = SimConfig(trajectories=2 * 4096 + 5, k_max=3, seed=101)
+        stats = simulate_ensemble(scalar_system(0.5, 0.9),
+                                  IIDSwitching([0.5, 0.5]),
+                                  point_mass([1.0]), cfg, threads=2)
+        assert stats.k_max == 3
+
     def test_marginal_agreement_random_instance(self):
         rng = np.random.default_rng(19)
         mats = []
@@ -498,6 +527,12 @@ def step_major(samples):
     return np.ascontiguousarray(samples.T)
 
 
+def step_moments(normsq):
+    """The (3, steps) mean, standard error and kurtosis of the step-major
+    ``normsq``, reduced one step at a time as the simulator does."""
+    return np.array([_step_moments(row) for row in normsq]).T
+
+
 class TestKurtosis:
     @pytest.mark.parametrize(
         "draw",
@@ -512,14 +547,14 @@ class TestKurtosis:
         scipy_stats = pytest.importorskip("scipy.stats")
         samples = draw(np.random.default_rng(59))
         oracle = scipy_stats.kurtosis(samples, axis=0, fisher=False, bias=True)
-        assert_allclose(_step_moments(step_major(samples))[2], oracle,
+        assert_allclose(step_moments(step_major(samples))[2], oracle,
                         rtol=1e-12)
 
     def test_huge_samples_do_not_overflow(self):
         rng = np.random.default_rng(61)
         samples = step_major(rng.standard_cauchy((5000, 2)) ** 2)
         assert_allclose(
-            _step_moments(samples * 1e80)[2], _step_moments(samples)[2],
+            step_moments(samples * 1e80)[2], step_moments(samples)[2],
             rtol=1e-12,
         )
 
@@ -527,7 +562,7 @@ class TestKurtosis:
 class TestScaledMoments:
     def test_overflowing_sum_averaged_scaled(self):
         samples = np.array([[1e308, 1e308, 1.5e308], [1.0, 3.0, 2.0]])
-        mean, stderr, _ = _step_moments(samples)
+        mean, stderr, _ = step_moments(samples)
         assert_allclose(mean, [3.5 / 3 * 1e308, 2.0], rtol=1e-15)
         assert_allclose(stderr * np.sqrt(3),
                         [np.std(samples[0] / 1e300, ddof=1) * 1e300, 1.0],
@@ -535,7 +570,7 @@ class TestScaledMoments:
 
     def test_ordinary_columns_untouched(self):
         samples = np.random.default_rng(67).lognormal(0.0, 2.0, (4, 1000))
-        mean, stderr, _ = _step_moments(samples)
+        mean, stderr, _ = step_moments(samples)
         assert_array_equal(mean, samples.mean(axis=1))
         assert_array_equal(mean, samples.T.mean(axis=0))
         assert_array_equal(stderr,
@@ -544,7 +579,7 @@ class TestScaledMoments:
                            samples.T.std(axis=0, ddof=1) / np.sqrt(1000))
 
     def test_equal_huge_samples_have_zero_spread(self):
-        mean, stderr, kurtosis = _step_moments(np.full((1, 4), 1e308))
+        mean, stderr, kurtosis = step_moments(np.full((1, 4), 1e308))
         assert_array_equal(mean, [1e308])
         assert_array_equal(stderr, [0.0])
         assert np.isnan(kurtosis).all()

@@ -504,6 +504,25 @@ class TestW2Trajectory:
         for r in recs:
             assert r.w2 == pytest.approx(2.005**r.k, rel=1e-12)
 
+    def test_routes_read_the_schedule_rows_as_given(self):
+        # the normalized row sums to 1 + 2^-52, so normalizing it again
+        # changes every entry's last bit; with modes 1, 0, 0 from x0 = 1,
+        # W^2(1) is the row's first entry itself
+        law = ScheduleSwitching([[0.82, 0.06, 0.12]])
+        row = sysmodel.marginal_schedule(law, 1, m=3)[0]
+        again = row / row.sum()
+        assert not np.array_equal(again, row)
+        assert not np.array_equal(again / again.sum(), again)
+        sys = JumpLinearSystem(modes=[[[1.0]], [[0.0]], [[0.0]]])
+        for method in ("moment", "gamma"):
+            recs = w2_trajectory(sys, law, point_mass([1.0]), 1,
+                                 method=method)
+            assert recs[1].w2 == row[0]
+        # the exact route weights its components by the row and
+        # renormalizes them once, as after every mixture step
+        mix = mog_propagate(sys, law, point_mass([1.0]), 1)
+        assert_array_equal(mix.weights, again)
+
     @pytest.mark.parametrize("law_kind", ["iid", "markov", "schedule"])
     def test_three_methods_agree(self, law_kind):
         rng = np.random.default_rng(137)
