@@ -45,7 +45,7 @@ The two coincide when consecutive modes are in fact independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,9 @@ from .sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     SwitchingLaw,
+    _ReadOnly,
+    _as_int,
+    _freeze,
     _marginals,
     _normalized,
     _reject,
@@ -80,8 +83,7 @@ _ALL_MODES_MAX = 8
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_ReadOnly):
     """Ensemble run parameters.
 
     ``seed`` is a 64-bit nonnegative integer; ``sampling`` is "marginal"
@@ -89,32 +91,24 @@ class SimConfig:
     (Markov chain transitions, Markov laws only).
     """
 
-    trajectories: int
-    k_max: int
-    seed: int = 0
-    sampling: str = "marginal"
-
-    def __post_init__(self):
-        t = int(self.trajectories)
+    def __init__(self, trajectories, k_max, seed=0, sampling="marginal"):
+        t = _as_int(trajectories, "trajectories")
         if t < 1:
             raise ValueError(f"trajectories must be >= 1, got {t}")
-        object.__setattr__(self, "trajectories", t)
-        k = int(self.k_max)
+        k = _as_int(k_max, "k_max")
         if k < 0:
             raise ValueError(f"k_max must be nonnegative, got {k}")
-        object.__setattr__(self, "k_max", k)
-        s = int(self.seed)
+        s = _as_int(seed, "seed")
         if not 0 <= s < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {s}")
-        object.__setattr__(self, "seed", s)
-        if self.sampling not in ("marginal", "path"):
+        if sampling not in ("marginal", "path"):
             raise ValueError(
-                f"sampling must be marginal or path, got {self.sampling!r}"
+                f"sampling must be marginal or path, got {sampling!r}"
             )
+        _freeze(self, trajectories=t, k_max=k, seed=s, sampling=sampling)
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Per-step ensemble statistics, index k = 0 .. k_max.
 
     ``mean_sq[k]`` is the empirical mean of ||x(k)||^2, ``stderr[k]`` its

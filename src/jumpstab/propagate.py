@@ -48,7 +48,7 @@ stability tests as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
     SwitchingLaw,
+    _as_int,
     _marginals,
     _reject,
     marginal_schedule,
@@ -88,8 +89,7 @@ _TINY = np.finfo(float).tiny
 _LIFT_LIMIT = 510
 
 
-@dataclass(frozen=True, eq=False)
-class GammaState:
+class GammaState(NamedTuple):
     """Reverse-ordered product Gamma(k) of lifted step matrices.
 
     Gamma(0) is the n^2 x n^2 identity. ``diverged`` marks a product
@@ -103,8 +103,7 @@ class GammaState:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """One time point of a W^2 trajectory.
 
     ``component_count`` is populated by exact-mixture runs only.
@@ -313,11 +312,13 @@ def _count(x: int) -> str:
     return str(x) if x < 10**30 else f"~10^{int(math.log10(x))}"
 
 
-def _check_cap(cap: int) -> None:
-    """Reject a component cap that no mixture, of one component or more,
-    can meet."""
+def _check_cap(cap) -> int:
+    """The component cap as an int; rejects one that no mixture, of one
+    component or more, can meet."""
+    cap = _as_int(cap, "cap")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    return cap
 
 
 def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
@@ -370,10 +371,10 @@ def mog_propagate(
     symmetric coordinates; only the final mixture is unpacked into
     exactly symmetric n x n covariances.
     """
-    k = int(k)
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    _check_cap(cap)
+    cap = _check_cap(cap)
     _reject(validate_system(sys, law, init).violations)
     if k == 0:
         return init
@@ -400,7 +401,7 @@ def gamma_product(
     and returns the last product under it with ``diverged=True`` (the
     ``k`` field then reports how many factors were applied).
     """
-    k = int(k)
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     gamma, done = np.eye(sys.n * sys.n), 0
@@ -463,7 +464,7 @@ def w2_trajectory(
         If W^2(k) or a value the route carries is not finite for some
         k <= k_max (unstable growth; the message names the failing step).
     """
-    k_max = int(k_max)
+    k_max = _as_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if method not in ("moment", "gamma", "exact_mog"):
@@ -472,7 +473,7 @@ def w2_trajectory(
             f"exact_mog"
         )
     if method == "exact_mog":
-        _check_cap(cap)
+        cap = _check_cap(cap)
     _reject(validate_system(sys, law, init).violations)
 
     mean, cov = synthetic_gaussian(init)

@@ -34,7 +34,7 @@ no claim is made beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
     SwitchingLaw,
+    _as_int,
     _marginals,
     _normalized,
     _reject,
@@ -90,8 +91,7 @@ _BREAKDOWN = 1e-14
 _CERT_SLACK = 16 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of one stability test.
 
     ``evidence`` is the number the verdict was read from: a spectral
@@ -311,14 +311,14 @@ def general_test(
     Mean-square stability is Gamma(k) -> 0. Past row K the one-state map
     T_K(X) = sum_j pi_j(K) A_j X A_j^T repeats forever, so the verdict,
     evidence and certificate are those of the spectral test on T_K under
-    ``margin`` (``jumpstab analyze --margin`` now applies to schedules).
-    The rows before it fold the transient Y = T_{K-1} ... T_1(I), of
-    which only the range is read, so the fold restarts from I wherever
-    it is positive definite: each T_k maps PSD matrices of one range to
-    PSD matrices of one range. Two exact exceptions: Y = 0 maps every
-    second moment to 0, so the verdict is stable; an unstable tail behind
-    a Y that is not positive definite (the transient may remove the
-    growing direction) is inconclusive. ``horizon_used`` is K.
+    ``margin``. The rows before it fold the transient
+    Y = T_{K-1} ... T_1(I), of which only the range is read, so the fold
+    restarts from I wherever it is positive definite: each T_k maps PSD
+    matrices of one range to PSD matrices of one range. Two exact
+    exceptions: Y = 0 maps every second moment to 0, so the verdict is
+    stable; an unstable tail behind a Y that is not positive definite
+    (the transient may remove the growing direction) is inconclusive.
+    ``horizon_used`` is K.
 
     Raises
     ------
@@ -353,8 +353,8 @@ def general_test(
         notes = ("the last row is unstable, but the rows before it map I to "
                  "a second moment that is not positive definite, which may "
                  "miss its growing direction",)
-    return replace(report, verdict=verdict, horizon_used=len(rows),
-                   notes=notes)
+    return report._replace(verdict=verdict, horizon_used=len(rows),
+                           notes=notes)
 
 
 def contraction_test(
@@ -378,7 +378,7 @@ def contraction_test(
             f"{type(seq).__name__}"
         )
     _reject(check_law(seq, sys.m))
-    k_max = int(k_max)
+    k_max = _as_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
@@ -440,7 +440,7 @@ def analyze(
         If margin is not a finite number in [0, 1) or horizon is below 1.
     """
     margin = _check_margin(margin)
-    horizon = int(horizon)
+    horizon = _as_int(horizon, "horizon")
     _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
     if isinstance(law, IIDSwitching):
         return iid_test(sys, law.pi, margin)

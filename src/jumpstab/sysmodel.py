@@ -1,5 +1,10 @@
 """Domain types for jump linear systems, switching laws, and Gaussian mixtures.
 
+The system, law and mixture types are plain read-only classes whose
+``__init__`` checks its arguments and stores them through ``_freeze``;
+results are ``NamedTuple`` records. Assigning or deleting a field of
+either raises ``AttributeError``.
+
 Construction enforces structural soundness only (shapes, finiteness,
 nonemptiness); value-level invariants such as probability sums, row
 stochasticity, PSD covariances, and cross-object dimensional consistency
@@ -18,8 +23,7 @@ matching the convention for ``A_1 .. A_m``; internal array indexing is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -60,13 +64,38 @@ def _reject(violations) -> None:
         raise ValueError("; ".join(violations))
 
 
-def _freeze(obj, **fields) -> None:
-    """Store each array field of a frozen dataclass as a read-only float64
-    copy, so neither the caller nor the object can write the other's."""
+class _ReadOnly:
+    """Base of the validated types: ``__init__`` checks its arguments and
+    stores them through :func:`_freeze`; nothing else writes a field."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def _freeze(obj: _ReadOnly, **fields) -> None:
+    """Store the fields of a read-only object, the one place that writes
+    them: an array as a read-only float64 copy, so neither the caller nor
+    the object can write the other's; any other value as given."""
     for name, value in fields.items():
-        arr = np.array(value, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        if isinstance(value, np.ndarray):
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int: ints, numpy integers and floats of integral
+    value pass; bools, strings and other values raise ``ValueError``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -131,8 +160,7 @@ def check_transition_matrix(p, name: str = "P") -> list[str]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class JumpLinearSystem:
+class JumpLinearSystem(_ReadOnly):
     """Finite collection of mode matrices A_1 .. A_m acting on R^n.
 
     Parameters
@@ -145,13 +173,8 @@ class JumpLinearSystem:
     The stacked array is stored as a read-only (m, n, n) float64 array.
     """
 
-    modes: np.ndarray
-    names: tuple = None
-
-    def __post_init__(self):
-        mats = [
-            as_square(a, f"mode {j + 1}") for j, a in enumerate(self.modes)
-        ]
+    def __init__(self, modes, names=None):
+        mats = [as_square(a, f"mode {j + 1}") for j, a in enumerate(modes)]
         if not mats:
             raise ValueError("system needs at least one mode")
         n = mats[0].shape[0]
@@ -160,14 +183,15 @@ class JumpLinearSystem:
                 raise ValueError(
                     f"mode {j + 1} has shape {a.shape}, expected ({n}, {n})"
                 )
-        _freeze(self, modes=mats)
-        if self.names is not None:
-            names = tuple(str(s) for s in self.names)
+        if isinstance(names, str):
+            raise ValueError(f"names must be a sequence of str, got {names!r}")
+        if names is not None:
+            names = tuple(str(s) for s in names)
             if len(names) != len(mats):
                 raise ValueError(
                     f"{len(names)} names for {len(mats)} modes"
                 )
-            object.__setattr__(self, "names", names)
+        _freeze(self, modes=np.array(mats), names=names)
 
     @property
     def m(self) -> int:
@@ -180,8 +204,7 @@ class JumpLinearSystem:
         return self.modes.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianMixture:
+class GaussianMixture(_ReadOnly):
     """Gaussian mixture stored as stacked arrays.
 
     Parameters
@@ -195,14 +218,10 @@ class GaussianMixture:
     per-component values.
     """
 
-    weights: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
-
-    def __post_init__(self):
-        w = _vector(self.weights, "mixture weights")
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covs, dtype=float)
+    def __init__(self, weights, means, covs):
+        w = _vector(weights, "mixture weights")
+        means = np.asarray(means, dtype=float)
+        covs = np.asarray(covs, dtype=float)
         if means.ndim != 2:
             raise ValueError(f"means must be (q, n), got ndim={means.ndim}")
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
@@ -282,26 +301,19 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class IIDSwitching:
+class IIDSwitching(_ReadOnly):
     """Modes drawn independently at every step from a fixed vector pi."""
 
-    pi: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, pi=_vector(self.pi, "pi"))
+    def __init__(self, pi):
+        _freeze(self, pi=_vector(pi, "pi"))
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovSwitching:
+class MarkovSwitching(_ReadOnly):
     """Time-homogeneous Markov chain: transition matrix P, initial pi0."""
 
-    P: np.ndarray
-    pi0: np.ndarray
-
-    def __post_init__(self):
-        p = as_square(self.P, "P")
-        pi0 = _vector(self.pi0, "pi0")
+    def __init__(self, P, pi0):
+        p = as_square(P, "P")
+        pi0 = _vector(pi0, "pi0")
         if pi0.size != p.shape[0]:
             raise ValueError(
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
@@ -309,17 +321,14 @@ class MarkovSwitching:
         _freeze(self, P=p, pi0=pi0)
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduleSwitching:
+class ScheduleSwitching(_ReadOnly):
     """Explicit per-step occupation vectors pi(1), pi(2), ...
 
     Beyond the stored horizon the last vector repeats.
     """
 
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+    def __init__(self, vectors):
+        v = np.asarray(vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError(
                 f"schedule must be a nonempty list of vectors, got shape "
@@ -330,28 +339,22 @@ class ScheduleSwitching:
         _freeze(self, vectors=v)
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceSwitching:
+class SequenceSwitching(_ReadOnly):
     """Deterministic mode sequence i_1, i_2, ... with 1-based indices.
 
     Beyond the stored length the sequence repeats cyclically, treating the
     stored indices as one period.
     """
 
-    indices: tuple
-
-    def __post_init__(self):
+    def __init__(self, indices):
         try:
-            idx = tuple(int(i) for i in self.indices)
+            idx = tuple(_as_int(i, f"index {j}")
+                        for j, i in enumerate(indices, 1))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sequence indices must be integers: {exc}")
         if not idx:
             raise ValueError("sequence must be nonempty")
-        # compare ints as ints: float() of a huge integer overflows
-        if any(i != orig and i != float(orig)
-               for i, orig in zip(idx, self.indices)):
-            raise ValueError("sequence indices must be integers")
-        object.__setattr__(self, "indices", idx)
+        _freeze(self, indices=idx)
 
 
 SwitchingLaw = Union[
@@ -408,8 +411,7 @@ def check_law(law: SwitchingLaw, m: int) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Every violated invariant found by validate_system (empty = valid)."""
 
     violations: tuple
@@ -470,20 +472,17 @@ def marginal_schedule(
         If the law is invalid, k_max is negative, or m is missing or
         inconsistent.
     """
-    k_max = int(k_max)
+    k_max = _as_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     m_law = law_mode_count(law)
-    if m_law is None:
-        if m is None:
-            raise ValueError(
-                "m is required for Sequence laws: the index list does not "
-                "determine the mode count"
-            )
-        m = int(m)
-    elif m is None:
-        m = m_law
-    elif int(m) != m_law:
+    if m is None and m_law is None:
+        raise ValueError(
+            "m is required for Sequence laws: the index list does not "
+            "determine the mode count"
+        )
+    m = m_law if m is None else _as_int(m, "m")
+    if m_law is not None and m != m_law:
         raise ValueError(f"m={m} inconsistent with law mode count {m_law}")
     _reject(check_law(law, m))
     return _marginals(law, k_max, m)
@@ -509,8 +508,7 @@ def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StationaryResult:
+class StationaryResult(NamedTuple):
     """Outcome of a stationary-distribution search.
 
     status is "unique" (single eigenvalue-1 direction, residual below

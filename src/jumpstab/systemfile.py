@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +166,7 @@ def _parse_switching(obj) -> SwitchingLaw:
     )
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(NamedTuple):
     """Parsed system description: dynamics, switching law, initial mixture.
 
     Attributes

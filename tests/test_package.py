@@ -135,3 +135,17 @@ def test_stability_builds_no_product_or_lift():
     tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
     found = sorted(set(names(tree)) & LIFT_BUILDERS)
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    """Each type is a plain read-only class or a NamedTuple, which build
+    at import for a fraction of a frozen dataclass's cost."""
+    found = [
+        stem for stem in MODULES
+        for node in ast.walk(
+            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import)
+        and any(alias.name == "dataclasses" for alias in node.names)
+    ]
+    assert found == []

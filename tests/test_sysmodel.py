@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.mcsim import SimConfig, simulate_ensemble
-from jumpstab.propagate import w2_trajectory
+from jumpstab.propagate import gamma_product, mog_propagate, w2_trajectory
+from jumpstab.stability import analyze, contraction_test
 from jumpstab.sysmodel import (
     GaussianMixture,
     IIDSwitching,
@@ -67,6 +68,10 @@ class TestJumpLinearSystem:
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError, match="names"):
             JumpLinearSystem(modes=[np.eye(2)], names=("a", "b"))
+
+    def test_rejects_a_string_of_names(self):
+        with pytest.raises(ValueError, match="names must be a sequence"):
+            JumpLinearSystem(modes=[np.eye(2), np.eye(2)], names="ab")
 
     def test_modes_read_only(self):
         sys = two_mode_system()
@@ -443,3 +448,52 @@ class TestSequenceSwitching:
     def test_accepts_integral_floats(self):
         law = SequenceSwitching((1.0, 2.0))
         assert law.indices == (1, 2)
+
+
+SCALAR = JumpLinearSystem(modes=[[[2.0]], [[0.25]]])
+HALVES = IIDSwitching([0.5, 0.5])
+GROW_DROP = SequenceSwitching((1, 2))
+
+#: every integer argument, as a call of its value alone that returns
+#: plain values
+INTEGER_ARGUMENTS = {
+    "marginal_schedule.k_max":
+        lambda v: marginal_schedule(HALVES, v).tolist(),
+    "marginal_schedule.m":
+        lambda v: marginal_schedule(GROW_DROP, 3, m=v).tolist(),
+    "w2_trajectory.k_max":
+        lambda v: [(rec.k, rec.w2) for rec in
+                   w2_trajectory(SCALAR, HALVES, unit_mixture(1), v)],
+    "w2_trajectory.cap":
+        lambda v: [rec.component_count for rec in w2_trajectory(
+            SCALAR, HALVES, unit_mixture(1), 1, "exact_mog", cap=v)],
+    "mog_propagate.k":
+        lambda v: mog_propagate(SCALAR, HALVES, unit_mixture(1), v)
+        .covs.tolist(),
+    "gamma_product.k":
+        lambda v: gamma_product(SCALAR, HALVES, v).gamma.tolist(),
+    "contraction_test.k_max":
+        lambda v: contraction_test(SCALAR, GROW_DROP, v).horizon_used,
+    "analyze.horizon":
+        lambda v: analyze(SCALAR, GROW_DROP, horizon=v).horizon_used,
+    "SimConfig.trajectories": lambda v: SimConfig(v, 1).trajectories,
+    "SimConfig.k_max": lambda v: SimConfig(1, v).k_max,
+    "SimConfig.seed": lambda v: SimConfig(1, 1, seed=v).seed,
+    "SequenceSwitching.indices": lambda v: SequenceSwitching((1, v)).indices,
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(),
+                         ids=INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("value", [2.5, "2", True],
+                         ids=["fraction", "string", "bool"])
+def test_integer_arguments_reject_other_values(call, value):
+    """No integer argument is truncated or parsed from a string."""
+    with pytest.raises(ValueError, match="integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(),
+                         ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_accept_integral_values(call):
+    assert call(2.0) == call(np.int64(2)) == call(2)
