@@ -25,14 +25,14 @@ One step advances every block, writing its squared norms into one
 contiguous row of ``trajectories`` values; the row is then reduced to
 the step's mean, standard error and kurtosis, summed pairwise by numpy,
 before the next step starts. Only the (trajectories, n) states, one row
-of squared norms and one row of mode picks are held, so memory does not
-grow with ``k_max`` beyond its few per-step outputs. For n >= 2 and at
-most ``_ALL_MODES_MAX`` = 8 modes, a step multiplies a block's states by
-every transposed mode at once, an (m, count, n) product, and keeps each
-trajectory's row of its picked mode; past 8 modes that m-fold product
-costs more than it saves, and at n = 1 a product is one multiplication,
-so the block is instead multiplied by a gathered (count, n, n) stack of
-the picked modes.
+of squared norms, one row of mode picks and the step's marginal row are
+held, so memory does not grow with ``k_max`` beyond its few per-step
+outputs. For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a step
+multiplies a block's states by every transposed mode at once, an
+(m, count, n) product, and keeps each trajectory's row of its picked
+mode; past 8 modes that m-fold product costs more than it saves, and at
+n = 1 a product is one multiplication, so the block is instead
+multiplied by a gathered (count, n, n) stack of the picked modes.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from the per-step occupation vector; this is the joint law
@@ -58,7 +58,7 @@ from .sysmodel import (
     _ReadOnly,
     _as_int,
     _freeze,
-    _marginals,
+    _marginal_rows,
     _normalized,
     _reject,
     validate_system,
@@ -241,8 +241,6 @@ def simulate_ensemble(
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
-    schedule = _marginals(law, k_max, m)
-    cum_sched = np.cumsum(schedule, axis=1)[:, :-1]
     if cfg.sampling == "path":
         # cum_cols[j][i]: cut j of the chain row of mode i
         cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
@@ -270,12 +268,14 @@ def simulate_ensemble(
                 "tab,tb->ta", factors[idx0], z)
             np.einsum("ti,ti->t", x[rows], x[rows], out=normsq[rows])
         reduce(0)
-        for k in range(k_max):
+        for k, row in enumerate(_marginal_rows(law, k_max, m)):
+            # cuts from this step's row alone: no (k_max, m) table is held
+            step_cuts = np.cumsum(row)[:-1]
             for gen, rows, count in blocks:
                 if cfg.sampling == "path" and k > 0:
                     cuts = [cut[modes[rows]] for cut in cum_cols]
                 else:
-                    cuts = cum_sched[k]
+                    cuts = step_cuts
                 picked = modes[rows] = _pick(gen.random(count), cuts)
                 if all_modes:
                     # take each row of the (m, count, n) product by its

@@ -12,7 +12,12 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     basis, which the symmetric block of A_j kron A_j maps exactly: one
     matrix product per mode and step pushes them all, a component costs
     n(n+1)/2 + n + 1 floats, and W^2 reads tr Sigma_i as the sum of its
-    first n coordinates.
+    first n coordinates, the diagonal. W^2(k) needs only the weights,
+    the means and those diagonals, so the route's last step pushes
+    through the first n columns of each lift: the last mixture, the
+    largest, is never formed, and the route's peak memory is that of
+    the mixture one step before it. ``mog_propagate`` takes the same
+    steps and returns the full last mixture.
 
 ``moment``
     Propagates only the n x n second moment,
@@ -321,10 +326,15 @@ def _check_cap(cap) -> int:
     return cap
 
 
-def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
+def _mog_fold(sys: JumpLinearSystem, schedule, init, cap,
+              last_diagonal=False):
     """Yield (weights, means, coords) after each step, as _mog_push
     returns them; ``schedule`` holds the rows of _marginals, already
-    normalized, and ``cap`` is as in mog_propagate."""
+    normalized, and ``cap`` is as in mog_propagate. With
+    ``last_diagonal`` the last step pushes through the first n columns of
+    each lift only, so its coords are the n covariance diagonals that
+    W^2 reads and the last mixture's other coordinates are never formed.
+    """
     # modes of zero probability are pruned every step, so only the
     # support sizes multiply the count
     support = np.count_nonzero(schedule, axis=1)
@@ -347,6 +357,8 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap):
     lifts = np.swapaxes(sym, 1, 2).copy()
     state = init.weights, init.means, _sym_coords(init.covs)
     for k, pi in enumerate(schedule, 1):
+        if last_diagonal and k == len(schedule):
+            lifts = lifts[:, :, :sys.n].copy()
         try:
             state = _mog_push(sys.modes, lifts, exps, pi, *state)
         except NumericalError as exc:
@@ -453,7 +465,9 @@ def w2_trajectory(
     exact-mixture method reads ``w2`` as the weighted sum of component
     distances and records component counts; the mixtures it derives from
     the checked input are not checked again, and are never formed as
-    n x n covariances.
+    n x n covariances. Its last step forms only the weights, the means
+    and the covariance diagonals: W^2(k_max) and the count are those of
+    ``mog_propagate(k_max)``'s mixture, without forming it.
 
     Raises
     ------
@@ -511,9 +525,10 @@ def w2_trajectory(
                 # svec(I) . row: the first n coordinates are the diagonal
                 records.append(_record(k, row[0, :sys.n].sum()))
         else:
-            states = _mog_fold(sys, schedule, init, cap)
+            states = _mog_fold(sys, schedule, init, cap, last_diagonal=True)
             for step, (weights, means, coords) in enumerate(states, 1):
-                # the first n coordinates are the diagonal (_basis_pairs)
+                # the first n coordinates are the diagonal (_basis_pairs),
+                # and the last step's coords hold only those
                 w2 = _dirac_sq(weights, means, coords[:, :sys.n])
                 records.append(_record(step, w2, len(weights)))
     return records

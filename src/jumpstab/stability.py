@@ -123,7 +123,12 @@ def _spectral_verdict(evidence: float, margin: float) -> str:
 
 
 def _check_margin(margin) -> float:
-    """The margin as a float in [0, 1); the certificates assume that range."""
+    """The margin as a float in [0, 1); the certificates assume that range.
+    Ints, floats and numpy reals pass; bools, strings and other values
+    raise ``ValueError``, as sysmodel._as_int does for integers."""
+    if isinstance(margin, bool) or not isinstance(
+            margin, (int, float, np.integer, np.floating)):
+        raise ValueError(f"margin must be a real number, got {margin!r}")
     value = float(margin)
     _reject(
         [] if 0.0 <= value < 1.0

@@ -186,7 +186,12 @@ class JumpLinearSystem(_ReadOnly):
         if isinstance(names, str):
             raise ValueError(f"names must be a sequence of str, got {names!r}")
         if names is not None:
-            names = tuple(str(s) for s in names)
+            names = tuple(names)
+            for j, name in enumerate(names):
+                if not isinstance(name, str):
+                    raise ValueError(
+                        f"name {j + 1} must be a string, got {name!r}"
+                    )
             if len(names) != len(mats):
                 raise ValueError(
                     f"{len(names)} names for {len(mats)} modes"
@@ -488,23 +493,37 @@ def marginal_schedule(
     return _marginals(law, k_max, m)
 
 
-def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
-    """The body of marginal_schedule for a law already checked against m."""
-    out = np.zeros((k_max, m))
+def _marginal_rows(law: SwitchingLaw, k_max: int, m: int):
+    """Yield pi(1) .. pi(k_max), each a normalized (m,) row, for a law
+    already checked against m; a row may be yielded again as is, so it
+    is not to be written."""
     if isinstance(law, IIDSwitching):
-        out[:] = _normalized(law.pi)
+        row = _normalized(law.pi)
+        for _ in range(k_max):
+            yield row
     elif isinstance(law, MarkovSwitching):
         pi, p = _normalized(law.pi0), _normalized(law.P)
-        for k in range(k_max):
+        for _ in range(k_max):
             pi = _normalized(pi @ p)
-            out[k] = pi
+            yield pi
     elif isinstance(law, ScheduleSwitching):
         rows = _normalized(law.vectors)
-        out[:] = rows[np.minimum(np.arange(k_max), len(rows) - 1)]
+        for k in range(k_max):
+            yield rows[min(k, len(rows) - 1)]
     elif isinstance(law, SequenceSwitching):
         period = len(law.indices)
         for k in range(k_max):
-            out[k, law.indices[k % period] - 1] = 1.0
+            row = np.zeros(m)
+            row[law.indices[k % period] - 1] = 1.0
+            yield row
+
+
+def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
+    """The body of marginal_schedule for a law already checked against m:
+    the rows of _marginal_rows as one (k_max, m) array."""
+    out = np.zeros((k_max, m))
+    for k, row in enumerate(_marginal_rows(law, k_max, m)):
+        out[k] = row
     return out
 
 

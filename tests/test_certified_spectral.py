@@ -253,6 +253,20 @@ class TestMargin:
                                              r"in \[0, 1\)"):
             analyze(self.SYS, law, margin=margin)
 
+    @pytest.mark.parametrize("margin", ["0.1", False, True, np.bool_(False),
+                                        None, [0.1], 0.1j],
+                             ids=["str", "False", "True", "np-bool", "None",
+                                  "list", "complex"])
+    def test_non_numbers_rejected(self, margin):
+        with pytest.raises(ValueError) as exc:
+            analyze(self.SYS, IIDSwitching([0.5, 0.5]), margin=margin)
+        assert str(exc.value) == f"margin must be a real number, got {margin!r}"
+
+    @pytest.mark.parametrize("margin", [0, 0.25, np.float32(0.25), np.int64(0)])
+    def test_real_numbers_accepted(self, margin):
+        report = analyze(self.SYS, IIDSwitching([0.5, 0.5]), margin=margin)
+        assert report.verdict == "stable"
+
     @pytest.mark.parametrize("margin", [-1.0, np.nan, 1.0])
     def test_spectral_tests_reject_too(self, margin):
         with pytest.raises(ValueError, match="margin"):

@@ -353,6 +353,25 @@ class TestSimulateEnsemble:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20
 
+    def test_schedule_read_one_row_per_step(self):
+        # each step forms its mode cuts from its own marginal row, so the
+        # peak grows with k_max by the 33 bytes of outputs per step (three
+        # floats, one int64 count, one flag) and no (k_max, m) table; one
+        # law, as tracing makes the 20,000 steps take seconds
+        sys, mix = scalar_system(0.5, 0.3), point_mass([1.0])
+        law = MarkovSwitching(P=[[0.9, 0.1], [0.2, 0.8]], pi0=[0.5, 0.5])
+        simulate_ensemble(sys, law, mix, SimConfig(1, 10))  # warm-up
+        peaks = {}
+        for k_max in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                simulate_ensemble(sys, law, mix, SimConfig(1, k_max))
+                peaks[k_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        outputs = 33 * (20_000 - 2_000)
+        assert peaks[20_000] - peaks[2_000] - outputs < 128 * 1024
+
     def test_starts_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"{thread.name} started")

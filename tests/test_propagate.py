@@ -373,6 +373,70 @@ class TestExactRouteReference:
         assert records[-1].component_count == 8192
         assert peak < 1.5 * final_cov_bytes
 
+    def test_last_mixture_is_never_formed(self):
+        """The last step pushes only the n diagonal coordinates that W^2
+        reads: the route's peak stays below the bytes of the last level's
+        n(n+1)/2 symmetric coordinates, which it never forms."""
+        rng = np.random.default_rng(181)
+        n, m, q0, steps = 12, 4, 2, 6
+        sys = random_system(rng, m=m, n=n)
+        mix = random_mixture(rng, n=n, q=q0)
+        law = IIDSwitching(np.full(m, 1 / m))
+        last_sym_bytes = q0 * m**steps * n * (n + 1) // 2 * 8
+        tracemalloc.start()
+        try:
+            records = w2_trajectory(sys, law, mix, steps, method="exact_mog")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records[-1].component_count == q0 * m**steps
+        assert peak < last_sym_bytes
+
+    @pytest.mark.parametrize("last_row, count", [
+        ([0.2, 0.3, 0.5], 54),
+        ([0.0, 0.4, 0.6], 36),
+        ([1e-200, 0.5, 0.5 - 1e-200], 45),
+    ], ids=["full-support", "zero-probability-mode", "weights-underflow"])
+    def test_last_step_matches_the_full_mixture(self, last_row, count):
+        """W^2(K) and the count at K, from the narrowed last step, equal
+        those of mog_propagate's full mixture at K. In the last case the
+        weights of the start's 1e-200 component times 1e-200 underflow
+        to 0, so those 9 pairs are dropped."""
+        rng = np.random.default_rng(191)
+        sys = random_system(rng, m=3, n=3, scale=1.1)
+        mix = random_mixture(rng, n=3, q=2)
+        mix = GaussianMixture(weights=[1e-200, 1.0], means=mix.means,
+                              covs=mix.covs)
+        law = ScheduleSwitching([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], last_row])
+        for k in (1, 3):
+            records = w2_trajectory(sys, law, mix, k, method="exact_mog")
+            out = mog_propagate(sys, law, mix, k)
+            assert records[-1].component_count == out.q
+            assert records[-1].w2 == pytest.approx(mixture_to_dirac_sq(out),
+                                                   rel=1e-14, abs=0)
+        assert out.q == count
+
+    @pytest.mark.parametrize("top, mean, cov, steps", [
+        (1e160, 1e150, 0.0, 1),
+        (1e40, 0.0, 1e150, 2),
+    ], ids=["mean", "diagonal"])
+    def test_last_step_overflow_names_its_step(self, top, mean, cov, steps):
+        """A mean or a diagonal coordinate past float64 at the last step
+        raises NumericalError naming that step, on the route as in
+        mog_propagate; every earlier W^2 is finite."""
+        sys = JumpLinearSystem(modes=[np.diag([top, 0.5])])
+        mix = GaussianMixture(weights=[1.0], means=[[mean, 1.0]],
+                              covs=[np.diag([cov, 1.0])])
+        law = IIDSwitching([1.0])
+        assert np.isfinite(w2_trajectory(sys, law, mix, steps - 1,
+                                         method="exact_mog")[-1].w2)
+        message = (r"^mixture diverged: an entry is not finite "
+                   rf"at k={steps}$")
+        with pytest.raises(NumericalError, match=message):
+            w2_trajectory(sys, law, mix, steps, method="exact_mog")
+        with pytest.raises(NumericalError, match=message):
+            mog_propagate(sys, law, mix, steps)
+
     def test_cap_below_one_rejected(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])
         law, mix = IIDSwitching([1.0]), point_mass([1.0])

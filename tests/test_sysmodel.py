@@ -73,6 +73,16 @@ class TestJumpLinearSystem:
         with pytest.raises(ValueError, match="names must be a sequence"):
             JumpLinearSystem(modes=[np.eye(2), np.eye(2)], names="ab")
 
+    @pytest.mark.parametrize("names, bad", [
+        ([None, "b"], "name 1 must be a string, got None"),
+        (["a", 3], "name 2 must be a string, got 3"),
+        ((b"a", "b"), "name 1 must be a string, got b'a'"),
+    ], ids=["None", "int", "bytes"])
+    def test_rejects_names_that_are_not_strings(self, names, bad):
+        with pytest.raises(ValueError) as exc:
+            JumpLinearSystem(modes=[np.eye(2), np.eye(2)], names=names)
+        assert str(exc.value) == bad
+
     def test_modes_read_only(self):
         sys = two_mode_system()
         with pytest.raises(ValueError):
