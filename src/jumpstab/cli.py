@@ -280,6 +280,13 @@ def _se_deviations(records, stats):
 
 
 def cmd_compare(args) -> int:
+    # one sample has no spread: every step's standard error would read 0,
+    # and a random step would pass for a deterministic one
+    if args.trajectories < 2:
+        raise ValueError(
+            f"compare needs --trajectories >= 2 for a standard error, "
+            f"got {args.trajectories}"
+        )
     from .mcsim import SimConfig, simulate_ensemble
     from .propagate import w2_trajectory
 

@@ -6,33 +6,35 @@ squared Wasserstein distance to the origin mass.
 
 Reproducibility contract
 ------------------------
-Trajectories are cut into fixed blocks of ``_CHUNK`` = 4096 (the last
-block may be shorter). Block ``b`` draws from its own generator,
-``PCG64(SeedSequence(entropy=seed, spawn_key=(b,)))``, in bulk and in a
-fixed order: ``random(count)`` for the initial components,
-``standard_normal((count, n))`` for the initial states, then one
-``random(count)`` per step for the mode picks (drawn under every law,
-even deterministic ones, so streams stay aligned across sampling
-semantics). Each generator, state and last mode pick lives for the whole
-run; steps run outermost and blocks innermost, but a block's draws
-depend only on its own generator, so the streams are those of running
-each block to the end in turn. The output depends on ``_CHUNK`` only and
-is bit-identical for any ``threads`` argument, which is ignored.
+Every draw is a pure function of (seed, slot d, trajectory t), from
+SplitMix64 (Steele, Lea & Flood 2014) in uint64 arithmetic mod 2^64.
+With ``mix`` its output function and G = 0x9E3779B97F4A7C15, output d
+from state ``seed`` is ``key(d) = mix(seed + G*(d+1))``, output t from
+state ``key(d)`` is ``word(d, t) = mix(key(d) + G*(t+1))``, and the draw
+is ``u(d, t) = (word(d, t) >> 11) * 2^-53`` in [0, 1), as numpy maps
+``random()``. Slot 0 picks trajectory t's initial component. Slots 1 ..
+2*ceil(n/2) give its standard normals by Box-Muller: coordinates 2p and
+2p+1 are ``r cos(theta)`` and ``r sin(theta)``, with ``r = sqrt(-2
+log1p(-u(1+2p, t)))`` and ``theta = 2 pi u(2+2p, t)``; an odd n drops the
+last sine. Slot 1 + 2*ceil(n/2) + k picks the mode of step k+1, under
+every law and semantics. So a trajectory's draws depend on neither the
+ensemble size, nor the chunking, nor ``k_max``; ``threads`` is ignored.
 
 Kernel
 ------
-One step advances every block, writing its squared norms into one
-contiguous row of ``trajectories`` values; the row is then reduced to
-the step's mean, standard error and kurtosis, summed pairwise by numpy,
-before the next step starts. Only the (trajectories, n) states, one row
-of squared norms, one row of mode picks and the step's marginal row are
-held, so memory does not grow with ``k_max`` beyond its few per-step
-outputs. For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a step
-multiplies a block's states by every transposed mode at once, an
-(m, count, n) product, and keeps each trajectory's row of its picked
-mode; past 8 modes that m-fold product costs more than it saves, and at
-n = 1 a product is one multiplication, so the block is instead
-multiplied by a gathered (count, n, n) stack of the picked modes.
+Initial states are drawn, and states advanced, in blocks of ``_CHUNK`` =
+4096 trajectories, which bounds the working memory of the products. A
+step draws every trajectory's mode pick in one call, then advances each
+block and writes its squared norms into one row, which is reduced to
+the step's mean, standard error and kurtosis (summed pairwise by numpy)
+before the next step starts. Only the (trajectories, n) states and a few
+rows of ``trajectories`` values are held, so memory does not grow with
+``k_max`` beyond the per-step outputs. For n >= 2 and
+at most ``_ALL_MODES_MAX`` = 8 modes, a block's states are multiplied by
+every transposed mode at once, an (m, count, n) product, keeping each
+trajectory's row of its picked mode; past 8 modes that m-fold product
+costs more than it saves, and at n = 1 a product is one multiplication,
+so the block is instead multiplied by a gathered (count, n, n) stack.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from the per-step occupation vector; this is the joint law
@@ -76,6 +78,9 @@ __all__ = [
 KURTOSIS_THRESHOLD = 100.0
 
 _CHUNK = 4096
+
+#: SplitMix64's increment G and the mask of arithmetic mod 2^64
+_GAMMA, _MASK = 0x9E3779B97F4A7C15, 2**64 - 1
 
 #: Largest mode count of the all-modes product (see the module docstring)
 _ALL_MODES_MAX = 8
@@ -191,10 +196,30 @@ def _step_moments(row: np.ndarray):
     return mean, stderr, kurtosis
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    )
+def _mix(z):
+    """SplitMix64's mix: on an int, or in place on a uint64 array."""
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+        z &= _MASK
+    z ^= z >> 31
+    return z
+
+
+def _uniforms(seed: int, d: int, weyl: np.ndarray) -> np.ndarray:
+    """u(d, t) for the trajectories t whose G*(t+1) mod 2^64 are ``weyl``;
+    key(d) is a Python int, as numpy's uint64 scalars warn on overflow."""
+    key = _mix((seed + _GAMMA * (d + 1)) & _MASK)
+    return (_mix(weyl + key) >> 11) * 2.0**-53
+
+
+def _normals(seed: int, n: int, weyl: np.ndarray) -> np.ndarray:
+    """(n, count) standard normals of the trajectories of ``weyl``."""
+    u = np.array([_uniforms(seed, d, weyl) for d in range(1, n + n % 2 + 1)])
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    pairs = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return pairs.reshape(-1, weyl.size)[:n]
 
 
 def simulate_ensemble(
@@ -206,8 +231,9 @@ def simulate_ensemble(
 ) -> EnsembleStats:
     """Estimate E||x(k)||^2 for k = 0 .. cfg.k_max over an ensemble.
 
-    Deterministic per seed: results are bit-identical across runs (see
-    the module docstring for the stream layout). All blocks advance one
+    Deterministic per seed: each draw is a pure function of the seed, a
+    slot and the trajectory (see the module docstring), whatever the
+    ensemble size or ``k_max``. All blocks advance one
     step together and each step's squared norms are reduced before the
     next step starts, so memory is O(trajectories * n) whatever
     ``k_max``. ``threads`` is accepted and ignored: the ensemble runs on
@@ -229,12 +255,11 @@ def simulate_ensemble(
 
     big_t, k_max = cfg.trajectories, cfg.k_max
     n, m = sys.n, sys.m
-    # first, so an impossible size fails before any generator is built
+    # first, so an impossible size fails before any draw
     mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
     samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
     normsq = np.empty(big_t)
-    modes = np.empty(big_t, dtype=np.intp)
 
     weights = init.weights / np.sum(init.weights)
     cum_init = np.cumsum(weights)[:-1]
@@ -246,14 +271,12 @@ def simulate_ensemble(
         cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
 
     offsets = np.arange(min(big_t, _CHUNK))
-    blocks = []
-    for block in range(-(-big_t // _CHUNK)):
-        lo = block * _CHUNK
-        hi = min(lo + _CHUNK, big_t)
-        blocks.append((_block_rng(cfg.seed, block), slice(lo, hi), hi - lo))
+    weyl = np.arange(1, big_t + 1, dtype=np.uint64) * _GAMMA
+    blocks = [(slice(lo, lo + _CHUNK), min(_CHUNK, big_t - lo))
+              for lo in range(0, big_t, _CHUNK)]
 
     def reduce(k: int) -> None:
-        if not np.all(np.isfinite(normsq)):
+        if not np.isfinite(normsq.max()):
             raise NumericalError(
                 f"squared state norms overflow float64 at k={k}"
             )
@@ -261,35 +284,35 @@ def simulate_ensemble(
 
     # overflow is caught on each step's complete row
     with np.errstate(over="ignore", invalid="ignore"):
-        for gen, rows, count in blocks:
-            idx0 = _pick(gen.random(count), cum_init)
-            z = gen.standard_normal((count, n))
-            x[rows] = init.means[idx0] + np.einsum(
-                "tab,tb->ta", factors[idx0], z)
-            np.einsum("ti,ti->t", x[rows], x[rows], out=normsq[rows])
+        for rows, _ in blocks:
+            idx0 = _pick(_uniforms(cfg.seed, 0, weyl[rows]), cum_init)
+            z = _normals(cfg.seed, n, weyl[rows])
+            # take: a faster gather than [idx0]
+            x[rows] = init.means.take(idx0, axis=0) + np.einsum(
+                "tab,bt->ta", factors.take(idx0, axis=0), z)
+            # a matrix-vector product: faster than einsum's row dots
+            normsq[rows] = np.square(x[rows]) @ np.ones(n)
         reduce(0)
         for k, row in enumerate(_marginal_rows(law, k_max, m)):
-            # cuts from this step's row alone: no (k_max, m) table is held
-            step_cuts = np.cumsum(row)[:-1]
-            for gen, rows, count in blocks:
-                if cfg.sampling == "path" and k > 0:
-                    cuts = [cut[modes[rows]] for cut in cum_cols]
-                else:
-                    cuts = step_cuts
-                picked = modes[rows] = _pick(gen.random(count), cuts)
+            if cfg.sampling == "path" and k > 0:
+                # lazily: one row of T cuts is held at a time
+                cuts = (cut.take(modes) for cut in cum_cols)
+            else:
+                # cuts from this step's row alone: no (k_max, m) table
+                cuts = np.cumsum(row)[:-1]
+            # slot 1 + 2*ceil(n/2) + k picks step k+1's mode
+            modes = _pick(_uniforms(cfg.seed, 1 + n + n % 2 + k, weyl), cuts)
+            for rows, count in blocks:
+                picks = modes[rows]
                 if all_modes:
                     # take each row of the (m, count, n) product by its
-                    # flat index: a faster gather than [picked, offsets]
+                    # flat index: a faster gather than [picks, offsets]
                     x[rows] = np.matmul(x[rows], mode_t).reshape(-1, n).take(
-                        picked * count + offsets[:count], axis=0)
+                        picks * count + offsets[:count], axis=0)
                 else:
-                    x[rows] = np.matmul(x[rows, None], mode_t[picked])[:, 0]
-                np.einsum("ti,ti->t", x[rows], x[rows], out=normsq[rows])
+                    x[rows] = (x[rows, None] @ mode_t.take(picks, 0))[:, 0]
+                normsq[rows] = np.square(x[rows]) @ np.ones(n)
             reduce(k + 1)
 
-    return EnsembleStats(
-        mean_sq=mean_sq,
-        stderr=stderr,
-        samples=samples,
-        heavy_tail=kurtosis > KURTOSIS_THRESHOLD,
-    )
+    return EnsembleStats(mean_sq, stderr, samples,
+                         kurtosis > KURTOSIS_THRESHOLD)

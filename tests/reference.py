@@ -1,8 +1,12 @@
-"""Plain n^2 constructions that the tests compare the library against.
+"""Plain constructions that the tests compare the library against.
 
-Not a test module: pytest collects only ``test_*.py``. The library works
-in symmetric coordinates instead; these are the textbook forms.
+Not a test module: pytest collects only ``test_*.py``. The n^2 lift is
+the textbook form of what the library computes in symmetric
+coordinates; the Monte Carlo draws come from a sequential SplitMix64 in
+Python ints, where the library jumps ahead in numpy uint64 arrays.
 """
+
+import itertools
 
 import numpy as np
 
@@ -21,3 +25,46 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     if not np.all(np.isfinite(lifts)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
+
+
+#: SplitMix64's increment and the mask of arithmetic mod 2^64
+GAMMA, MASK = 0x9E3779B97F4A7C15, 2**64 - 1
+
+
+def splitmix64(state):
+    """Sequential SplitMix64 (Steele, Lea & Flood 2014) started at
+    ``state``: yields its outputs 0, 1, 2, ... as Python ints."""
+    while True:
+        state = (state + GAMMA) & MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        yield z ^ (z >> 31)
+
+
+def uniforms(seed, d, count):
+    """u(d, t) for t = 0 .. count-1 of the Monte Carlo stream: the top 53
+    bits of the outputs of SplitMix64 started at key(d), which is output
+    d of SplitMix64 started at ``seed``."""
+    key = next(itertools.islice(splitmix64(seed), d, None))
+    words = itertools.islice(splitmix64(key), count)
+    return np.array([(w >> 11) * 2.0**-53 for w in words])
+
+
+def ensemble_draws(seed, n, k_max, count):
+    """Draws of trajectories 0 .. count-1: component uniforms (count,),
+    standard normals (count, n) and mode-pick uniforms (k_max, count).
+
+    Box-Muller runs on numpy arrays, as in the simulator: a SIMD build's
+    log1p may differ from ``math.log1p`` in the last bit.
+    """
+    pairs = (n + 1) // 2
+    u = np.array([uniforms(seed, d, count) for d in range(1, 2 * pairs + 1)])
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty((2 * pairs, count))
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    picks = np.array([uniforms(seed, 1 + 2 * pairs + k, count)
+                      for k in range(k_max)]).reshape(k_max, count)
+    return uniforms(seed, 0, count), z[:n].T, picks

@@ -495,7 +495,9 @@ class TestOverflow:
         "doc, steps, k",
         [
             (SPREAD, 3, 0),
-            (dict(IID, modes={"huge": [[1e3]], "half": [[0.5]]}), 120, 87),
+            # the first step whose squares overflow under the reference
+            # draws (tests/reference.py)
+            (dict(IID, modes={"huge": [[1e3]], "half": [[0.5]]}), 120, 88),
         ],
         ids=["spread-start", "diverging-modes"],
     )
@@ -797,8 +799,9 @@ class TestSimulate:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_huge_finite_norms_print_finite_stderr(self, write, capsys):
-        # squared norms reach 1e154 from k=37, where their plain squares
-        # overflowed and stderr printed inf
+        # under the reference draws (tests/reference.py) squared norms
+        # reach 1e154 from k=40, where their plain squares overflowed and
+        # stderr printed inf
         doc = dict(IID, modes={"huge": [[1e3]], "half": [[0.5]]})
         argv = ["simulate", write(doc), "--steps", "60",
                 "--trajectories", "50"]
@@ -808,7 +811,14 @@ class TestSimulate:
         _, rows = read_csv(captured.out)
         assert len(rows) == 61
         assert all(math.isfinite(float(r[2])) for r in rows)
-        assert float(rows[37][2]) > 1e150
+        assert float(rows[40][2]) > 1e150
+
+    def test_one_trajectory_accepted(self, write, capsys):
+        # unlike compare, simulate reports no verdict from the spread
+        argv = ["simulate", write(IID), "--steps", "3", "--trajectories", "1"]
+        assert main(argv) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert [row[2:] for row in rows] == [["0", "1"]] * 4
 
     def test_impossible_trajectories_exit_1(self, write, capsys):
         # 72.8 TiB of (T, n) states: numpy refuses before any draw
@@ -839,6 +849,21 @@ class TestSimulate:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("trajectories", ["1", "0"])
+    def test_fewer_than_two_trajectories_rejected(self, write, capsys,
+                                                  trajectories):
+        # with one sample every standard error is 0, which made a random
+        # step read as a deterministic one: "inf SE at k=0", FAIL
+        argv = ["compare", write(IID), "--steps", "3",
+                "--trajectories", trajectories]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: compare needs --trajectories >= 2 for a standard "
+            f"error, got {trajectories}\n"
+        )
+        assert captured.out == ""
+
     def test_stable_iid_passes(self, write, capsys):
         doc = {
             "n": 1,

@@ -6,6 +6,7 @@ bit equality.
 """
 
 import bisect
+import itertools
 import math
 import threading
 import tracemalloc
@@ -15,11 +16,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
-from jumpstab import sysmodel
+from jumpstab import mcsim, sysmodel
 from jumpstab.mcsim import (
     SimConfig,
+    _mix,
+    _normals,
     _psd_factor,
     _step_moments,
+    _uniforms,
     simulate_ensemble,
 )
 from jumpstab.propagate import w2_trajectory
@@ -32,6 +36,8 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
 )
+from reference import GAMMA, MASK, ensemble_draws, splitmix64
+from reference import uniforms as reference_uniforms
 
 
 def point_mass(x):
@@ -42,15 +48,6 @@ def point_mass(x):
 
 def scalar_system(*values):
     return JumpLinearSystem(modes=[[[float(v)]] for v in values])
-
-
-def block_rng(seed, block):
-    """The stream of one 4096-trajectory block, built as documented."""
-    return np.random.Generator(
-        np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-        )
-    )
 
 
 def random_chain(n, m, seed):
@@ -71,8 +68,9 @@ def random_chain(n, m, seed):
 
 def reference_mean_sq(sys, law, mix, cfg):
     """mean ||x(k)||^2 of a Markov-law ensemble, each trajectory stepped
-    by x <- A_j x in a plain loop, from the documented streams and draw
-    order; each mean is an exactly rounded sum over the samples."""
+    by x <- A_j x in a plain loop, from the reference draws of the
+    documented stream layout; each mean is an exactly rounded sum over
+    the samples."""
     # uniform u falls in bucket bisect_right(cuts, u) of these cuts
     cuts_of = lambda w: list(np.cumsum(w)[:-1])
     init_cuts = cuts_of(mix.weights / np.sum(mix.weights))
@@ -84,24 +82,20 @@ def reference_mean_sq(sys, law, mix, cfg):
         marginal_cuts.append(cuts_of(pi))
     row_cuts = [cuts_of(row / np.sum(row)) for row in law.P]
     samples = [[] for _ in range(cfg.k_max + 1)]
-    for block, lo in enumerate(range(0, cfg.trajectories, 4096)):
-        count = min(4096, cfg.trajectories - lo)
-        gen = block_rng(cfg.seed, block)
-        comp = gen.random(count)
-        z = gen.standard_normal((count, sys.n))
-        picks = [gen.random(count) for _ in range(cfg.k_max)]
-        for t in range(count):
-            c = bisect.bisect_right(init_cuts, comp[t])
-            x = mix.means[c] + factors[c] @ z[t]
-            samples[0].append(x @ x)
-            for k in range(cfg.k_max):
-                if cfg.sampling == "path" and k > 0:
-                    cuts = row_cuts[j]
-                else:
-                    cuts = marginal_cuts[k]
-                j = bisect.bisect_right(cuts, picks[k][t])
-                x = sys.modes[j] @ x
-                samples[k + 1].append(x @ x)
+    comp, z, picks = ensemble_draws(cfg.seed, sys.n, cfg.k_max,
+                                    cfg.trajectories)
+    for t in range(cfg.trajectories):
+        c = bisect.bisect_right(init_cuts, comp[t])
+        x = mix.means[c] + factors[c] @ z[t]
+        samples[0].append(x @ x)
+        for k in range(cfg.k_max):
+            if cfg.sampling == "path" and k > 0:
+                cuts = row_cuts[j]
+            else:
+                cuts = marginal_cuts[k]
+            j = bisect.bisect_right(cuts, picks[k][t])
+            x = sys.modes[j] @ x
+            samples[k + 1].append(x @ x)
     return np.array([math.fsum(s) for s in samples]) / cfg.trajectories
 
 
@@ -182,8 +176,8 @@ class TestSampleInitial:
             _psd_factor(np.diag([1.0, -1.0]))
 
     def test_matches_ensemble_stream_layout(self):
-        # two blocks, the second ragged: pins the block size, the block
-        # key and the bulk order (component uniforms, then normals)
+        # two blocks, the second ragged: pins the component's slot and
+        # the Box-Muller slots and formula, in either block
         mix = GaussianMixture.from_components(
             [
                 (0.4, [1.0, 0.0], np.eye(2)),
@@ -195,13 +189,9 @@ class TestSampleInitial:
         cfg = SimConfig(trajectories=big_t, k_max=0, seed=99)
         stats = simulate_ensemble(sys, IIDSwitching([1.0]), mix, cfg)
         scales = np.array([1.0, np.sqrt(0.5)])
-        manual = []
-        for block, count in enumerate((4096, 3)):
-            gen = block_rng(99, block)
-            comp = (gen.random(count) >= 0.4).astype(int)
-            z = gen.standard_normal((count, 2))
-            manual.append(mix.means[comp] + scales[comp, None] * z)
-        x = np.concatenate(manual)
+        comp_u, z, _ = ensemble_draws(99, 2, 0, big_t)
+        comp = (comp_u >= 0.4).astype(int)
+        x = mix.means[comp] + scales[comp, None] * z
         normsq = np.einsum("ti,ti->t", x, x)[:, None]
         assert stats.mean_sq[0] == normsq.mean(axis=0)[0]
         assert stats.stderr[0] == (
@@ -255,19 +245,16 @@ class TestSimulateEnsemble:
         assert_array_equal(a.stderr, b.stderr)
 
     def test_mode_picks_follow_initial_draws(self):
-        # one uniform per trajectory and step, after the initial draws;
-        # modes 2 and 1/2 keep every product exact
+        # step k picks from slot 2 + k, after the component's slot and
+        # one Box-Muller pair; modes 2 and 1/2 keep every product exact
         sys = scalar_system(2.0, 0.5)
         cfg = SimConfig(trajectories=5, k_max=3, seed=7)
         stats = simulate_ensemble(
             sys, IIDSwitching([0.5, 0.5]), point_mass([1.0]), cfg
         )
-        gen = block_rng(7, 0)
-        gen.random(5)
-        gen.standard_normal((5, 1))
         x = np.ones(5)
         for k in range(1, 4):
-            x = x * np.where(gen.random(5) >= 0.5, 0.5, 2.0)
+            x = x * np.where(reference_uniforms(7, 2 + k, 5) >= 0.5, 0.5, 2.0)
             assert stats.mean_sq[k] == np.mean(x * x)
 
     @pytest.mark.parametrize("sampling, m", [
@@ -509,14 +496,15 @@ class TestSimulateEnsemble:
     def test_huge_finite_norms_keep_exact_statistics(self):
         # squared norms up to ~2^(20k): their squares overflow from k=26
         # on, so the plain sample std was inf; scaling the modes by 2^-10
-        # scales every sample by 2^(-20k) exactly
+        # scales every sample by 2^(-20k) exactly. Under the reference
+        # draws, the standard error first passes 1e154 at k=43
         law, mix = IIDSwitching([0.5, 0.5]), point_mass([1.0])
         cfg = SimConfig(trajectories=50, k_max=60, seed=3)
         big = simulate_ensemble(scalar_system(1024.0, 0.5), law, mix, cfg)
         small = simulate_ensemble(scalar_system(1.0, 2.0**-11), law, mix, cfg)
         powers = 20 * np.arange(61)
         assert np.all(np.isfinite(big.stderr))
-        assert big.stderr[40] > 1e154
+        assert big.stderr[43] > 1e154
         assert_allclose(big.mean_sq, np.ldexp(small.mean_sq, powers),
                         rtol=1e-13)
         assert_allclose(big.stderr, np.ldexp(small.stderr, powers),
@@ -539,6 +527,132 @@ class TestSimulateEnsemble:
         )
         assert_array_equal(stats.samples, np.full(4, 77))
         assert stats.k_max == 3
+
+
+def weyl(lo, count):
+    """G*(t+1) mod 2^64 for trajectories t = lo .. lo + count - 1."""
+    return np.arange(lo + 1, lo + count + 1, dtype=np.uint64) * GAMMA
+
+
+class TestGenerator:
+    """The counter-based SplitMix64 against a sequential one in Python
+    ints (``reference.splitmix64``)."""
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    def test_words_match_sequential_splitmix64(self, seed):
+        outputs = list(itertools.islice(splitmix64(seed), 6))
+        for d, key in enumerate(outputs):
+            # key(d) in Python ints, word(d, t) in uint64 arrays
+            assert _mix((seed + GAMMA * (d + 1)) & MASK) == key
+            assert _mix(weyl(0, 8) + key).tolist() == list(
+                itertools.islice(splitmix64(key), 8))
+            assert_array_equal(_uniforms(seed, d, weyl(0, 8)),
+                               reference_uniforms(seed, d, 8))
+            assert_array_equal(_uniforms(seed, d, weyl(5, 3)),
+                               reference_uniforms(seed, d, 8)[5:])
+
+    def test_far_slots_and_trajectories(self):
+        # output d from state s is output 0 from state s + G*d, so far
+        # slots and trajectories need no long sequential run
+        seed, d, t = 2**64 - 1, 10**15, 2**40
+        key = next(splitmix64((seed + GAMMA * d) & MASK))
+        word = next(splitmix64((key + GAMMA * t) & MASK))
+        assert _uniforms(seed, d, weyl(t, 1))[0] == (word >> 11) * 2.0**-53
+
+    def test_uniform_histogram(self):
+        # 64 bins of 2^16 uniforms: chi-square (63 degrees of freedom)
+        # below its 1e-6 upper quantile, scipy.stats.chi2.isf(1e-6, 63)
+        counts = np.bincount(
+            (_uniforms(2024, 0, weyl(0, 2**16)) * 64).astype(int),
+            minlength=64)
+        expected = 2**16 / 64
+        assert np.sum((counts - expected) ** 2 / expected) < 131.37
+
+    def test_neighbours_uncorrelated(self):
+        big_n = 2**16
+        u = _uniforms(2025, 5, weyl(0, big_n + 1))
+        next_slot = _uniforms(2025, 6, weyl(0, big_n))
+        for a, b in ((u[:-1], next_slot), (u[:-1], u[1:])):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(big_n)
+
+    def test_box_muller_moments(self):
+        # n = 3: two pairs, the last sine dropped
+        z = _normals(2026, 3, weyl(0, 2**15)).ravel()
+        size = z.size
+        assert abs(z.mean()) < 5 / np.sqrt(size)
+        assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / size)
+        kurtosis = np.mean(z**4) / z.var() ** 2
+        assert abs(kurtosis - 3.0) < 5 * np.sqrt(24 / size)
+
+
+def recorded_draws(monkeypatch, sys, law, mix, cfg):
+    """Every draw of one run, read from the simulator's own calls: the
+    uniforms of each slot, {d: (T,)}, and the (n, T) normals."""
+    slots, normals = {}, np.full((sys.n, cfg.trajectories), np.nan)
+    # the trajectories of the counters G*(t+1): G is odd, so invertible
+    trajectory = lambda counters: counters * pow(GAMMA, -1, 2**64) - 1
+
+    def uniforms(seed, d, counters):
+        u = _uniforms(seed, d, counters)
+        row = slots.setdefault(d, np.full(cfg.trajectories, np.nan))
+        row[trajectory(counters)] = u
+        return u
+
+    def gaussians(seed, n, counters):
+        z = _normals(seed, n, counters)
+        normals[:, trajectory(counters)] = z
+        return z
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mcsim, "_uniforms", uniforms)
+        patch.setattr(mcsim, "_normals", gaussians)
+        simulate_ensemble(sys, law, mix, cfg)
+    assert not np.isnan(normals).any()
+    assert not any(np.isnan(row).any() for row in slots.values())
+    return slots, normals
+
+
+class TestDrawsPerTrajectory:
+    """A trajectory's draws depend on (seed, slot, trajectory) only."""
+
+    def test_independent_of_ensemble_size(self, monkeypatch):
+        sys, law, mix = random_chain(3, 3, seed=103)
+        runs = [
+            recorded_draws(monkeypatch, sys, law, mix,
+                           SimConfig(trajectories=big_t, k_max=3, seed=107,
+                                     sampling="path"))
+            for big_t in (5, 4096 + 5)
+        ]
+        (small, small_z), (large, large_z) = runs
+        # slot 0, four Box-Muller slots, three mode picks
+        assert sorted(small) == sorted(large) == list(range(8))
+        for d in small:
+            assert_array_equal(small[d], large[d][:5])
+        assert_array_equal(small_z, large_z[:, :5])
+
+    def test_independent_of_steps(self, monkeypatch):
+        sys, law, mix = random_chain(3, 3, seed=109)
+        (short, short_z), (long, long_z) = [
+            recorded_draws(monkeypatch, sys, law, mix,
+                           SimConfig(trajectories=4096 + 5, k_max=k_max,
+                                     seed=113))
+            for k_max in (3, 9)
+        ]
+        assert sorted(short) == list(range(8))
+        assert sorted(long) == list(range(14))
+        for d in short:
+            assert_array_equal(short[d], long[d])
+        assert_array_equal(short_z, long_z)
+
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_chunk_size_keeps_the_mean(self, monkeypatch, m):
+        sys, law, mix = random_chain(3, m, seed=127)
+        cfg = SimConfig(trajectories=300, k_max=6, seed=131,
+                        sampling="path")
+        default = simulate_ensemble(sys, law, mix, cfg)
+        monkeypatch.setattr(mcsim, "_CHUNK", 7)
+        small = simulate_ensemble(sys, law, mix, cfg)
+        assert_allclose(small.mean_sq, default.mean_sq, rtol=1e-13, atol=0.0)
 
 
 def step_major(samples):

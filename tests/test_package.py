@@ -8,7 +8,10 @@ and annotations included.
 
 import ast
 import importlib
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +152,58 @@ def test_no_module_imports_dataclasses():
         and any(alias.name == "dataclasses" for alias in node.names)
     ]
     assert found == []
+
+
+def names_numpy_random(tree):
+    """Whether a module imports or spells numpy.random in any form."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            return True
+        if isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.random")
+                for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy"
+                and any(alias.name == "random" for alias in node.names)):
+            return True
+    return False
+
+
+def test_no_module_names_numpy_random():
+    """Monte Carlo draws from its own SplitMix64 in numpy uint64 arrays:
+    numpy.random would load nine extension modules and about 6 MB into
+    every simulate and compare call."""
+    found = [
+        stem for stem in MODULES if names_numpy_random(
+            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_simulate_and_compare_load_no_numpy_random(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "modes": {"a": [[0.5, 0.1], [0.0, 0.4]],
+                  "b": [[0.3, 0.0], [0.2, 0.6]]},
+        "switching": {"type": "iid", "pi": [0.5, 0.5]},
+        "initial": [{"weight": 1.0, "mean": [1.0, -1.0],
+                     "cov": [[0.2, 0.0], [0.0, 0.1]]}],
+    }))
+    args = [str(path), "--steps", "3", "--trajectories", "100"]
+    script = (
+        "import sys\n"
+        "from jumpstab.cli import main\n"
+        f"codes = [main([command, *{args!r}])\n"
+        "         for command in ('simulate', 'compare')]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
