@@ -11,6 +11,8 @@ concurrently from any number of threads.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -37,13 +39,27 @@ class NumericalError(RuntimeError):
     """
 
 
+def _as_floats(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array if its dtype is integer or float, or if it
+    holds Python numbers numpy keeps as objects (ints beyond int64,
+    fractions, decimals); bools, strings and any other entries raise
+    ``ValueError`` naming ``name``. A complex among such objects raises
+    ``TypeError``, as ``float()`` does."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(
+            isinstance(x, numbers.Number) and not isinstance(x, bool)
+            for x in a.flat):
+        return a.astype(float, copy=False)
+    raise ValueError(f"{name} must hold ints or floats, got dtype {a.dtype}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array and validate it.
 
-    Rejects empty matrices and any non-finite entry. ``name`` labels the
-    offending argument in error messages.
+    Rejects entries that are not ints or floats, empty matrices and any
+    non-finite entry. ``name`` labels the offending argument in errors.
     """
-    m = np.asarray(a, dtype=float)
+    m = _as_floats(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size == 0:

@@ -60,7 +60,6 @@ from .sysmodel import (
     _ReadOnly,
     _as_int,
     _freeze,
-    _marginal_rows,
     _normalized,
     _reject,
     validate_system,
@@ -293,7 +292,7 @@ def simulate_ensemble(
             # a matrix-vector product: faster than einsum's row dots
             normsq[rows] = np.square(x[rows]) @ np.ones(n)
         reduce(0)
-        for k, row in enumerate(_marginal_rows(law, k_max, m)):
+        for k, row in enumerate(law._rows(k_max, m)):
             if cfg.sampling == "path" and k > 0:
                 # lazily: one row of T cuts is held at a time
                 cuts = (cut.take(modes) for cut in cum_cols)

@@ -64,7 +64,6 @@ from .sysmodel import (
     JumpLinearSystem,
     SwitchingLaw,
     _as_int,
-    _marginals,
     _reject,
     marginal_schedule,
     validate_system,
@@ -326,25 +325,26 @@ def _check_cap(cap) -> int:
     return cap
 
 
-def _mog_fold(sys: JumpLinearSystem, schedule, init, cap,
+def _mog_fold(sys: JumpLinearSystem, law, init, k: int, cap,
               last_diagonal=False):
-    """Yield (weights, means, coords) after each step, as _mog_push
-    returns them; ``schedule`` holds the rows of _marginals, already
-    normalized, and ``cap`` is as in mog_propagate. With
+    """Yield (weights, means, coords) after each of ``k`` steps, as
+    _mog_push returns them, for a ``law`` checked against the system; each
+    step reads the law's own row, and ``cap`` is as in mog_propagate. With
     ``last_diagonal`` the last step pushes through the first n columns of
     each lift only, so its coords are the n covariance diagonals that
     W^2 reads and the last mixture's other coordinates are never formed.
     """
     # modes of zero probability are pruned every step, so only the
-    # support sizes multiply the count
-    support = np.count_nonzero(schedule, axis=1)
+    # support sizes multiply the count; one int per step, allocated first
+    support = np.fromiter((np.count_nonzero(row)
+                           for row in law._rows(k, sys.m)), np.intp, k)
     sizes, steps = np.unique(support, return_counts=True)
     reach = init.q * math.prod(
         int(size) ** int(count) for size, count in zip(sizes, steps)
     )
     if reach > cap:
         if np.all(support == sys.m):
-            counted = f"m^k*q0 = {sys.m}^{len(schedule)}*{init.q}"
+            counted = f"m^k*q0 = {sys.m}^{k}*{init.q}"
         else:
             counted = (
                 f"q0*prod_k nnz(pi(k)) = {init.q}*{_count(reach // init.q)}"
@@ -356,13 +356,13 @@ def _mog_fold(sys: JumpLinearSystem, schedule, init, cap,
     sym, _, exps = _scaled_lifts(sys)
     lifts = np.swapaxes(sym, 1, 2).copy()
     state = init.weights, init.means, _sym_coords(init.covs)
-    for k, pi in enumerate(schedule, 1):
-        if last_diagonal and k == len(schedule):
+    for step, pi in enumerate(law._rows(k, sys.m), 1):
+        if last_diagonal and step == k:
             lifts = lifts[:, :, :sys.n].copy()
         try:
             state = _mog_push(sys.modes, lifts, exps, pi, *state)
         except NumericalError as exc:
-            raise NumericalError(f"{exc} at k={k}") from None
+            raise NumericalError(f"{exc} at k={step}") from None
         yield state
 
 
@@ -390,8 +390,7 @@ def mog_propagate(
     _reject(validate_system(sys, law, init).violations)
     if k == 0:
         return init
-    schedule = _marginals(law, k, sys.m)
-    for weights, means, coords in _mog_fold(sys, schedule, init, cap):
+    for weights, means, coords in _mog_fold(sys, law, init, k, cap):
         pass
     return GaussianMixture(
         weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
@@ -442,12 +441,12 @@ def gamma_product(
     return GammaState(gamma=gamma, k=done, diverged=done < k)
 
 
-def _record(k: int, w2, count: int = None) -> TrajectoryRecord:
-    """W^2(k) as a record; NumericalError if it is not finite."""
+def _checked(k: int, w2) -> float:
+    """W^2(k) as a float; NumericalError if it is not finite."""
     w2 = float(w2)
     if not math.isfinite(w2):
         raise NumericalError(f"W^2 diverged at k={k} (not finite)")
-    return TrajectoryRecord(k=k, w2=w2, component_count=count)
+    return w2
 
 
 def w2_trajectory(
@@ -477,6 +476,8 @@ def w2_trajectory(
     NumericalError
         If W^2(k) or a value the route carries is not finite for some
         k <= k_max (unstable growth; the message names the failing step).
+    MemoryError
+        Before the first step, if the k_max + 1 values do not fit.
     """
     k_max = _as_int(k_max, "k_max")
     if k_max < 0:
@@ -490,32 +491,31 @@ def w2_trajectory(
         cap = _check_cap(cap)
     _reject(validate_system(sys, law, init).violations)
 
+    # the K+1 values first, so an impossible horizon fails before a step
+    w2, counts = np.empty(k_max + 1), [init.q]
     mean, cov = synthetic_gaussian(init)
     phi0 = np.outer(mean, mean) + cov
-    # every W^2(k) is checked by _record, so no overflow needs a warning
+    # every W^2(k) is checked by _checked, so no overflow needs a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "exact_mog":
-            records = [_record(0, mixture_to_dirac_sq(init), init.q)]
-        else:
-            records = [_record(0, np.trace(phi0))]
+        w2[0] = _checked(0, mixture_to_dirac_sq(init) if method == "exact_mog"
+                         else np.trace(phi0))
         if k_max == 0:
-            return records
-        schedule = _marginals(law, k_max, sys.m)
-        if method == "moment":
-            # the one-state map of each schedule row, built per step so
-            # that its error names the step
+            pass  # no step, so neither the lifts nor the cap count
+        elif method == "moment":
+            # the one-state map of each row, built per step so that its
+            # error names the step
             phi, one = phi0[None], np.ones((1, sys.m))
-            for k, w in enumerate(schedule[:, None], 1):
-                phi = _moment_map(sys.modes, one, w,
+            for k, pi in enumerate(law._rows(k_max, sys.m), 1):
+                phi = _moment_map(sys.modes, one, pi[None],
                                   f"second moment diverged at k={k}")(phi)
-                records.append(_record(k, np.trace(phi[0])))
+                w2[k] = _checked(k, np.trace(phi[0]))
         elif method == "gamma":
             # Gamma(k) svec(Phi(0)) one lifted step at a time; I and
             # Phi(0) are symmetric, so only the symmetric block pairs them
             sym, _, exps = _scaled_lifts(sys)
             lifts = np.swapaxes(sym, 1, 2).copy()
             row = _sym_coords(phi0[None])
-            for k, pi in enumerate(schedule, 1):
+            for k, pi in enumerate(law._rows(k_max, sys.m), 1):
                 live = np.flatnonzero(pi)
                 row = np.tensordot(pi[live],
                                    _lifted_push(row, lifts, exps, live), 1)
@@ -523,12 +523,14 @@ def w2_trajectory(
                     raise NumericalError(f"Gamma(k) svec(Phi(0)) diverged at "
                                          f"k={k} (an entry is not finite)")
                 # svec(I) . row: the first n coordinates are the diagonal
-                records.append(_record(k, row[0, :sys.n].sum()))
+                w2[k] = _checked(k, row[0, :sys.n].sum())
         else:
-            states = _mog_fold(sys, schedule, init, cap, last_diagonal=True)
-            for step, (weights, means, coords) in enumerate(states, 1):
+            states = _mog_fold(sys, law, init, k_max, cap, last_diagonal=True)
+            for k, (weights, means, coords) in enumerate(states, 1):
                 # the first n coordinates are the diagonal (_basis_pairs),
                 # and the last step's coords hold only those
-                w2 = _dirac_sq(weights, means, coords[:, :sys.n])
-                records.append(_record(step, w2, len(weights)))
-    return records
+                w2[k] = _checked(k, _dirac_sq(weights, means,
+                                              coords[:, :sys.n]))
+                counts.append(len(weights))
+    return [TrajectoryRecord(k, v, counts[k] if method == "exact_mog"
+                             else None) for k, v in enumerate(w2.tolist())]

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
-from .matkit import _sym_part, spectral_norm, spectral_radius
+from .matkit import _as_floats, _sym_part, spectral_norm, spectral_radius
 from .propagate import (
     DIVERGENCE_GUARD,
     _chain_lift,
@@ -54,7 +54,6 @@ from .sysmodel import (
     SequenceSwitching,
     SwitchingLaw,
     _as_int,
-    _marginals,
     _normalized,
     _reject,
     as_probability_vector,
@@ -290,7 +289,7 @@ def markov_test(
     ValueError
         If P is not row-stochastic of size m.
     """
-    p = np.asarray(P, dtype=float)
+    p = _as_floats(P, "P")
     if p.shape != (sys.m, sys.m):
         raise ValueError(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
@@ -338,7 +337,7 @@ def general_test(
             + (f"; {serving} serves it" if serving else "")
         )
     _reject(check_law(law, sys.m))
-    rows = _marginals(law, len(law.vectors), sys.m)
+    rows = _normalized(law.vectors)
     one = np.ones((1, sys.m))
     report = _spectral_report(sys, one, rows[-1:], margin, "general")
     y, definite = np.eye(sys.n)[None], True

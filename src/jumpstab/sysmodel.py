@@ -5,12 +5,18 @@ The system, law and mixture types are plain read-only classes whose
 results are ``NamedTuple`` records. Assigning or deleting a field of
 either raises ``AttributeError``.
 
-Construction enforces structural soundness only (shapes, finiteness,
-nonemptiness); value-level invariants such as probability sums, row
-stochasticity, PSD covariances, and cross-object dimensional consistency
-are checked by :func:`validate_system`, which collects every violation
-into a report. This split lets the validator report a broken input
-instead of refusing to build it.
+Construction enforces structural soundness only (int or float entries,
+shapes, finiteness, nonemptiness); value-level invariants such as
+probability sums, row stochasticity, PSD covariances, and cross-object
+dimensional consistency are checked by :func:`validate_system`, which
+collects every violation into a report. This split lets the validator
+report a broken input instead of refusing to build it.
+
+Each switching law owns its mode count ``m`` (None for a sequence, whose
+indices do not fix it), the checks of its values against a mode count,
+and the rows pi(1), pi(2), ... of its per-step mode marginals, which the
+routes read one step at a time; a row may be yielded again, so none is to
+be written.
 
 Each public operation checks its inputs on entry, raising
 ``ValueError``. Values derived from checked inputs (normalized marginals,
@@ -23,11 +29,12 @@ matching the convention for ``A_1 .. A_m``; internal array indexing is
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .matkit import _psd_slack, _sym_part, as_square
+from .matkit import _as_floats, _psd_slack, _sym_part, as_square
 
 __all__ = [
     "JumpLinearSystem",
@@ -45,7 +52,6 @@ __all__ = [
     "check_probability_vector",
     "check_transition_matrix",
     "as_probability_vector",
-    "law_mode_count",
 ]
 
 #: Probability sums may deviate from 1 by this much and are renormalized.
@@ -99,7 +105,7 @@ def _as_int(value, name: str) -> int:
 
 
 def _vector(v, name: str) -> np.ndarray:
-    x = np.asarray(v, dtype=float)
+    x = _as_floats(v, name)
     if x.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={x.ndim}")
     if x.size == 0:
@@ -225,8 +231,8 @@ class GaussianMixture(_ReadOnly):
 
     def __init__(self, weights, means, covs):
         w = _vector(weights, "mixture weights")
-        means = np.asarray(means, dtype=float)
-        covs = np.asarray(covs, dtype=float)
+        means = _as_floats(means, "means")
+        covs = _as_floats(covs, "covs")
         if means.ndim != 2:
             raise ValueError(f"means must be (q, n), got ndim={means.ndim}")
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
@@ -256,7 +262,7 @@ class GaussianMixture(_ReadOnly):
         if not comps:
             raise ValueError("mixture needs at least one component")
         try:
-            weights, means, covs = (np.array(part, dtype=float)
+            weights, means, covs = (_as_floats(part, "components")
                                     for part in zip(*comps, strict=True))
         except ValueError as exc:
             raise ValueError(f"malformed mixture components: {exc}") from exc
@@ -307,14 +313,25 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
 
 
 class IIDSwitching(_ReadOnly):
-    """Modes drawn independently at every step from a fixed vector pi."""
+    """Modes drawn independently at every step from a fixed vector pi:
+    ``m`` is its length, and every step's row is pi, normalized."""
 
     def __init__(self, pi):
-        _freeze(self, pi=_vector(pi, "pi"))
+        pi = _vector(pi, "pi")
+        _freeze(self, pi=pi, m=pi.size)
+
+    def _violations(self, m: int) -> list[str]:
+        out = [] if self.m == m else [
+            f"switching pi has length {self.m} for {m} modes"]
+        return out + check_probability_vector(self.pi, "switching pi")
+
+    def _rows(self, k_max: int, m: int):
+        return itertools.repeat(_normalized(self.pi), k_max)
 
 
 class MarkovSwitching(_ReadOnly):
-    """Time-homogeneous Markov chain: transition matrix P, initial pi0."""
+    """Time-homogeneous Markov chain, transition matrix P and initial pi0:
+    ``m`` is the size of P, and step k's row is pi0 P^k, normalized."""
 
     def __init__(self, P, pi0):
         p = as_square(P, "P")
@@ -323,17 +340,28 @@ class MarkovSwitching(_ReadOnly):
             raise ValueError(
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
             )
-        _freeze(self, P=p, pi0=pi0)
+        _freeze(self, P=p, pi0=pi0, m=p.shape[0])
+
+    def _violations(self, m: int) -> list[str]:
+        out = [] if self.m == m else [
+            f"switching P is {self.m}x{self.P.shape[1]} for {m} modes"]
+        out += check_transition_matrix(self.P, "switching P")
+        return out + check_probability_vector(self.pi0, "switching pi0")
+
+    def _rows(self, k_max: int, m: int):
+        pi, p = _normalized(self.pi0), _normalized(self.P)
+        for _ in range(k_max):
+            pi = _normalized(pi @ p)
+            yield pi
 
 
 class ScheduleSwitching(_ReadOnly):
-    """Explicit per-step occupation vectors pi(1), pi(2), ...
-
-    Beyond the stored horizon the last vector repeats.
-    """
+    """Explicit per-step occupation vectors pi(1), pi(2), ... of length
+    ``m``. The rows are the vectors, normalized; beyond the stored horizon
+    the last one repeats."""
 
     def __init__(self, vectors):
-        v = np.asarray(vectors, dtype=float)
+        v = _as_floats(vectors, "schedule")
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError(
                 f"schedule must be a nonempty list of vectors, got shape "
@@ -341,15 +369,28 @@ class ScheduleSwitching(_ReadOnly):
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("schedule contains non-finite entries")
-        _freeze(self, vectors=v)
+        _freeze(self, vectors=v, m=v.shape[1])
+
+    def _violations(self, m: int) -> list[str]:
+        out = [] if self.m == m else [
+            f"schedule vectors have length {self.m} for {m} modes"]
+        for k, row in enumerate(self.vectors):
+            out += check_probability_vector(row, f"schedule step {k + 1}")
+        return out
+
+    def _rows(self, k_max: int, m: int):
+        rows = _normalized(self.vectors)
+        for k in range(k_max):
+            yield rows[min(k, len(rows) - 1)]
 
 
 class SequenceSwitching(_ReadOnly):
     """Deterministic mode sequence i_1, i_2, ... with 1-based indices.
 
     Beyond the stored length the sequence repeats cyclically, treating the
-    stored indices as one period.
-    """
+    stored indices as one period. The indices do not fix the mode count,
+    so ``m`` is None, and step k's row is the indicator of i_k among the m
+    modes that the caller gives."""
 
     def __init__(self, indices):
         try:
@@ -359,61 +400,27 @@ class SequenceSwitching(_ReadOnly):
             raise ValueError(f"sequence indices must be integers: {exc}")
         if not idx:
             raise ValueError("sequence must be nonempty")
-        _freeze(self, indices=idx)
+        _freeze(self, indices=idx, m=None)
+
+    def _violations(self, m: int) -> list[str]:
+        bad = sorted({i for i in self.indices if not 1 <= i <= m})
+        return [f"sequence indices {bad} outside [1..{m}]"] if bad else []
+
+    def _rows(self, k_max: int, m: int):
+        eye = np.eye(m)
+        for k in range(k_max):
+            yield eye[self.indices[k % len(self.indices)] - 1]
 
 
-SwitchingLaw = Union[
-    IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching
-]
-
-
-def law_mode_count(law: SwitchingLaw):
-    """Mode count implied by the law, or None when it carries none (Sequence)."""
-    if isinstance(law, IIDSwitching):
-        return law.pi.size
-    if isinstance(law, MarkovSwitching):
-        return law.P.shape[0]
-    if isinstance(law, ScheduleSwitching):
-        return law.vectors.shape[1]
-    if isinstance(law, SequenceSwitching):
-        return None
-    raise TypeError(f"unknown switching law {type(law).__name__}")
+_LAWS = (IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching)
+SwitchingLaw = Union[_LAWS]
 
 
 def check_law(law: SwitchingLaw, m: int) -> list[str]:
     """Value-level violations of a switching law against mode count m."""
-    out = []
-    if isinstance(law, IIDSwitching):
-        if law.pi.size != m:
-            out.append(
-                f"switching pi has length {law.pi.size} for {m} modes"
-            )
-        out += check_probability_vector(law.pi, "switching pi")
-    elif isinstance(law, MarkovSwitching):
-        if law.P.shape[0] != m:
-            out.append(
-                f"switching P is {law.P.shape[0]}x{law.P.shape[1]} for "
-                f"{m} modes"
-            )
-        out += check_transition_matrix(law.P, "switching P")
-        out += check_probability_vector(law.pi0, "switching pi0")
-    elif isinstance(law, ScheduleSwitching):
-        if law.vectors.shape[1] != m:
-            out.append(
-                f"schedule vectors have length {law.vectors.shape[1]} for "
-                f"{m} modes"
-            )
-        for k, row in enumerate(law.vectors):
-            out += check_probability_vector(row, f"schedule step {k + 1}")
-    elif isinstance(law, SequenceSwitching):
-        bad = [i for i in law.indices if not 1 <= i <= m]
-        if bad:
-            out.append(
-                f"sequence indices {sorted(set(bad))} outside [1..{m}]"
-            )
-    else:
-        out.append(f"unknown switching law {type(law).__name__}")
-    return out
+    if not isinstance(law, _LAWS):
+        return [f"unknown switching law {type(law).__name__}"]
+    return law._violations(m)
 
 
 class ValidationReport(NamedTuple):
@@ -457,10 +464,11 @@ def marginal_schedule(
 ) -> np.ndarray:
     """Per-step mode marginals pi(1) .. pi(k_max) as a (k_max, m) array.
 
-    IID laws repeat pi; Markov laws evolve pi(k) = pi0 P^k; schedules
-    return their stored vectors, repeating the last one beyond the stored
-    horizon; sequences yield exact indicator vectors, cycling through the
-    stored period.
+    The rows are those each law steps the routes with: IID laws repeat
+    pi; Markov laws evolve pi(k) = pi0 P^k; schedules return their stored
+    vectors, repeating the last one beyond the stored horizon; sequences
+    yield exact indicator vectors, cycling through the stored period.
+    The routes read them one step at a time and build no such table.
 
     Parameters
     ----------
@@ -480,51 +488,18 @@ def marginal_schedule(
     k_max = _as_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    m_law = law_mode_count(law)
-    if m is None and m_law is None:
+    if not isinstance(law, _LAWS):
+        raise TypeError(f"unknown switching law {type(law).__name__}")
+    if m is None and law.m is None:
         raise ValueError(
             "m is required for Sequence laws: the index list does not "
             "determine the mode count"
         )
-    m = m_law if m is None else _as_int(m, "m")
-    if m_law is not None and m != m_law:
-        raise ValueError(f"m={m} inconsistent with law mode count {m_law}")
+    m = law.m if m is None else _as_int(m, "m")
+    if law.m is not None and m != law.m:
+        raise ValueError(f"m={m} inconsistent with law mode count {law.m}")
     _reject(check_law(law, m))
-    return _marginals(law, k_max, m)
-
-
-def _marginal_rows(law: SwitchingLaw, k_max: int, m: int):
-    """Yield pi(1) .. pi(k_max), each a normalized (m,) row, for a law
-    already checked against m; a row may be yielded again as is, so it
-    is not to be written."""
-    if isinstance(law, IIDSwitching):
-        row = _normalized(law.pi)
-        for _ in range(k_max):
-            yield row
-    elif isinstance(law, MarkovSwitching):
-        pi, p = _normalized(law.pi0), _normalized(law.P)
-        for _ in range(k_max):
-            pi = _normalized(pi @ p)
-            yield pi
-    elif isinstance(law, ScheduleSwitching):
-        rows = _normalized(law.vectors)
-        for k in range(k_max):
-            yield rows[min(k, len(rows) - 1)]
-    elif isinstance(law, SequenceSwitching):
-        period = len(law.indices)
-        for k in range(k_max):
-            row = np.zeros(m)
-            row[law.indices[k % period] - 1] = 1.0
-            yield row
-
-
-def _marginals(law: SwitchingLaw, k_max: int, m: int) -> np.ndarray:
-    """The body of marginal_schedule for a law already checked against m:
-    the rows of _marginal_rows as one (k_max, m) array."""
-    out = np.zeros((k_max, m))
-    for k, row in enumerate(_marginal_rows(law, k_max, m)):
-        out[k] = row
-    return out
+    return np.fromiter(law._rows(k_max, m), np.dtype((float, (m,))), k_max)
 
 
 class StationaryResult(NamedTuple):

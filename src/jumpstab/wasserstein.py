@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matkit import NumericalError, psd_project, symmetrize
+from .matkit import NumericalError, _as_floats, psd_project, symmetrize
 from .sysmodel import GaussianMixture, _reject, check_mixture
 
 __all__ = [
@@ -37,7 +37,7 @@ def gaussian_to_dirac(mean, cov) -> float:
     Equals sqrt(||mean||^2 + tr cov). Rank-deficient covariances are
     fine; an indefinite one raises ``ValueError``.
     """
-    mu = np.asarray(mean, dtype=float).reshape(-1)
+    mu = _as_floats(mean, "mean").reshape(-1)
     if not np.all(np.isfinite(mu)):
         raise ValueError("mean contains non-finite entries")
     c = psd_project(cov)

@@ -4,11 +4,16 @@ Not a test module: pytest collects only ``test_*.py``. The n^2 lift is
 the textbook form of what the library computes in symmetric
 coordinates; the Monte Carlo draws come from a sequential SplitMix64 in
 Python ints, where the library jumps ahead in numpy uint64 arrays.
+``traced_peak`` measures the peak memory of one call, and
+``needs_refused_allocation`` marks a test that needs an impossible
+allocation refused.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from jumpstab.matkit import NumericalError
 from jumpstab.sysmodel import JumpLinearSystem, as_probability_vector
@@ -25,6 +30,32 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     if not np.all(np.isfinite(lifts)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes that tracemalloc saw it hold)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _grants_every_allocation() -> bool:
+    """Whether Linux is set to grant every allocation, however large
+    (vm.overcommit_memory 1)."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as f:
+            return f.read().strip() == "1"
+    except OSError:
+        return False
+
+
+#: a test of an impossible horizon relies on numpy's refusal of its
+#: first allocation; a host that grants it would run every step instead
+needs_refused_allocation = pytest.mark.skipif(
+    _grants_every_allocation(),
+    reason="the host grants every allocation (vm.overcommit_memory 1)")
 
 
 #: SplitMix64's increment and the mask of arithmetic mod 2^64

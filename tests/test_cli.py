@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from jumpstab.cli import main
+from reference import needs_refused_allocation
 
 IID = {
     "n": 1,
@@ -743,12 +744,14 @@ class TestTrajectory:
             ["trajectory", write(SINGLE_HALF), "--steps", "-1"]
         ) == 1
 
+    @needs_refused_allocation
     def test_impossible_size_exits_1(self, write, capsys):
-        # 1.46 TiB of schedule rows: numpy refuses at once
+        # 745 GiB of W^2 values, allocated before the first step: numpy
+        # refuses at once
         argv = ["trajectory", write(IID), "--steps", "100000000000"]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: Unable to allocate 1.46 TiB")
+        assert captured.err.startswith("error: Unable to allocate 745. GiB")
         assert captured.out == ""
 
 

@@ -9,7 +9,6 @@ import bisect
 import itertools
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
 )
-from reference import GAMMA, MASK, ensemble_draws, splitmix64
+from reference import GAMMA, MASK, ensemble_draws, splitmix64, traced_peak
 from reference import uniforms as reference_uniforms
 
 
@@ -332,12 +331,7 @@ class TestSimulateEnsemble:
         for k_max in (10, 400):
             cfg = SimConfig(trajectories=2 * 4096 + 5, k_max=k_max, seed=97,
                             sampling="path")
-            tracemalloc.start()
-            try:
-                simulate_ensemble(sys, law, mix, cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(simulate_ensemble, sys, law, mix, cfg)[1])
         assert abs(peaks[1] - peaks[0]) < 2**20
 
     def test_schedule_read_one_row_per_step(self):
@@ -350,12 +344,8 @@ class TestSimulateEnsemble:
         simulate_ensemble(sys, law, mix, SimConfig(1, 10))  # warm-up
         peaks = {}
         for k_max in (2_000, 20_000):
-            tracemalloc.start()
-            try:
-                simulate_ensemble(sys, law, mix, SimConfig(1, k_max))
-                peaks[k_max] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[k_max] = traced_peak(simulate_ensemble, sys, law, mix,
+                                       SimConfig(1, k_max))[1]
         outputs = 33 * (20_000 - 2_000)
         assert peaks[20_000] - peaks[2_000] - outputs < 128 * 1024
 

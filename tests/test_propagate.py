@@ -6,8 +6,6 @@ product. Derived expectations use explicit enumeration, Kronecker
 oracles computed inline and the n^2 lift of ``reference``.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -32,7 +30,8 @@ from jumpstab.sysmodel import (
 )
 from jumpstab import sysmodel, wasserstein
 from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
-from reference import lifted_step_matrix
+from reference import (lifted_step_matrix, needs_refused_allocation,
+                       traced_peak)
 
 
 def random_system(rng, m, n, scale=0.9):
@@ -302,6 +301,15 @@ class TestMogPropagate:
             mog_propagate(sys, law, point_mass([1.0]), 20_000)
         assert counted in str(info.value)
 
+    @needs_refused_allocation
+    def test_impossible_horizon_fails_at_once(self):
+        # one component forever passes the cap, but the support counts,
+        # one int per step, are allocated before the first step
+        sys = JumpLinearSystem(modes=[[[0.5]]])
+        with pytest.raises(MemoryError):
+            mog_propagate(sys, SequenceSwitching((1,)), point_mass([1.0]),
+                          10**11)
+
 
 def reference_components(sys, schedule, mix):
     """The exact mixture by a plain loop over (mode, component) pairs:
@@ -364,12 +372,8 @@ class TestExactRouteReference:
         mix = random_mixture(rng, n=n, q=q0)
         law = IIDSwitching([0.5, 0.5])
         final_cov_bytes = q0 * m**steps * n * n * 8
-        tracemalloc.start()
-        try:
-            records = w2_trajectory(sys, law, mix, steps, method="exact_mog")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records, peak = traced_peak(w2_trajectory, sys, law, mix, steps,
+                                    method="exact_mog")
         assert records[-1].component_count == 8192
         assert peak < 1.5 * final_cov_bytes
 
@@ -383,12 +387,8 @@ class TestExactRouteReference:
         mix = random_mixture(rng, n=n, q=q0)
         law = IIDSwitching(np.full(m, 1 / m))
         last_sym_bytes = q0 * m**steps * n * (n + 1) // 2 * 8
-        tracemalloc.start()
-        try:
-            records = w2_trajectory(sys, law, mix, steps, method="exact_mog")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records, peak = traced_peak(w2_trajectory, sys, law, mix, steps,
+                                    method="exact_mog")
         assert records[-1].component_count == q0 * m**steps
         assert peak < last_sym_bytes
 
@@ -686,6 +686,18 @@ class TestW2Trajectory:
         calls.clear()
         mog_propagate(sys, law, random_mixture(rng, n=2, q=1), 5)
         assert calls == [2]
+
+    @pytest.mark.parametrize("method", ["moment", "gamma"])
+    def test_rows_read_one_step_at_a_time(self, method):
+        # each step reads its own row of the law and no (K, m) table is
+        # built, so the peak does not grow with the mode count
+        peaks = []
+        for m in (2, 64):
+            sys = JumpLinearSystem(modes=np.full((m, 1, 1), 0.5))
+            law = IIDSwitching(np.full(m, 1 / m))
+            peaks.append(traced_peak(w2_trajectory, sys, law,
+                                     point_mass([1.0]), 5000, method)[1])
+        assert peaks[1] - peaks[0] < 256 * 1024
 
     def test_moment_methods_have_no_component_count(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])

@@ -4,13 +4,17 @@ Stationary distributions are cross-checked against a power-iteration
 oracle; Markov marginals against repeated explicit multiplication.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from jumpstab.matkit import as_matrix
 from jumpstab.mcsim import SimConfig, simulate_ensemble
 from jumpstab.propagate import gamma_product, mog_propagate, w2_trajectory
-from jumpstab.stability import analyze, contraction_test
+from jumpstab.stability import analyze, contraction_test, markov_test
 from jumpstab.sysmodel import (
     GaussianMixture,
     IIDSwitching,
@@ -21,11 +25,11 @@ from jumpstab.sysmodel import (
     _normalized,
     as_probability_vector,
     check_probability_vector,
-    law_mode_count,
     marginal_schedule,
     stationary_distribution,
     validate_system,
 )
+from jumpstab.wasserstein import gaussian_to_dirac
 
 
 def two_mode_system():
@@ -397,15 +401,10 @@ class TestMarginalSchedule:
 
 class TestLawModeCount:
     def test_counts(self):
-        assert law_mode_count(IIDSwitching([0.5, 0.5])) == 2
-        assert (
-            law_mode_count(
-                MarkovSwitching(P=np.eye(3), pi0=[1, 0, 0])
-            )
-            == 3
-        )
-        assert law_mode_count(ScheduleSwitching([[1.0, 0.0]])) == 2
-        assert law_mode_count(SequenceSwitching((1, 2))) is None
+        assert IIDSwitching([0.5, 0.5]).m == 2
+        assert MarkovSwitching(P=np.eye(3), pi0=[1, 0, 0]).m == 3
+        assert ScheduleSwitching([[1.0, 0.0]]).m == 2
+        assert SequenceSwitching((1, 2)).m is None
 
 
 class TestStationaryDistribution:
@@ -507,3 +506,54 @@ def test_integer_arguments_reject_other_values(call, value):
                          ids=INTEGER_ARGUMENTS)
 def test_integer_arguments_accept_integral_values(call):
     assert call(2.0) == call(np.int64(2)) == call(2)
+
+
+#: every array argument of a public entry, as a call that builds it from
+#: one value
+ARRAY_ARGUMENTS = {
+    "as_matrix": lambda v: as_matrix([[v]]),
+    "JumpLinearSystem.modes": lambda v: JumpLinearSystem([[[v]]]),
+    "IIDSwitching.pi": lambda v: IIDSwitching([v]),
+    "MarkovSwitching.P": lambda v: MarkovSwitching([[v]], [1.0]),
+    "MarkovSwitching.pi0": lambda v: MarkovSwitching([[1.0]], [v]),
+    "ScheduleSwitching.vectors": lambda v: ScheduleSwitching([[v]]),
+    "GaussianMixture.weights":
+        lambda v: GaussianMixture([v], [[0.0]], [[[1.0]]]),
+    "GaussianMixture.means":
+        lambda v: GaussianMixture([1.0], [[v]], [[[1.0]]]),
+    "GaussianMixture.covs":
+        lambda v: GaussianMixture([1.0], [[0.0]], [[[v]]]),
+    "GaussianMixture.from_components":
+        lambda v: GaussianMixture.from_components([(1.0, [v], [[1.0]])]),
+    "markov_test.P":
+        lambda v: markov_test(JumpLinearSystem([[[0.5]]]), [[v]]),
+    "gaussian_to_dirac.mean": lambda v: gaussian_to_dirac([v], [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_ARGUMENTS.values(),
+                         ids=ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+def test_array_arguments_reject_strings_and_bools(call, value):
+    """No array argument reads a string or a bool as a number."""
+    with pytest.raises(ValueError, match="must hold ints or floats"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", ARRAY_ARGUMENTS.values(),
+                         ids=ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("value", [1, 1.0, np.float32(1), Fraction(1),
+                                   Decimal(1)],
+                         ids=["int", "float", "float32", "fraction",
+                              "decimal"])
+def test_array_arguments_accept_numbers(call, value):
+    call(value)
+
+
+def test_array_entries_numpy_keeps_as_objects():
+    """Ints beyond int64 are read as floats; a bool or a string among
+    them is still refused."""
+    assert_array_equal(IIDSwitching([1, 2**70]).pi, [1.0, 2.0**70])
+    for entries in ([True, 2**70], [Fraction(1, 2), "0.5"], [None]):
+        with pytest.raises(ValueError, match="got dtype object"):
+            IIDSwitching(entries)
