@@ -40,17 +40,19 @@ class NumericalError(RuntimeError):
 
 
 def _as_floats(a, name: str) -> np.ndarray:
-    """``a`` as a float64 array if its dtype is integer or float, or if it
-    holds Python numbers numpy keeps as objects (ints beyond int64,
-    fractions, decimals); bools, strings and any other entries raise
-    ``ValueError`` naming ``name``. A complex among such objects raises
-    ``TypeError``, as ``float()`` does."""
-    a = np.asarray(a)
-    if a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(
-            isinstance(x, numbers.Number) and not isinstance(x, bool)
-            for x in a.flat):
-        return a.astype(float, copy=False)
-    raise ValueError(f"{name} must hold ints or floats, got dtype {a.dtype}")
+    """``a`` as a float64 array if it holds ints and floats only. numpy
+    reads a bool among numbers as a number, and keeps ints beyond int64,
+    fractions and decimals as objects, so the entries of anything but an
+    int or float ndarray are checked one by one. Anything else raises
+    ``ValueError`` naming ``name``; a complex object ``TypeError``."""
+    arr = np.asarray(a)
+    kind = arr.dtype.kind
+    if kind in "iuf" and isinstance(a, np.ndarray) or kind in "iufO" and all(
+            isinstance(x, numbers.Number) and type(x) not in (bool, np.bool_)
+            for x in np.asarray(a, dtype=object).flat):
+        return arr.astype(float, copy=False)
+    got = "a bool" if kind in "iuf" else f"dtype {arr.dtype}"
+    raise ValueError(f"{name} must hold ints or floats, got {got}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -43,11 +43,11 @@ would lose digits, the route raises NumericalError instead of printing
 them.
 Each route has one path: ``moment`` iterates the second-moment map of
 a chain (``_moment_map``, on the A X A^T kernel ``_push``); ``gamma``
-pushes one row of coordinates per step through the lifts and
+pushes one row of coordinates per step through the symmetric lifts and
 ``exact_mog`` one per component (``_mog_fold``), both with
-``_lifted_push``, which also steps the identity rows of
-``gamma_product``. The map and its matrix (``_chain_lift``) serve the
-stability tests as well.
+``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices through
+X -> sum_j pi_j A_j X A_j^T and reads Gamma(k) off them. The map and its
+matrix (``_chain_lift``) serve the stability tests as well.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .sysmodel import (
     SwitchingLaw,
     _as_int,
     _reject,
-    marginal_schedule,
+    check_law,
     validate_system,
 )
 from .wasserstein import _dirac_sq, mixture_to_dirac_sq, synthetic_gaussian
@@ -80,8 +80,9 @@ __all__ = [
     "DIVERGENCE_GUARD",
 ]
 
-#: Entry magnitudes past this count as divergence of the products formed
-#: by gamma_product and the sequence stability test.
+#: Entry magnitudes past this count as divergence: of Gamma(k), whose
+#: pushed unit matrices gamma_product reads after every step, and of the
+#: mode products of the sequence stability test.
 DIVERGENCE_GUARD = 1e150
 
 _TINY = np.finfo(float).tiny
@@ -136,19 +137,6 @@ def _basis_units(n: int) -> np.ndarray:
     return units
 
 
-def _bases(n: int):
-    """Orthonormal bases U (n^2 x s) and V (n^2 x t) of vec'd symmetric and
-    skew matrices: E_ii, (E_pq + E_qp)/sqrt2 and (E_pq - E_qp)/sqrt2, p < q.
-    """
-    p, q = _basis_pairs(n)
-    cols, units = np.arange(p.size), _basis_units(n)
-    u, v = np.zeros((n * n, p.size)), np.zeros((n * n, p.size - n))
-    u[p * n + q, cols] = u[q * n + p, cols] = units
-    v[p[n:] * n + q[n:], cols[:-n]] = units[n:]
-    v[q[n:] * n + p[n:], cols[:-n]] = -units[n:]
-    return u, v
-
-
 def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray):
     """K[r, c] and K[r, c'] of each K = A kron A of the (m, n, n) ``a``,
     r and c over the pairs (p, q), c' the transposed position of c."""
@@ -156,15 +144,16 @@ def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray):
     return rows_p[:, :, p] * rows_q[:, :, q], rows_p[:, :, q] * rows_q[:, :, p]
 
 
-def _sym_skew_lifts(sys: JumpLinearSystem, e=0):
-    """B_j kron B_j in the bases of _bases, B_j = A_j / 2**e_j, ``e`` one
-    exponent or one per mode: the (m, s, s) symmetric and the (m, t, t)
-    skew stacks, s = n(n+1)/2, t = n(n-1)/2.
+def _sym_lifts(sys: JumpLinearSystem, e=0) -> np.ndarray:
+    """B_j kron B_j on symmetric matrices, B_j = A_j / 2**e_j, ``e`` one
+    exponent or one per mode: the (m, s, s) stack in the orthonormal
+    basis E_ii, (E_pq + E_qp)/sqrt2 of _basis_pairs, s = n(n+1)/2. Each
+    lift maps symmetric matrices to symmetric ones, and this block has
+    the whole lift's spectral radius.
 
     K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
     exactly, so with c' the transposed position of column c every entry
-    is 2 c_r c_c (K[r, c] +- K[r, c']), gathered from A without forming K,
-    and the blocks coupling symmetric and skew matrices are exactly zero.
+    is 2 c_r c_c (K[r, c] + K[r, c']), gathered from A without forming K.
     Raises NumericalError if an entry overflows, or if the scaling leaves
     an entry of B_j, or a product of two, below the normal range where
     that of A_j is not: the lift would lose its digits.
@@ -183,32 +172,32 @@ def _sym_skew_lifts(sys: JumpLinearSystem, e=0):
                     "A_j kron A_j overflows, and scaled it underflows: "
                     "modes too large"
                 )
-        skew = sym[:, n:, n:] - crossed[:, n:, n:]
         sym += crossed
-    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(skew))):
+    if not np.all(np.isfinite(sym)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     # 2 c_r c_c with c = 1/2 on E_ii and 1/sqrt2 on pairs: 1/2, 1/sqrt2, 1
     scale = np.where(np.arange(p.size) < n, np.sqrt(0.5), 1.0)
     weights = np.outer(scale, scale)
     weights[:n, :n] = 0.5
     sym *= weights
-    return sym, skew
+    return sym
 
 
 def _scaled_lifts(sys: JumpLinearSystem):
-    """_sym_skew_lifts of the modes over 2**e_j, and 2 e_j per mode: each
+    """The _sym_lifts of the modes over 2**e_j, each transposed and the
+    stack in C order, as _lifted_push takes it, and 2 e_j per mode: each
     lift is its block times 2**(2 e_j). e_j is the least e >= 0 that
     brings the largest magnitude of A_j below 2**_LIFT_LIMIT. Modes that
     need no scaling keep their lifts bit for bit; larger ones scale
-    exactly, powers of two being exact, or raise as _sym_skew_lifts says."""
+    exactly, powers of two being exact, or raise as _sym_lifts says."""
     tops = np.abs(sys.modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
-    return (*_sym_skew_lifts(sys, e), 2 * e)
+    return np.swapaxes(_sym_lifts(sys, e), 1, 2).copy(), 2 * e
 
 
 def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
     """The matrix of _moment_map(modes, mix, weights) on the coordinates
-    of ``blocks``, one (m, b, b) stack of _sym_skew_lifts: block (r, j) of
+    of ``blocks``, an (m, b, b) stack such as _sym_lifts: block (r, j) of
     the (s b, s b) result is sum_i weights[r, i] mix[j, i] blocks[i]."""
     lift = np.tensordot(weights[:, None] * mix[None], blocks, 1)
     size = len(mix) * blocks.shape[1]
@@ -246,7 +235,7 @@ def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
 
 def _sym_coords(covs: np.ndarray) -> np.ndarray:
     """The (q, s) coordinates of the symmetric parts of (q, n, n) ``covs``
-    in the basis of _bases: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
+    in the basis of _sym_lifts: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
     n = covs.shape[-1]
     p, q = _basis_pairs(n)
     units = _basis_units(n)
@@ -270,10 +259,9 @@ def _lifted_push(rows, lifts, exps, live):
     """The (q, b) ``rows`` of coordinates times ``lifts[j]``, the
     transposed lift of each mode j in ``live``, scaled back by 2**exps[j]:
     the (len(live), q, b) images, one matrix product per mode. ``lifts``
-    and ``exps`` are one block stack of _scaled_lifts, transposed into C
-    order, and its exponents; the stack is gathered only when a mode is
-    not live. Entries past float64 come out as inf or nan, which the
-    caller checks."""
+    and ``exps`` are as _scaled_lifts returns them; the stack is gathered
+    only when a mode is not live. Entries past float64 come out as inf or
+    nan, which the caller checks."""
     if live.size < len(lifts):
         lifts, exps = lifts[live], exps[live]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,8 +341,7 @@ def _mog_fold(sys: JumpLinearSystem, law, init, k: int, cap,
             f"exact propagation reaches {counted} = {_count(reach)} "
             f"components, beyond cap={cap}; raise the cap"
         )
-    sym, _, exps = _scaled_lifts(sys)
-    lifts = np.swapaxes(sym, 1, 2).copy()
+    lifts, exps = _scaled_lifts(sys)
     state = init.weights, init.means, _sym_coords(init.covs)
     for step, pi in enumerate(law._rows(k, sys.m), 1):
         if last_diagonal and step == k:
@@ -404,40 +391,32 @@ def gamma_product(
 ) -> GammaState:
     """Reverse-ordered product Gamma(k) = A(k) A(k-1) ... A(1).
 
-    Gamma(0) is the identity. The identity rows of the symmetric and the
-    skew block are pushed through the lifts one step at a time, as the
-    ``gamma`` route pushes its one row, and the n^2 x n^2 Gamma(k) is
-    assembled once at the end. If a step would push any entry magnitude
-    past DIVERGENCE_GUARD, or leave one not finite, the stepping stops
-    and returns the last product under it with ``diverged=True`` (the
-    ``k`` field then reports how many factors were applied).
+    A kron A maps vec(X) to vec(A X A^T), row- or column-major alike, so
+    column c of Gamma(k) is vec of the unit matrix E_c pushed through
+    X -> sum_j pi_j(i) A_j X A_j^T for i = 1 .. k. The stepping stops
+    before a step that leaves an entry magnitude past DIVERGENCE_GUARD
+    or not finite (see GammaState). Raises ValueError for a negative
+    ``k`` or a law that does not fit the system.
     """
     k = _as_int(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    gamma, done = np.eye(sys.n * sys.n), 0
-    if k > 0:
-        *blocks, exps = _scaled_lifts(sys)
-        lifts = [np.swapaxes(block, 1, 2).copy() for block in blocks]
-        rows = [np.eye(block.shape[1]) for block in blocks]
-        for pi in marginal_schedule(law, k, m=sys.m):
-            live = np.flatnonzero(pi)
-            with np.errstate(over="ignore", invalid="ignore"):
-                stepped = [
-                    np.tensordot(pi[live], _lifted_push(r, t, exps, live), 1)
-                    for r, t in zip(rows, lifts)
-                ]
-            # Gamma maps X to a nonnegative combination of B X B^T over
-            # products B of modes, so by Cauchy-Schwarz |Gamma[(p,q),(r,s)]|
-            # <= sqrt(Gamma[(p,p),(r,r)] Gamma[(q,q),(s,s)]): its largest
-            # entry is in the leading n x n block of the symmetric rows
-            if not (all(np.isfinite(x).all() for x in stepped) and np.abs(
-                    stepped[0][:sys.n, :sys.n]).max() <= DIVERGENCE_GUARD):
+    _reject(check_law(law, sys.m))
+    n, size = sys.n, sys.n * sys.n
+    # x[p, c, q] is entry (p, q) of the pushed E_c, so that A X and X A^T
+    # are each one product over all c: (n, n) by (n, n^3), (n^3, n) by (n, n)
+    x, done = np.eye(size).reshape(n, n, size).transpose(0, 2, 1), 0
+    for pi in law._rows(k, sys.m):
+        live = np.flatnonzero(pi)
+        modes = sys.modes[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = (modes @ x.reshape(n, -1)).reshape(len(live), -1, n)
+            pushed = np.tensordot(pi[live], left @ np.swapaxes(modes, 1, 2), 1)
+            # a nan compares false, so it stops the stepping too
+            if not np.abs(pushed).max() <= DIVERGENCE_GUARD:
                 break
-            rows, done = stepped, done + 1
-        if done:  # rows of Gamma^T in the bases of _bases
-            u, v = _bases(sys.n)
-            gamma = (u @ rows[0] @ u.T + v @ rows[1] @ v.T).T
+        x, done = pushed.reshape(n, size, n), done + 1
+    gamma = x.transpose(0, 2, 1).reshape(size, size)
     return GammaState(gamma=gamma, k=done, diverged=done < k)
 
 
@@ -510,10 +489,8 @@ def w2_trajectory(
                                   f"second moment diverged at k={k}")(phi)
                 w2[k] = _checked(k, np.trace(phi[0]))
         elif method == "gamma":
-            # Gamma(k) svec(Phi(0)) one lifted step at a time; I and
-            # Phi(0) are symmetric, so only the symmetric block pairs them
-            sym, _, exps = _scaled_lifts(sys)
-            lifts = np.swapaxes(sym, 1, 2).copy()
+            # Gamma(k) svec(Phi(0)), one symmetric lift step at a time
+            lifts, exps = _scaled_lifts(sys)
             row = _sym_coords(phi0[None])
             for k, pi in enumerate(law._rows(k_max, sys.m), 1):
                 live = np.flatnonzero(pi)

@@ -44,7 +44,7 @@ from .propagate import (
     DIVERGENCE_GUARD,
     _chain_lift,
     _moment_map,
-    _sym_skew_lifts,
+    _sym_lifts,
 )
 from .sysmodel import (
     IIDSwitching,
@@ -241,7 +241,7 @@ def _spectral_report(sys, mix, weights, margin, test_name,
         _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
     )
     if evidence is None:
-        lift = _chain_lift(_sym_skew_lifts(sys)[0], mix, weights)
+        lift = _chain_lift(_sym_lifts(sys), mix, weights)
         evidence = spectral_radius(lift)
         verdict = _spectral_verdict(evidence, margin)
     else:

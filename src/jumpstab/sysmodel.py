@@ -468,7 +468,8 @@ def marginal_schedule(
     pi; Markov laws evolve pi(k) = pi0 P^k; schedules return their stored
     vectors, repeating the last one beyond the stored horizon; sequences
     yield exact indicator vectors, cycling through the stored period.
-    The routes read them one step at a time and build no such table.
+    No library code builds this table: the routes, gamma_product and
+    Monte Carlo read the rows one step at a time.
 
     Parameters
     ----------

@@ -2,7 +2,8 @@
 
 Not a test module: pytest collects only ``test_*.py``. The n^2 lift is
 the textbook form of what the library computes in symmetric
-coordinates; the Monte Carlo draws come from a sequential SplitMix64 in
+coordinates, and ``bases`` spans those coordinates and the skew ones
+in vec form; the Monte Carlo draws come from a sequential SplitMix64 in
 Python ints, where the library jumps ahead in numpy uint64 arrays.
 ``traced_peak`` measures the peak memory of one call, and
 ``needs_refused_allocation`` marks a test that needs an impossible
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from jumpstab.matkit import NumericalError
+from jumpstab.propagate import _basis_pairs, _basis_units
 from jumpstab.sysmodel import JumpLinearSystem, as_probability_vector
 
 
@@ -30,6 +32,20 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     if not np.all(np.isfinite(lifts)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
+
+
+def bases(n: int):
+    """Orthonormal bases U (n^2 x s) and V (n^2 x t) of vec'd symmetric and
+    skew matrices: E_ii, (E_pq + E_qp)/sqrt2 and (E_pq - E_qp)/sqrt2, p < q.
+    U's columns are in the order of the library's symmetric coordinates.
+    """
+    p, q = _basis_pairs(n)
+    cols, units = np.arange(p.size), _basis_units(n)
+    u, v = np.zeros((n * n, p.size)), np.zeros((n * n, p.size - n))
+    u[p * n + q, cols] = u[q * n + p, cols] = units
+    v[p[n:] * n + q[n:], cols[:-n]] = units[n:]
+    v[q[n:] * n + p[n:], cols[:-n]] = -units[n:]
+    return u, v
 
 
 def traced_peak(fn, *args, **kwargs):

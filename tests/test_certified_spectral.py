@@ -14,7 +14,7 @@ import pytest
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import _moment_map, _sym_skew_lifts
+from jumpstab.propagate import _moment_map, _sym_lifts
 from jumpstab.stability import (
     DEFAULT_MARGIN,
     analyze,
@@ -47,7 +47,7 @@ def rotating_modes(rng, n, m):
 
 def dense_radius(sys, kind, w):
     """rho of the symmetric block of the lift, by the dense eigensolver."""
-    sym = _sym_skew_lifts(sys)[0]
+    sym = _sym_lifts(sys)
     if kind == "iid":
         return spectral_radius(np.tensordot(np.asarray(w, float), sym, 1))
     size = sys.m * sym.shape[1]

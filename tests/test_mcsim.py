@@ -337,17 +337,20 @@ class TestSimulateEnsemble:
     def test_schedule_read_one_row_per_step(self):
         # each step forms its mode cuts from its own marginal row, so the
         # peak grows with k_max by the 33 bytes of outputs per step (three
-        # floats, one int64 count, one flag) and no (k_max, m) table; one
-        # law, as tracing makes the 20,000 steps take seconds
-        sys, mix = scalar_system(0.5, 0.3), point_mass([1.0])
-        law = MarkovSwitching(P=[[0.9, 0.1], [0.2, 0.8]], pi0=[0.5, 0.5])
+        # floats, one int64 count, one flag) and no (k_max, m) table; at
+        # 64 modes such a table grows 1 MB from 500 to 2,500 steps, and
+        # few steps keep the traced run short
+        m = 64
+        sys = scalar_system(*np.linspace(0.3, 0.6, m))
+        mix = point_mass([1.0])
+        law = MarkovSwitching(P=0.9 * np.eye(m) + 0.1 / m, pi0=np.eye(m)[0])
         simulate_ensemble(sys, law, mix, SimConfig(1, 10))  # warm-up
         peaks = {}
-        for k_max in (2_000, 20_000):
+        for k_max in (500, 2_500):
             peaks[k_max] = traced_peak(simulate_ensemble, sys, law, mix,
                                        SimConfig(1, k_max))[1]
-        outputs = 33 * (20_000 - 2_000)
-        assert peaks[20_000] - peaks[2_000] - outputs < 128 * 1024
+        outputs = 33 * (2_500 - 500)
+        assert peaks[2_500] - peaks[500] - outputs < 128 * 1024
 
     def test_starts_no_thread(self, monkeypatch):
         def refuse(thread):

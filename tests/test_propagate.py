@@ -15,7 +15,7 @@ from jumpstab.propagate import (
     GammaState,
     _moment_map,
     _scaled_lifts,
-    _sym_skew_lifts,
+    _sym_lifts,
     gamma_product,
     mog_propagate,
     w2_trajectory,
@@ -101,21 +101,19 @@ class TestScaledLifts:
     def test_modes_below_the_limit_keep_their_lifts(self):
         rng = np.random.default_rng(191)
         sys = random_system(rng, m=3, n=3, scale=1e150)  # entries < 2^510
-        unscaled = _sym_skew_lifts(sys)
-        *blocks, exps = _scaled_lifts(sys)
+        lifts, exps = _scaled_lifts(sys)
         assert not np.any(exps)
-        for got, want in zip(blocks, unscaled):
-            assert_array_equal(got, want)
+        assert_array_equal(lifts, np.swapaxes(_sym_lifts(sys), 1, 2))
 
     def test_only_the_huge_mode_is_scaled_per_mode(self):
         huge = [[0.0, 1e160], [0.0, 0.0]]  # largest entry in [2^531, 2^532)
         sys = JumpLinearSystem(modes=[huge, 0.3 * np.eye(2)])
-        sym, skew, exps = _scaled_lifts(sys)
+        lifts, exps = _scaled_lifts(sys)
         assert_array_equal(exps, [44, 0])
         small = JumpLinearSystem(modes=[0.3 * np.eye(2)])
-        assert_array_equal(sym[1], _sym_skew_lifts(small)[0][0])
-        assert np.abs(sym[0]).max() == np.ldexp(1e160, -22) ** 2
-        assert_array_equal(_scaled_lifts(sys)[2], [44, 0])
+        assert_array_equal(lifts[1], _sym_lifts(small)[0].T)
+        assert np.abs(lifts[0]).max() == np.ldexp(1e160, -22) ** 2
+        assert_array_equal(_scaled_lifts(sys)[1], [44, 0])
 
     def test_scaling_that_loses_digits_raises(self):
         """1e-150 * 1e-150 = 1e-300 is normal; scaled by 2^-44 it is not."""
@@ -486,6 +484,34 @@ class TestGammaProduct:
         assert state.k == 0
         assert not state.diverged
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("law, message", [
+        ([0.5, 0.5], "unknown switching law list"),
+        (IIDSwitching([0.2, 0.3, 0.5]),
+         "switching pi has length 3 for 2 modes"),
+        (MarkovSwitching(np.eye(3), [1.0, 0.0, 0.0]),
+         "switching P is 3x3 for 2 modes"),
+        (IIDSwitching([0.6, 0.6]), "switching pi: probability sum 1.2 != 1"),
+        (SequenceSwitching((1, 3)), "sequence indices [3] outside [1..2]"),
+    ], ids=["unknown", "iid-length", "markov-size", "iid-sum",
+            "sequence-index"])
+    def test_law_checked_against_the_system(self, law, message, k):
+        """The law is checked as every route checks it, before Gamma(0)."""
+        sys = JumpLinearSystem(modes=[np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError) as info:
+            gamma_product(sys, law, k)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "k must be nonnegative, got -1"),
+        (1.5, "k must be an integer, got 1.5"),
+    ])
+    def test_bad_k_rejected(self, k, message):
+        sys = JumpLinearSystem(modes=[np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError) as info:
+            gamma_product(sys, IIDSwitching([0.5, 0.5]), k)
+        assert str(info.value) == message
+
     def test_single_factor_iid(self):
         rng = np.random.default_rng(113)
         sys = random_system(rng, m=2, n=2)
@@ -687,16 +713,21 @@ class TestW2Trajectory:
         mog_propagate(sys, law, random_mixture(rng, n=2, q=1), 5)
         assert calls == [2]
 
-    @pytest.mark.parametrize("method", ["moment", "gamma"])
+    @pytest.mark.parametrize("method", ["moment", "gamma", "gamma_product"])
     def test_rows_read_one_step_at_a_time(self, method):
         # each step reads its own row of the law and no (K, m) table is
-        # built, so the peak does not grow with the mode count
+        # built, so the peak does not grow with the mode count; at 256
+        # modes such a table would hold 2 MB over 1,000 steps
         peaks = []
-        for m in (2, 64):
+        for m in (2, 256):
             sys = JumpLinearSystem(modes=np.full((m, 1, 1), 0.5))
             law = IIDSwitching(np.full(m, 1 / m))
-            peaks.append(traced_peak(w2_trajectory, sys, law,
-                                     point_mass([1.0]), 5000, method)[1])
+            if method == "gamma_product":
+                call = (gamma_product, sys, law, 1000)
+            else:
+                call = (w2_trajectory, sys, law, point_mass([1.0]), 1000,
+                        method)
+            peaks.append(traced_peak(*call)[1])
         assert peaks[1] - peaks[0] < 256 * 1024
 
     def test_moment_methods_have_no_component_count(self):

@@ -2,9 +2,10 @@
 
 X -> sum_j pi_j A_j X A_j^T maps symmetric matrices to symmetric ones and
 skew to skew, so in an orthonormal basis of the two subspaces the n^2
-lift splits into two diagonal blocks. These tests hold the blocks, the
-spectral radii read from the symmetric block and the blockwise product to
-the full n^2 computation, built inline with np.kron.
+lift splits into two diagonal blocks, of which the library builds the
+symmetric one. These tests hold that block, the spectral radii read from
+it and the product Gamma(k) to the full n^2 computation, built inline
+with np.kron.
 """
 
 import numpy as np
@@ -14,11 +15,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
 from jumpstab.propagate import (
-    _bases,
     _basis_pairs,
     _chain_lift,
     _moment_map,
-    _sym_skew_lifts,
+    _sym_lifts,
     gamma_product,
 )
 from jumpstab.stability import iid_test, markov_test
@@ -27,6 +27,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     marginal_schedule,
 )
+from reference import bases
 
 #: (seed, n, m): every n in 1..6 and every m in 1..4 appears
 CASES = [(s, n, m) for s, (n, m) in enumerate(
@@ -67,16 +68,15 @@ class TestBlocks:
         sys = rotating_system(np.random.default_rng(seed), n, m)
         assert any(np.iscomplexobj(np.linalg.eigvals(a)) for a in sys.modes) \
             or n == 1
-        sym, skew = _sym_skew_lifts(sys)
-        u, v = _bases(n)
-        s, t = n * (n + 1) // 2, n * (n - 1) // 2
-        assert sym.shape == (m, s, s) and skew.shape == (m, t, t)
+        sym = _sym_lifts(sys)
+        u, v = bases(n)
+        s = n * (n + 1) // 2
+        assert sym.shape == (m, s, s)
         q = np.hstack([u, v])
         assert_allclose(q.T @ q, np.eye(n * n), atol=1e-15)
-        for a, sb, kb in zip(sys.modes, sym, skew):
+        for a, sb in zip(sys.modes, sym):
             k = np.kron(a, a)
             assert_allclose(sb, u.T @ k @ u, rtol=0, atol=1e-14 * np.abs(k).max())
-            assert_allclose(kb, v.T @ k @ v, rtol=0, atol=1e-14 * np.abs(k).max())
 
     def test_off_diagonal_blocks_exactly_zero(self, seed, n, m):
         sys = rotating_system(np.random.default_rng(seed), n, m)
@@ -124,7 +124,7 @@ class TestBlocks:
             assert (state.k, state.diverged) == (step, False)
             assert_allclose(state.gamma, full, rtol=0,
                             atol=1e-12 * np.abs(full).max())
-            # the divergence guard reads the (p,p),(r,r) entries only
+            # Gamma's largest entry sits at a (p,p),(r,r) position
             assert np.abs(full[np.ix_(diagonal, diagonal)]).max() == \
                 pytest.approx(np.abs(full).max(), rel=1e-12)
         assert step == 25
@@ -143,9 +143,9 @@ def test_map_and_its_matrix_are_one_operator(n, m, chain):
         mix, weights = np.ones((1, m)), rng.dirichlet(np.ones(m))[None]
     else:
         mix, weights = random_chain(rng, m), np.eye(m)
-    states, u = mix.shape[0], _bases(n)[0]
+    states, u = mix.shape[0], bases(n)[0]
     size = u.shape[1]
-    matrix = _chain_lift(_sym_skew_lifts(sys)[0], mix, weights)
+    matrix = _chain_lift(_sym_lifts(sys), mix, weights)
     assert matrix.shape == (states * size, states * size)
     apply = _moment_map(sys.modes, mix, weights)
     columns = np.zeros_like(matrix)

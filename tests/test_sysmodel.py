@@ -550,6 +550,47 @@ def test_array_arguments_accept_numbers(call, value):
     call(value)
 
 
+#: the array arguments above that can hold two entries, as a call that
+#: puts the value beside the float 0.5 and is valid for 0.5 itself
+PAIRED_ARGUMENTS = {
+    "as_matrix": lambda v: as_matrix([[v, 0.5]]),
+    "JumpLinearSystem.modes":
+        lambda v: JumpLinearSystem([[[v, 0.5], [0.0, 1.0]]]),
+    "IIDSwitching.pi": lambda v: IIDSwitching([v, 0.5]),
+    "MarkovSwitching.P":
+        lambda v: MarkovSwitching([[v, 0.5], [0.5, 0.5]], [0.5, 0.5]),
+    "MarkovSwitching.pi0": lambda v: MarkovSwitching(np.eye(2), [v, 0.5]),
+    "ScheduleSwitching.vectors": lambda v: ScheduleSwitching([[v, 0.5]]),
+    "GaussianMixture.weights":
+        lambda v: GaussianMixture([v, 0.5], [[0.0], [0.0]],
+                                  [[[1.0]], [[1.0]]]),
+    "GaussianMixture.means":
+        lambda v: GaussianMixture([1.0], [[v, 0.5]], [np.eye(2)]),
+    "GaussianMixture.covs":
+        lambda v: GaussianMixture([1.0], [[0.0, 0.0]],
+                                  [[[v, 0.5], [0.5, 1.0]]]),
+    "GaussianMixture.from_components":
+        lambda v: GaussianMixture.from_components(
+            [(1.0, [v, 0.5], np.eye(2))]),
+    "markov_test.P":
+        lambda v: markov_test(JumpLinearSystem([[[0.5]], [[0.5]]]),
+                              [[v, 0.5], [0.5, 0.5]]),
+    "gaussian_to_dirac.mean": lambda v: gaussian_to_dirac([v, 0.5], np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("call", PAIRED_ARGUMENTS.values(),
+                         ids=PAIRED_ARGUMENTS)
+@pytest.mark.parametrize("value", [True, np.True_],
+                         ids=["bool", "numpy-bool"])
+def test_array_arguments_reject_a_bool_among_numbers(call, value):
+    """numpy reads [True, 0.5] as the floats [1.0, 0.5]: the entries of a
+    list are checked one by one."""
+    call(0.5)
+    with pytest.raises(ValueError, match="must hold ints or floats"):
+        call(value)
+
+
 def test_array_entries_numpy_keeps_as_objects():
     """Ints beyond int64 are read as floats; a bool or a string among
     them is still refused."""
