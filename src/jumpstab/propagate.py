@@ -12,12 +12,12 @@ W^2(k) of a jump linear system started from a Gaussian mixture:
     basis, which the symmetric block of A_j kron A_j maps exactly: one
     matrix product per mode and step pushes them all, a component costs
     n(n+1)/2 + n + 1 floats, and W^2 reads tr Sigma_i as the sum of its
-    first n coordinates, the diagonal. W^2(k) needs only the weights,
-    the means and those diagonals, so the route's last step pushes
-    through the first n columns of each lift: the last mixture, the
-    largest, is never formed, and the route's peak memory is that of
-    the mixture one step before it. ``mog_propagate`` takes the same
-    steps and returns the full last mixture.
+    first n coordinates, the diagonal. W^2(k) is a sum over the leaves
+    of the mixture tree, so the route walks the tree depth first in
+    chunks of about 512 KiB and its last step pushes the diagonals only:
+    it holds a few chunks, whatever the count, and the cap bounds its
+    time. ``mog_propagate`` walks in one chunk and returns the whole
+    last mixture.
 
 ``moment``
     Propagates only the n x n second moment,
@@ -44,14 +44,15 @@ them.
 Each route has one path: ``moment`` iterates the second-moment map of
 a chain (``_moment_map``, on the A X A^T kernel ``_push``); ``gamma``
 pushes one row of coordinates per step through the symmetric lifts and
-``exact_mog`` one per component (``_mog_fold``), both with
-``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices through
-X -> sum_j pi_j A_j X A_j^T and reads Gamma(k) off them. The map and its
-matrix (``_chain_lift``) serve the stability tests as well.
+``exact_mog`` one per component of its tree walk (``_mog_walk``), both
+with ``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices
+through X -> sum_j pi_j A_j X A_j^T and reads Gamma(k) off them. The
+map and its matrix (``_chain_lift``) serve the stability tests as well.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -92,6 +93,9 @@ _TINY = np.finfo(float).tiny
 #: entries, and every sum of two products, stays under 2**1021, so the
 #: lifts of such modes are the unscaled ones, bit for bit.
 _LIFT_LIMIT = 510
+
+#: Bytes of children that one push of the exact route may form.
+_MOG_BUDGET = 1 << 19
 
 
 class GammaState(NamedTuple):
@@ -137,50 +141,53 @@ def _basis_units(n: int) -> np.ndarray:
     return units
 
 
-def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """K[r, c] and K[r, c'] of each K = A kron A of the (m, n, n) ``a``,
-    r and c over the pairs (p, q), c' the transposed position of c."""
-    rows_p, rows_q = a[:, p], a[:, q]
-    return rows_p[:, :, p] * rows_q[:, :, q], rows_p[:, :, q] * rows_q[:, :, p]
+def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray, out=None):
+    """K[r, c], into ``out`` if given, and K[r, c'] of K = A kron A for
+    the (n, n) ``a``: r, c over the pairs (p, q), c' the pair c reversed."""
+    rows_p, rows_q = a[p], a[q]
+    sym = np.multiply(rows_p[:, p], rows_q[:, q], out=out)
+    crossed = rows_p[:, q]
+    crossed *= rows_q[:, p]
+    return sym, crossed
 
 
-def _sym_lifts(sys: JumpLinearSystem, e=0) -> np.ndarray:
+def _sym_lifts(sys: JumpLinearSystem, e=0, transposed=False) -> np.ndarray:
     """B_j kron B_j on symmetric matrices, B_j = A_j / 2**e_j, ``e`` one
     exponent or one per mode: the (m, s, s) stack in the orthonormal
     basis E_ii, (E_pq + E_qp)/sqrt2 of _basis_pairs, s = n(n+1)/2. Each
     lift maps symmetric matrices to symmetric ones, and this block has
-    the whole lift's spectral radius.
+    the whole lift's spectral radius. ``transposed`` builds each from
+    B_j^T: (A kron A)^T = A^T kron A^T, each product's factors swapped.
 
     K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
     exactly, so with c' the transposed position of column c every entry
-    is 2 c_r c_c (K[r, c] + K[r, c']), gathered from A without forming K.
-    Raises NumericalError if an entry overflows, or if the scaling leaves
-    an entry of B_j, or a product of two, below the normal range where
-    that of A_j is not: the lift would lose its digits.
+    is 2 c_r c_c (K[r, c] + K[r, c']), gathered from A one mode at a time
+    without forming K. Raises NumericalError if an entry overflows, or if
+    the scaling leaves an entry of B_j, or a product of two, below the
+    normal range where that of A_j is not: the lift would lose digits.
     """
-    n, e = sys.n, np.broadcast_to(e, (sys.m,))[:, None, None]
-    a = np.ldexp(sys.modes, -e)
+    n, e = sys.n, np.broadcast_to(e, (sys.m,))
     p, q = _basis_pairs(n)
+    out = np.empty((sys.m, p.size, p.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        sym, crossed = _kron_entries(a, p, q)
-        if np.any(e):
-            pairs = zip((a, sym, crossed),
-                        (sys.modes, *_kron_entries(sys.modes, p, q)))
-            if any(np.any((np.abs(scaled) < _TINY) & (np.abs(exact) >= _TINY))
-                   for scaled, exact in pairs):
-                raise NumericalError(
-                    "A_j kron A_j overflows, and scaled it underflows: "
-                    "modes too large"
-                )
-        sym += crossed
-    if not np.all(np.isfinite(sym)):
+        for lift, mode, ej in zip(out, sys.modes, e):
+            mode = mode.T if transposed else mode
+            a = np.ldexp(mode, -ej)
+            sym, crossed = _kron_entries(a, p, q, lift)
+            if ej and any(np.any((np.abs(x) < _TINY) & (np.abs(y) >= _TINY))
+                          for x, y in zip((a, sym, crossed),
+                                          (mode, *_kron_entries(mode, p, q)))):
+                raise NumericalError("A_j kron A_j overflows, and scaled it "
+                                     "underflows: modes too large")
+            sym += crossed
+    if not np.all(np.isfinite(out)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     # 2 c_r c_c with c = 1/2 on E_ii and 1/sqrt2 on pairs: 1/2, 1/sqrt2, 1
     scale = np.where(np.arange(p.size) < n, np.sqrt(0.5), 1.0)
     weights = np.outer(scale, scale)
     weights[:n, :n] = 0.5
-    sym *= weights
-    return sym
+    out *= weights
+    return out
 
 
 def _scaled_lifts(sys: JumpLinearSystem):
@@ -192,7 +199,7 @@ def _scaled_lifts(sys: JumpLinearSystem):
     exactly, powers of two being exact, or raise as _sym_lifts says."""
     tops = np.abs(sys.modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
-    return np.swapaxes(_sym_lifts(sys, e), 1, 2).copy(), 2 * e
+    return _sym_lifts(sys, e, transposed=True), 2 * e
 
 
 def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
@@ -271,24 +278,23 @@ def _lifted_push(rows, lifts, exps, live):
     return pushed
 
 
-def _mog_push(modes, lifts, exps, pi, weights, means, coords):
+def _mog_push(modes, lifts, exps, pi, weights, means, coords, mass):
     """One exact-mixture step on components held as arrays.
 
     ``coords`` holds each covariance as its _sym_coords; ``lifts`` and
     ``exps`` are as _lifted_push takes them. Pair (j, i) gets weight pi_j
     alpha_i, mean A_j mu_i and the coordinates of A_j Sigma_i A_j^T,
     mode-major: one matrix product per mode of nonzero probability.
-    Pairs of weight 0 are dropped and the rest renormalized to sum 1.
-    Returns (weights, means, coords).
+    Pairs whose weight times ``mass`` (their share of the mixture) is 0
+    are dropped, the rest scaled to sum 1. Returns (weights, means, coords).
     """
     live = np.flatnonzero(pi)
     weights = np.outer(pi[live], weights).reshape(-1)
-    keep = weights > 0.0
+    keep = mass * weights > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         means = means @ np.swapaxes(modes[live], 1, 2)
-    pushed = _lifted_push(coords, lifts, exps, live)
     means = means.reshape(len(weights), -1)
-    coords = pushed.reshape(len(weights), -1)
+    coords = _lifted_push(coords, lifts, exps, live).reshape(len(weights), -1)
     if not np.all(keep):
         weights, means, coords = weights[keep], means[keep], coords[keep]
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(coords))):
@@ -313,44 +319,66 @@ def _check_cap(cap) -> int:
     return cap
 
 
-def _mog_fold(sys: JumpLinearSystem, law, init, k: int, cap,
-              last_diagonal=False):
-    """Yield (weights, means, coords) after each of ``k`` steps, as
-    _mog_push returns them, for a ``law`` checked against the system; each
-    step reads the law's own row, and ``cap`` is as in mog_propagate. With
-    ``last_diagonal`` the last step pushes through the first n columns of
-    each lift only, so its coords are the n covariance diagonals that
-    W^2 reads and the last mixture's other coordinates are never formed.
+def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
+    """Walk the mixture tree of ``k`` steps of a ``law`` checked against
+    the system, depth first in chunks; ``cap`` is as in mog_propagate.
+    Returns the (k+1, 3) sums of w (||mu||^2 + tr Sigma), of w (weights
+    in the whole mixture) and of 1 per step, and the last chunk. A chunk's
+    weights sum to 1, and ``mass`` is their share of the mixture. A chunk
+    whose next push would form over _MOG_BUDGET bytes is split by parents,
+    each piece finishing its subtree before the next starts: the peak is
+    about _MOG_BUDGET per split level, and the cap bounds time. A piece
+    re-reads the law's rows up to its step (O(k) row products per piece
+    for a Markov law). The last step pushes only the diagonals, or with
+    ``whole`` one chunk pushes all: the last mixture, mode-major. Raises
+    the NumericalError of the first step whose push is not finite if
+    every sum before that step is finite.
     """
     # modes of zero probability are pruned every step, so only the
     # support sizes multiply the count; one int per step, allocated first
     support = np.fromiter((np.count_nonzero(row)
                            for row in law._rows(k, sys.m)), np.intp, k)
     sizes, steps = np.unique(support, return_counts=True)
-    reach = init.q * math.prod(
-        int(size) ** int(count) for size, count in zip(sizes, steps)
-    )
+    reach = init.q * math.prod(int(size) ** int(count)
+                               for size, count in zip(sizes, steps))
     if reach > cap:
-        if np.all(support == sys.m):
-            counted = f"m^k*q0 = {sys.m}^{k}*{init.q}"
-        else:
-            counted = (
-                f"q0*prod_k nnz(pi(k)) = {init.q}*{_count(reach // init.q)}"
-            )
-        raise ValueError(
-            f"exact propagation reaches {counted} = {_count(reach)} "
-            f"components, beyond cap={cap}; raise the cap"
-        )
-    lifts, exps = _scaled_lifts(sys)
-    state = init.weights, init.means, _sym_coords(init.covs)
-    for step, pi in enumerate(law._rows(k, sys.m), 1):
-        if last_diagonal and step == k:
-            lifts = lifts[:, :, :sys.n].copy()
-        try:
-            state = _mog_push(sys.modes, lifts, exps, pi, *state)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} at k={step}") from None
-        yield state
+        counted = (f"m^k*q0 = {sys.m}^{k}*{init.q}" if np.all(support == sys.m)
+                   else f"q0*prod_k nnz(pi(k)) = {init.q}*"
+                        f"{_count(reach // init.q)}")
+        raise ValueError(f"exact propagation reaches {counted} = "
+                         f"{_count(reach)} components, beyond cap={cap}; "
+                         f"raise the cap")
+    n, (lifts, exps) = sys.n, _scaled_lifts(sys)
+    totals = np.zeros((k + 1, 3))  # counts below 2**53 are exact
+    limit, error = k, None  # the last step a chunk still needs; a failure
+    chunks = [(0, 1.0, init.weights, init.means, _sym_coords(init.covs))]
+    while chunks:
+        start, mass, *state = chunks.pop()
+        rows = itertools.islice(law._rows(k, sys.m), start, limit)
+        for step, pi in enumerate(rows, start + 1):
+            used = lifts[:, :, :n] if step == k and not whole else lifts
+            size = max(1, _MOG_BUDGET // (8 * (1 + n + used.shape[2])
+                                          * np.count_nonzero(pi)))
+            if len(state[0]) > size and not whole:
+                for i in reversed(range(0, len(state[0]), size)):
+                    w, *rest = (x[i:i + size].copy() for x in state)
+                    chunks.append((step - 1, mass * w.sum(), w / w.sum(),
+                                   *rest))
+                break
+            try:
+                state = _mog_push(sys.modes, used, exps, pi, *state, mass)
+            except NumericalError as exc:
+                limit, error = step - 1, f"{exc} at k={step}"
+                break
+            if not whole:
+                part = mass * _dirac_sq(state[0], state[1], state[2][:, :n])
+                totals[step] += part, mass, len(state[0])
+                if not math.isfinite(part):
+                    limit = step
+                    break
+    if error and np.all(np.isfinite(totals[:limit + 1])):
+        raise NumericalError(error)
+    return totals, state
 
 
 def mog_propagate(
@@ -366,9 +394,9 @@ def mog_propagate(
     number of modes with nonzero probability (m^k * q0 for a law of full
     support), so that count is checked against ``cap``, which must be at
     least 1, up front and the run refuses to start if it cannot finish.
-    The steps are those of the ``exact_mog`` route, on covariances in
-    symmetric coordinates; only the final mixture is unpacked into
-    exactly symmetric n x n covariances.
+    The steps are those of the ``exact_mog`` route, in one chunk, on
+    covariances in symmetric coordinates; only the final mixture is
+    unpacked into exactly symmetric n x n covariances.
     """
     k = _as_int(k, "k")
     if k < 0:
@@ -377,8 +405,7 @@ def mog_propagate(
     _reject(validate_system(sys, law, init).violations)
     if k == 0:
         return init
-    for weights, means, coords in _mog_fold(sys, law, init, k, cap):
-        pass
+    weights, means, coords = _mog_walk(sys, law, init, k, cap, True)[1]
     return GaussianMixture(
         weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
     )
@@ -442,10 +469,11 @@ def w2_trajectory(
     from the chosen method ("moment", "gamma", or "exact_mog"). The
     exact-mixture method reads ``w2`` as the weighted sum of component
     distances and records component counts; the mixtures it derives from
-    the checked input are not checked again, and are never formed as
-    n x n covariances. Its last step forms only the weights, the means
-    and the covariance diagonals: W^2(k_max) and the count are those of
-    ``mog_propagate(k_max)``'s mixture, without forming it.
+    the checked input are not checked again, and never formed as n x n
+    covariances nor, past about 512 KiB, whole: the route walks the
+    mixture tree in chunks, and its last step forms only the weights,
+    the means and the covariance diagonals. W^2(k) and the count are
+    those of ``mog_propagate(k)``'s mixture, to rounding.
 
     Raises
     ------
@@ -502,12 +530,9 @@ def w2_trajectory(
                 # svec(I) . row: the first n coordinates are the diagonal
                 w2[k] = _checked(k, row[0, :sys.n].sum())
         else:
-            states = _mog_fold(sys, law, init, k_max, cap, last_diagonal=True)
-            for k, (weights, means, coords) in enumerate(states, 1):
-                # the first n coordinates are the diagonal (_basis_pairs),
-                # and the last step's coords hold only those
-                w2[k] = _checked(k, _dirac_sq(weights, means,
-                                              coords[:, :sys.n]))
-                counts.append(len(weights))
+            totals = _mog_walk(sys, law, init, k_max, cap)[0]
+            for k in range(1, k_max + 1):
+                w2[k] = _checked(k, totals[k, 0] / totals[k, 1])
+            counts += totals[1:, 2].astype(int).tolist()
     return [TrajectoryRecord(k, v, counts[k] if method == "exact_mog"
                              else None) for k, v in enumerate(w2.tolist())]

@@ -28,7 +28,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
 )
-from jumpstab import sysmodel, wasserstein
+from jumpstab import propagate, sysmodel, wasserstein
 from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
 from reference import (lifted_step_matrix, needs_refused_allocation,
                        traced_peak)
@@ -325,6 +325,52 @@ def reference_components(sys, schedule, mix):
     return comps
 
 
+def loop_case(n, zero_row):
+    """(system, schedule, start) of m=3 modes and two components, one
+    covariance of rank n - 1 (0 when n = 1); with ``zero_row`` the second
+    step gives mode 1 probability 0."""
+    rng = np.random.default_rng([173, n, int(zero_row)])
+    sys = random_system(rng, m=3, n=n, scale=1.2)
+    mix = random_mixture(rng, n=n, q=2)
+    g = rng.standard_normal((n, n - 1))
+    mix = GaussianMixture(
+        weights=mix.weights, means=mix.means,
+        covs=np.stack([mix.covs[0], g @ g.T]),
+    )
+    schedule = rng.dirichlet(np.ones(3), size=3)
+    if zero_row:
+        schedule[1] = [0.0, 0.4, 0.6]
+    return sys, schedule, mix
+
+
+def underflow_case(last_row):
+    """(system, law, start) of three steps from a start whose first
+    component has weight 1e-200; the third step's row is ``last_row``."""
+    rng = np.random.default_rng(191)
+    sys = random_system(rng, m=3, n=3, scale=1.1)
+    mix = random_mixture(rng, n=3, q=2)
+    mix = GaussianMixture(weights=[1e-200, 1.0], means=mix.means,
+                          covs=mix.covs)
+    law = ScheduleSwitching([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], last_row])
+    return sys, law, mix
+
+
+def overflow_case(top, mean, cov):
+    """(system, law, start) of one mode diag(top, 0.5) from a mean and a
+    variance ``mean`` and ``cov`` along its first axis."""
+    sys = JumpLinearSystem(modes=[np.diag([top, 0.5])])
+    mix = GaussianMixture(weights=[1.0], means=[[mean, 1.0]],
+                          covs=[np.diag([cov, 1.0])])
+    return sys, IIDSwitching([1.0]), mix
+
+
+LAST_ROWS = {"full-support": ([0.2, 0.3, 0.5], 54),
+             "zero-probability-mode": ([0.0, 0.4, 0.6], 36),
+             "weights-underflow": ([1e-200, 0.5, 0.5 - 1e-200], 45)}
+OVERFLOWS = {"mean": (1e160, 1e150, 0.0, 1),
+             "diagonal": (1e40, 0.0, 1e150, 2)}
+
+
 class TestExactRouteReference:
     """mog_propagate and the exact route against reference_components."""
 
@@ -332,17 +378,7 @@ class TestExactRouteReference:
                              ids=["full-support", "zero-probability-row"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_per_component_loop(self, n, zero_row):
-        rng = np.random.default_rng([173, n, int(zero_row)])
-        sys = random_system(rng, m=3, n=n, scale=1.2)
-        mix = random_mixture(rng, n=n, q=2)
-        g = rng.standard_normal((n, n - 1))  # rank n - 1: 0 when n = 1
-        mix = GaussianMixture(
-            weights=mix.weights, means=mix.means,
-            covs=np.stack([mix.covs[0], g @ g.T]),
-        )
-        schedule = rng.dirichlet(np.ones(3), size=3)
-        if zero_row:
-            schedule[1] = [0.0, 0.4, 0.6]
+        sys, schedule, mix = loop_case(n, zero_row)
         law = ScheduleSwitching(schedule)
         records = w2_trajectory(sys, law, mix, 3, method="exact_mog")
         for k, record in enumerate(records):
@@ -390,22 +426,14 @@ class TestExactRouteReference:
         assert records[-1].component_count == q0 * m**steps
         assert peak < last_sym_bytes
 
-    @pytest.mark.parametrize("last_row, count", [
-        ([0.2, 0.3, 0.5], 54),
-        ([0.0, 0.4, 0.6], 36),
-        ([1e-200, 0.5, 0.5 - 1e-200], 45),
-    ], ids=["full-support", "zero-probability-mode", "weights-underflow"])
+    @pytest.mark.parametrize("last_row, count", LAST_ROWS.values(),
+                             ids=LAST_ROWS.keys())
     def test_last_step_matches_the_full_mixture(self, last_row, count):
         """W^2(K) and the count at K, from the narrowed last step, equal
         those of mog_propagate's full mixture at K. In the last case the
         weights of the start's 1e-200 component times 1e-200 underflow
         to 0, so those 9 pairs are dropped."""
-        rng = np.random.default_rng(191)
-        sys = random_system(rng, m=3, n=3, scale=1.1)
-        mix = random_mixture(rng, n=3, q=2)
-        mix = GaussianMixture(weights=[1e-200, 1.0], means=mix.means,
-                              covs=mix.covs)
-        law = ScheduleSwitching([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], last_row])
+        sys, law, mix = underflow_case(last_row)
         for k in (1, 3):
             records = w2_trajectory(sys, law, mix, k, method="exact_mog")
             out = mog_propagate(sys, law, mix, k)
@@ -414,18 +442,13 @@ class TestExactRouteReference:
                                                    rel=1e-14, abs=0)
         assert out.q == count
 
-    @pytest.mark.parametrize("top, mean, cov, steps", [
-        (1e160, 1e150, 0.0, 1),
-        (1e40, 0.0, 1e150, 2),
-    ], ids=["mean", "diagonal"])
+    @pytest.mark.parametrize("top, mean, cov, steps", OVERFLOWS.values(),
+                             ids=OVERFLOWS.keys())
     def test_last_step_overflow_names_its_step(self, top, mean, cov, steps):
         """A mean or a diagonal coordinate past float64 at the last step
         raises NumericalError naming that step, on the route as in
         mog_propagate; every earlier W^2 is finite."""
-        sys = JumpLinearSystem(modes=[np.diag([top, 0.5])])
-        mix = GaussianMixture(weights=[1.0], means=[[mean, 1.0]],
-                              covs=[np.diag([cov, 1.0])])
-        law = IIDSwitching([1.0])
+        sys, law, mix = overflow_case(top, mean, cov)
         assert np.isfinite(w2_trajectory(sys, law, mix, steps - 1,
                                          method="exact_mog")[-1].w2)
         message = (r"^mixture diverged: an entry is not finite "
@@ -444,6 +467,85 @@ class TestExactRouteReference:
         for k in (0, 2):
             with pytest.raises(ValueError, match=message):
                 w2_trajectory(sys, law, mix, k, method="exact_mog", cap=-5)
+
+
+def exact_route_cases():
+    """(id, system, law, start, steps) of TestExactRouteReference's cases."""
+    cases = []
+    for n in (1, 3):
+        for zero_row in (False, True):
+            sys, schedule, mix = loop_case(n, zero_row)
+            cases.append((f"loop-n{n}-zero{int(zero_row)}", sys,
+                          ScheduleSwitching(schedule), mix, 3))
+    for name, (last_row, _) in LAST_ROWS.items():
+        cases.append((name, *underflow_case(last_row), 3))
+    for name, (top, mean, cov, steps) in OVERFLOWS.items():
+        cases.append((f"overflow-{name}", *overflow_case(top, mean, cov),
+                      steps))
+    return cases
+
+
+def exact_route(sys, law, mix, steps):
+    """The exact route's (W^2, counts), or its NumericalError's text."""
+    try:
+        records = w2_trajectory(sys, law, mix, steps, method="exact_mog")
+    except NumericalError as exc:
+        return str(exc)
+    return [r.w2 for r in records], [r.component_count for r in records]
+
+
+class TestMogWalk:
+    """The exact route walks the mixture tree in chunks of bounded size."""
+
+    @pytest.mark.parametrize("steps", [10, 14])
+    def test_peak_bounded_by_the_budget(self, steps):
+        """16 times the components at K=14 as at K=10, under one bound:
+        a few split levels of about one budget each. A route that holds a
+        whole level of the tree needs 10 MiB at K=14."""
+        rng = np.random.default_rng(179)
+        sys = random_system(rng, m=2, n=8)
+        mix = random_mixture(rng, n=8, q=2)
+        records, peak = traced_peak(w2_trajectory, sys,
+                                    IIDSwitching([0.5, 0.5]), mix, steps,
+                                    method="exact_mog")
+        assert records[-1].component_count == 2 * 2**steps
+        assert peak < 6 * propagate._MOG_BUDGET
+
+    @pytest.mark.parametrize("case", exact_route_cases(),
+                             ids=lambda case: case[0])
+    def test_one_row_chunks_change_no_result(self, monkeypatch, case):
+        """With a budget of one byte every chunk is one parent: the counts
+        and the errors are the default's, and W^2 differs only by the
+        grouping of its sums."""
+        _, sys, law, mix, steps = case
+        default = exact_route(sys, law, mix, steps)
+        monkeypatch.setattr(propagate, "_MOG_BUDGET", 1)
+        chunked = exact_route(sys, law, mix, steps)
+        if isinstance(default, str):
+            assert chunked == default
+        else:
+            assert chunked[1] == default[1]
+            assert chunked[0] == pytest.approx(default[0], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("modes, means, message", [
+        # the first component diverges at k=2, the second at k=1
+        ([np.diag([1e160, 1.0]), np.diag([1.0, 1e160])],
+         [[0.0, 1e150], [1e150, 0.0]],
+         r"^mixture diverged: an entry is not finite at k=1$"),
+        # the first component diverges at k=2, the second's W^2 at k=1
+        ([np.diag([1.0, 10.0]), np.diag([1e160, 0.5])],
+         [[1e150, 0.0], [0.0, 1e154]],
+         r"^W\^2 diverged at k=1 \(not finite\)$"),
+    ], ids=["later-chunk-fails-first", "w2-overflow-first"])
+    def test_earliest_failure_wins(self, monkeypatch, modes, means, message):
+        sys = JumpLinearSystem(modes=modes)
+        law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
+        mix = GaussianMixture(weights=[0.5, 0.5], means=means,
+                              covs=np.zeros((2, 2, 2)))
+        for budget in (propagate._MOG_BUDGET, 1):
+            monkeypatch.setattr(propagate, "_MOG_BUDGET", budget)
+            with pytest.raises(NumericalError, match=message):
+                w2_trajectory(sys, law, mix, 2, method="exact_mog")
 
 
 def one_state_map(sys, pi):

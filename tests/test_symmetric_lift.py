@@ -168,13 +168,20 @@ class TestFastSkewDecay:
     LAW = ScheduleSwitching([[0.3, 0.7], [0.6, 0.4]])
 
     def test_product_matches_the_full_fold(self):
+        """At k=100 and 104 the fold holds subnormal entries, fed by the
+        skew block; by k=500 every such entry is exactly 0."""
         schedule = marginal_schedule(self.LAW, 500)
-        for full in full_fold(self.SYS, schedule):
-            pass
-        state = gamma_product(self.SYS, self.LAW, 500)
-        assert (state.k, state.diverged) == (500, False)
-        assert np.abs(full).max() > np.finfo(float).tiny  # not vacuous
-        assert_allclose(state.gamma, full, rtol=1e-12, atol=0)
+        tiny = np.finfo(float).tiny
+        for k, full in enumerate(full_fold(self.SYS, schedule), 1):
+            if k in (100, 104):
+                subnormal = (full != 0.0) & (np.abs(full) < tiny)
+                assert np.any(subnormal)  # not vacuous
+            if k not in (100, 104, 500):
+                continue
+            state = gamma_product(self.SYS, self.LAW, k)
+            assert (state.k, state.diverged) == (k, False)
+            assert np.abs(full).max() > tiny  # not vacuous
+            assert_allclose(state.gamma, full, rtol=1e-12, atol=0)
 
 
 def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
