@@ -4,16 +4,15 @@ Monte Carlo against the analytic trajectory
 
 The simulator draws full state trajectories and averages ||x(k)||^2,
 which estimates the same quantity the moment recursion computes
-exactly.  Under marginal sampling the two must agree within sampling
-error, so the comparison works as an end-to-end oracle: one route
-multiplies matrices, the other runs the system, and any systematic gap
-indicates a defect.
+exactly.  For a Markov law the recursion steps the coupled chain, the
+process that path sampling runs, so the path run must agree with it
+within sampling error: one route multiplies matrices, the other runs
+the system, and any systematic gap indicates a defect.
 
-For Markov laws there is a second, different semantics: following the
-chain's conditional transitions (path sampling) instead of drawing each
-step from its marginal.  The analytic trajectory weights modes by
-per-step marginals, so correlated chains can sit far from it while
-still matching the marginal-sampling run.
+Marginal sampling draws each step's mode independently from its
+marginal pi0 P^k instead.  That drops the correlation of consecutive
+modes, so for a correlated chain it describes a different process and
+sits away from the analytic column.
 """
 
 import numpy as np
@@ -44,29 +43,29 @@ path = simulate_ensemble(
 )
 
 print(
-    f"{'k':>3} {'analytic W^2':>14} {'marginal MC':>14} {'dev/SE':>7} "
-    f"{'path MC':>14}"
+    f"{'k':>3} {'analytic W^2':>14} {'path MC':>14} {'dev/SE':>7} "
+    f"{'marginal MC':>14}"
 )
 for rec in records:
-    se = marginal.stderr[rec.k]
-    dev = abs(marginal.mean_sq[rec.k] - rec.w2) / se if se > 0 else 0.0
+    se = path.stderr[rec.k]
+    dev = abs(path.mean_sq[rec.k] - rec.w2) / se if se > 0 else 0.0
     print(
-        f"{rec.k:>3} {rec.w2:>14.6f} {marginal.mean_sq[rec.k]:>14.6f} "
-        f"{dev:>7.2f} {path.mean_sq[rec.k]:>14.6f}"
+        f"{rec.k:>3} {rec.w2:>14.6f} {path.mean_sq[rec.k]:>14.6f} "
+        f"{dev:>7.2f} {marginal.mean_sq[rec.k]:>14.6f}"
     )
 
-# The marginal run hugs the analytic column; the path run drops faster,
-# because this chain prefers to alternate and alternation pairs the
-# growing mode with the shrinking one.  Both behaviors are correct
-# answers to different questions.
+# The path run hugs the analytic column; the marginal run decays more
+# slowly, because this chain prefers to alternate and alternation pairs
+# the growing mode with the shrinking one, which independent draws do
+# not.
 worst = max(
-    abs(marginal.mean_sq[r.k] - r.w2) / marginal.stderr[r.k]
+    abs(path.mean_sq[r.k] - r.w2) / path.stderr[r.k]
     for r in records
-    if marginal.stderr[r.k] > 0
+    if path.stderr[r.k] > 0
 )
-print(f"\nworst marginal deviation: {worst:.2f} standard errors")
-print("path sampling tracks the chain itself; the gap above is the")
-print("mode-correlation effect, not an estimation error.")
+print(f"\nworst path deviation: {worst:.2f} standard errors")
+print("marginal sampling drops the mode correlation; the gap in its")
+print("column is that effect, not an estimation error.")
 
 # Determinism: the same seed reproduces the ensemble bit for bit, so
 # any run can be repeated exactly.

@@ -20,8 +20,8 @@ a threaded matrix product sums in an order set by the CPU count, so
 unless ``OPENBLAS_NUM_THREADS`` is set, ``main`` runs OpenBLAS on one
 thread.  Reports print as plain text, or as JSON under ``--json``.
 
-``compare`` draws each step's mode from its marginal, the process the
-analytic trajectory describes; its rule for deterministic steps is
+``compare`` samples the process the analytic trajectory describes, the
+chain's paths for a Markov law; its rule for deterministic steps is
 relative, so the verdict does not depend on the scale of the start.
 
 The parser needs only the standard library; each subcommand imports
@@ -289,16 +289,16 @@ def cmd_compare(args) -> int:
         )
     from .mcsim import SimConfig, simulate_ensemble
     from .propagate import w2_trajectory
+    from .sysmodel import MarkovSwitching
 
     sf = _load_validated(args.file)
     records = w2_trajectory(
         sf.system, sf.switching, sf.initial, k_max=args.steps
     )
-    # the analytic trajectory draws each step's mode from its marginal,
-    # so the ensemble does too
-    cfg = SimConfig(
-        trajectories=args.trajectories, k_max=args.steps, seed=args.seed
-    )
+    # the trajectory steps a Markov law's chain: the ensemble follows it
+    path = isinstance(sf.switching, MarkovSwitching)
+    cfg = SimConfig(trajectories=args.trajectories, k_max=args.steps,
+                    seed=args.seed, sampling="path" if path else "marginal")
     stats = simulate_ensemble(sf.system, sf.switching, sf.initial, cfg)
     se_dev = _se_deviations(records, stats)
     worst = max(range(len(se_dev)), key=lambda i: se_dev[i])

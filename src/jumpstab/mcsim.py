@@ -37,12 +37,12 @@ costs more than it saves, and at n = 1 a product is one multiplication,
 so the block is instead multiplied by a gathered (count, n, n) stack.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
-independently from the per-step occupation vector; this is the joint law
-whose second moments the analytic recursions track, for every switching
-law. ``path`` (Markov laws only) follows the chain's conditional rows
-instead; it shares the per-step marginals but correlates consecutive
-modes, so its ensemble moments may deviate from the marginal recursion.
-The two coincide when consecutive modes are in fact independent.
+independently from its marginal pi(k), the process whose second moments
+the analytic routes track for IID, schedule and sequence laws. ``path``
+(Markov laws only) draws step 1's mode from pi0 P and each later one
+from the row of P of the mode before it: the chain that the analytic
+routes and ``markov_test`` describe. The two differ unless consecutive
+modes are in fact independent.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .sysmodel import (
     _ReadOnly,
     _as_int,
     _freeze,
+    _marginals,
     _normalized,
     _reject,
     validate_system,
@@ -91,8 +92,8 @@ class SimConfig(_ReadOnly):
     """Ensemble run parameters.
 
     ``seed`` is a 64-bit nonnegative integer; ``sampling`` is "marginal"
-    (independent per-step marginals, valid for every law) or "path"
-    (Markov chain transitions, Markov laws only).
+    (independent draws from the per-step marginals, any law) or "path"
+    (the chain's transitions, which the routes step; Markov laws only).
     """
 
     def __init__(self, trajectories, k_max, seed=0, sampling="marginal"):
@@ -292,7 +293,7 @@ def simulate_ensemble(
             # a matrix-vector product: faster than einsum's row dots
             normsq[rows] = np.square(x[rows]) @ np.ones(n)
         reduce(0)
-        for k, row in enumerate(law._rows(k_max, m)):
+        for k, row in enumerate(_marginals(law, k_max, m)):
             if cfg.sampling == "path" and k > 0:
                 # lazily: one row of T cuts is held at a time
                 cuts = (cut.take(modes) for cut in cum_cols)

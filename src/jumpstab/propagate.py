@@ -1,58 +1,49 @@
 """State-PDF and second-moment propagation.
 
 Three routes compute the squared Wasserstein-to-origin trajectory
-W^2(k) of a jump linear system started from a Gaussian mixture:
+W^2(k) of a jump linear system started from a Gaussian mixture. Each
+steps the chain form of the law (see ``sysmodel``), so for a Markov law
+W^2(k) is the second moment of the chain that ``markov_test`` judges:
 
 ``exact_mog``
-    Pushes the full mixture through the mode maps. One step against
-    marginals pi(k) turns q components into m*q with weights
-    pi_j(k)*alpha_i, means A_j mu_i, and covariances A_j Sigma_i A_j^T,
-    so counts grow geometrically and a hard cap applies. A covariance
+    Pushes the full mixture through the mode maps. A component in chain
+    state s gives, per mode i, weight weights[r, i] mix[s, i] alpha,
+    mean A_i mu, covariance A_i Sigma A_i^T and the state r that mode i
+    leads to; the start components draw step 1's modes from start @ mix.
+    Counts grow geometrically, so a hard cap applies. A covariance
     travels as its n(n+1)/2 coordinates in the orthonormal symmetric
-    basis, which the symmetric block of A_j kron A_j maps exactly: one
-    matrix product per mode and step pushes them all, a component costs
-    n(n+1)/2 + n + 1 floats, and W^2 reads tr Sigma_i as the sum of its
-    first n coordinates, the diagonal. W^2(k) is a sum over the leaves
-    of the mixture tree, so the route walks the tree depth first in
-    chunks of about 512 KiB and its last step pushes the diagonals only:
-    it holds a few chunks, whatever the count, and the cap bounds its
-    time. ``mog_propagate`` walks in one chunk and returns the whole
-    last mixture.
+    basis, which the symmetric block of A_j kron A_j maps exactly; the
+    first n are the diagonal. The route walks the mixture tree depth
+    first in chunks of about 512 KiB (``_mog_walk``) and its last step
+    pushes the diagonals only, so the cap bounds its time, not its
+    memory. ``mog_propagate`` returns the whole last mixture.
 
 ``moment``
-    Propagates only the n x n second moment,
-    Phi(k) = sum_j pi_j(k) A_j Phi(k-1) A_j^T, whose trace equals
-    W^2(k). Default method: same numbers as the lifted product at n x n
-    cost.
+    Propagates one n x n second moment per chain state by the chain's
+    map (``_moment_map``), from Q(0) = start (x) Phi(0); W^2(k) = sum_r
+    tr Q_r(k). Default method: the lifted product's numbers at n x n
+    cost per state.
 
 ``gamma``
     Reads W^2(k) = vec(I)^T Gamma(k) vec(Phi(0)) off the reverse-ordered
-    product Gamma(k) = A(k) ... A(1) of the lifted step matrices
-    A(i) = sum_j pi_j(i) (A_j kron A_j), evaluated right to left: each
-    step applies A(i) to the coordinates of Gamma(i-1) vec(Phi(0)). Each
-    lift maps symmetric matrices to symmetric ones, and I and Phi(0) are
-    symmetric, so the route carries n(n+1)/2 coordinates and never forms
+    product of the chain's lifted step matrices, A(i) = sum_j pi_j(i)
+    (A_j kron A_j) for a one-state law, evaluated right to left on one
+    row of n(n+1)/2 symmetric coordinates per state: it never forms
     Gamma(k) or an n^2 x n^2 matrix.
 
-The three must agree to rounding; their agreement is a correctness check
-of the whole chain and is asserted by the test suite. A route raises
-NumericalError, naming k, exactly when a value it carries is not finite.
-The lifts of modes whose largest entry reaches 2^510 are built from
-the modes scaled by a power of two, which is exact; where the scaling
-would lose digits, the route raises NumericalError instead of printing
-them.
-Each route has one path: ``moment`` iterates the second-moment map of
-a chain (``_moment_map``, on the A X A^T kernel ``_push``); ``gamma``
-pushes one row of coordinates per step through the symmetric lifts and
-``exact_mog`` one per component of its tree walk (``_mog_walk``), both
-with ``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices
-through X -> sum_j pi_j A_j X A_j^T and reads Gamma(k) off them. The
-map and its matrix (``_chain_lift``) serve the stability tests as well.
+The three must agree to rounding, as the test suite asserts. A route
+raises NumericalError, naming k, exactly when a value it carries is not
+finite. The lifts of modes whose largest entry reaches 2^510 are built
+from the modes scaled by a power of two, which is exact; where the
+scaling would lose digits, the route raises NumericalError instead of
+printing them. ``gamma`` and ``exact_mog`` multiply coordinates by the
+lifts in one kernel, ``_lifted_push``. ``gamma_product`` pushes the n^2
+unit matrices through X -> sum_j pi_j A_j X A_j^T of the marginals pi(k).
+The map and its matrix (``_chain_lift``) serve the stability tests too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -65,6 +56,7 @@ from .sysmodel import (
     JumpLinearSystem,
     SwitchingLaw,
     _as_int,
+    _marginals,
     _reject,
     check_law,
     validate_system,
@@ -278,28 +270,32 @@ def _lifted_push(rows, lifts, exps, live):
     return pushed
 
 
-def _mog_push(modes, lifts, exps, pi, weights, means, coords, mass):
-    """One exact-mixture step on components held as arrays.
-
-    ``coords`` holds each covariance as its _sym_coords; ``lifts`` and
-    ``exps`` are as _lifted_push takes them. Pair (j, i) gets weight pi_j
-    alpha_i, mean A_j mu_i and the coordinates of A_j Sigma_i A_j^T,
-    mode-major: one matrix product per mode of nonzero probability.
-    Pairs whose weight times ``mass`` (their share of the mixture) is 0
-    are dropped, the rest scaled to sum 1. Returns (weights, means, coords).
+def _mog_push(modes, lifts, exps, mix, weights, alpha, means, coords,
+              states, mass):
+    """One exact-mixture step on components held as arrays: weights,
+    means, covariances as _sym_coords and chain states, with ``lifts`` and
+    ``exps`` as _lifted_push takes them. Pair (i, c) is mode i of
+    component c (see the module docstring), mode-major: one matrix
+    product per mode that leads to a state. Pairs whose weight times
+    ``mass`` (their share of the mixture) is 0 are dropped, the rest
+    scaled to sum 1. Returns (alpha, means, coords, states).
     """
-    live = np.flatnonzero(pi)
-    weights = np.outer(pi[live], weights).reshape(-1)
-    keep = mass * weights > 0.0
+    live = np.flatnonzero(weights.any(axis=0))
+    ends = weights[:, live].argmax(axis=0)
+    alpha = (np.outer(weights[ends, live], alpha)
+             * mix[:, live].T[:, states]).reshape(-1)
+    keep = mass * alpha > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         means = means @ np.swapaxes(modes[live], 1, 2)
-    means = means.reshape(len(weights), -1)
-    coords = _lifted_push(coords, lifts, exps, live).reshape(len(weights), -1)
+    means = means.reshape(len(alpha), -1)
+    coords = _lifted_push(coords, lifts, exps, live).reshape(len(alpha), -1)
+    states = np.repeat(ends, len(states))
     if not np.all(keep):
-        weights, means, coords = weights[keep], means[keep], coords[keep]
+        alpha, means, coords, states = (x[keep] for x in
+                                        (alpha, means, coords, states))
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(coords))):
         raise NumericalError("mixture diverged: an entry is not finite")
-    return weights / weights.sum(), means, coords
+    return alpha / alpha.sum(), means, coords, states
 
 
 def _count(x: int) -> str:
@@ -323,42 +319,44 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
     """Walk the mixture tree of ``k`` steps of a ``law`` checked against
     the system, depth first in chunks; ``cap`` is as in mog_propagate.
     Returns the (k+1, 3) sums of w (||mu||^2 + tr Sigma), of w (weights
-    in the whole mixture) and of 1 per step, and the last chunk. A chunk's
-    weights sum to 1, and ``mass`` is their share of the mixture. A chunk
-    whose next push would form over _MOG_BUDGET bytes is split by parents,
-    each piece finishing its subtree before the next starts: the peak is
-    about _MOG_BUDGET per split level, and the cap bounds time. A piece
-    re-reads the law's rows up to its step (O(k) row products per piece
-    for a Markov law). The last step pushes only the diagonals, or with
-    ``whole`` one chunk pushes all: the last mixture, mode-major. Raises
-    the NumericalError of the first step whose push is not finite if
-    every sum before that step is finite.
+    in the whole mixture) and of 1 per step, and the last chunk of
+    _mog_push's arrays, whose weights sum to 1 (``mass`` is their share).
+    A chunk whose next push would form over _MOG_BUDGET bytes is split by
+    parents, each piece finishing its subtree first: the peak is about
+    _MOG_BUDGET per split level. The last step pushes only the diagonals,
+    or with ``whole`` one chunk pushes all: the last mixture, mode-major.
+    Raises the NumericalError of the first step whose push is not finite
+    if every sum before it is finite.
     """
-    # modes of zero probability are pruned every step, so only the
-    # support sizes multiply the count; one int per step, allocated first
-    support = np.fromiter((np.count_nonzero(row)
-                           for row in law._rows(k, sys.m)), np.intp, k)
-    sizes, steps = np.unique(support, return_counts=True)
-    reach = init.q * math.prod(int(size) ** int(count)
-                               for size, count in zip(sizes, steps))
+    totals = np.zeros((k + 1, 3))  # allocated first; exact counts below 2**53
+    start, pair = law._chain(sys.m)
+    # the start components are in no state: step 1 draws from start @ mix
+    first = (start @ pair(1)[0])[None], pair(1)[1]
+    # components per state, in Python ints; zero links of the chain add none
+    counts = np.array([init.q], dtype=object)
+    for step in range(1, k + 1):
+        mix, weights = first if step == 1 else pair(step)
+        counts = counts @ ((mix > 0) @ (weights > 0).T.astype(object))
+    reach = counts.sum()
     if reach > cap:
-        counted = (f"m^k*q0 = {sys.m}^{k}*{init.q}" if np.all(support == sys.m)
-                   else f"q0*prod_k nnz(pi(k)) = {init.q}*"
-                        f"{_count(reach // init.q)}")
+        full = reach == init.q * sys.m**k
+        counted = (f"m^k*q0 = {sys.m}^{k}*{init.q}" if full else
+                   f"q0*paths(k) = {init.q}*{_count(reach // init.q)}")
         raise ValueError(f"exact propagation reaches {counted} = "
                          f"{_count(reach)} components, beyond cap={cap}; "
                          f"raise the cap")
     n, (lifts, exps) = sys.n, _scaled_lifts(sys)
-    totals = np.zeros((k + 1, 3))  # counts below 2**53 are exact
     limit, error = k, None  # the last step a chunk still needs; a failure
-    chunks = [(0, 1.0, init.weights, init.means, _sym_coords(init.covs))]
+    chunks = [(0, 1.0, init.weights, init.means, _sym_coords(init.covs),
+               np.zeros(init.q, np.intp))]
     while chunks:
-        start, mass, *state = chunks.pop()
-        rows = itertools.islice(law._rows(k, sys.m), start, limit)
-        for step, pi in enumerate(rows, start + 1):
+        depth, mass, *state = chunks.pop()
+        for step in range(depth + 1, limit + 1):
+            mix, weights = first if step == 1 else pair(step)
             used = lifts[:, :, :n] if step == k and not whole else lifts
-            size = max(1, _MOG_BUDGET // (8 * (1 + n + used.shape[2])
-                                          * np.count_nonzero(pi)))
+            # 8 bytes for a child's weight, state, mean entries, coordinates
+            size = max(1, _MOG_BUDGET // (8 * (2 + n + used.shape[2])
+                                          * np.count_nonzero(weights.any(0))))
             if len(state[0]) > size and not whole:
                 for i in reversed(range(0, len(state[0]), size)):
                     w, *rest = (x[i:i + size].copy() for x in state)
@@ -366,7 +364,8 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
                                    *rest))
                 break
             try:
-                state = _mog_push(sys.modes, used, exps, pi, *state, mass)
+                state = _mog_push(sys.modes, used, exps, mix, weights,
+                                  *state, mass)
             except NumericalError as exc:
                 limit, error = step - 1, f"{exc} at k={step}"
                 break
@@ -390,10 +389,10 @@ def mog_propagate(
 ) -> GaussianMixture:
     """Exact mixture after ``k`` switching steps.
 
-    The result has at most q0 times the product over the steps of the
-    number of modes with nonzero probability (m^k * q0 for a law of full
-    support), so that count is checked against ``cap``, which must be at
-    least 1, up front and the run refuses to start if it cannot finish.
+    The result has at most q0 times the number of mode paths of nonzero
+    probability (m^k * q0 for a law of full support), so that count is
+    checked against ``cap``, which must be at least 1, up front and the
+    run refuses to start if it cannot finish.
     The steps are those of the ``exact_mog`` route, in one chunk, on
     covariances in symmetric coordinates; only the final mixture is
     unpacked into exactly symmetric n x n covariances.
@@ -405,7 +404,7 @@ def mog_propagate(
     _reject(validate_system(sys, law, init).violations)
     if k == 0:
         return init
-    weights, means, coords = _mog_walk(sys, law, init, k, cap, True)[1]
+    weights, means, coords, _ = _mog_walk(sys, law, init, k, cap, True)[1]
     return GaussianMixture(
         weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
     )
@@ -420,10 +419,11 @@ def gamma_product(
 
     A kron A maps vec(X) to vec(A X A^T), row- or column-major alike, so
     column c of Gamma(k) is vec of the unit matrix E_c pushed through
-    X -> sum_j pi_j(i) A_j X A_j^T for i = 1 .. k. The stepping stops
-    before a step that leaves an entry magnitude past DIVERGENCE_GUARD
-    or not finite (see GammaState). Raises ValueError for a negative
-    ``k`` or a law that does not fit the system.
+    X -> sum_j pi_j(i) A_j X A_j^T for i = 1 .. k, pi(i) the marginals:
+    for a Markov law, not the chain that ``w2_trajectory`` steps. The
+    stepping stops before a step that leaves an entry magnitude past
+    DIVERGENCE_GUARD or not finite (see GammaState). Raises ValueError
+    for a negative ``k`` or a law that does not fit the system.
     """
     k = _as_int(k, "k")
     if k < 0:
@@ -433,7 +433,7 @@ def gamma_product(
     # x[p, c, q] is entry (p, q) of the pushed E_c, so that A X and X A^T
     # are each one product over all c: (n, n) by (n, n^3), (n^3, n) by (n, n)
     x, done = np.eye(size).reshape(n, n, size).transpose(0, 2, 1), 0
-    for pi in law._rows(k, sys.m):
+    for pi in _marginals(law, k, sys.m):
         live = np.flatnonzero(pi)
         modes = sys.modes[live]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -502,6 +502,7 @@ def w2_trajectory(
     w2, counts = np.empty(k_max + 1), [init.q]
     mean, cov = synthetic_gaussian(init)
     phi0 = np.outer(mean, mean) + cov
+    start, pair = law._chain(sys.m)
     # every W^2(k) is checked by _checked, so no overflow needs a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w2[0] = _checked(0, mixture_to_dirac_sq(init) if method == "exact_mog"
@@ -509,26 +510,27 @@ def w2_trajectory(
         if k_max == 0:
             pass  # no step, so neither the lifts nor the cap count
         elif method == "moment":
-            # the one-state map of each row, built per step so that its
-            # error names the step
-            phi, one = phi0[None], np.ones((1, sys.m))
-            for k, pi in enumerate(law._rows(k_max, sys.m), 1):
-                phi = _moment_map(sys.modes, one, pi[None],
-                                  f"second moment diverged at k={k}")(phi)
-                w2[k] = _checked(k, np.trace(phi[0]))
+            # one n x n second moment per state; each map names its step
+            q = start[:, None, None] * phi0
+            for k in range(1, k_max + 1):
+                q = _moment_map(sys.modes, *pair(k),
+                                f"second moment diverged at k={k}")(q)
+                w2[k] = _checked(k, np.trace(q, axis1=1, axis2=2).sum())
         elif method == "gamma":
-            # Gamma(k) svec(Phi(0)), one symmetric lift step at a time
+            # one row per state: modes push their mix, weights combine
             lifts, exps = _scaled_lifts(sys)
-            row = _sym_coords(phi0[None])
-            for k, pi in enumerate(law._rows(k_max, sys.m), 1):
-                live = np.flatnonzero(pi)
-                row = np.tensordot(pi[live],
-                                   _lifted_push(row, lifts, exps, live), 1)
-                if not np.all(np.isfinite(row)):
+            rows = start[:, None] * _sym_coords(phi0[None])
+            for k in range(1, k_max + 1):
+                mix, weights = pair(k)
+                live = np.flatnonzero(weights.any(axis=0))
+                pushed = _lifted_push((mix[:, live].T @ rows)[:, None],
+                                      lifts, exps, live)
+                rows = weights[:, live] @ pushed[:, 0]
+                if not np.all(np.isfinite(rows)):
                     raise NumericalError(f"Gamma(k) svec(Phi(0)) diverged at "
                                          f"k={k} (an entry is not finite)")
-                # svec(I) . row: the first n coordinates are the diagonal
-                w2[k] = _checked(k, row[0, :sys.n].sum())
+                # svec(I) . rows: the first n coordinates are the diagonal
+                w2[k] = _checked(k, rows[:, :sys.n].sum())
         else:
             totals = _mog_walk(sys, law, init, k_max, cap)[0]
             for k in range(1, k_max + 1):

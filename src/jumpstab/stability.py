@@ -20,9 +20,9 @@ checks the inequality, without the eigensolver that found X. Where no
 such certificate holds (the marginal band, no convergence, a singular
 Perron vector) the test falls back to a dense eigensolve of the lift's
 symmetric block, n(n+1)/2 rows per chain state instead of n^2, which
-has the spectral radius of the whole lift. The map (the one the
-``moment`` route steps) and its matrix live in ``propagate``: this
-module reads their spectra and certificates and builds neither.
+has the spectral radius of the whole lift. The map and its matrix live
+in ``propagate``, and its (mix, weights) in the law's chain form, the
+pair the W^2 routes step: this module builds none of them.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -54,7 +54,6 @@ from .sysmodel import (
     SequenceSwitching,
     SwitchingLaw,
     _as_int,
-    _normalized,
     _reject,
     as_probability_vector,
     check_law,
@@ -265,10 +264,10 @@ def iid_test(
     sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
     rho(T) < 1. This is the one-state chain of the Markov test.
     """
-    pi = as_probability_vector(pi, "pi")
-    if pi.size != sys.m:
-        raise ValueError(f"pi has length {pi.size} for {sys.m} modes")
-    return _spectral_report(sys, np.ones((1, sys.m)), pi[None], margin, "iid")
+    if as_probability_vector(pi, "pi").size != sys.m:
+        raise ValueError(f"pi has length {np.size(pi)} for {sys.m} modes")
+    return _spectral_report(sys, *IIDSwitching(pi)._chain(sys.m)[1](1),
+                            margin, "iid")
 
 
 def markov_test(
@@ -301,8 +300,8 @@ def markov_test(
             "the spectral condition presumes a stationary distribution; "
             "treat the verdict with care",
         )
-    return _spectral_report(sys, _normalized(p), np.eye(sys.m), margin,
-                            "markov", notes)
+    pair = MarkovSwitching(p, p[0])._chain(sys.m)[1](1)  # any start will do
+    return _spectral_report(sys, *pair, margin, "markov", notes)
 
 
 def general_test(
@@ -337,14 +336,13 @@ def general_test(
             + (f"; {serving} serves it" if serving else "")
         )
     _reject(check_law(law, sys.m))
-    rows = _normalized(law.vectors)
-    one = np.ones((1, sys.m))
-    report = _spectral_report(sys, one, rows[-1:], margin, "general")
+    rows, pair = len(law.vectors), law._chain(sys.m)[1]
+    report = _spectral_report(sys, *pair(rows), margin, "general")
     y, definite = np.eye(sys.n)[None], True
-    for w in rows[:-1]:
+    for k in range(1, rows):
         if definite:  # I has the range of y and no ill conditioning
             y = np.eye(sys.n)[None]
-        y = _moment_map(sys.modes, one, w[None])(y)
+        y = _moment_map(sys.modes, *pair(k))(y)
         y /= np.max(np.abs(y)) or 1.0  # Y = 0 stays 0
         definite = _definite(y, np.max(np.abs(y)))
     verdict, notes = report.verdict, ()
@@ -357,8 +355,7 @@ def general_test(
         notes = ("the last row is unstable, but the rows before it map I to "
                  "a second moment that is not positive definite, which may "
                  "miss its growing direction",)
-    return report._replace(verdict=verdict, horizon_used=len(rows),
-                           notes=notes)
+    return report._replace(verdict=verdict, horizon_used=rows, notes=notes)
 
 
 def contraction_test(

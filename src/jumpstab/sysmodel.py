@@ -14,9 +14,12 @@ report a broken input instead of refusing to build it.
 
 Each switching law owns its mode count ``m`` (None for a sequence, whose
 indices do not fix it), the checks of its values against a mode count,
-and the rows pi(1), pi(2), ... of its per-step mode marginals, which the
-routes read one step at a time; a row may be yielded again, so none is to
-be written.
+and its chain form ``_chain(m)``, which the verdicts and W^2 routes step:
+a start law over states and, by index k, step k's (mix, weights), states
+x m, arrays not to be written. From state j, mode i and then state r
+follow with probability mix[j, i] weights[r, i]; each mode leads to one
+state r, and weights[r] is the law of the modes that lead to r. IID,
+schedule and sequence laws have one state, whose weights are pi(k).
 
 Each public operation checks its inputs on entry, raising
 ``ValueError``. Values derived from checked inputs (normalized marginals,
@@ -29,7 +32,6 @@ matching the convention for ``A_1 .. A_m``; internal array indexing is
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
@@ -314,7 +316,7 @@ def check_mixture(mix: GaussianMixture) -> list[str]:
 
 class IIDSwitching(_ReadOnly):
     """Modes drawn independently at every step from a fixed vector pi:
-    ``m`` is its length, and every step's row is pi, normalized."""
+    ``m`` is its length, and every step's weights are pi, normalized."""
 
     def __init__(self, pi):
         pi = _vector(pi, "pi")
@@ -325,13 +327,15 @@ class IIDSwitching(_ReadOnly):
             f"switching pi has length {self.m} for {m} modes"]
         return out + check_probability_vector(self.pi, "switching pi")
 
-    def _rows(self, k_max: int, m: int):
-        return itertools.repeat(_normalized(self.pi), k_max)
+    def _chain(self, m: int):
+        pair = np.ones((1, m)), _normalized(self.pi)[None]
+        return np.ones(1), lambda k: pair
 
 
 class MarkovSwitching(_ReadOnly):
-    """Time-homogeneous Markov chain, transition matrix P and initial pi0:
-    ``m`` is the size of P, and step k's row is pi0 P^k, normalized."""
+    """Time-homogeneous Markov chain, transition matrix P and initial pi0,
+    the law of the mode before step 1: ``m`` is the size of P, and the
+    chain's states are its modes, with mix = P and weights = I."""
 
     def __init__(self, P, pi0):
         p = as_square(P, "P")
@@ -348,17 +352,15 @@ class MarkovSwitching(_ReadOnly):
         out += check_transition_matrix(self.P, "switching P")
         return out + check_probability_vector(self.pi0, "switching pi0")
 
-    def _rows(self, k_max: int, m: int):
-        pi, p = _normalized(self.pi0), _normalized(self.P)
-        for _ in range(k_max):
-            pi = _normalized(pi @ p)
-            yield pi
+    def _chain(self, m: int):
+        pair = _normalized(self.P), np.eye(m)
+        return _normalized(self.pi0), lambda k: pair
 
 
 class ScheduleSwitching(_ReadOnly):
     """Explicit per-step occupation vectors pi(1), pi(2), ... of length
-    ``m``. The rows are the vectors, normalized; beyond the stored horizon
-    the last one repeats."""
+    ``m``. Step k's weights are vector k, normalized; beyond the stored
+    horizon the last one repeats."""
 
     def __init__(self, vectors):
         v = _as_floats(vectors, "schedule")
@@ -378,10 +380,9 @@ class ScheduleSwitching(_ReadOnly):
             out += check_probability_vector(row, f"schedule step {k + 1}")
         return out
 
-    def _rows(self, k_max: int, m: int):
-        rows = _normalized(self.vectors)
-        for k in range(k_max):
-            yield rows[min(k, len(rows) - 1)]
+    def _chain(self, m: int):
+        one, rows = np.ones((1, m)), _normalized(self.vectors)[:, None]
+        return np.ones(1), lambda k: (one, rows[min(k, len(rows)) - 1])
 
 
 class SequenceSwitching(_ReadOnly):
@@ -389,8 +390,8 @@ class SequenceSwitching(_ReadOnly):
 
     Beyond the stored length the sequence repeats cyclically, treating the
     stored indices as one period. The indices do not fix the mode count,
-    so ``m`` is None, and step k's row is the indicator of i_k among the m
-    modes that the caller gives."""
+    so ``m`` is None, and step k's weights are the indicator of i_k among
+    the m modes that the caller gives."""
 
     def __init__(self, indices):
         try:
@@ -406,10 +407,9 @@ class SequenceSwitching(_ReadOnly):
         bad = sorted({i for i in self.indices if not 1 <= i <= m})
         return [f"sequence indices {bad} outside [1..{m}]"] if bad else []
 
-    def _rows(self, k_max: int, m: int):
-        eye = np.eye(m)
-        for k in range(k_max):
-            yield eye[self.indices[k % len(self.indices)] - 1]
+    def _chain(self, m: int):
+        one, eye, idx = np.ones((1, m)), np.eye(m)[:, None], self.indices
+        return np.ones(1), lambda k: (one, eye[idx[(k - 1) % len(idx)] - 1])
 
 
 _LAWS = (IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching)
@@ -464,12 +464,11 @@ def marginal_schedule(
 ) -> np.ndarray:
     """Per-step mode marginals pi(1) .. pi(k_max) as a (k_max, m) array.
 
-    The rows are those each law steps the routes with: IID laws repeat
-    pi; Markov laws evolve pi(k) = pi0 P^k; schedules return their stored
-    vectors, repeating the last one beyond the stored horizon; sequences
-    yield exact indicator vectors, cycling through the stored period.
-    No library code builds this table: the routes, gamma_product and
-    Monte Carlo read the rows one step at a time.
+    The rows are those of ``_marginals``: IID laws repeat pi; Markov laws
+    evolve pi(k) = pi0 P^k; schedules return their stored vectors,
+    repeating the last one beyond the stored horizon; sequences yield
+    exact indicator vectors, cycling through the stored period. No
+    library code builds this table.
 
     Parameters
     ----------
@@ -500,7 +499,20 @@ def marginal_schedule(
     if law.m is not None and m != law.m:
         raise ValueError(f"m={m} inconsistent with law mode count {law.m}")
     _reject(check_law(law, m))
-    return np.fromiter(law._rows(k_max, m), np.dtype((float, (m,))), k_max)
+    return np.fromiter(_marginals(law, k_max, m), np.dtype((float, (m,))),
+                       k_max)
+
+
+def _marginals(law: SwitchingLaw, k_max: int, m: int):
+    """Yield the mode marginals pi(1) .. pi(k_max) of a law checked against
+    m modes from its chain form: pi(k) = d(k) weights for the state law
+    d(k), d(k-1) mix weights^T normalized. With one state d(k) is exactly
+    1; for a Markov law pi(k) = d(k) = pi(k-1) P, normalized."""
+    d, pair = law._chain(m)
+    for k in range(1, k_max + 1):
+        mix, weights = pair(k)
+        d = _normalized(d @ mix @ weights.T)
+        yield d @ weights
 
 
 class StationaryResult(NamedTuple):

@@ -3,8 +3,10 @@
 Not a test module: pytest collects only ``test_*.py``. The n^2 lift is
 the textbook form of what the library computes in symmetric
 coordinates, and ``bases`` spans those coordinates and the skew ones
-in vec form; the Monte Carlo draws come from a sequential SplitMix64 in
-Python ints, where the library jumps ahead in numpy uint64 arrays.
+in vec form; ``markov_w2`` is the mode-conditioned second-moment
+recursion of a Markov jump linear system in plain loops; the Monte
+Carlo draws come from a sequential SplitMix64 in Python ints, where
+the library jumps ahead in numpy uint64 arrays.
 ``traced_peak`` measures the peak memory of one call, and
 ``needs_refused_allocation`` marks a test that needs an impossible
 allocation refused.
@@ -32,6 +34,24 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     if not np.all(np.isfinite(lifts)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
+
+
+def markov_w2(modes, P, pi0, phi0, k_max):
+    """W^2(0) .. W^2(k_max) of x(k) = A_sigma(k) x(k-1) for a Markov chain
+    of modes sigma with transition matrix P, sigma(0) ~ pi0 the mode
+    before step 1, and E[x(0) x(0)^T] = phi0: the sums over r of
+    tr Q_r(k), where Q_r(k) = E[x(k) x(k)^T; sigma(k) = r] obeys
+    Q_r(0) = pi0_r phi0 and Q_r(k) = A_r (sum_j P_jr Q_j(k-1)) A_r^T
+    (Costa, Fragoso & Marques 2005, ch. 3), one matrix at a time."""
+    modes = [np.asarray(a, dtype=float) for a in modes]
+    m = len(modes)
+    q = [pi0[r] * np.asarray(phi0, dtype=float) for r in range(m)]
+    out = [np.trace(phi0)]
+    for _ in range(k_max):
+        q = [modes[r] @ sum(P[j][r] * q[j] for j in range(m)) @ modes[r].T
+             for r in range(m)]
+        out.append(sum(np.trace(x) for x in q))
+    return np.array(out)
 
 
 def bases(n: int):

@@ -886,6 +886,21 @@ class TestCompare:
         assert "result: PASS" in out
         assert "max deviation" in out
 
+    def test_markov_law_samples_paths(self, write, capsys):
+        # the analytic trajectory steps the chain, W^2(2) = 0.572415; an
+        # ensemble of marginal draws estimates 0.714025, tens of SE away
+        argv = ["compare", write(MARKOV), "--steps", "2",
+                "--trajectories", "20000"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "sampling: path, trajectories: 20000" in out
+        assert "result: PASS" in out
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sampling"] == "path"
+        assert payload["rows"][2]["w2"] == pytest.approx(0.572415,
+                                                         rel=1e-12)
+
     def test_heavy_tail_steps_reported(self, write, capsys):
         args = [
             "compare", write(IID),

@@ -334,6 +334,42 @@ class TestSimulateEnsemble:
             peaks.append(traced_peak(simulate_ensemble, sys, law, mix, cfg)[1])
         assert abs(peaks[1] - peaks[0]) < 2**20
 
+    @pytest.mark.parametrize("law, sampling", [
+        (IIDSwitching([0.5, 0.5]), "marginal"),
+        (ScheduleSwitching([[0.9, 0.1], [0.2, 0.8]]), "marginal"),
+        (SequenceSwitching((1, 2, 2)), "marginal"),
+        (MarkovSwitching([[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5]), "path"),
+    ], ids=["iid", "schedule", "sequence", "markov-path"])
+    def test_one_trajectory_peak_does_not_grow_with_steps(self, law,
+                                                          sampling):
+        # one trajectory holds one state and one draw per step, so the
+        # peak grows with k_max only by the 33 bytes of outputs per step
+        # (three floats, one int64 count, one flag)
+        sys, mix = scalar_system(0.9, 0.5), point_mass([1.0])
+        simulate_ensemble(sys, law, mix, SimConfig(1, 10, sampling=sampling))
+        peaks = {k_max: traced_peak(simulate_ensemble, sys, law, mix,
+                                    SimConfig(1, k_max, sampling=sampling))[1]
+                 for k_max in (100, 1_100)}
+        assert peaks[1_100] - peaks[100] - 33 * 1_000 < 8 * 1024
+
+    def test_path_ensemble_matches_the_chain_from_one_mode(self):
+        # pi0 = (1, 0) is the law of the mode before step 1, so step 1
+        # draws from P's first row: the chain gives W^2(1) = 0.607 and
+        # W^2(2) = 0.451749, where a marginal route gave 0.5707014 at k=2
+        sys = scalar_system(1.2, 0.5)
+        law = MarkovSwitching(P=[[0.3, 0.7], [0.7, 0.3]], pi0=[1.0, 0.0])
+        stats = simulate_ensemble(
+            sys, law, point_mass([1.0]),
+            SimConfig(trajectories=100_000, k_max=2, seed=59,
+                      sampling="path"),
+        )
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 2)
+        assert_allclose([r.w2 for r in recs], [1.0, 0.607, 0.451749],
+                        rtol=1e-12)
+        for rec in recs[1:]:
+            assert abs(stats.mean_sq[rec.k] - rec.w2) <= 4 * stats.stderr[
+                rec.k]
+
     def test_schedule_read_one_row_per_step(self):
         # each step forms its mode cuts from its own marginal row, so the
         # peak grows with k_max by the 33 bytes of outputs per step (three
@@ -378,8 +414,11 @@ class TestSimulateEnsemble:
                 (0.5, [-1.0, 1.0], 0.1 * np.eye(2)),
             ]
         )
+        # the analytic trajectory steps the chain, so the ensemble
+        # follows its paths
         stats = simulate_ensemble(
-            sys, law, mix, SimConfig(trajectories=30_000, k_max=20, seed=29)
+            sys, law, mix, SimConfig(trajectories=30_000, k_max=20, seed=29,
+                                     sampling="path")
         )
         recs = w2_trajectory(sys, law, mix, 20)
         for rec in recs:

@@ -29,9 +29,10 @@ from jumpstab.sysmodel import (
     SequenceSwitching,
 )
 from jumpstab import propagate, sysmodel, wasserstein
+from jumpstab.stability import markov_test
 from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
-from reference import (lifted_step_matrix, needs_refused_allocation,
-                       traced_peak)
+from reference import (lifted_step_matrix, markov_w2,
+                       needs_refused_allocation, traced_peak)
 
 
 def random_system(rng, m, n, scale=0.9):
@@ -247,7 +248,7 @@ class TestMogPropagate:
         sys = JumpLinearSystem(modes=[[[0.9]], [[0.5]]])
         law = ScheduleSwitching([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(
-            ValueError, match=r"q0\*prod_k nnz\(pi\(k\)\) = 1\*2048 = 2048"
+            ValueError, match=r"q0\*paths\(k\) = 1\*2048 = 2048"
         ):
             mog_propagate(sys, law, point_mass([1.0]), 12, cap=1000)
         mix = mog_propagate(sys, law, point_mass([1.0]), 12, cap=2048)
@@ -288,7 +289,7 @@ class TestMogPropagate:
         [
             (IIDSwitching([0.5, 0.5]), "m^k*q0 = 2^20000*1 = ~10^6020"),
             (ScheduleSwitching([[1.0, 0.0], [0.5, 0.5]]),
-             "q0*prod_k nnz(pi(k)) = 1*~10^6020 = ~10^6020"),
+             "q0*paths(k) = 1*~10^6020 = ~10^6020"),
         ],
         ids=["full-support", "support-count"],
     )
@@ -902,3 +903,113 @@ class TestW2Trajectory:
             w2_trajectory(
                 sys, IIDSwitching([0.6, 0.6]), point_mass([1.0, 0.0]), 3
             )
+
+
+ROUTES = ("moment", "gamma", "exact_mog")
+
+#: criterion 5's chain: scalar modes 1.2 and 0.5 that prefer to alternate
+ALTERNATING = ([[[1.2]], [[0.5]]], [[0.3, 0.7], [0.7, 0.3]])
+
+
+def markov_reference(sys, law, mix, k_max):
+    """markov_w2 of a Markov law from the mixture's second moment."""
+    mean, cov = synthetic_gaussian(mix)
+    return markov_w2(sys.modes, law.P, law.pi0, np.outer(mean, mean) + cov,
+                     k_max)
+
+
+class TestMarkovChain:
+    """Every route steps the coupled chain that markov_test judges, with
+    pi0 the law of the mode before step 1, against the plain-loop
+    recursion of ``reference``."""
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("pi0, pinned", [
+        ([0.5, 0.5], [1.0, 0.845, 0.572415]),
+        # the marginal route gives 0.5707014 at k=2, and a chain started
+        # with Q_r(1) = pi0_r A_r Phi(0) A_r^T gives 0.87408
+        ([1.0, 0.0], [1.0, 0.607, 0.451749]),
+    ], ids=["stationary", "first-mode"])
+    def test_pinned_values(self, method, pi0, pinned):
+        modes, p = ALTERNATING
+        sys, law = JumpLinearSystem(modes=modes), MarkovSwitching(p, pi0)
+        ref = markov_reference(sys, law, point_mass([1.0]), 2)
+        assert_allclose(ref, pinned, rtol=1e-12, atol=0)
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 2, method=method)
+        assert_allclose([r.w2 for r in recs], ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", ["moment", "gamma"])
+    def test_unstable_chain_grows(self, method):
+        # the marginal route printed W^2(60) = 4.17e-9 for this chain,
+        # which markov_test calls unstable with rho = 1.29611
+        sys = JumpLinearSystem(modes=[[[1.2]], [[0.1]]])
+        law = MarkovSwitching([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])
+        assert markov_test(sys, law.P).evidence == pytest.approx(1.29611,
+                                                                 abs=1e-5)
+        ref = markov_reference(sys, law, point_mass([1.0]), 60)
+        assert ref[60] == pytest.approx(3_190_628.78, rel=1e-9)
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 60, method=method)
+        assert_allclose([r.w2 for r in recs], ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_chains_match_the_reference(self, seed):
+        rng = np.random.default_rng([223, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        sys = random_system(rng, m=m, n=n, scale=1.1)
+        p = rng.dirichlet(np.ones(m), size=m)
+        if seed % 2:  # zero links: each state skips one mode
+            p[np.arange(m), (np.arange(m) + 1) % m] = 0.0
+            p /= p.sum(axis=1, keepdims=True)
+        law = MarkovSwitching(p, rng.dirichlet(np.ones(m)))
+        mix = random_mixture(rng, n=n, q=int(rng.integers(1, 3)))
+        ref = markov_reference(sys, law, mix, 6)
+        for method in ROUTES:
+            recs = w2_trajectory(sys, law, mix, 6, method=method)
+            assert_allclose([r.w2 for r in recs], ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_growth_rate_is_the_verdicts_radius(self, seed):
+        rng = np.random.default_rng([227, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        modes = rng.standard_normal((m, n, n))
+        p = rng.dirichlet(np.ones(m), size=m)
+        rho = markov_test(JumpLinearSystem(modes=modes), p).evidence
+        scale = np.sqrt(rng.uniform(0.5, 1.5) / rho)
+        sys = JumpLinearSystem(modes=scale * modes)
+        law = MarkovSwitching(p, rng.dirichlet(np.ones(m)))
+        mix = random_mixture(rng, n=n, q=2)
+        w2 = [r.w2 for r in w2_trajectory(sys, law, mix, 151)]
+        assert w2[151] / w2[150] == pytest.approx(
+            markov_test(sys, p).evidence, rel=1e-4)
+        assert_allclose(w2, markov_reference(sys, law, mix, 151),
+                        rtol=1e-12, atol=0)
+
+    def test_counts_follow_the_chain(self):
+        # from mode 2 the chain returns to mode 1, so the mode paths of
+        # nonzero probability number 2, 3, 5, 8, ...
+        sys = JumpLinearSystem(modes=[[[0.9]], [[0.5]]])
+        law = MarkovSwitching([[0.5, 0.5], [1.0, 0.0]], [1.0, 0.0])
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 10,
+                             method="exact_mog")
+        assert [r.component_count for r in recs] == [
+            1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+        assert_allclose([r.w2 for r in recs],
+                        markov_reference(sys, law, point_mass([1.0]), 10),
+                        rtol=1e-12, atol=0)
+        with pytest.raises(ValueError,
+                           match=r"q0\*paths\(k\) = 1\*144 = 144 "):
+            mog_propagate(sys, law, point_mass([1.0]), 10, cap=143)
+        assert mog_propagate(sys, law, point_mass([1.0]), 10, cap=144).q == 144
+
+    def test_full_chain_counts_m_to_the_k(self):
+        rng = np.random.default_rng(229)
+        sys = random_system(rng, m=3, n=2)
+        law = MarkovSwitching(rng.dirichlet(np.ones(3), size=3),
+                              [0.2, 0.3, 0.5])
+        recs = w2_trajectory(sys, law, random_mixture(rng, n=2, q=2), 5,
+                             method="exact_mog")
+        assert [r.component_count for r in recs] == [2 * 3**k
+                                                    for k in range(6)]
+        with pytest.raises(ValueError, match=r"m\^k\*q0 = 3\^5\*2 = 486 "):
+            mog_propagate(sys, law, random_mixture(rng, n=2, q=2), 5,
+                          cap=485)
