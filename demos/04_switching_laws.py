@@ -5,11 +5,8 @@ Switching laws and their occupation schedules
 Every switching law boils down to a schedule of occupation
 probabilities: row k gives the chance of each mode at transition k.
 This script builds all four law kinds, prints the schedules they
-induce, and shows the two chain-specific utilities: the stationary
-distribution and the contraction certificate for periodic sequences.
+induce, and shows the contraction certificate for periodic sequences.
 """
-
-import numpy as np
 
 from jumpstab import (
     IIDSwitching,
@@ -19,7 +16,6 @@ from jumpstab import (
     SequenceSwitching,
     contraction_test,
     marginal_schedule,
-    stationary_distribution,
 )
 
 
@@ -34,12 +30,9 @@ def show_schedule(title, law, k_max, m=None):
 # i.i.d.: the same vector every step
 show_schedule("i.i.d. pi = (0.2, 0.8)", IIDSwitching([0.2, 0.8]), 4)
 
-# Markov: rows converge to the stationary distribution
+# Markov: row k is pi0 P^k
 chain = MarkovSwitching(P=[[0.9, 0.1], [0.4, 0.6]], pi0=[0.0, 1.0])
 show_schedule("Markov from pi0 = (0, 1)", chain, 6)
-stat = stationary_distribution(chain.P)
-print(f"  stationary: {np.array2string(stat.vector, precision=4)}"
-      f" ({stat.status}, residual {stat.residual:.1e})")
 
 # schedule: explicit rows, last row repeating beyond the list
 table = ScheduleSwitching([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])

@@ -48,7 +48,6 @@ _EXPORTS = {
         "SequenceSwitching",
         "ValidationReport",
         "marginal_schedule",
-        "stationary_distribution",
         "validate_system",
     ),
     "systemfile": ("SystemFile", "SystemFileError", "load_system_file"),

@@ -39,7 +39,8 @@ scaling would lose digits, the route raises NumericalError instead of
 printing them. ``gamma`` and ``exact_mog`` multiply coordinates by the
 lifts in one kernel, ``_lifted_push``. ``gamma_product`` pushes the n^2
 unit matrices through X -> sum_j pi_j A_j X A_j^T of the marginals pi(k).
-The map and its matrix (``_chain_lift``) serve the stability tests too.
+The map, the lifts and the symmetric basis live in ``moments``, which
+the stability tests read too.
 """
 
 from __future__ import annotations
@@ -50,7 +51,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_COMPONENT_CAP
-from .matkit import NumericalError, _sym_part
+from .matkit import NumericalError
+from .moments import (
+    DIVERGENCE_GUARD,
+    _moment_map,
+    _sym_coords,
+    _sym_lifts,
+    _sym_matrices,
+)
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -72,13 +80,6 @@ __all__ = [
     "DEFAULT_COMPONENT_CAP",
     "DIVERGENCE_GUARD",
 ]
-
-#: Entry magnitudes past this count as divergence: of Gamma(k), whose
-#: pushed unit matrices gamma_product reads after every step, and of the
-#: mode products of the sequence stability test.
-DIVERGENCE_GUARD = 1e150
-
-_TINY = np.finfo(float).tiny
 
 #: A mode is scaled by a power of two in its lift only when its largest
 #: magnitude reaches 2**_LIFT_LIMIT. Below it every product of two
@@ -115,73 +116,6 @@ class TrajectoryRecord(NamedTuple):
     component_count: int = None
 
 
-def _basis_pairs(n: int):
-    """Index pairs (p, q) of the basis elements: (i, i) for i < n, then
-    p < q in triu order. The first n coordinates of a symmetric matrix
-    are therefore its diagonal, and their sum is its trace."""
-    p, q = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    return np.concatenate([diag, p]), np.concatenate([diag, q])
-
-
-def _basis_units(n: int) -> np.ndarray:
-    """The entry of each symmetric basis element, in _basis_pairs order,
-    at (p, q) and at (q, p): 1 for E_ii, 1/sqrt2 for (E_pq + E_qp)/sqrt2.
-    """
-    units = np.full(n * (n + 1) // 2, np.sqrt(0.5))
-    units[:n] = 1.0
-    return units
-
-
-def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray, out=None):
-    """K[r, c], into ``out`` if given, and K[r, c'] of K = A kron A for
-    the (n, n) ``a``: r, c over the pairs (p, q), c' the pair c reversed."""
-    rows_p, rows_q = a[p], a[q]
-    sym = np.multiply(rows_p[:, p], rows_q[:, q], out=out)
-    crossed = rows_p[:, q]
-    crossed *= rows_q[:, p]
-    return sym, crossed
-
-
-def _sym_lifts(sys: JumpLinearSystem, e=0, transposed=False) -> np.ndarray:
-    """B_j kron B_j on symmetric matrices, B_j = A_j / 2**e_j, ``e`` one
-    exponent or one per mode: the (m, s, s) stack in the orthonormal
-    basis E_ii, (E_pq + E_qp)/sqrt2 of _basis_pairs, s = n(n+1)/2. Each
-    lift maps symmetric matrices to symmetric ones, and this block has
-    the whole lift's spectral radius. ``transposed`` builds each from
-    B_j^T: (A kron A)^T = A^T kron A^T, each product's factors swapped.
-
-    K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
-    exactly, so with c' the transposed position of column c every entry
-    is 2 c_r c_c (K[r, c] + K[r, c']), gathered from A one mode at a time
-    without forming K. Raises NumericalError if an entry overflows, or if
-    the scaling leaves an entry of B_j, or a product of two, below the
-    normal range where that of A_j is not: the lift would lose digits.
-    """
-    n, e = sys.n, np.broadcast_to(e, (sys.m,))
-    p, q = _basis_pairs(n)
-    out = np.empty((sys.m, p.size, p.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lift, mode, ej in zip(out, sys.modes, e):
-            mode = mode.T if transposed else mode
-            a = np.ldexp(mode, -ej)
-            sym, crossed = _kron_entries(a, p, q, lift)
-            if ej and any(np.any((np.abs(x) < _TINY) & (np.abs(y) >= _TINY))
-                          for x, y in zip((a, sym, crossed),
-                                          (mode, *_kron_entries(mode, p, q)))):
-                raise NumericalError("A_j kron A_j overflows, and scaled it "
-                                     "underflows: modes too large")
-            sym += crossed
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("A_j kron A_j overflows: modes too large")
-    # 2 c_r c_c with c = 1/2 on E_ii and 1/sqrt2 on pairs: 1/2, 1/sqrt2, 1
-    scale = np.where(np.arange(p.size) < n, np.sqrt(0.5), 1.0)
-    weights = np.outer(scale, scale)
-    weights[:n, :n] = 0.5
-    out *= weights
-    return out
-
-
 def _scaled_lifts(sys: JumpLinearSystem):
     """The _sym_lifts of the modes over 2**e_j, each transposed and the
     stack in C order, as _lifted_push takes it, and 2 e_j per mode: each
@@ -192,66 +126,6 @@ def _scaled_lifts(sys: JumpLinearSystem):
     tops = np.abs(sys.modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
     return _sym_lifts(sys, e, transposed=True), 2 * e
-
-
-def _chain_lift(blocks: np.ndarray, mix: np.ndarray, weights: np.ndarray):
-    """The matrix of _moment_map(modes, mix, weights) on the coordinates
-    of ``blocks``, an (m, b, b) stack such as _sym_lifts: block (r, j) of
-    the (s b, s b) result is sum_i weights[r, i] mix[j, i] blocks[i]."""
-    lift = np.tensordot(weights[:, None] * mix[None], blocks, 1)
-    size = len(mix) * blocks.shape[1]
-    return np.swapaxes(lift, 1, 2).reshape(size, size)
-
-
-def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Symmetrised A_j X A_j^T, ``mats`` broadcast against (m, q, n, n)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sym_part(
-            modes[:, None] @ mats @ np.swapaxes(modes, 1, 2)[:, None])
-
-
-def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
-                what: str = "second moment diverged"):
-    """The second-moment map on (s, n, n) stacks of symmetric matrices,
-
-        T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
-
-    for a chain of s states over the m modes (mix and weights are s x m).
-    Returns ``apply``; it raises NumericalError led by ``what`` on a
-    non-finite entry.
-    """
-    def apply(q: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mixed = np.dot(mix.T, q.reshape(len(q), -1))
-            pushed = _push(modes, mixed.reshape(-1, 1, *q.shape[1:]))
-            out = np.dot(weights, pushed.reshape(len(modes), -1))
-        if not np.all(np.isfinite(out)):
-            raise NumericalError(f"{what} (an entry is not finite)")
-        return out.reshape(-1, *q.shape[1:])
-
-    return apply
-
-
-def _sym_coords(covs: np.ndarray) -> np.ndarray:
-    """The (q, s) coordinates of the symmetric parts of (q, n, n) ``covs``
-    in the basis of _sym_lifts: Sigma_ii, then sqrt2 Sigma_pq for p < q."""
-    n = covs.shape[-1]
-    p, q = _basis_pairs(n)
-    units = _basis_units(n)
-    coords = covs[:, p, q] * units
-    coords[:, n:] += covs[:, q[n:], p[n:]] * units[n:]
-    return coords
-
-
-def _sym_matrices(coords: np.ndarray, n: int) -> np.ndarray:
-    """The exactly symmetric (q, n, n) matrices of (q, s) coordinates, the
-    inverse of _sym_coords."""
-    p, q = _basis_pairs(n)
-    entries = coords * _basis_units(n)
-    out = np.empty((len(coords), n, n))
-    out[:, p, q] = entries
-    out[:, q, p] = entries
-    return out
 
 
 def _lifted_push(rows, lifts, exps, live):

@@ -21,8 +21,8 @@ such certificate holds (the marginal band, no convergence, a singular
 Perron vector) the test falls back to a dense eigensolve of the lift's
 symmetric block, n(n+1)/2 rows per chain state instead of n^2, which
 has the spectral radius of the whole lift. The map and its matrix live
-in ``propagate``, and its (mix, weights) in the law's chain form, the
-pair the W^2 routes step: this module builds none of them.
+in ``moments``, and its (mix, weights) in the law's chain form, the pair
+the W^2 routes step: this module builds none of them.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -40,12 +40,7 @@ import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
 from .matkit import _as_floats, _sym_part, spectral_norm, spectral_radius
-from .propagate import (
-    DIVERGENCE_GUARD,
-    _chain_lift,
-    _moment_map,
-    _sym_lifts,
-)
+from .moments import DIVERGENCE_GUARD, _chain_lift, _moment_map, _sym_lifts
 from .sysmodel import (
     IIDSwitching,
     JumpLinearSystem,
@@ -57,7 +52,7 @@ from .sysmodel import (
     _reject,
     as_probability_vector,
     check_law,
-    stationary_distribution,
+    check_transition_matrix,
 )
 
 __all__ = [
@@ -95,12 +90,11 @@ class StabilityReport(NamedTuple):
     ``evidence`` is the number the verdict was read from: a spectral
     radius for the spectral tests, a prefix-product norm for the
     sequence test. ``horizon_used`` is the number of stored schedule
-    rows, or of sequence steps scanned. ``notes`` carry
-    auxiliary findings (stationary-distribution status, period norms,
-    divergence warnings). The spectral tests set ``certificate``, the
-    kind checked by Cholesky ("stable" or "unstable") or
-    "dense fallback: <reason>", and ``applications``, the number of
-    second-moment map applications spent.
+    rows, or of sequence steps scanned. ``notes`` carry auxiliary
+    findings (period norms, divergence warnings). The spectral tests set
+    ``certificate``, the kind checked by Cholesky ("stable" or
+    "unstable") or "dense fallback: <reason>", and ``applications``, the
+    number of second-moment map applications spent.
     """
 
     verdict: str
@@ -231,8 +225,7 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     return verdict, evidence, x, used
 
 
-def _spectral_report(sys, mix, weights, margin, test_name,
-                     notes=()) -> StabilityReport:
+def _spectral_report(sys, mix, weights, margin, test_name) -> StabilityReport:
     """Certified verdict on the map ``_moment_map(modes, mix, weights)``,
     else the dense eigensolve of its matrix on symmetric matrices."""
     margin = _check_margin(margin)
@@ -249,7 +242,6 @@ def _spectral_report(sys, mix, weights, margin, test_name,
         verdict=verdict,
         test_name=test_name,
         evidence=evidence,
-        notes=notes,
         certificate=certificate,
         applications=used,
     )
@@ -279,9 +271,9 @@ def markov_test(
     T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of m symmetric
     matrices: the lift diag(A_1 kron A_1, ..., A_m kron A_m)
     (P^T kron I), whose block (i, j) is P_ji A_i kron A_i, restricted to
-    symmetric matrices. The underlying stability condition presumes the
-    chain admits a stationary distribution; the report notes the status
-    found (unique, non-unique, or none) rather than silently assuming it.
+    symmetric matrices. For any finite chain, rho(T) < 1 is equivalent to
+    mean-square stability from every initial law (Costa, Fragoso &
+    Marques, *Discrete-Time Markov Jump Linear Systems*, 2005, Thm 3.9).
 
     Raises
     ------
@@ -293,15 +285,9 @@ def markov_test(
         raise ValueError(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
         )
-    stationary = stationary_distribution(p)  # checks P is row-stochastic
-    notes = (f"stationary distribution: {stationary.status}",)
-    if stationary.status != "unique":
-        notes += (
-            "the spectral condition presumes a stationary distribution; "
-            "treat the verdict with care",
-        )
+    _reject(check_transition_matrix(p, "P"))
     pair = MarkovSwitching(p, p[0])._chain(sys.m)[1](1)  # any start will do
-    return _spectral_report(sys, *pair, margin, "markov", notes)
+    return _spectral_report(sys, *pair, margin, "markov")
 
 
 def general_test(
@@ -370,8 +356,10 @@ def contraction_test(
     strictly below 1 as "stable-per-corollary" (the certificate is that
     prefix; nothing is claimed about sequences that stop repeating it).
     If no prefix contracts, the verdict is inconclusive with the
-    smallest norm seen as evidence. For the periodic reading of the
-    sequence, the one-period product norm is recorded in the notes.
+    smallest norm seen as evidence. ``horizon_used`` counts the prefixes
+    whose norm was checked: k_max, or fewer if the products passed
+    DIVERGENCE_GUARD first. For the periodic reading of the sequence, the
+    one-period product norm is recorded in the notes.
     """
     if not isinstance(seq, SequenceSwitching):
         raise ValueError(
@@ -387,7 +375,7 @@ def contraction_test(
     notes = ()
     prod = np.eye(sys.n)
     best = np.inf
-    hit = None
+    scanned = 0  # prefixes whose norm was checked
     for k in range(1, k_max + 1):
         prod = sys.modes[seq.indices[(k - 1) % period] - 1] @ prod
         if np.max(np.abs(prod)) > DIVERGENCE_GUARD:
@@ -395,30 +383,26 @@ def contraction_test(
                 f"prefix products exceeded the overflow guard at k={k}",
             )
             break
-        value = spectral_norm(prod)
+        value, scanned = spectral_norm(prod), k
         if k == period:
             notes += (f"one-period product norm: {value:.6g}",)
-        best = min(best, value)
         if value < 1.0:
-            hit = (k, value)
-            break
+            return StabilityReport(
+                verdict="stable-per-corollary",
+                test_name="contraction",
+                evidence=value,
+                horizon_used=k,
+                notes=notes,
+            )
+        best = min(best, value)
 
-    if hit is not None:
-        k, value = hit
-        return StabilityReport(
-            verdict="stable-per-corollary",
-            test_name="contraction",
-            evidence=value,
-            horizon_used=k,
-            notes=notes,
-        )
     return StabilityReport(
         verdict="inconclusive",
         test_name="contraction",
         evidence=best if np.isfinite(best) else np.inf,
-        horizon_used=k_max,
+        horizon_used=scanned,
         notes=notes + (
-            f"no contractive prefix within {k_max} steps",
+            f"no contractive prefix within {scanned} steps",
         ),
     )
 

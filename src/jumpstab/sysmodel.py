@@ -47,10 +47,8 @@ __all__ = [
     "SequenceSwitching",
     "SwitchingLaw",
     "ValidationReport",
-    "StationaryResult",
     "validate_system",
     "marginal_schedule",
-    "stationary_distribution",
     "check_probability_vector",
     "check_transition_matrix",
     "as_probability_vector",
@@ -513,57 +511,3 @@ def _marginals(law: SwitchingLaw, k_max: int, m: int):
         mix, weights = pair(k)
         d = _normalized(d @ mix @ weights.T)
         yield d @ weights
-
-
-class StationaryResult(NamedTuple):
-    """Outcome of a stationary-distribution search.
-
-    status is "unique" (single eigenvalue-1 direction, residual below
-    tolerance), "non-unique" (eigenvalue-1 eigenspace of dimension > 1;
-    ``vector`` is one valid choice), or "none-found" (no usable
-    probability eigenvector). ``residual`` is the achieved
-    ``max |pi P - pi|`` when a vector is returned.
-    """
-
-    status: str
-    vector: np.ndarray = None
-    residual: float = None
-
-
-def stationary_distribution(P) -> StationaryResult:
-    """Left eigenvector of a row-stochastic P for eigenvalue 1.
-
-    Eigenvalues within ``PROB_TOL`` of 1 define the candidate space; candidate
-    eigenvectors are realified, clipped, and normalized to probability
-    vectors, and the one with the smallest stationarity residual is
-    returned.
-
-    Raises
-    ------
-    ValueError
-        If P is not row-stochastic within tolerance.
-    """
-    _reject(check_transition_matrix(P, "P"))
-    p = np.asarray(P, dtype=float)
-    w, v = np.linalg.eig(p.T)
-    near_one = np.where(np.abs(w - 1.0) < PROB_TOL)[0]
-    if near_one.size == 0:
-        return StationaryResult("none-found")
-    best = None
-    for i in near_one:
-        cand = np.real(v[:, i])
-        s = float(np.sum(cand))
-        if abs(s) < 1e-12:
-            continue
-        cand = np.clip(cand / s, 0.0, None)
-        total = float(np.sum(cand))
-        if total <= 0.0:
-            continue
-        cand = cand / total
-        residual = float(np.max(np.abs(cand @ p - cand)))
-        if best is None or residual < best[1]:
-            best = (cand, residual)
-    if best is None or best[1] >= PROB_TOL:
-        return StationaryResult("none-found")
-    status = "unique" if near_one.size == 1 else "non-unique"
-    return StationaryResult(status, best[0], best[1])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from jumpstab.matkit import NumericalError
-from jumpstab.propagate import _basis_pairs, _basis_units
+from jumpstab.moments import _basis_pairs, _basis_units
 from jumpstab.sysmodel import JumpLinearSystem, as_probability_vector
 
 

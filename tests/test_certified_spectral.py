@@ -14,7 +14,7 @@ import pytest
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import _moment_map, _sym_lifts
+from jumpstab.moments import _moment_map, _sym_lifts
 from jumpstab.stability import (
     DEFAULT_MARGIN,
     analyze,

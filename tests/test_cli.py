@@ -436,7 +436,6 @@ class TestAnalyze:
             "test: markov\n"
             "verdict: stable\n"
             "evidence: spectral radius = 0.709857590054\n"
-            "note: stationary distribution: unique\n"
         )
 
 
@@ -1210,9 +1209,11 @@ class TestSubprocess:
 
     @pytest.mark.parametrize("argv, unused", [
         (["validate"], ("stability", "propagate", "mcsim")),
-        (["analyze"], ("mcsim",)),
+        (["analyze"], ("mcsim", "propagate", "wasserstein")),
         (["trajectory", "--steps", "2"], ("stability", "mcsim")),
-    ], ids=["validate", "analyze", "trajectory"])
+        (["simulate", "--steps", "2", "--trajectories", "4"],
+         ("stability", "propagate", "wasserstein", "moments")),
+    ], ids=["validate", "analyze", "trajectory", "simulate"])
     def test_subcommand_loads_only_its_modules(self, write, argv, unused):
         code, modules, _ = self.probe(argv[0], write(IID), *argv[1:])
         assert code == 0

@@ -132,12 +132,19 @@ def names(tree):
 
 
 def test_stability_builds_no_product_or_lift():
-    """The second-moment map and its matrix live in propagate: stability
+    """The second-moment map and its matrix live in moments: stability
     reads spectra and certificates, assembles no product or lift and
     folds no horizon."""
     tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
     found = sorted(set(names(tree)) & LIFT_BUILDERS)
     assert found == []
+
+
+def test_stability_imports_no_route():
+    """The verdict reads the second-moment map from moments, so analyze
+    loads none of the W^2 routes."""
+    found = set(top_level_imports("stability")) & {"propagate", "wasserstein"}
+    assert found == set()
 
 
 def test_no_module_imports_dataclasses():

@@ -11,11 +11,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
+from jumpstab.moments import _moment_map, _sym_lifts
 from jumpstab.propagate import (
     GammaState,
-    _moment_map,
     _scaled_lifts,
-    _sym_lifts,
     gamma_product,
     mog_propagate,
     w2_trajectory,

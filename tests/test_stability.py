@@ -121,7 +121,7 @@ class TestMarkovTest:
         assert report.evidence == pytest.approx(root, rel=1e-12)
         assert report.evidence == pytest.approx(0.70986, abs=5e-6)
         assert report.verdict == "stable"
-        assert any("unique" in note for note in report.notes)
+        assert report.notes == ()
 
     def test_identity_chain_blocks(self):
         rng = np.random.default_rng(167)
@@ -130,8 +130,7 @@ class TestMarkovTest:
         report = markov_test(sys, np.eye(3))
         oracle = max(spectral_radius(a) ** 2 for a in mats)
         assert report.evidence == pytest.approx(oracle, rel=1e-9)
-        # frozen chain has no unique stationary distribution
-        assert any("non-unique" in note for note in report.notes)
+        assert report.notes == ()
 
     def test_identical_rows_reduce_to_iid(self):
         rng = np.random.default_rng(173)
@@ -364,6 +363,18 @@ class TestContractionTest:
             )
             assert report.verdict == "inconclusive"
             assert report.evidence >= 1.0
+            # 2**499 is the first power of 2 past DIVERGENCE_GUARD
+            assert report.horizon_used == min(k_max, 498)
+
+    def test_guard_stops_the_scan(self):
+        # 10**150 passes the guard: the scan checked 149 prefixes
+        report = contraction_test(scalar_system(10.0), SequenceSwitching((1,)))
+        assert report.verdict == "inconclusive"
+        assert report.horizon_used == 149
+        assert report.notes[-2:] == (
+            "prefix products exceeded the overflow guard at k=150",
+            "no contractive prefix within 149 steps",
+        )
 
     def test_sequence_index_validation(self):
         with pytest.raises(ValueError, match="outside"):

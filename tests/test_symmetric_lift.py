@@ -14,13 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.propagate import (
-    _basis_pairs,
-    _chain_lift,
-    _moment_map,
-    _sym_lifts,
-    gamma_product,
-)
+from jumpstab.moments import _basis_pairs, _chain_lift, _moment_map, _sym_lifts
+from jumpstab.propagate import gamma_product
 from jumpstab.stability import iid_test, markov_test
 from jumpstab.sysmodel import (
     JumpLinearSystem,

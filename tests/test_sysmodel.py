@@ -1,7 +1,7 @@
 """Domain-type and validation tests.
 
-Stationary distributions are cross-checked against a power-iteration
-oracle; Markov marginals against repeated explicit multiplication.
+Markov marginals are cross-checked against repeated explicit
+multiplication.
 """
 
 from decimal import Decimal
@@ -26,7 +26,6 @@ from jumpstab.sysmodel import (
     as_probability_vector,
     check_probability_vector,
     marginal_schedule,
-    stationary_distribution,
     validate_system,
 )
 from jumpstab.wasserstein import gaussian_to_dirac
@@ -405,44 +404,6 @@ class TestLawModeCount:
         assert MarkovSwitching(P=np.eye(3), pi0=[1, 0, 0]).m == 3
         assert ScheduleSwitching([[1.0, 0.0]]).m == 2
         assert SequenceSwitching((1, 2)).m is None
-
-
-class TestStationaryDistribution:
-    def test_symmetric_chain(self):
-        res = stationary_distribution([[0.3, 0.7], [0.7, 0.3]])
-        assert res.status == "unique"
-        assert_allclose(res.vector, [0.5, 0.5], atol=1e-12)
-
-    def test_identity_non_unique(self):
-        res = stationary_distribution(np.eye(2))
-        assert res.status == "non-unique"
-        assert res.vector is not None
-        assert_allclose(res.vector @ np.eye(2), res.vector, atol=1e-9)
-
-    def test_random_chains_match_power_iteration(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            p = rng.random((3, 3)) + 0.05
-            p /= p.sum(axis=1, keepdims=True)
-            res = stationary_distribution(p)
-            assert res.status == "unique"
-            # oracle: power iteration to fixed point
-            pi = np.full(3, 1.0 / 3.0)
-            for _ in range(10_000):
-                pi = pi @ p
-            assert_allclose(res.vector, pi, atol=1e-9)
-            assert np.max(np.abs(res.vector @ p - res.vector)) < 1e-9
-
-    def test_rejects_non_stochastic(self):
-        with pytest.raises(ValueError, match="row 1"):
-            stationary_distribution([[0.5, 0.6], [0.5, 0.5]])
-
-    def test_absorbing_chain(self):
-        # one absorbing state: unique stationary (1, 0)
-        p = np.array([[1.0, 0.0], [0.5, 0.5]])
-        res = stationary_distribution(p)
-        assert res.status == "unique"
-        assert_allclose(res.vector, [1.0, 0.0], atol=1e-9)
 
 
 class TestSequenceSwitching:

@@ -17,7 +17,6 @@ from jumpstab.sysmodel import (
     MarkovSwitching,
     ScheduleSwitching,
     SequenceSwitching,
-    StationaryResult,
     ValidationReport,
 )
 
@@ -37,8 +36,6 @@ TYPES = [
     (ScheduleSwitching, [("vectors", [[0.5, 0.5], [1.0, 0.0]])]),
     (SequenceSwitching, [("indices", (2, 1, 2))]),
     (ValidationReport, [("violations", ("bad sum",))]),
-    (StationaryResult, [("status", "unique"), ("vector", np.array([0.5, 0.5])),
-                        ("residual", 1e-17)]),
     (TrajectoryRecord, [("k", 3), ("w2", 0.25), ("component_count", 8)]),
     (GammaState, [("gamma", np.eye(4)), ("k", 2), ("diverged", True)]),
     (StabilityReport, [("verdict", "stable"), ("test_name", "iid"),
