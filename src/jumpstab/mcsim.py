@@ -22,19 +22,19 @@ ensemble size, nor the chunking, nor ``k_max``; ``threads`` is ignored.
 
 Kernel
 ------
-Initial states are drawn, and states advanced, in blocks of ``_CHUNK`` =
-4096 trajectories, which bounds the working memory of the products. A
-step draws every trajectory's mode pick in one call, then advances each
-block and writes its squared norms into one row, which is reduced to
-the step's mean, standard error and kurtosis (summed pairwise by numpy)
-before the next step starts. Only the (trajectories, n) states and a few
-rows of ``trajectories`` values are held, so memory does not grow with
-``k_max`` beyond the per-step outputs. For n >= 2 and
-at most ``_ALL_MODES_MAX`` = 8 modes, a block's states are multiplied by
-every transposed mode at once, an (m, count, n) product, keeping each
-trajectory's row of its picked mode; past 8 modes that m-fold product
-costs more than it saves, and at n = 1 a product is one multiplication,
-so the block is instead multiplied by a gathered (count, n, n) stack.
+Initial states are drawn, and states advanced in place, in blocks of
+``_CHUNK`` = 4096 trajectories; each block forms its counters G*(t+1)
+and draws its own slots. A step writes each block's squared norms into
+one row, reduced to the step's mean, standard error and kurtosis
+(summed pairwise by numpy, in one scratch row) before the next step
+starts. So the ensemble holds 8*(n+2) bytes per trajectory, plus one
+byte of last mode under path sampling, and one block's temporaries,
+whatever ``k_max``. For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a
+block's states are multiplied by every transposed mode at once, an (m,
+count, n) product, keeping each trajectory's row of its picked mode;
+past 8 modes that m-fold product costs more than it saves, and at n = 1
+a product is one multiplication, so the block is instead multiplied by
+a gathered (count, n, n) stack.
 
 Two sampling semantics are exposed. ``marginal`` draws every step's mode
 independently from its marginal pi(k), the process whose second moments
@@ -155,32 +155,34 @@ def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:
     return idx
 
 
-def _step_moments(row: np.ndarray):
+def _step_moments(row: np.ndarray, scratch: np.ndarray):
     """Mean, standard error and plain kurtosis of one step's finite
-    squared norms, a row of T values.
+    squared norms, a row of T values; overwrites it and ``scratch``.
 
     A row whose plain sum overflows is averaged after scaling to
-    magnitude <= 1. One array of deviations serves both spreads. The
-    standard error, sample standard deviation (ddof 1) over sqrt(T), is
-    zero for T = 1 and, where the plain sum of squares overflows, taken
-    from the deviations scaled to magnitude <= 1. The biased kurtosis
-    m4 / m2^2 (Gaussian = 3) squares those scaled deviations in place;
-    it is nan where the spread is at rounding level, the samples
-    numerically identical and their kurtosis cancellation noise.
+    magnitude <= 1. The deviations are formed in the row, their squares
+    in ``scratch``. The standard error, sample standard deviation (ddof
+    1) over sqrt(T), is zero for T = 1 and, where the plain sum of
+    squares overflows, taken from the deviations scaled to magnitude
+    <= 1. The biased kurtosis m4 / m2^2 (Gaussian = 3) squares those
+    scaled deviations in place; it is nan where the spread is at
+    rounding level, the samples numerically identical and their
+    kurtosis cancellation noise.
     """
     big_t = row.size
     with np.errstate(over="ignore"):
         mean = row.mean()
     if not np.isfinite(mean):
-        top = np.max(np.abs(row))
-        mean = top * np.mean(row / top)
+        top = np.abs(row, out=scratch).max()
+        mean = top * np.divide(row, top, out=scratch).mean()
     if big_t < 2:
         return mean, 0.0, np.nan
-    dev = row - mean
+    # x - mean rounds monotonically in x: the extreme deviations
+    top = max(row.max() - mean, mean - row.min())
+    dev = np.subtract(row, mean, out=row)
     with np.errstate(over="ignore"):
-        sumsq = np.sum(np.square(dev))
+        sumsq = np.sum(np.square(dev, out=scratch))
     std = np.sqrt(sumsq / (big_t - 1))
-    top = max(dev.max(), -dev.min())
     if top == 0.0:
         top = 1.0
     dev /= top
@@ -197,11 +199,12 @@ def _step_moments(row: np.ndarray):
 
 
 def _mix(z):
-    """SplitMix64's mix: on an int, or in place on a uint64 array."""
+    """SplitMix64's mix: on an int, or in place on a wrapping uint64 array."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> shift
         z *= mult
-        z &= _MASK
+        if isinstance(z, int):
+            z &= _MASK
     z ^= z >> 31
     return z
 
@@ -218,8 +221,10 @@ def _normals(seed: int, n: int, weyl: np.ndarray) -> np.ndarray:
     u = np.array([_uniforms(seed, d, weyl) for d in range(1, n + n % 2 + 1)])
     radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     angle = 2.0 * np.pi * u[1::2]
-    pairs = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return pairs.reshape(-1, weyl.size)[:n]
+    z = np.empty((n, weyl.size))
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius[:n // 2] * np.sin(angle[:n // 2])
+    return z
 
 
 def simulate_ensemble(
@@ -233,11 +238,12 @@ def simulate_ensemble(
 
     Deterministic per seed: each draw is a pure function of the seed, a
     slot and the trajectory (see the module docstring), whatever the
-    ensemble size or ``k_max``. All blocks advance one
-    step together and each step's squared norms are reduced before the
-    next step starts, so memory is O(trajectories * n) whatever
-    ``k_max``. ``threads`` is accepted and ignored: the ensemble runs on
-    the calling thread.
+    ensemble size or ``k_max``; each block draws its own slots. All
+    blocks advance one step together and each step's squared norms are
+    reduced before the next, so the ensemble holds 8*(n+2) bytes per
+    trajectory (plus one under path sampling) and one block's
+    temporaries, whatever ``k_max``. ``threads`` is accepted and
+    ignored: the ensemble runs on the calling thread.
 
     Raises
     ------
@@ -255,63 +261,72 @@ def simulate_ensemble(
 
     big_t, k_max = cfg.trajectories, cfg.k_max
     n, m = sys.n, sys.m
+    path = cfg.sampling == "path"
     # first, so an impossible size fails before any draw
     mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
     samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
-    normsq = np.empty(big_t)
+    normsq, scratch = np.empty((2, big_t))
+    if path:  # each trajectory's last mode, which its next pick reads
+        last = np.empty(big_t, np.min_scalar_type(m))
+        # cum_cols[j][i]: cut j of the chain row of mode i
+        cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
 
     weights = init.weights / np.sum(init.weights)
     cum_init = np.cumsum(weights)[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
-    if cfg.sampling == "path":
-        # cum_cols[j][i]: cut j of the chain row of mode i
-        cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
-
+    ones = np.ones(n)
     offsets = np.arange(min(big_t, _CHUNK))
-    weyl = np.arange(1, big_t + 1, dtype=np.uint64) * _GAMMA
-    blocks = [(slice(lo, lo + _CHUNK), min(_CHUNK, big_t - lo))
-              for lo in range(0, big_t, _CHUNK)]
+    base = (offsets + 1).astype(np.uint64) * _GAMMA
+
+    def blocks():  # each block's rows, size and counters G*(t+1)
+        for lo in range(0, big_t, _CHUNK):
+            c = min(_CHUNK, big_t - lo)
+            yield slice(lo, lo + c), c, base[:c] + (_GAMMA * lo & _MASK)
 
     def reduce(k: int) -> None:
         if not np.isfinite(normsq.max()):
             raise NumericalError(
                 f"squared state norms overflow float64 at k={k}"
             )
-        mean_sq[k], stderr[k], kurtosis[k] = _step_moments(normsq)
+        mean_sq[k], stderr[k], kurtosis[k] = _step_moments(normsq, scratch)
 
     # overflow is caught on each step's complete row
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, _ in blocks:
-            idx0 = _pick(_uniforms(cfg.seed, 0, weyl[rows]), cum_init)
-            z = _normals(cfg.seed, n, weyl[rows])
+        for rows, count, weyl in blocks():
+            idx0 = _pick(_uniforms(cfg.seed, 0, weyl), cum_init)
+            # each component's image of the normals, (q, count, n)
+            images = np.einsum("cab,bt->cta", factors,
+                               _normals(cfg.seed, n, weyl))
             # take: a faster gather than [idx0]
-            x[rows] = init.means.take(idx0, axis=0) + np.einsum(
-                "tab,bt->ta", factors.take(idx0, axis=0), z)
+            x[rows] = init.means.take(idx0, axis=0) + images.reshape(
+                -1, n).take(idx0 * count + offsets[:count], axis=0)
             # a matrix-vector product: faster than einsum's row dots
-            normsq[rows] = np.square(x[rows]) @ np.ones(n)
+            normsq[rows] = np.square(x[rows]) @ ones
         reduce(0)
         for k, row in enumerate(_marginals(law, k_max, m)):
-            if cfg.sampling == "path" and k > 0:
-                # lazily: one row of T cuts is held at a time
-                cuts = (cut.take(modes) for cut in cum_cols)
-            else:
-                # cuts from this step's row alone: no (k_max, m) table
-                cuts = np.cumsum(row)[:-1]
-            # slot 1 + 2*ceil(n/2) + k picks step k+1's mode
-            modes = _pick(_uniforms(cfg.seed, 1 + n + n % 2 + k, weyl), cuts)
-            for rows, count in blocks:
-                picks = modes[rows]
+            # cuts from this step's row alone: no (k_max, m) table
+            step_cuts = np.cumsum(row)[:-1]
+            for rows, count, weyl in blocks():
+                # lazily: one block's row of chain cuts is held at a time
+                cuts = ((cut.take(last[rows]) for cut in cum_cols)
+                        if path and k > 0 else step_cuts)
+                # slot 1 + 2*ceil(n/2) + k picks step k+1's mode
+                picks = _pick(_uniforms(cfg.seed, 1 + n + n % 2 + k, weyl),
+                              cuts)
+                if path:
+                    last[rows] = picks
                 if all_modes:
                     # take each row of the (m, count, n) product by its
                     # flat index: a faster gather than [picks, offsets]
-                    x[rows] = np.matmul(x[rows], mode_t).reshape(-1, n).take(
-                        picks * count + offsets[:count], axis=0)
+                    np.take(np.matmul(x[rows], mode_t).reshape(-1, n),
+                            picks * count + offsets[:count], axis=0,
+                            out=x[rows], mode="clip")
                 else:
                     x[rows] = (x[rows, None] @ mode_t.take(picks, 0))[:, 0]
-                normsq[rows] = np.square(x[rows]) @ np.ones(n)
+                normsq[rows] = np.square(x[rows]) @ ones
             reduce(k + 1)
 
     return EnsembleStats(mean_sq, stderr, samples,

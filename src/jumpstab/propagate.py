@@ -206,12 +206,21 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
     start, pair = law._chain(sys.m)
     # the start components are in no state: step 1 draws from start @ mix
     first = (start @ pair(1)[0])[None], pair(1)[1]
-    # components per state, in Python ints; zero links of the chain add none
-    counts = np.array([init.q], dtype=object)
+    # components per state, in Python ints: a state's components reach
+    # state r by table[r][state] modes each; the 0/1 links of a step give
+    # its table, built once per pattern and reread while the pair repeats
+    counts, tables, last = [init.q], {}, None
     for step in range(1, k + 1):
-        mix, weights = first if step == 1 else pair(step)
-        counts = counts @ ((mix > 0) @ (weights > 0).T.astype(object))
-    reach = counts.sum()
+        links = first if step == 1 else pair(step)
+        if links is not last:
+            last, (mix, weights) = links, (x > 0 for x in links)
+            key = mix.tobytes(), weights.tobytes()
+            if key not in tables:
+                tables[key] = (mix @ weights.T.astype(int)).T.tolist()
+            table = tables[key]
+        counts = [sum(c * link for c, link in zip(counts, row))
+                  for row in table]
+    reach = sum(counts)
     if reach > cap:
         full = reach == init.q * sys.m**k
         counted = (f"m^k*q0 = {sys.m}^{k}*{init.q}" if full else

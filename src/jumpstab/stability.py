@@ -377,7 +377,9 @@ def contraction_test(
     best = np.inf
     scanned = 0  # prefixes whose norm was checked
     for k in range(1, k_max + 1):
-        prod = sys.modes[seq.indices[(k - 1) % period] - 1] @ prod
+        # a product past float64 is caught by the guard: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = sys.modes[seq.indices[(k - 1) % period] - 1] @ prod
         if np.max(np.abs(prod)) > DIVERGENCE_GUARD:
             notes += (
                 f"prefix products exceeded the overflow guard at k={k}",

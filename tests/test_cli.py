@@ -1151,6 +1151,26 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "unstable" in proc.stdout
 
+    def test_overflowing_prefix_leaves_stderr_empty(self, write):
+        # the second prefix product passes float64: the guard reports it
+        doc = {
+            "n": 2,
+            "modes": {"wide": [[1e300, -1e300], [0.0, 0.0]],
+                      "tall": [[1e140, 0.0], [1e140, 0.0]]},
+            "switching": {"type": "sequence", "indices": [2, 1]},
+            "initial": [{"weight": 1.0, "mean": [1.0, 0.0],
+                         "cov": [[0.0, 0.0], [0.0, 0.0]]}],
+        }
+        proc = self.run("analyze", write(doc))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[2:] == [
+            "verdict: inconclusive",
+            "evidence: prefix product norm = 1.41421356237e+140",
+            "horizon used: k=1",
+            "note: prefix products exceeded the overflow guard at k=2",
+            "note: no contractive prefix within 1 steps",
+        ]
+
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
             [

@@ -334,6 +334,30 @@ class TestSimulateEnsemble:
             peaks.append(traced_peak(simulate_ensemble, sys, law, mix, cfg)[1])
         assert abs(peaks[1] - peaks[0]) < 2**20
 
+    @pytest.mark.parametrize("n, law, sampling", [
+        (4, IIDSwitching([0.2, 0.3, 0.5]), "marginal"),
+        (3, ScheduleSwitching([[0.9, 0.05, 0.05], [0.2, 0.3, 0.5]]),
+         "marginal"),
+        (2, MarkovSwitching([[0.3, 0.3, 0.4], [0.6, 0.2, 0.2],
+                             [0.1, 0.1, 0.8]], [0.5, 0.25, 0.25]), "path"),
+    ], ids=["iid", "schedule", "markov-path"])
+    def test_peak_grows_by_the_states_and_two_rows(self, n, law, sampling):
+        # per trajectory: its state, its squared norm and one scratch
+        # float, and under path sampling its last mode in one byte; every
+        # other array holds one block of 4096 trajectories
+        rng = np.random.default_rng(n)
+        sys = JumpLinearSystem(modes=[rng.standard_normal((n, n))
+                                      for _ in range(3)])
+        mix = GaussianMixture.from_components(
+            [(0.4, np.zeros(n), np.eye(n)), (0.6, np.ones(n), np.eye(n))])
+        peaks = [traced_peak(simulate_ensemble, sys, law, mix,
+                             SimConfig(blocks * 4096, 5, seed=3,
+                                       sampling=sampling))[1]
+                 for blocks in (4, 12)]
+        per_trajectory = 8 * (n + 2) + (sampling == "path")
+        # 4 KiB of slack for the interpreter's own allocations
+        assert peaks[1] - peaks[0] <= 8 * 4096 * per_trajectory + 4096
+
     @pytest.mark.parametrize("law, sampling", [
         (IIDSwitching([0.5, 0.5]), "marginal"),
         (ScheduleSwitching([[0.9, 0.1], [0.2, 0.8]]), "marginal"),
@@ -676,6 +700,20 @@ class TestDrawsPerTrajectory:
             assert_array_equal(short[d], long[d])
         assert_array_equal(short_z, long_z)
 
+    @pytest.mark.parametrize("sampling", ["marginal", "path"])
+    def test_independent_of_chunking(self, monkeypatch, sampling):
+        # each block draws its own slots: 586 blocks of 7, the last of 6
+        sys, law, mix = random_chain(3, 3, seed=137)
+        cfg = SimConfig(trajectories=4096 + 5, k_max=3, seed=139,
+                        sampling=sampling)
+        default, default_z = recorded_draws(monkeypatch, sys, law, mix, cfg)
+        monkeypatch.setattr(mcsim, "_CHUNK", 7)
+        small, small_z = recorded_draws(monkeypatch, sys, law, mix, cfg)
+        assert sorted(small) == sorted(default) == list(range(8))
+        for d in default:
+            assert_array_equal(small[d], default[d])
+        assert_array_equal(small_z, default_z)
+
     @pytest.mark.parametrize("m", [3, 12])
     def test_chunk_size_keeps_the_mean(self, monkeypatch, m):
         sys, law, mix = random_chain(3, m, seed=127)
@@ -694,8 +732,10 @@ def step_major(samples):
 
 def step_moments(normsq):
     """The (3, steps) mean, standard error and kurtosis of the step-major
-    ``normsq``, reduced one step at a time as the simulator does."""
-    return np.array([_step_moments(row) for row in normsq]).T
+    ``normsq``, reduced one step at a time as the simulator does; each
+    row is copied, as the reduction overwrites it and its scratch row."""
+    return np.array([_step_moments(row.copy(), np.empty_like(row))
+                     for row in normsq]).T
 
 
 class TestKurtosis:

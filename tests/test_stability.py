@@ -376,6 +376,20 @@ class TestContractionTest:
             "no contractive prefix within 149 steps",
         )
 
+    def test_overflowing_product_is_caught_without_warning(self):
+        # step 2's product passes float64; pytest turns a RuntimeWarning
+        # into an error, so the fold must keep it quiet for the guard
+        sys = JumpLinearSystem(modes=[[[1e300, -1e300], [0.0, 0.0]],
+                                      [[1e140, 0.0], [1e140, 0.0]]])
+        report = contraction_test(sys, SequenceSwitching((2, 1)))
+        assert report.verdict == "inconclusive"
+        assert report.horizon_used == 1
+        assert report.evidence == pytest.approx(np.sqrt(2) * 1e140)
+        assert report.notes == (
+            "prefix products exceeded the overflow guard at k=2",
+            "no contractive prefix within 1 steps",
+        )
+
     def test_sequence_index_validation(self):
         with pytest.raises(ValueError, match="outside"):
             contraction_test(scalar_system(0.5), SequenceSwitching((2,)))
