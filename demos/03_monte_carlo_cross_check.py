@@ -9,10 +9,14 @@ process that path sampling runs, so the path run must agree with it
 within sampling error: one route multiplies matrices, the other runs
 the system, and any systematic gap indicates a defect.
 
-Marginal sampling draws each step's mode independently from its
-marginal pi0 P^k instead.  That drops the correlation of consecutive
-modes, so for a correlated chain it describes a different process and
-sits away from the analytic column.
+The simulator samples each law's own process only.  The marginal
+column is a second law: ScheduleSwitching(marginal_schedule(law, steps))
+draws each step's mode independently from the chain's marginal pi0 P^k.
+That drops the correlation of consecutive modes, so for a correlated
+chain it describes a different process and sits away from the analytic
+column.  Asking the simulator for marginal draws of the Markov law
+itself is an error, because no analytic route computes that process for
+it.
 """
 
 import numpy as np
@@ -21,7 +25,9 @@ from jumpstab import (
     GaussianMixture,
     JumpLinearSystem,
     MarkovSwitching,
+    ScheduleSwitching,
     SimConfig,
+    marginal_schedule,
     simulate_ensemble,
     w2_trajectory,
 )
@@ -34,12 +40,11 @@ steps = 12
 records = w2_trajectory(system, law, init, steps)
 
 marginal = simulate_ensemble(
-    system, law, init,
-    SimConfig(trajectories=50_000, k_max=steps, seed=1, sampling="marginal"),
+    system, ScheduleSwitching(marginal_schedule(law, steps)), init,
+    SimConfig(trajectories=50_000, k_max=steps, seed=1),
 )
 path = simulate_ensemble(
-    system, law, init,
-    SimConfig(trajectories=50_000, k_max=steps, seed=1, sampling="path"),
+    system, law, init, SimConfig(trajectories=50_000, k_max=steps, seed=1),
 )
 
 print(
@@ -70,8 +75,7 @@ print("column is that effect, not an estimation error.")
 # Determinism: the same seed reproduces the ensemble bit for bit, so
 # any run can be repeated exactly.
 again = simulate_ensemble(
-    system, law, init,
-    SimConfig(trajectories=50_000, k_max=steps, seed=1, sampling="path"),
+    system, law, init, SimConfig(trajectories=50_000, k_max=steps, seed=1),
 )
 print(
     "\nsame seed, identical output:",

@@ -20,9 +20,9 @@ a threaded matrix product sums in an order set by the CPU count, so
 unless ``OPENBLAS_NUM_THREADS`` is set, ``main`` runs OpenBLAS on one
 thread.  Reports print as plain text, or as JSON under ``--json``.
 
-``compare`` samples the process the analytic trajectory describes, the
-chain's paths for a Markov law; its rule for deterministic steps is
-relative, so the verdict does not depend on the scale of the start.
+``simulate`` and ``compare`` sample the process the analytic trajectory
+describes, the chain's paths for a Markov law; compare's rule for
+deterministic steps is relative, so its verdict ignores the start's scale.
 
 The parser needs only the standard library; each subcommand imports
 the numerical modules it runs, after ``main`` has chosen the BLAS
@@ -71,8 +71,9 @@ _ARGUMENTS = {
         type=int, default=0, help="stream seed (default %(default)d)"
     ),
     "--sampling": dict(
-        choices=("marginal", "path"), default="marginal",
-        help="mode draw semantics (default %(default)s)",
+        choices=("marginal", "path"),
+        help="mode draws, only the law's own: path for a Markov law, "
+             "marginal otherwise (default: the law's own)",
     ),
     "--threads": dict(
         type=int, default=1,
@@ -242,12 +243,8 @@ def cmd_simulate(args) -> int:
     from .mcsim import SimConfig, simulate_ensemble
 
     sf = _load_validated(args.file)
-    cfg = SimConfig(
-        trajectories=args.trajectories,
-        k_max=args.steps,
-        seed=args.seed,
-        sampling=args.sampling,
-    )
+    cfg = SimConfig(args.trajectories, args.steps, seed=args.seed,
+                    sampling=args.sampling)
     stats = simulate_ensemble(sf.system, sf.switching, sf.initial, cfg)
     _write_csv(args.out, ["k", "mean_sq", "stderr", "n_samples"], (
         [k, stats.mean_sq[k], stats.stderr[k], int(stats.samples[k])]

@@ -17,7 +17,7 @@ is ``u(d, t) = (word(d, t) >> 11) * 2^-53`` in [0, 1), as numpy maps
 2p+1 are ``r cos(theta)`` and ``r sin(theta)``, with ``r = sqrt(-2
 log1p(-u(1+2p, t)))`` and ``theta = 2 pi u(2+2p, t)``; an odd n drops the
 last sine. Slot 1 + 2*ceil(n/2) + k picks the mode of step k+1, under
-every law and semantics. So a trajectory's draws depend on neither the
+every law. So a trajectory's draws depend on neither the
 ensemble size, nor the chunking, nor ``k_max``; ``threads`` is ignored.
 
 Kernel
@@ -28,7 +28,7 @@ and draws its own slots. A step writes each block's squared norms into
 one row, reduced to the step's mean, standard error and kurtosis
 (summed pairwise by numpy, in one scratch row) before the next step
 starts. So the ensemble holds 8*(n+2) bytes per trajectory, plus one
-byte of last mode under path sampling, and one block's temporaries,
+byte of chain state under a Markov law, and one block's temporaries,
 whatever ``k_max``. For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a
 block's states are multiplied by every transposed mode at once, an (m,
 count, n) product, keeping each trajectory's row of its picked mode;
@@ -36,13 +36,12 @@ past 8 modes that m-fold product costs more than it saves, and at n = 1
 a product is one multiplication, so the block is instead multiplied by
 a gathered (count, n, n) stack.
 
-Two sampling semantics are exposed. ``marginal`` draws every step's mode
-independently from its marginal pi(k), the process whose second moments
-the analytic routes track for IID, schedule and sequence laws. ``path``
-(Markov laws only) draws step 1's mode from pi0 P and each later one
-from the row of P of the mode before it: the chain that the analytic
-routes and ``markov_test`` describe. The two differ unless consecutive
-modes are in fact independent.
+Each law has one process, its chain form ``law._chain(m)``, which the
+analytic routes and the verdicts step and the ensemble samples: step
+1's mode from the start's marginal, as the start is in no state, later
+ones from their chain state's row. So a Markov law's trajectories
+follow the chain. Independent draws from its marginals are another
+law's process, ``ScheduleSwitching(marginal_schedule(law, k_max))``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .sysmodel import (
     _ReadOnly,
     _as_int,
     _freeze,
-    _marginals,
     _normalized,
     _reject,
     validate_system,
@@ -91,12 +89,13 @@ _TINY = np.finfo(float).tiny
 class SimConfig(_ReadOnly):
     """Ensemble run parameters.
 
-    ``seed`` is a 64-bit nonnegative integer; ``sampling`` is "marginal"
-    (independent draws from the per-step marginals, any law) or "path"
-    (the chain's transitions, which the routes step; Markov laws only).
+    ``seed`` is a 64-bit nonnegative integer. ``sampling`` may name
+    only the law's own process, which None, the default, takes: "path"
+    (the chain's transitions) for a Markov law, "marginal" (independent
+    draws from the per-step marginals) for any other.
     """
 
-    def __init__(self, trajectories, k_max, seed=0, sampling="marginal"):
+    def __init__(self, trajectories, k_max, seed=0, sampling=None):
         t = _as_int(trajectories, "trajectories")
         if t < 1:
             raise ValueError(f"trajectories must be >= 1, got {t}")
@@ -106,7 +105,7 @@ class SimConfig(_ReadOnly):
         s = _as_int(seed, "seed")
         if not 0 <= s < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {s}")
-        if sampling not in ("marginal", "path"):
+        if sampling not in (None, "marginal", "path"):
             raise ValueError(
                 f"sampling must be marginal or path, got {sampling!r}"
             )
@@ -236,44 +235,39 @@ def simulate_ensemble(
 ) -> EnsembleStats:
     """Estimate E||x(k)||^2 for k = 0 .. cfg.k_max over an ensemble.
 
-    Deterministic per seed: each draw is a pure function of the seed, a
-    slot and the trajectory (see the module docstring), whatever the
-    ensemble size or ``k_max``; each block draws its own slots. All
-    blocks advance one step together and each step's squared norms are
-    reduced before the next, so the ensemble holds 8*(n+2) bytes per
-    trajectory (plus one under path sampling) and one block's
-    temporaries, whatever ``k_max``. ``threads`` is accepted and
-    ignored: the ensemble runs on the calling thread.
+    Samples the law's own process, its chain form, deterministically
+    per seed whatever the ensemble size or ``k_max``, in memory that
+    does not grow with ``k_max`` (see the module docstring). ``threads``
+    is accepted and ignored: the ensemble runs on the calling thread.
 
     Raises
     ------
     ValueError
-        On invalid inputs, or path sampling with a non-Markov law.
+        On invalid inputs, or a ``cfg.sampling`` other than the law's
+        own: path sampling of a non-Markov law, or marginal sampling of
+        a Markov law.
     NumericalError
         If squared norms overflow float64 (the message names the step).
     """
     _reject(validate_system(sys, law, init).violations)
-    if cfg.sampling == "path" and not isinstance(law, MarkovSwitching):
+    markov = isinstance(law, MarkovSwitching)
+    if cfg.sampling not in (None, "path" if markov else "marginal"):
         raise ValueError(
+            f"marginal sampling drops a Markov law's mode correlation: "
+            f"sample ScheduleSwitching(marginal_schedule(law, {cfg.k_max}))"
+            f" for that process" if markov else
             f"path sampling requires a Markov switching law, got "
-            f"{type(law).__name__}"
-        )
+            f"{type(law).__name__}")
 
     big_t, k_max = cfg.trajectories, cfg.k_max
     n, m = sys.n, sys.m
-    path = cfg.sampling == "path"
     # first, so an impossible size fails before any draw
     mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
     samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
     normsq, scratch = np.empty((2, big_t))
-    if path:  # each trajectory's last mode, which its next pick reads
-        last = np.empty(big_t, np.min_scalar_type(m))
-        # cum_cols[j][i]: cut j of the chain row of mode i
-        cum_cols = np.cumsum(_normalized(law.P), axis=1)[:, :-1].T.copy()
 
-    weights = init.weights / np.sum(init.weights)
-    cum_init = np.cumsum(weights)[:-1]
+    cum_init = np.cumsum(init.weights / np.sum(init.weights))[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
@@ -306,18 +300,26 @@ def simulate_ensemble(
             # a matrix-vector product: faster than einsum's row dots
             normsq[rows] = np.square(x[rows]) @ ones
         reduce(0)
-        for k, row in enumerate(_marginals(law, k_max, m)):
-            # cuts from this step's row alone: no (k_max, m) table
-            step_cuts = np.cumsum(row)[:-1]
+        start, pair = law._chain(m)
+        if start.size > 1:  # each trajectory's chain state, read by its pick
+            state = np.empty(big_t, np.min_scalar_type(start.size - 1))
+        for k in range(1, k_max + 1):
+            mix, weights = pair(k)
+            # step k's mode law from state s: mode i with probability
+            # mix[s, i] times the weight i carries; at step 1 the start's
+            # marginal, as the start is in no state
+            rows_of = ((_normalized(start @ mix @ weights.T) @ weights)[None]
+                       if k == 1 else mix * weights.sum(axis=0))
+            cuts = np.cumsum(rows_of.T[:-1], axis=0)  # [j][s]
+            to = weights.argmax(axis=0)  # the state each mode leads to
             for rows, count, weyl in blocks():
-                # lazily: one block's row of chain cuts is held at a time
-                cuts = ((cut.take(last[rows]) for cut in cum_cols)
-                        if path and k > 0 else step_cuts)
-                # slot 1 + 2*ceil(n/2) + k picks step k+1's mode
-                picks = _pick(_uniforms(cfg.seed, 1 + n + n % 2 + k, weyl),
-                              cuts)
-                if path:
-                    last[rows] = picks
+                # slot 1 + 2*ceil(n/2) + k-1 picks step k's mode; lazily,
+                # one block's row of state cuts is held at a time
+                picks = _pick(_uniforms(cfg.seed, n + n % 2 + k, weyl),
+                              cuts[:, 0] if len(rows_of) == 1 else
+                              (cut.take(state[rows]) for cut in cuts))
+                if start.size > 1:
+                    state[rows] = to.take(picks)
                 if all_modes:
                     # take each row of the (m, count, n) product by its
                     # flat index: a faster gather than [picks, offsets]
@@ -327,7 +329,7 @@ def simulate_ensemble(
                 else:
                     x[rows] = (x[rows, None] @ mode_t.take(picks, 0))[:, 0]
                 normsq[rows] = np.square(x[rows]) @ ones
-            reduce(k + 1)
+            reduce(k)
 
     return EnsembleStats(mean_sq, stderr, samples,
                          kurtosis > KURTOSIS_THRESHOLD)

@@ -50,10 +50,11 @@ def gaussian_to_dirac(mean, cov) -> float:
 
 def _dirac_sq(weights, means, diags) -> float:
     """sum_i w_i (||mu_i||^2 + tr Sigma_i) from the (q, n) diagonals of
-    the covariances, w the weights normalized to sum 1."""
+    the covariances, w the weights normalized to sum 1. The sum is
+    numpy's, not a BLAS dot, whose order depends on the thread count."""
     w = weights / np.sum(weights)
     sq_means = np.einsum("ij,ij->i", means, means)
-    return float(w @ (sq_means + diags.sum(axis=1)))
+    return float(np.sum(w * (sq_means + diags.sum(axis=1))))
 
 
 def mixture_to_dirac_sq(mix: GaussianMixture) -> float:

@@ -6,13 +6,18 @@ coordinates, and ``bases`` spans those coordinates and the skew ones
 in vec form; ``markov_w2`` is the mode-conditioned second-moment
 recursion of a Markov jump linear system in plain loops; the Monte
 Carlo draws come from a sequential SplitMix64 in Python ints, where
-the library jumps ahead in numpy uint64 arrays.
+the library jumps ahead in numpy uint64 arrays, and
+``ensemble_mean_sq`` steps each trajectory of an ensemble in a plain
+loop, reading each law's own fields.
 ``traced_peak`` measures the peak memory of one call, and
 ``needs_refused_allocation`` marks a test that needs an impossible
 allocation refused.
 """
 
+import bisect
+import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +25,13 @@ import pytest
 
 from jumpstab.matkit import NumericalError
 from jumpstab.moments import _basis_pairs, _basis_units
-from jumpstab.sysmodel import JumpLinearSystem, as_probability_vector
+from jumpstab.sysmodel import (
+    IIDSwitching,
+    JumpLinearSystem,
+    MarkovSwitching,
+    ScheduleSwitching,
+    as_probability_vector,
+)
 
 
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
@@ -135,3 +146,41 @@ def ensemble_draws(seed, n, k_max, count):
     picks = np.array([uniforms(seed, 1 + 2 * pairs + k, count)
                       for k in range(k_max)]).reshape(k_max, count)
     return uniforms(seed, 0, count), z[:n].T, picks
+
+
+def ensemble_mean_sq(sys, law, mix, seed, trajectories, k_max):
+    """mean ||x(k)||^2, k = 0 .. k_max, of the ensemble of the documented
+    stream layout, each trajectory stepped by x <- A_j x in a plain loop.
+
+    Step k's mode j is drawn from the law's own fields: an IID law's pi;
+    a schedule's row k, its last row beyond them; a sequence's index
+    i_k, cycling; for a Markov law, pi0 P at step 1 and the P row of the
+    mode before at later steps. Each mean is an exactly rounded sum over
+    the samples.
+    """
+    @functools.cache
+    def cuts(k, before):  # uniform u picks mode bisect_right(cuts, u)
+        if isinstance(law, IIDSwitching):
+            w = law.pi
+        elif isinstance(law, ScheduleSwitching):
+            w = law.vectors[min(k, len(law.vectors)) - 1]
+        elif isinstance(law, MarkovSwitching):
+            w = law.pi0 @ law.P if before is None else law.P[before]
+        else:
+            w = np.eye(sys.m)[law.indices[(k - 1) % len(law.indices)] - 1]
+        return list(np.cumsum(w / np.sum(w))[:-1])
+
+    init_cuts = list(np.cumsum(mix.weights / np.sum(mix.weights))[:-1])
+    factors = [np.linalg.cholesky(c) for c in mix.covs]
+    comp, z, picks = ensemble_draws(seed, sys.n, k_max, trajectories)
+    samples = [[] for _ in range(k_max + 1)]
+    for t in range(trajectories):
+        c = bisect.bisect_right(init_cuts, comp[t])
+        x = mix.means[c] + factors[c] @ z[t]
+        samples[0].append(x @ x)
+        j = None
+        for k in range(1, k_max + 1):
+            j = bisect.bisect_right(cuts(k, j), picks[k - 1][t])
+            x = sys.modes[j] @ x
+            samples[k].append(x @ x)
+    return np.array([math.fsum(s) for s in samples]) / trajectories

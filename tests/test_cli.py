@@ -849,6 +849,24 @@ class TestSimulate:
         ) == 1
         assert "path sampling requires" in capsys.readouterr().err
 
+    def test_markov_default_samples_the_chain(self, write, capsys):
+        # the chain that trajectory steps, W^2(2) = 0.572415; independent
+        # draws from the marginals read 0.710513 +- 0.0025 here, 55 SE off
+        argv = ["simulate", write(MARKOV), "--steps", "2",
+                "--trajectories", "100000"]
+        assert main(argv) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert abs(float(rows[2][1]) - 0.572415) <= 4 * float(rows[2][2])
+
+    def test_marginal_on_markov_rejected(self, write, capsys):
+        argv = ["simulate", write(MARKOV), "--steps", "3",
+                "--sampling", "marginal"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: marginal sampling drops")
+        assert "ScheduleSwitching(marginal_schedule(law, 3))" in captured.err
+
 
 class TestCompare:
     @pytest.mark.parametrize("trajectories", ["1", "0"])
@@ -1036,7 +1054,8 @@ options:
                         ensemble size (default 10000)
   --seed SEED           stream seed (default 0)
   --sampling {marginal,path}
-                        mode draw semantics (default marginal)
+                        mode draws, only the law's own: path for a Markov law,
+                        marginal otherwise (default: the law's own)
   --threads THREADS     has no effect: the ensemble runs on the calling thread
                         (default 1)
   --out OUT             CSV output path (default: stdout)
@@ -1266,6 +1285,34 @@ class TestSubprocess:
                 ],
                 capture_output=True, env=without_blas_threads(),
                 preexec_fn=lambda: os.sched_setaffinity(0, allowed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_exact_route_bytes_do_not_depend_on_blas_threads(self, write):
+        # W^2 of 59,049 components: a BLAS dot summed them in an order set
+        # by the thread count, W^2(10) = ...3845 at one thread, ...3834 at
+        # two
+        doc = {
+            "n": 1,
+            "modes": {"A1": [[1.0417177347505064]],
+                      "A2": [[-0.5730628174162766]],
+                      "A3": [[1.0713367796174833]]},
+            "switching": {"type": "iid",
+                          "pi": [0.3285122287790536, 0.33831466630373036,
+                                 0.3331731049172162]},
+            "initial": [{"weight": 0.9999999999999999,
+                         "mean": [-2.7111624789659685],
+                         "cov": [[0.35683710434413235]]}],
+        }
+        path, outputs = write(doc), []
+        for threads in ("1", "2"):
+            env = dict(without_blas_threads(), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "jumpstab", "trajectory", path,
+                 "--steps", "10", "--method", "exact_mog"],
+                capture_output=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

@@ -5,9 +5,7 @@ oracles computed by the moment recursion; determinism assertions demand
 bit equality.
 """
 
-import bisect
 import itertools
-import math
 import threading
 
 import numpy as np
@@ -35,7 +33,14 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
 )
-from reference import GAMMA, MASK, ensemble_draws, splitmix64, traced_peak
+from reference import (
+    GAMMA,
+    MASK,
+    ensemble_draws,
+    ensemble_mean_sq,
+    splitmix64,
+    traced_peak,
+)
 from reference import uniforms as reference_uniforms
 
 
@@ -65,37 +70,10 @@ def random_chain(n, m, seed):
             GaussianMixture.from_components(comps))
 
 
-def reference_mean_sq(sys, law, mix, cfg):
-    """mean ||x(k)||^2 of a Markov-law ensemble, each trajectory stepped
-    by x <- A_j x in a plain loop, from the reference draws of the
-    documented stream layout; each mean is an exactly rounded sum over
-    the samples."""
-    # uniform u falls in bucket bisect_right(cuts, u) of these cuts
-    cuts_of = lambda w: list(np.cumsum(w)[:-1])
-    init_cuts = cuts_of(mix.weights / np.sum(mix.weights))
-    factors = [np.linalg.cholesky(c) for c in mix.covs]
-    marginal_cuts, pi = [], law.pi0 / np.sum(law.pi0)
-    for _ in range(cfg.k_max):
-        pi = pi @ law.P
-        pi = pi / np.sum(pi)
-        marginal_cuts.append(cuts_of(pi))
-    row_cuts = [cuts_of(row / np.sum(row)) for row in law.P]
-    samples = [[] for _ in range(cfg.k_max + 1)]
-    comp, z, picks = ensemble_draws(cfg.seed, sys.n, cfg.k_max,
-                                    cfg.trajectories)
-    for t in range(cfg.trajectories):
-        c = bisect.bisect_right(init_cuts, comp[t])
-        x = mix.means[c] + factors[c] @ z[t]
-        samples[0].append(x @ x)
-        for k in range(cfg.k_max):
-            if cfg.sampling == "path" and k > 0:
-                cuts = row_cuts[j]
-            else:
-                cuts = marginal_cuts[k]
-            j = bisect.bisect_right(cuts, picks[k][t])
-            x = sys.modes[j] @ x
-            samples[k + 1].append(x @ x)
-    return np.array([math.fsum(s) for s in samples]) / cfg.trajectories
+def marginal_twin(law, k_max):
+    """The schedule of a Markov law's marginals: each step's mode drawn
+    independently from pi0 P^k, the chain's correlation dropped."""
+    return ScheduleSwitching(sysmodel.marginal_schedule(law, k_max))
 
 
 class TestSimConfig:
@@ -256,13 +234,13 @@ class TestSimulateEnsemble:
             x = x * np.where(reference_uniforms(7, 2 + k, 5) >= 0.5, 0.5, 2.0)
             assert stats.mean_sq[k] == np.mean(x * x)
 
-    @pytest.mark.parametrize("sampling, m", [
-        pytest.param("marginal", 2, id="marginal"),
-        pytest.param("path", 2, id="path"),
+    @pytest.mark.parametrize("marginal, m", [
+        pytest.param(True, 2, id="marginal"),
+        pytest.param(False, 2, id="path"),
         # past the all-modes product's mode count, at n = 2
-        pytest.param("path", 12, id="path-m12"),
+        pytest.param(False, 12, id="path-m12"),
     ])
-    def test_ragged_block_thread_invariance(self, sampling, m):
+    def test_ragged_block_thread_invariance(self, marginal, m):
         if m == 2:
             sys = scalar_system(1.1, 0.6)
             law = MarkovSwitching(P=[[0.2, 0.8], [0.6, 0.4]],
@@ -270,8 +248,9 @@ class TestSimulateEnsemble:
             mix = GaussianMixture.from_components([(1.0, [1.0], [[0.4]])])
         else:
             sys, law, mix = random_chain(2, m, seed=67)
-        cfg = SimConfig(trajectories=4097, k_max=6, seed=67,
-                        sampling=sampling)
+        if marginal:
+            law = marginal_twin(law, 6)
+        cfg = SimConfig(trajectories=4097, k_max=6, seed=67)
         runs = [
             simulate_ensemble(sys, law, mix, cfg, threads=t)
             for t in (1, 2, 4)
@@ -283,13 +262,19 @@ class TestSimulateEnsemble:
 
     # m = 3 takes the all-modes product, m = 12 the gathered one
     @pytest.mark.parametrize("m", [3, 12])
-    @pytest.mark.parametrize("sampling", ["marginal", "path"])
-    def test_matches_plain_loop_reference(self, sampling, m):
+    @pytest.mark.parametrize("kind", ["iid", "marginal", "sequence", "path"])
+    def test_matches_plain_loop_reference(self, kind, m):
+        # "marginal" is the schedule of the chain's first three
+        # marginals, the last one repeated
         sys, law, mix = random_chain(3, m, seed=71 + m)
-        cfg = SimConfig(trajectories=4096 + 5, k_max=5, seed=73,
-                        sampling=sampling)
+        law = {"iid": IIDSwitching(law.pi0),
+               "marginal": marginal_twin(law, 3),
+               "sequence": SequenceSwitching((m, 1, 2)),
+               "path": law}[kind]
+        cfg = SimConfig(trajectories=4096 + 5, k_max=5, seed=73)
         stats = simulate_ensemble(sys, law, mix, cfg)
-        assert_allclose(stats.mean_sq, reference_mean_sq(sys, law, mix, cfg),
+        assert_allclose(stats.mean_sq,
+                        ensemble_mean_sq(sys, law, mix, 73, 4096 + 5, 5),
                         rtol=1e-13, atol=0.0)
 
     def test_equal_norm_paths_give_the_exact_mean(self):
@@ -395,7 +380,7 @@ class TestSimulateEnsemble:
                 rec.k]
 
     def test_schedule_read_one_row_per_step(self):
-        # each step forms its mode cuts from its own marginal row, so the
+        # each step forms its mode cuts from its own chain pair, so the
         # peak grows with k_max by the 33 bytes of outputs per step (three
         # floats, one int64 count, one flag) and no (k_max, m) table; at
         # 64 modes such a table grows 1 MB from 500 to 2,500 steps, and
@@ -485,19 +470,19 @@ class TestSimulateEnsemble:
             )
 
     def test_path_equals_marginal_for_memoryless_chain(self):
-        # every row of P equal to pi makes the chain memoryless, so the
-        # two sampling semantics consume identical cut points and the
+        # every row of P equal to pi makes the chain memoryless, so its
+        # paths consume the cut points of IIDSwitching(pi), and the
         # shared streams must give bit-identical ensembles
         sys = scalar_system(1.2, 0.5)
         pi = np.array([0.35, 0.65])
-        law = MarkovSwitching(P=np.tile(pi, (2, 1)), pi0=[1.0, 0.0])
         mix = GaussianMixture.from_components([(1.0, [1.0], [[0.2]])])
-        cfg_m = SimConfig(trajectories=4000, k_max=10, seed=41)
-        cfg_p = SimConfig(trajectories=4000, k_max=10, seed=41,
-                          sampling="path")
-        a = simulate_ensemble(sys, law, mix, cfg_m)
-        b = simulate_ensemble(sys, law, mix, cfg_p)
-        assert_array_equal(a.mean_sq, b.mean_sq)
+        cfg = SimConfig(trajectories=4000, k_max=10, seed=41)
+        iid = simulate_ensemble(sys, IIDSwitching(pi), mix, cfg)
+        for pi0 in ([1.0, 0.0], [0.3, 0.7]):
+            law = MarkovSwitching(P=np.tile(pi, (2, 1)), pi0=pi0)
+            chain = simulate_ensemble(sys, law, mix, cfg)
+            assert_array_equal(chain.mean_sq, iid.mean_sq)
+            assert_array_equal(chain.stderr, iid.stderr)
 
     def test_path_sampling_stable_chain_decays(self):
         sys = scalar_system(1.2, 0.5)
@@ -545,6 +530,8 @@ class TestSimulateEnsemble:
              (0.5, [1.0, 0.0], np.eye(2))]
         )
         law = MarkovSwitching(P=[[0.5, 0.5], [0.2, 0.8]], pi0=[0.5, 0.5])
+        if sampling == "marginal":
+            law = marginal_twin(law, 120)
         cfg = SimConfig(trajectories=5000, k_max=120, sampling=sampling)
         with pytest.raises(NumericalError, match=r"overflow float64 at k=2$"):
             simulate_ensemble(sys, law, mix, cfg, threads=threads)
@@ -704,6 +691,8 @@ class TestDrawsPerTrajectory:
     def test_independent_of_chunking(self, monkeypatch, sampling):
         # each block draws its own slots: 586 blocks of 7, the last of 6
         sys, law, mix = random_chain(3, 3, seed=137)
+        if sampling == "marginal":
+            law = marginal_twin(law, 3)
         cfg = SimConfig(trajectories=4096 + 5, k_max=3, seed=139,
                         sampling=sampling)
         default, default_z = recorded_draws(monkeypatch, sys, law, mix, cfg)
@@ -799,8 +788,10 @@ def test_law_checked_once_per_call(monkeypatch, sampling):
         calls.append(m)
         return original(law, m)
 
-    monkeypatch.setattr(sysmodel, "check_law", counting)
     law = MarkovSwitching(P=[[0.9, 0.1], [0.2, 0.8]], pi0=[0.5, 0.5])
+    if sampling == "marginal":
+        law = marginal_twin(law, 5)
+    monkeypatch.setattr(sysmodel, "check_law", counting)
     simulate_ensemble(scalar_system(0.5, 0.9), law, point_mass([1.0]),
                       SimConfig(trajectories=10, k_max=5, sampling=sampling))
     assert calls == [2]

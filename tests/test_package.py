@@ -214,3 +214,10 @@ def test_simulate_and_compare_load_no_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_monte_carlo_reads_no_marginals():
+    """The ensemble steps each law's chain form, as the verdicts and the
+    W^2 routes do, so mcsim reads no per-step marginals."""
+    tree = ast.parse((SRC / "mcsim.py").read_text(encoding="utf-8"))
+    assert "_marginals" not in set(imported_names(tree))
