@@ -37,10 +37,10 @@ a product is one multiplication, so the block is instead multiplied by
 a gathered (count, n, n) stack.
 
 Each law has one process, its chain form ``law._chain(m)``, which the
-analytic routes and the verdicts step and the ensemble samples: step
-1's mode from the start's marginal, as the start is in no state, later
-ones from their chain state's row. So a Markov law's trajectories
-follow the chain. Independent draws from its marginals are another
+analytic routes and the verdicts step and the ensemble samples: each
+step's mode from the row of the trajectory's chain state, step 1's from
+the one row of the start state. So a Markov law's trajectories follow
+the chain. Independent draws from its marginals are another
 law's process, ``ScheduleSwitching(marginal_schedule(law, k_max))``.
 """
 
@@ -59,7 +59,6 @@ from .sysmodel import (
     _ReadOnly,
     _as_int,
     _freeze,
-    _normalized,
     _reject,
     validate_system,
 )
@@ -300,16 +299,15 @@ def simulate_ensemble(
             # a matrix-vector product: faster than einsum's row dots
             normsq[rows] = np.square(x[rows]) @ ones
         reduce(0)
-        start, pair = law._chain(m)
-        if start.size > 1:  # each trajectory's chain state, read by its pick
-            state = np.empty(big_t, np.min_scalar_type(start.size - 1))
+        pair = law._chain(m)
+        states = len(pair(1)[1])  # the chain states a step leads to
+        if states > 1:  # each trajectory's chain state, read by its pick
+            state = np.empty(big_t, np.min_scalar_type(states - 1))
         for k in range(1, k_max + 1):
             mix, weights = pair(k)
             # step k's mode law from state s: mode i with probability
-            # mix[s, i] times the weight i carries; at step 1 the start's
-            # marginal, as the start is in no state
-            rows_of = ((_normalized(start @ mix @ weights.T) @ weights)[None]
-                       if k == 1 else mix * weights.sum(axis=0))
+            # mix[s, i] times the weight i carries
+            rows_of = mix * weights.sum(axis=0)
             cuts = np.cumsum(rows_of.T[:-1], axis=0)  # [j][s]
             to = weights.argmax(axis=0)  # the state each mode leads to
             for rows, count, weyl in blocks():
@@ -318,7 +316,7 @@ def simulate_ensemble(
                 picks = _pick(_uniforms(cfg.seed, n + n % 2 + k, weyl),
                               cuts[:, 0] if len(rows_of) == 1 else
                               (cut.take(state[rows]) for cut in cuts))
-                if start.size > 1:
+                if states > 1:
                     state[rows] = to.take(picks)
                 if all_modes:
                     # take each row of the (m, count, n) product by its

@@ -9,8 +9,8 @@ W^2(k) is the second moment of the chain that ``markov_test`` judges:
     Pushes the full mixture through the mode maps. A component in chain
     state s gives, per mode i, weight weights[r, i] mix[s, i] alpha,
     mean A_i mu, covariance A_i Sigma A_i^T and the state r that mode i
-    leads to; the start components draw step 1's modes from start @ mix.
-    Counts grow geometrically, so a hard cap applies. A covariance
+    leads to; the initial components are in the one start state. Counts
+    grow geometrically, so a hard cap applies. A covariance
     travels as its n(n+1)/2 coordinates in the orthonormal symmetric
     basis, which the symmetric block of A_j kron A_j maps exactly; the
     first n are the diagonal. The route walks the mixture tree depth
@@ -20,8 +20,8 @@ W^2(k) is the second moment of the chain that ``markov_test`` judges:
 
 ``moment``
     Propagates one n x n second moment per chain state by the chain's
-    map (``_moment_map``), from Q(0) = start (x) Phi(0); W^2(k) = sum_r
-    tr Q_r(k). Default method: the lifted product's numbers at n x n
+    map (``_moment_map``), from the start state's Q(0) = Phi(0); W^2(k)
+    = sum_r tr Q_r(k). Default method: the lifted product's numbers at n x n
     cost per state.
 
 ``gamma``
@@ -203,15 +203,13 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
     if every sum before it is finite.
     """
     totals = np.zeros((k + 1, 3))  # allocated first; exact counts below 2**53
-    start, pair = law._chain(sys.m)
-    # the start components are in no state: step 1 draws from start @ mix
-    first = (start @ pair(1)[0])[None], pair(1)[1]
+    pair = law._chain(sys.m)
     # components per state, in Python ints: a state's components reach
     # state r by table[r][state] modes each; the 0/1 links of a step give
     # its table, built once per pattern and reread while the pair repeats
     counts, tables, last = [init.q], {}, None
     for step in range(1, k + 1):
-        links = first if step == 1 else pair(step)
+        links = pair(step)
         if links is not last:
             last, (mix, weights) = links, (x > 0 for x in links)
             key = mix.tobytes(), weights.tobytes()
@@ -235,7 +233,7 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
     while chunks:
         depth, mass, *state = chunks.pop()
         for step in range(depth + 1, limit + 1):
-            mix, weights = first if step == 1 else pair(step)
+            mix, weights = pair(step)
             used = lifts[:, :, :n] if step == k and not whole else lifts
             # 8 bytes for a child's weight, state, mean entries, coordinates
             size = max(1, _MOG_BUDGET // (8 * (2 + n + used.shape[2])
@@ -385,7 +383,7 @@ def w2_trajectory(
     w2, counts = np.empty(k_max + 1), [init.q]
     mean, cov = synthetic_gaussian(init)
     phi0 = np.outer(mean, mean) + cov
-    start, pair = law._chain(sys.m)
+    pair = law._chain(sys.m)
     # every W^2(k) is checked by _checked, so no overflow needs a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w2[0] = _checked(0, mixture_to_dirac_sq(init) if method == "exact_mog"
@@ -394,7 +392,7 @@ def w2_trajectory(
             pass  # no step, so neither the lifts nor the cap count
         elif method == "moment":
             # one n x n second moment per state; each map names its step
-            q = start[:, None, None] * phi0
+            q = phi0[None]
             for k in range(1, k_max + 1):
                 q = _moment_map(sys.modes, *pair(k),
                                 f"second moment diverged at k={k}")(q)
@@ -402,7 +400,7 @@ def w2_trajectory(
         elif method == "gamma":
             # one row per state: modes push their mix, weights combine
             lifts, exps = _scaled_lifts(sys)
-            rows = start[:, None] * _sym_coords(phi0[None])
+            rows = _sym_coords(phi0[None])
             for k in range(1, k_max + 1):
                 mix, weights = pair(k)
                 live = np.flatnonzero(weights.any(axis=0))

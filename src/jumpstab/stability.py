@@ -258,7 +258,7 @@ def iid_test(
     """
     if as_probability_vector(pi, "pi").size != sys.m:
         raise ValueError(f"pi has length {np.size(pi)} for {sys.m} modes")
-    return _spectral_report(sys, *IIDSwitching(pi)._chain(sys.m)[1](1),
+    return _spectral_report(sys, *IIDSwitching(pi)._chain(sys.m)(1),
                             margin, "iid")
 
 
@@ -273,7 +273,8 @@ def markov_test(
     (P^T kron I), whose block (i, j) is P_ji A_i kron A_i, restricted to
     symmetric matrices. For any finite chain, rho(T) < 1 is equivalent to
     mean-square stability from every initial law (Costa, Fragoso &
-    Marques, *Discrete-Time Markov Jump Linear Systems*, 2005, Thm 3.9).
+    Marques, *Discrete-Time Markov Jump Linear Systems*, 2005, Thm 3.9):
+    the test reads no pi0, only the chain's pair (P, I) of step 2 on.
 
     Raises
     ------
@@ -286,7 +287,7 @@ def markov_test(
             f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
         )
     _reject(check_transition_matrix(p, "P"))
-    pair = MarkovSwitching(p, p[0])._chain(sys.m)[1](1)  # any start will do
+    pair = MarkovSwitching(p, p[0])._chain(sys.m)(2)
     return _spectral_report(sys, *pair, margin, "markov")
 
 
@@ -322,7 +323,7 @@ def general_test(
             + (f"; {serving} serves it" if serving else "")
         )
     _reject(check_law(law, sys.m))
-    rows, pair = len(law.vectors), law._chain(sys.m)[1]
+    rows, pair = len(law.vectors), law._chain(sys.m)
     report = _spectral_report(sys, *pair(rows), margin, "general")
     y, definite = np.eye(sys.n)[None], True
     for k in range(1, rows):
@@ -420,6 +421,10 @@ def analyze(
     IID laws get the fixed spectral test, Markov laws the chain-lifted
     spectral test, schedules the spectral test of their last row, and
     deterministic sequences the contraction scan over ``horizon`` steps.
+    A Markov law is judged on the chain states its pi0 reaches: the
+    support of step 1's row pi0 P, closed under P. Where that leaves
+    states out, a note gives the whole chain's radius, the verdict from
+    every initial law.
 
     Raises
     ------
@@ -432,7 +437,19 @@ def analyze(
     if isinstance(law, IIDSwitching):
         return iid_test(sys, law.pi, margin)
     if isinstance(law, MarkovSwitching):
-        return markov_test(sys, law.P, margin)
+        _reject(check_law(law, sys.m))
+        report, pair = markov_test(sys, law.P, margin), law._chain(sys.m)
+        # the states pi0 reaches: step 1's, closed under the chain's mix
+        keep, step = pair(1)[0][0] > 0, pair(2)[0] > 0
+        for _ in range(sys.m):
+            keep = keep | keep @ step
+        if keep.all():
+            return report
+        keep = np.flatnonzero(keep)
+        return markov_test(JumpLinearSystem(sys.modes[keep]),
+                           law.P[np.ix_(keep, keep)], margin)._replace(notes=(
+            f"pi0 reaches {keep.size} of {sys.m} chain states; from every "
+            f"initial law the spectral radius is {report.evidence:.12g}",))
     if isinstance(law, ScheduleSwitching):
         return general_test(sys, law, margin)
     if isinstance(law, SequenceSwitching):

@@ -14,12 +14,12 @@ report a broken input instead of refusing to build it.
 
 Each switching law owns its mode count ``m`` (None for a sequence, whose
 indices do not fix it), the checks of its values against a mode count,
-and its chain form ``_chain(m)``, which the verdicts and W^2 routes step:
-a start law over states and, by index k, step k's (mix, weights), states
-x m, arrays not to be written. From state j, mode i and then state r
-follow with probability mix[j, i] weights[r, i]; each mode leads to one
-state r, and weights[r] is the law of the modes that lead to r. IID,
-schedule and sequence laws have one state, whose weights are pi(k).
+and its chain form ``_chain(m)``, which every verdict, route and sampler
+steps: k -> step k's (mix, weights), states x m, arrays not to be
+written. From state j, mode i and then state r follow with probability
+mix[j, i] weights[r, i]; each mode leads to one state r, and weights[r]
+is the law of the modes that lead to r. Step 1's mix is one row, from
+the start. IID, schedule and sequence laws have one state, weights pi(k).
 
 Each public operation checks its inputs on entry, raising
 ``ValueError``. Values derived from checked inputs (normalized marginals,
@@ -327,13 +327,13 @@ class IIDSwitching(_ReadOnly):
 
     def _chain(self, m: int):
         pair = np.ones((1, m)), _normalized(self.pi)[None]
-        return np.ones(1), lambda k: pair
+        return lambda k: pair
 
 
 class MarkovSwitching(_ReadOnly):
     """Time-homogeneous Markov chain, transition matrix P and initial pi0,
     the law of the mode before step 1: ``m`` is the size of P, and the
-    chain's states are its modes, with mix = P and weights = I."""
+    chain's states are its modes, weights = I, mix = pi0 P then P."""
 
     def __init__(self, P, pi0):
         p = as_square(P, "P")
@@ -351,8 +351,9 @@ class MarkovSwitching(_ReadOnly):
         return out + check_probability_vector(self.pi0, "switching pi0")
 
     def _chain(self, m: int):
-        pair = _normalized(self.P), np.eye(m)
-        return _normalized(self.pi0), lambda k: pair
+        p, eye = _normalized(self.P), np.eye(m)
+        first, later = ((_normalized(self.pi0) @ p)[None], eye), (p, eye)
+        return lambda k: first if k == 1 else later
 
 
 class ScheduleSwitching(_ReadOnly):
@@ -380,7 +381,7 @@ class ScheduleSwitching(_ReadOnly):
 
     def _chain(self, m: int):
         one, rows = np.ones((1, m)), _normalized(self.vectors)[:, None]
-        return np.ones(1), lambda k: (one, rows[min(k, len(rows)) - 1])
+        return lambda k: (one, rows[min(k, len(rows)) - 1])
 
 
 class SequenceSwitching(_ReadOnly):
@@ -407,7 +408,7 @@ class SequenceSwitching(_ReadOnly):
 
     def _chain(self, m: int):
         one, eye, idx = np.ones((1, m)), np.eye(m)[:, None], self.indices
-        return np.ones(1), lambda k: (one, eye[idx[(k - 1) % len(idx)] - 1])
+        return lambda k: (one, eye[idx[(k - 1) % len(idx)] - 1])
 
 
 _LAWS = (IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching)
@@ -504,9 +505,9 @@ def marginal_schedule(
 def _marginals(law: SwitchingLaw, k_max: int, m: int):
     """Yield the mode marginals pi(1) .. pi(k_max) of a law checked against
     m modes from its chain form: pi(k) = d(k) weights for the state law
-    d(k), d(k-1) mix weights^T normalized. With one state d(k) is exactly
-    1; for a Markov law pi(k) = d(k) = pi(k-1) P, normalized."""
-    d, pair = law._chain(m)
+    d(k) = d(k-1) mix weights^T normalized, d(0) = 1. With one state d(k)
+    is exactly 1; for a Markov law pi(k) = d(k) = pi(k-1) P, normalized."""
+    d, pair = np.ones(1), law._chain(m)
     for k in range(1, k_max + 1):
         mix, weights = pair(k)
         d = _normalized(d @ mix @ weights.T)

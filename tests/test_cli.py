@@ -366,6 +366,31 @@ class TestAnalyze:
         # a certified contractive prefix counts as stable
         assert main(["analyze", write(SEQ), "--assert-stable"]) == 0
 
+    def test_markov_judged_on_the_states_pi0_reaches(self, write, capsys):
+        # pi0 never leaves the contracting mode: W^2(k) = 0.25^k
+        doc = dict(MARKOV, modes={"a": [[0.5]], "b": [[2.0]]}, switching={
+            "type": "markov", "P": [[1.0, 0.0], [0.0, 1.0]], "pi0": [1, 0]})
+        path = write(doc)
+        assert main(["analyze", path, "--assert-stable"]) == 0
+        assert capsys.readouterr().out == (
+            f"file: {path}\n"
+            "test: markov\n"
+            "verdict: stable\n"
+            "evidence: spectral radius = 0.25\n"
+            "note: pi0 reaches 1 of 2 chain states; from every initial law "
+            "the spectral radius is 4\n"
+        )
+        assert main(["analyze", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "stable"
+        assert payload["evidence"] == pytest.approx(0.25, rel=1e-12)
+        assert payload["notes"] == [
+            "pi0 reaches 1 of 2 chain states; from every initial law the "
+            "spectral radius is 4"]
+        assert main(["trajectory", path, "--steps", "3"]) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert [float(row[1]) for row in rows] == [1, 0.25, 0.0625, 0.015625]
+
     def test_inconclusive_asserts_nonzero(self, write, capsys):
         doc = dict(SEQ, switching={"type": "sequence", "indices": [1]})
         assert main(["analyze", write(doc), "--assert-stable"]) == 2

@@ -221,3 +221,29 @@ def test_monte_carlo_reads_no_marginals():
     W^2 routes do, so mcsim reads no per-step marginals."""
     tree = ast.parse((SRC / "mcsim.py").read_text(encoding="utf-8"))
     assert "_marginals" not in set(imported_names(tree))
+
+
+def is_chain_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_chain")
+
+
+def test_no_module_unpacks_a_start_from_the_chain_form():
+    """``law._chain(m)`` is one function of k, whose step 1 holds the
+    start: each law's form returns no tuple, and no module unpacks or
+    indexes one, so only the law knows how its start enters step 1."""
+    found = []
+    for stem in MODULES:
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_chain":
+                found += [f"{stem}: {node.name} returns a tuple"
+                          for ret in ast.walk(node)
+                          if isinstance(ret, ast.Return)
+                          and isinstance(ret.value, ast.Tuple)]
+            elif (isinstance(node, ast.Assign) and is_chain_call(node.value)
+                  and any(isinstance(t, ast.Tuple) for t in node.targets)):
+                found.append(f"{stem}:{node.lineno} unpacks _chain")
+            elif isinstance(node, ast.Subscript) and is_chain_call(node.value):
+                found.append(f"{stem}:{node.lineno} indexes _chain")
+    assert found == []

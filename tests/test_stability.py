@@ -447,6 +447,84 @@ class TestSingleModeSanity:
         assert general.evidence == pytest.approx(rho_sq, rel=1e-9)
 
 
+class TestReachableStates:
+    """``analyze`` judges a Markov law on the chain states its pi0 reaches;
+    ``markov_test`` keeps the verdict from every initial law."""
+
+    def test_start_that_never_leaves_the_contracting_mode(self):
+        sys, law = scalar_system(0.5, 2.0), MarkovSwitching(np.eye(2), [1, 0])
+        report = analyze(sys, law)
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.25, rel=1e-12)
+        assert report.notes == ("pi0 reaches 1 of 2 chain states; from every "
+                                "initial law the spectral radius is 4",)
+        whole = markov_test(sys, np.eye(2))
+        assert whole.verdict == "unstable"
+        assert whole.evidence == pytest.approx(4.0, rel=1e-12)
+        w2 = [r.w2 for r in w2_trajectory(sys, law, point_mass(1.0), 30)]
+        assert_allclose(w2, 0.25 ** np.arange(31), rtol=1e-14)
+
+    def test_reach_starts_at_step_one(self):
+        # pi0 names mode 1, the mode before step 1; every step is mode 2
+        sys = scalar_system(2.0, 0.5)
+        law = MarkovSwitching([[0.0, 1.0], [0.0, 1.0]], [1.0, 0.0])
+        report = analyze(sys, law)
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.25, rel=1e-12)
+        assert len(report.notes) == 1
+
+    def test_reach_closes_under_the_chain(self):
+        # step 1 is in state 2, which leads back to 1; 3 stays unreached
+        sys = scalar_system(0.5, 0.6, 3.0)
+        p = [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        report = analyze(sys, MarkovSwitching(p, [1.0, 0.0, 0.0]))
+        oracle = markov_test(scalar_system(0.5, 0.6), [[0, 1], [0.5, 0.5]])
+        assert report.verdict == oracle.verdict == "stable"
+        assert report.evidence == oracle.evidence
+        assert "pi0 reaches 2 of 3 chain states" in report.notes[0]
+
+    def test_every_state_reached_adds_no_note(self):
+        sys = scalar_system(1.2, 0.5)
+        law = MarkovSwitching([[0.3, 0.7], [0.7, 0.3]], [1.0, 0.0])
+        assert analyze(sys, law) == markov_test(sys, law.P)
+
+    def test_invalid_pi0_rejected(self):
+        law = MarkovSwitching(np.eye(2), [0.6, 0.6])
+        with pytest.raises(ValueError, match="pi0: probability sum"):
+            analyze(scalar_system(0.5, 2.0), law)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unreachable_states_change_nothing(self, seed):
+        # states appended behind the chain, with arbitrary modes and rows,
+        # that pi0 never reaches: the verdict, evidence and W^2 stay
+        rng = np.random.default_rng(seed)
+        m, extra, n = 2 + seed % 2, 1 + seed % 3, 2
+        p = rng.dirichlet(np.ones(m), m)
+        pi0 = rng.dirichlet(np.ones(m))
+        modes = 0.7 * rng.standard_normal((m, n, n))
+        big = np.zeros((m + extra, m + extra))
+        big[:m, :m] = p
+        big[m:] = rng.dirichlet(np.ones(m + extra), extra)
+        sys = JumpLinearSystem(modes)
+        aug = JumpLinearSystem(np.concatenate(
+            [modes, 3.0 * rng.standard_normal((extra, n, n))]))
+        law = MarkovSwitching(p, pi0)
+        big_law = MarkovSwitching(big, np.concatenate([pi0, np.zeros(extra)]))
+        base, report = analyze(sys, law), analyze(aug, big_law)
+        assert report.verdict == base.verdict
+        assert report.evidence == pytest.approx(base.evidence, rel=1e-12)
+        assert report.notes == (
+            f"pi0 reaches {m} of {m + extra} chain states; from every initial "
+            f"law the spectral radius is "
+            f"{markov_test(aug, big).evidence:.12g}",)
+        init = GaussianMixture.from_components([
+            (0.4, [1.0, -0.5], np.eye(n)), (0.6, [0.0, 2.0], 0.5 * np.eye(n))])
+        for method in ("moment", "gamma", "exact_mog"):
+            expected = [r.w2 for r in w2_trajectory(sys, law, init, 6, method)]
+            got = [r.w2 for r in w2_trajectory(aug, big_law, init, 6, method)]
+            assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
 class TestAnalyzeDispatch:
     def test_iid_law(self):
         report = analyze(scalar_system(2.0, 0.1), IIDSwitching([0.5, 0.5]))

@@ -398,6 +398,59 @@ class TestMarginalSchedule:
             marginal_schedule(IIDSwitching([1.0]), -1)
 
 
+class TestChainForm:
+    LAWS = (
+        IIDSwitching([0.25, 0.75]),
+        MarkovSwitching(P=[[0.3, 0.7], [0.6, 0.4]], pi0=[0.25, 0.75]),
+        ScheduleSwitching([[1.0, 0.0], [0.5, 0.5]]),
+        SequenceSwitching((2, 1)),
+    )
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_one_callable_whose_first_step_has_one_row(self, law):
+        # every run starts in one state, whatever the law
+        pair = law._chain(2)
+        assert callable(pair)
+        for k in (1, 2, 3, 7):
+            mix, weights = pair(k)
+            states = 2 if isinstance(law, MarkovSwitching) else 1
+            assert mix.shape == (1 if k == 1 else states, 2)
+            assert weights.shape == (states, 2)
+            # from each state, the law of the step's mode
+            assert_allclose((mix * weights.sum(axis=0)).sum(axis=1), 1.0,
+                            rtol=0, atol=1e-15)
+
+    def test_markov_pairs(self):
+        law = MarkovSwitching(P=[[0.5, 0.5], [0.25, 0.75]], pi0=[0.5, 0.5])
+        pair = law._chain(2)
+        # pi0 P, the law of step 1's mode, is the one start state's row
+        assert_array_equal(pair(1)[0], [[0.375, 0.625]])
+        assert_array_equal(pair(1)[1], np.eye(2))
+        assert_array_equal(pair(2)[0], [[0.5, 0.5], [0.25, 0.75]])
+        assert_array_equal(pair(2)[1], np.eye(2))
+        # from step 2 on one pair, whose links the exact route reads once
+        assert pair(3) is pair(2) and pair(50) is pair(2)
+
+    def test_markov_start_row_is_not_normalized_again(self):
+        # the row is pi0 P of the normalized pair, left for the marginals
+        # to normalize once
+        rng = np.random.default_rng(5)
+        moved = 0
+        for _ in range(20):
+            p, pi0 = rng.dirichlet(np.ones(3), 3), rng.dirichlet(np.ones(3))
+            mix = MarkovSwitching(P=p, pi0=pi0)._chain(3)(1)[0]
+            row = _normalized(pi0) @ _normalized(p)
+            assert_array_equal(mix, row[None])
+            moved += not np.array_equal(row, _normalized(row))
+        assert moved  # normalizing the row again would change its bits
+
+    def test_iid_steps_are_one_pair(self):
+        pair = IIDSwitching([0.25, 0.75])._chain(2)
+        assert pair(1) is pair(2) is pair(9)
+        assert_array_equal(pair(1)[0], np.ones((1, 2)))
+        assert_array_equal(pair(1)[1], [[0.25, 0.75]])
+
+
 class TestLawModeCount:
     def test_counts(self):
         assert IIDSwitching([0.5, 0.5]).m == 2
