@@ -24,9 +24,11 @@ thread.  Reports print as plain text, or as JSON under ``--json``.
 describes, the chain's paths for a Markov law; compare's rule for
 deterministic steps is relative, so its verdict ignores the start's scale.
 
-The parser needs only the standard library; each subcommand imports
-the numerical modules it runs, after ``main`` has chosen the BLAS
-thread count.
+The parser and ``validate`` need only the standard library: the reader
+in ``systemfile`` checks a file in plain Python, and loads numpy only
+for a covariance its proof cannot clear.  The other subcommands run the
+same reader, then import the numerical modules they use, after ``main``
+has chosen the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ import math
 import os
 import sys as _sys
 
-from .defaults import DEFAULT_COMPONENT_CAP, DEFAULT_HORIZON, DEFAULT_MARGIN
+from .defaults import (
+    DEFAULT_COMPONENT_CAP,
+    DEFAULT_HORIZON,
+    DEFAULT_MARGIN,
+    NumericalError,
+)
 
 __all__ = ["main"]
 
@@ -124,14 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_validated(path):
-    from .sysmodel import validate_system
-    from .systemfile import SystemFileError, load_system_file
+    from .systemfile import SystemFileError, _build, _read, _report
 
-    sf = load_system_file(path)
-    report = validate_system(sf.system, sf.switching, sf.initial)
+    decoded = _read(path)
+    report = _report(*decoded)
     if not report.ok:
         raise SystemFileError(f"{path}: {report}")
-    return sf
+    return _build(*decoded)
 
 
 def _fmt(value) -> str:
@@ -159,18 +165,17 @@ def _json_number(value):
 
 
 def cmd_validate(args) -> int:
-    from .sysmodel import validate_system
-    from .systemfile import SystemFileError, load_system_file
+    from .systemfile import SystemFileError, _read, _report
 
     try:
-        sf = load_system_file(args.file)
+        decoded = _read(args.file)
     except (OSError, SystemFileError) as exc:
         if args.json:
             print(json.dumps({"ok": False, "parse_error": str(exc)}))
         else:
             print(f"parse error: {exc}", file=_sys.stderr)
         return 1
-    report = validate_system(sf.system, sf.switching, sf.initial)
+    report = _report(*decoded)
     if args.json:
         print(
             json.dumps(
@@ -377,8 +382,6 @@ def main(argv=None) -> int:
         # the same on any number of CPUs, and spares a short call the
         # pool's start-up.  A value the user set stands.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .matkit import NumericalError
-
     try:
         return _COMMANDS[args.command][0](args)
     except NumericalError as exc:

@@ -15,6 +15,8 @@ import numbers
 
 import numpy as np
 
+from .defaults import PSD_TOL, NumericalError
+
 __all__ = [
     "NumericalError",
     "as_matrix",
@@ -25,19 +27,6 @@ __all__ = [
     "psd_project",
     "sqrtm_psd",
 ]
-
-#: Slack for positive-semidefiniteness checks; for matrices with entries
-#: beyond 1 it is relative to the largest entry magnitude.
-PSD_TOL = 1e-10
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed (eigensolver breakdown, divergence, ...).
-
-    Raised instead of returning garbage so callers can distinguish numeric
-    failure from invalid input (which raises ``ValueError``).
-    """
-
 
 def _as_floats(a, name: str) -> np.ndarray:
     """``a`` as a float64 array if it holds ints and floats only. numpy

@@ -1,25 +1,22 @@
 """Domain types for jump linear systems, switching laws, and Gaussian mixtures.
 
 The system, law and mixture types are plain read-only classes whose
-``__init__`` checks its arguments and stores them through ``_freeze``;
-results are ``NamedTuple`` records. Assigning or deleting a field of
-either raises ``AttributeError``.
+``__init__`` checks its arguments and stores them through ``_freeze``.
+Assigning or deleting a field raises ``AttributeError``.
 
 Construction enforces structural soundness only (int or float entries,
-shapes, finiteness, nonemptiness); value-level invariants such as
-probability sums, row stochasticity, PSD covariances, and cross-object
-dimensional consistency are checked by :func:`validate_system`, which
-collects every violation into a report. This split lets the validator
-report a broken input instead of refusing to build it.
+shapes, finiteness, nonemptiness); :func:`validate_system` reports every
+violated value-level invariant, by the plain-Python rules of the file
+reader (``systemfile``) and, for covariances, :func:`check_mixture`.
 
 Each switching law owns its mode count ``m`` (None for a sequence, whose
-indices do not fix it), the checks of its values against a mode count,
-and its chain form ``_chain(m)``, which every verdict, route and sampler
-steps: k -> step k's (mix, weights), states x m, arrays not to be
-written. From state j, mode i and then state r follow with probability
-mix[j, i] weights[r, i]; each mode leads to one state r, and weights[r]
-is the law of the modes that lead to r. Step 1's mix is one row, from
-the start. IID, schedule and sequence laws have one state, weights pi(k).
+indices do not fix it) and its chain form ``_chain(m)``, which every
+verdict, route and sampler steps: k -> step k's (mix, weights), states
+x m, arrays not to be written. From state j, mode i and then state r
+follow with probability mix[j, i] weights[r, i]; each mode leads to one
+state r, and weights[r] is the law of the modes that lead to r. Step
+1's mix is one row, from the start. IID, schedule and sequence laws
+have one state, weights pi(k).
 
 Each public operation checks its inputs on entry, raising
 ``ValueError``. Values derived from checked inputs (normalized marginals,
@@ -32,11 +29,19 @@ matching the convention for ``A_1 .. A_m``; internal array indexing is
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from .matkit import _as_floats, _psd_slack, _sym_part, as_square
+from .systemfile import (
+    _LAW_FIELDS,
+    ValidationReport,
+    _law_violations,
+    _probability_violations,
+    _stochastic_violations,
+    _weight_violations,
+)
 
 __all__ = [
     "JumpLinearSystem",
@@ -53,12 +58,6 @@ __all__ = [
     "check_transition_matrix",
     "as_probability_vector",
 ]
-
-#: Probability sums may deviate from 1 by this much and are renormalized.
-PROB_TOL = 1e-9
-
-#: Negative probabilities above this floor are treated as roundoff and clamped.
-CLAMP_TOL = 1e-12
 
 #: Half the largest float64: a halved asymmetry above it cannot be doubled.
 _HALF_MAX = np.finfo(float).max / 2
@@ -116,33 +115,18 @@ def _vector(v, name: str) -> np.ndarray:
 
 
 def check_probability_vector(v, name: str = "probabilities") -> list[str]:
-    """Return the list of probability-vector violations (empty if valid).
-
-    Entries must lie in [0, 1] up to roundoff slack and sum to 1 within
-    1e-9.
-    """
+    """Probability-vector violations (empty if valid): entries in [0, 1]
+    up to roundoff slack, sum 1 within 1e-9."""
     try:
         x = _vector(v, name)
     except ValueError as exc:
         return [str(exc)]
-    out = []
-    if np.min(x) < -CLAMP_TOL or np.max(x) > 1.0 + CLAMP_TOL:
-        out.append(
-            f"{name}: entries must lie in [0, 1], got range "
-            f"[{np.min(x):.12g}, {np.max(x):.12g}]"
-        )
-    s = float(np.sum(x))
-    if abs(s - 1.0) > PROB_TOL:
-        out.append(f"{name}: probability sum {s:.12g} != 1")
-    return out
+    return _probability_violations(x.tolist(), name)
 
 
 def as_probability_vector(v, name: str = "probabilities") -> np.ndarray:
-    """Validate, clamp roundoff negatives to 0, and renormalize to sum 1.
-
-    Raises ``ValueError`` listing the violations if the vector is invalid
-    beyond tolerance.
-    """
+    """Validate, clamp roundoff negatives to 0, and renormalize to sum 1;
+    ``ValueError`` lists the violations beyond tolerance."""
     _reject(check_probability_vector(v, name))
     return _normalized(np.asarray(v, dtype=float))
 
@@ -159,25 +143,13 @@ def check_transition_matrix(p, name: str = "P") -> list[str]:
         mat = as_square(p, name)
     except ValueError as exc:
         return [str(exc)]
-    out = []
-    for i, row in enumerate(mat):
-        for msg in check_probability_vector(row, f"{name} row {i + 1}"):
-            out.append(msg)
-    return out
+    return _stochastic_violations(mat.tolist(), name)
 
 
 class JumpLinearSystem(_ReadOnly):
-    """Finite collection of mode matrices A_1 .. A_m acting on R^n.
-
-    Parameters
-    ----------
-    modes : sequence of (n, n) array_like
-        The mode dynamics matrices, all square and of equal size.
-    names : sequence of str, optional
-        Mode labels, one per mode; None when the caller gives none.
-
-    The stacked array is stored as a read-only (m, n, n) float64 array.
-    """
+    """Finite collection of mode matrices A_1 .. A_m acting on R^n, all
+    square and of one size, stored as a read-only (m, n, n) float64
+    array; ``names`` gives one label per mode, or None."""
 
     def __init__(self, modes, names=None):
         mats = [as_square(a, f"mode {j + 1}") for j, a in enumerate(modes)]
@@ -199,9 +171,7 @@ class JumpLinearSystem(_ReadOnly):
                         f"name {j + 1} must be a string, got {name!r}"
                     )
             if len(names) != len(mats):
-                raise ValueError(
-                    f"{len(names)} names for {len(mats)} modes"
-                )
+                raise ValueError(f"{len(names)} names for {len(mats)} modes")
         _freeze(self, modes=np.array(mats), names=names)
 
     @property
@@ -216,18 +186,10 @@ class JumpLinearSystem(_ReadOnly):
 
 
 class GaussianMixture(_ReadOnly):
-    """Gaussian mixture stored as stacked arrays.
-
-    Parameters
-    ----------
-    weights : (q,) array_like
-    means : (q, n) array_like
-    covs : (q, n, n) array_like
-
-    Stacked storage keeps propagation vectorized when the component count
-    grows geometrically. Use :meth:`from_components` to build from
-    per-component values.
-    """
+    """Gaussian mixture stored as stacked arrays: weights (q,), means
+    (q, n) and covs (q, n, n), so propagation stays vectorized as the
+    component count grows. :meth:`from_components` builds one from
+    per-component values."""
 
     def __init__(self, weights, means, covs):
         w = _vector(weights, "mixture weights")
@@ -236,9 +198,7 @@ class GaussianMixture(_ReadOnly):
         if means.ndim != 2:
             raise ValueError(f"means must be (q, n), got ndim={means.ndim}")
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-            raise ValueError(
-                f"covs must be (q, n, n), got shape {covs.shape}"
-            )
+            raise ValueError(f"covs must be (q, n, n), got shape {covs.shape}")
         q, n = means.shape
         if n == 0:
             raise ValueError("mixture dimension must be positive")
@@ -253,11 +213,8 @@ class GaussianMixture(_ReadOnly):
 
     @classmethod
     def from_components(cls, components: Iterable) -> "GaussianMixture":
-        """Build from (weight, mean, cov) triples.
-
-        Raises ``ValueError`` when a triple is malformed or the triples
-        disagree in dimension.
-        """
+        """Build from (weight, mean, cov) triples; ``ValueError`` when a
+        triple is malformed or the triples disagree in dimension."""
         comps = list(components)
         if not comps:
             raise ValueError("mixture needs at least one component")
@@ -281,15 +238,7 @@ class GaussianMixture(_ReadOnly):
 
 def check_mixture(mix: GaussianMixture) -> list[str]:
     """Value-level violations: weight signs and sum, symmetric PSD covs."""
-    out = []
-    if np.min(mix.weights) <= 0.0:
-        out.append(
-            f"mixture weights must be positive, got minimum "
-            f"{np.min(mix.weights):.12g}"
-        )
-    s = float(np.sum(mix.weights))
-    if abs(s - 1.0) > PROB_TOL:
-        out.append(f"mixture weights: probability sum {s:.12g} != 1")
+    out = _weight_violations(mix.weights.tolist())
     # the difference of halved entries, half the asymmetry, stays finite
     half = mix.covs * 0.5
     half_asym = np.max(np.abs(half - np.transpose(half, (0, 2, 1))),
@@ -320,11 +269,6 @@ class IIDSwitching(_ReadOnly):
         pi = _vector(pi, "pi")
         _freeze(self, pi=pi, m=pi.size)
 
-    def _violations(self, m: int) -> list[str]:
-        out = [] if self.m == m else [
-            f"switching pi has length {self.m} for {m} modes"]
-        return out + check_probability_vector(self.pi, "switching pi")
-
     def _chain(self, m: int):
         pair = np.ones((1, m)), _normalized(self.pi)[None]
         return lambda k: pair
@@ -343,12 +287,6 @@ class MarkovSwitching(_ReadOnly):
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
             )
         _freeze(self, P=p, pi0=pi0, m=p.shape[0])
-
-    def _violations(self, m: int) -> list[str]:
-        out = [] if self.m == m else [
-            f"switching P is {self.m}x{self.P.shape[1]} for {m} modes"]
-        out += check_transition_matrix(self.P, "switching P")
-        return out + check_probability_vector(self.pi0, "switching pi0")
 
     def _chain(self, m: int):
         p, eye = _normalized(self.P), np.eye(m)
@@ -371,13 +309,6 @@ class ScheduleSwitching(_ReadOnly):
         if not np.all(np.isfinite(v)):
             raise ValueError("schedule contains non-finite entries")
         _freeze(self, vectors=v, m=v.shape[1])
-
-    def _violations(self, m: int) -> list[str]:
-        out = [] if self.m == m else [
-            f"schedule vectors have length {self.m} for {m} modes"]
-        for k, row in enumerate(self.vectors):
-            out += check_probability_vector(row, f"schedule step {k + 1}")
-        return out
 
     def _chain(self, m: int):
         one, rows = np.ones((1, m)), _normalized(self.vectors)[:, None]
@@ -402,16 +333,15 @@ class SequenceSwitching(_ReadOnly):
             raise ValueError("sequence must be nonempty")
         _freeze(self, indices=idx, m=None)
 
-    def _violations(self, m: int) -> list[str]:
-        bad = sorted({i for i in self.indices if not 1 <= i <= m})
-        return [f"sequence indices {bad} outside [1..{m}]"] if bad else []
-
     def _chain(self, m: int):
         one, eye, idx = np.ones((1, m)), np.eye(m)[:, None], self.indices
         return lambda k: (one, eye[idx[(k - 1) % len(idx)] - 1])
 
 
-_LAWS = (IIDSwitching, MarkovSwitching, ScheduleSwitching, SequenceSwitching)
+#: Each law class by its "type" in a system file
+_KINDS = {"iid": IIDSwitching, "markov": MarkovSwitching,
+          "schedule": ScheduleSwitching, "sequence": SequenceSwitching}
+_LAWS = tuple(_KINDS.values())
 SwitchingLaw = Union[_LAWS]
 
 
@@ -419,36 +349,17 @@ def check_law(law: SwitchingLaw, m: int) -> list[str]:
     """Value-level violations of a switching law against mode count m."""
     if not isinstance(law, _LAWS):
         return [f"unknown switching law {type(law).__name__}"]
-    return law._violations(m)
+    kind = next(k for k, cls in _KINDS.items() if isinstance(law, cls))
+    return _law_violations({"type": kind, **{
+        f: np.asarray(getattr(law, f)).tolist() for f in _LAW_FIELDS[kind]
+    }}, m)
 
 
-class ValidationReport(NamedTuple):
-    """Every violated invariant found by validate_system (empty = valid)."""
-
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "OK"
-        return "\n".join(f"violation: {v}" for v in self.violations)
-
-
-def validate_system(
-    sys: JumpLinearSystem,
-    law: SwitchingLaw,
-    init: GaussianMixture,
-) -> ValidationReport:
-    """Collect every violated invariant across a system / law / mixture triple.
-
-    Checks value-level invariants (probability sums, row stochasticity,
-    PSD covariances, sequence index ranges) and dimensional consistency
-    between the three objects. Structural soundness is already enforced
-    by the constructors. Never raises; the report carries the failures.
-    """
+def validate_system(sys: JumpLinearSystem, law: SwitchingLaw,
+                    init: GaussianMixture) -> ValidationReport:
+    """Collect every violated invariant across a system / law / mixture triple:
+    probability sums, row stochasticity, PSD covariances, sequence index
+    ranges and dimensional consistency. Never raises."""
     violations = list(check_law(law, sys.m))
     violations += check_mixture(init)
     if init.n != sys.n:
@@ -458,31 +369,19 @@ def validate_system(
     return ValidationReport(tuple(violations))
 
 
-def marginal_schedule(
-    law: SwitchingLaw, k_max: int, m: int = None
-) -> np.ndarray:
+def marginal_schedule(law: SwitchingLaw, k_max: int,
+                      m: int = None) -> np.ndarray:
     """Per-step mode marginals pi(1) .. pi(k_max) as a (k_max, m) array.
 
     The rows are those of ``_marginals``: IID laws repeat pi; Markov laws
     evolve pi(k) = pi0 P^k; schedules return their stored vectors,
     repeating the last one beyond the stored horizon; sequences yield
     exact indicator vectors, cycling through the stored period. No
-    library code builds this table.
-
-    Parameters
-    ----------
-    law : SwitchingLaw
-    k_max : int
-        Number of steps. Zero yields an empty (0, m) array.
-    m : int, optional
-        Mode count; required for Sequence laws (a bare index list does
-        not determine it), inferred from the law otherwise.
-
-    Raises
-    ------
-    ValueError
-        If the law is invalid, k_max is negative, or m is missing or
-        inconsistent.
+    library code builds this table. ``k_max`` = 0 yields a (0, m) array.
+    The mode count ``m`` is required for a sequence law, whose indices do
+    not fix it, and read from the law otherwise. Raises ``ValueError`` if
+    the law is invalid, k_max is negative, or m is missing or
+    inconsistent.
     """
     k_max = _as_int(k_max, "k_max")
     if k_max < 0:

@@ -22,38 +22,48 @@ The ``switching`` object is a tagged union over the four law kinds:
 Mode order follows key order in the ``modes`` object; sequence indices
 are 1-based references into that order.
 
-Parsing is structural: shapes, types, and field names are enforced here
-with errors naming the offending field, while value-level requirements
-(probability sums, PSD covariances, index ranges) are left to
-``validate_system`` so a validation pass can report every violation at
-once instead of stopping at the first.  A key repeated within one object
-is an error, not a silent overwrite.  Each numeric field reaches its
-constructor as one float64 array that already has the shape it needs.
+This module is the one reader of a system file; it loads numpy only to
+build the arrays.  Structural errors (shapes, types, field names, a key
+repeated within one object) raise ``SystemFileError`` naming the field.
+Value checks run in plain Python, by the rules ``sysmodel`` calls, in
+``validate_system``'s order; for covariances see ``_cleared``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
-from .sysmodel import (
-    GaussianMixture,
-    IIDSwitching,
-    JumpLinearSystem,
-    MarkovSwitching,
-    ScheduleSwitching,
-    SequenceSwitching,
-    SwitchingLaw,
-)
+from .defaults import CLAMP_TOL, PROB_TOL, PSD_TOL
 
 __all__ = ["SystemFile", "SystemFileError", "load_system_file"]
+
+#: The fields of each switching law, after its "type"
+_LAW_FIELDS = {"iid": ("pi",), "markov": ("P", "pi0"),
+               "schedule": ("vectors",), "sequence": ("indices",)}
+
+#: Largest covariance the reader factors: about 3 ms at 64 rows, against
+#: numpy's 60-70 ms import on a 2-core x86 host
+_FACTOR_MAX_N = 64
 
 
 class SystemFileError(ValueError):
     """A system description file does not match the schema."""
+
+
+class ValidationReport(NamedTuple):
+    """Every violated invariant found by validate_system (empty = valid)."""
+
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __str__(self) -> str:
+        return "\n".join(f"violation: {v}" for v in self.violations) or "OK"
 
 
 def _as_float(value, where):
@@ -69,16 +79,25 @@ def _as_float(value, where):
     return out
 
 
-def _as_vector(value, where, length=None):
+def _as_vector(value, where, length=None, row=None):
+    """A JSON array of numbers as floats.  An entry's location, ``<where>
+    row <row>`` in a matrix and ``<where>[i]`` in a vector, is formatted
+    only for an entry that is rejected or not a plain int or float."""
     if not isinstance(value, list) or not value:
         raise SystemFileError(f"{where} must be a nonempty array")
     if length is not None and len(value) != length:
         raise SystemFileError(
             f"{where} has length {len(value)}, expected {length}"
         )
-    return np.array(
-        [_as_float(x, f"{where}[{i}]") for i, x in enumerate(value)]
-    )
+    if {type(x) for x in value} <= {int, float}:
+        try:
+            out = list(map(float, value))
+        except OverflowError:  # an int past the float range
+            out = [math.inf]
+        if all(map(math.isfinite, out)):
+            return out
+    return [_as_float(x, f"{where} row {row}" if row else f"{where}[{i}]")
+            for i, x in enumerate(value)]
 
 
 def _as_matrix(value, where, rows=None, cols=None):
@@ -88,8 +107,7 @@ def _as_matrix(value, where, rows=None, cols=None):
         raise SystemFileError(
             f"{where} has {len(value)} rows, expected {rows}"
         )
-    width = cols
-    out = []
+    width, out = cols, []
     for i, row in enumerate(value, 1):
         if not isinstance(row, list) or not row:
             raise SystemFileError(f"{where} row {i} must be a nonempty array")
@@ -98,8 +116,8 @@ def _as_matrix(value, where, rows=None, cols=None):
             raise SystemFileError(
                 f"{where} row {i} has length {len(row)}, expected {width}"
             )
-        out.append([_as_float(x, f"{where} row {i}") for x in row])
-    return np.array(out)
+        out.append(_as_vector(row, where, row=i))
+    return out
 
 
 def _require_keys(obj, where, required):
@@ -122,59 +140,154 @@ def _unique_keys(pairs):
     return obj
 
 
-def _parse_switching(obj) -> SwitchingLaw:
+def _parse_switching(obj) -> dict:
+    """The switching object, every probability a float."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise SystemFileError(
             "switching must be an object with a 'type' field"
         )
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _LAW_FIELDS:
+        raise SystemFileError(
+            f"switching.type must be one of 'iid', 'markov', 'schedule', "
+            f"'sequence', got {kind!r}"
+        )
+    _require_keys(obj, "switching", ("type",) + _LAW_FIELDS[kind])
     if kind == "iid":
-        _require_keys(obj, "switching", ("type", "pi"))
-        return IIDSwitching(pi=_as_vector(obj["pi"], "switching.pi"))
+        return {"type": kind, "pi": _as_vector(obj["pi"], "switching.pi")}
     if kind == "markov":
-        _require_keys(obj, "switching", ("type", "P", "pi0"))
         p = _as_matrix(obj["P"], "switching.P")
-        if p.shape[0] != p.shape[1]:
+        if len(p) != len(p[0]):
             raise SystemFileError(
-                f"switching.P must be square, got {p.shape[0]}x{p.shape[1]}"
+                f"switching.P must be square, got {len(p)}x{len(p[0])}"
             )
-        return MarkovSwitching(
-            P=p, pi0=_as_vector(obj["pi0"], "switching.pi0", len(p))
-        )
+        return {"type": kind, "P": p,
+                "pi0": _as_vector(obj["pi0"], "switching.pi0", len(p))}
     if kind == "schedule":
-        _require_keys(obj, "switching", ("type", "vectors"))
-        return ScheduleSwitching(
-            vectors=_as_matrix(obj["vectors"], "switching.vectors")
-        )
-    if kind == "sequence":
-        _require_keys(obj, "switching", ("type", "indices"))
-        raw = obj["indices"]
-        if not isinstance(raw, list) or not raw:
+        return {"type": kind,
+                "vectors": _as_matrix(obj["vectors"], "switching.vectors")}
+    raw = obj["indices"]
+    if not isinstance(raw, list) or not raw:
+        raise SystemFileError("switching.indices must be a nonempty array")
+    for i, x in enumerate(raw):
+        if isinstance(x, bool) or not isinstance(x, int):
             raise SystemFileError(
-                "switching.indices must be a nonempty array"
+                f"switching.indices[{i}] must be an integer, got {x!r}"
             )
-        for i, x in enumerate(raw):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise SystemFileError(
-                    f"switching.indices[{i}] must be an integer, "
-                    f"got {x!r}"
-                )
-        return SequenceSwitching(indices=raw)
-    raise SystemFileError(
-        f"switching.type must be one of 'iid', 'markov', 'schedule', "
-        f"'sequence', got {kind!r}"
-    )
+    return {"type": kind, "indices": raw}
+
+
+def _sum(x) -> float:
+    """``float(np.sum(x))`` of a list of floats, bit for bit: 0.0 plus
+    numpy's pairwise sum, which runs left to right below 8 entries, in 8
+    interleaved partial sums up to 128, and above that adds the sums of
+    the parts of x split at the multiple of 8 at or below its middle."""
+    return 0.0 + _pairwise(x)
+
+
+def _pairwise(x) -> float:
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(x[:half]) + _pairwise(x[half:])
+    s, tail = 0.0, 0
+    if n >= 8:
+        r, tail = x[:8], n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += x[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in x[tail:]:
+        s += v
+    return s
+
+
+def _sum_violations(x, name: str) -> list[str]:
+    s = _sum(x)
+    return [] if abs(s - 1.0) <= PROB_TOL else [
+        f"{name}: probability sum {s:.12g} != 1"]
+
+
+def _probability_violations(x, name: str) -> list[str]:
+    """Violations of a probability vector, a nonempty list of floats:
+    entries in [0, 1] up to CLAMP_TOL, sum 1 within PROB_TOL."""
+    # of the tied extremes 0.0 and -0.0 the later one prints, as in numpy
+    low, high = min(reversed(x)), max(reversed(x))
+    out = [] if -CLAMP_TOL <= low and high <= 1.0 + CLAMP_TOL else [
+        f"{name}: entries must lie in [0, 1], got range "
+        f"[{low:.12g}, {high:.12g}]"]
+    return out + _sum_violations(x, name)
+
+
+def _stochastic_violations(rows, name: str) -> list[str]:
+    """Row-stochasticity violations of a matrix given as float rows."""
+    return [msg for i, row in enumerate(rows, 1)
+            for msg in _probability_violations(row, f"{name} row {i}")]
+
+
+def _law_violations(law: dict, m: int) -> list[str]:
+    """Value violations of a switching law's file object against m modes."""
+    kind = law["type"]
+    if kind == "sequence":
+        bad = sorted({i for i in law["indices"] if not 1 <= i <= m})
+        return [f"sequence indices {bad} outside [1..{m}]"] if bad else []
+    if kind == "schedule":
+        width = len(law["vectors"][0])
+        out = [] if width == m else [
+            f"schedule vectors have length {width} for {m} modes"]
+        for k, row in enumerate(law["vectors"], 1):
+            out += _probability_violations(row, f"schedule step {k}")
+        return out
+    if kind == "iid":
+        out = [] if len(law["pi"]) == m else [
+            f"switching pi has length {len(law['pi'])} for {m} modes"]
+        return out + _probability_violations(law["pi"], "switching pi")
+    k = len(law["P"])
+    out = [] if k == m else [f"switching P is {k}x{k} for {m} modes"]
+    out += _stochastic_violations(law["P"], "switching P")
+    return out + _probability_violations(law["pi0"], "switching pi0")
+
+
+def _weight_violations(weights) -> list[str]:
+    """Violations of mixture weights, a list of floats: each positive,
+    sum 1 within PROB_TOL."""
+    low = min(reversed(weights))
+    out = [] if low > 0.0 else [
+        f"mixture weights must be positive, got minimum {low:.12g}"]
+    return out + _sum_violations(weights, "mixture weights")
+
+
+def _cleared(cov) -> bool:
+    """Whether ``check_mixture``, the one authority on covariances, passes
+    a covariance given as float rows, proved without numpy.  The symmetry
+    test repeats its float operations.  With S the symmetric part and
+    slack = PSD_TOL max(1, max|S|), a Cholesky factor of S + slack/2 I
+    shows lambda_min(S) >= -slack/2 up to about (n+1)^2 u max|S|, far
+    inside the slack/2 left for eigvalsh's rounding."""
+    half = [[x * 0.5 for x in row] for row in cov]
+    pairs = [list(zip(row, col)) for row, col in zip(half, zip(*half))]
+    bound = PSD_TOL * max(1.0, max(max(map(abs, row)) for row in cov)) * 0.5
+    if len(cov) > _FACTOR_MAX_N or any(
+            abs(a - b) > bound for row in pairs for a, b in row):
+        return False
+    sym = [[a + b for a, b in row] for row in pairs]
+    shift = PSD_TOL * max(1.0, max(max(map(abs, row)) for row in sym)) * 0.5
+    factor = []
+    for i in range(len(cov)):
+        row = []
+        for j in range(i):
+            row.append((sym[i][j] - sum(map(mul, row, factor[j])))
+                       / factor[j][j])
+        pivot = sym[i][i] + shift - sum(map(mul, row, row))
+        if not pivot > 0.0:  # a NaN from overflow fails too
+            return False
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return True
 
 
 class SystemFile(NamedTuple):
-    """Parsed system description: dynamics, switching law, initial mixture.
-
-    Attributes
-    ----------
-    system : JumpLinearSystem
-    switching : SwitchingLaw
-    initial : GaussianMixture
-    """
+    """Parsed system description: dynamics, switching law, initial mixture."""
 
     system: JumpLinearSystem
     switching: SwitchingLaw
@@ -182,68 +295,70 @@ class SystemFile(NamedTuple):
 
     @classmethod
     def from_dict(cls, data) -> "SystemFile":
-        """Build from a decoded JSON object, checking the schema.
+        """Build from a decoded JSON object, checking the schema: a field
+        missing, unknown or misshapen raises ``SystemFileError`` naming it."""
+        return _build(*_decode(data))
 
-        Raises
-        ------
-        SystemFileError
-            If any field is missing, unknown, or has the wrong shape.
-            The message names the offending field.
-        """
-        _require_keys(
-            data, "system file", ("n", "modes", "switching", "initial")
+
+def _report(modes, law, initial) -> ValidationReport:
+    """The violations validate_system reports on ``_build``'s objects."""
+    out = _law_violations(law, len(modes))
+    if all(_cleared(cov) for _, _, cov in initial):
+        out += _weight_violations([w for w, _, _ in initial])
+    else:
+        from .sysmodel import check_mixture
+
+        out += check_mixture(_build(modes, law, initial).initial)
+    return ValidationReport(tuple(out))
+
+
+def _build(modes, law, initial) -> SystemFile:
+    """The numpy objects of a decoded file; each numeric field reaches its
+    constructor as one float64 array."""
+    import numpy as np
+
+    from . import sysmodel
+
+    return SystemFile(
+        sysmodel.JumpLinearSystem(np.array(list(modes.values())),
+                                  tuple(modes)),
+        sysmodel._KINDS[law["type"]](*(
+            law[f] if f == "indices" else np.array(law[f])
+            for f in _LAW_FIELDS[law["type"]])),
+        sysmodel.GaussianMixture(*map(np.array, zip(*initial))),
+    )
+
+
+def _decode(data) -> tuple:
+    """The fields of a system file object after the structural checks,
+    numbers as floats: mode rows by name, the switching object and the
+    initial (weight, mean, cov) components."""
+    _require_keys(data, "system file", ("n", "modes", "switching", "initial"))
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SystemFileError(f"n must be a positive integer, got {n!r}")
+    modes = data["modes"]
+    if not isinstance(modes, dict) or not modes:
+        raise SystemFileError(
+            "modes must be a nonempty object of named matrices"
         )
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise SystemFileError(
-                f"n must be a positive integer, got {n!r}"
-            )
-        modes_obj = data["modes"]
-        if not isinstance(modes_obj, dict) or not modes_obj:
-            raise SystemFileError(
-                "modes must be a nonempty object of named matrices"
-            )
-        system = JumpLinearSystem(
-            modes=np.array([
-                _as_matrix(mat, f"mode '{name}'", rows=n, cols=n)
-                for name, mat in modes_obj.items()
-            ]),
-            names=tuple(modes_obj),
-        )
-
-        switching = _parse_switching(data["switching"])
-
-        init_obj = data["initial"]
-        if not isinstance(init_obj, list) or not init_obj:
-            raise SystemFileError(
-                "initial must be a nonempty array of components"
-            )
-        weights, means, covs = [], [], []
-        for i, comp in enumerate(init_obj):
-            where = f"initial[{i}]"
-            _require_keys(comp, where, ("weight", "mean", "cov"))
-            weights.append(_as_float(comp["weight"], f"{where}.weight"))
-            means.append(_as_vector(comp["mean"], f"{where}.mean", n))
-            covs.append(_as_matrix(comp["cov"], f"{where}.cov", n, n))
-        initial = GaussianMixture(
-            weights=np.array(weights), means=np.array(means),
-            covs=np.array(covs),
-        )
-        return cls(system=system, switching=switching, initial=initial)
+    modes = {name: _as_matrix(mat, f"mode '{name}'", rows=n, cols=n)
+             for name, mat in modes.items()}
+    law = _parse_switching(data["switching"])
+    if not isinstance(data["initial"], list) or not data["initial"]:
+        raise SystemFileError("initial must be a nonempty array of components")
+    initial = []
+    for i, comp in enumerate(data["initial"]):
+        where = f"initial[{i}]"
+        _require_keys(comp, where, ("weight", "mean", "cov"))
+        initial.append((_as_float(comp["weight"], f"{where}.weight"),
+                        _as_vector(comp["mean"], f"{where}.mean", n),
+                        _as_matrix(comp["cov"], f"{where}.cov", n, n)))
+    return modes, law, initial
 
 
-def load_system_file(path) -> SystemFile:
-    """Parse a JSON system file.
-
-    Raises
-    ------
-    SystemFileError
-        On text that is not UTF-8, malformed JSON (with line and column
-        where the parser gives them), a key repeated within one object or
-        schema violations.
-    OSError
-        If the file cannot be read.
-    """
+def _read(path) -> tuple:
+    """Decode and structurally check a file, raising as load_system_file."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -260,4 +375,13 @@ def load_system_file(path) -> SystemFile:
         raise
     except (ValueError, RecursionError) as exc:  # digit limit, deep nesting
         raise SystemFileError(f"invalid JSON: {exc}") from exc
-    return SystemFile.from_dict(data)
+    return _decode(data)
+
+
+def load_system_file(path) -> SystemFile:
+    """Parse a JSON system file into its numpy objects, checking the schema
+    but not the values (see ``validate_system``).  ``SystemFileError`` on
+    text not UTF-8, malformed JSON (with line and column where the parser
+    gives them), a key repeated within one object or a schema violation;
+    ``OSError`` if the file cannot be read."""
+    return _build(*_read(path))

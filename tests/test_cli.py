@@ -1271,6 +1271,30 @@ class TestSubprocess:
         assert got == code
         assert "numpy" not in modules
 
+    @pytest.mark.parametrize("flags, report", [
+        ([], "OK"), (["--json"], '{\n  "ok": true,\n  "violations": []\n}'),
+    ], ids=["text", "json"])
+    def test_validate_loads_no_numpy(self, write, flags, report):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, "validate", *flags, write(IID)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *lines, last = proc.stdout.splitlines()
+        code, modules, _ = json.loads(last)
+        assert ("\n".join(lines), code) == (report, 0)
+        assert "numpy" not in modules
+
+    def test_validate_non_psd_covariance(self, write):
+        # the reader cannot clear it, so numpy's eigvalsh words the message
+        doc = dict(SPREAD, n=2, modes={"half": [[0.5, 0.0], [0.0, 0.5]]},
+                   initial=[{"weight": 1.0, "mean": [0.0, 0.0],
+                             "cov": [[1, 2], [2, 1]]}])
+        proc = self.run("validate", write(doc))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "violation: component 1 covariance is not PSD: smallest "
+               "eigenvalue -1.000e+00\n", "")
+
     @pytest.mark.parametrize("argv, unused", [
         (["validate"], ("stability", "propagate", "mcsim")),
         (["analyze"], ("mcsim", "propagate", "wasserstein")),

@@ -82,10 +82,11 @@ def loads_numpy(module):
     )
 
 
-@pytest.mark.parametrize("stem", ["__init__", "__main__", "cli"])
+@pytest.mark.parametrize("stem", ["__init__", "__main__", "cli", "systemfile"])
 def test_entry_point_imports_no_numpy(stem):
     """``python -m jumpstab`` parses its arguments, and sets the BLAS
-    thread count, before any module that imports numpy loads."""
+    thread count, before any module that imports numpy loads; the reader
+    checks a system file before any such module loads."""
     assert [m for m in top_level_imports(stem) if loads_numpy(m)] == []
 
 
