@@ -124,9 +124,14 @@ def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
         T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
 
     for a chain of s states over the m modes (mix and weights are s x m).
+    A mode of weight 0 takes no part, so no 0 * inf enters the sum.
     Returns ``apply``; it raises NumericalError led by ``what`` on a
     non-finite entry.
     """
+    live = weights.any(0)
+    if not live.all():
+        modes, mix, weights = modes[live], mix[:, live], weights[:, live]
+
     def apply(q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             mixed = np.dot(mix.T, q.reshape(len(q), -1))

@@ -5,10 +5,18 @@ Four tests cover the four switching laws:
 - ``iid_test``: spectral radius of sum_j pi_j (A_j kron A_j) against 1.
 - ``markov_test``: spectral radius of the chain-lifted matrix
   diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I) against 1.
-- ``general_test``: for a schedule, the IID test of its last row, which
-  repeats forever, read against the transient its earlier rows fold.
+- ``general_test``: for a schedule, the verdict rule below.
 - ``contraction_test``: scan of deterministic-sequence prefix products
   for a first norm strictly below 1.
+
+``analyze`` judges IID, Markov and schedule laws by one rule. A law's
+chain form settles at step K0 (1 for IID, 2 for Markov, K for K rows),
+from which the map pair(K0) repeats. Each step's map is monotone on the
+PSD cone and x0 x0^T <= |x0|^2 I, so the process is stable from every
+start exactly when that map contracts on the smallest invariant face
+holding the image of I under steps 1 .. K0-1 (Vandergraft 1968). The
+rule folds each chain state's range through those steps, closes the
+ranges under the map, and runs the spectral test on that face.
 
 The spectral tests share one second-moment map,
 T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
@@ -26,10 +34,10 @@ the W^2 routes step: this module builds none of them.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
-The schedule and sequence tests can also return "inconclusive", and the
-sequence test's positive verdict is "stable-per-corollary": a
-contractive prefix certifies decay for the scanned pattern repeated, and
-no claim is made beyond that.
+The rule reads "inconclusive" where a range has no clear rank and the
+whole map is unstable. So can the sequence test, whose positive verdict
+is "stable-per-corollary": a contractive prefix certifies decay for the
+scanned pattern repeated, and no claim is made beyond that.
 """
 
 from __future__ import annotations
@@ -83,18 +91,24 @@ _BREAKDOWN = 1e-14
 #: entry: a few units of the rounding of one n x n matrix product.
 _CERT_SLACK = 16 * np.finfo(float).eps
 
+#: Singular values at most _RANGE_CUT of the largest leave a range; a cut
+#: with a kept one below _RANGE_GAP times the first one left shows no gap.
+_RANGE_CUT = 1e-12
+_RANGE_GAP = 1e8
+
 
 class StabilityReport(NamedTuple):
     """Outcome of one stability test.
 
     ``evidence`` is the number the verdict was read from: a spectral
-    radius for the spectral tests, a prefix-product norm for the
+    radius for the spectral tests (that of the map that repeats where
+    every second moment reaches 0), a prefix-product norm for the
     sequence test. ``horizon_used`` is the number of stored schedule
     rows, or of sequence steps scanned. ``notes`` carry auxiliary
-    findings (period norms, divergence warnings). The spectral tests set
-    ``certificate``, the kind checked by Cholesky ("stable" or
-    "unstable") or "dense fallback: <reason>", and ``applications``, the
-    number of second-moment map applications spent.
+    findings (the face judged, period norms, divergence warnings). The
+    spectral tests set ``certificate``, the kind checked by Cholesky
+    ("stable" or "unstable") or "dense fallback: <reason>", and
+    ``applications``, the number of second-moment map applications spent.
     """
 
     verdict: str
@@ -154,19 +168,6 @@ def _arnoldi(apply, start: np.ndarray, dim: int):
     return basis[:dim], hess[:dim, :dim], hess[dim, dim - 1]
 
 
-def _definite(mats: np.ndarray, scale: float) -> bool:
-    """Whether one Cholesky passes on every n x n matrix of ``mats``
-    shifted down by _CERT_SLACK * n * ``scale``: definite by more than the
-    rounding of a product with entries up to ``scale``, so that a matrix
-    singular in exact arithmetic does not pass on roundoff."""
-    n = mats.shape[-1]
-    try:
-        np.linalg.cholesky(mats - _CERT_SLACK * n * scale * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _certified_radius(apply, states: int, n: int, margin: float):
     """rho(T) with a verdict certified by Cholesky, if one holds.
 
@@ -218,8 +219,12 @@ def _certified_radius(apply, states: int, n: int, margin: float):
         return "dense fallback: marginal band", None, None, used
     gap = (1.0 - margin) * x - tx if verdict == "stable" \
         else tx - (1.0 + margin) * x
-    if not _definite(np.concatenate([x, gap]),
-                     max(np.max(np.abs(x)), np.max(np.abs(tx)))):
+    # definite by more than the rounding of T(X), so that a matrix singular
+    # in exact arithmetic does not pass on roundoff
+    slack = _CERT_SLACK * n * max(np.max(np.abs(x)), np.max(np.abs(tx)))
+    try:
+        np.linalg.cholesky(np.concatenate([x, gap]) - slack * np.eye(n))
+    except np.linalg.LinAlgError:
         return ("dense fallback: certificate not positive definite", None,
                 None, used)
     return verdict, evidence, x, used
@@ -233,18 +238,15 @@ def _spectral_report(sys, mix, weights, margin, test_name) -> StabilityReport:
         _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
     )
     if evidence is None:
-        lift = _chain_lift(_sym_lifts(sys), mix, weights)
+        live = weights.any(0)  # as in _moment_map: no 0 * inf
+        lift = _chain_lift(_sym_lifts(JumpLinearSystem(sys.modes[live])),
+                           mix[:, live], weights[:, live])
         evidence = spectral_radius(lift)
         verdict = _spectral_verdict(evidence, margin)
     else:
         verdict = certificate
-    return StabilityReport(
-        verdict=verdict,
-        test_name=test_name,
-        evidence=evidence,
-        certificate=certificate,
-        applications=used,
-    )
+    return StabilityReport(verdict, test_name, evidence,
+                           certificate=certificate, applications=used)
 
 
 def iid_test(
@@ -298,17 +300,11 @@ def general_test(
 ) -> StabilityReport:
     """Exact test for a schedule law pi(1), ..., pi(K), pi(K), ...
 
-    Mean-square stability is Gamma(k) -> 0. Past row K the one-state map
-    T_K(X) = sum_j pi_j(K) A_j X A_j^T repeats forever, so the verdict,
-    evidence and certificate are those of the spectral test on T_K under
-    ``margin``. The rows before it fold the transient
-    Y = T_{K-1} ... T_1(I), of which only the range is read, so the fold
-    restarts from I wherever it is positive definite: each T_k maps PSD
-    matrices of one range to PSD matrices of one range. Two exact
-    exceptions: Y = 0 maps every second moment to 0, so the verdict is
-    stable; an unstable tail behind a Y that is not positive definite
-    (the transient may remove the growing direction) is inconclusive.
-    ``horizon_used`` is K.
+    Past row K the map T_K(X) = sum_j pi_j(K) A_j X A_j^T repeats. By
+    ``analyze``'s rule, V, the range of T_{K-1} ... T_1(I) closed under
+    T_K's modes, decides: the spectral test of T_K where V is the whole
+    space, stable where V = 0, else the test of the modes U^T A_j U, U an
+    orthonormal basis of V, with a note. ``horizon_used`` is K.
 
     Raises
     ------
@@ -322,27 +318,41 @@ def general_test(
             f"general test needs a schedule, got {type(law).__name__}"
             + (f"; {serving} serves it" if serving else "")
         )
-    _reject(check_law(law, sys.m))
-    rows, pair = len(law.vectors), law._chain(sys.m)
-    report = _spectral_report(sys, *pair(rows), margin, "general")
-    y, definite = np.eye(sys.n)[None], True
-    for k in range(1, rows):
-        if definite:  # I has the range of y and no ill conditioning
-            y = np.eye(sys.n)[None]
-        y = _moment_map(sys.modes, *pair(k))(y)
-        y /= np.max(np.abs(y)) or 1.0  # Y = 0 stays 0
-        definite = _definite(y, np.max(np.abs(y)))
-    verdict, notes = report.verdict, ()
-    if not y.any():
-        verdict = "stable"
-        notes = ("the rows before the last map every second moment to 0; "
-                 "the evidence and certificate are the last row's",)
-    elif verdict == "unstable" and not definite:
-        verdict = "inconclusive"
-        notes = ("the last row is unstable, but the rows before it map I to "
-                 "a second moment that is not positive definite, which may "
-                 "miss its growing direction",)
-    return report._replace(verdict=verdict, horizon_used=rows, notes=notes)
+    return analyze(sys, law, margin)
+
+
+def _reach(modes: np.ndarray, pair, settle: int):
+    """Orthonormal bases of the chain states' ranges, folded from the start
+    state's I through steps 1 .. settle-1 and closed under pair(settle),
+    and whether a cut showed no clear gap. State r's range sums A_i V_j
+    over the modes i leading to r and the states j whose row mixes i in,
+    each block scaled to largest entry 1 (ranges are scale-free). Closing
+    stops once no basis grows or all are full: IID laws need no SVD."""
+    n = modes.shape[-1]
+    # modes of largest entry 1 keep every A_i V_j finite
+    modes = modes / np.abs(modes).max(axis=(1, 2), keepdims=True).clip(1e-300)
+    bases, dims, k, gaps = [np.eye(n)], None, 1, []
+
+    def span(basis, w, mix):
+        for i in np.flatnonzero(w):
+            for j in np.flatnonzero(mix[:, i]):
+                block = modes[i] @ bases[j]
+                top = np.abs(block).max(initial=0.0)
+                if basis.shape[1] < n and top > 0.0:
+                    u, s, _ = np.linalg.svd(np.hstack([basis, block / top]),
+                                            full_matrices=False)
+                    d = int(np.count_nonzero(s > _RANGE_CUT * s[0]))
+                    gaps.append(d < s.size and s[d - 1] < _RANGE_GAP * s[d])
+                    basis = u[:, :d]
+        return basis
+
+    while k < settle or (dims != (dims := [b.shape[1] for b in bases])
+                         and min(dims) < n):
+        mix, weights = pair(min(k, settle))
+        bases = [span(bases[r] if k >= settle else np.zeros((n, 0)), w, mix)
+                 for r, w in enumerate(weights)]
+        k += 1
+    return bases, any(gaps)
 
 
 def contraction_test(
@@ -416,15 +426,13 @@ def analyze(
     margin: float = DEFAULT_MARGIN,
     horizon: int = DEFAULT_HORIZON,
 ) -> StabilityReport:
-    """Dispatch to the stability test matching the switching law.
+    """Judge the process that the system and its switching law describe.
 
-    IID laws get the fixed spectral test, Markov laws the chain-lifted
-    spectral test, schedules the spectral test of their last row, and
-    deterministic sequences the contraction scan over ``horizon`` steps.
-    A Markov law is judged on the chain states its pi0 reaches: the
-    support of step 1's row pi0 P, closed under P. Where that leaves
-    states out, a note gives the whole chain's radius, the verdict from
-    every initial law.
+    IID, Markov and schedule laws, whose chain forms settle at step 1, 2
+    and K, get the rule of the module notes, with a note where the face
+    is less than the whole chain (the whole chain's radius, where chain
+    states are left out: the verdict from every initial law).
+    Deterministic sequences get the contraction scan over ``horizon``.
 
     Raises
     ------
@@ -434,24 +442,38 @@ def analyze(
     margin = _check_margin(margin)
     horizon = _as_int(horizon, "horizon")
     _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
-    if isinstance(law, IIDSwitching):
-        return iid_test(sys, law.pi, margin)
-    if isinstance(law, MarkovSwitching):
-        _reject(check_law(law, sys.m))
-        report, pair = markov_test(sys, law.P, margin), law._chain(sys.m)
-        # the states pi0 reaches: step 1's, closed under the chain's mix
-        keep, step = pair(1)[0][0] > 0, pair(2)[0] > 0
-        for _ in range(sys.m):
-            keep = keep | keep @ step
-        if keep.all():
-            return report
-        keep = np.flatnonzero(keep)
-        return markov_test(JumpLinearSystem(sys.modes[keep]),
-                           law.P[np.ix_(keep, keep)], margin)._replace(notes=(
-            f"pi0 reaches {keep.size} of {sys.m} chain states; from every "
-            f"initial law the spectral radius is {report.evidence:.12g}",))
-    if isinstance(law, ScheduleSwitching):
-        return general_test(sys, law, margin)
     if isinstance(law, SequenceSwitching):
         return contraction_test(sys, law, horizon)
-    raise ValueError(f"unknown switching law {type(law).__name__}")
+    _reject(check_law(law, sys.m))
+    rows = len(law.vectors) if isinstance(law, ScheduleSwitching) else None
+    name, settle = (("iid", 1) if isinstance(law, IIDSwitching) else
+                    ("markov", 2) if isinstance(law, MarkovSwitching) else
+                    ("general", rows))
+    pair, before = law._chain(sys.m), f"the steps before step {settle}"
+    whole = _spectral_report(sys, *pair(settle), margin, name)._replace(
+        horizon_used=rows)
+    bases, unclear = _reach(sys.modes, pair, settle)
+    dims = [b.shape[1] for b in bases]
+    keep = np.flatnonzero(dims)
+    if min(dims) == sys.n or keep.size == len(bases) > 1:
+        return whole
+    if unclear:  # the whole map bounds every face's radius from above
+        return whole if whole.verdict != "unstable" else whole._replace(
+            verdict="inconclusive", notes=(
+                f"{before} leave second moments of unclear rank; the map "
+                f"that repeats is unstable, perhaps only off their ranges",))
+    if not keep.size:
+        return whole._replace(verdict="stable", notes=(
+            f"{before} map every second moment to 0; the evidence and "
+            f"certificate are those of the map that repeats",))
+    mix, weights = pair(settle)
+    if len(bases) > 1:  # the charged chain states
+        sub, mix, weights = sys, mix[keep], weights[keep]
+        note = (f"pi0 reaches {keep.size} of {len(bases)} chain states; from "
+                f"every initial law the spectral radius is ")
+    else:  # the one state's range
+        sub = JumpLinearSystem(bases[0].T @ sys.modes @ bases[0])
+        note = (f"{before} keep the second moment in a {dims[0]}-dimensional "
+                f"subspace; on the whole space the spectral radius is ")
+    return _spectral_report(sub, mix, weights, margin, name)._replace(
+        horizon_used=rows, notes=(f"{note}{whole.evidence:.12g}",))

@@ -391,6 +391,62 @@ class TestAnalyze:
         _, rows = read_csv(capsys.readouterr().out)
         assert [float(row[1]) for row in rows] == [1, 0.25, 0.0625, 0.015625]
 
+    @pytest.mark.parametrize("modes, switching, lines", [
+        # the transient leaves e1, where the tail contracts
+        ({"a": [[1.0, 0.0], [0.0, 0.0]], "b": [[0.5, 0.0], [0.0, 2.0]]},
+         {"type": "schedule", "vectors": [[1, 0], [0, 1]]},
+         ["verdict: stable", "evidence: spectral radius = 0.25",
+          "horizon used: k=2",
+          "note: the steps before step 2 keep the second moment in a "
+          "1-dimensional subspace; on the whole space the spectral radius "
+          "is 4"]),
+        # a tiny transient mode still spans the line the tail grows on
+        ({"a": [[1e-170]], "b": [[2.0]]},
+         {"type": "schedule", "vectors": [[1, 0], [0, 1]]},
+         ["verdict: unstable", "evidence: spectral radius = 4",
+          "horizon used: k=2"]),
+        # pi0 leads to the zero mode only
+        ({"a": [[0.0]], "b": [[2.0]], "c": [[0.5]]},
+         {"type": "markov", "P": [[0, 1, 0], [0, 1, 0], [1, 0, 0]],
+          "pi0": [0, 0, 1]},
+         ["verdict: stable", "evidence: spectral radius = 4",
+          "note: the steps before step 2 map every second moment to 0; the "
+          "evidence and certificate are those of the map that repeats"]),
+        # the tail turns the transient's line through the whole plane
+        ({"a": [[1.0, 0.0], [0.0, 0.0]], "b": [[1.2, -1.6], [1.6, 1.2]]},
+         {"type": "schedule", "vectors": [[1, 0], [0, 1]]},
+         ["verdict: unstable", "evidence: spectral radius = 4",
+          "horizon used: k=2"]),
+        # a mode of weight 0 takes no part, however large
+        ({"a": [[1e170]], "b": [[0.5]]}, {"type": "iid", "pi": [0, 1]},
+         ["verdict: stable", "evidence: spectral radius = 0.25"]),
+        ({"a": [[1e170]], "b": [[0.5]]},
+         {"type": "schedule", "vectors": [[1, 0], [0, 1]]},
+         ["verdict: stable", "evidence: spectral radius = 0.25",
+          "horizon used: k=2"]),
+    ], ids=["onto-e1", "tiny-mode", "zero-mode", "spin", "dead-iid",
+            "dead-schedule"])
+    def test_one_verdict_rule(self, write, capsys, modes, switching, lines):
+        n = len(next(iter(modes.values())))
+        doc = {"n": n, "modes": modes, "switching": switching, "initial": [
+            {"weight": 1.0, "mean": [1.0] * n, "cov": np.eye(n).tolist()}]}
+        assert main(["analyze", write(doc)]) == 0
+        out = capsys.readouterr()
+        assert (out.out.splitlines()[2:], out.err) == (lines, "")
+
+    def test_mode_of_weight_zero_on_every_route(self, write, capsys):
+        doc = dict(SINGLE_HALF, modes={"a": [[1e170]], "b": [[0.5]]},
+                   switching={"type": "iid", "pi": [0, 1]})
+        path = write(doc)
+        for method in ("moment", "gamma", "exact_mog"):
+            argv = ["trajectory", path, "--steps", "2", "--method", method]
+            assert main(argv) == 0, method
+            _, rows = read_csv(capsys.readouterr().out)
+            assert [float(r[1]) for r in rows] == [1, 0.25, 0.0625], method
+        assert main(["simulate", path, "--steps", "2"]) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert [float(r[1]) for r in rows] == [1, 0.25, 0.0625]
+
     def test_inconclusive_asserts_nonzero(self, write, capsys):
         doc = dict(SEQ, switching={"type": "sequence", "indices": [1]})
         assert main(["analyze", write(doc), "--assert-stable"]) == 2

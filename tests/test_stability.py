@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from jumpstab.matkit import spectral_radius
+from jumpstab.mcsim import SimConfig, simulate_ensemble
+from jumpstab.moments import _chain_lift, _moment_map, _sym_coords, _sym_lifts
 from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import (
     StabilityReport,
@@ -307,20 +309,23 @@ class TestGeneralTest:
         assert report.evidence == pytest.approx(9.0, rel=1e-12)
         assert any("to 0" in note for note in report.notes)
 
-    def test_rank_one_transient_is_inconclusive(self):
-        # the transient keeps only the first coordinate: the certified
-        # growth of the tail (a rotation scaled by 2) says nothing about
-        # a singular second moment
+    def test_rank_one_transient_closed_by_the_tail_is_unstable(self):
+        # the transient keeps only the first coordinate, but the tail (a
+        # rotation scaled by 2) turns it through the whole plane: the face
+        # the process reaches is every PSD matrix, and it grows at rho = 4
         t = 0.7
         spin = 2.0 * np.array([[np.cos(t), -np.sin(t)],
                                [np.sin(t), np.cos(t)]])
         sys = JumpLinearSystem(modes=[np.diag([1.0, 0.0]), spin])
         law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
         report = general_test(sys, law)
-        assert report.verdict == "inconclusive"
+        assert report.verdict == "unstable"
         assert report.certificate == "unstable"
         assert report.evidence == pytest.approx(4.0, rel=1e-12)
-        assert any("not positive definite" in note for note in report.notes)
+        assert report.notes == ()
+        w2 = [r.w2 for r in w2_trajectory(sys, law, point_mass([1.0, 0.0]),
+                                          30)]
+        assert w2[30] == pytest.approx(4.0**29, rel=1e-9)
 
     def test_margin_applies(self):
         sys = scalar_system(0.999)
@@ -523,6 +528,187 @@ class TestReachableStates:
             expected = [r.w2 for r in w2_trajectory(sys, law, init, 6, method)]
             got = [r.w2 for r in w2_trajectory(aug, big_law, init, 6, method)]
             assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+def structured_family(count):
+    """Seeded laws over rank-one, upper-triangular and generic modes, each
+    times U(0.3, 1.2)/sqrt(n), n and m in 2-3: schedules of 2-3
+    Dirichlet(1) rows alternate with Markov chains of Dirichlet(0.5) rows
+    started from a unit pi0. Entries below 0.2 are zeroed and the rows
+    renormalized."""
+    def sparse(rows):
+        rows = np.where(rows < 0.2, 0.0, rows)
+        return rows / rows.sum(-1, keepdims=True)
+
+    rng = np.random.default_rng(11)
+    for t in range(count):
+        n, m = rng.integers(2, 4), rng.integers(2, 4)
+        modes = []
+        for _ in range(m):
+            kind = rng.integers(3)
+            a = (np.outer(rng.standard_normal(n), rng.standard_normal(n))
+                 if kind == 0 else np.triu(rng.standard_normal((n, n)))
+                 if kind == 1 else rng.standard_normal((n, n)))
+            modes.append(a * rng.uniform(0.3, 1.2) / np.sqrt(n))
+        if t % 2 == 0:
+            rows = np.zeros((1, m))
+            while not rows.any(-1).all():  # no row zeroed whole
+                rows = sparse(rng.dirichlet(np.ones(m), rng.integers(2, 4)))
+            law = ScheduleSwitching(rows)
+        else:
+            p = sparse(rng.dirichlet(0.5 * np.ones(m), m))
+            law = MarkovSwitching(p, np.eye(m)[rng.integers(m)])
+        yield JumpLinearSystem(modes), law
+
+
+def growth(sys, law, steps=400):
+    """The log growth of T^k(I) over the second half of ``steps``, the
+    chain's second moment from covariance I at the start: positive where
+    W^2(k) grows, -inf where it reaches 0. Past the transient, the steps
+    repeat one map, applied eight at a time as the eighth power of its
+    matrix on symmetric coordinates."""
+    pair = law._chain(sys.m)
+    settle = 2 if isinstance(law, MarkovSwitching) else len(law.vectors)
+    y = np.eye(sys.n)[None]
+    for k in range(1, settle):
+        y = _moment_map(sys.modes, *pair(k))(y)
+    power = np.linalg.matrix_power(
+        _chain_lift(_sym_lifts(sys), *pair(settle)), 8)
+    v, logs = _sym_coords(y).ravel(), []
+    for _ in range(steps // 8):
+        v = power @ v
+        top = np.abs(v).max()
+        if top == 0.0:
+            return -np.inf
+        v = v / top
+        logs.append(np.log(top))
+    return sum(logs[len(logs) // 2:])
+
+
+class TestOneVerdictRule:
+    """``analyze`` judges the map that repeats on the face the steps before
+    it reach from I, for IID, Markov and schedule laws alike."""
+
+    def test_transient_onto_the_contracting_axis_is_stable(self):
+        # after step 1 every state lies on e1, where the tail contracts
+        sys = JumpLinearSystem([np.diag([1.0, 0.0]), np.diag([0.5, 2.0])])
+        law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
+        report = analyze(sys, law)
+        assert report == general_test(sys, law)
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(0.25, rel=1e-12)
+        assert report.horizon_used == 2
+        assert report.notes == (
+            "the steps before step 2 keep the second moment in a "
+            "1-dimensional subspace; on the whole space the spectral radius "
+            "is 4",)
+        init = GaussianMixture.from_components([(1.0, [1.0, 1.0], np.eye(2))])
+        w2 = [r.w2 for r in w2_trajectory(sys, law, init, 30)]
+        assert_allclose(w2[1:], 2.0 * 0.25 ** np.arange(30), rtol=1e-14)
+
+    def test_tiny_transient_mode_keeps_the_growth(self):
+        # ranges are scale-free: 1e-170 spans the line as 1 does
+        sys = scalar_system(1e-170, 2.0)
+        report = analyze(sys, ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]]))
+        assert report.verdict == "unstable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert report.notes == ()
+
+    def test_start_into_a_zero_mode_is_stable(self):
+        # pi0 leads to the zero mode, whose state then feeds mode 2.0
+        sys = scalar_system(0.0, 2.0, 0.5)
+        p = [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        law = MarkovSwitching(p, [0.0, 0.0, 1.0])
+        report = analyze(sys, law)
+        assert report.verdict == "stable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert report.notes == (
+            "the steps before step 2 map every second moment to 0; the "
+            "evidence and certificate are those of the map that repeats",)
+        assert markov_test(sys, p).verdict == "unstable"
+        w2 = [r.w2 for r in w2_trajectory(sys, law, point_mass(1.0), 3)]
+        assert w2 == [1.0, 0.0, 0.0, 0.0]
+
+    def test_small_kept_direction_is_judged(self):
+        # 1e-11 is above the cut: the face is (e1, e2), and the growth
+        # along e2 from 1e-22 decides; only e3 is left out
+        sys = JumpLinearSystem([np.diag([1.0, 1e-11, 0.0]),
+                                np.diag([0.5, 2.0, 3.0])])
+        law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
+        report = analyze(sys, law)
+        assert report.verdict == "unstable"
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+        assert report.notes == (
+            "the steps before step 2 keep the second moment in a "
+            "2-dimensional subspace; on the whole space the spectral radius "
+            "is 9",)
+        init = GaussianMixture.from_components([(1.0, np.ones(3), np.eye(3))])
+        w2 = w2_trajectory(sys, law, init, 40)[-1].w2
+        assert w2 == pytest.approx(2e-22 * 4.0**39 + 2 * 0.25**39, rel=1e-9)
+
+    def test_ranges_are_summed_scale_free(self):
+        # step 1 leaves e2; step 2 turns it into e1 by one mode and into
+        # 1e-20 e2 by another: both lines are reached, and the tail grows
+        # on e2, so the small block must not be cut against the large one
+        sys = JumpLinearSystem([np.diag([0.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]],
+                                np.diag([1.0, 1e-20]), np.diag([0.5, 2.0])])
+        law = ScheduleSwitching([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]])
+        report = analyze(sys, law)
+        assert (report.verdict, report.notes) == ("unstable", ())
+        assert report.evidence == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tail, verdict", [(0.5, "stable"),
+                                               (2.0, "inconclusive")])
+    def test_no_clear_gap_keeps_the_whole_answer(self, tail, verdict):
+        # singular values 1, 1e-11, 1e-13 trail off across the cut, so the
+        # rank of the transient's range is unclear: the whole tail decides,
+        # and an unstable one is not taken as the process's verdict
+        sys = JumpLinearSystem([np.diag([1.0, 1e-11, 1e-13]),
+                                tail * np.eye(3)])
+        law = ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]])
+        report = analyze(sys, law)
+        whole = analyze(sys, ScheduleSwitching([[0.0, 1.0]]))
+        assert report.verdict == verdict
+        assert report.evidence == whole.evidence
+        assert report.certificate == whole.certificate
+        assert report.evidence == pytest.approx(tail**2, rel=1e-12)
+        assert report.notes == (() if verdict == "stable" else (
+            "the steps before step 2 leave second moments of unclear rank; "
+            "the map that repeats is unstable, perhaps only off their "
+            "ranges",))
+
+    def test_mode_of_weight_zero_takes_no_part(self):
+        # 1e170 kron 1e170 overflows, but pi gives it no weight
+        sys = scalar_system(1e170, 0.5)
+        law = IIDSwitching([0.0, 1.0])
+        report = analyze(sys, law)
+        assert (report.verdict, report.evidence) == ("stable", 0.25)
+        expected = [1.0, 0.25, 0.0625]
+        for method in ("moment", "gamma", "exact_mog"):
+            got = [r.w2 for r in w2_trajectory(sys, law, point_mass(1.0), 2,
+                                               method)]
+            assert got == expected, method
+        stats = simulate_ensemble(sys, law, point_mass(1.0),
+                                  SimConfig(trajectories=16, k_max=2))
+        assert stats.mean_sq.tolist() == expected
+        report = analyze(sys, ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]]))
+        assert (report.verdict, report.evidence) == ("stable", 0.25)
+
+    def test_structured_family_matches_the_growth(self):
+        seen = set()
+        for sys, law in structured_family(300):
+            report, rate = analyze(sys, law), growth(sys, law)
+            seen.add(report.notes[0][:24] if report.notes else "")
+            if isinstance(law, ScheduleSwitching):
+                assert report.verdict != "inconclusive"
+            if report.verdict == "stable":
+                assert rate < 0
+            elif report.verdict == "unstable":
+                assert rate > 0
+        # the family reaches the whole chain, left-out states and subspaces
+        assert seen == {"", "pi0 reaches 1 of 2 chain", "pi0 reaches 1 of 3 "
+                        "chain", "pi0 reaches 2 of 3 chain",
+                        "the steps before step 2 ", "the steps before step 3 "}
 
 
 class TestAnalyzeDispatch:
