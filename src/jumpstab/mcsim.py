@@ -29,11 +29,17 @@ one row, reduced to the step's mean, standard error and kurtosis
 (summed pairwise by numpy, in one scratch row) before the next step
 starts. So the ensemble holds 8*(n+2) bytes per trajectory, plus one
 byte of chain state under a Markov law, and one block's temporaries,
-whatever ``k_max``. For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a
-block's states are multiplied by every transposed mode at once, an (m,
-count, n) product, keeping each trajectory's row of its picked mode;
-past 8 modes that m-fold product costs more than it saves, and at n = 1
-a product is one multiplication, so the block is instead multiplied by
+whatever ``k_max``. A block's start is gathered into the states in
+place, and every block's squares go into one reused (4096, n) buffer.
+A point-mass component's factor is exact zeros, found without an
+eigensolver; when every component is one, the start draws no normals
+and x(0) is the picked means, the value the draws would add 0 to.
+
+For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a block's states
+are multiplied by every transposed mode at once, an (m, count, n)
+product, keeping each trajectory's row of its picked mode; past 8
+modes that m-fold product costs more than it saves, and at n = 1 a
+product is one multiplication, so the block is instead multiplied by
 a gathered (count, n, n) stack.
 
 Each law has one process, its chain form ``law._chain(m)``, which the
@@ -132,9 +138,11 @@ class EnsembleStats(NamedTuple):
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix F with F F^T = cov, for PSD cov: Cholesky when positive
-    definite, else the spectral square root, which raises ValueError on
-    indefinite input."""
+    """Matrix F with F F^T = cov, for PSD cov: exact zeros for a zero
+    cov, a point mass; Cholesky when positive definite; else the
+    spectral square root, which raises ValueError on indefinite input."""
+    if not cov.any():
+        return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -265,9 +273,12 @@ def simulate_ensemble(
     samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
     normsq, scratch = np.empty((2, big_t))
+    # one block's gathered start images, then its squared states
+    squares = np.empty((min(big_t, _CHUNK), n))
 
     cum_init = np.cumsum(init.weights / np.sum(init.weights))[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
+    spread = factors.any()  # else every start is a point mass
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
     ones = np.ones(n)
@@ -278,6 +289,11 @@ def simulate_ensemble(
         for lo in range(0, big_t, _CHUNK):
             c = min(_CHUNK, big_t - lo)
             yield slice(lo, lo + c), c, base[:c] + (_GAMMA * lo & _MASK)
+
+    def square(rows, count) -> None:
+        # a matrix-vector product: faster than einsum's row dots
+        np.matmul(np.square(x[rows], out=squares[:count]), ones,
+                  out=normsq[rows])
 
     def reduce(k: int) -> None:
         if not np.isfinite(normsq.max()):
@@ -290,14 +306,16 @@ def simulate_ensemble(
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, count, weyl in blocks():
             idx0 = _pick(_uniforms(cfg.seed, 0, weyl), cum_init)
-            # each component's image of the normals, (q, count, n)
-            images = np.einsum("cab,bt->cta", factors,
-                               _normals(cfg.seed, n, weyl))
             # take: a faster gather than [idx0]
-            x[rows] = init.means.take(idx0, axis=0) + images.reshape(
-                -1, n).take(idx0 * count + offsets[:count], axis=0)
-            # a matrix-vector product: faster than einsum's row dots
-            normsq[rows] = np.square(x[rows]) @ ones
+            init.means.take(idx0, axis=0, out=x[rows])
+            if spread:
+                # each component's image of the normals, (q, count, n)
+                images = np.einsum("cab,bt->cta", factors,
+                                   _normals(cfg.seed, n, weyl))
+                x[rows] += images.reshape(-1, n).take(
+                    idx0 * count + offsets[:count], axis=0,
+                    out=squares[:count])
+            square(rows, count)
         reduce(0)
         pair = law._chain(m)
         states = len(pair(1)[1])  # the chain states a step leads to
@@ -326,7 +344,7 @@ def simulate_ensemble(
                             out=x[rows], mode="clip")
                 else:
                     x[rows] = (x[rows, None] @ mode_t.take(picks, 0))[:, 0]
-                normsq[rows] = np.square(x[rows]) @ ones
+                square(rows, count)
             reduce(k)
 
     return EnsembleStats(mean_sq, stderr, samples,

@@ -69,7 +69,7 @@ from .sysmodel import (
     check_law,
     validate_system,
 )
-from .wasserstein import _dirac_sq, mixture_to_dirac_sq, synthetic_gaussian
+from .wasserstein import _dirac_sq, _matched
 
 __all__ = [
     "GammaState",
@@ -349,11 +349,12 @@ def w2_trajectory(
     W^2(0) comes from the initial mixture's matched moments; later points
     from the chosen method ("moment", "gamma", or "exact_mog"). The
     exact-mixture method reads ``w2`` as the weighted sum of component
-    distances and records component counts; the mixtures it derives from
-    the checked input are not checked again, and never formed as n x n
-    covariances nor, past about 512 KiB, whole: the route walks the
-    mixture tree in chunks, and its last step forms only the weights,
-    the means and the covariance diagonals. W^2(k) and the count are
+    distances and records component counts. The input is checked once,
+    by ``validate_system``: neither W^2(0) nor the mixtures the exact
+    route derives check it again, and those mixtures are never formed
+    as n x n covariances nor, past about 512 KiB, whole: the route
+    walks the mixture tree in chunks, and its last step forms only the
+    weights, the means and the covariance diagonals. W^2(k) and the count are
     those of ``mog_propagate(k)``'s mixture, to rounding.
 
     Raises
@@ -381,13 +382,14 @@ def w2_trajectory(
 
     # the K+1 values first, so an impossible horizon fails before a step
     w2, counts = np.empty(k_max + 1), [init.q]
-    mean, cov = synthetic_gaussian(init)
+    mean, cov = _matched(init)
     phi0 = np.outer(mean, mean) + cov
     pair = law._chain(sys.m)
     # every W^2(k) is checked by _checked, so no overflow needs a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w2[0] = _checked(0, mixture_to_dirac_sq(init) if method == "exact_mog"
-                         else np.trace(phi0))
+        w2[0] = _checked(0, np.trace(phi0) if method != "exact_mog" else
+                         _dirac_sq(init.weights, init.means,
+                                   init.covs.diagonal(0, 1, 2)))
         if k_max == 0:
             pass  # no step, so neither the lifts nor the cap count
         elif method == "moment":

@@ -258,12 +258,15 @@ def _weight_violations(weights) -> list[str]:
 
 
 def _cleared(cov) -> bool:
-    """Whether ``check_mixture``, the one authority on covariances, passes
-    a covariance given as float rows, proved without numpy.  The symmetry
+    """Whether ``check_mixture`` passes a covariance given as float rows,
+    proved without numpy by the proof it makes in numpy; False decides
+    nothing, and ``check_mixture`` then asks eigvalsh.  The symmetry
     test repeats its float operations.  With S the symmetric part and
     slack = PSD_TOL max(1, max|S|), a Cholesky factor of S + slack/2 I
-    shows lambda_min(S) >= -slack/2 up to about (n+1)^2 u max|S|, far
-    inside the slack/2 left for eigvalsh's rounding."""
+    with finite pivots shows lambda_min(S) >= -slack/2 up to about
+    (n+1)^2 u max|S|, far inside the slack/2 left for eigvalsh's
+    rounding; a pivot that overflows to inf would factor the rest as if
+    decoupled, so it proves nothing."""
     half = [[x * 0.5 for x in row] for row in cov]
     pairs = [list(zip(row, col)) for row, col in zip(half, zip(*half))]
     bound = PSD_TOL * max(1.0, max(max(map(abs, row)) for row in cov)) * 0.5
@@ -279,7 +282,7 @@ def _cleared(cov) -> bool:
             row.append((sym[i][j] - sum(map(mul, row, factor[j])))
                        / factor[j][j])
         pivot = sym[i][i] + shift - sum(map(mul, row, row))
-        if not pivot > 0.0:  # a NaN from overflow fails too
+        if not 0.0 < pivot < math.inf:  # an overflow proves nothing
             return False
         row.append(math.sqrt(pivot))
         factor.append(row)
@@ -308,8 +311,17 @@ def _report(modes, law, initial) -> ValidationReport:
     else:
         from .sysmodel import check_mixture
 
-        out += check_mixture(_build(modes, law, initial).initial)
+        out += check_mixture(_mixture(initial))
     return ValidationReport(tuple(out))
+
+
+def _mixture(initial):
+    """The GaussianMixture of the decoded initial components."""
+    import numpy as np
+
+    from .sysmodel import GaussianMixture
+
+    return GaussianMixture(*map(np.array, zip(*initial)))
 
 
 def _build(modes, law, initial) -> SystemFile:
@@ -325,7 +337,7 @@ def _build(modes, law, initial) -> SystemFile:
         sysmodel._KINDS[law["type"]](*(
             law[f] if f == "indices" else np.array(law[f])
             for f in _LAW_FIELDS[law["type"]])),
-        sysmodel.GaussianMixture(*map(np.array, zip(*initial))),
+        _mixture(initial),
     )
 
 

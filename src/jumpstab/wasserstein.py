@@ -12,9 +12,10 @@ recursions work in squared distances and taking the root early loses
 precision near zero.
 
 The public readers check their input mixture and raise ``ValueError``
-on a violation; the exact route reads the mixtures it derives from a
-checked one through ``_dirac_sq``, the unchecked body, which needs only
-the weights, the means and the covariances' diagonals.
+on a violation; ``w2_trajectory``, which checks its start once, reads
+it through the unchecked bodies ``_matched`` and ``_dirac_sq``, and the
+exact route reads the mixtures it derives through ``_dirac_sq``, which
+needs only the weights, the means and the covariances' diagonals.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def synthetic_gaussian(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     mean or covariance overflows float64, ``NumericalError`` is raised.
     """
     _reject(check_mixture(mix))
+    return _matched(mix)
+
+
+def _matched(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
+    """``synthetic_gaussian``'s body, for a mixture already checked."""
     w = mix.weights / np.sum(mix.weights)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = w @ mix.means

@@ -9,6 +9,8 @@ Carlo draws come from a sequential SplitMix64 in Python ints, where
 the library jumps ahead in numpy uint64 arrays, and
 ``ensemble_mean_sq`` steps each trajectory of an ensemble in a plain
 loop, reading each law's own fields.
+``eigvalsh_violations`` words a mixture's violations by eigvalsh alone,
+the rule that ``check_mixture``'s Cholesky proof must reproduce.
 ``traced_peak`` measures the peak memory of one call, and
 ``needs_refused_allocation`` marks a test that needs an impossible
 allocation refused.
@@ -23,7 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumpstab.matkit import NumericalError
+from jumpstab.matkit import NumericalError, _psd_slack, _sym_part
 from jumpstab.moments import _basis_pairs, _basis_units
 from jumpstab.sysmodel import (
     IIDSwitching,
@@ -32,6 +34,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     as_probability_vector,
 )
+from jumpstab.systemfile import _weight_violations
 
 
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
@@ -63,6 +66,29 @@ def markov_w2(modes, P, pi0, phi0, k_max):
              for r in range(m)]
         out.append(sum(np.trace(x) for x in q))
     return np.array(out)
+
+
+def eigvalsh_violations(mix) -> list:
+    """A mixture's violations by eigvalsh alone: the weight messages,
+    each component's asymmetry beyond half the slack of its covariance,
+    then each component whose symmetric part S has an eigenvalue below
+    -PSD_TOL max(1, max|S|), in component order."""
+    out = _weight_violations(mix.weights.tolist())
+    top = np.finfo(float).max / 2
+    half = mix.covs * 0.5
+    half_asym = np.max(np.abs(half - np.transpose(half, (0, 2, 1))),
+                       axis=(1, 2))
+    for i in np.where(half_asym > _psd_slack(mix.covs) * 0.5)[0]:
+        size = (f"{2.0 * half_asym[i]:.3e}" if half_asym[i] <= top
+                else f"above {2.0 * top:.3e}")
+        out.append(f"component {i + 1} covariance is not symmetric: "
+                   f"largest asymmetry {size}")
+    sym = _sym_part(mix.covs)
+    eigs = np.linalg.eigvalsh(sym)
+    for i in np.where(eigs[:, 0] < -_psd_slack(sym))[0]:
+        out.append(f"component {i + 1} covariance is not PSD: smallest "
+                   f"eigenvalue {eigs[i, 0]:.3e}")
+    return out
 
 
 def bases(n: int):

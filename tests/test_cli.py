@@ -1057,6 +1057,51 @@ class TestCompare:
         assert len(payload["rows"]) == 5
 
 
+class TestNoEigensolver:
+    """Only ``analyze`` runs an eigensolver: a start's covariances are
+    proved PSD by a Cholesky factor, and a point mass factors to zeros."""
+
+    STARTS = {
+        "definite": [{"weight": 1.0, "mean": [1.0, -0.5],
+                      "cov": [[0.4, 0.1], [0.1, 0.3]]}],
+        "point-mass": [{"weight": 1.0, "mean": [1.0, -0.5],
+                        "cov": [[0.0, 0.0], [0.0, 0.0]]}],
+        "both": [{"weight": 0.3, "mean": [1.0, -0.5],
+                  "cov": [[0.0, 0.0], [0.0, 0.0]]},
+                 {"weight": 0.7, "mean": [0.0, 2.0],
+                  "cov": [[0.4, 0.1], [0.1, 0.3]]}],
+    }
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_outputs_without_eigh_or_eigvalsh(self, write, capsys,
+                                              monkeypatch, start):
+        path = write({
+            "n": 2,
+            "modes": {"a": [[0.6, 0.3], [-0.2, 0.5]],
+                      "b": [[0.9, 0.0], [0.4, -0.7]]},
+            "switching": {"type": "iid", "pi": [0.5, 0.5]},
+            "initial": self.STARTS[start],
+        })
+        # two blocks of trajectories, the second ragged
+        ensemble = ["--steps", "6", "--trajectories", "4100", "--seed", "3"]
+        calls = [["trajectory", path, "--steps", "6", "--method", method]
+                 for method in ("moment", "gamma", "exact_mog")]
+        calls += [["simulate", path, *ensemble], ["compare", path, *ensemble]]
+        outputs = []
+        for argv in calls:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for argv, out in zip(calls, outputs):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == out, argv
+
+
 #: ``--help`` of ``jumpstab`` (key "") and of each subcommand, at 80 columns
 HELP = {
     "": """\

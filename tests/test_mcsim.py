@@ -109,6 +109,44 @@ class TestSampleInitial:
         assert_array_equal(stats.mean_sq, [13.0])
         assert_array_equal(stats.stderr, [0.0])
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_zero_covariance_factors_to_exact_zeros(self, n):
+        factor = _psd_factor(np.zeros((n, n)))
+        assert factor.shape == (n, n)
+        assert not factor.any() and not np.signbit(factor).any()
+
+    def test_point_masses_draw_no_normals(self, monkeypatch):
+        # every start factor is zero: x(0) is the picked means
+        def refuse(*args):
+            raise AssertionError("normals drawn")
+
+        monkeypatch.setattr(mcsim, "_normals", refuse)
+        zero = np.zeros((2, 2))
+        mix = GaussianMixture.from_components(
+            [(0.25, [2.0, -3.0], zero), (0.75, [1.0, 1.0], zero)])
+        big_t = 4096 + 3
+        stats = simulate_ensemble(
+            JumpLinearSystem(modes=[np.eye(2)]), IIDSwitching([1.0]), mix,
+            SimConfig(trajectories=big_t, k_max=0, seed=5),
+        )
+        comp_u, _, _ = ensemble_draws(5, 2, 0, big_t)
+        assert stats.mean_sq[0] == np.where(comp_u >= 0.25, 2.0, 13.0).mean()
+
+    def test_point_mass_beside_a_spread_component(self):
+        # the point mass's rows of the normals' images are zeros
+        mix = GaussianMixture.from_components(
+            [(0.4, [1.0, 0.0], np.zeros((2, 2))),
+             (0.6, [0.0, 1.0], 0.5 * np.eye(2))])
+        big_t = 4096 + 3
+        stats = simulate_ensemble(
+            JumpLinearSystem(modes=[np.eye(2)]), IIDSwitching([1.0]), mix,
+            SimConfig(trajectories=big_t, k_max=0, seed=99),
+        )
+        comp_u, z, _ = ensemble_draws(99, 2, 0, big_t)
+        comp = (comp_u >= 0.4).astype(int)
+        x = mix.means[comp] + np.array([0.0, np.sqrt(0.5)])[comp, None] * z
+        assert stats.mean_sq[0] == np.einsum("ti,ti->t", x, x).mean()
+
     def test_standard_normal_second_moment(self):
         mix = GaussianMixture.from_components(
             [(1.0, np.zeros(2), np.eye(2))]
