@@ -1,9 +1,9 @@
 """Dense real linear-algebra kernel.
 
-Spectral radii, matrix norms, and PSD hygiene (symmetric part,
-projection, square root). Matrices are plain float64 ``numpy`` arrays;
-:func:`as_matrix` is the single entry point that enforces the
-construction invariants (2-D, nonempty, all entries finite).
+Spectral radii, matrix norms, the symmetric part and the PSD slack.
+Matrices are plain float64 ``numpy`` arrays; :func:`as_matrix` is the
+single entry point that enforces the construction invariants (2-D,
+nonempty, all entries finite).
 
 All functions are pure and hold no shared state; they are safe to call
 concurrently from any number of threads.
@@ -23,9 +23,6 @@ __all__ = [
     "as_square",
     "spectral_radius",
     "spectral_norm",
-    "symmetrize",
-    "psd_project",
-    "sqrtm_psd",
 ]
 
 def _as_floats(a, name: str) -> np.ndarray:
@@ -113,57 +110,11 @@ def _sym_part(x: np.ndarray) -> np.ndarray:
     return half
 
 
-def symmetrize(m) -> np.ndarray:
-    """Symmetric part ``(m + m.T) / 2``."""
-    return _sym_part(as_square(m, "m"))
-
-
 def _psd_slack(m) -> np.ndarray:
     """PSD_TOL times max(1, largest |entry|) of each trailing matrix.
 
-    Eigensolver roundoff grows with the matrix scale, so an absolute slack
-    would reject valid large covariances; below scale 1 it stays absolute.
+    Factor and eigensolver roundoff grow with the matrix scale, so an
+    absolute slack would reject valid large covariances; below scale 1 it
+    stays absolute.
     """
     return PSD_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-
-
-def _psd_eigh(m):
-    """(S, w, v): the symmetric part S of ``m``, repaired as psd_project
-    says, and its eigenvalues w, clamped at 0, and eigenvectors v."""
-    s = symmetrize(m)
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
-    slack = _psd_slack(s)
-    if np.min(w) < -slack:
-        raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e} "
-            f"< -{slack:.1e}"
-        )
-    if np.min(w) < 0.0:
-        w = np.clip(w, 0.0, None)
-        s = symmetrize((v * w) @ v.T)
-    return s, w, v
-
-
-def psd_project(m) -> np.ndarray:
-    """Symmetrize and repair a nearly-PSD matrix.
-
-    Eigenvalues in ``[-slack, 0)`` are clamped to zero, with slack
-    ``PSD_TOL * max(1, largest |entry|)``; any eigenvalue below ``-slack``
-    means the matrix is genuinely indefinite and raises.
-    """
-    return _psd_eigh(m)[0]
-
-
-def sqrtm_psd(m) -> np.ndarray:
-    """Unique symmetric PSD square root via spectral decomposition.
-
-    Accepts symmetric PSD input up to the slack of :func:`psd_project`
-    (asymmetry is averaged away, slightly negative eigenvalues are
-    clamped).
-    Rank-deficient input is fine; indefinite input raises ``ValueError``.
-    """
-    _, w, v = _psd_eigh(m)
-    return symmetrize((v * np.sqrt(w)) @ v.T)

@@ -31,9 +31,11 @@ starts. So the ensemble holds 8*(n+2) bytes per trajectory, plus one
 byte of chain state under a Markov law, and one block's temporaries,
 whatever ``k_max``. A block's start is gathered into the states in
 place, and every block's squares go into one reused (4096, n) buffer.
-A point-mass component's factor is exact zeros, found without an
-eigensolver; when every component is one, the start draws no normals
-and x(0) is the picked means, the value the draws would add 0 to.
+No start factor needs an eigensolver: a point-mass component's is
+exact zeros, a definite one's numpy's Cholesky factor and a singular
+one's a diagonal-pivoted Cholesky factor (``_psd_factor``). When every
+component is a point mass, the start draws no normals and x(0) is the
+picked means, the value the draws would add 0 to.
 
 For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a block's states
 are multiplied by every transposed mode at once, an (m, count, n)
@@ -56,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matkit import NumericalError, sqrtm_psd
+from .matkit import NumericalError, _psd_slack, _sym_part
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -66,6 +68,7 @@ from .sysmodel import (
     _as_int,
     _freeze,
     _reject,
+    check_mixture,
     validate_system,
 )
 
@@ -138,15 +141,35 @@ class EnsembleStats(NamedTuple):
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix F with F F^T = cov, for PSD cov: exact zeros for a zero
-    cov, a point mass; Cholesky when positive definite; else the
-    spectral square root, which raises ValueError on indefinite input."""
+    """Matrix F with F F^T = cov, for a covariance check_mixture accepts,
+    found without an eigensolver: exact zeros for a zero cov, a point
+    mass; numpy's Cholesky factor when that exists; else the
+    diagonal-pivoted Cholesky factor of the symmetric part S (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, sec. 10.3),
+    stopped at the first pivot at or below slack = PSD_TOL max(1, max|S|).
+    On a PSD S the residual S - F F^T is PSD with diagonal at most slack,
+    so no entry of it exceeds slack. An eigenvalue of S in [-slack, 0)
+    can leave a residual diagonal below -slack; check_mixture then
+    decides, and raises ValueError on a cov that is not PSD."""
     if not cov.any():
         return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        return sqrtm_psd(cov)
+        pass
+    rest = _sym_part(cov)  # S minus the outer products taken so far
+    slack = _psd_slack(rest)
+    factor = np.zeros_like(rest)
+    for j in range(len(rest)):
+        p = np.argmax(np.diagonal(rest))
+        if rest[p, p] <= slack:
+            break
+        factor[:, j] = rest[:, p] / np.sqrt(rest[p, p])
+        rest -= np.outer(factor[:, j], factor[:, j])
+    if np.diagonal(rest).min() < -slack:
+        _reject(check_mixture(
+            GaussianMixture(np.ones(1), np.zeros((1, len(cov))), cov[None])))
+    return factor
 
 
 def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:

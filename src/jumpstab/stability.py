@@ -143,15 +143,17 @@ def _check_margin(margin) -> float:
     return value
 
 
-def _arnoldi(apply, start: np.ndarray, dim: int):
-    """``dim`` Arnoldi steps from ``start`` with twice-applied Gram-Schmidt.
+def _arnoldi(apply, start: np.ndarray, basis: np.ndarray, hess: np.ndarray):
+    """``dim`` Arnoldi steps from ``start`` with twice-applied Gram-Schmidt,
+    refilling the caller's (dim + 1, N) ``basis`` and (dim + 1, dim)
+    ``hess``, so a restart allocates neither.
 
-    Returns the orthonormal basis (k, N), the Hessenberg matrix (k, k) and
-    the residual norm h[k, k-1]: 0 when the Krylov space turned out
-    invariant after k < dim steps.
+    Returns views of the orthonormal basis (k, N) and the Hessenberg
+    matrix (k, k), and the residual norm h[k, k-1]: 0 when the Krylov
+    space turned out invariant after k < dim steps.
     """
-    basis = np.zeros((dim + 1, start.size))
-    hess = np.zeros((dim + 1, dim))
+    dim = hess.shape[1]
+    hess.fill(0.0)
     basis[0] = start.ravel() / np.linalg.norm(start)
     for k in range(dim):
         w = apply(basis[k].reshape(start.shape)).ravel()
@@ -191,9 +193,10 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     """
     dim = min(_KRYLOV_DIM, states * n * (n + 1) // 2)
     x = np.broadcast_to(np.eye(n), (states, n, n))
+    space = np.empty((dim + 1, x.size)), np.empty((dim + 1, dim))
     used = 0
     for _ in range(_RESTARTS):
-        basis, hess, beta = _arnoldi(apply, x, dim)
+        basis, hess, beta = _arnoldi(apply, x, *space)
         used += basis.shape[0]
         theta, vecs = np.linalg.eig(hess)
         real = np.flatnonzero(theta.imag == 0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matkit import NumericalError, _as_floats, psd_project, symmetrize
+from .matkit import NumericalError, _as_floats, _sym_part, as_square
 from .sysmodel import GaussianMixture, _reject, check_mixture
 
 __all__ = [
@@ -35,18 +35,21 @@ __all__ = [
 def gaussian_to_dirac(mean, cov) -> float:
     """Wasserstein distance from N(mean, cov) to the point mass at 0.
 
-    Equals sqrt(||mean||^2 + tr cov). Rank-deficient covariances are
-    fine; an indefinite one raises ``ValueError``.
+    Equals sqrt(||mean||^2 + tr cov), the root of
+    :func:`mixture_to_dirac_sq` on the one-component mixture, whose rule
+    judges ``cov``: rank-deficient covariances are fine; an asymmetric
+    or indefinite one raises ``ValueError``.
     """
     mu = _as_floats(mean, "mean").reshape(-1)
     if not np.all(np.isfinite(mu)):
         raise ValueError("mean contains non-finite entries")
-    c = psd_project(cov)
+    c = as_square(cov, "cov")
     if c.shape[0] != mu.size:
         raise ValueError(
             f"cov shape {c.shape} does not match mean dimension {mu.size}"
         )
-    return float(np.sqrt(mu @ mu + np.trace(c)))
+    return float(np.sqrt(mixture_to_dirac_sq(
+        GaussianMixture(np.ones(1), mu[None], c[None]))))
 
 
 def _dirac_sq(weights, means, diags) -> float:
@@ -98,4 +101,4 @@ def _matched(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(
             "the mixture's matched mean or covariance overflows float64"
         )
-    return mean, symmetrize(cov)
+    return mean, _sym_part(cov)

@@ -1059,7 +1059,8 @@ class TestCompare:
 
 class TestNoEigensolver:
     """Only ``analyze`` runs an eigensolver: a start's covariances are
-    proved PSD by a Cholesky factor, and a point mass factors to zeros."""
+    proved PSD by a Cholesky factor, a point mass factors to zeros and a
+    singular covariance to a pivoted Cholesky factor."""
 
     STARTS = {
         "definite": [{"weight": 1.0, "mean": [1.0, -0.5],
@@ -1070,6 +1071,8 @@ class TestNoEigensolver:
                   "cov": [[0.0, 0.0], [0.0, 0.0]]},
                  {"weight": 0.7, "mean": [0.0, 2.0],
                   "cov": [[0.4, 0.1], [0.1, 0.3]]}],
+        "rank-one": [{"weight": 1.0, "mean": [1.0, -0.5],
+                      "cov": [[1.0, 1.0], [1.0, 1.0]]}],
     }
 
     @pytest.mark.parametrize("start", STARTS)
@@ -1095,11 +1098,12 @@ class TestNoEigensolver:
         def refuse(*args, **kwargs):
             raise AssertionError("an eigensolver ran")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for name in ("eig", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         for argv, out in zip(calls, outputs):
             assert main(argv) == 0, argv
             assert capsys.readouterr().out == out, argv
+        assert "result: PASS" in outputs[-1]
 
 
 #: ``--help`` of ``jumpstab`` (key "") and of each subcommand, at 80 columns

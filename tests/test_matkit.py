@@ -7,18 +7,18 @@ rather than by the functions under test.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import (
     NumericalError,
+    _sym_part,
     as_matrix,
     as_square,
-    psd_project,
     spectral_norm,
     spectral_radius,
-    sqrtm_psd,
-    symmetrize,
 )
+from jumpstab.mcsim import _psd_factor
+from jumpstab.sysmodel import GaussianMixture, check_mixture
 
 
 class TestValidation:
@@ -88,60 +88,41 @@ class TestSpectralNorm:
 class TestSymmetrize:
     def test_symmetric_part(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        assert_allclose(symmetrize(m), [[1.0, 1.0], [1.0, 1.0]])
+        assert_allclose(_sym_part(m), [[1.0, 1.0], [1.0, 1.0]])
+
+
+def _one_component(cov):
+    n = len(cov)
+    return GaussianMixture(np.ones(1), np.zeros((1, n)), np.asarray(cov)[None])
 
 
 class TestPsdProject:
-    def test_identity_unchanged(self):
-        assert_allclose(psd_project(np.eye(2)), np.eye(2))
+    """The PSD rule, now check_mixture's alone: a PSD covariance passes
+    as given, an indefinite one is rejected."""
 
-    def test_asymmetry_repair(self):
-        m = np.array([[1.0, 1e-12], [0.0, 1.0]])
-        out = psd_project(m)
-        assert_allclose(out, out.T)
-        assert np.min(np.linalg.eigvalsh(out)) >= 0.0
+    def test_identity_unchanged(self):
+        eye = np.eye(2)
+        assert check_mixture(_one_component(eye)) == []
+        f = _psd_factor(eye)
+        assert_array_equal(f @ f.T, eye)
 
     def test_indefinite_rejected(self):
+        (msg,) = check_mixture(_one_component(np.diag([1.0, -1.0])))
+        assert "not PSD" in msg
         with pytest.raises(ValueError, match="not PSD"):
-            psd_project(np.diag([1.0, -1.0]))
-
-    def test_tiny_negative_eigenvalue_clamped(self):
-        m = np.diag([1.0, -1e-12])
-        out = psd_project(m)
-        w = np.linalg.eigvalsh(out)
-        assert np.min(w) >= 0.0
-        assert_allclose(np.max(w), 1.0)
-
-
-    def test_slack_relative_to_scale(self):
-        v = np.array([0.1, 0.7])
-        out = psd_project(1e9 * np.outer(v, v))
-        assert np.min(np.linalg.eigvalsh(out)) >= 0.0
-        with pytest.raises(ValueError, match="not PSD"):
-            psd_project(np.diag([1.0, -2e-10]))
+            _psd_factor(np.diag([1.0, -1.0]))
 
 
 class TestSqrtmPsd:
+    """The sampler's factor F, F F^T = S, which replaces the symmetric
+    PSD square root; on a diagonal S both are diag(sqrt(S_ii))."""
+
     def test_diagonal(self):
-        assert_allclose(sqrtm_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert_allclose(_psd_factor(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        assert_allclose(sqrtm_psd(np.eye(3)), np.eye(3))
-
-    def test_squaring_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            g = rng.standard_normal((3, 3))
-            r = g @ g.T
-            s = sqrtm_psd(r)
-            assert_allclose(s @ s, r, atol=1e-10)
-            assert_allclose(s, s.T, atol=1e-12)
-
-    def test_rank_deficient(self):
-        r = np.outer([1.0, 2.0], [1.0, 2.0])
-        s = sqrtm_psd(r)
-        assert_allclose(s @ s, r, atol=1e-10)
+        assert_array_equal(_psd_factor(np.eye(3)), np.eye(3))
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):
-            sqrtm_psd(np.diag([1.0, -1.0]))
+            _psd_factor(np.diag([1.0, -1.0]))

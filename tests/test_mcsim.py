@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from jumpstab.matkit import NumericalError
+from jumpstab.matkit import NumericalError, _psd_slack, _sym_part
 from jumpstab import mcsim, sysmodel
 from jumpstab.mcsim import (
     SimConfig,
@@ -185,8 +185,8 @@ class TestSampleInitial:
         assert stats.mean_sq[1] == 0.0
 
     def test_indefinite_covariance_raises(self):
-        """An indefinite covariance fails Cholesky and the spectral root
-        alike, and is rejected as not PSD."""
+        """An indefinite covariance fails numpy's Cholesky and leaves the
+        pivoted one a negative residual, and is rejected as not PSD."""
         with pytest.raises(ValueError, match="not PSD"):
             _psd_factor(np.diag([1.0, -1.0]))
 
@@ -212,6 +212,108 @@ class TestSampleInitial:
         assert stats.stderr[0] == (
             normsq.std(axis=0, ddof=1)[0] / np.sqrt(big_t)
         )
+
+
+def psd_with_rank(rng, n, rank, scale):
+    """A random n x n PSD matrix of the given rank and largest
+    eigenvalue about ``scale``, and an orthonormal basis of its range's
+    complement."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = scale * rng.uniform(0.01, 1.0, rank)
+    return (q[:, :rank] * lam) @ q[:, :rank].T, q[:, rank:]
+
+
+def factor_error(factor, cov):
+    """max|F F^T - S| in units of S's slack, S the symmetric part."""
+    sym = _sym_part(cov)
+    return np.max(np.abs(factor @ factor.T - sym)) / _psd_slack(sym)
+
+
+class TestPsdFactor:
+    """The sampler's factor of a start covariance, found without an
+    eigensolver whatever the covariance's rank. A residual below -slack
+    is left to check_mixture, whose eigvalsh decides what its Cholesky
+    proof cannot: an indefinite cov, or an eigenvalue in [-slack, 0)."""
+
+    @pytest.fixture
+    def no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        for name in ("eig", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def test_definite_is_numpy_cholesky(self, no_eigensolver):
+        for n in range(1, 5):
+            assert_array_equal(_psd_factor(np.eye(n)), np.eye(n))
+        assert_array_equal(_psd_factor(np.diag([4.0, 9.0])),
+                           np.diag([2.0, 3.0]))
+        rng = np.random.default_rng(71)
+        for n, scale in itertools.product(range(1, 7), (1e-6, 1.0, 1e6)):
+            cov, _ = psd_with_rank(rng, n, n, scale)
+            factor = _psd_factor(cov)
+            assert factor.tobytes() == np.linalg.cholesky(cov).tobytes()
+
+    def test_reproduces_psd_covariance(self, no_eigensolver):
+        rng = np.random.default_rng(73)
+        for n, scale in itertools.product(range(1, 7), (1e-6, 1.0, 1e6)):
+            for rank in range(n + 1):
+                cov, _ = psd_with_rank(rng, n, rank, scale)
+                factor = _psd_factor(cov)
+                assert np.isfinite(factor).all()
+                assert factor_error(factor, cov) <= 1.0, (n, rank, scale)
+
+    def test_rank_deficient(self, no_eigensolver):
+        # one pivot, and a residual of exact zeros: the null direction
+        # (2, -1) gets no variance at all
+        cov = np.outer([1.0, 2.0], [1.0, 2.0])
+        factor = _psd_factor(cov)
+        assert_array_equal(factor, [[1.0, 0.0], [2.0, 0.0]])
+        assert_array_equal(np.array([2.0, -1.0]) @ factor, [0.0, 0.0])
+
+    def test_asymmetry_within_half_slack(self, no_eigensolver):
+        """check_mixture accepts an asymmetry up to slack/2; Cholesky reads
+        the lower triangle, the pivoted factor the symmetric part."""
+        rng = np.random.default_rng(79)
+        for n, scale in itertools.product(range(2, 7), (1e-6, 1.0, 1e6)):
+            for rank in (n - 1, n):
+                cov, _ = psd_with_rank(rng, n, rank, scale)
+                skew = rng.uniform(-1.0, 1.0, (n, n))
+                skew -= skew.T
+                skew *= 0.24 * _psd_slack(cov) / np.abs(skew).max()
+                cov = cov + skew
+                mix = GaussianMixture([1.0], np.zeros((1, n)), cov[None])
+                assert sysmodel.check_mixture(mix) == []
+                factor = _psd_factor(cov)
+                assert np.isfinite(factor).all()
+                assert factor_error(factor, cov) <= 1.0, (n, rank, scale)
+
+    def test_eigenvalue_at_minus_half_slack(self):
+        """S = P - (slack/2) v v^T with P PSD of rank r < n and v in its
+        null space, which check_mixture accepts. The residual is about
+        -(slack/2) w w^T, |w|^2 <= 1 + |W|_F^2, with W = R11^-1 R12 of the
+        pivoted factor; Higham's Lemma 10.13 bounds |W|_F^2 by
+        (n - r)(4^r - 1)/3, and at n <= 2 pivoting keeps |W| <= 1, so
+        the error stays within slack there."""
+        rng = np.random.default_rng(83)
+        for n, scale in itertools.product(range(1, 7), (1e-6, 1.0, 1e6)):
+            for rank in range(n):
+                psd, null = psd_with_rank(rng, n, rank, scale)
+                slack = _psd_slack(psd)
+                cov = psd - 0.5 * slack * np.outer(null[:, 0], null[:, 0])
+                factor = _psd_factor(cov)
+                assert np.isfinite(factor).all()
+                bound = 1.0 if n <= 2 else \
+                    0.5 * (1.0 + (n - rank) * (4**rank - 1) / 3)
+                assert factor_error(factor, cov) <= bound, (n, rank, scale)
+
+    def test_slack_relative_to_scale(self):
+        v = np.array([0.1, 0.7])
+        cov = 1e9 * np.outer(v, v)
+        assert factor_error(_psd_factor(cov), cov) <= 1.0
+        assert _psd_factor(np.diag([1e9, -2e-10]))[1, 1] == 0.0
+        with pytest.raises(ValueError, match="not PSD"):
+            _psd_factor(np.diag([1.0, -2e-10]))
 
 
 class TestSimulateEnsemble:

@@ -59,6 +59,29 @@ class TestGaussianToDirac:
         cov = np.diag([1e308, 1.0])
         assert gaussian_to_dirac([0.0, 0.0], cov) == 1e154
 
+    def test_square_is_the_one_component_mixture_distance(self):
+        """gaussian_to_dirac is the root of mixture_to_dirac_sq's number,
+        bit for bit, on random, rank-deficient and huge covariances (its
+        square need not be: squaring the root rounds)."""
+        rng = np.random.default_rng(53)
+        cases = [([0.0, 0.0], np.diag([1e308, 1.0]))]
+        for n in range(1, 6):
+            g = rng.standard_normal((n, n))
+            cases.append((rng.standard_normal(n), g @ g.T))
+            low = g[:, :n - 1]
+            cases.append((rng.standard_normal(n), low @ low.T))
+        for mu, cov in cases:
+            mix = GaussianMixture([1.0], [mu], [cov])
+            assert gaussian_to_dirac(mu, cov) == np.sqrt(
+                mixture_to_dirac_sq(mix))
+
+    def test_rejects_asymmetry_above_half_slack(self):
+        """As validate_system does: the asymmetry is not averaged away."""
+        with pytest.raises(ValueError, match="not symmetric"):
+            gaussian_to_dirac([0.0, 0.0], [[1.0, 1e-9], [0.0, 1.0]])
+        assert gaussian_to_dirac([0.0, 0.0], [[1.0, 4e-11], [0.0, 1.0]]) \
+            == np.sqrt(2.0)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             gaussian_to_dirac([0.0, 0.0], np.diag([1.0, -1.0]))
