@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .matkit import NumericalError, _sym_part
-from .sysmodel import JumpLinearSystem
 
 __all__ = ["DIVERGENCE_GUARD"]
 
@@ -62,13 +61,15 @@ def _kron_entries(a: np.ndarray, p: np.ndarray, q: np.ndarray, out=None):
     return sym, crossed
 
 
-def _sym_lifts(sys: JumpLinearSystem, e=0, transposed=False) -> np.ndarray:
-    """B_j kron B_j on symmetric matrices, B_j = A_j / 2**e_j, ``e`` one
-    exponent or one per mode: the (m, s, s) stack in the orthonormal
-    basis E_ii, (E_pq + E_qp)/sqrt2 of _basis_pairs, s = n(n+1)/2. Each
-    lift maps symmetric matrices to symmetric ones, and this block has
-    the whole lift's spectral radius. ``transposed`` builds each from
-    B_j^T: (A kron A)^T = A^T kron A^T, each product's factors swapped.
+def _sym_lifts(modes: np.ndarray, e=0, transposed=False) -> np.ndarray:
+    """B_j kron B_j on symmetric matrices, B_j = A_j / 2**e_j, for the
+    (m, n, n) array ``modes``, ``e`` one exponent or one per mode: the
+    (m, s, s) stack in the orthonormal basis E_ii, (E_pq + E_qp)/sqrt2
+    of _basis_pairs, s = n(n+1)/2. Each lift maps symmetric matrices to
+    symmetric ones, and this block has the whole lift's spectral radius.
+    ``transposed`` builds each from B_j^T: (A kron A)^T = A^T kron A^T,
+    each product's factors swapped. The modes are read as given, not
+    checked again: a system's modes, or arrays derived from them.
 
     K = A kron A has K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)]
     exactly, so with c' the transposed position of column c every entry
@@ -77,11 +78,11 @@ def _sym_lifts(sys: JumpLinearSystem, e=0, transposed=False) -> np.ndarray:
     the scaling leaves an entry of B_j, or a product of two, below the
     normal range where that of A_j is not: the lift would lose digits.
     """
-    n, e = sys.n, np.broadcast_to(e, (sys.m,))
+    n, e = modes.shape[-1], np.broadcast_to(e, len(modes))
     p, q = _basis_pairs(n)
-    out = np.empty((sys.m, p.size, p.size))
+    out = np.empty((len(modes), p.size, p.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lift, mode, ej in zip(out, sys.modes, e):
+        for lift, mode, ej in zip(out, modes, e):
             mode = mode.T if transposed else mode
             a = np.ldexp(mode, -ej)
             sym, crossed = _kron_entries(a, p, q, lift)

@@ -2,8 +2,8 @@
 
 Three routes compute the squared Wasserstein-to-origin trajectory
 W^2(k) of a jump linear system started from a Gaussian mixture. Each
-steps the chain form of the law (see ``sysmodel``), so for a Markov law
-W^2(k) is the second moment of the chain that ``markov_test`` judges:
+steps the chain form of the law (see ``sysmodel``), so W^2(k) is the
+second moment of the chain whose map ``analyze`` judges:
 
 ``exact_mog``
     Pushes the full mixture through the mode maps. A component in chain
@@ -125,7 +125,7 @@ def _scaled_lifts(sys: JumpLinearSystem):
     exactly, powers of two being exact, or raise as _sym_lifts says."""
     tops = np.abs(sys.modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
-    return _sym_lifts(sys, e, transposed=True), 2 * e
+    return _sym_lifts(sys.modes, e, transposed=True), 2 * e
 
 
 def _lifted_push(rows, lifts, exps, live):

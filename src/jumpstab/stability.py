@@ -1,22 +1,19 @@
 """Mean-square stability verdicts for jump linear systems.
 
-Four tests cover the four switching laws:
-
-- ``iid_test``: spectral radius of sum_j pi_j (A_j kron A_j) against 1.
-- ``markov_test``: spectral radius of the chain-lifted matrix
-  diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I) against 1.
-- ``general_test``: for a schedule, the verdict rule below.
-- ``contraction_test``: scan of deterministic-sequence prefix products
-  for a first norm strictly below 1.
-
-``analyze`` judges IID, Markov and schedule laws by one rule. A law's
-chain form settles at step K0 (1 for IID, 2 for Markov, K for K rows),
-from which the map pair(K0) repeats. Each step's map is monotone on the
-PSD cone and x0 x0^T <= |x0|^2 I, so the process is stable from every
-start exactly when that map contracts on the smallest invariant face
-holding the image of I under steps 1 .. K0-1 (Vandergraft 1968). The
-rule folds each chain state's range through those steps, closes the
-ranges under the map, and runs the spectral test on that face.
+``analyze`` judges IID, Markov and schedule laws by one rule, and
+deterministic sequences by ``contraction_test``, a scan of prefix
+products for a first norm strictly below 1. ``iid_test`` and
+``general_test`` are ``analyze`` on an IID or a schedule law;
+``markov_test`` reads the spectral radius of the chain-lifted matrix
+diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I), the whole-chain
+map of the rule. A law's chain form settles at step K0 (1 for IID, 2
+for Markov, K for K rows), from which the map pair(K0) repeats. Each
+step's map is monotone on the PSD cone and x0 x0^T <= |x0|^2 I, so the
+process is stable from every start exactly when that map contracts on
+the smallest invariant face holding the image of I under steps 1 ..
+K0-1 (Vandergraft 1968). The rule folds each chain state's range
+through those steps, closes the ranges under the map, and runs the
+spectral test on that face.
 
 The spectral tests share one second-moment map,
 T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
@@ -47,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
-from .matkit import _as_floats, _sym_part, spectral_norm, spectral_radius
+from .matkit import _sym_part, as_square, spectral_norm, spectral_radius
 from .moments import DIVERGENCE_GUARD, _chain_lift, _moment_map, _sym_lifts
 from .sysmodel import (
     IIDSwitching,
@@ -58,9 +55,7 @@ from .sysmodel import (
     SwitchingLaw,
     _as_int,
     _reject,
-    as_probability_vector,
     check_law,
-    check_transition_matrix,
 )
 
 __all__ = [
@@ -233,38 +228,51 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     return verdict, evidence, x, used
 
 
-def _spectral_report(sys, mix, weights, margin, test_name) -> StabilityReport:
+def _spectral_report(modes, mix, weights, margin, name) -> StabilityReport:
     """Certified verdict on the map ``_moment_map(modes, mix, weights)``,
-    else the dense eigensolve of its matrix on symmetric matrices."""
-    margin = _check_margin(margin)
+    else the dense eigensolve of its matrix on symmetric matrices. The
+    caller has checked ``margin``."""
     certificate, evidence, _, used = _certified_radius(
-        _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
-    )
+        _moment_map(modes, mix, weights), mix.shape[0], modes.shape[-1],
+        margin)
     if evidence is None:
         live = weights.any(0)  # as in _moment_map: no 0 * inf
-        lift = _chain_lift(_sym_lifts(JumpLinearSystem(sys.modes[live])),
-                           mix[:, live], weights[:, live])
+        lift = _chain_lift(_sym_lifts(modes[live]), mix[:, live],
+                           weights[:, live])
         evidence = spectral_radius(lift)
         verdict = _spectral_verdict(evidence, margin)
     else:
         verdict = certificate
-    return StabilityReport(verdict, test_name, evidence,
+    return StabilityReport(verdict, name, evidence,
                            certificate=certificate, applications=used)
+
+
+def _whole(sys: JumpLinearSystem, law: SwitchingLaw, margin: float):
+    """The chain form of an IID, Markov or schedule law, checked against
+    ``sys`` by ``check_law``, the step from which its map repeats (1, 2
+    or the schedule's row count), and that map's report on the whole
+    space."""
+    _reject(check_law(law, sys.m))
+    rows = len(law.vectors) if isinstance(law, ScheduleSwitching) else None
+    name, settle = (("iid", 1) if isinstance(law, IIDSwitching) else
+                    ("markov", 2) if isinstance(law, MarkovSwitching) else
+                    ("general", rows))
+    pair = law._chain(sys.m)
+    report = _spectral_report(sys.modes, *pair(settle), margin, name)
+    return pair, settle, report._replace(horizon_used=rows)
 
 
 def iid_test(
     sys: JumpLinearSystem, pi, margin: float = DEFAULT_MARGIN
 ) -> StabilityReport:
-    """Spectral test for modes drawn independently from a fixed pi.
+    """Spectral test for modes drawn independently from a fixed pi:
+    ``analyze`` on ``IIDSwitching(pi)``.
 
     The second moment evolves by T(X) = sum_j pi_j A_j X A_j^T, the lift
     sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
     rho(T) < 1. This is the one-state chain of the Markov test.
     """
-    if as_probability_vector(pi, "pi").size != sys.m:
-        raise ValueError(f"pi has length {np.size(pi)} for {sys.m} modes")
-    return _spectral_report(sys, *IIDSwitching(pi)._chain(sys.m)(1),
-                            margin, "iid")
+    return analyze(sys, IIDSwitching(pi), margin)
 
 
 def markov_test(
@@ -284,16 +292,12 @@ def markov_test(
     Raises
     ------
     ValueError
-        If P is not row-stochastic of size m.
+        If P is not row-stochastic of size m, as ``check_law`` words it.
     """
-    p = _as_floats(P, "P")
-    if p.shape != (sys.m, sys.m):
-        raise ValueError(
-            f"P has shape {p.shape}, expected ({sys.m}, {sys.m})"
-        )
-    _reject(check_transition_matrix(p, "P"))
-    pair = MarkovSwitching(p, p[0])._chain(sys.m)(2)
-    return _spectral_report(sys, *pair, margin, "markov")
+    # the whole-chain map reads no pi0; P's size fixes the placeholder's
+    p = as_square(P, "P")
+    law = MarkovSwitching(p, np.eye(len(p))[0])
+    return _whole(sys, law, _check_margin(margin))[2]
 
 
 def general_test(
@@ -447,14 +451,8 @@ def analyze(
     _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
     if isinstance(law, SequenceSwitching):
         return contraction_test(sys, law, horizon)
-    _reject(check_law(law, sys.m))
-    rows = len(law.vectors) if isinstance(law, ScheduleSwitching) else None
-    name, settle = (("iid", 1) if isinstance(law, IIDSwitching) else
-                    ("markov", 2) if isinstance(law, MarkovSwitching) else
-                    ("general", rows))
-    pair, before = law._chain(sys.m), f"the steps before step {settle}"
-    whole = _spectral_report(sys, *pair(settle), margin, name)._replace(
-        horizon_used=rows)
+    pair, settle, whole = _whole(sys, law, margin)
+    before = f"the steps before step {settle}"
     bases, unclear = _reach(sys.modes, pair, settle)
     dims = [b.shape[1] for b in bases]
     keep = np.flatnonzero(dims)
@@ -471,12 +469,15 @@ def analyze(
             f"certificate are those of the map that repeats",))
     mix, weights = pair(settle)
     if len(bases) > 1:  # the charged chain states
-        sub, mix, weights = sys, mix[keep], weights[keep]
+        modes, mix, weights = sys.modes, mix[keep], weights[keep]
         note = (f"pi0 reaches {keep.size} of {len(bases)} chain states; from "
                 f"every initial law the spectral radius is ")
-    else:  # the one state's range
-        sub = JumpLinearSystem(bases[0].T @ sys.modes @ bases[0])
+    else:  # the one state's range, for the modes the map uses
+        live = weights.any(0)
+        modes = bases[0].T @ sys.modes[live] @ bases[0]
+        mix, weights = mix[:, live], weights[:, live]
         note = (f"{before} keep the second moment in a {dims[0]}-dimensional "
                 f"subspace; on the whole space the spectral radius is ")
-    return _spectral_report(sub, mix, weights, margin, name)._replace(
-        horizon_used=rows, notes=(f"{note}{whole.evidence:.12g}",))
+    report = _spectral_report(modes, mix, weights, margin, whole.test_name)
+    return report._replace(horizon_used=whole.horizon_used,
+                           notes=(f"{note}{whole.evidence:.12g}",))

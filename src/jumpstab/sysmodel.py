@@ -38,8 +38,6 @@ from .systemfile import (
     _LAW_FIELDS,
     ValidationReport,
     _law_violations,
-    _probability_violations,
-    _stochastic_violations,
     _weight_violations,
 )
 
@@ -54,9 +52,6 @@ __all__ = [
     "ValidationReport",
     "validate_system",
     "marginal_schedule",
-    "check_probability_vector",
-    "check_transition_matrix",
-    "as_probability_vector",
 ]
 
 #: Half the largest float64: a halved asymmetry above it cannot be doubled.
@@ -118,36 +113,10 @@ def _vector(v, name: str) -> np.ndarray:
     return x
 
 
-def check_probability_vector(v, name: str = "probabilities") -> list[str]:
-    """Probability-vector violations (empty if valid): entries in [0, 1]
-    up to roundoff slack, sum 1 within 1e-9."""
-    try:
-        x = _vector(v, name)
-    except ValueError as exc:
-        return [str(exc)]
-    return _probability_violations(x.tolist(), name)
-
-
-def as_probability_vector(v, name: str = "probabilities") -> np.ndarray:
-    """Validate, clamp roundoff negatives to 0, and renormalize to sum 1;
-    ``ValueError`` lists the violations beyond tolerance."""
-    _reject(check_probability_vector(v, name))
-    return _normalized(np.asarray(v, dtype=float))
-
-
 def _normalized(x: np.ndarray) -> np.ndarray:
     """Clamp negatives to 0 and renormalize each vector along the last axis."""
     x = np.clip(x, 0.0, None)
     return x / np.sum(x, axis=-1, keepdims=True)
-
-
-def check_transition_matrix(p, name: str = "P") -> list[str]:
-    """Row-stochasticity violations of a square matrix (empty if valid)."""
-    try:
-        mat = as_square(p, name)
-    except ValueError as exc:
-        return [str(exc)]
-    return _stochastic_violations(mat.tolist(), name)
 
 
 class JumpLinearSystem(_ReadOnly):

@@ -219,12 +219,6 @@ def _probability_violations(x, name: str) -> list[str]:
     return out + _sum_violations(x, name)
 
 
-def _stochastic_violations(rows, name: str) -> list[str]:
-    """Row-stochasticity violations of a matrix given as float rows."""
-    return [msg for i, row in enumerate(rows, 1)
-            for msg in _probability_violations(row, f"{name} row {i}")]
-
-
 def _law_violations(law: dict, m: int) -> list[str]:
     """Value violations of a switching law's file object against m modes."""
     kind = law["type"]
@@ -244,7 +238,8 @@ def _law_violations(law: dict, m: int) -> list[str]:
         return out + _probability_violations(law["pi"], "switching pi")
     k = len(law["P"])
     out = [] if k == m else [f"switching P is {k}x{k} for {m} modes"]
-    out += _stochastic_violations(law["P"], "switching P")
+    for i, row in enumerate(law["P"], 1):
+        out += _probability_violations(row, f"switching P row {i}")
     return out + _probability_violations(law["pi0"], "switching pi0")
 
 

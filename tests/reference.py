@@ -32,14 +32,16 @@ from jumpstab.sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     ScheduleSwitching,
-    as_probability_vector,
 )
 from jumpstab.systemfile import _weight_violations
 
 
 def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
-    """The n^2 reference lift sum_j pi_j (A_j kron A_j), acting on vec(Phi)."""
-    pi = as_probability_vector(pi_k, "pi_k")
+    """The n^2 reference lift sum_j pi_j (A_j kron A_j), acting on vec(Phi),
+    with pi the probability vector pi_k, roundoff negatives clamped to 0
+    and renormalized."""
+    pi = np.clip(np.asarray(pi_k, dtype=float), 0.0, None)
+    pi = pi / pi.sum()
     if pi.size != sys.m:
         raise ValueError(f"pi_k has length {pi.size} for {sys.m} modes")
     a, n2 = sys.modes, sys.n * sys.n

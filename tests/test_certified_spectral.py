@@ -47,7 +47,7 @@ def rotating_modes(rng, n, m):
 
 def dense_radius(sys, kind, w):
     """rho of the symmetric block of the lift, by the dense eigensolver."""
-    sym = _sym_lifts(sys)
+    sym = _sym_lifts(sys.modes)
     if kind == "iid":
         return spectral_radius(np.tensordot(np.asarray(w, float), sym, 1))
     size = sys.m * sym.shape[1]

@@ -424,8 +424,18 @@ class TestAnalyze:
          {"type": "schedule", "vectors": [[1, 0], [0, 1]]},
          ["verdict: stable", "evidence: spectral radius = 0.25",
           "horizon used: k=2"]),
+        # nor is it projected onto the face, where 1e308 would overflow
+        ({"a": [[0.5, 0.5], [0.5, 0.5]],
+          "huge": [[1e308, 1e308], [1e308, 1e308]],
+          "c": [[0.3, 0.3], [0.3, 0.3]]},
+         {"type": "schedule", "vectors": [[1, 0, 0], [0, 0, 1]]},
+         ["verdict: stable", "evidence: spectral radius = 0.36",
+          "horizon used: k=2",
+          "note: the steps before step 2 keep the second moment in a "
+          "1-dimensional subspace; on the whole space the spectral radius "
+          "is 0.36"]),
     ], ids=["onto-e1", "tiny-mode", "zero-mode", "spin", "dead-iid",
-            "dead-schedule"])
+            "dead-schedule", "dead-off-the-face"])
     def test_one_verdict_rule(self, write, capsys, modes, switching, lines):
         n = len(next(iter(modes.values())))
         doc = {"n": n, "modes": modes, "switching": switching, "initial": [

@@ -116,6 +116,35 @@ def test_one_dense_eigensolver_site():
     assert sites == [("matkit", "spectral_radius")]
 
 
+def system_builds(tree, stem):
+    """(module, enclosing function) of every call of JumpLinearSystem."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "JumpLinearSystem"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "JumpLinearSystem"):
+            yield stem, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(tree, None))
+
+
+def test_only_the_reader_builds_a_system():
+    """In the library only the file reader builds a system. The numerics
+    take mode arrays and wrap none they derive in a new system, whose
+    constructor would check them again."""
+    sites = [
+        site for stem in MODULES for site in system_builds(
+            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")), stem
+        )
+    ]
+    assert sites == [("systemfile", "_build")]
+
+
 #: numpy calls that form products of modes or assemble lifts, and the
 #: propagate kernel that steps coordinates through the lifts
 LIFT_BUILDERS = {"einsum", "tensordot", "swapaxes", "kron", "_lifted_push"}

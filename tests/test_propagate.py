@@ -103,7 +103,7 @@ class TestScaledLifts:
         sys = random_system(rng, m=3, n=3, scale=1e150)  # entries < 2^510
         lifts, exps = _scaled_lifts(sys)
         assert not np.any(exps)
-        assert_array_equal(lifts, np.swapaxes(_sym_lifts(sys), 1, 2))
+        assert_array_equal(lifts, np.swapaxes(_sym_lifts(sys.modes), 1, 2))
 
     def test_only_the_huge_mode_is_scaled_per_mode(self):
         huge = [[0.0, 1e160], [0.0, 0.0]]  # largest entry in [2^531, 2^532)
@@ -111,7 +111,7 @@ class TestScaledLifts:
         lifts, exps = _scaled_lifts(sys)
         assert_array_equal(exps, [44, 0])
         small = JumpLinearSystem(modes=[0.3 * np.eye(2)])
-        assert_array_equal(lifts[1], _sym_lifts(small)[0].T)
+        assert_array_equal(lifts[1], _sym_lifts(small.modes)[0].T)
         assert np.abs(lifts[0]).max() == np.ldexp(1e160, -22) ** 2
         assert_array_equal(_scaled_lifts(sys)[1], [44, 0])
 

@@ -98,13 +98,25 @@ class TestIidTest:
             ).evidence
             assert scaled == pytest.approx(c * c * base, rel=1e-9)
 
+    def test_is_analyze_on_an_iid_law(self):
+        rng = np.random.default_rng(173)
+        for t in range(50):
+            m, n = rng.integers(1, 4), rng.integers(1, 4)
+            pi = rng.dirichlet(np.ones(m))
+            if m > 1 and t % 4 == 0:  # a mode of weight 0
+                pi[0] = 0.0
+                pi /= pi.sum()
+            target = (0.5, 1.0, 2.0)[t % 3]  # 1.0 takes the dense fallback
+            sys = random_system_with_radius(rng, m, n, pi, target)
+            assert iid_test(sys, pi) == analyze(sys, IIDSwitching(pi))
+
     def test_invalid_pi(self):
         with pytest.raises(ValueError, match="probability sum"):
             iid_test(scalar_system(1.0, 2.0), [0.6, 0.6])
 
     @pytest.mark.parametrize("pi, message", [
-        ([1.0], "pi has length 1 for 2 modes"),
-        ([0.7, 0.7], "pi: probability sum 1.4 != 1"),
+        ([1.0], "switching pi has length 1 for 2 modes"),
+        ([0.7, 0.7], "switching pi: probability sum 1.4 != 1"),
     ], ids=["length", "sum"])
     def test_errors_name_the_argument(self, pi, message):
         with pytest.raises(ValueError) as caught:
@@ -199,12 +211,15 @@ class TestMarkovTest:
             markov_test(sys, _normalized(p)).evidence, rel=1e-12, abs=0)
 
     def test_rejects_bad_transition_matrix(self):
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError) as caught:
             markov_test(scalar_system(1.0, 1.0), [[0.5, 0.6], [0.5, 0.5]])
+        assert str(caught.value) == (
+            "switching P row 1: probability sum 1.1 != 1")
 
     def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError) as caught:
             markov_test(scalar_system(1.0, 1.0), np.eye(3))
+        assert str(caught.value) == "switching P is 3x3 for 2 modes"
 
 
 class TestGeneralTest:
@@ -573,7 +588,7 @@ def growth(sys, law, steps=400):
     for k in range(1, settle):
         y = _moment_map(sys.modes, *pair(k))(y)
     power = np.linalg.matrix_power(
-        _chain_lift(_sym_lifts(sys), *pair(settle)), 8)
+        _chain_lift(_sym_lifts(sys.modes), *pair(settle)), 8)
     v, logs = _sym_coords(y).ravel(), []
     for _ in range(steps // 8):
         v = power @ v
@@ -709,6 +724,23 @@ class TestOneVerdictRule:
         assert seen == {"", "pi0 reaches 1 of 2 chain", "pi0 reaches 1 of 3 "
                         "chain", "pi0 reaches 2 of 3 chain",
                         "the steps before step 2 ", "the steps before step 3 "}
+
+    def test_markov_test_reads_the_whole_chain(self):
+        # markov_test's radius is the one analyze's note gives where pi0
+        # leaves states out; elsewhere analyze reports the same map
+        noted = 0
+        for sys, law in structured_family(300):
+            if not isinstance(law, MarkovSwitching):
+                continue
+            report, whole = analyze(sys, law), markov_test(sys, law.P)
+            note = report.notes[0] if report.notes else ""
+            if note.startswith("pi0 reaches"):
+                noted += 1
+                assert note.endswith(f" is {format(whole.evidence, '.12g')}")
+            else:
+                assert report._replace(verdict=whole.verdict,
+                                       notes=()) == whole
+        assert noted > 0
 
 
 class TestAnalyzeDispatch:

@@ -63,7 +63,7 @@ class TestBlocks:
         sys = rotating_system(np.random.default_rng(seed), n, m)
         assert any(np.iscomplexobj(np.linalg.eigvals(a)) for a in sys.modes) \
             or n == 1
-        sym = _sym_lifts(sys)
+        sym = _sym_lifts(sys.modes)
         u, v = bases(n)
         s = n * (n + 1) // 2
         assert sym.shape == (m, s, s)
@@ -140,7 +140,7 @@ def test_map_and_its_matrix_are_one_operator(n, m, chain):
         mix, weights = random_chain(rng, m), np.eye(m)
     states, u = mix.shape[0], bases(n)[0]
     size = u.shape[1]
-    matrix = _chain_lift(_sym_lifts(sys), mix, weights)
+    matrix = _chain_lift(_sym_lifts(sys.modes), mix, weights)
     assert matrix.shape == (states * size, states * size)
     apply = _moment_map(sys.modes, mix, weights)
     columns = np.zeros_like(matrix)

@@ -23,8 +23,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     SequenceSwitching,
     _normalized,
-    as_probability_vector,
-    check_probability_vector,
+    check_law,
     marginal_schedule,
     validate_system,
 )
@@ -167,26 +166,29 @@ class TestGaussianMixture:
 
 
 class TestProbabilityVectors:
+    """A law's probability vectors are checked by ``check_law`` and
+    normalized by its chain form."""
+
     def test_valid_passes(self):
-        assert check_probability_vector([0.3, 0.7]) == []
+        assert check_law(IIDSwitching([0.3, 0.7]), 2) == []
 
     def test_bad_sum_message(self):
-        msgs = check_probability_vector([0.6, 0.6], "pi")
-        assert len(msgs) == 1
-        assert "probability sum 1.2 != 1" in msgs[0]
+        assert check_law(IIDSwitching([0.6, 0.6]), 2) == [
+            "switching pi: probability sum 1.2 != 1"]
 
     def test_negative_entry(self):
-        msgs = check_probability_vector([-0.2, 1.2])
+        msgs = check_law(IIDSwitching([-0.2, 1.2]), 2)
         assert any("[0, 1]" in m for m in msgs)
 
     def test_renormalization_within_tolerance(self):
         v = np.array([0.5, 0.5 + 5e-10])
-        out = as_probability_vector(v)
+        assert check_law(IIDSwitching(v), 2) == []
+        out = marginal_schedule(IIDSwitching(v), 1)[0]
         assert np.sum(out) == pytest.approx(1.0, abs=1e-15)
 
     def test_hard_error_beyond_tolerance(self):
         with pytest.raises(ValueError, match="probability sum"):
-            as_probability_vector([0.6, 0.6])
+            analyze(two_mode_system(), IIDSwitching([0.6, 0.6]))
 
 
 class TestValidateSystem:
@@ -380,7 +382,7 @@ class TestMarginalSchedule:
                 rows[0, 0] += rows[0, -1] + 4e-13
                 rows[0, -1] = -4e-13
             out = marginal_schedule(ScheduleSwitching(rows), 5)
-            expected = [as_probability_vector(row) for row in rows]
+            expected = [r / r.sum() for r in np.clip(rows, 0.0, None)]
             assert_array_equal(out, expected + expected[-1:] * 2)
             assert np.all(out >= 0.0)
             assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-15)
