@@ -23,26 +23,27 @@ ensemble size, nor the chunking, nor ``k_max``; ``threads`` is ignored.
 Kernel
 ------
 Initial states are drawn, and states advanced in place, in blocks of
-``_CHUNK`` = 4096 trajectories; each block forms its counters G*(t+1)
-and draws its own slots. A step writes each block's squared norms into
-one row, reduced to the step's mean, standard error and kurtosis
-(summed pairwise by numpy, in one scratch row) before the next step
-starts. So the ensemble holds 8*(n+2) bytes per trajectory, plus one
-byte of chain state under a Markov law, and one block's temporaries,
-whatever ``k_max``. A block's start is gathered into the states in
-place, and every block's squares go into one reused (4096, n) buffer.
-No start factor needs an eigensolver: a point-mass component's is
-exact zeros, a definite one's numpy's Cholesky factor and a singular
-one's a diagonal-pivoted Cholesky factor (``_psd_factor``). When every
-component is a point mass, the start draws no normals and x(0) is the
-picked means, the value the draws would add 0 to.
+``_CHUNK`` = 4096 trajectories. Each block draws its own slots, a step's
+picks as 53-bit words in two reused block buffers (``_bits``). A step
+writes each block's squared norms into one block buffer and, while they
+are in cache, folds them into the step's merged moments (``_fold``),
+which give its mean, standard error and kurtosis before the next step
+starts. So the ensemble holds 8*n bytes per trajectory, plus one byte of
+chain state under a Markov law, and one block's temporaries, whatever
+``k_max``. A block's start is gathered into the states in place, and
+every block's squares go into one reused (4096, n) buffer. No start
+factor needs an eigensolver: a point-mass component's is exact zeros, a
+definite one's numpy's Cholesky factor and a singular one's a
+diagonal-pivoted Cholesky factor (``_psd_factor``). When every component
+is a point mass, the start draws no normals and x(0) is the picked
+means, the value the draws would add 0 to.
 
 For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a block's states
-are multiplied by every transposed mode at once, an (m, count, n)
-product, keeping each trajectory's row of its picked mode; past 8
-modes that m-fold product costs more than it saves, and at n = 1 a
-product is one multiplication, so the block is instead multiplied by
-a gathered (count, n, n) stack.
+are multiplied by every transposed mode at once, one (count, m*n)
+product x [A_1^T ... A_m^T] into a reused buffer, keeping each
+trajectory's row of its picked mode; past 8 modes that m-fold product
+costs more than it saves, and at n = 1 a product is one multiplication,
+so the block is instead multiplied by a gathered (count, n, n) stack.
 
 Each law has one process, its chain form ``law._chain(m)``, which the
 analytic routes and the verdicts step and the ensemble samples: each
@@ -54,6 +55,7 @@ law's process, ``ScheduleSwitching(marginal_schedule(law, k_max))``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -172,85 +174,97 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _pick(uniforms: np.ndarray, cuts) -> np.ndarray:
-    """Index of the weight bucket each uniform falls into.
-
+def _pick(bits: np.ndarray, cuts) -> np.ndarray:
+    """Index of the weight bucket each draw's u = bits 2^-53 falls into;
     ``cuts`` are the first m-1 cumulative weights, each a scalar or one
-    value per uniform; bucket j covers [cut_{j-1}, cut_j).
-    """
-    idx = np.zeros(uniforms.shape, dtype=np.intp)
+    per draw, and bucket j covers [cut_{j-1}, cut_j). Integer cuts would
+    save the scaling, but they raised the peak RSS of a 40,960-trajectory
+    ``simulate`` process by about 0.2 MB."""
+    u = bits * 2.0**-53
+    idx = np.zeros(bits.shape, dtype=np.intp)
     for cut in cuts:
-        idx += uniforms >= cut
+        idx += u >= cut
     return idx
 
 
-def _step_moments(row: np.ndarray, scratch: np.ndarray):
-    """Mean, standard error and plain kurtosis of one step's finite
-    squared norms, a row of T values; overwrites it and ``scratch``.
-
-    A row whose plain sum overflows is averaged after scaling to
-    magnitude <= 1. The deviations are formed in the row, their squares
-    in ``scratch``. The standard error, sample standard deviation (ddof
-    1) over sqrt(T), is zero for T = 1 and, where the plain sum of
-    squares overflows, taken from the deviations scaled to magnitude
-    <= 1. The biased kurtosis m4 / m2^2 (Gaussian = 3) squares those
-    scaled deviations in place; it is nan where the spread is at
-    rounding level, the samples numerically identical and their
-    kurtosis cancellation noise.
-    """
-    big_t = row.size
-    with np.errstate(over="ignore"):
-        mean = row.mean()
-    if not np.isfinite(mean):
-        top = np.abs(row, out=scratch).max()
-        mean = top * np.divide(row, top, out=scratch).mean()
-    if big_t < 2:
-        return mean, 0.0, np.nan
-    # x - mean rounds monotonically in x: the extreme deviations
-    top = max(row.max() - mean, mean - row.min())
+def _fold(record, row: np.ndarray, sq: np.ndarray):
+    """``record`` merged with the moments of ``row``, one block's squared
+    norms (None before a step's first block); overwrites ``row``, ``sq``.
+    A record is (count, e, mean, M2, M3, M4) of norms scaled by 2^-e, M_p
+    the sum of their deviations' p-th powers, 2^e the power of two above
+    a block's largest norm (and 2^-1022). No scaled moment overflows, and
+    scaling rounds nothing: one block's mean and M2 are numpy's two-pass
+    bits, scaled. Records merge by the pairwise update of Chan, Golub &
+    LeVeque (Am. Stat. 37, 1983) and Pebay (SAND2008-6212, 2008) in the
+    larger frame, the smaller one rescaled by an exact power of two."""
+    e = math.frexp(max(row.max(), _TINY))[1]
+    row *= math.ldexp(1.0, -e)
+    mean = float(np.add.reduce(row)) / row.size  # row.mean(), called faster
     dev = np.subtract(row, mean, out=row)
-    with np.errstate(over="ignore"):
-        sumsq = np.sum(np.square(dev, out=scratch))
-    std = np.sqrt(sumsq / (big_t - 1))
-    if top == 0.0:
-        top = 1.0
-    dev /= top
-    m2 = np.sum(np.square(dev, out=dev))
-    if not np.isfinite(std):
-        std = top * np.sqrt(m2 / (big_t - 1))
-    m2 /= big_t
-    stderr = std / np.sqrt(big_t)
-    if stderr <= 1e-12 * max(abs(mean), _TINY):
-        return mean, stderr, np.nan
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kurtosis = np.mean(np.square(dev, out=dev)) / (m2 * m2)
-    return mean, stderr, kurtosis
+    np.square(dev, out=sq)
+    block = (float(row.size), e, mean, float(np.add.reduce(sq)),
+             float(sq @ dev), float(sq @ sq))
+    if record is None:
+        return block
+    e = max(e, record[1])
+    (na, ma, m2a, m3a, m4a), (nb, mb, m2b, m3b, m4b) = (
+        (r[0], r[2] * s, r[3] * s * s, r[4] * s**3, r[5] * s**4)
+        for r, s in ((r, math.ldexp(1.0, r[1] - e)) for r in (record, block)))
+    n, d = na + nb, mb - ma
+    dn = d / n
+    return (n, e, ma + nb * dn, m2a + m2b + na * nb * d * dn,
+            m3a + m3b + na * nb * (na - nb) * d * dn * dn
+            + 3 * dn * (na * m2b - nb * m2a),
+            m4a + m4b + na * nb * (na * na - na * nb + nb * nb) * d * dn**3
+            + 6 * dn * dn * (na * na * m2b + nb * nb * m2a)
+            + 4 * dn * (na * m3b - nb * m3a))
 
 
-def _mix(z):
-    """SplitMix64's mix: on an int, or in place on a wrapping uint64 array."""
+def _finish(record, k: int):
+    """Step k's mean, standard error (ddof 1, over sqrt(T); 0 for T = 1)
+    and plain kurtosis m4 / m2^2 from its record; the kurtosis is nan where
+    the standard error is at most 1e-12 of the mean, at rounding level."""
+    count, e, mean, m2, _, m4 = record
+    if not math.isfinite(mean):
+        raise NumericalError(f"squared state norms overflow float64 at k={k}")
+    stderr = math.sqrt(m2 / max(count - 1, 1)) / math.sqrt(count)
+    kurtosis = (m4 / count / (m2 / count) ** 2
+                if stderr > 1e-12 * max(mean, _TINY) else np.nan)
+    return math.ldexp(mean, e), math.ldexp(stderr, e), kurtosis
+
+
+def _mix(z, tmp=None):
+    """SplitMix64's mix: on an int, or in place on a wrapping uint64
+    array, its shifts written to ``tmp`` if given."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> shift
+        z ^= z >> shift if tmp is None else np.right_shift(z, shift, out=tmp)
         z *= mult
         if isinstance(z, int):
             z &= _MASK
-    z ^= z >> 31
+    z ^= z >> 31 if tmp is None else np.right_shift(z, 31, out=tmp)
     return z
 
 
-def _uniforms(seed: int, d: int, weyl: np.ndarray) -> np.ndarray:
-    """u(d, t) for the trajectories t whose G*(t+1) mod 2^64 are ``weyl``;
-    key(d) is a Python int, as numpy's uint64 scalars warn on overflow."""
-    key = _mix((seed + _GAMMA * (d + 1)) & _MASK)
-    return (_mix(weyl + key) >> 11) * 2.0**-53
+def _bits(seed: int, d: int, lo: int, base, out, tmp) -> np.ndarray:
+    """word(d, t) >> 11, the bits u(d, t) scales by 2^-53, for t = lo ..
+    lo + out.size - 1, in place in ``out``; ``base`` holds G*(i+1) for a
+    block's offsets i, G*lo is folded into the key (a Python int, as
+    numpy's uint64 scalars warn on overflow), and ``tmp`` takes shifts."""
+    key = _mix((seed + _GAMMA * (d + 1)) & _MASK) + _GAMMA * lo & _MASK
+    _mix(np.add(base[:out.size], key, out=out), tmp)
+    return np.right_shift(out, 11, out=out)
 
 
-def _normals(seed: int, n: int, weyl: np.ndarray) -> np.ndarray:
-    """(n, count) standard normals of the trajectories of ``weyl``."""
-    u = np.array([_uniforms(seed, d, weyl) for d in range(1, n + n % 2 + 1)])
+def _normals(seed: int, n: int, lo: int, base: np.ndarray) -> np.ndarray:
+    """(n, count) standard normals of trajectories lo .. lo + count - 1,
+    ``base`` their counters G*(i+1) from the block's start."""
+    u = np.empty((n + n % 2 + 1, base.size), np.uint64)  # last row: scratch
+    for d, row in enumerate(u[:-1], 1):
+        _bits(seed, d, lo, base, row, u[-1])
+    u = u[:-1] * 2.0**-53
     radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     angle = 2.0 * np.pi * u[1::2]
-    z = np.empty((n, weyl.size))
+    z = np.empty((n, base.size))
     z[0::2] = radius * np.cos(angle)
     z[1::2] = radius[:n // 2] * np.sin(angle[:n // 2])
     return z
@@ -295,9 +309,10 @@ def simulate_ensemble(
     mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
     samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
-    normsq, scratch = np.empty((2, big_t))
+    block = min(big_t, _CHUNK)
+    normsq, sq = np.empty((2, block))  # a block's norms, squared deviations
     # one block's gathered start images, then its squared states
-    squares = np.empty((min(big_t, _CHUNK), n))
+    squares = np.empty((block, n))
 
     cum_init = np.cumsum(init.weights / np.sum(init.weights))[:-1]
     factors = np.stack([_psd_factor(c) for c in init.covs])
@@ -305,45 +320,46 @@ def simulate_ensemble(
     mode_t = np.transpose(sys.modes, (0, 2, 1)).copy()
     all_modes = n > 1 and m <= _ALL_MODES_MAX
     ones = np.ones(n)
-    offsets = np.arange(min(big_t, _CHUNK))
+    offsets = np.arange(block)
     base = (offsets + 1).astype(np.uint64) * _GAMMA
 
-    def blocks():  # each block's rows, size and counters G*(t+1)
+    def blocks():  # each block's rows, size and first trajectory
         for lo in range(0, big_t, _CHUNK):
             c = min(_CHUNK, big_t - lo)
-            yield slice(lo, lo + c), c, base[:c] + (_GAMMA * lo & _MASK)
+            yield slice(lo, lo + c), c, lo
 
-    def square(rows, count) -> None:
+    def fold(rows, count, record):
         # a matrix-vector product: faster than einsum's row dots
         np.matmul(np.square(x[rows], out=squares[:count]), ones,
-                  out=normsq[rows])
+                  out=normsq[:count])
+        return _fold(record, normsq[:count], sq[:count])
 
-    def reduce(k: int) -> None:
-        if not np.isfinite(normsq.max()):
-            raise NumericalError(
-                f"squared state norms overflow float64 at k={k}"
-            )
-        mean_sq[k], stderr[k], kurtosis[k] = _step_moments(normsq, scratch)
-
-    # overflow is caught on each step's complete row
+    # overflow is caught on each step's merged mean
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, count, weyl in blocks():
-            idx0 = _pick(_uniforms(cfg.seed, 0, weyl), cum_init)
+        record = None
+        for rows, count, lo in blocks():
+            idx0 = _pick(_bits(cfg.seed, 0, lo, base,
+                               *np.empty((2, count), np.uint64)), cum_init)
             # take: a faster gather than [idx0]
             init.means.take(idx0, axis=0, out=x[rows])
             if spread:
                 # each component's image of the normals, (q, count, n)
                 images = np.einsum("cab,bt->cta", factors,
-                                   _normals(cfg.seed, n, weyl))
+                                   _normals(cfg.seed, n, lo, base[:count]))
                 x[rows] += images.reshape(-1, n).take(
                     idx0 * count + offsets[:count], axis=0,
                     out=squares[:count])
-            square(rows, count)
-        reduce(0)
+            record = fold(rows, count, record)
+        mean_sq[0], stderr[0], kurtosis[0] = _finish(record, 0)
         pair = law._chain(m)
         states = len(pair(1)[1])  # the chain states a step leads to
         if states > 1:  # each trajectory's chain state, read by its pick
             state = np.empty(big_t, np.min_scalar_type(states - 1))
+        # made after the start, so they add nothing to its peak
+        words = np.empty((2, block), np.uint64)
+        if all_modes:  # [A_1^T ... A_m^T], its product, each row's base
+            stacked = np.concatenate(mode_t, axis=1)
+            products, spots = np.empty((block, m * n)), offsets * m
         for k in range(1, k_max + 1):
             mix, weights = pair(k)
             # step k's mode law from state s: mode i with probability
@@ -351,24 +367,25 @@ def simulate_ensemble(
             rows_of = mix * weights.sum(axis=0)
             cuts = np.cumsum(rows_of.T[:-1], axis=0)  # [j][s]
             to = weights.argmax(axis=0)  # the state each mode leads to
-            for rows, count, weyl in blocks():
+            record = None
+            for rows, count, lo in blocks():
                 # slot 1 + 2*ceil(n/2) + k-1 picks step k's mode; lazily,
                 # one block's row of state cuts is held at a time
-                picks = _pick(_uniforms(cfg.seed, n + n % 2 + k, weyl),
+                picks = _pick(_bits(cfg.seed, n + n % 2 + k, lo, base,
+                                    *words[:, :count]),
                               cuts[:, 0] if len(rows_of) == 1 else
                               (cut.take(state[rows]) for cut in cuts))
                 if states > 1:
                     state[rows] = to.take(picks)
-                if all_modes:
-                    # take each row of the (m, count, n) product by its
-                    # flat index: a faster gather than [picks, offsets]
-                    np.take(np.matmul(x[rows], mode_t).reshape(-1, n),
-                            picks * count + offsets[:count], axis=0,
-                            out=x[rows], mode="clip")
+                if all_modes:  # row picks[i] + m*i of the (count*m, n) product
+                    picks += spots[:count]
+                    np.take(np.matmul(x[rows], stacked,
+                                      out=products[:count]).reshape(-1, n),
+                            picks, axis=0, out=x[rows], mode="clip")
                 else:
                     x[rows] = (x[rows, None] @ mode_t.take(picks, 0))[:, 0]
-                square(rows, count)
-            reduce(k)
+                record = fold(rows, count, record)
+            mean_sq[k], stderr[k], kurtosis[k] = _finish(record, k)
 
     return EnsembleStats(mean_sq, stderr, samples,
                          kurtosis > KURTOSIS_THRESHOLD)

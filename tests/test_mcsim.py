@@ -6,6 +6,7 @@ bit equality.
 """
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -16,11 +17,12 @@ from jumpstab.matkit import NumericalError, _psd_slack, _sym_part
 from jumpstab import mcsim, sysmodel
 from jumpstab.mcsim import (
     SimConfig,
+    _bits,
+    _finish,
+    _fold,
     _mix,
     _normals,
     _psd_factor,
-    _step_moments,
-    _uniforms,
     simulate_ensemble,
 )
 from jumpstab.propagate import w2_trajectory
@@ -483,6 +485,51 @@ class TestSimulateEnsemble:
         # 4 KiB of slack for the interpreter's own allocations
         assert peaks[1] - peaks[0] <= 8 * 4096 * per_trajectory + 4096
 
+    @pytest.mark.parametrize("n, law, sampling", [
+        (4, IIDSwitching([0.2, 0.3, 0.5]), "marginal"),
+        (3, ScheduleSwitching([[0.9, 0.05, 0.05], [0.2, 0.3, 0.5]]),
+         "marginal"),
+        (2, MarkovSwitching([[0.3, 0.3, 0.4], [0.6, 0.2, 0.2],
+                             [0.1, 0.1, 0.8]], [0.5, 0.25, 0.25]), "path"),
+    ], ids=["iid", "schedule", "markov-path"])
+    def test_peak_grows_by_the_states_only(self, n, law, sampling):
+        # per trajectory: its state, and under path sampling its last
+        # mode in one byte; each block's squared norms are folded into
+        # the step's moments in one block buffer, so no other array
+        # grows with the ensemble
+        rng = np.random.default_rng(n)
+        sys = JumpLinearSystem(modes=[rng.standard_normal((n, n))
+                                      for _ in range(3)])
+        mix = GaussianMixture.from_components(
+            [(0.4, np.zeros(n), np.eye(n)), (0.6, np.ones(n), np.eye(n))])
+        peaks = [traced_peak(simulate_ensemble, sys, law, mix,
+                             SimConfig(blocks * 4096, 5, seed=3,
+                                       sampling=sampling))[1]
+                 for blocks in (4, 12)]
+        per_trajectory = 8 * n + (sampling == "path")
+        # 4 KiB of slack for the interpreter's own allocations
+        assert peaks[1] - peaks[0] <= 8 * 4096 * per_trajectory + 4096
+
+    def test_overflow_in_the_ragged_block_names_its_step(self):
+        # at seed 2545 only trajectory 8196, the last of the ragged third
+        # block, draws u(0, t) above the cut, so it alone starts at 1e150;
+        # mode 10 takes its squared norm to 1e308 at k = 4 and past the
+        # largest float at k = 5, and every other one's to 1e10
+        u0 = reference_uniforms(2545, 0, 2 * 4096 + 5)
+        second, top = np.sort(u0)[-2:]
+        assert u0.argmax() == 2 * 4096 + 4
+        cut = (second + top) / 2
+        mix = GaussianMixture.from_components(
+            [(cut, [1.0], [[0.0]]), (1.0 - cut, [1e150], [[0.0]])])
+        cfg = lambda k_max: SimConfig(2 * 4096 + 5, k_max, seed=2545)
+        stats = simulate_ensemble(scalar_system(10.0), IIDSwitching([1.0]),
+                                  mix, cfg(4))
+        assert_allclose(stats.mean_sq[4], (1e308 + 8196e8) / 8197,
+                        rtol=1e-14)
+        with pytest.raises(NumericalError, match=r"overflow float64 at k=5$"):
+            simulate_ensemble(scalar_system(10.0), IIDSwitching([1.0]),
+                              mix, cfg(8))
+
     @pytest.mark.parametrize("law, sampling", [
         (IIDSwitching([0.5, 0.5]), "marginal"),
         (ScheduleSwitching([[0.9, 0.1], [0.2, 0.8]]), "marginal"),
@@ -717,6 +764,12 @@ def weyl(lo, count):
     return np.arange(lo + 1, lo + count + 1, dtype=np.uint64) * GAMMA
 
 
+def uniforms(seed, d, lo, count):
+    """u(d, t) for t = lo .. lo + count - 1, from the simulator's words."""
+    return _bits(seed, d, lo, weyl(0, count),
+                 *np.empty((2, count), np.uint64)) * 2.0**-53
+
+
 class TestGenerator:
     """The counter-based SplitMix64 against a sequential one in Python
     ints (``reference.splitmix64``)."""
@@ -729,9 +782,9 @@ class TestGenerator:
             assert _mix((seed + GAMMA * (d + 1)) & MASK) == key
             assert _mix(weyl(0, 8) + key).tolist() == list(
                 itertools.islice(splitmix64(key), 8))
-            assert_array_equal(_uniforms(seed, d, weyl(0, 8)),
+            assert_array_equal(uniforms(seed, d, 0, 8),
                                reference_uniforms(seed, d, 8))
-            assert_array_equal(_uniforms(seed, d, weyl(5, 3)),
+            assert_array_equal(uniforms(seed, d, 5, 3),
                                reference_uniforms(seed, d, 8)[5:])
 
     def test_far_slots_and_trajectories(self):
@@ -740,27 +793,27 @@ class TestGenerator:
         seed, d, t = 2**64 - 1, 10**15, 2**40
         key = next(splitmix64((seed + GAMMA * d) & MASK))
         word = next(splitmix64((key + GAMMA * t) & MASK))
-        assert _uniforms(seed, d, weyl(t, 1))[0] == (word >> 11) * 2.0**-53
+        assert uniforms(seed, d, t, 1)[0] == (word >> 11) * 2.0**-53
 
     def test_uniform_histogram(self):
         # 64 bins of 2^16 uniforms: chi-square (63 degrees of freedom)
         # below its 1e-6 upper quantile, scipy.stats.chi2.isf(1e-6, 63)
         counts = np.bincount(
-            (_uniforms(2024, 0, weyl(0, 2**16)) * 64).astype(int),
+            (uniforms(2024, 0, 0, 2**16) * 64).astype(int),
             minlength=64)
         expected = 2**16 / 64
         assert np.sum((counts - expected) ** 2 / expected) < 131.37
 
     def test_neighbours_uncorrelated(self):
         big_n = 2**16
-        u = _uniforms(2025, 5, weyl(0, big_n + 1))
-        next_slot = _uniforms(2025, 6, weyl(0, big_n))
+        u = uniforms(2025, 5, 0, big_n + 1)
+        next_slot = uniforms(2025, 6, 0, big_n)
         for a, b in ((u[:-1], next_slot), (u[:-1], u[1:])):
             assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(big_n)
 
     def test_box_muller_moments(self):
         # n = 3: two pairs, the last sine dropped
-        z = _normals(2026, 3, weyl(0, 2**15)).ravel()
+        z = _normals(2026, 3, 0, weyl(0, 2**15)).ravel()
         size = z.size
         assert abs(z.mean()) < 5 / np.sqrt(size)
         assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / size)
@@ -772,22 +825,23 @@ def recorded_draws(monkeypatch, sys, law, mix, cfg):
     """Every draw of one run, read from the simulator's own calls: the
     uniforms of each slot, {d: (T,)}, and the (n, T) normals."""
     slots, normals = {}, np.full((sys.n, cfg.trajectories), np.nan)
-    # the trajectories of the counters G*(t+1): G is odd, so invertible
-    trajectory = lambda counters: counters * pow(GAMMA, -1, 2**64) - 1
 
-    def uniforms(seed, d, counters):
-        u = _uniforms(seed, d, counters)
+    # every word helper call gets the counters G*(i+1) of a block's
+    # offsets i, and draws trajectories lo .. lo + out.size - 1
+    def bits(seed, d, lo, base, out, tmp):
+        assert_array_equal(base[:out.size], weyl(0, out.size))
+        words = _bits(seed, d, lo, base, out, tmp)
         row = slots.setdefault(d, np.full(cfg.trajectories, np.nan))
-        row[trajectory(counters)] = u
-        return u
+        row[lo:lo + words.size] = words * 2.0**-53
+        return words
 
-    def gaussians(seed, n, counters):
-        z = _normals(seed, n, counters)
-        normals[:, trajectory(counters)] = z
+    def gaussians(seed, n, lo, base):
+        z = _normals(seed, n, lo, base)
+        normals[:, lo:lo + base.size] = z
         return z
 
     with monkeypatch.context() as patch:
-        patch.setattr(mcsim, "_uniforms", uniforms)
+        patch.setattr(mcsim, "_bits", bits)
         patch.setattr(mcsim, "_normals", gaussians)
         simulate_ensemble(sys, law, mix, cfg)
     assert not np.isnan(normals).any()
@@ -859,12 +913,19 @@ def step_major(samples):
     return np.ascontiguousarray(samples.T)
 
 
-def step_moments(normsq):
+def step_moments(normsq, chunk=mcsim._CHUNK):
     """The (3, steps) mean, standard error and kurtosis of the step-major
-    ``normsq``, reduced one step at a time as the simulator does; each
-    row is copied, as the reduction overwrites it and its scratch row."""
-    return np.array([_step_moments(row.copy(), np.empty_like(row))
-                     for row in normsq]).T
+    ``normsq``, each row folded in blocks of ``chunk`` as the simulator
+    does; each block is copied, as the fold overwrites it and its
+    scratch."""
+    moments = []
+    for k, row in enumerate(normsq):
+        record = None
+        for lo in range(0, row.size, chunk):
+            block = row[lo:lo + chunk].copy()
+            record = _fold(record, block, np.empty_like(block))
+        moments.append(_finish(record, k))
+    return np.array(moments).T
 
 
 class TestKurtosis:
@@ -917,6 +978,54 @@ class TestScaledMoments:
         assert_array_equal(mean, [1e308])
         assert_array_equal(stderr, [0.0])
         assert np.isnan(kurtosis).all()
+
+
+def _split_rows():
+    rng = np.random.default_rng(211)
+    tiny = rng.uniform(0.5, 1.0, 4096) * 2.0**-600
+    return {
+        "log-normal": rng.lognormal(0.0, 2.0, 2 * 4096 + 1000),
+        "squared-cauchy": rng.standard_cauchy(4096 + 3000) ** 2,
+        "near-1e308": rng.uniform(0.5, 1.0, 4096 + 100) * 1e308,
+        "1e308-rows": np.tile([1e308, 1e308, 1.5e308], 5),
+        # block maxima 2^600 apart, in both orders of merge
+        "frames-2^600-apart": np.concatenate(
+            [tiny, rng.uniform(0.5, 1.0, 4096), tiny[:99]]),
+    }
+
+
+SPLIT_ROWS = _split_rows()
+
+
+def two_pass(row):
+    """Mean and standard error (ddof 1) of ``row``, each sum exactly
+    rounded by math.fsum, on the row scaled by a power of two so that no
+    square overflows."""
+    scale = 2.0 ** -math.frexp(row.max())[1]
+    y = row * scale
+    mean = math.fsum(y) / y.size
+    var = math.fsum((v - mean) ** 2 for v in y) / (y.size - 1)
+    return mean / scale, math.sqrt(var / y.size) / scale
+
+
+class TestBlockMoments:
+    """A step's moments folded block by block and merged pairwise, against
+    references that read the whole row at once."""
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("name", list(SPLIT_ROWS))
+    def test_split_rows_match_the_whole_row(self, name, chunk):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        row = SPLIT_ROWS[name]
+        assert row.size % chunk  # a ragged last block
+        (mean,), (stderr,), (kurtosis,) = step_moments(row[None], chunk)
+        ref_mean, ref_stderr = two_pass(row)
+        assert mean == pytest.approx(ref_mean, rel=1e-14, abs=0.0)
+        assert stderr == pytest.approx(ref_stderr, rel=1e-14, abs=0.0)
+        # kurtosis is scale-free; the scaling keeps scipy's 4th powers finite
+        oracle = scipy_stats.kurtosis(row * 2.0 ** -math.frexp(row.max())[1],
+                                      fisher=False, bias=True)
+        assert kurtosis == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("sampling", ["marginal", "path"])
