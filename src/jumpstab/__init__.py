@@ -35,8 +35,6 @@ _EXPORTS = {
         "StabilityReport",
         "analyze",
         "contraction_test",
-        "general_test",
-        "iid_test",
         "markov_test",
     ),
     "sysmodel": (

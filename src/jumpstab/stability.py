@@ -1,19 +1,18 @@
 """Mean-square stability verdicts for jump linear systems.
 
-``analyze`` judges IID, Markov and schedule laws by one rule, and
-deterministic sequences by ``contraction_test``, a scan of prefix
-products for a first norm strictly below 1. ``iid_test`` and
-``general_test`` are ``analyze`` on an IID or a schedule law;
-``markov_test`` reads the spectral radius of the chain-lifted matrix
-diag(A_1 kron A_1, ..., A_m kron A_m) (P^T kron I), the whole-chain
-map of the rule. A law's chain form settles at step K0 (1 for IID, 2
-for Markov, K for K rows), from which the map pair(K0) repeats. Each
-step's map is monotone on the PSD cone and x0 x0^T <= |x0|^2 I, so the
-process is stable from every start exactly when that map contracts on
-the smallest invariant face holding the image of I under steps 1 ..
-K0-1 (Vandergraft 1968). The rule folds each chain state's range
-through those steps, closes the ranges under the map, and runs the
-spectral test on that face.
+``analyze`` is the verdict entry point. It judges IID, Markov and
+schedule laws by one rule, and deterministic sequences by
+``contraction_test``, a scan of prefix products for a first norm
+strictly below 1. ``markov_test`` is the whole-chain check: the spectral
+radius of the chain-lifted matrix diag(A_1 kron A_1, ..., A_m kron A_m)
+(P^T kron I), the verdict from every initial law. A law's chain form
+settles at step K0 = ``law._settle`` (1 for IID, 2 for Markov, K for K
+rows), from which the map pair(K0) repeats. Each step's map is monotone
+on the PSD cone and x0 x0^T <= |x0|^2 I, so the process is stable from
+every start exactly when that map contracts on the smallest invariant
+face holding the image of I under steps 1 .. K0-1 (Vandergraft 1968).
+The rule folds each chain state's range through those steps, closes the
+ranges under the map, and runs the spectral test on that face.
 
 The spectral tests share one second-moment map,
 T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
@@ -21,12 +20,13 @@ T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T on stacks of symmetric matrices
 matrix-free. T maps the PSD cone into itself, so rho(T) is an eigenvalue
 with a PSD eigenvector X, and a PSD X > 0 with T(X) < c X (or > c X)
 proves rho(T) < c (or > c). Restarted Arnoldi finds X; one Cholesky
-checks the inequality, without the eigensolver that found X. Where no
-such certificate holds (the marginal band, no convergence, a singular
-Perron vector) the test falls back to a dense eigensolve of the lift's
-symmetric block, n(n+1)/2 rows per chain state instead of n^2, which
-has the spectral radius of the whole lift. The map and its matrix live
-in ``moments``, and its (mix, weights) in the law's chain form, the pair
+checks the inequality, without the eigensolver that found X, and
+``_judge`` hands X back with the map it checked. Where no such
+certificate holds (the marginal band, no convergence, a singular Perron
+vector) the test falls back to a dense eigensolve of the lift's
+symmetric block, n(n+1)/2 rows per chain state instead of n^2, which has
+the spectral radius of the whole lift. The map and its matrix live in
+``moments``, and its (mix, weights) in the law's chain form, the pair
 the W^2 routes step: this module builds none of them.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
@@ -50,7 +50,6 @@ from .sysmodel import (
     IIDSwitching,
     JumpLinearSystem,
     MarkovSwitching,
-    ScheduleSwitching,
     SequenceSwitching,
     SwitchingLaw,
     _as_int,
@@ -62,9 +61,7 @@ __all__ = [
     "StabilityReport",
     "DEFAULT_MARGIN",
     "DEFAULT_HORIZON",
-    "iid_test",
     "markov_test",
-    "general_test",
     "contraction_test",
     "analyze",
 ]
@@ -113,6 +110,21 @@ class StabilityReport(NamedTuple):
     notes: tuple = ()
     certificate: str = None
     applications: int = None
+
+
+class _Proof(NamedTuple):
+    """What a certified verdict checked, kept out of ``StabilityReport``,
+    whose reports compare by ``==``. ``_moment_map(modes, mix, weights)``
+    rebuilds the judged map T; ``bases`` are the per-state face bases, or
+    None where T acts on the whole space. X > 0 with (1 - margin) X - T(X)
+    > 0 proves ``kind`` "stable", T(X) - (1 + margin) X > 0 "unstable"."""
+
+    kind: str
+    modes: np.ndarray
+    mix: np.ndarray
+    weights: np.ndarray
+    bases: list
+    x: np.ndarray
 
 
 def _spectral_verdict(evidence: float, margin: float) -> str:
@@ -228,51 +240,41 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     return verdict, evidence, x, used
 
 
-def _spectral_report(modes, mix, weights, margin, name) -> StabilityReport:
-    """Certified verdict on the map ``_moment_map(modes, mix, weights)``,
-    else the dense eigensolve of its matrix on symmetric matrices. The
-    caller has checked ``margin``."""
-    certificate, evidence, _, used = _certified_radius(
-        _moment_map(modes, mix, weights), mix.shape[0], modes.shape[-1],
-        margin)
+def _spectral_report(modes, mix, weights, margin, name, bases=None):
+    """The report and proof (None without a certificate) on the map
+    ``_moment_map(modes, mix, weights)``, each mode of weight 0 dropped
+    and, given the one state's face ``bases`` (U,), each mode restricted
+    to U^T A U: a certified verdict, else the dense eigensolve of the
+    map's matrix on symmetric matrices. The caller has checked margin."""
+    live = weights.any(0)  # as in _moment_map: no 0 * inf
+    if not live.all():
+        modes, mix, weights = modes[live], mix[:, live], weights[:, live]
+    if bases is not None:
+        modes = bases[0].T @ modes @ bases[0]
+    certificate, evidence, x, used = _certified_radius(
+        _moment_map(modes, mix, weights), len(mix), modes.shape[-1], margin)
     if evidence is None:
-        live = weights.any(0)  # as in _moment_map: no 0 * inf
-        lift = _chain_lift(_sym_lifts(modes[live]), mix[:, live],
-                           weights[:, live])
-        evidence = spectral_radius(lift)
-        verdict = _spectral_verdict(evidence, margin)
-    else:
-        verdict = certificate
-    return StabilityReport(verdict, name, evidence,
-                           certificate=certificate, applications=used)
+        evidence = spectral_radius(_chain_lift(_sym_lifts(modes), mix,
+                                               weights))
+    return (StabilityReport(_spectral_verdict(evidence, margin), name,
+                            evidence, certificate=certificate,
+                            applications=used),
+            None if x is None else _Proof(certificate, modes, mix, weights,
+                                          bases, x))
 
 
 def _whole(sys: JumpLinearSystem, law: SwitchingLaw, margin: float):
     """The chain form of an IID, Markov or schedule law, checked against
-    ``sys`` by ``check_law``, the step from which its map repeats (1, 2
-    or the schedule's row count), and that map's report on the whole
-    space."""
+    ``sys`` by ``check_law``, and the report and proof of its map at
+    step ``law._settle`` on the whole space."""
     _reject(check_law(law, sys.m))
-    rows = len(law.vectors) if isinstance(law, ScheduleSwitching) else None
-    name, settle = (("iid", 1) if isinstance(law, IIDSwitching) else
-                    ("markov", 2) if isinstance(law, MarkovSwitching) else
-                    ("general", rows))
+    name = ("iid" if isinstance(law, IIDSwitching) else
+            "markov" if isinstance(law, MarkovSwitching) else "general")
     pair = law._chain(sys.m)
-    report = _spectral_report(sys.modes, *pair(settle), margin, name)
-    return pair, settle, report._replace(horizon_used=rows)
-
-
-def iid_test(
-    sys: JumpLinearSystem, pi, margin: float = DEFAULT_MARGIN
-) -> StabilityReport:
-    """Spectral test for modes drawn independently from a fixed pi:
-    ``analyze`` on ``IIDSwitching(pi)``.
-
-    The second moment evolves by T(X) = sum_j pi_j A_j X A_j^T, the lift
-    sum_j pi_j (A_j kron A_j); mean-square stability is equivalent to
-    rho(T) < 1. This is the one-state chain of the Markov test.
-    """
-    return analyze(sys, IIDSwitching(pi), margin)
+    report, proof = _spectral_report(sys.modes, *pair(law._settle), margin,
+                                     name)
+    rows = law._settle if name == "general" else None
+    return pair, report._replace(horizon_used=rows), proof
 
 
 def markov_test(
@@ -297,35 +299,7 @@ def markov_test(
     # the whole-chain map reads no pi0; P's size fixes the placeholder's
     p = as_square(P, "P")
     law = MarkovSwitching(p, np.eye(len(p))[0])
-    return _whole(sys, law, _check_margin(margin))[2]
-
-
-def general_test(
-    sys: JumpLinearSystem,
-    law: ScheduleSwitching,
-    margin: float = DEFAULT_MARGIN,
-) -> StabilityReport:
-    """Exact test for a schedule law pi(1), ..., pi(K), pi(K), ...
-
-    Past row K the map T_K(X) = sum_j pi_j(K) A_j X A_j^T repeats. By
-    ``analyze``'s rule, V, the range of T_{K-1} ... T_1(I) closed under
-    T_K's modes, decides: the spectral test of T_K where V is the whole
-    space, stable where V = 0, else the test of the modes U^T A_j U, U an
-    orthonormal basis of V, with a note. ``horizon_used`` is K.
-
-    Raises
-    ------
-    ValueError
-        If the law is not a schedule or does not fit the system.
-    """
-    if not isinstance(law, ScheduleSwitching):
-        serving = {IIDSwitching: "iid_test", MarkovSwitching: "markov_test",
-                   SequenceSwitching: "contraction_test"}.get(type(law))
-        raise ValueError(
-            f"general test needs a schedule, got {type(law).__name__}"
-            + (f"; {serving} serves it" if serving else "")
-        )
-    return analyze(sys, law, margin)
+    return _whole(sys, law, _check_margin(margin))[1]
 
 
 def _reach(modes: np.ndarray, pair, settle: int):
@@ -407,24 +381,13 @@ def contraction_test(
         if k == period:
             notes += (f"one-period product norm: {value:.6g}",)
         if value < 1.0:
-            return StabilityReport(
-                verdict="stable-per-corollary",
-                test_name="contraction",
-                evidence=value,
-                horizon_used=k,
-                notes=notes,
-            )
+            return StabilityReport("stable-per-corollary", "contraction",
+                                   value, horizon_used=k, notes=notes)
         best = min(best, value)
-
-    return StabilityReport(
-        verdict="inconclusive",
-        test_name="contraction",
-        evidence=best if np.isfinite(best) else np.inf,
-        horizon_used=scanned,
-        notes=notes + (
-            f"no contractive prefix within {scanned} steps",
-        ),
-    )
+    return StabilityReport("inconclusive", "contraction", best,
+                           horizon_used=scanned, notes=notes + (
+                               f"no contractive prefix within {scanned} "
+                               f"steps",))
 
 
 def analyze(
@@ -446,38 +409,44 @@ def analyze(
     ValueError
         If margin is not a finite number in [0, 1) or horizon is below 1.
     """
+    return _judge(sys, law, margin, horizon)[0]
+
+
+def _judge(sys: JumpLinearSystem, law: SwitchingLaw, margin, horizon):
+    """``analyze``'s report and the proof of its verdict: None where no
+    Cholesky certificate backs the verdict returned (dense fallbacks,
+    the zero face, inconclusive answers and sequences)."""
     margin = _check_margin(margin)
     horizon = _as_int(horizon, "horizon")
     _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
     if isinstance(law, SequenceSwitching):
-        return contraction_test(sys, law, horizon)
-    pair, settle, whole = _whole(sys, law, margin)
-    before = f"the steps before step {settle}"
-    bases, unclear = _reach(sys.modes, pair, settle)
+        return contraction_test(sys, law, horizon), None
+    pair, whole, proof = _whole(sys, law, margin)
+    before = f"the steps before step {law._settle}"
+    bases, unclear = _reach(sys.modes, pair, law._settle)
     dims = [b.shape[1] for b in bases]
     keep = np.flatnonzero(dims)
-    if min(dims) == sys.n or keep.size == len(bases) > 1:
-        return whole
-    if unclear:  # the whole map bounds every face's radius from above
-        return whole if whole.verdict != "unstable" else whole._replace(
-            verdict="inconclusive", notes=(
-                f"{before} leave second moments of unclear rank; the map "
-                f"that repeats is unstable, perhaps only off their ranges",))
-    if not keep.size:
+    # the whole map bounds every face's radius from above
+    if (min(dims) == sys.n or keep.size == len(bases) > 1
+            or unclear and whole.verdict != "unstable"):
+        return whole, proof
+    if unclear:
+        return whole._replace(verdict="inconclusive", notes=(
+            f"{before} leave second moments of unclear rank; the map that "
+            f"repeats is unstable, perhaps only off their ranges",)), None
+    if not keep.size:  # the whole map's certificate may read unstable
         return whole._replace(verdict="stable", notes=(
             f"{before} map every second moment to 0; the evidence and "
-            f"certificate are those of the map that repeats",))
-    mix, weights = pair(settle)
+            f"certificate are those of the map that repeats",)), None
+    mix, weights = pair(law._settle)
     if len(bases) > 1:  # the charged chain states
-        modes, mix, weights = sys.modes, mix[keep], weights[keep]
         note = (f"pi0 reaches {keep.size} of {len(bases)} chain states; from "
                 f"every initial law the spectral radius is ")
-    else:  # the one state's range, for the modes the map uses
-        live = weights.any(0)
-        modes = bases[0].T @ sys.modes[live] @ bases[0]
-        mix, weights = mix[:, live], weights[:, live]
+        mix, weights, bases = mix[keep], weights[keep], None
+    else:  # the one state's range
         note = (f"{before} keep the second moment in a {dims[0]}-dimensional "
                 f"subspace; on the whole space the spectral radius is ")
-    report = _spectral_report(modes, mix, weights, margin, whole.test_name)
+    report, proof = _spectral_report(sys.modes, mix, weights, margin,
+                                     whole.test_name, bases)
     return report._replace(horizon_used=whole.horizon_used,
-                           notes=(f"{note}{whole.evidence:.12g}",))
+                           notes=(f"{note}{whole.evidence:.12g}",)), proof

@@ -16,7 +16,9 @@ x m, arrays not to be written. From state j, mode i and then state r
 follow with probability mix[j, i] weights[r, i]; each mode leads to one
 state r, and weights[r] is the law of the modes that lead to r. Step
 1's mix is one row, from the start. IID, schedule and sequence laws
-have one state, weights pi(k).
+have one state, weights pi(k). IID, Markov and schedule laws name the
+step ``_settle`` from which the pair repeats: 1, 2, or the number of
+schedule rows.
 
 Each public operation checks its inputs on entry, raising
 ``ValueError``. Values derived from checked inputs (normalized marginals,
@@ -267,6 +269,8 @@ class IIDSwitching(_ReadOnly):
         pi = _vector(pi, "pi")
         _freeze(self, pi=pi, m=pi.size)
 
+    _settle = 1
+
     def _chain(self, m: int):
         pair = np.ones((1, m)), _normalized(self.pi)[None]
         return lambda k: pair
@@ -285,6 +289,8 @@ class MarkovSwitching(_ReadOnly):
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
             )
         _freeze(self, P=p, pi0=pi0, m=p.shape[0])
+
+    _settle = 2
 
     def _chain(self, m: int):
         p, eye = _normalized(self.P), np.eye(m)
@@ -307,6 +313,10 @@ class ScheduleSwitching(_ReadOnly):
         if not np.all(np.isfinite(v)):
             raise ValueError("schedule contains non-finite entries")
         _freeze(self, vectors=v, m=v.shape[1])
+
+    @property
+    def _settle(self) -> int:
+        return len(self.vectors)
 
     def _chain(self, m: int):
         one, rows = np.ones((1, m)), _normalized(self.vectors)[:, None]

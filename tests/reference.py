@@ -9,6 +9,8 @@ Carlo draws come from a sequential SplitMix64 in Python ints, where
 the library jumps ahead in numpy uint64 arrays, and
 ``ensemble_mean_sq`` steps each trajectory of an ensemble in a plain
 loop, reading each law's own fields.
+``structured_family`` is a seeded set of laws over rank-one,
+triangular and generic modes for the verdict tests.
 ``eigvalsh_violations`` words a mixture's violations by eigvalsh alone,
 the rule that ``check_mixture``'s Cholesky proof must reproduce.
 ``traced_peak`` measures the peak memory of one call, and
@@ -91,6 +93,37 @@ def eigvalsh_violations(mix) -> list:
         out.append(f"component {i + 1} covariance is not PSD: smallest "
                    f"eigenvalue {eigs[i, 0]:.3e}")
     return out
+
+
+def structured_family(count):
+    """Seeded laws over rank-one, upper-triangular and generic modes, each
+    times U(0.3, 1.2)/sqrt(n), n and m in 2-3: schedules of 2-3
+    Dirichlet(1) rows alternate with Markov chains of Dirichlet(0.5) rows
+    started from a unit pi0. Entries below 0.2 are zeroed and the rows
+    renormalized."""
+    def sparse(rows):
+        rows = np.where(rows < 0.2, 0.0, rows)
+        return rows / rows.sum(-1, keepdims=True)
+
+    rng = np.random.default_rng(11)
+    for t in range(count):
+        n, m = rng.integers(2, 4), rng.integers(2, 4)
+        modes = []
+        for _ in range(m):
+            kind = rng.integers(3)
+            a = (np.outer(rng.standard_normal(n), rng.standard_normal(n))
+                 if kind == 0 else np.triu(rng.standard_normal((n, n)))
+                 if kind == 1 else rng.standard_normal((n, n)))
+            modes.append(a * rng.uniform(0.3, 1.2) / np.sqrt(n))
+        if t % 2 == 0:
+            rows = np.zeros((1, m))
+            while not rows.any(-1).all():  # no row zeroed whole
+                rows = sparse(rng.dirichlet(np.ones(m), rng.integers(2, 4)))
+            law = ScheduleSwitching(rows)
+        else:
+            p = sparse(rng.dirichlet(0.5 * np.ones(m), m))
+            law = MarkovSwitching(p, np.eye(m)[rng.integers(m)])
+        yield JumpLinearSystem(modes), law
 
 
 def bases(n: int):

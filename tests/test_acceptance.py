@@ -16,7 +16,7 @@ import pytest
 from jumpstab.matkit import spectral_norm, spectral_radius
 from jumpstab.mcsim import SimConfig, simulate_ensemble
 from jumpstab.propagate import w2_trajectory
-from jumpstab.stability import contraction_test, iid_test, markov_test
+from jumpstab.stability import analyze, contraction_test, markov_test
 from jumpstab.sysmodel import (
     GaussianMixture,
     IIDSwitching,
@@ -217,7 +217,7 @@ def test_criterion_3_monte_carlo_oracle():
 
 def test_criterion_4_iid_recovery():
     sys_ = JumpLinearSystem(modes=[[[2.0]], [[0.1]]])
-    report = iid_test(sys_, [0.5, 0.5])
+    report = analyze(sys_, IIDSwitching([0.5, 0.5]))
     assert report.verdict == "unstable"
     assert report.evidence == pytest.approx(2.005, abs=1e-12)
 
@@ -229,7 +229,7 @@ def test_criterion_4_iid_recovery():
         modes = random_modes(rng, 2, 2, radius=target)
         sys_r = JumpLinearSystem(modes=modes)
         law = IIDSwitching([0.5, 0.5])
-        rep = iid_test(sys_r, [0.5, 0.5])
+        rep = analyze(sys_r, law)
         assert rep.verdict == "stable"
         # decay constant absorbs the non-normal transient: double the
         # pure-geometric horizon and pad
@@ -333,7 +333,7 @@ def test_criterion_7_markov_reduces_to_iid():
         )
         assert spectra_match(big, lifted_iid)
         rep_markov = markov_test(sys_, p)
-        rep_iid = iid_test(sys_, pi)
+        rep_iid = analyze(sys_, IIDSwitching(pi))
         scale = max(1.0, rep_iid.evidence)
         assert abs(rep_markov.evidence - rep_iid.evidence) <= 1e-8 * scale
     print(

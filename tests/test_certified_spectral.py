@@ -1,13 +1,16 @@
 """The certified route of the spectral tests.
 
-iid_test and markov_test run restarted Arnoldi on the second-moment map
+analyze and markov_test run restarted Arnoldi on the second-moment map
 T(Q)_i = A_i (sum_j P_ji Q_j) A_i^T and read the verdict from a positive
 definite X with T(X) < (1 - margin) X (stable) or T(X) > (1 + margin) X
 (unstable). These tests hold the evidence and verdict to the dense
-eigensolve of the lift's symmetric block, re-check every certificate
-with a Cholesky of their own against a lift built inline with np.kron,
-and pin the cases that must fall back to the dense block.
+eigensolve of the lift's symmetric block, re-check the X that each
+verdict's proof hands back by Cholesky, against the map rebuilt from the
+proof alone and against a lift built inline with np.kron, and pin the
+cases that must fall back to the dense block.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -16,10 +19,9 @@ from jumpstab import stability
 from jumpstab.matkit import spectral_radius
 from jumpstab.moments import _moment_map, _sym_lifts
 from jumpstab.stability import (
+    DEFAULT_HORIZON,
     DEFAULT_MARGIN,
     analyze,
-    general_test,
-    iid_test,
     markov_test,
 )
 from jumpstab.sysmodel import (
@@ -27,9 +29,10 @@ from jumpstab.sysmodel import (
     JumpLinearSystem,
     MarkovSwitching,
     ScheduleSwitching,
+    SequenceSwitching,
     marginal_schedule,
 )
-from reference import lifted_step_matrix
+from reference import lifted_step_matrix, structured_family
 
 CERTIFIED = ("stable", "unstable")
 
@@ -56,9 +59,17 @@ def dense_radius(sys, kind, w):
 
 
 def run(sys, kind, w, margin=DEFAULT_MARGIN):
+    """The report of ``analyze`` on the IID law w, or of ``markov_test``
+    on the chain w, and the proof that the verdict's own path returned."""
     if kind == "iid":
-        return iid_test(sys, w, margin)
-    return markov_test(sys, w, margin)
+        report, proof = stability._judge(sys, IIDSwitching(w), margin,
+                                         DEFAULT_HORIZON)
+        assert report == analyze(sys, IIDSwitching(w), margin)
+        return report, proof
+    law = MarkovSwitching(w, np.eye(len(w))[0])
+    _, report, proof = stability._whole(sys, law, margin)
+    assert report == markov_test(sys, w, margin)
+    return report, proof
 
 
 def scaled(mats, kind, w, target):
@@ -87,20 +98,34 @@ def _mixed(kind, w, x):
     return np.einsum("ji,jab->iab", w, x)
 
 
-def check_certificate(sys, kind, w, margin, report):
-    """Re-derive X and verify the returned certificate by Cholesky."""
-    mix, weights = (
-        (np.ones((1, sys.m)), np.asarray(w, float)[None]) if kind == "iid"
-        else (np.asarray(w, float), np.eye(sys.m))
-    )
-    certificate, evidence, x, used = stability._certified_radius(
-        _moment_map(sys.modes, mix, weights), mix.shape[0], sys.n, margin
-    )
-    assert (certificate, used) == (report.certificate, report.applications)
-    # iid_test renormalizes pi, which may move the last bits
-    assert evidence == pytest.approx(report.evidence, rel=1e-13)
+def check_proof(report, proof, margin=DEFAULT_MARGIN):
+    """Re-check a verdict's proof by Cholesky, from the proof alone: X and
+    the gap on the map ``_moment_map`` rebuilds from the proof's modes,
+    mix and weights, each definite by the slack of the certified route.
+    A verdict that no certificate of its own kind backs has no proof; so
+    has the stable zero face, whose certificate is the whole map's."""
+    if proof is None:
+        assert report.certificate != report.verdict or \
+            "map every second moment to 0" in report.notes[0]
+        return
+    assert proof.kind == report.verdict == report.certificate
+    x, n = proof.x, proof.x.shape[-1]
+    tx = _moment_map(proof.modes, proof.mix, proof.weights)(x)
+    gap = (1 - margin) * x - tx if proof.kind == "stable" \
+        else tx - (1 + margin) * x
+    slack = stability._CERT_SLACK * n * max(np.abs(x).max(),
+                                            np.abs(tx).max())
+    for mat in (*x, *gap):
+        np.linalg.cholesky(mat - slack * np.eye(n))
+
+
+def check_certificate(sys, kind, w, margin, report, proof):
+    """Check the proof, then its X against the map built with np.kron
+    from the system and w alone."""
+    check_proof(report, proof, margin)
+    x = proof.x
     tx = kron_map(sys, kind, w, x)
-    gap = (1 - margin) * x - tx if certificate == "stable" \
+    gap = (1 - margin) * x - tx if proof.kind == "stable" \
         else tx - (1 + margin) * x
     for mat in (*x, *gap):
         np.linalg.cholesky((mat + mat.T) / 2)
@@ -123,7 +148,7 @@ def test_matches_dense_and_every_certificate_verifies(n, m, kind):
             w = rng.dirichlet(np.ones(m) * 0.7, size=m)
             assert m == 1 or not np.allclose(w, w.T)
         sys = scaled(mats, kind, w, target)
-        report = run(sys, kind, w)
+        report, proof = run(sys, kind, w)
         dense = dense_radius(sys, kind, w)
         assert report.evidence == pytest.approx(dense, rel=1e-10)
         assert report.verdict == ("stable" if target < 1 else "unstable")
@@ -131,9 +156,10 @@ def test_matches_dense_and_every_certificate_verifies(n, m, kind):
             dense, DEFAULT_MARGIN)
         if report.certificate in CERTIFIED:
             certified += 1
-            check_certificate(sys, kind, w, DEFAULT_MARGIN, report)
+            check_certificate(sys, kind, w, DEFAULT_MARGIN, report, proof)
         else:
             assert report.certificate.startswith("dense fallback: ")
+            check_proof(report, proof)
     # one mode has a singular Perron vector beyond n = 2 (v v^T, or
     # Re v v^* for a complex pair v), so only the dense block can answer
     if m > 1:
@@ -168,12 +194,12 @@ def test_peripheral_spectra(modes, kind, w):
     the circle of radius rho. Arnoldi needs no gap there, and the Perron
     vector is definite, so the dense verdict is certified."""
     sys = JumpLinearSystem(modes=modes)
-    report = run(sys, kind, w)
+    report, proof = run(sys, kind, w)
     dense = dense_radius(sys, kind, w)
     assert report.evidence == pytest.approx(dense, rel=1e-10)
     assert report.verdict == stability._spectral_verdict(dense, DEFAULT_MARGIN)
     assert report.certificate in CERTIFIED
-    check_certificate(sys, kind, w, DEFAULT_MARGIN, report)
+    check_certificate(sys, kind, w, DEFAULT_MARGIN, report, proof)
 
 
 @pytest.mark.parametrize(
@@ -193,9 +219,10 @@ def test_singular_perron_vector_falls_back(modes, kind, w):
     """A reducible chain, a zero mode's state and rank-one modes leave the
     Perron vector singular: no X > 0 certifies, the dense block answers."""
     sys = JumpLinearSystem(modes=modes)
-    report = run(sys, kind, w)
+    report, proof = run(sys, kind, w)
     assert report.certificate == \
         "dense fallback: certificate not positive definite"
+    assert proof is None
     assert report.applications > 0
     dense = dense_radius(sys, kind, w)
     assert report.evidence == pytest.approx(dense, rel=1e-14)
@@ -203,8 +230,8 @@ def test_singular_perron_vector_falls_back(modes, kind, w):
 
 
 def test_zero_modes_certify_zero_radius():
-    report = iid_test(JumpLinearSystem(modes=[np.zeros((3, 3))] * 2),
-                      [0.4, 0.6])
+    report = analyze(JumpLinearSystem(modes=[np.zeros((3, 3))] * 2),
+                     IIDSwitching([0.4, 0.6]))
     assert (report.verdict, report.evidence, report.certificate) == (
         "stable", 0.0, "stable")
 
@@ -219,18 +246,19 @@ def test_near_one_is_marginal_never_the_wrong_side(kind, offset, verdict):
     rng = np.random.default_rng(77)
     w = [0.3, 0.2, 0.5] if kind == "iid" else rng.dirichlet(np.ones(3), 3)
     sys = scaled(rotating_modes(rng, 4, 3), kind, w, 1.0 + offset)
-    report = run(sys, kind, w)
+    report, proof = run(sys, kind, w)
     assert report.verdict == verdict
     if verdict == "marginal":
         assert report.certificate == "dense fallback: marginal band"
+        assert proof is None
     elif report.certificate in CERTIFIED:
-        check_certificate(sys, kind, w, DEFAULT_MARGIN, report)
+        check_certificate(sys, kind, w, DEFAULT_MARGIN, report, proof)
 
 
 def test_no_convergence_falls_back(monkeypatch):
     monkeypatch.setattr(stability, "_RESTARTS", 0)
     sys = JumpLinearSystem(modes=[np.diag([0.5, 0.2]), np.eye(2)])
-    report = iid_test(sys, [0.5, 0.5])
+    report = analyze(sys, IIDSwitching([0.5, 0.5]))
     assert report.certificate == "dense fallback: no convergence in 0 " \
         "Arnoldi cycles"
     assert report.applications == 0
@@ -270,8 +298,6 @@ class TestMargin:
     @pytest.mark.parametrize("margin", [-1.0, np.nan, 1.0])
     def test_spectral_tests_reject_too(self, margin):
         with pytest.raises(ValueError, match="margin"):
-            iid_test(self.SYS, [0.5, 0.5], margin)
-        with pytest.raises(ValueError, match="margin"):
             markov_test(self.SYS, self.P, margin)
 
     @pytest.mark.parametrize("margin, verdict", [
@@ -306,7 +332,9 @@ def test_schedule_verdict_is_the_last_row_radius(n, m):
             list(rng.standard_normal((m, 1, 1)))
         sys = scaled(mats, "iid", rows[-1], rng.uniform(0.2, 3.0))
         law = ScheduleSwitching(rows)
-        report = general_test(sys, law)
+        report, proof = stability._judge(sys, law, DEFAULT_MARGIN,
+                                         DEFAULT_HORIZON)
+        assert report == analyze(sys, law)
         last = marginal_schedule(law, len(rows))[-1]
         rho = max(abs(np.linalg.eigvals(lifted_step_matrix(sys, last))))
         assert report.evidence == pytest.approx(rho, rel=1e-9)
@@ -314,6 +342,52 @@ def test_schedule_verdict_is_the_last_row_radius(n, m):
             rho, DEFAULT_MARGIN)
         assert report.horizon_used == len(rows)
         if report.certificate in CERTIFIED:
-            check_certificate(sys, "iid", last, DEFAULT_MARGIN, report)
+            check_certificate(sys, "iid", last, DEFAULT_MARGIN, report,
+                              proof)
         else:
             assert report.certificate.startswith("dense fallback: ")
+            check_proof(report, proof)
+
+
+def test_every_structured_family_proof_rechecks():
+    """Every verdict of the structured family, from ``analyze`` and from
+    ``markov_test``, against its proof: whole maps, one-state faces and
+    the charged chain states each hand back an X that the rebuilt map
+    certifies, and no other verdict hands back one."""
+    seen = collections.Counter()
+    for sys, law in structured_family(300):
+        report, proof = stability._judge(sys, law, DEFAULT_MARGIN,
+                                         DEFAULT_HORIZON)
+        assert report == analyze(sys, law)
+        check_proof(report, proof)
+        states = len(law._chain(sys.m)(law._settle)[1])
+        seen["none" if proof is None else "face" if proof.bases else
+             "whole" if len(proof.mix) == states else "kept states"] += 1
+        if isinstance(law, MarkovSwitching):
+            _, whole, proof = stability._whole(sys, law, DEFAULT_MARGIN)
+            assert whole == markov_test(sys, law.P)
+            check_proof(whole, proof)
+            seen["chain" if proof else "none"] += 1
+    assert set(seen) == {"none", "face", "whole", "kept states", "chain"}
+
+
+@pytest.mark.parametrize("modes, law, verdict, certificate", [
+    ([[[3.0]], [[0.0]]],
+     ScheduleSwitching([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]]),
+     "stable", "unstable"),
+    ([np.diag([1.0, 1e-11, 1e-13]), 2.0 * np.eye(3)],
+     ScheduleSwitching([[1.0, 0.0], [0.0, 1.0]]), "inconclusive", "unstable"),
+    ([[[1.0]]], IIDSwitching([1.0]), "marginal",
+     "dense fallback: marginal band"),
+    ([[[0.5]]], SequenceSwitching((1,)), "stable-per-corollary", None),
+], ids=["zero-face", "unclear-rank", "marginal", "sequence"])
+def test_no_proof_without_a_certificate_of_the_verdict(modes, law, verdict,
+                                                      certificate):
+    """The zero face keeps the whole map's certificate, here "unstable",
+    which proves nothing about its "stable"; nor does an inconclusive
+    answer, a dense fallback or a sequence hand back a proof."""
+    report, proof = stability._judge(JumpLinearSystem(modes), law,
+                                     DEFAULT_MARGIN, DEFAULT_HORIZON)
+    assert (report.verdict, report.certificate, proof) == (
+        verdict, certificate, None)
+    check_proof(report, proof)

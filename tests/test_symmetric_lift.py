@@ -16,8 +16,9 @@ from jumpstab import stability
 from jumpstab.matkit import spectral_radius
 from jumpstab.moments import _basis_pairs, _chain_lift, _moment_map, _sym_lifts
 from jumpstab.propagate import gamma_product
-from jumpstab.stability import iid_test, markov_test
+from jumpstab.stability import analyze, markov_test
 from jumpstab.sysmodel import (
+    IIDSwitching,
     JumpLinearSystem,
     ScheduleSwitching,
     marginal_schedule,
@@ -94,7 +95,7 @@ class TestBlocks:
         sys = rotating_system(rng, n, m)
         pi = rng.dirichlet(np.ones(m))
         full_iid = sum(p * np.kron(a, a) for p, a in zip(pi, sys.modes))
-        assert iid_test(sys, pi).evidence == pytest.approx(
+        assert analyze(sys, IIDSwitching(pi)).evidence == pytest.approx(
             spectral_radius(full_iid), rel=1e-12
         )
         p = random_chain(rng, m)
@@ -197,7 +198,7 @@ def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
         pi, p = rng.dirichlet(np.ones(m)), random_chain(rng, m)
         rows = [n * (n + 1) // 2, m * n * (n + 1) // 2]
         sizes.clear()
-        reports = [iid_test(sys, pi), markov_test(sys, p)]
+        reports = [analyze(sys, IIDSwitching(pi)), markov_test(sys, p)]
         fallbacks = [r.certificate.startswith("dense fallback: ")
                      for r in reports]
         assert sizes == [k for k, fell in zip(rows, fallbacks) if fell]
@@ -206,7 +207,7 @@ def test_spectral_tests_diagonalise_the_symmetric_lift(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(stability, "_RESTARTS", 0)
             sizes.clear()
-            iid_test(sys, pi)
+            analyze(sys, IIDSwitching(pi))
             markov_test(sys, p)
         assert sizes == rows
     assert certified >= 2 * len(CASES) - 4
