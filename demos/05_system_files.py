@@ -37,39 +37,40 @@ doc = {
     ],
 }
 
-workdir = Path(tempfile.mkdtemp())
-path = workdir / "spin_damp.json"
-path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-print(f"wrote {path}")
+with tempfile.TemporaryDirectory() as workdir:
+    path = Path(workdir) / "spin_damp.json"
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    print(f"wrote {path.name}")
 
-# same as: jumpstab validate spin_damp.json
-sf = load_system_file(path)
-report = validate_system(sf.system, sf.switching, sf.initial)
-print(f"\n$ jumpstab validate {path.name}")
-print(report)
+    # same as: jumpstab validate spin_damp.json
+    sf = load_system_file(path)
+    report = validate_system(sf.system, sf.switching, sf.initial)
+    print(f"\n$ jumpstab validate {path.name}")
+    print(report)
 
-# same as: jumpstab analyze spin_damp.json
-verdict = analyze(sf.system, sf.switching)
-print(f"\n$ jumpstab analyze {path.name}")
-print(f"verdict: {verdict.verdict}, spectral radius {verdict.evidence:.6f}")
+    # same as: jumpstab analyze spin_damp.json
+    verdict = analyze(sf.system, sf.switching)
+    print(f"\n$ jumpstab analyze {path.name}")
+    print(f"verdict: {verdict.verdict}, "
+          f"spectral radius {verdict.evidence:.6f}")
 
-# same as: jumpstab trajectory spin_damp.json --steps 8
-print(f"\n$ jumpstab trajectory {path.name} --steps 8")
-print("k,w2")
-for rec in w2_trajectory(sf.system, sf.switching, sf.initial, 8):
-    print(f"{rec.k},{rec.w2:.10f}")
+    # same as: jumpstab trajectory spin_damp.json --steps 8
+    print(f"\n$ jumpstab trajectory {path.name} --steps 8")
+    print("k,w2")
+    for rec in w2_trajectory(sf.system, sf.switching, sf.initial, 8):
+        print(f"{rec.k},{rec.w2:.10f}")
 
-# the actual executable, for the full CSV contract and exit codes
-print(f"\n$ python -m jumpstab simulate {path.name} --steps 5 "
-      f"--trajectories 2000")
-proc = subprocess.run(
-    [
-        sys.executable, "-m", "jumpstab", "simulate", str(path),
-        "--steps", "5", "--trajectories", "2000",
-    ],
-    capture_output=True, text=True, check=True,
-)
-print(proc.stdout, end="")
+    # the actual executable, for the full CSV contract and exit codes
+    print(f"\n$ python -m jumpstab simulate {path.name} --steps 5 "
+          f"--trajectories 2000")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "jumpstab", "simulate", str(path),
+            "--steps", "5", "--trajectories", "2000",
+        ],
+        capture_output=True, text=True, check=True,
+    )
+    print(proc.stdout, end="")
 
 print("\nexit codes: 0 ok, 1 usage/parse/validation, 2 failed")
 print("--assert-stable, 3 numerical breakdown")

@@ -106,12 +106,8 @@ class SimConfig(_ReadOnly):
     """
 
     def __init__(self, trajectories, k_max, seed=0, sampling=None):
-        t = _as_int(trajectories, "trajectories")
-        if t < 1:
-            raise ValueError(f"trajectories must be >= 1, got {t}")
-        k = _as_int(k_max, "k_max")
-        if k < 0:
-            raise ValueError(f"k_max must be nonnegative, got {k}")
+        t = _as_int(trajectories, "trajectories", 1)
+        k = _as_int(k_max, "k_max", 0)
         s = _as_int(seed, "seed")
         if not 0 <= s < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {s}")

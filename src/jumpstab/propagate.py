@@ -180,15 +180,6 @@ def _count(x: int) -> str:
     return str(x) if x < 10**30 else f"~10^{int(math.log10(x))}"
 
 
-def _check_cap(cap) -> int:
-    """The component cap as an int; rejects one that no mixture, of one
-    component or more, can meet."""
-    cap = _as_int(cap, "cap")
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    return cap
-
-
 def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
     """Walk the mixture tree of ``k`` steps of a ``law`` checked against
     the system, depth first in chunks; ``cap`` is as in mog_propagate.
@@ -278,10 +269,8 @@ def mog_propagate(
     covariances in symmetric coordinates; only the final mixture is
     unpacked into exactly symmetric n x n covariances.
     """
-    k = _as_int(k, "k")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    cap = _check_cap(cap)
+    k = _as_int(k, "k", 0)
+    cap = _as_int(cap, "cap", 1)
     _reject(validate_system(sys, law, init).violations)
     if k == 0:
         return init
@@ -306,9 +295,7 @@ def gamma_product(
     DIVERGENCE_GUARD or not finite (see GammaState). Raises ValueError
     for a negative ``k`` or a law that does not fit the system.
     """
-    k = _as_int(k, "k")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _as_int(k, "k", 0)
     _reject(check_law(law, sys.m))
     n, size = sys.n, sys.n * sys.n
     # x[p, c, q] is entry (p, q) of the pushed E_c, so that A X and X A^T
@@ -368,16 +355,14 @@ def w2_trajectory(
     MemoryError
         Before the first step, if the k_max + 1 values do not fit.
     """
-    k_max = _as_int(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    k_max = _as_int(k_max, "k_max", 0)
     if method not in ("moment", "gamma", "exact_mog"):
         raise ValueError(
             f"unknown method {method!r}: expected moment, gamma, or "
             f"exact_mog"
         )
     if method == "exact_mog":
-        cap = _check_cap(cap)
+        cap = _as_int(cap, "cap", 1)
     _reject(validate_system(sys, law, init).violations)
 
     # the K+1 values first, so an impossible horizon fails before a step

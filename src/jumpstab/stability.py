@@ -359,9 +359,7 @@ def contraction_test(
             f"{type(seq).__name__}"
         )
     _reject(check_law(seq, sys.m))
-    k_max = _as_int(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _as_int(k_max, "k_max", 1)
 
     period = len(seq.indices)
     notes = ()
@@ -417,8 +415,7 @@ def _judge(sys: JumpLinearSystem, law: SwitchingLaw, margin, horizon):
     Cholesky certificate backs the verdict returned (dense fallbacks,
     the zero face, inconclusive answers and sequences)."""
     margin = _check_margin(margin)
-    horizon = _as_int(horizon, "horizon")
-    _reject([] if horizon >= 1 else [f"horizon must be >= 1, got {horizon}"])
+    horizon = _as_int(horizon, "horizon", 1)
     if isinstance(law, SequenceSwitching):
         return contraction_test(sys, law, horizon), None
     pair, whole, proof = _whole(sys, law, margin)

@@ -94,14 +94,20 @@ def _freeze(obj: _ReadOnly, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _as_int(value, name: str) -> int:
+def _as_int(value, name: str, low: int = None) -> int:
     """``value`` as an int: ints, numpy integers and floats of integral
-    value pass; bools, strings and other values raise ``ValueError``."""
+    value pass; bools, strings and other values raise ``ValueError``, as
+    does an int below ``low`` when one is given ("nonnegative" for 0)."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        out = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        out = int(value)
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and out < low:
+        rule = "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{name} must be {rule}, got {out}")
+    return out
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -391,9 +397,7 @@ def marginal_schedule(law: SwitchingLaw, k_max: int,
     the law is invalid, k_max is negative, or m is missing or
     inconsistent.
     """
-    k_max = _as_int(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    k_max = _as_int(k_max, "k_max", 0)
     if not isinstance(law, _LAWS):
         raise TypeError(f"unknown switching law {type(law).__name__}")
     if m is None and law.m is None:

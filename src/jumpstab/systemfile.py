@@ -26,7 +26,8 @@ This module is the one reader of a system file; it loads numpy only to
 build the arrays.  Structural errors (shapes, types, field names, a key
 repeated within one object) raise ``SystemFileError`` naming the field.
 Value checks run in plain Python, by the rules ``sysmodel`` calls, in
-``validate_system``'s order; for covariances see ``_cleared``.
+``validate_system``'s order: each sum is ``math.fsum``'s, correctly
+rounded; for covariances see ``_cleared``.
 """
 
 from __future__ import annotations
@@ -177,33 +178,14 @@ def _parse_switching(obj) -> dict:
     return {"type": kind, "indices": raw}
 
 
-def _sum(x) -> float:
-    """``float(np.sum(x))`` of a list of floats, bit for bit: 0.0 plus
-    numpy's pairwise sum, which runs left to right below 8 entries, in 8
-    interleaved partial sums up to 128, and above that adds the sums of
-    the parts of x split at the multiple of 8 at or below its middle."""
-    return 0.0 + _pairwise(x)
-
-
-def _pairwise(x) -> float:
-    n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(x[:half]) + _pairwise(x[half:])
-    s, tail = 0.0, 0
-    if n >= 8:
-        r, tail = x[:8], n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += x[i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in x[tail:]:
-        s += v
-    return s
-
-
 def _sum_violations(x, name: str) -> list[str]:
-    s = _sum(x)
+    """The violation of a list of floats whose sum, correctly rounded by
+    ``math.fsum`` (on x scaled down if a partial sum would overflow), is
+    not 1 within PROB_TOL."""
+    try:
+        s = math.fsum(x)
+    except OverflowError:  # a partial sum passed the float range
+        s = math.fsum(v * 2.0**-64 for v in x) * 2.0**64
     return [] if abs(s - 1.0) <= PROB_TOL else [
         f"{name}: probability sum {s:.12g} != 1"]
 
@@ -211,8 +193,7 @@ def _sum_violations(x, name: str) -> list[str]:
 def _probability_violations(x, name: str) -> list[str]:
     """Violations of a probability vector, a nonempty list of floats:
     entries in [0, 1] up to CLAMP_TOL, sum 1 within PROB_TOL."""
-    # of the tied extremes 0.0 and -0.0 the later one prints, as in numpy
-    low, high = min(reversed(x)), max(reversed(x))
+    low, high = min(x), max(x)
     out = [] if -CLAMP_TOL <= low and high <= 1.0 + CLAMP_TOL else [
         f"{name}: entries must lie in [0, 1], got range "
         f"[{low:.12g}, {high:.12g}]"]
@@ -246,7 +227,7 @@ def _law_violations(law: dict, m: int) -> list[str]:
 def _weight_violations(weights) -> list[str]:
     """Violations of mixture weights, a list of floats: each positive,
     sum 1 within PROB_TOL."""
-    low = min(reversed(weights))
+    low = min(weights)
     out = [] if low > 0.0 else [
         f"mixture weights must be positive, got minimum {low:.12g}"]
     return out + _sum_violations(weights, "mixture weights")

@@ -750,7 +750,7 @@ class TestTrajectory:
                 "--method", "exact_mog", "--cap", "-5"]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: cap must be at least 1, got -5\n"
+        assert captured.err == "error: cap must be >= 1, got -5\n"
         assert captured.out == ""
 
     def test_exact_mog_adds_component_count(self, write, capsys):

@@ -461,7 +461,7 @@ class TestExactRouteReference:
     def test_cap_below_one_rejected(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])
         law, mix = IIDSwitching([1.0]), point_mass([1.0])
-        message = "cap must be at least 1, got -5"
+        message = "cap must be >= 1, got -5"
         with pytest.raises(ValueError, match=message):
             mog_propagate(sys, law, mix, 2, cap=-5)
         for k in (0, 2):

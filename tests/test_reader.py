@@ -1,19 +1,21 @@
 """The system-file reader's value checks, against the numpy checks.
 
-The reader checks a file in plain Python.  Its sums must be numpy's,
-bit for bit; its Cholesky test, and ``check_mixture``'s, must never
-clear a covariance that eigvalsh rejects, and ``check_mixture`` must
-word eigvalsh's violations; and on every file the reader must report the
-violations ``validate_system`` reports on the built objects, in the
-same order.
+The reader checks a file in plain Python.  Its sums must be correctly
+rounded, past the float range too; its Cholesky test, and
+``check_mixture``'s, must never clear a covariance that eigvalsh
+rejects, and ``check_mixture`` must word eigvalsh's violations; and on
+every file the reader must report the violations ``validate_system``
+reports on the built objects, in the same order.
 """
 
 import ast
 import copy
 import itertools
 import json
+import math
 import pathlib
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from jumpstab.systemfile import (
     _cleared,
     _decode,
     _report,
-    _sum,
+    _sum_violations,
 )
 from jumpstab.sysmodel import (
     _PROOF_MAX_N,
@@ -43,15 +45,22 @@ import test_systemfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_sum_is_numpys_bit_for_bit():
+def test_sum_is_correctly_rounded():
+    """The sum a violation prints is the exact sum rounded once, also
+    where a partial sum passes the float range."""
     rng = np.random.default_rng(31)
-    for length in range(1, 301):
-        for x in (rng.random(length),
-                  rng.dirichlet(np.ones(length)),
-                  rng.standard_normal(length)
-                  * 10.0 ** rng.integers(-8, 8, length),
-                  np.where(rng.random(length) < 0.5, -0.0, 0.0)):
-            assert _sum(x.tolist()).hex() == float(np.sum(x)).hex(), length
+    cases = [rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, length)
+             for length in range(1, 301, 7)]
+    cases += [[1e308, 1e308, -1e308], [1e308, 1e308, -1e308, -1e308, 1.0],
+              [1e308, 1e308], [-1.7e308] * 300, [0.1] * 10]
+    for x in map(list, cases):
+        exact = sum(map(Fraction, x))
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = math.inf if exact > 0 else -math.inf
+        assert _sum_violations(x, "w") == (
+            [] if want == 1.0 else [f"w: probability sum {want:.12g} != 1"])
 
 
 def cov_document(covs, weights=None):
@@ -238,6 +247,7 @@ VARIANTS = [
         {"weight": 0.7, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
         {"weight": 0.7, "mean": [1.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]},
     ]),
+    with_law(TWO, type="iid", pi=[1e308, 1e308]),
 ]
 
 #: The documents the command-line and reader tests write

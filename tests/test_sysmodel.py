@@ -524,6 +524,27 @@ def test_integer_arguments_accept_integral_values(call):
     assert call(2.0) == call(np.int64(2)) == call(2)
 
 
+#: the lower bound of each bounded integer argument above
+INTEGER_BOUNDS = {
+    "marginal_schedule.k_max": 0, "w2_trajectory.k_max": 0,
+    "w2_trajectory.cap": 1, "mog_propagate.k": 0, "gamma_product.k": 0,
+    "contraction_test.k_max": 1, "analyze.horizon": 1,
+    "SimConfig.trajectories": 1, "SimConfig.k_max": 0,
+}
+
+
+@pytest.mark.parametrize("name, low", INTEGER_BOUNDS.items(),
+                         ids=INTEGER_BOUNDS)
+def test_integer_arguments_below_their_bound_rejected(name, low):
+    """Every bound is worded one way: "nonnegative" for 0, else ">= low"."""
+    rule = "nonnegative" if low == 0 else f">= {low}"
+    for value in (low - 1, float(low - 1), np.int64(low - 5)):
+        with pytest.raises(ValueError) as info:
+            INTEGER_ARGUMENTS[name](value)
+        assert str(info.value) == (
+            f"{name.split('.')[1]} must be {rule}, got {int(value)}")
+
+
 #: every array argument of a public entry, as a call that builds it from
 #: one value
 ARRAY_ARGUMENTS = {
