@@ -28,7 +28,6 @@ _EXPORTS = {
         "GammaState",
         "TrajectoryRecord",
         "gamma_product",
-        "mog_propagate",
         "w2_trajectory",
     ),
     "stability": (

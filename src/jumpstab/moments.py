@@ -11,8 +11,8 @@ the verdicts read its spectral radius and the W^2 routes iterate it.
 ``_moment_map`` applies T at n x n cost per state; ``_chain_lift`` is its
 matrix on the coordinates of ``_sym_lifts``, the blocks A_j kron A_j on
 symmetric matrices in the orthonormal basis E_ii, (E_pq + E_qp)/sqrt2
-(``_basis_pairs``). ``_sym_coords`` and ``_sym_matrices`` convert
-between a symmetric matrix and its n(n+1)/2 coordinates in that basis.
+(``_basis_pairs``). ``_sym_coords`` gives a symmetric matrix's
+n(n+1)/2 coordinates in that basis.
 ``DIVERGENCE_GUARD`` bounds the entries of the products that
 ``gamma_product`` and the sequence test fold.
 """
@@ -125,13 +125,15 @@ def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray,
         T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
 
     for a chain of s states over the m modes (mix and weights are s x m).
-    A mode of weight 0 takes no part, so no 0 * inf enters the sum.
+    A mode of weight 0 takes no part, so no 0 * inf enters the sum, and
+    mix and weights are read in C order, so a slice sums as its copy does.
     Returns ``apply``; it raises NumericalError led by ``what`` on a
     non-finite entry.
     """
     live = weights.any(0)
     if not live.all():
         modes, mix, weights = modes[live], mix[:, live], weights[:, live]
+        mix, weights = np.ascontiguousarray(mix), np.ascontiguousarray(weights)
 
     def apply(q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -154,14 +156,3 @@ def _sym_coords(covs: np.ndarray) -> np.ndarray:
     coords = covs[:, p, q] * units
     coords[:, n:] += covs[:, q[n:], p[n:]] * units[n:]
     return coords
-
-
-def _sym_matrices(coords: np.ndarray, n: int) -> np.ndarray:
-    """The exactly symmetric (q, n, n) matrices of (q, s) coordinates, the
-    inverse of _sym_coords."""
-    p, q = _basis_pairs(n)
-    entries = coords * _basis_units(n)
-    out = np.empty((len(coords), n, n))
-    out[:, p, q] = entries
-    out[:, q, p] = entries
-    return out

@@ -16,7 +16,7 @@ second moment of the chain whose map ``analyze`` judges:
     first n are the diagonal. The route walks the mixture tree depth
     first in chunks of about 512 KiB (``_mog_walk``) and its last step
     pushes the diagonals only, so the cap bounds its time, not its
-    memory. ``mog_propagate`` returns the whole last mixture.
+    memory.
 
 ``moment``
     Propagates one n x n second moment per chain state by the chain's
@@ -57,7 +57,6 @@ from .moments import (
     _moment_map,
     _sym_coords,
     _sym_lifts,
-    _sym_matrices,
 )
 from .sysmodel import (
     GaussianMixture,
@@ -74,7 +73,6 @@ from .wasserstein import _dirac_sq, _matched
 __all__ = [
     "GammaState",
     "TrajectoryRecord",
-    "mog_propagate",
     "gamma_product",
     "w2_trajectory",
     "DEFAULT_COMPONENT_CAP",
@@ -180,16 +178,16 @@ def _count(x: int) -> str:
     return str(x) if x < 10**30 else f"~10^{int(math.log10(x))}"
 
 
-def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
+def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
     """Walk the mixture tree of ``k`` steps of a ``law`` checked against
-    the system, depth first in chunks; ``cap`` is as in mog_propagate.
-    Returns the (k+1, 3) sums of w (||mu||^2 + tr Sigma), of w (weights
-    in the whole mixture) and of 1 per step, and the last chunk of
-    _mog_push's arrays, whose weights sum to 1 (``mass`` is their share).
+    the system, depth first in chunks, and return the (k+1, 3) sums of
+    w (||mu||^2 + tr Sigma), of w (weights in the whole mixture) and of 1
+    per step. Step k has q0 components per mode path of nonzero
+    probability (m^k * q0 for a law of full support); where that count
+    passes ``cap``, the walk raises ValueError before its first step.
     A chunk whose next push would form over _MOG_BUDGET bytes is split by
     parents, each piece finishing its subtree first: the peak is about
-    _MOG_BUDGET per split level. The last step pushes only the diagonals,
-    or with ``whole`` one chunk pushes all: the last mixture, mode-major.
+    _MOG_BUDGET per split level. The last step pushes only the diagonals.
     Raises the NumericalError of the first step whose push is not finite
     if every sum before it is finite.
     """
@@ -225,11 +223,11 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
         depth, mass, *state = chunks.pop()
         for step in range(depth + 1, limit + 1):
             mix, weights = pair(step)
-            used = lifts[:, :, :n] if step == k and not whole else lifts
+            used = lifts[:, :, :n] if step == k else lifts
             # 8 bytes for a child's weight, state, mean entries, coordinates
             size = max(1, _MOG_BUDGET // (8 * (2 + n + used.shape[2])
                                           * np.count_nonzero(weights.any(0))))
-            if len(state[0]) > size and not whole:
+            if len(state[0]) > size:
                 for i in reversed(range(0, len(state[0]), size)):
                     w, *rest = (x[i:i + size].copy() for x in state)
                     chunks.append((step - 1, mass * w.sum(), w / w.sum(),
@@ -241,43 +239,14 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap, whole=False):
             except NumericalError as exc:
                 limit, error = step - 1, f"{exc} at k={step}"
                 break
-            if not whole:
-                part = mass * _dirac_sq(state[0], state[1], state[2][:, :n])
-                totals[step] += part, mass, len(state[0])
-                if not math.isfinite(part):
-                    limit = step
-                    break
+            part = mass * _dirac_sq(state[0], state[1], state[2][:, :n])
+            totals[step] += part, mass, len(state[0])
+            if not math.isfinite(part):
+                limit = step
+                break
     if error and np.all(np.isfinite(totals[:limit + 1])):
         raise NumericalError(error)
-    return totals, state
-
-
-def mog_propagate(
-    sys: JumpLinearSystem,
-    law: SwitchingLaw,
-    init: GaussianMixture,
-    k: int,
-    cap: int = DEFAULT_COMPONENT_CAP,
-) -> GaussianMixture:
-    """Exact mixture after ``k`` switching steps.
-
-    The result has at most q0 times the number of mode paths of nonzero
-    probability (m^k * q0 for a law of full support), so that count is
-    checked against ``cap``, which must be at least 1, up front and the
-    run refuses to start if it cannot finish.
-    The steps are those of the ``exact_mog`` route, in one chunk, on
-    covariances in symmetric coordinates; only the final mixture is
-    unpacked into exactly symmetric n x n covariances.
-    """
-    k = _as_int(k, "k", 0)
-    cap = _as_int(cap, "cap", 1)
-    _reject(validate_system(sys, law, init).violations)
-    if k == 0:
-        return init
-    weights, means, coords, _ = _mog_walk(sys, law, init, k, cap, True)[1]
-    return GaussianMixture(
-        weights=weights, means=means, covs=_sym_matrices(coords, sys.n)
-    )
+    return totals
 
 
 def gamma_product(
@@ -342,7 +311,7 @@ def w2_trajectory(
     as n x n covariances nor, past about 512 KiB, whole: the route
     walks the mixture tree in chunks, and its last step forms only the
     weights, the means and the covariance diagonals. W^2(k) and the count are
-    those of ``mog_propagate(k)``'s mixture, to rounding.
+    those of the whole mixture after k steps, to rounding.
 
     Raises
     ------
@@ -400,7 +369,7 @@ def w2_trajectory(
                 # svec(I) . rows: the first n coordinates are the diagonal
                 w2[k] = _checked(k, rows[:, :sys.n].sum())
         else:
-            totals = _mog_walk(sys, law, init, k_max, cap)[0]
+            totals = _mog_walk(sys, law, init, k_max, cap)
             for k in range(1, k_max + 1):
                 w2[k] = _checked(k, totals[k, 0] / totals[k, 1])
             counts += totals[1:, 2].astype(int).tolist()

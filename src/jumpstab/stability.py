@@ -246,9 +246,10 @@ def _spectral_report(modes, mix, weights, margin, name, bases=None):
     and, given the one state's face ``bases`` (U,), each mode restricted
     to U^T A U: a certified verdict, else the dense eigensolve of the
     map's matrix on symmetric matrices. The caller has checked margin."""
-    live = weights.any(0)  # as in _moment_map: no 0 * inf
+    live = weights.any(0)  # as in _moment_map: no 0 * inf, C order
     if not live.all():
         modes, mix, weights = modes[live], mix[:, live], weights[:, live]
+        mix, weights = np.ascontiguousarray(mix), np.ascontiguousarray(weights)
     if bases is not None:
         modes = bases[0].T @ modes @ bases[0]
     certificate, evidence, x, used = _certified_radius(

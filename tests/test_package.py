@@ -1,5 +1,5 @@
 """Package hygiene: each module uses what it imports and exports only
-names that exist.
+names that exist, and each public function has a user.
 
 Imports are read from the source with ``ast``; a name counts as used
 when it appears anywhere in the module as a bare name, attribute roots
@@ -8,8 +8,10 @@ and annotations included.
 
 import ast
 import importlib
+import inspect
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -63,6 +65,20 @@ def test_lazy_package_names():
             if namespace[name] is not getattr(jumpstab, name)] == []
     with pytest.raises(AttributeError, match="no_such_name"):
         jumpstab.no_such_name
+
+
+def test_every_public_function_has_a_user():
+    """Each function of ``__all__`` is named by the command line, a demo,
+    the README or the benchmark's scripts: public surface that nothing
+    uses is deleted. Classes, the input and result types, are exempt."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    users = [root / "src" / "jumpstab" / "cli.py", root / "README.md",
+             *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in users)
+    unused = [name for name in jumpstab.__all__
+              if inspect.isfunction(getattr(jumpstab, name))
+              and not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 def top_level_imports(stem):

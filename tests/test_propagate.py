@@ -11,12 +11,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
-from jumpstab.moments import _moment_map, _sym_lifts
+from jumpstab.moments import (_basis_pairs, _basis_units, _moment_map,
+                              _sym_coords, _sym_lifts)
 from jumpstab.propagate import (
     GammaState,
+    _mog_push,
     _scaled_lifts,
     gamma_product,
-    mog_propagate,
     w2_trajectory,
 )
 from jumpstab.sysmodel import (
@@ -58,6 +59,23 @@ def point_mass(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     return GaussianMixture.from_components([(1.0, x, np.zeros((n, n)))])
+
+
+def pushed_mixture(sys, law, mix, k):
+    """(weights, means, covariances) after ``k`` steps of _mog_push, the
+    exact route's kernel, on the whole mixture of a valid ``law``; the
+    covariances are unpacked from their symmetric coordinates."""
+    lifts, exps = _scaled_lifts(sys)
+    pair = law._chain(sys.m)
+    state = (mix.weights, mix.means, _sym_coords(mix.covs),
+             np.zeros(mix.q, np.intp))
+    for step in range(1, k + 1):
+        state = _mog_push(sys.modes, lifts, exps, *pair(step), *state, 1.0)
+    weights, means, coords, _ = state
+    p, q = _basis_pairs(sys.n)
+    covs = np.empty((len(weights), sys.n, sys.n))
+    covs[:, p, q] = covs[:, q, p] = coords * _basis_units(sys.n)
+    return weights, means, covs
 
 
 class TestLiftedStepMatrix:
@@ -127,32 +145,36 @@ class TestScaledLifts:
 
 
 class TestMogStep:
-    """One exact-mixture step: mog_propagate for k=1 under an IID law."""
+    """One exact-mixture step under an IID law: the mixture that
+    _mog_push forms, and the exact route's record of it."""
 
     def test_component_count_and_weights(self):
         rng = np.random.default_rng(83)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=2)
         pi = np.array([0.3, 0.7])
-        out = mog_propagate(sys, IIDSwitching(pi), mix, 1)
-        assert out.q == 4
+        law = IIDSwitching(pi)
+        out = w2_trajectory(sys, law, mix, 1, method="exact_mog")
+        assert out[1].component_count == 4
         expected = np.outer(pi, mix.weights).reshape(-1)
-        assert_allclose(out.weights, expected, atol=1e-15)
+        assert_allclose(pushed_mixture(sys, law, mix, 1)[0], expected,
+                        atol=1e-15)
 
     def test_scalar_pushforward(self):
         sys = JumpLinearSystem(modes=[[[2.0]]])
         mix = GaussianMixture.from_components([(1.0, [1.0], [[1.0]])])
-        out = mog_propagate(sys, IIDSwitching([1.0]), mix, 1)
-        assert out.q == 1
-        assert_allclose(out.means, [[2.0]])
-        assert_allclose(out.covs, [[[4.0]]])
+        out = w2_trajectory(sys, IIDSwitching([1.0]), mix, 1, "exact_mog")
+        assert out[1] == (1, 8.0, 1)  # 2^2 + 4
+        _, means, covs = pushed_mixture(sys, IIDSwitching([1.0]), mix, 1)
+        assert_allclose(means, [[2.0]])
+        assert_allclose(covs, [[[4.0]]])
 
     def test_second_moment_recursion_oracle(self):
         rng = np.random.default_rng(89)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=3)
         pi = np.array([0.4, 0.6])
-        out = mog_propagate(sys, IIDSwitching(pi), mix, 1)
+        out = GaussianMixture(*pushed_mixture(sys, IIDSwitching(pi), mix, 1))
         mean_in, cov_in = synthetic_gaussian(mix)
         phi_in = np.outer(mean_in, mean_in) + cov_in
         mean_out, cov_out = synthetic_gaussian(out)
@@ -165,37 +187,43 @@ class TestMogStep:
     def test_zero_probability_modes_dropped(self):
         sys = JumpLinearSystem(modes=[[[2.0]], [[3.0]]])
         mix = point_mass([1.0])
-        out = mog_propagate(sys, IIDSwitching([1.0, 0.0]), mix, 1)
-        assert out.q == 1
-        assert_allclose(out.means, [[2.0]])
+        out = w2_trajectory(sys, IIDSwitching([1.0, 0.0]), mix, 1,
+                            "exact_mog")
+        assert out[1] == (1, 4.0, 1)  # mode 1 alone: mean 2
 
     def test_all_zero_weights_rejected(self):
         sys = JumpLinearSystem(modes=[[[1.0]], [[2.0]]])
         mix = GaussianMixture(weights=[0.0], means=[[1.0]], covs=[[[0.0]]])
         with pytest.raises(ValueError, match="weights must be positive"):
-            mog_propagate(sys, IIDSwitching([0.5, 0.5]), mix, 1)
+            w2_trajectory(sys, IIDSwitching([0.5, 0.5]), mix, 1, "exact_mog")
 
     def test_dimension_mismatch(self):
         sys = JumpLinearSystem(modes=[np.eye(2)])
         with pytest.raises(ValueError, match="dimension"):
-            mog_propagate(sys, IIDSwitching([1.0]),
-                          point_mass([1.0, 2.0, 3.0]), 1)
+            w2_trajectory(sys, IIDSwitching([1.0]),
+                          point_mass([1.0, 2.0, 3.0]), 1, "exact_mog")
 
 
 class TestMogPropagate:
+    """The exact route over several steps: its start, its counts and its
+    cap, and the invariants of the mixtures its kernel forms."""
+
     def test_zero_steps_returns_init(self):
+        # no step, so the cap, below the start's two components, counts not
         rng = np.random.default_rng(97)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=2)
-        out = mog_propagate(sys, IIDSwitching([0.5, 0.5]), mix, 0)
-        assert out is mix
+        out = w2_trajectory(sys, IIDSwitching([0.5, 0.5]), mix, 0,
+                            "exact_mog", cap=1)
+        assert out == [(0, mixture_to_dirac_sq(mix), 2)]
 
     def test_geometric_component_count(self):
         rng = np.random.default_rng(101)
         sys = random_system(rng, m=2, n=2)
         mix = random_mixture(rng, n=2, q=1)
-        out = mog_propagate(sys, IIDSwitching([0.5, 0.5]), mix, 3)
-        assert out.q == 8
+        out = w2_trajectory(sys, IIDSwitching([0.5, 0.5]), mix, 3,
+                            "exact_mog")
+        assert [r.component_count for r in out] == [1, 2, 4, 8]
 
     def test_two_step_means_enumerate_mode_pairs(self):
         rng = np.random.default_rng(103)
@@ -203,16 +231,16 @@ class TestMogPropagate:
         mu0 = rng.standard_normal(2)
         mix = point_mass(mu0)
         pi = np.array([0.3, 0.7])
-        out = mog_propagate(sys, IIDSwitching(pi), mix, 2)
+        weights, means, _ = pushed_mixture(sys, IIDSwitching(pi), mix, 2)
         # mode-major: output index i = 2*j2 + j1 carries A_{j2} A_{j1} mu0
         a = sys.modes
         for j2 in range(2):
             for j1 in range(2):
                 i = 2 * j2 + j1
                 assert_allclose(
-                    out.means[i], a[j2] @ a[j1] @ mu0, atol=1e-13
+                    means[i], a[j2] @ a[j1] @ mu0, atol=1e-13
                 )
-                assert out.weights[i] == pytest.approx(
+                assert weights[i] == pytest.approx(
                     pi[j2] * pi[j1], rel=1e-12
                 )
 
@@ -221,13 +249,14 @@ class TestMogPropagate:
         sys = random_system(rng, m=3, n=2)
         mix = random_mixture(rng, n=2, q=2)
         with pytest.raises(ValueError, match=r"3\^11\*2 = 354294"):
-            mog_propagate(sys, IIDSwitching([1 / 3] * 3), mix, 11, cap=1000)
+            w2_trajectory(sys, IIDSwitching([1 / 3] * 3), mix, 11,
+                          "exact_mog", cap=1000)
 
     def test_invalid_inputs_rejected(self):
         sys = JumpLinearSystem(modes=[np.eye(2), np.eye(2)])
         mix = point_mass([1.0, 0.0])
         with pytest.raises(ValueError, match="probability sum"):
-            mog_propagate(sys, IIDSwitching([0.6, 0.6]), mix, 2)
+            w2_trajectory(sys, IIDSwitching([0.6, 0.6]), mix, 2, "exact_mog")
 
     def test_cap_counts_only_modes_of_nonzero_probability(self):
         # a sequence keeps one component forever: 2^17 would pass the cap
@@ -249,9 +278,11 @@ class TestMogPropagate:
         with pytest.raises(
             ValueError, match=r"q0\*paths\(k\) = 1\*2048 = 2048"
         ):
-            mog_propagate(sys, law, point_mass([1.0]), 12, cap=1000)
-        mix = mog_propagate(sys, law, point_mass([1.0]), 12, cap=2048)
-        assert mix.q == 2048
+            w2_trajectory(sys, law, point_mass([1.0]), 12, "exact_mog",
+                          cap=1000)
+        recs = w2_trajectory(sys, law, point_mass([1.0]), 12, "exact_mog",
+                             cap=2048)
+        assert recs[-1].component_count == 2048
 
     @pytest.mark.parametrize("rank", ["full", "deficient"])
     @pytest.mark.parametrize("scale", [0.9, 2.5], ids=["stable", "unstable"])
@@ -275,13 +306,12 @@ class TestMogPropagate:
             ScheduleSwitching(rng.dirichlet(np.ones(m), size=3)),
         ][seed]
         for k in range(7):
-            out = mog_propagate(sys, law, mix, k)
-            assert np.all(out.weights > 0.0)
-            assert abs(np.sum(out.weights) - 1.0) <= 1e-12
-            smallest = np.linalg.eigvalsh(out.covs)[:, 0]
-            largest_entry = np.max(np.abs(out.covs), axis=(1, 2))
+            weights, _, covs = pushed_mixture(sys, law, mix, k)
+            assert np.all(weights > 0.0)
+            assert abs(np.sum(weights) - 1.0) <= 1e-12
+            smallest = np.linalg.eigvalsh(covs)[:, 0]
+            largest_entry = np.max(np.abs(covs), axis=(1, 2))
             assert np.all(smallest >= -1e-9 * largest_entry)
-
 
     @pytest.mark.parametrize(
         "law, counted",
@@ -296,17 +326,17 @@ class TestMogPropagate:
         # the counts pass Python's int-to-str digit limit
         sys = JumpLinearSystem(modes=[[[0.9]], [[0.5]]])
         with pytest.raises(ValueError, match=r"cap=100000") as info:
-            mog_propagate(sys, law, point_mass([1.0]), 20_000)
+            w2_trajectory(sys, law, point_mass([1.0]), 20_000, "exact_mog")
         assert counted in str(info.value)
 
     @needs_refused_allocation
     def test_impossible_horizon_fails_at_once(self):
-        # one component forever passes the cap, but the support counts,
-        # one int per step, are allocated before the first step
+        # one component forever passes the cap, but the k_max + 1 values
+        # are allocated before the first step
         sys = JumpLinearSystem(modes=[[[0.5]]])
         with pytest.raises(MemoryError):
-            mog_propagate(sys, SequenceSwitching((1,)), point_mass([1.0]),
-                          10**11)
+            w2_trajectory(sys, SequenceSwitching((1,)), point_mass([1.0]),
+                          10**11, "exact_mog")
 
 
 def reference_components(sys, schedule, mix):
@@ -372,7 +402,7 @@ OVERFLOWS = {"mean": (1e160, 1e150, 0.0, 1),
 
 
 class TestExactRouteReference:
-    """mog_propagate and the exact route against reference_components."""
+    """The exact route and its kernel against reference_components."""
 
     @pytest.mark.parametrize("zero_row", [False, True],
                              ids=["full-support", "zero-probability-row"])
@@ -384,13 +414,12 @@ class TestExactRouteReference:
         for k, record in enumerate(records):
             ref = reference_components(sys, schedule[:k], mix)
             weights, means, covs = (np.array(x) for x in zip(*ref))
-            out = mog_propagate(sys, law, mix, k)
-            assert out.q == record.component_count == len(ref)
-            assert_allclose(out.weights, weights, rtol=1e-13)
-            for got, want in ((out.means, means), (out.covs, covs)):
+            out = pushed_mixture(sys, law, mix, k)
+            assert len(out[0]) == record.component_count == len(ref)
+            assert_allclose(out[0], weights, rtol=1e-13)
+            for got, want in zip(out[1:], (means, covs)):
                 assert_allclose(got, want, rtol=1e-13,
                                 atol=1e-13 * np.abs(want).max())
-            assert_array_equal(out.covs, np.swapaxes(out.covs, 1, 2))
             w2 = weights @ (np.sum(means**2, axis=1)
                             + np.trace(covs, axis1=1, axis2=2))
             assert record.w2 == pytest.approx(w2, rel=1e-13)
@@ -430,24 +459,26 @@ class TestExactRouteReference:
                              ids=LAST_ROWS.keys())
     def test_last_step_matches_the_full_mixture(self, last_row, count):
         """W^2(K) and the count at K, from the narrowed last step, equal
-        those of mog_propagate's full mixture at K. In the last case the
-        weights of the start's 1e-200 component times 1e-200 underflow
-        to 0, so those 9 pairs are dropped."""
+        those of the per-component loop's full mixture at K. In the last
+        case the weights of the start's 1e-200 component times 1e-200
+        underflow to 0, so the route drops those 9 pairs."""
         sys, law, mix = underflow_case(last_row)
         for k in (1, 3):
             records = w2_trajectory(sys, law, mix, k, method="exact_mog")
-            out = mog_propagate(sys, law, mix, k)
-            assert records[-1].component_count == out.q
-            assert records[-1].w2 == pytest.approx(mixture_to_dirac_sq(out),
-                                                   rel=1e-14, abs=0)
-        assert out.q == count
+            ref = reference_components(sys, law.vectors[:k], mix)
+            weights, means, covs = (np.array(x) for x in zip(*ref))
+            assert records[-1].component_count == np.count_nonzero(weights)
+            w2 = weights @ (np.sum(means**2, axis=1)
+                            + np.trace(covs, axis1=1, axis2=2))
+            assert records[-1].w2 == pytest.approx(w2, rel=1e-14, abs=0)
+        assert records[-1].component_count == count
 
     @pytest.mark.parametrize("top, mean, cov, steps", OVERFLOWS.values(),
                              ids=OVERFLOWS.keys())
     def test_last_step_overflow_names_its_step(self, top, mean, cov, steps):
         """A mean or a diagonal coordinate past float64 at the last step
-        raises NumericalError naming that step, on the route as in
-        mog_propagate; every earlier W^2 is finite."""
+        raises NumericalError naming that step; every earlier W^2 is
+        finite."""
         sys, law, mix = overflow_case(top, mean, cov)
         assert np.isfinite(w2_trajectory(sys, law, mix, steps - 1,
                                          method="exact_mog")[-1].w2)
@@ -455,15 +486,11 @@ class TestExactRouteReference:
                    rf"at k={steps}$")
         with pytest.raises(NumericalError, match=message):
             w2_trajectory(sys, law, mix, steps, method="exact_mog")
-        with pytest.raises(NumericalError, match=message):
-            mog_propagate(sys, law, mix, steps)
 
     def test_cap_below_one_rejected(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])
         law, mix = IIDSwitching([1.0]), point_mass([1.0])
         message = "cap must be >= 1, got -5"
-        with pytest.raises(ValueError, match=message):
-            mog_propagate(sys, law, mix, 2, cap=-5)
         for k in (0, 2):
             with pytest.raises(ValueError, match=message):
                 w2_trajectory(sys, law, mix, k, method="exact_mog", cap=-5)
@@ -712,8 +739,8 @@ class TestW2Trajectory:
             assert recs[1].w2 == row[0]
         # the exact route weights its components by the row and
         # renormalizes them once, as after every mixture step
-        mix = mog_propagate(sys, law, point_mass([1.0]), 1)
-        assert_array_equal(mix.weights, again)
+        weights = pushed_mixture(sys, law, point_mass([1.0]), 1)[0]
+        assert_array_equal(weights, again)
 
     @pytest.mark.parametrize("law_kind", ["iid", "markov", "schedule"])
     def test_three_methods_agree(self, law_kind):
@@ -751,9 +778,9 @@ class TestW2Trajectory:
         for r in recs:
             assert r.component_count == 2 * 2**r.k
             # the component distances and the matched-moment trace agree
-            propagated = mog_propagate(sys, law, mix, r.k)
-            mean, cov = synthetic_gaussian(propagated)
-            assert mixture_to_dirac_sq(propagated) == r.w2
+            ref = reference_components(sys, [law.pi] * r.k, mix)
+            mean, cov = synthetic_gaussian(
+                GaussianMixture(*(np.array(x) for x in zip(*ref))))
             assert float(mean @ mean + np.trace(cov)) == pytest.approx(
                 r.w2, rel=1e-12
             )
@@ -810,9 +837,6 @@ class TestW2Trajectory:
         sys = random_system(rng, m=2, n=2)
         law = ScheduleSwitching(rng.dirichlet([1.0, 1.0], size=40))
         w2_trajectory(sys, law, random_mixture(rng, n=2, q=1), 5, method)
-        assert calls == [2]
-        calls.clear()
-        mog_propagate(sys, law, random_mixture(rng, n=2, q=1), 5)
         assert calls == [2]
 
     @pytest.mark.parametrize("method", ["moment", "gamma", "gamma_product"])
@@ -997,8 +1021,10 @@ class TestMarkovChain:
                         rtol=1e-12, atol=0)
         with pytest.raises(ValueError,
                            match=r"q0\*paths\(k\) = 1\*144 = 144 "):
-            mog_propagate(sys, law, point_mass([1.0]), 10, cap=143)
-        assert mog_propagate(sys, law, point_mass([1.0]), 10, cap=144).q == 144
+            w2_trajectory(sys, law, point_mass([1.0]), 10, "exact_mog",
+                          cap=143)
+        assert w2_trajectory(sys, law, point_mass([1.0]), 10, "exact_mog",
+                             cap=144) == recs
 
     def test_full_chain_counts_m_to_the_k(self):
         rng = np.random.default_rng(229)
@@ -1010,5 +1036,5 @@ class TestMarkovChain:
         assert [r.component_count for r in recs] == [2 * 3**k
                                                     for k in range(6)]
         with pytest.raises(ValueError, match=r"m\^k\*q0 = 3\^5\*2 = 486 "):
-            mog_propagate(sys, law, random_mixture(rng, n=2, q=2), 5,
-                          cap=485)
+            w2_trajectory(sys, law, random_mixture(rng, n=2, q=2), 5,
+                          "exact_mog", cap=485)

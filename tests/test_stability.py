@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from jumpstab.defaults import DEFAULT_MARGIN
 from jumpstab.matkit import spectral_radius
 from jumpstab.mcsim import SimConfig, simulate_ensemble
 from jumpstab.moments import _chain_lift, _moment_map, _sym_coords, _sym_lifts
 from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import (
     StabilityReport,
+    _certified_radius,
     analyze,
     contraction_test,
     markov_test,
@@ -467,6 +469,26 @@ class TestReachableStates:
         assert report.verdict == oracle.verdict == "stable"
         assert report.evidence == oracle.evidence
         assert "pi0 reaches 2 of 3 chain states" in report.notes[0]
+
+    def test_left_out_state_changes_no_bit(self):
+        # criterion 7's first chain of default_rng(1007), rows all pi, with
+        # a third state behind it that pi0 never reaches: the kept states'
+        # map reads a column slice of the pair, which numpy returns in
+        # Fortran order, and its evidence must not depend on that order
+        rng = np.random.default_rng(1007)
+        m, n = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        modes = [rng.standard_normal((n, n)) for _ in range(m)]
+        pi = rng.random(m) + 0.1
+        pi /= pi.sum()
+        p = np.tile(np.append(pi, 0.0), (m + 1, 1))
+        sys = JumpLinearSystem(modes + [np.eye(n)])
+        report = analyze(sys, MarkovSwitching(p, p[0]))
+        oracle = markov_test(JumpLinearSystem(modes), np.tile(pi, (m, 1)))
+        assert "pi0 reaches 2 of 3 chain states" in report.notes[0]
+        assert report.evidence == oracle.evidence
+        kept = _moment_map(sys.modes, p[:m], np.eye(m + 1)[:m])
+        assert _certified_radius(kept, m, n, DEFAULT_MARGIN)[1] == (
+            oracle.evidence)
 
     def test_every_state_reached_adds_no_note(self):
         sys = scalar_system(1.2, 0.5)

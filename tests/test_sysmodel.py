@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import as_matrix
 from jumpstab.mcsim import SimConfig, simulate_ensemble
-from jumpstab.propagate import gamma_product, mog_propagate, w2_trajectory
+from jumpstab.propagate import gamma_product, w2_trajectory
 from jumpstab.stability import analyze, contraction_test, markov_test
 from jumpstab.sysmodel import (
     GaussianMixture,
@@ -492,9 +492,6 @@ INTEGER_ARGUMENTS = {
     "w2_trajectory.cap":
         lambda v: [rec.component_count for rec in w2_trajectory(
             SCALAR, HALVES, unit_mixture(1), 1, "exact_mog", cap=v)],
-    "mog_propagate.k":
-        lambda v: mog_propagate(SCALAR, HALVES, unit_mixture(1), v)
-        .covs.tolist(),
     "gamma_product.k":
         lambda v: gamma_product(SCALAR, HALVES, v).gamma.tolist(),
     "contraction_test.k_max":
@@ -527,7 +524,7 @@ def test_integer_arguments_accept_integral_values(call):
 #: the lower bound of each bounded integer argument above
 INTEGER_BOUNDS = {
     "marginal_schedule.k_max": 0, "w2_trajectory.k_max": 0,
-    "w2_trajectory.cap": 1, "mog_propagate.k": 0, "gamma_product.k": 0,
+    "w2_trajectory.cap": 1, "gamma_product.k": 0,
     "contraction_test.k_max": 1, "analyze.horizon": 1,
     "SimConfig.trajectories": 1, "SimConfig.k_max": 0,
 }
