@@ -1,9 +1,12 @@
 """Dense real linear-algebra kernel.
 
 Spectral radii, matrix norms, the symmetric part and the PSD slack.
-Matrices are plain float64 ``numpy`` arrays; :func:`as_matrix` is the
-single entry point that enforces the construction invariants (2-D,
-nonempty, all entries finite).
+Arrays are plain float64 ``numpy`` arrays. :func:`as_matrix` states the
+one rule for the library's array arguments, matrices or not: int or
+float entries, a given number of dimensions (2 unless told otherwise),
+no empty axis, every entry finite; each rejection is a ``ValueError``
+naming the argument. ``sysmodel``'s constructors, ``markov_test`` and
+``gaussian_to_dirac`` read their arrays through it.
 
 All functions are pure and hold no shared state; they are safe to call
 concurrently from any number of threads.
@@ -19,7 +22,6 @@ from .defaults import PSD_TOL, NumericalError
 
 __all__ = [
     "NumericalError",
-    "as_matrix",
     "as_square",
     "spectral_radius",
     "spectral_norm",
@@ -41,15 +43,13 @@ def _as_floats(a, name: str) -> np.ndarray:
     raise ValueError(f"{name} must hold ints or floats, got {got}")
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array and validate it.
-
-    Rejects entries that are not ints or floats, empty matrices and any
-    non-finite entry. ``name`` labels the offending argument in errors.
-    """
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """``a`` as a float64 array of ``ndim`` dimensions, no empty axis and
+    finite entries, its entries checked by :func:`_as_floats`; ``name``
+    labels the argument in the ``ValueError`` of a violation."""
     m = _as_floats(a, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError(f"{name} must be nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -58,7 +58,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Like :func:`as_matrix` but additionally requires a square shape."""
+    """:func:`as_matrix` of a 2-D array that must also be square."""
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")

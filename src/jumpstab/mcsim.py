@@ -41,9 +41,11 @@ means, the value the draws would add 0 to.
 For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a block's states
 are multiplied by every transposed mode at once, one (count, m*n)
 product x [A_1^T ... A_m^T] into a reused buffer, keeping each
-trajectory's row of its picked mode; past 8 modes that m-fold product
-costs more than it saves, and at n = 1 a product is one multiplication,
-so the block is instead multiplied by a gathered (count, n, n) stack.
+trajectory's row of its picked mode; else, and at n = 1 where a product
+is one multiplication, by a gathered (count, n, n) stack. The crossover
+moves with n: at 40,960 x 20 on one BLAS thread of a 2-core Xeon the
+m-fold product still beat the stack at n <= 4 up to m = 12, and lost at
+n = 8, m = 12. The bound stays at 8 until a workload with m > 8 says more.
 
 Each law has one process, its chain form ``law._chain(m)``, which the
 analytic routes and the verdicts step and the ensemble samples: each

@@ -4,10 +4,11 @@ The system, law and mixture types are plain read-only classes whose
 ``__init__`` checks its arguments and stores them through ``_freeze``.
 Assigning or deleting a field raises ``AttributeError``.
 
-Construction enforces structural soundness only (int or float entries,
-shapes, finiteness, nonemptiness); :func:`validate_system` reports every
-violated value-level invariant, by the plain-Python rules of the file
-reader (``systemfile``) and, for covariances, :func:`check_mixture`.
+Construction enforces structural soundness only: each array passes
+``matkit.as_matrix`` (int or float entries, its number of dimensions,
+nonempty, finite) and the arrays agree in shape. :func:`validate_system`
+reports every violated value-level invariant, by the reader's plain-Python
+rules (``systemfile``) and, for covariances, :func:`check_mixture`.
 
 Each switching law owns its mode count ``m`` (None for a sequence, whose
 indices do not fix it) and its chain form ``_chain(m)``, which every
@@ -35,7 +36,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .matkit import _as_floats, _psd_slack, _sym_part, as_square
+from .matkit import _as_floats, _psd_slack, _sym_part, as_matrix, as_square
 from .systemfile import (
     _LAW_FIELDS,
     ValidationReport,
@@ -110,17 +111,6 @@ def _as_int(value, name: str, low: int = None) -> int:
     return out
 
 
-def _vector(v, name: str) -> np.ndarray:
-    x = _as_floats(v, name)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={x.ndim}")
-    if x.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
-
-
 def _normalized(x: np.ndarray) -> np.ndarray:
     """Clamp negatives to 0 and renormalize each vector along the last axis."""
     x = np.clip(x, 0.0, None)
@@ -173,23 +163,15 @@ class GaussianMixture(_ReadOnly):
     per-component values."""
 
     def __init__(self, weights, means, covs):
-        w = _vector(weights, "mixture weights")
-        means = _as_floats(means, "means")
-        covs = _as_floats(covs, "covs")
-        if means.ndim != 2:
-            raise ValueError(f"means must be (q, n), got ndim={means.ndim}")
-        if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-            raise ValueError(f"covs must be (q, n, n), got shape {covs.shape}")
+        w = as_matrix(weights, "mixture weights", 1)
+        means = as_matrix(means, "means", 2)
+        covs = as_matrix(covs, "covs", 3)
         q, n = means.shape
-        if n == 0:
-            raise ValueError("mixture dimension must be positive")
-        if w.size != q or covs.shape[0] != q or covs.shape[1] != n:
+        if w.shape != (q,) or covs.shape != (q, n, n):
             raise ValueError(
                 f"inconsistent mixture shapes: weights {w.shape}, "
                 f"means {means.shape}, covs {covs.shape}"
             )
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
-            raise ValueError("mixture contains non-finite entries")
         _freeze(self, weights=w, means=means, covs=covs)
 
     @classmethod
@@ -272,7 +254,7 @@ class IIDSwitching(_ReadOnly):
     ``m`` is its length, and every step's weights are pi, normalized."""
 
     def __init__(self, pi):
-        pi = _vector(pi, "pi")
+        pi = as_matrix(pi, "pi", 1)
         _freeze(self, pi=pi, m=pi.size)
 
     _settle = 1
@@ -289,7 +271,7 @@ class MarkovSwitching(_ReadOnly):
 
     def __init__(self, P, pi0):
         p = as_square(P, "P")
-        pi0 = _vector(pi0, "pi0")
+        pi0 = as_matrix(pi0, "pi0", 1)
         if pi0.size != p.shape[0]:
             raise ValueError(
                 f"pi0 has length {pi0.size}, P is {p.shape[0]}x{p.shape[0]}"
@@ -310,14 +292,7 @@ class ScheduleSwitching(_ReadOnly):
     horizon the last one repeats."""
 
     def __init__(self, vectors):
-        v = _as_floats(vectors, "schedule")
-        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
-            raise ValueError(
-                f"schedule must be a nonempty list of vectors, got shape "
-                f"{v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("schedule contains non-finite entries")
+        v = as_matrix(vectors, "schedule")
         _freeze(self, vectors=v, m=v.shape[1])
 
     @property

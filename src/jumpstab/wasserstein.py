@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matkit import NumericalError, _as_floats, _sym_part, as_square
+from .matkit import NumericalError, _as_floats, _sym_part, as_matrix, as_square
 from .sysmodel import GaussianMixture, _reject, check_mixture
 
 __all__ = [
@@ -40,9 +40,8 @@ def gaussian_to_dirac(mean, cov) -> float:
     judges ``cov``: rank-deficient covariances are fine; an asymmetric
     or indefinite one raises ``ValueError``.
     """
-    mu = _as_floats(mean, "mean").reshape(-1)
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("mean contains non-finite entries")
+    # a mean of any shape is flattened, after its entries are checked
+    mu = as_matrix(_as_floats(mean, "mean").ravel(), "mean", 1)
     c = as_square(cov, "cov")
     if c.shape[0] != mu.size:
         raise ValueError(

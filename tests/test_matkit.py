@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import (
-    NumericalError,
     _sym_part,
     as_matrix,
     as_square,

@@ -1,5 +1,6 @@
-"""Package hygiene: each module uses what it imports and exports only
-names that exist, and each public function has a user.
+"""Package hygiene: each module, the test modules included, uses what it
+imports; each exports only names that exist, and each public function
+has a user.
 
 Imports are read from the source with ``ast``; a name counts as used
 when it appears anywhere in the module as a bare name, attribute roots
@@ -20,6 +21,7 @@ import pytest
 import jumpstab
 
 SRC = pathlib.Path(jumpstab.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
@@ -39,12 +41,22 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
+def unused_imports(path, exported=()):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported_names(tree)) - used - set(exported))
+
+
 @pytest.mark.parametrize("stem", MODULES)
 def test_every_import_is_used_or_exported(stem):
-    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set(getattr(import_module(stem), "__all__", ()))
-    assert sorted(set(imported_names(tree)) - used - exported) == []
+    exported = getattr(import_module(stem), "__all__", ())
+    assert unused_imports(SRC / f"{stem}.py", exported) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_test_import_is_used(path):
+    assert unused_imports(path) == []
 
 
 @pytest.mark.parametrize("stem", MODULES)

@@ -14,7 +14,6 @@ from jumpstab.matkit import NumericalError
 from jumpstab.moments import (_basis_pairs, _basis_units, _moment_map,
                               _sym_coords, _sym_lifts)
 from jumpstab.propagate import (
-    GammaState,
     _mog_push,
     _scaled_lifts,
     gamma_product,

@@ -15,7 +15,6 @@ from jumpstab.mcsim import SimConfig, simulate_ensemble
 from jumpstab.moments import _chain_lift, _moment_map, _sym_coords, _sym_lifts
 from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import (
-    StabilityReport,
     _certified_radius,
     analyze,
     contraction_test,
@@ -380,6 +379,13 @@ class TestContractionTest:
     def test_sequence_index_validation(self):
         with pytest.raises(ValueError, match="outside"):
             contraction_test(scalar_system(0.5), SequenceSwitching((2,)))
+
+    def test_rejects_a_law_that_is_not_a_sequence(self):
+        with pytest.raises(ValueError) as caught:
+            contraction_test(scalar_system(0.5), IIDSwitching([1.0]))
+        assert str(caught.value) == (
+            "contraction test needs a deterministic sequence, got "
+            "IIDSwitching")
 
 
 class TestVerdictTrajectoryConsistency:

@@ -362,6 +362,13 @@ class TestMarginalSchedule:
         with pytest.raises(ValueError, match="m is required"):
             marginal_schedule(SequenceSwitching((1,)), 3)
 
+    def test_rejects_a_non_law_and_a_contradicting_m(self):
+        with pytest.raises(TypeError, match="unknown switching law list"):
+            marginal_schedule([0.5, 0.5], 3)
+        with pytest.raises(ValueError) as caught:
+            marginal_schedule(IIDSwitching([0.5, 0.5]), 3, m=3)
+        assert str(caught.value) == "m=3 inconsistent with law mode count 2"
+
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(41)
         p = rng.random((3, 3))
@@ -460,6 +467,11 @@ class TestLawModeCount:
         assert ScheduleSwitching([[1.0, 0.0]]).m == 2
         assert SequenceSwitching((1, 2)).m is None
 
+    def test_markov_start_must_match_P(self):
+        with pytest.raises(ValueError) as caught:
+            MarkovSwitching(np.eye(2), [1.0])
+        assert str(caught.value) == "pi0 has length 1, P is 2x2"
+
 
 class TestSequenceSwitching:
     def test_rejects_non_integer(self):
@@ -542,46 +554,88 @@ def test_integer_arguments_below_their_bound_rejected(name, low):
             f"{name.split('.')[1]} must be {rule}, got {int(value)}")
 
 
-#: every array argument of a public entry, as a call that builds it from
-#: one value
+def nested(value, depth):
+    """``value`` inside ``depth`` one-entry lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+#: every array argument of a public entry: a call of the argument alone,
+#: the argument's number of dimensions and its name in messages
 ARRAY_ARGUMENTS = {
-    "as_matrix": lambda v: as_matrix([[v]]),
-    "JumpLinearSystem.modes": lambda v: JumpLinearSystem([[[v]]]),
-    "IIDSwitching.pi": lambda v: IIDSwitching([v]),
-    "MarkovSwitching.P": lambda v: MarkovSwitching([[v]], [1.0]),
-    "MarkovSwitching.pi0": lambda v: MarkovSwitching([[1.0]], [v]),
-    "ScheduleSwitching.vectors": lambda v: ScheduleSwitching([[v]]),
-    "GaussianMixture.weights":
-        lambda v: GaussianMixture([v], [[0.0]], [[[1.0]]]),
+    "as_matrix": (as_matrix, 2, "matrix"),
+    "JumpLinearSystem.modes": (lambda a: JumpLinearSystem([a]), 2, "mode 1"),
+    "IIDSwitching.pi": (IIDSwitching, 1, "pi"),
+    "MarkovSwitching.P": (lambda a: MarkovSwitching(a, [1.0]), 2, "P"),
+    "MarkovSwitching.pi0": (lambda a: MarkovSwitching([[1.0]], a), 1, "pi0"),
+    "ScheduleSwitching.vectors": (ScheduleSwitching, 2, "schedule"),
+    "GaussianMixture.weights": (
+        lambda a: GaussianMixture(a, [[0.0]], [[[1.0]]]), 1,
+        "mixture weights"),
     "GaussianMixture.means":
-        lambda v: GaussianMixture([1.0], [[v]], [[[1.0]]]),
+        (lambda a: GaussianMixture([1.0], a, [[[1.0]]]), 2, "means"),
     "GaussianMixture.covs":
-        lambda v: GaussianMixture([1.0], [[0.0]], [[[v]]]),
-    "GaussianMixture.from_components":
-        lambda v: GaussianMixture.from_components([(1.0, [v], [[1.0]])]),
+        (lambda a: GaussianMixture([1.0], [[0.0]], a), 3, "covs"),
+    "GaussianMixture.from_components": (
+        lambda a: GaussianMixture.from_components([(1.0, a, [[1.0]])]), 1,
+        "means"),
     "markov_test.P":
-        lambda v: markov_test(JumpLinearSystem([[[0.5]]]), [[v]]),
-    "gaussian_to_dirac.mean": lambda v: gaussian_to_dirac([v], [[1.0]]),
+        (lambda a: markov_test(JumpLinearSystem([[[0.5]]]), a), 2, "P"),
+    "gaussian_to_dirac.mean":
+        (lambda a: gaussian_to_dirac(a, [[1.0]]), 1, "mean"),
 }
 
 
-@pytest.mark.parametrize("call", ARRAY_ARGUMENTS.values(),
+def with_entry(argument, value):
+    """Call an ``ARRAY_ARGUMENTS`` entry on its argument of one entry."""
+    call, ndim, _ = argument
+    return call(nested(value, ndim))
+
+
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS.values(),
                          ids=ARRAY_ARGUMENTS)
 @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
-def test_array_arguments_reject_strings_and_bools(call, value):
+def test_array_arguments_reject_strings_and_bools(argument, value):
     """No array argument reads a string or a bool as a number."""
     with pytest.raises(ValueError, match="must hold ints or floats"):
-        call(value)
+        with_entry(argument, value)
 
 
-@pytest.mark.parametrize("call", ARRAY_ARGUMENTS.values(),
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS.values(),
                          ids=ARRAY_ARGUMENTS)
 @pytest.mark.parametrize("value", [1, 1.0, np.float32(1), Fraction(1),
                                    Decimal(1)],
                          ids=["int", "float", "float32", "fraction",
                               "decimal"])
-def test_array_arguments_accept_numbers(call, value):
-    call(value)
+def test_array_arguments_accept_numbers(argument, value):
+    with_entry(argument, value)
+
+
+#: each other violation of the array rule, as (argument of ndim
+#: dimensions, the rule's wording after the argument's name)
+ARRAY_VIOLATIONS = {
+    "empty": (lambda ndim: nested([], ndim - 1),
+              r"must be nonempty, got shape \("),
+    "ndim": (lambda ndim: nested(1.0, ndim + 1),
+             r"must be \d-D, got ndim=\d$"),
+    "nan": (lambda ndim: nested(np.nan, ndim), "contains non-finite entries$"),
+    "inf": (lambda ndim: nested(np.inf, ndim), "contains non-finite entries$"),
+}
+
+
+@pytest.mark.parametrize("key", ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("violation", ARRAY_VIOLATIONS)
+def test_array_arguments_reject_by_one_rule(key, violation):
+    """Every array argument words each violation one way, naming itself;
+    ``gaussian_to_dirac`` flattens a mean of any number of dimensions."""
+    call, ndim, name = ARRAY_ARGUMENTS[key]
+    bad, rule = ARRAY_VIOLATIONS[violation]
+    if key == "gaussian_to_dirac.mean" and violation == "ndim":
+        assert call(bad(ndim)) == call([1.0])
+        return
+    with pytest.raises(ValueError, match=rf"^{name} {rule}"):
+        call(bad(ndim))
 
 
 #: the array arguments above that can hold two entries, as a call that
