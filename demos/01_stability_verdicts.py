@@ -21,7 +21,7 @@ from jumpstab import (
 )
 
 # two scalar modes: one doubles the state, one nearly kills it
-system = JumpLinearSystem(modes=[[[2.0]], [[0.1]]], names=("grow", "shrink"))
+system = JumpLinearSystem(modes=[[[2.0]], [[0.1]]])  # grow, shrink
 
 
 def show(title, report):

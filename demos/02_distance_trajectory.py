@@ -34,9 +34,7 @@ rng = np.random.default_rng(7)
 rot = 1.05 * np.array(
     [[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]
 )
-system = JumpLinearSystem(
-    modes=[rot, [[0.3, 0.0], [0.1, 0.2]]], names=("rotate", "contract")
-)
+system = JumpLinearSystem(modes=[rot, [[0.3, 0.0], [0.1, 0.2]]])
 law = IIDSwitching([0.6, 0.4])
 
 # start from a bimodal mixture: two clusters on opposite sides

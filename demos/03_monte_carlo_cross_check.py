@@ -32,7 +32,7 @@ from jumpstab import (
     w2_trajectory,
 )
 
-system = JumpLinearSystem(modes=[[[1.2]], [[0.5]]], names=("a", "b"))
+system = JumpLinearSystem(modes=[[[1.2]], [[0.5]]])
 law = MarkovSwitching(P=[[0.3, 0.7], [0.7, 0.3]], pi0=[0.5, 0.5])
 init = GaussianMixture.from_components([(1.0, [1.0], [[0.2]])])
 

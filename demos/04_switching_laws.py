@@ -45,9 +45,7 @@ show_schedule("sequence (1, 1, 2) cycling", seq, 6, m=2)
 # For periodic sequences a single contractive prefix product certifies
 # stability of the repeated pattern.  Two growth steps followed by one
 # strong contraction contract only over the full period.
-system = JumpLinearSystem(
-    modes=[[[1.5]], [[0.2]]], names=("grow", "drop")
-)
+system = JumpLinearSystem(modes=[[[1.5]], [[0.2]]])  # grow, drop
 report = contraction_test(system, seq)
 print("\ncontraction test on (grow, grow, drop):")
 print(f"  verdict:      {report.verdict}")

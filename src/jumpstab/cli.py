@@ -237,7 +237,7 @@ def cmd_trajectory(args) -> int:
     exact = args.method == "exact_mog"
     header = ["k", "w2", "w"] + (["component_count"] if exact else [])
     _write_csv(args.out, header, (
-        [rec.k, rec.w2, math.sqrt(max(rec.w2, 0.0))]
+        [rec.k, rec.w2, math.sqrt(rec.w2)]
         + ([rec.component_count] if exact else [])
         for rec in records
     ))
@@ -252,7 +252,7 @@ def cmd_simulate(args) -> int:
                     sampling=args.sampling)
     stats = simulate_ensemble(sf.system, sf.switching, sf.initial, cfg)
     _write_csv(args.out, ["k", "mean_sq", "stderr", "n_samples"], (
-        [k, stats.mean_sq[k], stats.stderr[k], int(stats.samples[k])]
+        [k, stats.mean_sq[k], stats.stderr[k], args.trajectories]
         for k in range(args.steps + 1)
     ))
     return 0

@@ -121,23 +121,19 @@ class SimConfig(_ReadOnly):
 
 
 class EnsembleStats(NamedTuple):
-    """Per-step ensemble statistics, index k = 0 .. k_max.
+    """Per-step ensemble statistics, index k = 0 .. k_max, over all
+    ``SimConfig.trajectories`` trajectories at every step.
 
     ``mean_sq[k]`` is the empirical mean of ||x(k)||^2, ``stderr[k]`` its
     standard error (sample standard deviation over sqrt(count); zero for
-    single-trajectory runs), ``samples[k]`` the trajectory count, and
-    ``heavy_tail[k]`` flags steps whose plain kurtosis exceeds
-    KURTOSIS_THRESHOLD, where the standard error should not be trusted.
+    single-trajectory runs), and ``heavy_tail[k]`` flags steps whose
+    plain kurtosis exceeds KURTOSIS_THRESHOLD, where the standard error
+    should not be trusted.
     """
 
     mean_sq: np.ndarray
     stderr: np.ndarray
-    samples: np.ndarray
     heavy_tail: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.mean_sq.size - 1
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -305,7 +301,6 @@ def simulate_ensemble(
     n, m = sys.n, sys.m
     # first, so an impossible size fails before any draw
     mean_sq, stderr, kurtosis = np.empty((3, k_max + 1))
-    samples = np.full(k_max + 1, big_t, dtype=np.int64)
     x = np.empty((big_t, n))
     block = min(big_t, _CHUNK)
     normsq, sq = np.empty((2, block))  # a block's norms, squared deviations
@@ -385,5 +380,4 @@ def simulate_ensemble(
                 record = fold(rows, count, record)
             mean_sq[k], stderr[k], kurtosis[k] = _finish(record, k)
 
-    return EnsembleStats(mean_sq, stderr, samples,
-                         kurtosis > KURTOSIS_THRESHOLD)
+    return EnsembleStats(mean_sq, stderr, kurtosis > KURTOSIS_THRESHOLD)

@@ -32,11 +32,12 @@ second moment of the chain whose map ``analyze`` judges:
     Gamma(k) or an n^2 x n^2 matrix.
 
 The three must agree to rounding, as the test suite asserts. A route
-raises NumericalError, naming k, exactly when a value it carries is not
-finite. The lifts of modes whose largest entry reaches 2^510 are built
-from the modes scaled by a power of two, which is exact; where the
-scaling would lose digits, the route raises NumericalError instead of
-printing them. ``gamma`` and ``exact_mog`` multiply coordinates by the
+raises NumericalError naming the first k whose W^2(k) is not finite or
+is negative, which only rounding can make it; ``moment`` and ``gamma``
+also where a value they carry is not finite. The lifts of modes whose
+largest entry reaches 2^510 are built from the modes scaled by a power
+of two, which is exact; where the scaling would lose digits, the route
+raises NumericalError instead of printing them. ``gamma`` and ``exact_mog`` multiply coordinates by the
 lifts in one kernel, ``_lifted_push``. ``gamma_product`` pushes the n^2
 unit matrices through X -> sum_j pi_j A_j X A_j^T of the marginals pi(k).
 The map, the lifts and the symmetric basis live in ``moments``, which
@@ -150,7 +151,8 @@ def _mog_push(modes, lifts, exps, mix, weights, alpha, means, coords,
     component c (see the module docstring), mode-major: one matrix
     product per mode that leads to a state. Pairs whose weight times
     ``mass`` (their share of the mixture) is 0 are dropped, the rest
-    scaled to sum 1. Returns (alpha, means, coords, states).
+    scaled to sum 1. Returns (alpha, means, coords, states); entries
+    past float64 come out as inf or nan, which the walk's W^2 shows.
     """
     live = np.flatnonzero(weights.any(axis=0))
     ends = weights[:, live].argmax(axis=0)
@@ -165,8 +167,6 @@ def _mog_push(modes, lifts, exps, mix, weights, alpha, means, coords,
     if not np.all(keep):
         alpha, means, coords, states = (x[keep] for x in
                                         (alpha, means, coords, states))
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(coords))):
-        raise NumericalError("mixture diverged: an entry is not finite")
     return alpha / alpha.sum(), means, coords, states
 
 
@@ -188,23 +188,19 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
     A chunk whose next push would form over _MOG_BUDGET bytes is split by
     parents, each piece finishing its subtree first: the peak is about
     _MOG_BUDGET per split level. The last step pushes only the diagonals.
-    Raises the NumericalError of the first step whose push is not finite
-    if every sum before it is finite.
+    The walk stops at the first step whose sum is not finite and leaves
+    the steps after it nan, so that the caller's check of W^2 names it.
+    No other stop is needed: |Sigma_ij| <= (Sigma_ii + Sigma_jj) / 2 on
+    a PSD Sigma, so a value the push carries overflows only with W^2.
     """
     totals = np.zeros((k + 1, 3))  # allocated first; exact counts below 2**53
     pair = law._chain(sys.m)
     # components per state, in Python ints: a state's components reach
-    # state r by table[r][state] modes each; the 0/1 links of a step give
-    # its table, built once per pattern and reread while the pair repeats
-    counts, tables, last = [init.q], {}, None
+    # state r by table[r][state] modes each, from the step's 0/1 links
+    counts = [init.q]
     for step in range(1, k + 1):
-        links = pair(step)
-        if links is not last:
-            last, (mix, weights) = links, (x > 0 for x in links)
-            key = mix.tobytes(), weights.tobytes()
-            if key not in tables:
-                tables[key] = (mix @ weights.T.astype(int)).T.tolist()
-            table = tables[key]
+        mix, weights = (x > 0 for x in pair(step))
+        table = (mix @ weights.T.astype(int)).T.tolist()
         counts = [sum(c * link for c, link in zip(counts, row))
                   for row in table]
     reach = sum(counts)
@@ -216,7 +212,7 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
                          f"{_count(reach)} components, beyond cap={cap}; "
                          f"raise the cap")
     n, (lifts, exps) = sys.n, _scaled_lifts(sys)
-    limit, error = k, None  # the last step a chunk still needs; a failure
+    limit = k  # the last step a chunk still needs
     chunks = [(0, 1.0, init.weights, init.means, _sym_coords(init.covs),
                np.zeros(init.q, np.intp))]
     while chunks:
@@ -233,19 +229,14 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
                     chunks.append((step - 1, mass * w.sum(), w / w.sum(),
                                    *rest))
                 break
-            try:
-                state = _mog_push(sys.modes, used, exps, mix, weights,
-                                  *state, mass)
-            except NumericalError as exc:
-                limit, error = step - 1, f"{exc} at k={step}"
-                break
+            state = _mog_push(sys.modes, used, exps, mix, weights,
+                              *state, mass)
             part = mass * _dirac_sq(state[0], state[1], state[2][:, :n])
             totals[step] += part, mass, len(state[0])
             if not math.isfinite(part):
                 limit = step
                 break
-    if error and np.all(np.isfinite(totals[:limit + 1])):
-        raise NumericalError(error)
+    totals[limit + 1:] = np.nan
     return totals
 
 
@@ -285,10 +276,14 @@ def gamma_product(
 
 
 def _checked(k: int, w2) -> float:
-    """W^2(k) as a float; NumericalError if it is not finite."""
+    """W^2(k) as a float; NumericalError if it is not finite, or if it
+    is negative, which only rounding can make it."""
     w2 = float(w2)
     if not math.isfinite(w2):
         raise NumericalError(f"W^2 diverged at k={k} (not finite)")
+    if w2 < 0.0:
+        raise NumericalError(f"W^2 is negative at k={k} ({w2:.3e}): "
+                             f"rounding error exceeds its value")
     return w2
 
 
@@ -319,8 +314,9 @@ def w2_trajectory(
         On invalid inputs, unknown method, an exact-mixture cap below 1,
         or exact-mixture cap overflow.
     NumericalError
-        If W^2(k) or a value the route carries is not finite for some
-        k <= k_max (unstable growth; the message names the failing step).
+        If W^2(k) is not finite or is negative for some k <= k_max, or,
+        on the moment and gamma routes, a value they carry is not finite
+        (the message names the failing step).
     MemoryError
         Before the first step, if the k_max + 1 values do not fit.
     """

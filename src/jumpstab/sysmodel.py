@@ -120,9 +120,9 @@ def _normalized(x: np.ndarray) -> np.ndarray:
 class JumpLinearSystem(_ReadOnly):
     """Finite collection of mode matrices A_1 .. A_m acting on R^n, all
     square and of one size, stored as a read-only (m, n, n) float64
-    array; ``names`` gives one label per mode, or None."""
+    array. Modes carry no names: a system file's keys fix their order."""
 
-    def __init__(self, modes, names=None):
+    def __init__(self, modes):
         mats = [as_square(a, f"mode {j + 1}") for j, a in enumerate(modes)]
         if not mats:
             raise ValueError("system needs at least one mode")
@@ -132,18 +132,7 @@ class JumpLinearSystem(_ReadOnly):
                 raise ValueError(
                     f"mode {j + 1} has shape {a.shape}, expected ({n}, {n})"
                 )
-        if isinstance(names, str):
-            raise ValueError(f"names must be a sequence of str, got {names!r}")
-        if names is not None:
-            names = tuple(names)
-            for j, name in enumerate(names):
-                if not isinstance(name, str):
-                    raise ValueError(
-                        f"name {j + 1} must be a string, got {name!r}"
-                    )
-            if len(names) != len(mats):
-                raise ValueError(f"{len(names)} names for {len(mats)} modes")
-        _freeze(self, modes=np.array(mats), names=names)
+        _freeze(self, modes=np.array(mats))
 
     @property
     def m(self) -> int:

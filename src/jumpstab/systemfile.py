@@ -19,8 +19,8 @@ The ``switching`` object is a tagged union over the four law kinds:
     {"type": "schedule", "vectors": [[...], ...]}
     {"type": "sequence", "indices": [1, 2, ...]}
 
-Mode order follows key order in the ``modes`` object; sequence indices
-are 1-based references into that order.
+Mode order follows key order in the ``modes`` object, and the names are
+not kept; sequence indices are 1-based references into that order.
 
 This module is the one reader of a system file; it loads numpy only to
 build the arrays.  Structural errors (shapes, types, field names, a key
@@ -285,35 +285,26 @@ def _report(modes, law, initial) -> ValidationReport:
     if all(_cleared(cov) for _, _, cov in initial):
         out += _weight_violations([w for w, _, _ in initial])
     else:
-        from .sysmodel import check_mixture
+        from .sysmodel import GaussianMixture, check_mixture
 
-        out += check_mixture(_mixture(initial))
+        out += check_mixture(GaussianMixture.from_components(initial))
     return ValidationReport(tuple(out))
 
 
-def _mixture(initial):
-    """The GaussianMixture of the decoded initial components."""
-    import numpy as np
-
-    from .sysmodel import GaussianMixture
-
-    return GaussianMixture(*map(np.array, zip(*initial)))
-
-
 def _build(modes, law, initial) -> SystemFile:
-    """The numpy objects of a decoded file; each numeric field reaches its
-    constructor as one float64 array."""
+    """The numpy objects of a decoded file: the modes and each law field
+    reach their constructor as one float64 array, the start as its
+    (weight, mean, cov) triples."""
     import numpy as np
 
     from . import sysmodel
 
     return SystemFile(
-        sysmodel.JumpLinearSystem(np.array(list(modes.values())),
-                                  tuple(modes)),
+        sysmodel.JumpLinearSystem(np.array(list(modes.values()))),
         sysmodel._KINDS[law["type"]](*(
             law[f] if f == "indices" else np.array(law[f])
             for f in _LAW_FIELDS[law["type"]])),
-        _mixture(initial),
+        sysmodel.GaussianMixture.from_components(initial),
     )
 
 

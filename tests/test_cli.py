@@ -119,6 +119,22 @@ STABLE_IID = {
 }
 
 
+def rotated_jordan():
+    """One IID mode R [[lam, b], [0, lam]] R^T, lam^2 = 0.9, b = 1e5, R a
+    rotation by 0.7, from a point mass at (1, 1): W^2(k) is positive, but
+    the moment and gamma routes lose it to rounding within 60 steps."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    mode = rot @ np.array([[np.sqrt(0.9), 1e5], [0.0, np.sqrt(0.9)]]) @ rot.T
+    return {
+        "n": 2,
+        "modes": {"a": mode.tolist()},
+        "switching": {"type": "iid", "pi": [1.0]},
+        "initial": [{"weight": 1.0, "mean": [1.0, 1.0],
+                     "cov": [[0.0, 0.0], [0.0, 0.0]]}],
+    }
+
+
 def lift_sized_iid():
     """Two IID modes whose 210-row symmetric lift (n = 20) is large enough
     for a threaded OpenBLAS to split its products between CPUs."""
@@ -715,6 +731,27 @@ class TestOverflow:
 
 
 class TestTrajectory:
+    @pytest.mark.parametrize("method", ["moment", "gamma"])
+    def test_negative_w2_exits_3(self, write, capsys, method):
+        """A negative W^2 is rounding, never a value: the route stops at
+        the first such step (which one depends on the BLAS path)."""
+        argv = ["trajectory", write(rotated_jordan()), "--steps", "60",
+                "--method", method]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert "negative" in captured.err
+
+    def test_exact_route_keeps_the_rotated_jordan_positive(self, write,
+                                                          capsys):
+        argv = ["trajectory", write(rotated_jordan()), "--steps", "60",
+                "--method", "exact_mog"]
+        assert main(argv) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 61
+        assert all(float(row[1]) > 0.0 for row in rows)
+
     def test_single_mode_powers(self, write, capsys):
         assert main(
             ["trajectory", write(SINGLE_HALF), "--steps", "4"]
@@ -1053,6 +1090,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "max deviation: 0.00 SE" in out
         assert "result: PASS" in out
+
+    def test_deterministic_disagreement_is_inf(self, write, capsys):
+        """Every sample of a point mass under one mode is the same, so the
+        standard error is 0; the moment route misses the sampled W^2 by
+        far more than 1e-9 from k = 2 on, and such a step reads inf SE."""
+        argv = ["compare", write(rotated_jordan()), "--steps", "4",
+                "--trajectories", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("max deviation: inf SE at k=")
+        assert lines[-1] == "result: FAIL (threshold 4 SE)"
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is False
+        assert payload["max_se_dev"] == "inf"
+        assert all(row["stderr"] == 0.0 for row in payload["rows"])
+        assert [row["se_dev"] for row in payload["rows"][2:]] == ["inf"] * 3
 
     def test_json_payload(self, write, capsys):
         assert main(

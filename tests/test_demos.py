@@ -1,13 +1,16 @@
-"""Every demo script must run to completion, without a RuntimeWarning."""
+"""Every demo script, and README's quick start, must run to completion,
+without a RuntimeWarning."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
@@ -33,3 +36,22 @@ def test_system_files_demo_repeats_itself_and_cleans_up(tmp_path):
     ).stdout for _ in range(2))
     assert first == second
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_quick_start_prints_what_it_says():
+    """The quick start's code block runs as written; its first line is
+    the verdict and evidence its comment gives, then W^2(k) = 2.005**k."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                     readme, re.S).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    first, *rows = proc.stdout.splitlines()
+    assert first == "unstable 2.005"
+    assert [row.split()[0] for row in rows] == [str(k) for k in range(6)]
+    for k, row in enumerate(rows):
+        assert float(row.split()[1]) == pytest.approx(2.005**k, rel=1e-14)

@@ -474,17 +474,19 @@ class TestExactRouteReference:
 
     @pytest.mark.parametrize("top, mean, cov, steps", OVERFLOWS.values(),
                              ids=OVERFLOWS.keys())
-    def test_last_step_overflow_names_its_step(self, top, mean, cov, steps):
+    def test_last_step_overflow_names_its_step(self, monkeypatch, top,
+                                               mean, cov, steps):
         """A mean or a diagonal coordinate past float64 at the last step
-        raises NumericalError naming that step; every earlier W^2 is
-        finite."""
+        raises NumericalError naming that step, in chunks of any size;
+        every earlier W^2 is finite."""
         sys, law, mix = overflow_case(top, mean, cov)
-        assert np.isfinite(w2_trajectory(sys, law, mix, steps - 1,
-                                         method="exact_mog")[-1].w2)
-        message = (r"^mixture diverged: an entry is not finite "
-                   rf"at k={steps}$")
-        with pytest.raises(NumericalError, match=message):
-            w2_trajectory(sys, law, mix, steps, method="exact_mog")
+        message = rf"^W\^2 diverged at k={steps} \(not finite\)$"
+        for budget in (propagate._MOG_BUDGET, 1):
+            monkeypatch.setattr(propagate, "_MOG_BUDGET", budget)
+            assert np.isfinite(w2_trajectory(sys, law, mix, steps - 1,
+                                             method="exact_mog")[-1].w2)
+            with pytest.raises(NumericalError, match=message):
+                w2_trajectory(sys, law, mix, steps, method="exact_mog")
 
     def test_cap_below_one_rejected(self):
         sys = JumpLinearSystem(modes=[[[0.5]]])
@@ -557,7 +559,7 @@ class TestMogWalk:
         # the first component diverges at k=2, the second at k=1
         ([np.diag([1e160, 1.0]), np.diag([1.0, 1e160])],
          [[0.0, 1e150], [1e150, 0.0]],
-         r"^mixture diverged: an entry is not finite at k=1$"),
+         r"^W\^2 diverged at k=1 \(not finite\)$"),
         # the first component diverges at k=2, the second's W^2 at k=1
         ([np.diag([1.0, 10.0]), np.diag([1e160, 0.5])],
          [[1e150, 0.0], [0.0, 1e154]],

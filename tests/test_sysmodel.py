@@ -4,6 +4,7 @@ Markov marginals are cross-checked against repeated explicit
 multiplication.
 """
 
+import inspect
 from decimal import Decimal
 from fractions import Fraction
 
@@ -61,29 +62,11 @@ class TestJumpLinearSystem:
         with pytest.raises(ValueError, match="non-finite"):
             JumpLinearSystem(modes=[np.array([[np.nan]])])
 
-    def test_names(self):
-        sys = JumpLinearSystem(
-            modes=[np.eye(2), np.eye(2)], names=("slow", "fast")
-        )
-        assert sys.names == ("slow", "fast")
-
-    def test_name_count_mismatch(self):
-        with pytest.raises(ValueError, match="names"):
-            JumpLinearSystem(modes=[np.eye(2)], names=("a", "b"))
-
-    def test_rejects_a_string_of_names(self):
-        with pytest.raises(ValueError, match="names must be a sequence"):
-            JumpLinearSystem(modes=[np.eye(2), np.eye(2)], names="ab")
-
-    @pytest.mark.parametrize("names, bad", [
-        ([None, "b"], "name 1 must be a string, got None"),
-        (["a", 3], "name 2 must be a string, got 3"),
-        ((b"a", "b"), "name 1 must be a string, got b'a'"),
-    ], ids=["None", "int", "bytes"])
-    def test_rejects_names_that_are_not_strings(self, names, bad):
-        with pytest.raises(ValueError) as exc:
-            JumpLinearSystem(modes=[np.eye(2), np.eye(2)], names=names)
-        assert str(exc.value) == bad
+    def test_takes_modes_only(self):
+        """The modes are the whole system: it holds no mode names."""
+        params = inspect.signature(JumpLinearSystem).parameters
+        assert list(params) == ["modes"]
+        assert not hasattr(JumpLinearSystem([np.eye(2)]), "names")
 
     def test_modes_read_only(self):
         sys = two_mode_system()

@@ -20,15 +20,14 @@ from jumpstab.sysmodel import (
     ValidationReport,
 )
 
-SYSTEM = JumpLinearSystem([np.eye(2), 0.5 * np.eye(2)], ("a", "b"))
+SYSTEM = JumpLinearSystem([np.eye(2), 0.5 * np.eye(2)])
 LAW = IIDSwitching([0.5, 0.5])
 MIXTURE = GaussianMixture([1.0], np.zeros((1, 2)), np.eye(2)[None])
 
 #: each public type with the (name, value) of every constructor argument,
 #: in signature order
 TYPES = [
-    (JumpLinearSystem, [("modes", [np.eye(2), 2 * np.eye(2)]),
-                        ("names", ("slow", "fast"))]),
+    (JumpLinearSystem, [("modes", [np.eye(2), 2 * np.eye(2)])]),
     (GaussianMixture, [("weights", [0.5, 0.5]), ("means", np.zeros((2, 2))),
                        ("covs", np.stack([np.eye(2), 2 * np.eye(2)]))]),
     (IIDSwitching, [("pi", [0.25, 0.75])]),
@@ -43,7 +42,6 @@ TYPES = [
                        ("notes", ("a note",)), ("certificate", "stable"),
                        ("applications", 7)]),
     (EnsembleStats, [("mean_sq", np.ones(3)), ("stderr", np.zeros(3)),
-                     ("samples", np.full(3, 5)),
                      ("heavy_tail", np.zeros(3, dtype=bool))]),
     (SystemFile, [("system", SYSTEM), ("switching", LAW),
                   ("initial", MIXTURE)]),
