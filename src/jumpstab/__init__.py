@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 #: module on first use (PEP 562), so ``import jumpstab`` and the command
 #: line's parser load no numpy.
 _EXPORTS = {
-    "matkit": ("NumericalError",),
+    "defaults": ("NumericalError",),
     "mcsim": ("EnsembleStats", "SimConfig", "simulate_ensemble"),
     "propagate": (
         "GammaState",
@@ -43,11 +43,15 @@ _EXPORTS = {
         "MarkovSwitching",
         "ScheduleSwitching",
         "SequenceSwitching",
-        "ValidationReport",
         "marginal_schedule",
         "validate_system",
     ),
-    "systemfile": ("SystemFile", "SystemFileError", "load_system_file"),
+    "systemfile": (
+        "SystemFile",
+        "SystemFileError",
+        "ValidationReport",
+        "load_system_file",
+    ),
     "wasserstein": (
         "gaussian_to_dirac",
         "mixture_to_dirac_sq",

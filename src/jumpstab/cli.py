@@ -11,8 +11,8 @@ Subcommands, all operating on a JSON system description (see
 
 Exit codes: 0 success; 1 usage, parse, or validation error, or an array
 too large to allocate; 2 verdict assertion failure under
-``--assert-stable``; 3 numerical failure (divergence or eigensolver
-breakdown).
+``--assert-stable``; 3 numerical failure (divergence, overflow,
+eigensolver breakdown, or a negative W^2).
 
 CSV output uses 17 significant digits so identical runs produce
 byte-identical files, whatever the number of CPUs the process may use:

@@ -5,7 +5,8 @@ help, read and check a system file, and catch a ``NumericalError``
 before numpy loads.
 """
 
-__all__ = ["DEFAULT_MARGIN", "DEFAULT_HORIZON", "DEFAULT_COMPONENT_CAP"]
+__all__ = ["DEFAULT_MARGIN", "DEFAULT_HORIZON", "DEFAULT_COMPONENT_CAP",
+           "NumericalError"]
 
 #: Half-width of the "marginal" band around evidence 1.
 DEFAULT_MARGIN = 1e-9

@@ -21,7 +21,6 @@ import numpy as np
 from .defaults import PSD_TOL, NumericalError
 
 __all__ = [
-    "NumericalError",
     "as_square",
     "spectral_radius",
     "spectral_norm",

@@ -31,17 +31,21 @@ second moment of the chain whose map ``analyze`` judges:
     row of n(n+1)/2 symmetric coordinates per state: it never forms
     Gamma(k) or an n^2 x n^2 matrix.
 
-The three must agree to rounding, as the test suite asserts. A route
-raises NumericalError naming the first k whose W^2(k) is not finite or
-is negative, which only rounding can make it; ``moment`` and ``gamma``
-also where a value they carry is not finite. The lifts of modes whose
+The three must agree to rounding, as the test suite asserts. One check,
+``_checked``, stops a step on every route: it raises NumericalError
+naming the first k whose W^2(k) is not finite or is negative, which only
+rounding can make it. The map and the kernels judge nothing, and a value
+past float64 comes out of them as inf or nan. No other stop is needed:
+|Q_pq| <= (Q_pp + Q_qq) / 2 on a PSD Q, so a value a route carries
+passes float64 only with W^2, up to rounding. The lifts of modes whose
 largest entry reaches 2^510 are built from the modes scaled by a power
 of two, which is exact; where the scaling would lose digits, the route
-raises NumericalError instead of printing them. ``gamma`` and ``exact_mog`` multiply coordinates by the
-lifts in one kernel, ``_lifted_push``. ``gamma_product`` pushes the n^2
-unit matrices through X -> sum_j pi_j A_j X A_j^T of the marginals pi(k).
-The map, the lifts and the symmetric basis live in ``moments``, which
-the stability tests read too.
+raises NumericalError instead of printing them. ``gamma`` and
+``exact_mog`` multiply coordinates by the lifts in one kernel,
+``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices through
+X -> sum_j pi_j A_j X A_j^T of the marginals pi(k). The map, the lifts
+and the symmetric basis live in ``moments``, which the stability tests
+read too.
 """
 
 from __future__ import annotations
@@ -136,10 +140,9 @@ def _lifted_push(rows, lifts, exps, live):
     nan, which the caller checks."""
     if live.size < len(lifts):
         lifts, exps = lifts[live], exps[live]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pushed = np.matmul(rows, lifts)
-        if np.any(exps):
-            np.ldexp(pushed, exps[:, None, None], out=pushed)
+    pushed = np.matmul(rows, lifts)
+    if np.any(exps):
+        np.ldexp(pushed, exps[:, None, None], out=pushed)
     return pushed
 
 
@@ -159,9 +162,7 @@ def _mog_push(modes, lifts, exps, mix, weights, alpha, means, coords,
     alpha = (np.outer(weights[ends, live], alpha)
              * mix[:, live].T[:, states]).reshape(-1)
     keep = mass * alpha > 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = means @ np.swapaxes(modes[live], 1, 2)
-    means = means.reshape(len(alpha), -1)
+    means = (means @ np.swapaxes(modes[live], 1, 2)).reshape(len(alpha), -1)
     coords = _lifted_push(coords, lifts, exps, live).reshape(len(alpha), -1)
     states = np.repeat(ends, len(states))
     if not np.all(keep):
@@ -190,8 +191,6 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
     _MOG_BUDGET per split level. The last step pushes only the diagonals.
     The walk stops at the first step whose sum is not finite and leaves
     the steps after it nan, so that the caller's check of W^2 names it.
-    No other stop is needed: |Sigma_ij| <= (Sigma_ii + Sigma_jj) / 2 on
-    a PSD Sigma, so a value the push carries overflows only with W^2.
     """
     totals = np.zeros((k + 1, 3))  # allocated first; exact counts below 2**53
     pair = law._chain(sys.m)
@@ -314,9 +313,9 @@ def w2_trajectory(
         On invalid inputs, unknown method, an exact-mixture cap below 1,
         or exact-mixture cap overflow.
     NumericalError
-        If W^2(k) is not finite or is negative for some k <= k_max, or,
-        on the moment and gamma routes, a value they carry is not finite
-        (the message names the failing step).
+        If W^2(k) is not finite or is negative for some k <= k_max, on
+        every route by the one check (the message names the first such
+        k), or if a lift or the start's matched moments overflow.
     MemoryError
         Before the first step, if the k_max + 1 values do not fit.
     """
@@ -343,11 +342,10 @@ def w2_trajectory(
         if k_max == 0:
             pass  # no step, so neither the lifts nor the cap count
         elif method == "moment":
-            # one n x n second moment per state; each map names its step
+            # one n x n second moment per state
             q = phi0[None]
             for k in range(1, k_max + 1):
-                q = _moment_map(sys.modes, *pair(k),
-                                f"second moment diverged at k={k}")(q)
+                q = _moment_map(sys.modes, *pair(k))(q)
                 w2[k] = _checked(k, np.trace(q, axis1=1, axis2=2).sum())
         elif method == "gamma":
             # one row per state: modes push their mix, weights combine
@@ -359,9 +357,6 @@ def w2_trajectory(
                 pushed = _lifted_push((mix[:, live].T @ rows)[:, None],
                                       lifts, exps, live)
                 rows = weights[:, live] @ pushed[:, 0]
-                if not np.all(np.isfinite(rows)):
-                    raise NumericalError(f"Gamma(k) svec(Phi(0)) diverged at "
-                                         f"k={k} (an entry is not finite)")
                 # svec(I) . rows: the first n coordinates are the diagonal
                 w2[k] = _checked(k, rows[:, :sys.n].sum())
         else:

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN
+from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN, NumericalError
 from .matkit import _sym_part, as_square, spectral_norm, spectral_radius
 from .moments import DIVERGENCE_GUARD, _chain_lift, _moment_map, _sym_lifts
 from .sysmodel import (
@@ -196,14 +196,20 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     budget (where peripheral spectra end up, unless the next reason
     catches them), and a certificate that is not positive definite (a
     singular Perron vector: reducible chains, zero or rank-deficient
-    modes).
+    modes). Raises NumericalError where T(Q) is not finite.
     """
+    def step(q):  # the spectral test's one stop: Arnoldi reads no nan
+        out = apply(q)
+        if np.all(np.isfinite(out)):
+            return out
+        raise NumericalError("second moment diverged (an entry is not finite)")
+
     dim = min(_KRYLOV_DIM, states * n * (n + 1) // 2)
     x = np.broadcast_to(np.eye(n), (states, n, n))
     space = np.empty((dim + 1, x.size)), np.empty((dim + 1, dim))
     used = 0
     for _ in range(_RESTARTS):
-        basis, hess, beta = _arnoldi(apply, x, *space)
+        basis, hess, beta = _arnoldi(step, x, *space)
         used += basis.shape[0]
         theta, vecs = np.linalg.eig(hess)
         real = np.flatnonzero(theta.imag == 0)
@@ -220,7 +226,7 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     x = _sym_part(x)
     if np.trace(x, axis1=1, axis2=2).sum() < 0.0:
         x = -x
-    tx = apply(x)
+    tx = step(x)
     used += 1
     # theta as <X, T(X)> / <X, X>: free of the Gram-Schmidt rounding
     evidence = abs(float(np.vdot(x, tx) / np.vdot(x, x)))

@@ -52,7 +52,6 @@ __all__ = [
     "ScheduleSwitching",
     "SequenceSwitching",
     "SwitchingLaw",
-    "ValidationReport",
     "validate_system",
     "marginal_schedule",
 ]

@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 from .defaults import CLAMP_TOL, PROB_TOL, PSD_TOL
 
-__all__ = ["SystemFile", "SystemFileError", "load_system_file"]
+__all__ = ["SystemFile", "SystemFileError", "ValidationReport",
+           "load_system_file"]
 
 #: The fields of each switching law, after its "type"
 _LAW_FIELDS = {"iid": ("pi",), "markov": ("P", "pi0"),
@@ -271,12 +272,6 @@ class SystemFile(NamedTuple):
     system: JumpLinearSystem
     switching: SwitchingLaw
     initial: GaussianMixture
-
-    @classmethod
-    def from_dict(cls, data) -> "SystemFile":
-        """Build from a decoded JSON object, checking the schema: a field
-        missing, unknown or misshapen raises ``SystemFileError`` naming it."""
-        return _build(*_decode(data))
 
 
 def _report(modes, law, initial) -> ValidationReport:

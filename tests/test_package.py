@@ -66,6 +66,20 @@ def test_every_export_resolves(stem):
     assert [name for name in exported if not hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("name", ["NumericalError", "ValidationReport",
+                                  "SystemFileError"])
+def test_numpy_free_names_load_no_numpy(name):
+    """Each public name loads from the module that defines it: these three
+    live in modules that import no numpy, and looking one up loads none."""
+    script = (f"import sys, jumpstab\n"
+              f"jumpstab.{name}\n"
+              f"print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "False\n"
+
+
 def test_lazy_package_names():
     """The package binds each public name on first use: dir lists them
     all, a star import binds the same objects, an unknown name is an
@@ -79,17 +93,30 @@ def test_lazy_package_names():
         jumpstab.no_such_name
 
 
+def public_callables():
+    """Each function of ``__all__``, and each public classmethod of its
+    classes as ``Class.method``."""
+    for name in jumpstab.__all__:
+        obj = getattr(jumpstab, name)
+        if inspect.isfunction(obj):
+            yield name
+        elif inspect.isclass(obj):
+            yield from (f"{name}.{attr}" for attr, value in vars(obj).items()
+                        if isinstance(value, classmethod)
+                        and not attr.startswith("_"))
+
+
 def test_every_public_function_has_a_user():
-    """Each function of ``__all__`` is named by the command line, a demo,
-    the README or the benchmark's scripts: public surface that nothing
-    uses is deleted. Classes, the input and result types, are exempt."""
+    """Each function of ``__all__``, and each public classmethod of its
+    classes, is named by the command line, a demo, the README or the
+    benchmark's scripts: public surface that nothing uses is deleted.
+    The classes themselves, the input and result types, are exempt."""
     root = pathlib.Path(__file__).resolve().parents[1]
     users = [root / "src" / "jumpstab" / "cli.py", root / "README.md",
              *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
     text = "\n".join(path.read_text(encoding="utf-8") for path in users)
-    unused = [name for name in jumpstab.__all__
-              if inspect.isfunction(getattr(jumpstab, name))
-              and not re.search(rf"\b{name}\b", text)]
+    unused = [name for name in public_callables()
+              if not re.search(rf"\b{name.split('.')[-1]}\b", text)]
     assert unused == []
 
 

@@ -697,15 +697,16 @@ class TestGammaProduct:
         "entry, past", [(1e300, False), (np.inf, True), (np.nan, True)],
     )
     def test_guard_counts_nan_and_inf_as_past(self, entry, past):
-        """The second-moment map stops on a non-finite entry and only
-        there: no finite magnitude counts as divergence."""
+        """The second-moment map judges nothing: a non-finite entry comes
+        back as inf or nan, with no raise and no warning, for the W^2
+        check or the spectral test to stop on; a finite one of any size
+        comes back as it went in."""
         step = _moment_map(np.eye(2)[None], np.ones((1, 1)), np.ones((1, 1)))
         q = np.array([[[0.0, entry], [entry, 0.0]]])
-        if past:
-            with pytest.raises(NumericalError, match="not finite"):
-                step(q)
-        else:
-            assert_array_equal(step(q), q)
+        out = step(q)
+        assert np.all(np.isfinite(out)) != past
+        if not past:
+            assert_array_equal(out, q)
 
 
 class TestW2Trajectory:

@@ -23,8 +23,8 @@ import pytest
 from jumpstab.defaults import PSD_TOL
 from jumpstab.matkit import _psd_slack, _sym_part
 from jumpstab.systemfile import (
-    SystemFile,
     SystemFileError,
+    _build,
     _cleared,
     _decode,
     _report,
@@ -271,7 +271,7 @@ def outcome(build):
 
 def assert_same_report(data):
     def by_validate_system():
-        sf = SystemFile.from_dict(data)
+        sf = _build(*_decode(data))
         assert check_mixture(sf.initial) == eigvalsh_violations(sf.initial)
         return validate_system(sf.system, sf.switching, sf.initial).violations
 

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from jumpstab.systemfile import SystemFile, SystemFileError, load_system_file
+from jumpstab.systemfile import (
+    SystemFileError,
+    _build,
+    _decode,
+    load_system_file,
+)
 from jumpstab.sysmodel import (
     IIDSwitching,
     MarkovSwitching,
@@ -67,7 +72,7 @@ class TestRoundTrip:
 
     def test_iid_dict_round_trip(self):
         data = doc()
-        assert_parsed(SystemFile.from_dict(data), data)
+        assert_parsed(_build(*_decode(data)), data)
 
     def test_markov_dict_round_trip(self):
         data = doc(
@@ -77,7 +82,7 @@ class TestRoundTrip:
                 "pi0": [0.5, 0.5],
             }
         )
-        assert_parsed(SystemFile.from_dict(data), data)
+        assert_parsed(_build(*_decode(data)), data)
 
     def test_schedule_dict_round_trip(self):
         data = doc(
@@ -86,11 +91,11 @@ class TestRoundTrip:
                 "vectors": [[1.0, 0.0], [0.0, 1.0]],
             }
         )
-        assert_parsed(SystemFile.from_dict(data), data)
+        assert_parsed(_build(*_decode(data)), data)
 
     def test_sequence_dict_round_trip(self):
         data = doc(switching={"type": "sequence", "indices": [1, 2, 2]})
-        sf = SystemFile.from_dict(data)
+        sf = _build(*_decode(data))
         assert sf.switching.indices == (1, 2, 2)
         assert_parsed(sf, data)
 
@@ -107,20 +112,20 @@ class TestRoundTrip:
                 "a_first": [[0.0, 0.0], [0.0, 0.0]],
             }
         )
-        sf = SystemFile.from_dict(data)
+        sf = _build(*_decode(data))
         assert_array_equal(sf.system.modes, [np.eye(2), np.zeros((2, 2))])
 
     def test_parsed_file_passes_validation(self):
-        sf = SystemFile.from_dict(doc())
+        sf = _build(*_decode(doc()))
         report = validate_system(sf.system, sf.switching, sf.initial)
         assert report.ok
 
     def test_value_errors_are_left_to_validation(self):
         # a pi summing to 1.2 is schema-valid; the validation report,
         # not the parser, must name it
-        sf = SystemFile.from_dict(
+        sf = _build(*_decode(
             doc(switching={"type": "iid", "pi": [0.6, 0.6]})
-        )
+        ))
         report = validate_system(sf.system, sf.switching, sf.initial)
         assert not report.ok
         assert "probability sum" in str(report)
@@ -131,17 +136,17 @@ class TestParseErrors:
         data = doc()
         del data["initial"]
         with pytest.raises(SystemFileError, match="missing field 'initial'"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_unknown_field(self):
         with pytest.raises(SystemFileError, match="unknown field 'extra'"):
-            SystemFile.from_dict(doc(extra=1))
+            _build(*_decode(doc(extra=1)))
 
     def test_bad_n(self):
         with pytest.raises(SystemFileError, match="positive integer"):
-            SystemFile.from_dict(doc(n=0))
+            _build(*_decode(doc(n=0)))
         with pytest.raises(SystemFileError, match="positive integer"):
-            SystemFile.from_dict(doc(n=True))
+            _build(*_decode(doc(n=True)))
 
     def test_row_length_names_the_mode(self):
         data = doc(
@@ -151,12 +156,12 @@ class TestParseErrors:
             }
         )
         with pytest.raises(SystemFileError, match="mode 'slow' row 2"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_mode_size_mismatch(self):
         data = doc(modes={"slow": [[0.5]]})
         with pytest.raises(SystemFileError, match="mode 'slow'"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_non_numeric_entry(self):
         data = doc(
@@ -166,22 +171,22 @@ class TestParseErrors:
             }
         )
         with pytest.raises(SystemFileError, match="must be a number"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_non_finite_entry(self):
         # Python's json module accepts the Infinity literal; the schema
         # must not
         text = json.dumps(doc()).replace("0.5, 0.0", "Infinity, 0.0", 1)
         with pytest.raises(SystemFileError, match="finite"):
-            SystemFile.from_dict(json.loads(text))
+            _build(*_decode(json.loads(text)))
 
     def test_unknown_switching_type(self):
         with pytest.raises(SystemFileError, match="switching.type"):
-            SystemFile.from_dict(doc(switching={"type": "levy"}))
+            _build(*_decode(doc(switching={"type": "levy"})))
 
     def test_missing_switching_tag(self):
         with pytest.raises(SystemFileError, match="'type'"):
-            SystemFile.from_dict(doc(switching={"pi": [1.0]}))
+            _build(*_decode(doc(switching={"pi": [1.0]})))
 
     def test_markov_requires_square_p(self):
         data = doc(
@@ -192,7 +197,7 @@ class TestParseErrors:
             }
         )
         with pytest.raises(SystemFileError, match="square"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_markov_pi0_length(self):
         data = doc(
@@ -203,17 +208,17 @@ class TestParseErrors:
             }
         )
         with pytest.raises(SystemFileError, match="switching.pi0"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_sequence_rejects_non_integers(self):
         with pytest.raises(SystemFileError, match="indices\\[1\\]"):
-            SystemFile.from_dict(
+            _build(*_decode(
                 doc(switching={"type": "sequence", "indices": [1, 1.5]})
-            )
+            ))
         with pytest.raises(SystemFileError, match="indices\\[0\\]"):
-            SystemFile.from_dict(
+            _build(*_decode(
                 doc(switching={"type": "sequence", "indices": [True]})
-            )
+            ))
 
     def test_schedule_ragged_vectors(self):
         data = doc(
@@ -223,12 +228,12 @@ class TestParseErrors:
             }
         )
         with pytest.raises(SystemFileError, match="switching.vectors"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_initial_component_errors(self):
         data = doc(initial=[{"weight": 1.0, "mean": [1.0, 0.0]}])
         with pytest.raises(SystemFileError, match="missing field 'cov'"):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
         data = doc(
             initial=[
                 {
@@ -241,11 +246,11 @@ class TestParseErrors:
         with pytest.raises(
             SystemFileError, match="initial\\[0\\].mean has length 1"
         ):
-            SystemFile.from_dict(data)
+            _build(*_decode(data))
 
     def test_initial_must_be_nonempty(self):
         with pytest.raises(SystemFileError, match="initial"):
-            SystemFile.from_dict(doc(initial=[]))
+            _build(*_decode(doc(initial=[])))
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -255,7 +260,7 @@ class TestParseErrors:
 
     def test_top_level_must_be_object(self):
         with pytest.raises(SystemFileError, match="must be an object"):
-            SystemFile.from_dict([1, 2, 3])
+            _build(*_decode([1, 2, 3]))
 
 
 def substitutions(node, path=()):
@@ -300,7 +305,7 @@ class TestOnlySystemFileErrors:
     def test_every_substitution(self, data):
         for path, value in substitutions(data):
             try:
-                SystemFile.from_dict(replaced(data, path, value))
+                _build(*_decode(replaced(data, path, value)))
             except SystemFileError:
                 pass
             except Exception as exc:

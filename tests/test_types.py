@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 from jumpstab.mcsim import EnsembleStats, SimConfig
 from jumpstab.propagate import GammaState, TrajectoryRecord
 from jumpstab.stability import StabilityReport
-from jumpstab.systemfile import SystemFile
+from jumpstab.systemfile import SystemFile, ValidationReport
 from jumpstab.sysmodel import (
     GaussianMixture,
     IIDSwitching,
@@ -17,7 +17,6 @@ from jumpstab.sysmodel import (
     MarkovSwitching,
     ScheduleSwitching,
     SequenceSwitching,
-    ValidationReport,
 )
 
 SYSTEM = JumpLinearSystem([np.eye(2), 0.5 * np.eye(2)])
