@@ -42,10 +42,10 @@ For n >= 2 and at most ``_ALL_MODES_MAX`` = 8 modes, a block's states
 are multiplied by every transposed mode at once, one (count, m*n)
 product x [A_1^T ... A_m^T] into a reused buffer, keeping each
 trajectory's row of its picked mode; else, and at n = 1 where a product
-is one multiplication, by a gathered (count, n, n) stack. The crossover
-moves with n: at 40,960 x 20 on one BLAS thread of a 2-core Xeon the
-m-fold product still beat the stack at n <= 4 up to m = 12, and lost at
-n = 8, m = 12. The bound stays at 8 until a workload with m > 8 says more.
+is one multiplication, by a gathered (count, n, n) stack. At n = 4, with
+40,960 x 20 on one BLAS thread of a 2-core Xeon, the all-modes product is
+faster up to m = 12 and slower from m = 16. No workload has m > 8
+(ROADMAP 2d), so the bound stays at 8.
 
 Each law has one process, its chain form ``law._chain(m)``, which the
 analytic routes and the verdicts step and the ensemble samples: each
@@ -171,9 +171,8 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 def _pick(bits: np.ndarray, cuts) -> np.ndarray:
     """Index of the weight bucket each draw's u = bits 2^-53 falls into;
     ``cuts`` are the first m-1 cumulative weights, each a scalar or one
-    per draw, and bucket j covers [cut_{j-1}, cut_j). Integer cuts would
-    save the scaling, but they raised the peak RSS of a 40,960-trajectory
-    ``simulate`` process by about 0.2 MB."""
+    per draw, and bucket j covers [cut_{j-1}, cut_j). Float cuts compare
+    the contract's u; integer ones would save only its scaling."""
     u = bits * 2.0**-53
     idx = np.zeros(bits.shape, dtype=np.intp)
     for cut in cuts:

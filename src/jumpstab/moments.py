@@ -6,14 +6,14 @@ matrices by
     T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
 
 with (mix, weights) step k's pair of the law's chain form (see
-``sysmodel``). T maps stacks of PSD matrices to stacks of PSD matrices;
-the verdicts read its spectral radius and the W^2 routes iterate it.
-``_moment_map`` applies T at n x n cost per state; ``_chain_lift`` is its
-matrix on the coordinates of ``_sym_lifts``, the blocks A_j kron A_j on
-symmetric matrices in the orthonormal basis E_ii, (E_pq + E_qp)/sqrt2
-(``_basis_pairs``). ``_sym_coords`` gives a symmetric matrix's
-n(n+1)/2 coordinates in that basis.
-``DIVERGENCE_GUARD`` bounds the entries of the products that
+``sysmodel``), less its modes of weight 0 (``_live``). T maps stacks of
+PSD matrices to stacks of PSD matrices; the verdicts read its spectral
+radius and the W^2 routes iterate it. ``_moment_map`` applies T at n x n
+cost per state; ``_chain_lift`` is its matrix on the coordinates of
+``_sym_lifts``, the blocks A_j kron A_j on symmetric matrices in the
+orthonormal basis E_ii, (E_pq + E_qp)/sqrt2 (``_basis_pairs``).
+``_sym_coords`` gives a symmetric matrix's n(n+1)/2 coordinates in that
+basis. ``DIVERGENCE_GUARD`` bounds the entries of the products that
 ``gamma_product`` and the sequence test fold.
 """
 
@@ -117,21 +117,28 @@ def _push(modes: np.ndarray, mats: np.ndarray) -> np.ndarray:
         modes[:, None] @ mats @ np.swapaxes(modes, 1, 2)[:, None])
 
 
+def _live(mix: np.ndarray, weights: np.ndarray):
+    """The indices of the modes of nonzero weight in step (mix, weights),
+    and those columns of mix and weights in C order, or both as given
+    when every mode is live. So no 0 * inf enters a sum, and a slice
+    sums as its copy does."""
+    live = np.flatnonzero(weights.any(0))
+    if live.size < weights.shape[1]:
+        mix, weights = (np.ascontiguousarray(x[:, live])
+                        for x in (mix, weights))
+    return live, mix, weights
+
+
 def _moment_map(modes: np.ndarray, mix: np.ndarray, weights: np.ndarray):
     """The second-moment map on (s, n, n) stacks of symmetric matrices,
 
         T(Q)_r = sum_i weights[r, i] A_i (sum_j mix[j, i] Q_j) A_i^T,
 
-    for a chain of s states over the m modes (mix and weights are s x m).
-    A mode of weight 0 takes no part, so no 0 * inf enters the sum, and
-    mix and weights are read in C order, so a slice sums as its copy does.
-    Returns ``apply``, which judges nothing: an entry past float64 comes
-    out as inf or nan, for its caller to stop on.
+    for a chain of s states over the m ``modes`` of a step as _live
+    leaves it (mix and weights are s x m). Returns ``apply``, which judges
+    nothing: an entry past float64 comes out as inf or nan, for its
+    caller to stop on.
     """
-    live = weights.any(0)
-    if not live.all():
-        modes, mix, weights = modes[live], mix[:, live], weights[:, live]
-        mix, weights = np.ascontiguousarray(mix), np.ascontiguousarray(weights)
 
     def apply(q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

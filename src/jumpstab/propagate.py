@@ -43,9 +43,9 @@ of two, which is exact; where the scaling would lose digits, the route
 raises NumericalError instead of printing them. ``gamma`` and
 ``exact_mog`` multiply coordinates by the lifts in one kernel,
 ``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices through
-X -> sum_j pi_j A_j X A_j^T of the marginals pi(k). The map, the lifts
-and the symmetric basis live in ``moments``, which the stability tests
-read too.
+X -> sum_j pi_j A_j X A_j^T of the marginals pi(k). The map, the lifts,
+the symmetric basis and ``_live``, the rule that leaves a step's modes of
+weight 0 out, live in ``moments``, which the stability tests read too.
 """
 
 from __future__ import annotations
@@ -57,12 +57,8 @@ import numpy as np
 
 from .defaults import DEFAULT_COMPONENT_CAP
 from .matkit import NumericalError
-from .moments import (
-    DIVERGENCE_GUARD,
-    _moment_map,
-    _sym_coords,
-    _sym_lifts,
-)
+from .moments import (DIVERGENCE_GUARD, _live, _moment_map, _sym_coords,
+                      _sym_lifts)
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -146,25 +142,21 @@ def _lifted_push(rows, lifts, exps, live):
     return pushed
 
 
-def _mog_push(modes, lifts, exps, mix, weights, alpha, means, coords,
-              states, mass):
+def _mog_push(modes, lifts, exps, step, alpha, means, coords, states, mass):
     """One exact-mixture step on components held as arrays: weights,
     means, covariances as _sym_coords and chain states, with ``lifts`` and
-    ``exps`` as _lifted_push takes them. Pair (i, c) is mode i of
-    component c (see the module docstring), mode-major: one matrix
-    product per mode that leads to a state. Pairs whose weight times
+    ``exps`` as _lifted_push takes them and ``step`` as _live gives it.
+    Pair (i, c) is mode i of component c (see the module docstring),
+    mode-major: one matrix product per live mode. Pairs whose weight times
     ``mass`` (their share of the mixture) is 0 are dropped, the rest
     scaled to sum 1. Returns (alpha, means, coords, states); entries
-    past float64 come out as inf or nan, which the walk's W^2 shows.
-    """
-    live = np.flatnonzero(weights.any(axis=0))
-    ends = weights[:, live].argmax(axis=0)
-    alpha = (np.outer(weights[ends, live], alpha)
-             * mix[:, live].T[:, states]).reshape(-1)
+    past float64 come out as inf or nan, which the walk's W^2 shows."""
+    live, mix, weights = step
+    alpha = (np.outer(weights.max(0), alpha) * mix.T[:, states]).reshape(-1)
     keep = mass * alpha > 0.0
     means = (means @ np.swapaxes(modes[live], 1, 2)).reshape(len(alpha), -1)
     coords = _lifted_push(coords, lifts, exps, live).reshape(len(alpha), -1)
-    states = np.repeat(ends, len(states))
+    states = np.repeat(weights.argmax(0), len(states))
     if not np.all(keep):
         alpha, means, coords, states = (x[keep] for x in
                                         (alpha, means, coords, states))
@@ -217,19 +209,18 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
     while chunks:
         depth, mass, *state = chunks.pop()
         for step in range(depth + 1, limit + 1):
-            mix, weights = pair(step)
+            kept = _live(*pair(step))
             used = lifts[:, :, :n] if step == k else lifts
             # 8 bytes for a child's weight, state, mean entries, coordinates
             size = max(1, _MOG_BUDGET // (8 * (2 + n + used.shape[2])
-                                          * np.count_nonzero(weights.any(0))))
+                                          * len(kept[0])))
             if len(state[0]) > size:
                 for i in reversed(range(0, len(state[0]), size)):
                     w, *rest = (x[i:i + size].copy() for x in state)
                     chunks.append((step - 1, mass * w.sum(), w / w.sum(),
                                    *rest))
                 break
-            state = _mog_push(sys.modes, used, exps, mix, weights,
-                              *state, mass)
+            state = _mog_push(sys.modes, used, exps, kept, *state, mass)
             part = mass * _dirac_sq(state[0], state[1], state[2][:, :n])
             totals[step] += part, mass, len(state[0])
             if not math.isfinite(part):
@@ -345,18 +336,18 @@ def w2_trajectory(
             # one n x n second moment per state
             q = phi0[None]
             for k in range(1, k_max + 1):
-                q = _moment_map(sys.modes, *pair(k))(q)
+                live, mix, weights = _live(*pair(k))
+                q = _moment_map(sys.modes[live], mix, weights)(q)
                 w2[k] = _checked(k, np.trace(q, axis1=1, axis2=2).sum())
         elif method == "gamma":
             # one row per state: modes push their mix, weights combine
             lifts, exps = _scaled_lifts(sys)
             rows = _sym_coords(phi0[None])
             for k in range(1, k_max + 1):
-                mix, weights = pair(k)
-                live = np.flatnonzero(weights.any(axis=0))
-                pushed = _lifted_push((mix[:, live].T @ rows)[:, None],
+                live, mix, weights = _live(*pair(k))
+                pushed = _lifted_push((mix.T @ rows)[:, None],
                                       lifts, exps, live)
-                rows = weights[:, live] @ pushed[:, 0]
+                rows = weights @ pushed[:, 0]
                 # svec(I) . rows: the first n coordinates are the diagonal
                 w2[k] = _checked(k, rows[:, :sys.n].sum())
         else:

@@ -25,7 +25,8 @@ checks the inequality, without the eigensolver that found X, and
 certificate holds (the marginal band, no convergence, a singular Perron
 vector) the test falls back to a dense eigensolve of the lift's
 symmetric block, n(n+1)/2 rows per chain state instead of n^2, which has
-the spectral radius of the whole lift. The map and its matrix live in
+the spectral radius of the whole lift. The map, its matrix and
+``_live``, the rule that leaves a step's modes of weight 0 out, live in
 ``moments``, and its (mix, weights) in the law's chain form, the pair
 the W^2 routes step: this module builds none of them.
 
@@ -45,7 +46,8 @@ import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN, NumericalError
 from .matkit import _sym_part, as_square, spectral_norm, spectral_radius
-from .moments import DIVERGENCE_GUARD, _chain_lift, _moment_map, _sym_lifts
+from .moments import (DIVERGENCE_GUARD, _chain_lift, _live, _moment_map,
+                      _sym_lifts)
 from .sysmodel import (
     IIDSwitching,
     JumpLinearSystem,
@@ -248,14 +250,12 @@ def _certified_radius(apply, states: int, n: int, margin: float):
 
 def _spectral_report(modes, mix, weights, margin, name, bases=None):
     """The report and proof (None without a certificate) on the map
-    ``_moment_map(modes, mix, weights)``, each mode of weight 0 dropped
+    ``_moment_map(modes, mix, weights)`` of the step's live modes (_live)
     and, given the one state's face ``bases`` (U,), each mode restricted
     to U^T A U: a certified verdict, else the dense eigensolve of the
     map's matrix on symmetric matrices. The caller has checked margin."""
-    live = weights.any(0)  # as in _moment_map: no 0 * inf, C order
-    if not live.all():
-        modes, mix, weights = modes[live], mix[:, live], weights[:, live]
-        mix, weights = np.ascontiguousarray(mix), np.ascontiguousarray(weights)
+    live, mix, weights = _live(mix, weights)
+    modes = modes[live]
     if bases is not None:
         modes = bases[0].T @ modes @ bases[0]
     certificate, evidence, x, used = _certified_radius(

@@ -291,24 +291,44 @@ class TestPsdFactor:
                 assert np.isfinite(factor).all()
                 assert factor_error(factor, cov) <= 1.0, (n, rank, scale)
 
-    def test_eigenvalue_at_minus_half_slack(self):
-        """S = P - (slack/2) v v^T with P PSD of rank r < n and v in its
-        null space, which check_mixture accepts. The residual is about
-        -(slack/2) w w^T, |w|^2 <= 1 + |W|_F^2, with W = R11^-1 R12 of the
-        pivoted factor; Higham's Lemma 10.13 bounds |W|_F^2 by
-        (n - r)(4^r - 1)/3, and at n <= 2 pivoting keeps |W| <= 1, so
-        the error stays within slack there."""
+    @staticmethod
+    def minus_half_slack():
+        """(n, rank, scale, S) with S = P - (slack/2) v v^T, P PSD of rank
+        r < n and v in its null space, which check_mixture accepts: n =
+        1-6, every rank below n, scales 1e-6, 1 and 1e6, seeded."""
         rng = np.random.default_rng(83)
         for n, scale in itertools.product(range(1, 7), (1e-6, 1.0, 1e6)):
             for rank in range(n):
                 psd, null = psd_with_rank(rng, n, rank, scale)
                 slack = _psd_slack(psd)
-                cov = psd - 0.5 * slack * np.outer(null[:, 0], null[:, 0])
-                factor = _psd_factor(cov)
-                assert np.isfinite(factor).all()
-                bound = 1.0 if n <= 2 else \
-                    0.5 * (1.0 + (n - rank) * (4**rank - 1) / 3)
-                assert factor_error(factor, cov) <= bound, (n, rank, scale)
+                yield n, rank, scale, \
+                    psd - 0.5 * slack * np.outer(null[:, 0], null[:, 0])
+
+    def test_eigenvalue_at_minus_half_slack(self):
+        """The residual is about -(slack/2) w w^T, |w|^2 <= 1 + |W|_F^2,
+        with W = R11^-1 R12 of the pivoted factor; Higham's Lemma 10.13
+        bounds |W|_F^2 by (n - r)(4^r - 1)/3, and at n <= 2 pivoting
+        keeps |W| <= 1, so the error stays within slack there."""
+        for n, rank, scale, cov in self.minus_half_slack():
+            factor = _psd_factor(cov)
+            assert np.isfinite(factor).all()
+            bound = 1.0 if n <= 2 else \
+                0.5 * (1.0 + (n - rank) * (4**rank - 1) / 3)
+            assert factor_error(factor, cov) <= bound, (n, rank, scale)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the pivoted factor's residual grows with "
+                              "|R11^-1 R12| at n >= 3: up to 1.65 slack "
+                              "here, at n = 6")
+    def test_accepted_covariance_within_slack(self):
+        """Every covariance check_mixture accepts gets a factor within its
+        slack, the eigenvalue at -slack/2 included."""
+        for n, rank, scale, cov in self.minus_half_slack():
+            mix = GaussianMixture([1.0], np.zeros((1, n)), cov[None])
+            if sysmodel.check_mixture(mix):
+                pytest.fail(f"check_mixture rejects {(n, rank, scale)}")
+            assert factor_error(_psd_factor(cov), cov) <= 1.0, \
+                (n, rank, scale)
 
     def test_slack_relative_to_scale(self):
         v = np.array([0.1, 0.7])

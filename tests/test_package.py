@@ -145,59 +145,45 @@ def test_entry_point_imports_no_numpy(stem):
     assert [m for m in top_level_imports(stem) if loads_numpy(m)] == []
 
 
-def eigvals_sites(tree, stem):
-    """(module, enclosing function) of every reference to eigvals."""
-    def visit(node, where):
+def sites(hit):
+    """(module, enclosing function) of every node of the library's source
+    for which ``hit`` holds."""
+    def visit(node, stem, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "eigvals"
-                or isinstance(node, ast.Name) and node.id == "eigvals"
-                or isinstance(node, ast.alias) and node.name == "eigvals"):
+        if hit(node):
             yield stem, where
         for child in ast.iter_child_nodes(node):
-            yield from visit(child, where)
+            yield from visit(child, stem, where)
 
-    return list(visit(tree, None))
+    return [site for stem in MODULES for site in visit(
+        ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")), stem,
+        None)]
+
+
+def calls(node, name):
+    """Whether ``node`` calls ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
 
 
 def test_one_dense_eigensolver_site():
     """np.linalg.eigvals runs only inside matkit.spectral_radius, which the
     spectral tests reach only as their dense fallback."""
-    sites = [
-        site for stem in MODULES for site in eigvals_sites(
-            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")), stem
-        )
-    ]
-    assert sites == [("matkit", "spectral_radius")]
-
-
-def system_builds(tree, stem):
-    """(module, enclosing function) of every call of JumpLinearSystem."""
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "JumpLinearSystem"
-                or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "JumpLinearSystem"):
-            yield stem, where
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, where)
-
-    return list(visit(tree, None))
+    assert sites(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "eigvals"
+        or isinstance(node, ast.Name) and node.id == "eigvals"
+        or isinstance(node, ast.alias) and node.name == "eigvals")) == [
+        ("matkit", "spectral_radius")]
 
 
 def test_only_the_reader_builds_a_system():
     """In the library only the file reader builds a system. The numerics
     take mode arrays and wrap none they derive in a new system, whose
     constructor would check them again."""
-    sites = [
-        site for stem in MODULES for site in system_builds(
-            ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")), stem
-        )
-    ]
-    assert sites == [("systemfile", "_build")]
+    assert sites(lambda node: calls(node, "JumpLinearSystem")) == [
+        ("systemfile", "_build")]
 
 
 #: numpy calls that form products of modes or assemble lifts, and the
@@ -223,6 +209,27 @@ def test_stability_builds_no_product_or_lift():
     tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
     found = sorted(set(names(tree)) & LIFT_BUILDERS)
     assert found == []
+
+
+def leaves_out_modes(node):
+    """A C-order copy, or an any over axis 0, as of a step's weight
+    columns: the two halves of the rule that leaves a mode of weight 0
+    out of a step."""
+    if calls(node, "ascontiguousarray"):
+        return True
+    if not calls(node, "any"):
+        return False
+    axis = [k.value for k in node.keywords if k.arg == "axis"] or node.args
+    return bool(axis) and isinstance(axis[-1], ast.Constant) \
+        and axis[-1].value == 0
+
+
+def test_one_home_for_the_live_modes_rule():
+    """The modes of a step that take part are read in one place,
+    moments._live: the map, the spectral test and the three W^2 routes
+    take its step and slice no weight column themselves."""
+    assert sites(leaves_out_modes) == [("moments", "_live"),
+                                       ("moments", "_live")]
 
 
 def test_stability_imports_no_route():

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
-from jumpstab.moments import (_basis_pairs, _basis_units, _moment_map,
+from jumpstab.moments import (_basis_pairs, _basis_units, _live, _moment_map,
                               _sym_coords, _sym_lifts)
 from jumpstab.propagate import (
     _mog_push,
@@ -69,7 +69,8 @@ def pushed_mixture(sys, law, mix, k):
     state = (mix.weights, mix.means, _sym_coords(mix.covs),
              np.zeros(mix.q, np.intp))
     for step in range(1, k + 1):
-        state = _mog_push(sys.modes, lifts, exps, *pair(step), *state, 1.0)
+        state = _mog_push(sys.modes, lifts, exps, _live(*pair(step)),
+                          *state, 1.0)
     weights, means, coords, _ = state
     p, q = _basis_pairs(sys.n)
     covs = np.empty((len(weights), sys.n, sys.n))
