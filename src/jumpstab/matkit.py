@@ -73,10 +73,10 @@ def spectral_radius(m) -> float:
     well-conditioned inputs. No other library code calls
     ``np.linalg.eigvals``. The spectral stability tests reach it only
     when their Arnoldi certificate fails (marginal band, no convergence,
-    a singular Perron vector), and then pass the symmetric block of the
-    second-moment lift: the lift keeps the PSD cone, so its spectral
-    radius has a PSD, hence symmetric, eigenvector, and the block has
-    the radius of the whole lift at about 1/8 of the cost.
+    a singular Perron vector), and then pass the second-moment map's
+    matrix on symmetric matrices: the map keeps the PSD cone, so its
+    spectral radius has a PSD, hence symmetric, eigenvector, and this
+    matrix has the radius of the whole n^2 lift at about 1/8 of the cost.
 
     Raises
     ------

@@ -37,14 +37,15 @@ naming the first k whose W^2(k) is not finite or is negative, which only
 rounding can make it. The map and the kernels judge nothing, and a value
 past float64 comes out of them as inf or nan. No other stop is needed:
 |Q_pq| <= (Q_pp + Q_qq) / 2 on a PSD Q, so a value a route carries
-passes float64 only with W^2, up to rounding. The lifts of modes whose
-largest entry reaches 2^510 are built from the modes scaled by a power
-of two, which is exact; where the scaling would lose digits, the route
-raises NumericalError instead of printing them. ``gamma`` and
-``exact_mog`` multiply coordinates by the lifts in one kernel,
-``_lifted_push``. ``gamma_product`` pushes the n^2 unit matrices through
-X -> sum_j pi_j A_j X A_j^T of the marginals pi(k). The map, the lifts,
-the symmetric basis and ``_live``, the rule that leaves a step's modes of
+passes float64 only with W^2, up to rounding. ``gamma`` and
+``exact_mog`` build the lifts in ``_scaled_lifts``, the library's one
+lift builder, and multiply coordinates by them in ``_lifted_push``. The
+lifts of modes whose largest entry reaches 2^510 are built from the
+modes scaled by a power of two, which is exact; where the scaling would
+lose digits, the route raises NumericalError instead of printing them.
+``gamma_product`` pushes the n^2 unit matrices through
+X -> sum_j pi_j A_j X A_j^T of the marginals pi(k). The map, the
+symmetric basis and ``_live``, the rule that leaves a step's modes of
 weight 0 out, live in ``moments``, which the stability tests read too.
 """
 
@@ -57,8 +58,8 @@ import numpy as np
 
 from .defaults import DEFAULT_COMPONENT_CAP
 from .matkit import NumericalError
-from .moments import (DIVERGENCE_GUARD, _live, _moment_map, _sym_coords,
-                      _sym_lifts)
+from .moments import (DIVERGENCE_GUARD, _basis_pairs, _live, _moment_map,
+                      _sym_coords)
 from .sysmodel import (
     GaussianMixture,
     JumpLinearSystem,
@@ -115,16 +116,50 @@ class TrajectoryRecord(NamedTuple):
     component_count: int = None
 
 
-def _scaled_lifts(sys: JumpLinearSystem):
-    """The _sym_lifts of the modes over 2**e_j, each transposed and the
-    stack in C order, as _lifted_push takes it, and 2 e_j per mode: each
-    lift is its block times 2**(2 e_j). e_j is the least e >= 0 that
-    brings the largest magnitude of A_j below 2**_LIFT_LIMIT. Modes that
-    need no scaling keep their lifts bit for bit; larger ones scale
-    exactly, powers of two being exact, or raise as _sym_lifts says."""
-    tops = np.abs(sys.modes).max(axis=(1, 2))
+def _scaled_lifts(modes: np.ndarray):
+    """The lifts of the (m, n, n) ``modes`` as _lifted_push takes them:
+    the C-order stack of (B_j kron B_j)^T, B_j = A_j / 2**e_j, on
+    symmetric matrices in the basis of _sym_coords, and 2 e_j per mode.
+    e_j is the least e >= 0 that brings the largest magnitude of A_j
+    below 2**_LIFT_LIMIT, so modes that need no scaling keep their lifts
+    bit for bit and larger ones scale exactly. K = A kron A has
+    K[(p,q), (r,s)] = A[p,r] A[q,s] = K[(q,p), (s,r)] exactly, so with c'
+    the transposed position of column c every entry is
+    2 c_r c_c (K[r, c] + K[r, c']), gathered from A without forming K;
+    built from A^T, each is the entry of A's lift at the transposed
+    position, its factors swapped. Raises NumericalError if the scaling
+    leaves an entry of B_j, or a product of two, below the normal range
+    where that of A_j is not: the lift would lose digits."""
+    tops = np.abs(modes).max(axis=(1, 2))
     e = np.maximum(np.frexp(tops)[1] - _LIFT_LIMIT, 0)
-    return _sym_lifts(sys.modes, e, transposed=True), 2 * e
+    n, tiny = modes.shape[-1], np.finfo(float).tiny
+    p, q = _basis_pairs(n)
+
+    def entries(a, out=None):  # K[r, c] and K[r, c'] of K = a kron a
+        rows_p, rows_q = a[p], a[q]
+        sym = np.multiply(rows_p[:, p], rows_q[:, q], out=out)
+        crossed = rows_p[:, q]
+        crossed *= rows_q[:, p]
+        return sym, crossed
+
+    out = np.empty((len(modes), p.size, p.size))
+    # only the unscaled products of the underflow probe can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lift, mode, ej in zip(out, np.swapaxes(modes, 1, 2), e):
+            a = np.ldexp(mode, -ej)
+            sym, crossed = entries(a, lift)
+            if ej and any(np.any((np.abs(x) < tiny) & (np.abs(y) >= tiny))
+                          for x, y in zip((a, sym, crossed),
+                                          (mode, *entries(mode)))):
+                raise NumericalError("A_j kron A_j overflows, and scaled it "
+                                     "underflows: modes too large")
+            sym += crossed
+    # 2 c_r c_c with c = 1/2 on E_ii and 1/sqrt2 on pairs: 1/2, 1/sqrt2, 1
+    scale = np.where(np.arange(p.size) < n, np.sqrt(0.5), 1.0)
+    weights = np.outer(scale, scale)
+    weights[:n, :n] = 0.5
+    out *= weights
+    return out, 2 * e
 
 
 def _lifted_push(rows, lifts, exps, live):
@@ -202,7 +237,7 @@ def _mog_walk(sys: JumpLinearSystem, law, init, k: int, cap):
         raise ValueError(f"exact propagation reaches {counted} = "
                          f"{_count(reach)} components, beyond cap={cap}; "
                          f"raise the cap")
-    n, (lifts, exps) = sys.n, _scaled_lifts(sys)
+    n, (lifts, exps) = sys.n, _scaled_lifts(sys.modes)
     limit = k  # the last step a chunk still needs
     chunks = [(0, 1.0, init.weights, init.means, _sym_coords(init.covs),
                np.zeros(init.q, np.intp))]
@@ -252,11 +287,11 @@ def gamma_product(
     # are each one product over all c: (n, n) by (n, n^3), (n^3, n) by (n, n)
     x, done = np.eye(size).reshape(n, n, size).transpose(0, 2, 1), 0
     for pi in _marginals(law, k, sys.m):
-        live = np.flatnonzero(pi)
+        live, _, (weights,) = _live(np.ones((1, sys.m)), pi[None])
         modes = sys.modes[live]
         with np.errstate(over="ignore", invalid="ignore"):
             left = (modes @ x.reshape(n, -1)).reshape(len(live), -1, n)
-            pushed = np.tensordot(pi[live], left @ np.swapaxes(modes, 1, 2), 1)
+            pushed = np.tensordot(weights, left @ np.swapaxes(modes, 1, 2), 1)
             # a nan compares false, so it stops the stepping too
             if not np.abs(pushed).max() <= DIVERGENCE_GUARD:
                 break
@@ -341,7 +376,7 @@ def w2_trajectory(
                 w2[k] = _checked(k, np.trace(q, axis1=1, axis2=2).sum())
         elif method == "gamma":
             # one row per state: modes push their mix, weights combine
-            lifts, exps = _scaled_lifts(sys)
+            lifts, exps = _scaled_lifts(sys.modes)
             rows = _sym_coords(phi0[None])
             for k in range(1, k_max + 1):
                 live, mix, weights = _live(*pair(k))

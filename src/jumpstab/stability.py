@@ -23,12 +23,13 @@ proves rho(T) < c (or > c). Restarted Arnoldi finds X; one Cholesky
 checks the inequality, without the eigensolver that found X, and
 ``_judge`` hands X back with the map it checked. Where no such
 certificate holds (the marginal band, no convergence, a singular Perron
-vector) the test falls back to a dense eigensolve of the lift's
-symmetric block, n(n+1)/2 rows per chain state instead of n^2, which has
-the spectral radius of the whole lift. The map, its matrix and
-``_live``, the rule that leaves a step's modes of weight 0 out, live in
-``moments``, and its (mix, weights) in the law's chain form, the pair
-the W^2 routes step: this module builds none of them.
+vector) the test falls back to a dense eigensolve of the same map's
+matrix on symmetric matrices, read off the map: n(n+1)/2 rows per chain
+state instead of n^2, with the spectral radius of the whole lift. The
+map, its matrix and ``_live``, the rule that leaves a step's modes of
+weight 0 out, live in ``moments``, and its (mix, weights) in the law's
+chain form, the pair the W^2 routes step: this module builds none of
+them, and no lift.
 
 Spectral verdicts use a symmetric margin around 1: evidence below
 1 - margin is stable, above 1 + margin unstable, in between marginal.
@@ -46,8 +47,7 @@ import numpy as np
 
 from .defaults import DEFAULT_HORIZON, DEFAULT_MARGIN, NumericalError
 from .matkit import _sym_part, as_square, spectral_norm, spectral_radius
-from .moments import (DIVERGENCE_GUARD, _chain_lift, _live, _moment_map,
-                      _sym_lifts)
+from .moments import DIVERGENCE_GUARD, _live, _map_matrix, _moment_map
 from .sysmodel import (
     IIDSwitching,
     JumpLinearSystem,
@@ -152,10 +152,12 @@ def _check_margin(margin) -> float:
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _arnoldi(apply, start: np.ndarray, basis: np.ndarray, hess: np.ndarray):
     """``dim`` Arnoldi steps from ``start`` with twice-applied Gram-Schmidt,
     refilling the caller's (dim + 1, N) ``basis`` and (dim + 1, dim)
-    ``hess``, so a restart allocates neither.
+    ``hess``, so a restart allocates neither. Its products may pass
+    float64 where the map's do not; the caller's Cholesky check decides.
 
     Returns views of the orthonormal basis (k, N) and the Hessenberg
     matrix (k, k), and the residual norm h[k, k-1]: 0 when the Krylov
@@ -179,6 +181,14 @@ def _arnoldi(apply, start: np.ndarray, basis: np.ndarray, hess: np.ndarray):
     return basis[:dim], hess[:dim, :dim], hess[dim, dim - 1]
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    """``out`` if every entry is finite: the spectral test's one stop, so
+    that neither Arnoldi nor the eigensolver reads an inf or nan."""
+    if np.all(np.isfinite(out)):
+        return out
+    raise NumericalError("second moment diverged (an entry is not finite)")
+
+
 def _certified_radius(apply, states: int, n: int, margin: float):
     """rho(T) with a verdict certified by Cholesky, if one holds.
 
@@ -200,18 +210,12 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     singular Perron vector: reducible chains, zero or rank-deficient
     modes). Raises NumericalError where T(Q) is not finite.
     """
-    def step(q):  # the spectral test's one stop: Arnoldi reads no nan
-        out = apply(q)
-        if np.all(np.isfinite(out)):
-            return out
-        raise NumericalError("second moment diverged (an entry is not finite)")
-
     dim = min(_KRYLOV_DIM, states * n * (n + 1) // 2)
     x = np.broadcast_to(np.eye(n), (states, n, n))
     space = np.empty((dim + 1, x.size)), np.empty((dim + 1, dim))
     used = 0
     for _ in range(_RESTARTS):
-        basis, hess, beta = _arnoldi(step, x, *space)
+        basis, hess, beta = _arnoldi(lambda q: _finite(apply(q)), x, *space)
         used += basis.shape[0]
         theta, vecs = np.linalg.eig(hess)
         real = np.flatnonzero(theta.imag == 0)
@@ -228,10 +232,11 @@ def _certified_radius(apply, states: int, n: int, margin: float):
     x = _sym_part(x)
     if np.trace(x, axis1=1, axis2=2).sum() < 0.0:
         x = -x
-    tx = step(x)
+    tx = _finite(apply(x))
     used += 1
     # theta as <X, T(X)> / <X, X>: free of the Gram-Schmidt rounding
-    evidence = abs(float(np.vdot(x, tx) / np.vdot(x, x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        evidence = abs(float(np.vdot(x, tx) / np.vdot(x, x)))
     verdict = _spectral_verdict(evidence, margin)
     if verdict == "marginal":
         return "dense fallback: marginal band", None, None, used
@@ -258,11 +263,11 @@ def _spectral_report(modes, mix, weights, margin, name, bases=None):
     modes = modes[live]
     if bases is not None:
         modes = bases[0].T @ modes @ bases[0]
-    certificate, evidence, x, used = _certified_radius(
-        _moment_map(modes, mix, weights), len(mix), modes.shape[-1], margin)
+    apply, n = _moment_map(modes, mix, weights), modes.shape[-1]
+    certificate, evidence, x, used = _certified_radius(apply, len(mix), n,
+                                                       margin)
     if evidence is None:
-        evidence = spectral_radius(_chain_lift(_sym_lifts(modes), mix,
-                                               weights))
+        evidence = spectral_radius(_finite(_map_matrix(apply, len(mix), n)))
     return (StabilityReport(_spectral_verdict(evidence, margin), name,
                             evidence, certificate=certificate,
                             applications=used),

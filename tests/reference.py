@@ -3,12 +3,14 @@
 Not a test module: pytest collects only ``test_*.py``. The n^2 lift is
 the textbook form of what the library computes in symmetric
 coordinates, and ``bases`` spans those coordinates and the skew ones
-in vec form; ``markov_w2`` is the mode-conditioned second-moment
-recursion of a Markov jump linear system in plain loops; the Monte
-Carlo draws come from a sequential SplitMix64 in Python ints, where
-the library jumps ahead in numpy uint64 arrays, and
-``ensemble_mean_sq`` steps each trajectory of an ensemble in a plain
-loop, reading each law's own fields.
+in vec form; ``sym_lifts`` folds np.kron's lift onto those coordinates,
+and ``chain_lift`` builds from it the matrix of the second-moment map
+that the spectral tests read off the map itself; ``markov_w2`` is the
+mode-conditioned second-moment recursion of a Markov jump linear
+system in plain loops; the Monte Carlo draws come from a sequential
+SplitMix64 in Python ints, where the library jumps ahead in numpy
+uint64 arrays, and ``ensemble_mean_sq`` steps each trajectory of an
+ensemble in a plain loop, reading each law's own fields.
 ``structured_family`` is a seeded set of laws over rank-one,
 triangular and generic modes for the verdict tests.
 ``eigvalsh_violations`` words a mixture's violations by eigvalsh alone,
@@ -52,6 +54,30 @@ def lifted_step_matrix(sys: JumpLinearSystem, pi_k) -> np.ndarray:
     if not np.all(np.isfinite(lifts)):
         raise NumericalError("A_j kron A_j overflows: modes too large")
     return np.tensordot(pi, lifts.reshape(sys.m, n2, n2), axes=1)
+
+
+def sym_lifts(modes) -> np.ndarray:
+    """A_j kron A_j on symmetric matrices, in the basis of ``bases``, from
+    K = np.kron(A_j, A_j): entry (r, c) is u_r^T K u_c, which the symmetry
+    K[(p,q), (r,s)] = K[(q,p), (s,r)] folds to 2^(-d/2) (K[r, c] + K[r, c'])
+    with c' the transposed position of column c and d the number of
+    diagonal elements among r and c."""
+    n = modes.shape[-1]
+    p, q = _basis_pairs(n)
+    rows = p * n + q
+    k = np.array([np.kron(a, a) for a in modes])[:, rows]
+    d = np.add.outer(p == q, p == q, dtype=int)
+    return (k[:, :, rows] + k[:, :, q * n + p]) * 0.5 ** (d / 2)
+
+
+def chain_lift(modes, mix, weights) -> np.ndarray:
+    """The matrix of _moment_map(modes, mix, weights) built from the
+    Kronecker lifts: block (r, j) of the (s b, s b) result is
+    sum_i weights[r, i] mix[j, i] sym_lifts(modes)[i], b = n(n+1)/2."""
+    blocks = sym_lifts(modes)
+    lift = np.tensordot(weights[:, None] * mix[None], blocks, 1)
+    size = len(mix) * blocks.shape[1]
+    return np.swapaxes(lift, 1, 2).reshape(size, size)
 
 
 def markov_w2(modes, P, pi0, phi0, k_max):

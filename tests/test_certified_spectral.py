@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from jumpstab import stability
-from jumpstab.matkit import spectral_radius
-from jumpstab.moments import _moment_map, _sym_lifts
+from jumpstab.matkit import NumericalError, spectral_radius
+from jumpstab.moments import _moment_map
 from jumpstab.stability import (
     DEFAULT_HORIZON,
     DEFAULT_MARGIN,
@@ -32,7 +32,7 @@ from jumpstab.sysmodel import (
     SequenceSwitching,
     marginal_schedule,
 )
-from reference import lifted_step_matrix, structured_family
+from reference import lifted_step_matrix, structured_family, sym_lifts
 
 CERTIFIED = ("stable", "unstable")
 
@@ -50,7 +50,7 @@ def rotating_modes(rng, n, m):
 
 def dense_radius(sys, kind, w):
     """rho of the symmetric block of the lift, by the dense eigensolver."""
-    sym = _sym_lifts(sys.modes)
+    sym = sym_lifts(sys.modes)
     if kind == "iid":
         return spectral_radius(np.tensordot(np.asarray(w, float), sym, 1))
     size = sys.m * sym.shape[1]
@@ -263,6 +263,49 @@ def test_no_convergence_falls_back(monkeypatch):
         "Arnoldi cycles"
     assert report.applications == 0
     assert report.evidence == pytest.approx(0.625, rel=1e-14)
+
+
+def test_no_real_ritz_value_falls_back(monkeypatch):
+    """A Hessenberg matrix whose Ritz values are one complex pair leaves
+    no Perron candidate: the dense fallback answers."""
+    pair = np.array([0.5 + 0.1j, 0.5 - 0.1j]), np.eye(2, dtype=complex)
+    monkeypatch.setattr(np.linalg, "eig", lambda hess: pair)
+    modes, one = np.diag([0.5, 0.2])[None], np.ones((1, 1))
+    certificate, evidence, x, _ = stability._certified_radius(
+        _moment_map(modes, one, one), 1, 2, DEFAULT_MARGIN)
+    assert (certificate, evidence, x) == (
+        "dense fallback: no real Ritz value", None, None)
+    report = analyze(JumpLinearSystem(modes=modes), IIDSwitching([1.0]))
+    assert report.certificate == "dense fallback: no real Ritz value"
+    assert report.evidence == pytest.approx(0.25, rel=1e-14)
+
+
+def test_dense_fallback_stops_where_the_map_is_not_finite(monkeypatch):
+    """Without an Arnoldi cycle the fallback reads the map's matrix, whose
+    entries of 1e400 stop it with the spectral test's one error."""
+    monkeypatch.setattr(stability, "_RESTARTS", 0)
+    sys = JumpLinearSystem(modes=[[[1e200, 1e200], [0.0, 1e200]]])
+    with pytest.raises(NumericalError) as exc:
+        analyze(sys, IIDSwitching([1.0]))
+    assert str(exc.value) == "second moment diverged (an entry is not finite)"
+
+
+#: A nilpotent mode whose largest entry squares to 1.15e308, just under
+#: float64's top: its map stays finite, products of its images do not
+NEAR_THE_TOP = [[0.0, 1.6 * 2.0**511], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("modes, pi, evidence", [
+    ([NEAR_THE_TOP], [1.0], 0.0),
+    ([NEAR_THE_TOP, 0.5 * np.eye(2)], [0.5, 0.5], 0.125),
+], ids=["alone", "beside-half-I"])
+def test_map_near_the_float64_top_is_judged(modes, pi, evidence):
+    """Arnoldi's inner products may pass float64 where the map does not;
+    the Cholesky check still decides, and the fallback reads the map's
+    finite matrix: no warning, and the verdict rho(T) gives."""
+    report = analyze(JumpLinearSystem(modes=modes), IIDSwitching(pi))
+    assert report.verdict == "stable"
+    assert report.evidence == pytest.approx(evidence, rel=1e-12)
 
 
 class TestMargin:

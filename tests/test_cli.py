@@ -71,6 +71,9 @@ OVERFLOW_LAWS = {
     },
     "schedule": {"type": "schedule", "vectors": [[0.5, 0.5]]},
 }
+#: A nilpotent mode whose largest entry squares to 1.15e308, just under
+#: float64's top: its map stays finite, products of its images do not
+NEAR_THE_TOP = [[0.0, 1.6 * 2.0**511], [0.0, 0.0]]
 #: Components so far apart that the matched second moment overflows
 SPREAD = {
     "n": 1,
@@ -1385,6 +1388,22 @@ class TestSubprocess:
             "note: prefix products exceeded the overflow guard at k=2",
             "note: no contractive prefix within 1 steps",
         ]
+
+    @pytest.mark.parametrize("modes, pi, evidence", [
+        ({"a": NEAR_THE_TOP}, [1.0], "0"),
+        ({"a": NEAR_THE_TOP, "half": [[0.5, 0.0], [0.0, 0.5]]}, [0.5, 0.5],
+         "0.125"),
+    ], ids=["alone", "beside-half-I"])
+    def test_map_near_the_float64_top_leaves_stderr_empty(self, write, modes,
+                                                          pi, evidence):
+        doc = dict(OVERFLOW, modes=modes,
+                   switching={"type": "iid", "pi": pi})
+        proc = subprocess.run(
+            [sys.executable, "-m", "jumpstab", "analyze", write(doc)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[2:] == [
+            "verdict: stable", f"evidence: spectral radius = {evidence}"]
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(

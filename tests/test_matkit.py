@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import (
+    NumericalError,
     _sym_part,
     as_matrix,
     as_square,
@@ -44,6 +45,11 @@ class TestValidation:
             as_square(np.ones((2, 3)))
 
 
+def fail(*args, **kwargs):
+    """A LAPACK routine that did not converge."""
+    raise np.linalg.LinAlgError("did not converge")
+
+
 class TestSpectralRadius:
     def test_diagonal(self):
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
@@ -72,6 +78,12 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="square"):
             spectral_radius(np.ones((2, 3)))
 
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError, match="^eigenvalue computation "
+                                                 "failed: did not converge$"):
+            spectral_radius(np.eye(2))
+
 
 class TestSpectralNorm:
     def test_matches_largest_singular_value(self):
@@ -82,6 +94,13 @@ class TestSpectralNorm:
     def test_orthogonal_has_unit_norm(self):
         q = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert spectral_norm(q) == pytest.approx(1.0)
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", fail)
+        with pytest.raises(NumericalError, match="^singular value "
+                                                 "computation failed: did "
+                                                 "not converge$"):
+            spectral_norm(np.eye(2))
 
 
 class TestSymmetrize:

@@ -93,6 +93,19 @@ def test_lazy_package_names():
         jumpstab.no_such_name
 
 
+def test_submodule_loads_on_first_use():
+    """In a fresh interpreter ``jumpstab.stability`` imports the submodule,
+    as the benchmark's tracer reads each layer."""
+    script = ("import sys, jumpstab\n"
+              "before = 'jumpstab.stability' in sys.modules\n"
+              "module = jumpstab.stability\n"
+              "print(before, module is sys.modules['jumpstab.stability'])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "False True\n"
+
+
 def public_callables():
     """Each function of ``__all__``, and each public classmethod of its
     classes as ``Class.method``."""
@@ -186,9 +199,11 @@ def test_only_the_reader_builds_a_system():
         ("systemfile", "_build")]
 
 
-#: numpy calls that form products of modes or assemble lifts, and the
-#: propagate kernel that steps coordinates through the lifts
-LIFT_BUILDERS = {"einsum", "tensordot", "swapaxes", "kron", "_lifted_push"}
+#: numpy calls that form products of modes or assemble lifts, propagate's
+#: one builder of the Kronecker lifts and its kernel that steps
+#: coordinates through them
+LIFT_BUILDERS = {"einsum", "tensordot", "swapaxes", "kron", "_scaled_lifts",
+                 "_lifted_push"}
 
 
 def names(tree):
@@ -205,7 +220,8 @@ def names(tree):
 def test_stability_builds_no_product_or_lift():
     """The second-moment map and its matrix live in moments: stability
     reads spectra and certificates, assembles no product or lift and
-    folds no horizon."""
+    folds no horizon. Its dense fallback reads the matrix off the map,
+    not off the Kronecker lifts of the W^2 routes."""
     tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
     found = sorted(set(names(tree)) & LIFT_BUILDERS)
     assert found == []

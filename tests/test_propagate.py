@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab.matkit import NumericalError
 from jumpstab.moments import (_basis_pairs, _basis_units, _live, _moment_map,
-                              _sym_coords, _sym_lifts)
+                              _sym_coords)
 from jumpstab.propagate import (
     _mog_push,
     _scaled_lifts,
@@ -31,7 +31,7 @@ from jumpstab import propagate, sysmodel, wasserstein
 from jumpstab.stability import markov_test
 from jumpstab.wasserstein import mixture_to_dirac_sq, synthetic_gaussian
 from reference import (lifted_step_matrix, markov_w2,
-                       needs_refused_allocation, traced_peak)
+                       needs_refused_allocation, sym_lifts, traced_peak)
 
 
 def random_system(rng, m, n, scale=0.9):
@@ -64,7 +64,7 @@ def pushed_mixture(sys, law, mix, k):
     """(weights, means, covariances) after ``k`` steps of _mog_push, the
     exact route's kernel, on the whole mixture of a valid ``law``; the
     covariances are unpacked from their symmetric coordinates."""
-    lifts, exps = _scaled_lifts(sys)
+    lifts, exps = _scaled_lifts(sys.modes)
     pair = law._chain(sys.m)
     state = (mix.weights, mix.means, _sym_coords(mix.covs),
              np.zeros(mix.q, np.intp))
@@ -119,25 +119,25 @@ class TestScaledLifts:
     def test_modes_below_the_limit_keep_their_lifts(self):
         rng = np.random.default_rng(191)
         sys = random_system(rng, m=3, n=3, scale=1e150)  # entries < 2^510
-        lifts, exps = _scaled_lifts(sys)
+        lifts, exps = _scaled_lifts(sys.modes)
         assert not np.any(exps)
-        assert_array_equal(lifts, np.swapaxes(_sym_lifts(sys.modes), 1, 2))
+        assert_array_equal(lifts, np.swapaxes(sym_lifts(sys.modes), 1, 2))
 
     def test_only_the_huge_mode_is_scaled_per_mode(self):
         huge = [[0.0, 1e160], [0.0, 0.0]]  # largest entry in [2^531, 2^532)
         sys = JumpLinearSystem(modes=[huge, 0.3 * np.eye(2)])
-        lifts, exps = _scaled_lifts(sys)
+        lifts, exps = _scaled_lifts(sys.modes)
         assert_array_equal(exps, [44, 0])
         small = JumpLinearSystem(modes=[0.3 * np.eye(2)])
-        assert_array_equal(lifts[1], _sym_lifts(small.modes)[0].T)
+        assert_array_equal(lifts[1], sym_lifts(small.modes)[0].T)
         assert np.abs(lifts[0]).max() == np.ldexp(1e160, -22) ** 2
-        assert_array_equal(_scaled_lifts(sys)[1], [44, 0])
+        assert_array_equal(_scaled_lifts(sys.modes)[1], [44, 0])
 
     def test_scaling_that_loses_digits_raises(self):
         """1e-150 * 1e-150 = 1e-300 is normal; scaled by 2^-44 it is not."""
         sys = JumpLinearSystem(modes=[[[0.0, 1e160], [1e-150, 0.0]]])
         with pytest.raises(NumericalError, match="underflows"):
-            _scaled_lifts(sys)
+            _scaled_lifts(sys.modes)
         mix = point_mass([1.0, 1.0])
         for method in ("gamma", "exact_mog"):
             with pytest.raises(NumericalError, match="underflows"):

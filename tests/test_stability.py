@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from jumpstab.defaults import DEFAULT_MARGIN
 from jumpstab.matkit import spectral_radius
 from jumpstab.mcsim import SimConfig, simulate_ensemble
-from jumpstab.moments import _chain_lift, _moment_map, _sym_coords, _sym_lifts
+from jumpstab.moments import _moment_map, _sym_coords
 from jumpstab.propagate import w2_trajectory
 from jumpstab.stability import (
     _certified_radius,
@@ -30,7 +30,7 @@ from jumpstab.sysmodel import (
     _normalized,
     marginal_schedule,
 )
-from reference import lifted_step_matrix, structured_family
+from reference import chain_lift, lifted_step_matrix, structured_family
 
 
 def scalar_system(*values):
@@ -549,7 +549,7 @@ def growth(sys, law, steps=400):
     for k in range(1, law._settle):
         y = _moment_map(sys.modes, *pair(k))(y)
     power = np.linalg.matrix_power(
-        _chain_lift(_sym_lifts(sys.modes), *pair(law._settle)), 8)
+        chain_lift(sys.modes, *pair(law._settle)), 8)
     v, logs = _sym_coords(y).ravel(), []
     for _ in range(steps // 8):
         v = power @ v

@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from jumpstab import stability
 from jumpstab.matkit import spectral_radius
-from jumpstab.moments import _basis_pairs, _chain_lift, _moment_map, _sym_lifts
-from jumpstab.propagate import gamma_product
+from jumpstab.moments import _basis_pairs, _map_matrix, _moment_map
+from jumpstab.propagate import _scaled_lifts, gamma_product
 from jumpstab.stability import analyze, markov_test
 from jumpstab.sysmodel import (
     IIDSwitching,
@@ -23,7 +23,7 @@ from jumpstab.sysmodel import (
     ScheduleSwitching,
     marginal_schedule,
 )
-from reference import bases
+from reference import bases, chain_lift
 
 #: (seed, n, m): every n in 1..6 and every m in 1..4 appears
 CASES = [(s, n, m) for s, (n, m) in enumerate(
@@ -64,7 +64,9 @@ class TestBlocks:
         sys = rotating_system(np.random.default_rng(seed), n, m)
         assert any(np.iscomplexobj(np.linalg.eigvals(a)) for a in sys.modes) \
             or n == 1
-        sym = _sym_lifts(sys.modes)
+        lifts, exps = _scaled_lifts(sys.modes)
+        assert not np.any(exps)
+        sym = np.swapaxes(lifts, 1, 2)
         u, v = bases(n)
         s = n * (n + 1) // 2
         assert sym.shape == (m, s, s)
@@ -131,8 +133,9 @@ class TestBlocks:
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_map_and_its_matrix_are_one_operator(n, m, chain):
     """The matrix-free map applied to each orthonormal symmetric basis
-    stack gives the builder's matrix, column by column: the certified
-    verdicts and their dense fallback read the same operator."""
+    stack, one at a time, gives the matrix that the dense fallback reads
+    off the map in one batched call, and the Kronecker lift's matrix:
+    the certified verdicts and their dense fallback read one operator."""
     rng = np.random.default_rng([n, m, int(chain == "markov")])
     sys = rotating_system(rng, n, m)
     if chain == "one-state":
@@ -141,9 +144,10 @@ def test_map_and_its_matrix_are_one_operator(n, m, chain):
         mix, weights = random_chain(rng, m), np.eye(m)
     states, u = mix.shape[0], bases(n)[0]
     size = u.shape[1]
-    matrix = _chain_lift(_sym_lifts(sys.modes), mix, weights)
+    matrix = chain_lift(sys.modes, mix, weights)
     assert matrix.shape == (states * size, states * size)
     apply = _moment_map(sys.modes, mix, weights)
+    fallback = _map_matrix(apply, states, n)
     columns = np.zeros_like(matrix)
     for j in range(states):
         for c in range(size):
@@ -151,8 +155,9 @@ def test_map_and_its_matrix_are_one_operator(n, m, chain):
             q[j] = u[:, c].reshape(n, n)
             columns[:, j * size + c] = (
                 apply(q).reshape(states, n * n) @ u).reshape(-1)
-    assert_allclose(columns, matrix, rtol=0,
-                    atol=1e-12 * np.abs(matrix).max())
+    for got in (columns, fallback):
+        assert_allclose(got, matrix, rtol=0,
+                        atol=1e-12 * np.abs(matrix).max())
 
 
 class TestFastSkewDecay:
