@@ -28,7 +28,10 @@ The parser and ``validate`` need only the standard library: the reader
 in ``systemfile`` checks a file in plain Python, and loads numpy only
 for a covariance its proof cannot clear.  The other subcommands run the
 same reader, then import the numerical modules they use, after ``main``
-has chosen the BLAS thread count.
+has chosen the BLAS thread count.  The process entry,
+``jumpstab.__main__.run``, freezes the heap after ``main`` returns, so
+the interpreter's final collections skip what these imports loaded;
+``main`` itself freezes nothing.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ Most cases drive ``main()`` in process for speed; a few go through
 cross-process byte determinism.
 """
 
+import gc
 import json
 import math
 import os
@@ -1335,16 +1336,17 @@ class TestUsage:
 
 
 #: ``python -m jumpstab`` run in process, then its exit code, the modules
-#: it loaded and its OPENBLAS_NUM_THREADS as one JSON line
+#: it loaded, its OPENBLAS_NUM_THREADS and the count of objects frozen out
+#: of collection as one JSON line
 PROBE = (
-    "import json, os, runpy, sys\n"
+    "import gc, json, os, runpy, sys\n"
     "code = None\n"
     "try:\n"
     "    runpy.run_module('jumpstab', run_name='__main__')\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
     "print(json.dumps([code, sorted(sys.modules), "
-    "os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    "os.environ.get('OPENBLAS_NUM_THREADS'), gc.get_freeze_count()]))\n"
 )
 
 
@@ -1457,7 +1459,7 @@ class TestSubprocess:
         "argv, code", [(["nope"], 1), (["--help"], 0)], ids=["usage", "help"]
     )
     def test_usage_and_help_load_no_numpy(self, argv, code):
-        got, modules, _ = self.probe(*argv)
+        got, modules, *_ = self.probe(*argv)
         assert got == code
         assert "numpy" not in modules
 
@@ -1471,7 +1473,7 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         *lines, last = proc.stdout.splitlines()
-        code, modules, _ = json.loads(last)
+        code, modules, *_ = json.loads(last)
         assert ("\n".join(lines), code) == (report, 0)
         assert "numpy" not in modules
 
@@ -1493,7 +1495,7 @@ class TestSubprocess:
          ("stability", "propagate", "wasserstein", "moments")),
     ], ids=["validate", "analyze", "trajectory", "simulate"])
     def test_subcommand_loads_only_its_modules(self, write, argv, unused):
-        code, modules, _ = self.probe(argv[0], write(IID), *argv[1:])
+        code, modules, *_ = self.probe(argv[0], write(IID), *argv[1:])
         assert code == 0
         assert [m for m in unused if f"jumpstab.{m}" in modules] == []
 
@@ -1503,7 +1505,7 @@ class TestSubprocess:
         env = without_blas_threads()
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        code, _, blas = self.probe("validate", write(IID), env=env)
+        code, _, blas, _ = self.probe("validate", write(IID), env=env)
         assert (code, blas) == (0, seen)
 
     @pytest.mark.skipif(
@@ -1557,9 +1559,69 @@ class TestSubprocess:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_usage_error_returncode(self):
-        proc = self.run("nope")
-        assert proc.returncode == 1
+    @pytest.mark.parametrize("doc, code", [(IID, 0), (None, 1)],
+                             ids=["analyze", "usage-error"])
+    def test_process_entry_freezes_the_heap(self, write, doc, code):
+        """The interpreter's final collections skip what ``run`` froze;
+        argparse's SystemExit leaves through the same ``finally``."""
+        got, _, _, frozen = self.probe("analyze",
+                                       *([write(doc)] if doc else []))
+        assert got == code
+        assert frozen > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["analyze"], ["trajectory", "--steps", "2"],
+        ["simulate", "--steps", "2", "--trajectories", "4"],
+        ["compare", "--steps", "2", "--trajectories", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_main_in_process_freezes_nothing(self, write, capsys, argv):
+        before = gc.get_freeze_count()
+        assert main([argv[0], write(IID), *argv[1:]]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, doc, code", [
+        (["analyze"], IID, 0),
+        (["nope"], None, 1),
+        (["analyze", "missing.json"], None, 1),
+        (["analyze", "--assert-stable"], IID, 2),
+        (["trajectory", "--steps", "30"],
+         TestOverflow.scalar([1.5], [1.0], 1e150), 3),
+    ], ids=["analyze", "usage-error", "unreadable", "assert-stable",
+            "w2-diverges"])
+    def test_process_keeps_every_exit_and_byte(self, write, capsys, argv,
+                                               doc, code):
+        """Each way out of ``python -m jumpstab`` prints and returns what
+        ``main`` does in process."""
+        argv = [argv[0], *([write(doc)] if doc else []), *argv[1:]]
+        try:
+            inproc = main(argv)
+        except SystemExit as exc:
+            inproc = exc.code
+        captured = capsys.readouterr()
+        proc = self.run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            inproc, captured.out, captured.err)
+        assert inproc == code
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--steps", "4", "--method", "exact_mog"],
+        ["simulate", "--steps", "4", "--trajectories", "300"],
+    ], ids=lambda argv: argv[0])
+    def test_out_file_is_closed_and_complete(self, write, tmp_path, argv):
+        """No final collection reaches an open file: each ``--out`` file
+        holds the bytes the same call prints to stdout."""
+        argv = [argv[0], write(MARKOV), *argv[1:]]
+        out = tmp_path / "out.csv"
+        printed = subprocess.run([sys.executable, "-m", "jumpstab", *argv],
+                                 capture_output=True)
+        written = subprocess.run(
+            [sys.executable, "-m", "jumpstab", *argv, "--out", str(out)],
+            capture_output=True)
+        assert (printed.returncode, printed.stderr) == (0, b"")
+        assert (written.returncode, written.stdout, written.stderr) == (
+            0, b"", b"")
+        assert out.read_bytes() == printed.stdout
 
     def test_cross_process_csv_determinism(self, write, tmp_path):
         path = write(MARKOV)

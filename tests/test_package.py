@@ -191,6 +191,18 @@ def test_one_dense_eigensolver_site():
         ("matkit", "spectral_radius")]
 
 
+def test_only_the_process_entry_freezes_the_heap():
+    """``__main__.run`` freezes the heap after ``main``, so the process's
+    final collections skip it; ``cli.main`` in process keeps normal
+    collection, and the installed command ends the same way as
+    ``python -m jumpstab``."""
+    assert sites(lambda node: calls(node, "freeze")) == [("__main__", "run")]
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^jumpstab\s*=\s*"(.*)"$', pyproject, re.M) == [
+        "jumpstab.__main__:run"]
+
+
 def test_only_the_reader_builds_a_system():
     """In the library only the file reader builds a system. The numerics
     take mode arrays and wrap none they derive in a new system, whose
